@@ -1,9 +1,12 @@
 """Dense 2-D float64 arrays with reverse-mode gradients and SGD.
 
-Every quantity the training code differentiates flows through the
-operations in this module.  A ``GradientTape`` records each primitive
-applied to a watched parameter (or to anything derived from one) and
-replays the records in exact reverse order on ``backward``.
+A ``GradientTape`` records each operation applied to a watched parameter
+(or to anything derived from one) and replays the records in exact
+reverse order on ``backward``.  An operation is either one of the
+primitives below or a fused operation registered with :func:`record`:
+the training code records a whole forward pass or a whole loss term as
+one fused record whose backward returns all of its gradients at once.
+The primitives stay the tested reference those fused records reproduce.
 
 Reductions rely on numpy's fixed reduction order, so identical inputs
 produce bit-identical outputs across runs.
@@ -22,6 +25,8 @@ __all__ = [
     "ShapeMismatchError",
     "DegenerateEmbeddingError",
     "TapeUsageError",
+    "wrap",
+    "record",
     "matmul",
     "transpose",
     "add",
@@ -33,9 +38,7 @@ __all__ = [
     "log",
     "exp",
     "sum_all",
-    "sum_rows",
     "concat_rows",
-    "diag_part",
     "softmax_rows",
     "log_softmax_rows",
     "lse_offdiag_rows",
@@ -79,7 +82,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return _wrap(np.zeros((rows, cols)))
+        return wrap(np.zeros((rows, cols)))
 
     @property
     def rows(self) -> int:
@@ -94,7 +97,7 @@ class Matrix:
         return self.data.shape
 
     def copy(self) -> "Matrix":
-        return _wrap(self.data.copy())
+        return wrap(self.data.copy())
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -105,8 +108,8 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _wrap(arr: np.ndarray) -> Matrix:
-    """Build a Matrix around an array we already own (no copy, no checks)."""
+def wrap(arr: np.ndarray) -> Matrix:
+    """Build a Matrix around an array the caller owns (no copy, no checks)."""
     m = Matrix.__new__(Matrix)
     m.data = np.ascontiguousarray(arr, dtype=np.float64)
     return m
@@ -117,11 +120,14 @@ class GradientTape:
 
     Single-writer: one forward recording followed by one backward replay.
     The tape holds strong references to every tracked matrix, so identity
-    keys stay valid for its whole lifetime.
+    keys stay valid for its whole lifetime.  ``backward`` drops the records
+    it replayed, which frees their closures (some of them refer back to the
+    tape) without waiting for the cyclic garbage collector.
     """
 
     def __init__(self):
         self._records: list[tuple[Matrix, Callable[[np.ndarray], Iterable[tuple[Matrix, np.ndarray]]]]] = []
+        self._num_records = 0
         self._tracked: dict[int, Matrix] = {}
         self._watched: list[Matrix] = []
         self._consumed = False
@@ -139,15 +145,36 @@ class GradientTape:
     def _record(self, out: Matrix, backward_fn) -> None:
         self._tracked[id(out)] = out
         self._records.append((out, backward_fn))
+        self._num_records += 1
 
     @property
     def num_records(self) -> int:
-        return len(self._records)
+        """Operations recorded so far; still counted after ``backward``."""
+        return self._num_records
 
 
 def _maybe_record(tape: GradientTape | None, inputs: tuple[Matrix, ...], out: Matrix, backward_fn) -> Matrix:
     if tape is not None and any(tape.tracks(x) for x in inputs):
         tape._record(out, backward_fn)
+    return out
+
+
+def record(tape: GradientTape | None, inputs: tuple[Matrix, ...], out: Matrix,
+           backward_fn: Callable[[np.ndarray, tuple[bool, ...]], Iterable[np.ndarray | None]]) -> Matrix:
+    """Record a fused operation as one tape entry and return ``out``.
+
+    ``backward_fn(g, tracked)`` receives the gradient of ``out`` and, per
+    entry of ``inputs``, whether that input is on the tape.  It returns one
+    gradient per input, in order; entries for untracked inputs are ignored
+    and may be None.  Nothing is recorded when no input is tracked.
+    """
+    if tape is None:
+        return out
+    tracked = tuple(tape.tracks(x) for x in inputs)
+    if any(tracked):
+        def bwd(g):
+            return [(x, gx) for x, gx, t in zip(inputs, backward_fn(g, tracked), tracked) if t]
+        tape._record(out, bwd)
     return out
 
 
@@ -178,11 +205,12 @@ def backward(tape: GradientTape, loss: Matrix) -> dict[Matrix, Matrix]:
             else:
                 acc += contrib
     tape._consumed = True
+    tape._records.clear()
 
     out_grads: dict[Matrix, Matrix] = {}
     for p in tape._watched:
         g = grads.get(id(p))
-        out_grads[p] = _wrap(g) if g is not None else Matrix.zeros(p.rows, p.cols)
+        out_grads[p] = wrap(g) if g is not None else Matrix.zeros(p.rows, p.cols)
     return out_grads
 
 
@@ -194,7 +222,7 @@ def matmul(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Standard matrix product a @ b."""
     if a.cols != b.rows:
         raise ShapeMismatchError(f"matmul shapes do not align: {a.shape} @ {b.shape}")
-    out = _wrap(a.data @ b.data)
+    out = wrap(a.data @ b.data)
 
     def bwd(g):
         contribs = []
@@ -208,7 +236,7 @@ def matmul(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
 
 
 def transpose(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    out = _wrap(a.data.T.copy())
+    out = wrap(a.data.T.copy())
 
     def bwd(g):
         return [(a, g.T)]
@@ -223,7 +251,7 @@ def _same_shape(a: Matrix, b: Matrix, op: str) -> None:
 
 def add(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     _same_shape(a, b, "add")
-    out = _wrap(a.data + b.data)
+    out = wrap(a.data + b.data)
 
     def bwd(g):
         contribs = []
@@ -238,7 +266,7 @@ def add(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
 
 def sub(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     _same_shape(a, b, "sub")
-    out = _wrap(a.data - b.data)
+    out = wrap(a.data - b.data)
 
     def bwd(g):
         contribs = []
@@ -254,7 +282,7 @@ def sub(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
 def mul(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Elementwise product."""
     _same_shape(a, b, "mul")
-    out = _wrap(a.data * b.data)
+    out = wrap(a.data * b.data)
 
     def bwd(g):
         contribs = []
@@ -268,7 +296,7 @@ def mul(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
 
 
 def scale(a: Matrix, c: float, tape: GradientTape | None = None) -> Matrix:
-    out = _wrap(a.data * c)
+    out = wrap(a.data * c)
 
     def bwd(g):
         return [(a, g * c)]
@@ -280,7 +308,7 @@ def add_row(a: Matrix, bias: Matrix, tape: GradientTape | None = None) -> Matrix
     """Add a 1 x cols bias row to every row of ``a``."""
     if bias.rows != 1 or bias.cols != a.cols:
         raise ShapeMismatchError(f"add_row needs a 1x{a.cols} bias, got {bias.shape}")
-    out = _wrap(a.data + bias.data)
+    out = wrap(a.data + bias.data)
 
     def bwd(g):
         contribs = []
@@ -294,7 +322,7 @@ def add_row(a: Matrix, bias: Matrix, tape: GradientTape | None = None) -> Matrix
 
 
 def relu(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    out = _wrap(np.maximum(a.data, 0.0))
+    out = wrap(np.maximum(a.data, 0.0))
     mask = a.data > 0.0
 
     def bwd(g):
@@ -305,7 +333,7 @@ def relu(a: Matrix, tape: GradientTape | None = None) -> Matrix:
 
 def log(a: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Natural log.  Base-2 values are obtained by scaling with 1/ln 2."""
-    out = _wrap(np.log(a.data))
+    out = wrap(np.log(a.data))
 
     def bwd(g):
         return [(a, g / a.data)]
@@ -314,7 +342,7 @@ def log(a: Matrix, tape: GradientTape | None = None) -> Matrix:
 
 
 def exp(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    out = _wrap(np.exp(a.data))
+    out = wrap(np.exp(a.data))
 
     def bwd(g):
         return [(a, g * out.data)]
@@ -323,7 +351,7 @@ def exp(a: Matrix, tape: GradientTape | None = None) -> Matrix:
 
 
 def sum_all(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    out = _wrap(np.array([[a.data.sum()]]))
+    out = wrap(np.array([[a.data.sum()]]))
 
     def bwd(g):
         return [(a, np.full(a.shape, g[0, 0]))]
@@ -331,20 +359,10 @@ def sum_all(a: Matrix, tape: GradientTape | None = None) -> Matrix:
     return _maybe_record(tape, (a,), out, bwd)
 
 
-def sum_rows(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Sum over columns, producing a rows x 1 matrix."""
-    out = _wrap(a.data.sum(axis=1, keepdims=True))
-
-    def bwd(g):
-        return [(a, np.broadcast_to(g, a.shape).copy())]
-
-    return _maybe_record(tape, (a,), out, bwd)
-
-
 def concat_rows(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     if a.cols != b.cols:
         raise ShapeMismatchError(f"concat_rows column counts differ: {a.shape} vs {b.shape}")
-    out = _wrap(np.vstack([a.data, b.data]))
+    out = wrap(np.vstack([a.data, b.data]))
     na = a.rows
 
     def bwd(g):
@@ -358,27 +376,13 @@ def concat_rows(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matri
     return _maybe_record(tape, (a, b), out, bwd)
 
 
-def diag_part(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Main diagonal of a square matrix as an n x 1 column."""
-    if a.rows != a.cols:
-        raise ShapeMismatchError(f"diag_part needs a square matrix, got {a.shape}")
-    out = _wrap(np.diag(a.data).reshape(-1, 1).copy())
-
-    def bwd(g):
-        full = np.zeros(a.shape)
-        np.fill_diagonal(full, g[:, 0])
-        return [(a, full)]
-
-    return _maybe_record(tape, (a,), out, bwd)
-
-
 def softmax_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Row-wise softmax with max-subtraction; each row sums to 1."""
     if m.cols < 1:
         raise ShapeMismatchError("softmax_rows needs at least one column")
     shifted = m.data - m.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    out = _wrap(e / e.sum(axis=1, keepdims=True))
+    out = wrap(e / e.sum(axis=1, keepdims=True))
 
     def bwd(g):
         s = out.data
@@ -392,7 +396,7 @@ def log_softmax_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Row-wise log softmax, numerically stable."""
     shifted = m.data - m.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = _wrap(shifted - lse)
+    out = wrap(shifted - lse)
 
     def bwd(g):
         s = np.exp(out.data)
@@ -416,7 +420,7 @@ def lse_offdiag_rows(a: Matrix, tape: GradientTape | None = None) -> Matrix:
     m = masked.max(axis=1, keepdims=True)
     e = np.exp(masked - m)
     np.fill_diagonal(e, 0.0)
-    out = _wrap(m + np.log(e.sum(axis=1, keepdims=True)))
+    out = wrap(m + np.log(e.sum(axis=1, keepdims=True)))
 
     def bwd(g):
         w = np.exp(masked - out.data)
@@ -436,7 +440,7 @@ def l2_normalize_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms[:, 0] == 0.0)[0])
         raise DegenerateEmbeddingError(f"row {bad} has zero norm and cannot be normalized")
-    out = _wrap(m.data / norms)
+    out = wrap(m.data / norms)
 
     def bwd(g):
         y = out.data
@@ -484,5 +488,5 @@ def sgd_step(state: OptimizerState, params: dict[str, Matrix], grads: dict[str, 
             v = np.zeros(p.shape)
         v = state.momentum * v + g.data + state.weight_decay * p.data
         state.velocity[name] = v
-        updated[name] = _wrap(p.data - state.learning_rate * v)
+        updated[name] = wrap(p.data - state.learning_rate * v)
     return updated

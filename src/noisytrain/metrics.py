@@ -72,16 +72,13 @@ def selection_precision_recall(sel: SelectionResult, ds: LabeledDataset) -> tupl
 
 def _tied_ranks(values: np.ndarray) -> np.ndarray:
     """Mid-ranks (1-based); tied values share the average of their ranks."""
+    n = len(values)
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], n] - 1
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 

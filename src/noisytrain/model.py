@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,8 @@ THETA = ("w1", "b1", "w2", "b2")
 PHI = ("wc", "bc")
 PSI = ("wp", "bp")
 ALL_GROUPS = THETA + PHI + PSI
+
+_SOFTMAX_MEMO_SIZE = 2
 
 _CHECKPOINT_MAGIC = b"TWINNET1"
 
@@ -58,6 +60,8 @@ class NetworkParams:
     arch: Arch
     seed: int
     params: dict[str, Matrix]
+    # (features, parameter matrices, softmax) entries; see dataset_softmax
+    softmax_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def group(self, names) -> dict[str, Matrix]:
         return {n: self.params[n] for n in names}
@@ -91,16 +95,47 @@ def _check_input(net: NetworkParams, x: Matrix) -> None:
         raise ShapeMismatchError(f"input has {x.cols} columns, network expects {net.arch.in_dim}")
 
 
-def forward_hidden(net: NetworkParams, x: Matrix, tape: GradientTape | None = None) -> Matrix:
+def _head_forward(net: NetworkParams, x: Matrix, tape: GradientTape | None,
+                  head: tuple[str, str], finish=None) -> Matrix:
+    """Both ReLU layers and one linear head, taped as one fused operation.
+
+    The backward closure replays, expression for expression, the backward
+    of the primitive chain (matmul, add_row, relu, ..., add_row) that this
+    function replaces, so every gradient is bit-identical to it.
+    ``finish`` maps the head's output to the final one and returns it with
+    a function that turns the final output's gradient into the head's.
+    """
     _check_input(net, x)
-    p = net.params
-    h1 = kernel.relu(kernel.add_row(kernel.matmul(x, p["w1"], tape), p["b1"], tape), tape)
-    return kernel.relu(kernel.add_row(kernel.matmul(h1, p["w2"], tape), p["b2"], tape), tape)
+    inputs = (x,) + tuple(net.params[n] for n in THETA + head)
+    xa, w1, b1, w2, b2, wh, bh = (m.data for m in inputs)
+    a1 = xa @ w1 + b1
+    h1 = np.maximum(a1, 0.0)
+    a2 = h1 @ w2 + b2
+    h = np.maximum(a2, 0.0)
+    out = h @ wh + bh
+    finish_grad = None
+    if finish is not None:
+        out, finish_grad = finish(out)
+
+    def bwd(g, tracked):
+        if finish_grad is not None:
+            g = finish_grad(g)
+        gbh = g.sum(axis=0, keepdims=True)
+        gwh = h.T @ g
+        g = (g @ wh.T) * (a2 > 0.0)
+        gb2 = g.sum(axis=0, keepdims=True)
+        gw2 = h1.T @ g
+        g = (g @ w2.T) * (a1 > 0.0)
+        gb1 = g.sum(axis=0, keepdims=True)
+        gw1 = xa.T @ g
+        gx = g @ w1.T if tracked[0] else None
+        return gx, gw1, gb1, gw2, gb2, gwh, gbh
+
+    return kernel.record(tape, inputs, kernel.wrap(out), bwd)
 
 
 def forward_logits(net: NetworkParams, x: Matrix, tape: GradientTape | None = None) -> Matrix:
-    h = forward_hidden(net, x, tape)
-    return kernel.add_row(kernel.matmul(h, net.params["wc"], tape), net.params["bc"], tape)
+    return _head_forward(net, x, tape, PHI)
 
 
 def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
@@ -108,17 +143,54 @@ def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
     return kernel.softmax_rows(forward_logits(net, x))
 
 
+def _l2_normalize(z: np.ndarray):
+    norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
+    if np.any(norms == 0.0):
+        bad = int(np.flatnonzero(norms[:, 0] == 0.0)[0])
+        raise kernel.DegenerateEmbeddingError(f"row {bad} has zero norm and cannot be normalized")
+    y = z / norms
+
+    def grad(g):
+        dot = (g * y).sum(axis=1, keepdims=True)
+        return (g - y * dot) / norms
+    return y, grad
+
+
 def forward_projection(net: NetworkParams, x: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Unit-norm embedding rows from the projection head."""
-    h = forward_hidden(net, x, tape)
-    z = kernel.add_row(kernel.matmul(h, net.params["wp"], tape), net.params["bp"], tape)
-    return kernel.l2_normalize_rows(z, tape)
+    """Unit-norm embedding rows from the projection head.
+
+    Raises ``DegenerateEmbeddingError`` on a zero-norm row, which signals a
+    collapsed projection rather than a recoverable condition.
+    """
+    return _head_forward(net, x, tape, PSI, finish=_l2_normalize)
+
+
+def dataset_softmax(net: NetworkParams, features: Matrix) -> Matrix:
+    """``forward_softmax`` over a whole dataset, remembered on the network.
+
+    A remembered result is reused only for the same ``features`` object
+    and the very same parameter matrices, compared by identity.  Training
+    replaces parameters with new matrices rather than writing into them,
+    so any update misses.  The memo keeps the last ``_SOFTMAX_MEMO_SIZE``
+    results (the train and test sets), and the arrays it hands out are
+    read-only because every caller shares them.
+    """
+    params = tuple(net.params[n] for n in THETA + PHI)
+    memo = net.softmax_memo
+    for feats, used, probs in memo:
+        if feats is features and all(a is b for a, b in zip(used, params)):
+            return probs
+    probs = forward_softmax(net, features)
+    probs.data.flags.writeable = False
+    memo.append((features, params, probs))
+    del memo[:-_SOFTMAX_MEMO_SIZE]
+    return probs
 
 
 def ensemble_softmax(twins: TwinNetworks, x: Matrix) -> Matrix:
     """Elementwise mean of the two networks' softmax outputs."""
-    s1 = forward_softmax(twins.net1, x)
-    s2 = forward_softmax(twins.net2, x)
+    s1 = dataset_softmax(twins.net1, x)
+    s2 = dataset_softmax(twins.net2, x)
     return Matrix((s1.data + s2.data) / 2.0)
 
 

@@ -215,13 +215,15 @@ def baseline_global_select(report: DivergenceReport, filter_rate: float,
 def export_selection_csv(sel: SelectionResult, report: DivergenceReport,
                          given_labels, path: str) -> None:
     """Offline inspection dump: index,given_label,d,selected."""
+    n = len(report)
     labels = np.asarray(given_labels, dtype=np.int64)
-    mask = np.zeros(len(report), dtype=bool)
-    mask[sel.clean_indices] = True
+    if len(labels) != n:
+        raise ValueError("labels and divergences disagree in length")
+    selected = np.zeros(n, dtype=np.int64)
+    selected[sel.clean_indices] = 1
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["index", "given_label", "d", "selected"])
-        for i in range(len(report)):
-            w.writerow([i, int(labels[i]), repr(float(report.d[i])), int(mask[i])])
+        w.writerows(zip(range(n), labels.tolist(), map(repr, report.d.tolist()), selected.tolist()))
     os.replace(tmp, path)

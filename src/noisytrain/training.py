@@ -24,7 +24,8 @@ from .data import (AugmentationSpec, LabeledDataset, batch_iterator,
                    strong_augment, weak_augment)
 from .kernel import GradientTape, Matrix, OptimizerState, backward, sgd_step
 from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, \
-    ensemble_softmax, forward_logits, forward_projection, forward_softmax
+    dataset_softmax, ensemble_softmax, forward_logits, forward_projection, \
+    forward_softmax
 from .selection import (CutoffParams, DivergenceReport, SelectionResult,
                         baseline_global_select, compute_cutoff,
                         compute_filter_rate, divergences_from_probs,
@@ -194,21 +195,51 @@ def mixmatch_assemble(x_inputs: Matrix, x_targets: Matrix,
 
 # ---------------------------------------------------------------------------
 # loss terms (tape-aware; targets are constants)
+#
+# Each taped loss is one fused tape record.  Its forward and its backward
+# closure replay, expression for expression and in the same order, the
+# kernel primitives (softmax_rows, mul, sum_all, scale, ...) that the term
+# was first written with, so values and gradients are bit-identical to
+# that primitive chain; tests/test_fused.py keeps it as the reference.
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_backward(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    dot = (g * s).sum(axis=1, keepdims=True)
+    return s * (g - dot)
 
 
 def loss_lx(logits: Matrix, targets: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Mean soft cross-entropy between target rows and softmax(logits)."""
-    ls = kernel.log_softmax_rows(logits, tape)
-    total = kernel.sum_all(kernel.mul(ls, targets, tape), tape)
-    return kernel.scale(total, -1.0 / logits.rows, tape)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    c = -1.0 / logits.rows
+    out = np.array([[(ls * targets.data).sum()]]) * c
+
+    def bwd(g, tracked):
+        g_ls = np.full(ls.shape, (g * c)[0, 0]) * targets.data
+        return (g_ls - np.exp(ls) * g_ls.sum(axis=1, keepdims=True),)
+
+    return kernel.record(tape, (logits,), kernel.wrap(out), bwd)
 
 
 def loss_lu(logits: Matrix, targets: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Mean squared Euclidean distance between targets and softmax(logits)."""
-    p = kernel.softmax_rows(logits, tape)
-    diff = kernel.sub(p, targets, tape)
-    total = kernel.sum_all(kernel.mul(diff, diff, tape), tape)
-    return kernel.scale(total, 1.0 / logits.rows, tape)
+    p = _softmax(logits.data)
+    diff = p - targets.data
+    c = 1.0 / logits.rows
+    out = np.array([[(diff * diff).sum()]]) * c
+
+    def bwd(g, tracked):
+        g_half = np.full(diff.shape, (g * c)[0, 0]) * diff
+        return (_softmax_backward(p, g_half + g_half),)   # diff * diff reaches diff twice
+
+    return kernel.record(tape, (logits,), kernel.wrap(out), bwd)
 
 
 def loss_reg(logits: Matrix, num_classes: int, tape: GradientTape | None = None) -> Matrix:
@@ -218,18 +249,24 @@ def loss_reg(logits: Matrix, num_classes: int, tape: GradientTape | None = None)
     batch-mean prediction is exactly uniform.
     """
     n = logits.rows
-    p = kernel.softmax_rows(logits, tape)
-    mean_row = kernel.matmul(Matrix(np.full((1, n), 1.0 / n)), p, tape)
-    log_mean = kernel.log(mean_row, tape)
-    cross = kernel.scale(kernel.sum_all(log_mean, tape), -1.0 / num_classes, tape)
-    return kernel.add(cross, Matrix([[-np.log(num_classes)]]), tape)
+    p = _softmax(logits.data)
+    weights = np.full((1, n), 1.0 / n)
+    mean_row = weights @ p
+    c = -1.0 / num_classes
+    out = np.array([[np.log(mean_row).sum()]]) * c + np.array([[-np.log(num_classes)]])
+
+    def bwd(g, tracked):
+        g_log = np.full(mean_row.shape, (g * c)[0, 0])
+        return (_softmax_backward(p, weights.T @ (g_log / mean_row)),)
+
+    return kernel.record(tape, (logits,), kernel.wrap(out), bwd)
 
 
-def _pair_mask(n: int) -> Matrix:
+def _pair_mask(n: int) -> np.ndarray:
     mask = np.zeros((n, n))
     idx = np.arange(n)
     mask[idx, idx ^ 1] = 1.0
-    return Matrix(mask)
+    return mask
 
 
 def loss_contrastive(embeddings: Matrix, kappa: float, tape: GradientTape | None = None) -> Matrix:
@@ -244,19 +281,44 @@ def loss_contrastive(embeddings: Matrix, kappa: float, tape: GradientTape | None
         return Matrix([[0.0]])
     if n % 2 != 0:
         raise ValueError("contrastive batch must hold an even number of embeddings")
-    sim = kernel.matmul(embeddings, kernel.transpose(embeddings, tape), tape)
-    sim_t = kernel.scale(sim, 1.0 / kappa, tape)
-    denom = kernel.sum_all(kernel.lse_offdiag_rows(sim_t, tape), tape)
-    pos = kernel.sum_all(kernel.mul(sim_t, _pair_mask(n), tape), tape)
-    return kernel.scale(kernel.sub(denom, pos, tape), 1.0 / n, tape)
+    z = embeddings.data
+    z_t = z.T.copy()
+    c = 1.0 / kappa
+    sim = (z @ z_t) * c
+    # row-wise log-sum-exp over the off-diagonal similarities
+    masked = sim.copy()
+    np.fill_diagonal(masked, -np.inf)
+    row_max = masked.max(axis=1, keepdims=True)
+    e = np.exp(masked - row_max)
+    np.fill_diagonal(e, 0.0)
+    lse = row_max + np.log(e.sum(axis=1, keepdims=True))
+    pairs = _pair_mask(n)
+    diff = np.array([[lse.sum()]]) - np.array([[(sim * pairs).sum()]])
+    out = diff * (1.0 / n)
+
+    def bwd(g, tracked):
+        g_diff = g * (1.0 / n)
+        g_sim = np.full((n, n), (-g_diff)[0, 0]) * pairs
+        w = np.exp(masked - lse)
+        np.fill_diagonal(w, 0.0)
+        g_sim += np.full((n, 1), g_diff[0, 0]) * w
+        g_raw = g_sim * c
+        g_z = g_raw @ z_t.T
+        g_z += (z.T @ g_raw).T
+        return (g_z,)
+
+    return kernel.record(tape, (embeddings,), kernel.wrap(out), bwd)
 
 
 def total_loss(lx: Matrix, lu: Matrix, lreg: Matrix, lc: Matrix,
                hp: Hyperparams, tape: GradientTape | None = None) -> Matrix:
-    semi = kernel.add(lx, kernel.scale(lu, hp.lambda_u, tape), tape)
-    extra = kernel.add(kernel.scale(lreg, hp.lambda_r, tape),
-                       kernel.scale(lc, hp.lambda_c, tape), tape)
-    return kernel.add(semi, extra, tape)
+    semi = lx.data + lu.data * hp.lambda_u
+    extra = lreg.data * hp.lambda_r + lc.data * hp.lambda_c
+
+    def bwd(g, tracked):
+        return g, g * hp.lambda_u, g * hp.lambda_r, g * hp.lambda_c
+
+    return kernel.record(tape, (lx, lu, lreg, lc), kernel.wrap(semi + extra), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +402,7 @@ def select_for_network(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
         probs = ensemble_softmax(twins, ds.features)
     else:
         net = twins.net1 if net_index == 1 else twins.net2
-        probs = forward_softmax(net, ds.features)
+        probs = dataset_softmax(net, ds.features)
     report = divergences_from_probs(probs, ds.given_labels)
     d_cut = compute_cutoff(report, cutoff_params)
     rate = compute_filter_rate(report, d_cut)

@@ -3,8 +3,8 @@ import pytest
 
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.kernel import Matrix
-from noisytrain.metrics import (UndefinedAUCError, accuracy, class_histogram,
-                                pseudo_label_recall, roc_auc,
+from noisytrain.metrics import (UndefinedAUCError, _tied_ranks, accuracy,
+                                class_histogram, pseudo_label_recall, roc_auc,
                                 selection_precision_recall)
 from noisytrain.model import Arch, init_twins
 from noisytrain.selection import (DivergenceReport, SelectionResult,
@@ -52,6 +52,38 @@ class TestPrecisionRecall:
         ds = dataset_with_labels([0, 1], [0, 1], 2)
         precision, recall = selection_precision_recall(make_selection([], 2), ds)
         assert precision == 1.0 and recall == 0.0
+
+
+def loop_tied_ranks(values):
+    """Reference: walk the sorted values, giving each run of ties its mid-rank."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestTiedRanks:
+    def test_matches_loop_on_tie_heavy_inputs(self, rng):
+        for _ in range(2000):
+            n = int(rng.integers(0, 60))
+            levels = rng.uniform(0, 1, int(rng.integers(1, 6)))
+            values = rng.choice(levels, size=n)
+            assert np.array_equal(_tied_ranks(values), loop_tied_ranks(values))
+
+    def test_matches_loop_on_distinct_and_signed_zero(self, rng):
+        for values in (rng.uniform(-1, 1, 50), np.array([0.0, -0.0, 0.0, 1.0]),
+                       np.array([0.5]), np.empty(0)):
+            assert np.array_equal(_tied_ranks(values), loop_tied_ranks(values))
+
+    def test_worked_mid_ranks(self):
+        assert _tied_ranks(np.array([0.3, 0.1, 0.3, 0.2])).tolist() == [3.5, 1.0, 3.5, 2.0]
 
 
 class TestRocAuc:

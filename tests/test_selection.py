@@ -237,3 +237,30 @@ def test_export_selection_csv(tmp_path, rng):
     assert len(lines) == 11
     selected = {int(line.split(",")[0]) for line in lines[1:] if line.split(",")[3] == "1"}
     assert selected == set(sel.clean_indices.tolist())
+
+
+def test_export_selection_csv_bytes_match_row_by_row_writer(tmp_path, rng):
+    """Reference: the row-at-a-time writer the export replaced."""
+    import csv
+    for n in (1, 37, 500):
+        labels = rng.integers(0, 4, n)
+        report = DivergenceReport.from_values(rng.uniform(0, 1, n) ** 3)
+        sel = uniform_select(report, labels, 4, 0.4)
+        path = str(tmp_path / "sel.csv")
+        export_selection_csv(sel, report, labels, path)
+        mask = np.zeros(n, dtype=bool)
+        mask[sel.clean_indices] = True
+        ref = str(tmp_path / "ref.csv")
+        with open(ref, "w", newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(["index", "given_label", "d", "selected"])
+            for i in range(n):
+                w.writerow([i, int(labels[i]), repr(float(report.d[i])), int(mask[i])])
+        assert open(path, "rb").read() == open(ref, "rb").read()
+
+
+def test_export_selection_csv_rejects_length_mismatch(tmp_path):
+    report = DivergenceReport.from_values([0.1, 0.2, 0.3])
+    sel = uniform_select(report, [0, 1, 0], 2, 0.5)
+    with pytest.raises(ValueError):
+        export_selection_csv(sel, report, [0, 1], str(tmp_path / "sel.csv"))
