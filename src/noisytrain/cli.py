@@ -10,11 +10,10 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
-from .config import ConfigError, ConfigValueError, parse_config
+from .config import ConfigError, config_from_dict, config_to_dict, parse_config
 from .runner import cmd_ablate, cmd_generate, cmd_report, cmd_run
 
 
@@ -48,16 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args):
-    cfg = parse_config(args.config)
+    """The config file with --seed and --out applied, validated as a whole."""
+    raw = config_to_dict(parse_config(args.config))
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigValueError(f"seed: must be non-negative, got {args.seed}")
-        cfg = dataclasses.replace(
-            cfg, seed=args.seed,
-            hyperparams=dataclasses.replace(cfg.hyperparams, seed=args.seed))
+        raw["seed"] = args.seed
     if args.out is not None:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
-    return cfg
+        raw["output_dir"] = args.out
+    return config_from_dict(raw)
 
 
 def main(argv=None) -> int:

@@ -1,15 +1,17 @@
 """Experiment configuration: strict JSON with validated ranges.
 
-Unknown keys are rejected outright so a mistyped hyperparameter name
-fails fast instead of silently running with defaults.  Every omitted
-field falls back to the documented default.
+Each JSON section is one dataclass: its keys are the dataclass fields,
+an omitted field takes the dataclass default, and the dataclass runs its
+own cross-field checks.  Unknown keys are rejected outright so a
+mistyped hyperparameter name fails fast instead of silently running with
+defaults; values are type- and range-checked here before construction.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .data import AugmentationSpec, validate_flip_map
 from .selection import CutoffParams
@@ -51,6 +53,10 @@ class NoiseConfig:
     rate: float = 0.5
     flip_map: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.kind == "asymmetric" and self.flip_map is None:
+            raise ValueError("flip_map is required for asymmetric noise")
+
 
 @dataclass(frozen=True)
 class ArchConfig:
@@ -74,7 +80,6 @@ class ExperimentConfig:
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     ablation: AblationFlags = field(default_factory=AblationFlags)
-    seed: int = 0
     output_dir: str = "runs/experiment"
 
     def cutoff_params(self) -> CutoffParams:
@@ -113,20 +118,14 @@ _RANGES = {
     "seed": (int, 0, 2 ** 62),
 }
 
-_SECTIONS = {
-    "dataset": ("num_classes", "per_class", "test_per_class", "dims", "separation"),
-    "noise": ("kind", "rate", "flip_map"),
-    "augmentation": ("weak_sigma", "strong_sigma", "strong_dropout_prob"),
-    "arch": ("hidden", "embed_dim"),
-    "hyperparams": ("T", "lambda_u", "lambda_c", "lambda_r", "kappa", "d_omega",
-                    "alpha", "lr", "momentum", "weight_decay", "batch_size",
-                    "warmup_epochs", "total_epochs", "lr_decay_factor",
-                    "lr_decay_every"),
-    "selection": ("tau", "d_mu", "quota_mode"),
-    "ablation": ("balancing", "contrastive", "ensemble"),
+_CHOICES = {
+    "noise.kind": ("symmetric", "asymmetric"),
+    "selection.quota_mode": ("class_fraction", "dataset_fraction"),
 }
 
-_TOP_LEVEL = tuple(_SECTIONS) + ("seed", "output_dir")
+# JSON section name -> the dataclass that holds it
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
+             if f.default_factory is not MISSING}
 
 
 def _check_range(dotted: str, value):
@@ -144,96 +143,64 @@ def _check_range(dotted: str, value):
     return kind(v)
 
 
-def _check_section(raw: dict, section: str) -> dict:
+def _check_value(dotted: str, value):
+    if dotted in _RANGES:
+        return _check_range(dotted, value)
+    if dotted in _CHOICES:
+        if not (isinstance(value, str) and value in _CHOICES[dotted]):
+            raise ConfigValueError(
+                f"{dotted}: expected {'|'.join(_CHOICES[dotted])}, got {value!r}")
+    elif dotted.startswith("ablation.") and not isinstance(value, bool):
+        raise ConfigValueError(f"{dotted}: expected a boolean")
+    return value
+
+
+def _check_keys(raw, section: str, cls) -> dict:
     if not isinstance(raw, dict):
         raise ConfigValueError(f"{section}: expected an object")
-    out = {}
-    for key, value in raw.items():
-        if key not in _SECTIONS[section]:
+    keys = {f.name for f in fields(cls)} - {"seed"}   # the seed is a top-level key
+    for key in raw:
+        if key not in keys:
             raise ConfigKeyError(f"unknown key: {section}.{key}")
-        out[key] = value
-    return out
+    return raw
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigValueError("top level: expected a JSON object")
     for key in raw:
-        if key not in _TOP_LEVEL:
+        if key not in _SECTIONS and key not in ("seed", "output_dir"):
             raise ConfigKeyError(f"unknown key: {key}")
 
-    values: dict[str, dict] = {}
-    for section in _SECTIONS:
-        values[section] = _check_section(raw.get(section, {}), section)
-
-    for dotted, spec in _RANGES.items():
-        parts = dotted.split(".")
-        if len(parts) == 1:
-            continue
-        section, key = parts
-        if key in values[section]:
-            values[section][key] = _check_range(dotted, values[section][key])
-
-    noise = values["noise"]
-    kind = noise.get("kind", "symmetric")
-    if kind not in ("symmetric", "asymmetric"):
-        raise ConfigValueError(f"noise.kind: expected symmetric|asymmetric, got {kind!r}")
-    num_classes = values["dataset"].get("num_classes", DatasetConfig.num_classes)
-    flip_map = noise.get("flip_map")
-    if flip_map is not None:
-        if not isinstance(flip_map, list):
-            raise ConfigValueError("noise.flip_map: expected a list of class indices")
-        try:
-            flip_map = validate_flip_map(flip_map, num_classes)
-        except (TypeError, ValueError) as exc:
-            raise ConfigValueError(f"noise.flip_map: {exc}") from exc
-
-    quota_mode = values["selection"].get("quota_mode", "class_fraction")
-    if quota_mode not in ("class_fraction", "dataset_fraction"):
-        raise ConfigValueError(
-            f"selection.quota_mode: expected class_fraction|dataset_fraction, got {quota_mode!r}")
-
-    for key in ("balancing", "contrastive", "ensemble"):
-        if key in values["ablation"] and not isinstance(values["ablation"][key], bool):
-            raise ConfigValueError(f"ablation.{key}: expected a boolean")
-
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigValueError(f"seed: expected an integer, got {seed!r}")
-    output_dir = raw.get("output_dir", "runs/experiment")
+    given = {section: _check_keys(raw.get(section, {}), section, cls)
+             for section, cls in _SECTIONS.items()}
+    values = {section: {key: _check_value(f"{section}.{key}", value)
+                        for key, value in items.items()}
+              for section, items in given.items()}
+    if "seed" in raw:
+        values["hyperparams"]["seed"] = _check_range("seed", raw["seed"])
+    output_dir = raw.get("output_dir", ExperimentConfig.output_dir)
     if not isinstance(output_dir, str):
         raise ConfigValueError("output_dir: expected a string")
 
-    strong = values["augmentation"].get("strong_sigma", AugmentationSpec.strong_sigma)
-    weak = values["augmentation"].get("weak_sigma", AugmentationSpec.weak_sigma)
-    if strong < weak:
-        raise ConfigValueError("augmentation.strong_sigma: must be >= weak_sigma")
+    flip_map = values["noise"].get("flip_map")
+    if flip_map is not None:
+        if not isinstance(flip_map, list):
+            raise ConfigValueError("noise.flip_map: expected a list of class indices")
+        num_classes = values["dataset"].get("num_classes", DatasetConfig.num_classes)
+        try:
+            values["noise"]["flip_map"] = validate_flip_map(flip_map, num_classes)
+        except (TypeError, ValueError) as exc:
+            raise ConfigValueError(f"noise.flip_map: {exc}") from exc
 
-    hp_values = dict(values["hyperparams"])
-    hp_values["seed"] = seed
-    warmup = hp_values.get("warmup_epochs", Hyperparams.warmup_epochs)
-    total = hp_values.get("total_epochs", Hyperparams.total_epochs)
-    if total < warmup:
-        raise ConfigValueError("hyperparams.total_epochs: must be >= warmup_epochs")
-
-    try:
-        return ExperimentConfig(
-            dataset=DatasetConfig(**values["dataset"]),
-            noise=NoiseConfig(kind=kind, rate=float(noise.get("rate", 0.5)), flip_map=flip_map),
-            augmentation=AugmentationSpec(**values["augmentation"]),
-            arch=ArchConfig(**values["arch"]),
-            hyperparams=Hyperparams(**hp_values),
-            selection=SelectionConfig(
-                tau=float(values["selection"].get("tau", 5.0)),
-                d_mu=float(values["selection"].get("d_mu", 0.7)),
-                quota_mode=quota_mode,
-            ),
-            ablation=AblationFlags(**values["ablation"]),
-            seed=seed,
-            output_dir=output_dir,
-        )
-    except ValueError as exc:
-        raise ConfigValueError(str(exc)) from exc
+    sections = {}
+    for section, cls in _SECTIONS.items():
+        try:
+            sections[section] = cls(**values[section])
+        except ValueError as exc:
+            # the constructors' messages start with the field name
+            raise ConfigValueError(f"{section}.{exc}") from exc
+    return ExperimentConfig(**sections, output_dir=output_dir)
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -249,52 +216,10 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical dict form; parsing it again yields an equal config."""
-    return {
-        "dataset": {
-            "num_classes": cfg.dataset.num_classes,
-            "per_class": cfg.dataset.per_class,
-            "test_per_class": cfg.dataset.test_per_class,
-            "dims": cfg.dataset.dims,
-            "separation": cfg.dataset.separation,
-        },
-        "noise": {
-            "kind": cfg.noise.kind,
-            "rate": cfg.noise.rate,
-            **({"flip_map": list(cfg.noise.flip_map)} if cfg.noise.flip_map else {}),
-        },
-        "augmentation": {
-            "weak_sigma": cfg.augmentation.weak_sigma,
-            "strong_sigma": cfg.augmentation.strong_sigma,
-            "strong_dropout_prob": cfg.augmentation.strong_dropout_prob,
-        },
-        "arch": {"hidden": cfg.arch.hidden, "embed_dim": cfg.arch.embed_dim},
-        "hyperparams": {
-            "T": cfg.hyperparams.T,
-            "lambda_u": cfg.hyperparams.lambda_u,
-            "lambda_c": cfg.hyperparams.lambda_c,
-            "lambda_r": cfg.hyperparams.lambda_r,
-            "kappa": cfg.hyperparams.kappa,
-            "d_omega": cfg.hyperparams.d_omega,
-            "alpha": cfg.hyperparams.alpha,
-            "lr": cfg.hyperparams.lr,
-            "momentum": cfg.hyperparams.momentum,
-            "weight_decay": cfg.hyperparams.weight_decay,
-            "batch_size": cfg.hyperparams.batch_size,
-            "warmup_epochs": cfg.hyperparams.warmup_epochs,
-            "total_epochs": cfg.hyperparams.total_epochs,
-            "lr_decay_factor": cfg.hyperparams.lr_decay_factor,
-            "lr_decay_every": cfg.hyperparams.lr_decay_every,
-        },
-        "selection": {
-            "tau": cfg.selection.tau,
-            "d_mu": cfg.selection.d_mu,
-            "quota_mode": cfg.selection.quota_mode,
-        },
-        "ablation": {
-            "balancing": cfg.ablation.balancing,
-            "contrastive": cfg.ablation.contrastive,
-            "ensemble": cfg.ablation.ensemble,
-        },
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-    }
+    out = asdict(cfg)
+    flip_map = out["noise"].pop("flip_map")
+    if flip_map is not None:
+        out["noise"]["flip_map"] = list(flip_map)
+    out["seed"] = out["hyperparams"].pop("seed")
+    out["output_dir"] = out.pop("output_dir")   # after the seed, as in the schema
+    return out

@@ -255,12 +255,15 @@ def save_dataset_csv(ds: LabeledDataset, path: str) -> None:
 def load_dataset_csv(path: str, num_classes: int | None = None) -> LabeledDataset:
     with open(path, newline="") as f:
         r = csv.reader(f)
-        header = next(r)
+        header = next(r, [])
         if len(header) < 3 or header[-2:] != ["true_label", "given_label"]:
             raise ValueError(f"unrecognized dataset header in {path}")
         dims = len(header) - 2
         feats, true_l, given_l = [], [], []
         for row in r:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {len(feats) + 1} has {len(row)} fields, "
+                                 f"the header {len(header)}")
             feats.append([float(v) for v in row[:dims]])
             true_l.append(int(row[dims]))
             given_l.append(int(row[dims + 1]))

@@ -2,10 +2,10 @@
 
 A ``GradientTape`` records each operation applied to a watched parameter
 (or to anything derived from one) and replays the records in exact
-reverse order on ``backward``.  An operation is either one of the
-primitives below or a fused operation registered with :func:`record`:
-the training code records a whole forward pass or a whole loss term as
-one fused record whose backward returns all of its gradients at once.
+reverse order on ``backward``.  Every operation goes on the tape through
+:func:`record`, the primitives below as much as the fused operations of
+the training code, which record a whole forward pass or a whole loss
+term as one entry whose backward returns all of its gradients at once.
 The primitives stay the tested reference those fused records reproduce.
 
 Reductions rely on numpy's fixed reduction order, so identical inputs
@@ -36,7 +36,6 @@ __all__ = [
     "add_row",
     "relu",
     "log",
-    "exp",
     "sum_all",
     "concat_rows",
     "softmax_rows",
@@ -116,13 +115,12 @@ def wrap(arr: np.ndarray) -> Matrix:
 
 
 class GradientTape:
-    """Ordered record of primitive operations plus gradient accumulators.
+    """Ordered record of operations plus gradient accumulators.
 
     Single-writer: one forward recording followed by one backward replay.
     The tape holds strong references to every tracked matrix, so identity
     keys stay valid for its whole lifetime.  ``backward`` drops the records
-    it replayed, which frees their closures (some of them refer back to the
-    tape) without waiting for the cyclic garbage collector.
+    it replayed, which frees their closures and the arrays they hold.
     """
 
     def __init__(self):
@@ -153,15 +151,9 @@ class GradientTape:
         return self._num_records
 
 
-def _maybe_record(tape: GradientTape | None, inputs: tuple[Matrix, ...], out: Matrix, backward_fn) -> Matrix:
-    if tape is not None and any(tape.tracks(x) for x in inputs):
-        tape._record(out, backward_fn)
-    return out
-
-
 def record(tape: GradientTape | None, inputs: tuple[Matrix, ...], out: Matrix,
            backward_fn: Callable[[np.ndarray, tuple[bool, ...]], Iterable[np.ndarray | None]]) -> Matrix:
-    """Record a fused operation as one tape entry and return ``out``.
+    """Record an operation as one tape entry and return ``out``.
 
     ``backward_fn(g, tracked)`` receives the gradient of ``out`` and, per
     entry of ``inputs``, whether that input is on the tape.  It returns one
@@ -222,26 +214,16 @@ def matmul(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Standard matrix product a @ b."""
     if a.cols != b.rows:
         raise ShapeMismatchError(f"matmul shapes do not align: {a.shape} @ {b.shape}")
-    out = wrap(a.data @ b.data)
 
-    def bwd(g):
-        contribs = []
-        if tape.tracks(a):
-            contribs.append((a, g @ b.data.T))
-        if tape.tracks(b):
-            contribs.append((b, a.data.T @ g))
-        return contribs
+    def bwd(g, tracked):
+        return (g @ b.data.T if tracked[0] else None,
+                a.data.T @ g if tracked[1] else None)
 
-    return _maybe_record(tape, (a, b), out, bwd)
+    return record(tape, (a, b), wrap(a.data @ b.data), bwd)
 
 
 def transpose(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    out = wrap(a.data.T.copy())
-
-    def bwd(g):
-        return [(a, g.T)]
-
-    return _maybe_record(tape, (a,), out, bwd)
+    return record(tape, (a,), wrap(a.data.T.copy()), lambda g, tracked: (g.T,))
 
 
 def _same_shape(a: Matrix, b: Matrix, op: str) -> None:
@@ -251,129 +233,61 @@ def _same_shape(a: Matrix, b: Matrix, op: str) -> None:
 
 def add(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     _same_shape(a, b, "add")
-    out = wrap(a.data + b.data)
-
-    def bwd(g):
-        contribs = []
-        if tape.tracks(a):
-            contribs.append((a, g))
-        if tape.tracks(b):
-            contribs.append((b, g))
-        return contribs
-
-    return _maybe_record(tape, (a, b), out, bwd)
+    return record(tape, (a, b), wrap(a.data + b.data), lambda g, tracked: (g, g))
 
 
 def sub(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     _same_shape(a, b, "sub")
-    out = wrap(a.data - b.data)
-
-    def bwd(g):
-        contribs = []
-        if tape.tracks(a):
-            contribs.append((a, g))
-        if tape.tracks(b):
-            contribs.append((b, -g))
-        return contribs
-
-    return _maybe_record(tape, (a, b), out, bwd)
+    return record(tape, (a, b), wrap(a.data - b.data), lambda g, tracked: (g, -g))
 
 
 def mul(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Elementwise product."""
     _same_shape(a, b, "mul")
-    out = wrap(a.data * b.data)
 
-    def bwd(g):
-        contribs = []
-        if tape.tracks(a):
-            contribs.append((a, g * b.data))
-        if tape.tracks(b):
-            contribs.append((b, g * a.data))
-        return contribs
+    def bwd(g, tracked):
+        return (g * b.data if tracked[0] else None,
+                g * a.data if tracked[1] else None)
 
-    return _maybe_record(tape, (a, b), out, bwd)
+    return record(tape, (a, b), wrap(a.data * b.data), bwd)
 
 
 def scale(a: Matrix, c: float, tape: GradientTape | None = None) -> Matrix:
-    out = wrap(a.data * c)
-
-    def bwd(g):
-        return [(a, g * c)]
-
-    return _maybe_record(tape, (a,), out, bwd)
+    return record(tape, (a,), wrap(a.data * c), lambda g, tracked: (g * c,))
 
 
 def add_row(a: Matrix, bias: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Add a 1 x cols bias row to every row of ``a``."""
     if bias.rows != 1 or bias.cols != a.cols:
         raise ShapeMismatchError(f"add_row needs a 1x{a.cols} bias, got {bias.shape}")
-    out = wrap(a.data + bias.data)
 
-    def bwd(g):
-        contribs = []
-        if tape.tracks(a):
-            contribs.append((a, g))
-        if tape.tracks(bias):
-            contribs.append((bias, g.sum(axis=0, keepdims=True)))
-        return contribs
+    def bwd(g, tracked):
+        return g, (g.sum(axis=0, keepdims=True) if tracked[1] else None)
 
-    return _maybe_record(tape, (a, bias), out, bwd)
+    return record(tape, (a, bias), wrap(a.data + bias.data), bwd)
 
 
 def relu(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    out = wrap(np.maximum(a.data, 0.0))
     mask = a.data > 0.0
-
-    def bwd(g):
-        return [(a, g * mask)]
-
-    return _maybe_record(tape, (a,), out, bwd)
+    return record(tape, (a,), wrap(np.maximum(a.data, 0.0)), lambda g, tracked: (g * mask,))
 
 
 def log(a: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Natural log.  Base-2 values are obtained by scaling with 1/ln 2."""
-    out = wrap(np.log(a.data))
-
-    def bwd(g):
-        return [(a, g / a.data)]
-
-    return _maybe_record(tape, (a,), out, bwd)
-
-
-def exp(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    out = wrap(np.exp(a.data))
-
-    def bwd(g):
-        return [(a, g * out.data)]
-
-    return _maybe_record(tape, (a,), out, bwd)
+    return record(tape, (a,), wrap(np.log(a.data)), lambda g, tracked: (g / a.data,))
 
 
 def sum_all(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    out = wrap(np.array([[a.data.sum()]]))
-
-    def bwd(g):
-        return [(a, np.full(a.shape, g[0, 0]))]
-
-    return _maybe_record(tape, (a,), out, bwd)
+    return record(tape, (a,), wrap(np.array([[a.data.sum()]])),
+                  lambda g, tracked: (np.full(a.shape, g[0, 0]),))
 
 
 def concat_rows(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     if a.cols != b.cols:
         raise ShapeMismatchError(f"concat_rows column counts differ: {a.shape} vs {b.shape}")
-    out = wrap(np.vstack([a.data, b.data]))
     na = a.rows
-
-    def bwd(g):
-        contribs = []
-        if tape.tracks(a):
-            contribs.append((a, g[:na]))
-        if tape.tracks(b):
-            contribs.append((b, g[na:]))
-        return contribs
-
-    return _maybe_record(tape, (a, b), out, bwd)
+    return record(tape, (a, b), wrap(np.vstack([a.data, b.data])),
+                  lambda g, tracked: (g[:na], g[na:]))
 
 
 def softmax_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
@@ -382,27 +296,24 @@ def softmax_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
         raise ShapeMismatchError("softmax_rows needs at least one column")
     shifted = m.data - m.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    out = wrap(e / e.sum(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
 
-    def bwd(g):
-        s = out.data
+    def bwd(g, tracked):
         dot = (g * s).sum(axis=1, keepdims=True)
-        return [(m, s * (g - dot))]
+        return (s * (g - dot),)
 
-    return _maybe_record(tape, (m,), out, bwd)
+    return record(tape, (m,), wrap(s), bwd)
 
 
 def log_softmax_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Row-wise log softmax, numerically stable."""
     shifted = m.data - m.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = wrap(shifted - lse)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
-    def bwd(g):
-        s = np.exp(out.data)
-        return [(m, g - s * g.sum(axis=1, keepdims=True))]
+    def bwd(g, tracked):
+        return (g - np.exp(ls) * g.sum(axis=1, keepdims=True),)
 
-    return _maybe_record(tape, (m,), out, bwd)
+    return record(tape, (m,), wrap(ls), bwd)
 
 
 def lse_offdiag_rows(a: Matrix, tape: GradientTape | None = None) -> Matrix:
@@ -420,14 +331,14 @@ def lse_offdiag_rows(a: Matrix, tape: GradientTape | None = None) -> Matrix:
     m = masked.max(axis=1, keepdims=True)
     e = np.exp(masked - m)
     np.fill_diagonal(e, 0.0)
-    out = wrap(m + np.log(e.sum(axis=1, keepdims=True)))
+    lse = m + np.log(e.sum(axis=1, keepdims=True))
 
-    def bwd(g):
-        w = np.exp(masked - out.data)
+    def bwd(g, tracked):
+        w = np.exp(masked - lse)
         np.fill_diagonal(w, 0.0)
-        return [(a, g * w)]
+        return (g * w,)
 
-    return _maybe_record(tape, (a,), out, bwd)
+    return record(tape, (a,), wrap(lse), bwd)
 
 
 def l2_normalize_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
@@ -440,14 +351,13 @@ def l2_normalize_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms[:, 0] == 0.0)[0])
         raise DegenerateEmbeddingError(f"row {bad} has zero norm and cannot be normalized")
-    out = wrap(m.data / norms)
+    y = m.data / norms
 
-    def bwd(g):
-        y = out.data
+    def bwd(g, tracked):
         dot = (g * y).sum(axis=1, keepdims=True)
-        return [(m, (g - y * dot) / norms)]
+        return ((g - y * dot) / norms,)
 
-    return _maybe_record(tape, (m,), out, bwd)
+    return record(tape, (m,), wrap(y), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -230,22 +230,31 @@ def save_checkpoint(twins: TwinNetworks, path: str) -> None:
 
 def load_checkpoint(path: str) -> TwinNetworks:
     with open(path, "rb") as f:
-        magic = f.read(len(_CHECKPOINT_MAGIC))
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a twin-network checkpoint")
-        (header_len,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(header_len).decode("utf-8"))
-        if header["version"] != 1:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        arch = Arch(**header["arch"])
-        nets = {}
-        for net_id, seed in zip((1, 2), header["seeds"]):
-            nets[net_id] = NetworkParams(arch=arch, seed=seed, params={})
-        for t in header["tensors"]:
-            n = t["rows"] * t["cols"]
-            buf = f.read(8 * n)
-            arr = np.frombuffer(buf, dtype="<f8").reshape(t["rows"], t["cols"]).copy()
-            nets[t["net"]].params[t["name"]] = Matrix(arr)
+        raw = f.read()
+    start = len(_CHECKPOINT_MAGIC) + 4
+    if not raw.startswith(_CHECKPOINT_MAGIC) or len(raw) < start:
+        raise ValueError(f"{path} is not a twin-network checkpoint")
+    (header_len,) = struct.unpack_from("<I", raw, len(_CHECKPOINT_MAGIC))
+    body = start + header_len
+    if len(raw) < body:
+        raise ValueError(f"{path}: header cut short: {len(raw) - start} of {header_len} bytes")
+    header = json.loads(raw[start:body].decode("utf-8"))
+    if header["version"] != 1:
+        raise ValueError(f"unsupported checkpoint version {header['version']}")
+    declared = 8 * sum(t["rows"] * t["cols"] for t in header["tensors"])
+    if len(raw) - body != declared:
+        raise ValueError(f"{path}: {len(raw) - body} bytes of tensor data, "
+                         f"but the header declares {declared}")
+    arch = Arch(**header["arch"])
+    nets = {}
+    for net_id, seed in zip((1, 2), header["seeds"]):
+        nets[net_id] = NetworkParams(arch=arch, seed=seed, params={})
+    offset = body
+    for t in header["tensors"]:
+        n = t["rows"] * t["cols"]
+        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(t["rows"], t["cols"])
+        nets[t["net"]].params[t["name"]] = Matrix(arr)
+        offset += 8 * n
     for net in nets.values():
         missing = set(ALL_GROUPS) - set(net.params)
         if missing:

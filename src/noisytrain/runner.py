@@ -45,7 +45,7 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
     """
     d = cfg.dataset
     pooled = make_gaussian_blobs(d.num_classes, d.per_class + d.test_per_class,
-                                 d.dims, d.separation, cfg.seed)
+                                 d.dims, d.separation, cfg.hyperparams.seed)
     block = d.per_class + d.test_per_class
     train_rows, test_rows = [], []
     for c in range(d.num_classes):
@@ -65,7 +65,7 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
     train = subset(train_idx)
     test = subset(test_idx)
-    spec = NoiseSpec(kind=cfg.noise.kind, rate=cfg.noise.rate, seed=cfg.seed,
+    spec = NoiseSpec(kind=cfg.noise.kind, rate=cfg.noise.rate, seed=cfg.hyperparams.seed,
                      flip_map=cfg.noise.flip_map)
     return apply_noise(train, spec), test
 
@@ -115,6 +115,20 @@ def _dataset_path(out_dir: str) -> str:
     return os.path.join(out_dir, "dataset.csv")
 
 
+def _check_snapshot(path: str, train: LabeledDataset) -> None:
+    """Refuse a snapshot left by a run with a different dataset or noise config."""
+    try:
+        snap = load_dataset_csv(path)
+        same = (np.array_equal(snap.features.data, train.features.data)
+                and np.array_equal(snap.true_labels, train.true_labels)
+                and np.array_equal(snap.given_labels, train.given_labels))
+    except ValueError:   # unreadable, so not a snapshot this config wrote
+        same = False
+    if not same:
+        raise ValueError(f"{path} was not generated from this config; "
+                         f"remove it or choose another output directory")
+
+
 def cmd_generate(cfg: ExperimentConfig) -> str:
     """Write the (noisy) train split snapshot; idempotent per seed."""
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -128,13 +142,11 @@ def cmd_run(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
     """Run the full pipeline; emit metrics CSV, checkpoint, summary JSON."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     train, test = build_datasets(cfg)
-    cached = _dataset_path(cfg.output_dir)
-    if os.path.exists(cached):
-        train = load_dataset_csv(cached, num_classes=cfg.dataset.num_classes)
-        if len(train) != cfg.dataset.num_classes * cfg.dataset.per_class:
-            raise ValueError(f"cached dataset {cached} does not match the config")
+    snapshot = _dataset_path(cfg.output_dir)
+    if os.path.exists(snapshot):
+        _check_snapshot(snapshot, train)
     else:
-        save_dataset_csv(train, cached)
+        save_dataset_csv(train, snapshot)
 
     on_epoch = None
     if export_selection:

@@ -24,12 +24,11 @@ from .data import (AugmentationSpec, LabeledDataset, batch_iterator,
                    strong_augment, weak_augment)
 from .kernel import GradientTape, Matrix, OptimizerState, backward, sgd_step
 from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, \
-    dataset_softmax, ensemble_softmax, forward_logits, forward_projection, \
-    forward_softmax
+    dataset_softmax, forward_logits, forward_projection, forward_softmax
 from .selection import (CutoffParams, DivergenceReport, SelectionResult,
                         baseline_global_select, compute_cutoff,
-                        compute_filter_rate, divergences_from_probs,
-                        uniform_select)
+                        compute_divergences, compute_filter_rate,
+                        divergences_from_probs, uniform_select)
 
 logger = logging.getLogger(__name__)
 
@@ -361,6 +360,19 @@ def _update_params(net: NetworkParams, opt: OptimizerState, grads: dict[Matrix, 
     net.params.update(sgd_step(opt, group, named_grads))
 
 
+def _ce_step(net: NetworkParams, opt: OptimizerState, ds: LabeledDataset,
+             targets_full: Matrix, batch: np.ndarray) -> float:
+    """One SGD step of theta and phi on the batch's given labels; returns its CE."""
+    tape = GradientTape()
+    for p in net.group(THETA + PHI).values():
+        tape.watch(p)
+    logits = forward_logits(net, _rows(ds.features, batch), tape)
+    ce = loss_lx(logits, _rows(targets_full, batch), tape)
+    grads = backward(tape, ce)
+    _update_params(net, opt, grads, THETA + PHI)
+    return ce.item()
+
+
 def warmup_train(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState],
                  ds: LabeledDataset, hp: Hyperparams, epochs: int,
                  epoch_offset: int = 0) -> list[float]:
@@ -378,14 +390,7 @@ def warmup_train(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState
         for k, (net, opt) in enumerate(zip((twins.net1, twins.net2), opts), start=1):
             opt.learning_rate = decayed_lr(hp, epoch)
             for batch in batch_iterator(all_idx, hp.batch_size, (hp.seed, _S_WARMUP, k), epoch):
-                tape = GradientTape()
-                for p in net.group(THETA + PHI).values():
-                    tape.watch(p)
-                logits = forward_logits(net, _rows(ds.features, batch), tape)
-                ce = loss_lx(logits, _rows(targets_full, batch), tape)
-                grads = backward(tape, ce)
-                _update_params(net, opt, grads, THETA + PHI)
-                ce_values.append(ce.item())
+                ce_values.append(_ce_step(net, opt, ds, targets_full, batch))
         epoch_losses.append(float(np.mean(ce_values)) if ce_values else 0.0)
     return epoch_losses
 
@@ -399,11 +404,10 @@ def select_for_network(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
     both networks; with it off, only the network's own softmax is used.
     """
     if flags.ensemble:
-        probs = ensemble_softmax(twins, ds.features)
+        report = compute_divergences(twins, ds)
     else:
         net = twins.net1 if net_index == 1 else twins.net2
-        probs = dataset_softmax(net, ds.features)
-    report = divergences_from_probs(probs, ds.given_labels)
+        report = divergences_from_probs(dataset_softmax(net, ds.features), ds.given_labels)
     d_cut = compute_cutoff(report, cutoff_params)
     rate = compute_filter_rate(report, d_cut)
     if flags.balancing:
@@ -460,14 +464,7 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
         logger.warning("epoch %d net %d: clean set empty, falling back to CE on noisy set",
                        epoch, net_index)
         for batch in noisy_batches:
-            tape = GradientTape()
-            for p in net.group(THETA + PHI).values():
-                tape.watch(p)
-            logits = forward_logits(net, _rows(ds.features, batch), tape)
-            ce = loss_lx(logits, _rows(targets_full, batch), tape)
-            grads = backward(tape, ce)
-            _update_params(net, opt, grads, THETA + PHI)
-            losses["lx"].append(ce.item())
+            losses["lx"].append(_ce_step(net, opt, ds, targets_full, batch))
             for key in ("lu", "lreg", "lc"):
                 losses[key].append(0.0)
         return HalfEpochRecord(net_index, report, sel, _mean_losses(losses), degenerate)

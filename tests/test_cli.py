@@ -222,6 +222,39 @@ class TestMainEntry:
         path = write_config(tmp_path, name="cfg2.json")
         assert main(["report", "--config", path, "--out", str(tmp_path / "empty")]) == 1
 
+    def test_stale_snapshot_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+
+        def outputs():
+            return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+        assert main(["run", "--config", path]) == 0
+        before = outputs()
+        stale = write_config(tmp_path, {"noise.rate": 0.1}, name="stale.json")
+        assert main(["run", "--config", stale]) == 1
+        assert main(["run", "--config", path, "--seed", "6"]) == 1
+        err = capsys.readouterr().err
+        assert err.count(str(out / "dataset.csv")) == 2
+        assert outputs() == before
+        assert main(["run", "--config", path]) == 0
+        assert outputs() == before
+
+    @pytest.mark.parametrize("content", [
+        "feat_0,feat_1,feat_2,feat_3,true_label,given_label\n",
+        "feat_0,feat_1,feat_2,feat_3,true_label,given_label\nx,1,2,3,0,0\n",
+        "feat_0,feat_1,feat_2,feat_3,true_label,given_label\n1,2\n",
+        "not a snapshot\n",
+        "",
+    ])
+    def test_unreadable_snapshot_refused(self, tmp_path, capsys, content):
+        path = write_config(tmp_path)
+        os.makedirs(tmp_path / "out")
+        (tmp_path / "out" / "dataset.csv").write_text(content)
+        assert main(["run", "--config", path]) == 1
+        assert str(tmp_path / "out" / "dataset.csv") in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == ["dataset.csv"]
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, name="cfg3.json")
         assert main(["run", "--config", path, "--seed", "-4"]) == 1

@@ -1,0 +1,184 @@
+"""The config contract.
+
+Every bad value is rejected with ``ConfigValueError`` or ``ConfigKeyError``
+and the offending key named in the message; every valid config survives
+a round trip through its canonical dict form.
+"""
+
+import json
+import os
+import re
+
+import pytest
+
+from noisytrain.cli import main
+from noisytrain.config import (_RANGES, ConfigKeyError, ConfigValueError,
+                               config_from_dict, config_to_dict)
+
+SECTIONS = ("dataset", "noise", "augmentation", "arch", "hyperparams",
+            "selection", "ablation")
+
+# every field set, and set to something other than its default
+NON_DEFAULT = {
+    "dataset": {"num_classes": 5, "per_class": 30, "test_per_class": 7,
+                "dims": 3, "separation": 2.5},
+    "noise": {"kind": "asymmetric", "rate": 0.3, "flip_map": [2, 3, 4, 0, 1]},
+    "augmentation": {"weak_sigma": 0.2, "strong_sigma": 0.9, "strong_dropout_prob": 0.1},
+    "arch": {"hidden": 12, "embed_dim": 6},
+    "hyperparams": {"T": 0.4, "lambda_u": 10.0, "lambda_c": 0.5, "lambda_r": 2.0,
+                    "kappa": 0.2, "d_omega": 0.3, "alpha": 0.75, "lr": 0.05,
+                    "momentum": 0.8, "weight_decay": 1e-3, "batch_size": 8,
+                    "warmup_epochs": 2, "total_epochs": 9, "lr_decay_factor": 0.5,
+                    "lr_decay_every": 3},
+    "selection": {"tau": 3.0, "d_mu": 0.6, "quota_mode": "dataset_fraction"},
+    "ablation": {"balancing": False, "contrastive": False, "ensemble": False},
+    "seed": 123,
+    "output_dir": "runs/other",
+}
+
+
+def _nested(dotted, value):
+    section, _, key = dotted.partition(".")
+    return {section: {key: value}} if key else {section: value}
+
+
+def _range_cases():
+    for dotted, (kind, lo, hi) in _RANGES.items():
+        if kind is int:
+            bad = {"below": lo - 1, "above": hi + 1, "fraction": 2.5}
+        else:
+            bad = {"below": 0.0 if lo > 0 else lo - 0.5,
+                   "above": 2 * hi if hi > 1 else (1.0 if hi < 1 else 1.5)}
+        bad.update(string="1", bool=True)
+        for label, value in bad.items():
+            yield pytest.param(_nested(dotted, value), re.escape(dotted),
+                               id=f"{dotted}-{label}")
+
+
+def _key(section, key):
+    return re.escape(f"{section}.{key}")
+
+
+VALUE_CASES = [
+    *[pytest.param({s: value}, re.escape(s), id=f"{s}-not-object-{type(value).__name__}")
+      for s in SECTIONS for value in ([1], "x", 3)],
+    *[pytest.param({"noise": {"kind": value}}, _key("noise", "kind"), id=f"kind-{value!r}")
+      for value in ("gaussian", 1, None)],
+    *[pytest.param({"selection": {"quota_mode": value}}, _key("selection", "quota_mode"),
+                   id=f"quota-{value!r}")
+      for value in ("per_class", 0, None)],
+    *[pytest.param({"ablation": {flag: value}}, _key("ablation", flag), id=f"{flag}-{value!r}")
+      for flag in ("balancing", "contrastive", "ensemble") for value in ("yes", 1, None)],
+    *[pytest.param({"output_dir": value}, "output_dir", id=f"output_dir-{value!r}")
+      for value in (5, None, ["runs"])],
+    *[pytest.param({"dataset": {"num_classes": 3},
+                    "noise": {"kind": "asymmetric", "flip_map": value}},
+                   _key("noise", "flip_map"), id=f"flip_map-{value!r}")
+      for value in ([1, 2], [1, 2, 0, 1], [0, 2, 1], [1, 2, 3], [1, "a", 0], "120", 7)],
+    pytest.param({"augmentation": {"weak_sigma": 0.6}},
+                 _key("augmentation", "strong_sigma"), id="strong-below-default-weak"),
+    pytest.param({"augmentation": {"weak_sigma": 0.2, "strong_sigma": 0.1}},
+                 _key("augmentation", "strong_sigma"), id="strong-below-weak"),
+    pytest.param({"hyperparams": {"warmup_epochs": 20, "total_epochs": 10}},
+                 _key("hyperparams", "total_epochs"), id="total-below-warmup"),
+    pytest.param({"hyperparams": {"warmup_epochs": 400}},
+                 _key("hyperparams", "total_epochs"), id="total-below-warmup-default"),
+]
+
+KEY_CASES = [
+    *[pytest.param({s: {"bogus": 1}}, re.escape(f"{s}.bogus"), id=f"{s}-unknown")
+      for s in SECTIONS],
+    pytest.param({"hyperparams": {"seed": 3}}, re.escape("hyperparams.seed"),
+                 id="seed-inside-hyperparams"),
+    pytest.param({"extras": {}}, "extras", id="top-level-unknown"),
+]
+
+
+@pytest.mark.parametrize("raw,key", list(_range_cases()))
+def test_out_of_range_or_mistyped_value_names_key(raw, key):
+    with pytest.raises(ConfigValueError, match=key):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw,key", VALUE_CASES)
+def test_bad_value_names_key(raw, key):
+    with pytest.raises(ConfigValueError, match=key):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw,key", KEY_CASES)
+def test_unknown_key_names_key(raw, key):
+    with pytest.raises(ConfigKeyError, match=key):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", [[], "config", 3, None])
+def test_top_level_must_be_object(raw):
+    with pytest.raises(ConfigValueError, match="top level"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 62 + 1, 2 ** 63])
+def test_seed_out_of_range_rejected(seed):
+    with pytest.raises(ConfigValueError, match=r"^seed: "):
+        config_from_dict({"seed": seed})
+
+
+def test_seed_range_bounds_accepted():
+    assert config_from_dict({"seed": 0}).hyperparams.seed == 0
+    assert config_from_dict({"seed": 2 ** 62}).hyperparams.seed == 2 ** 62
+
+
+def test_asymmetric_noise_needs_flip_map():
+    with pytest.raises(ConfigValueError, match=_key("noise", "flip_map")):
+        config_from_dict({"noise": {"kind": "asymmetric"}})
+    with pytest.raises(ConfigValueError, match=_key("noise", "flip_map")):
+        config_from_dict({"noise": {"kind": "asymmetric", "flip_map": None}})
+
+
+def test_bad_seed_fails_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": -1, "output_dir": str(out)}))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "config error: seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_seed_override_out_of_range_rejected(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out")}))
+    assert main(["generate", "--config", str(path), "--seed", str(2 ** 63)]) == 1
+    assert "config error: seed" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_round_trip_every_field_non_default():
+    defaults = config_to_dict(config_from_dict({}))
+    for section in SECTIONS:
+        assert set(NON_DEFAULT[section]) <= set(defaults[section]) | {"flip_map"}
+        for key, value in NON_DEFAULT[section].items():
+            assert value != defaults[section].get(key), f"{section}.{key} is the default"
+    assert set(defaults) == set(NON_DEFAULT)
+    cfg = config_from_dict(NON_DEFAULT)
+    assert config_to_dict(cfg) == NON_DEFAULT
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert cfg.hyperparams.seed == 123
+    assert cfg.noise.flip_map == (2, 3, 4, 0, 1)
+
+
+def test_defaults_dict_form():
+    d = config_to_dict(config_from_dict({}))
+    assert list(d) == [*SECTIONS, "seed", "output_dir"]
+    assert d["seed"] == 0 and d["output_dir"] == "runs/experiment"
+    assert "flip_map" not in d["noise"] and "seed" not in d["hyperparams"]
+    assert d["noise"] == {"kind": "symmetric", "rate": 0.5}
+    assert d["selection"] == {"tau": 5.0, "d_mu": 0.7, "quota_mode": "class_fraction"}
+
+
+def test_numbers_are_canonicalized():
+    cfg = config_from_dict({"noise": {"rate": 0}, "selection": {"tau": 2},
+                            "dataset": {"separation": 3}})
+    assert isinstance(cfg.noise.rate, float) and cfg.noise.rate == 0.0
+    assert isinstance(cfg.selection.tau, float)
+    assert isinstance(cfg.dataset.separation, float)

@@ -143,3 +143,21 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(ValueError):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("cut", [-8, 8, -1])
+    def test_wrong_length_rejected(self, tmp_path, cut):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(init_twins(ARCH, seed=21), str(path))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:cut] if cut < 0 else blob + b"\x00" * cut)
+        tensor_bytes = 8 * sum(r * c for r, c in ARCH.param_shapes().values()) * 2
+        found = tensor_bytes + cut
+        with pytest.raises(ValueError, match=rf"ckpt\.bin: {found} bytes.*declares {tensor_bytes}"):
+            load_checkpoint(str(path))
+
+    def test_cut_header_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(init_twins(ARCH, seed=21), str(path))
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(ValueError, match=r"ckpt\.bin: header cut short: 28 of \d+ bytes"):
+            load_checkpoint(str(path))
