@@ -231,25 +231,26 @@ def save_checkpoint(twins: TwinNetworks, path: str) -> None:
 def load_checkpoint(path: str) -> TwinNetworks:
     with open(path, "rb") as f:
         raw = f.read()
-    start = len(_CHECKPOINT_MAGIC) + 4
-    if not raw.startswith(_CHECKPOINT_MAGIC) or len(raw) < start:
+    header_start = len(_CHECKPOINT_MAGIC) + 4
+    if not raw.startswith(_CHECKPOINT_MAGIC) or len(raw) < header_start:
         raise ValueError(f"{path} is not a twin-network checkpoint")
     (header_len,) = struct.unpack_from("<I", raw, len(_CHECKPOINT_MAGIC))
-    body = start + header_len
-    if len(raw) < body:
-        raise ValueError(f"{path}: header cut short: {len(raw) - start} of {header_len} bytes")
-    header = json.loads(raw[start:body].decode("utf-8"))
+    tensors_start = header_start + header_len
+    if len(raw) < tensors_start:
+        raise ValueError(f"{path}: header cut short: "
+                         f"{len(raw) - header_start} of {header_len} bytes")
+    header = json.loads(raw[header_start:tensors_start].decode("utf-8"))
     if header["version"] != 1:
         raise ValueError(f"unsupported checkpoint version {header['version']}")
     declared = 8 * sum(t["rows"] * t["cols"] for t in header["tensors"])
-    if len(raw) - body != declared:
-        raise ValueError(f"{path}: {len(raw) - body} bytes of tensor data, "
+    if len(raw) - tensors_start != declared:
+        raise ValueError(f"{path}: {len(raw) - tensors_start} bytes of tensor data, "
                          f"but the header declares {declared}")
     arch = Arch(**header["arch"])
     nets = {}
     for net_id, seed in zip((1, 2), header["seeds"]):
         nets[net_id] = NetworkParams(arch=arch, seed=seed, params={})
-    offset = body
+    offset = tensors_start
     for t in header["tensors"]:
         n = t["rows"] * t["cols"]
         arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(t["rows"], t["cols"])
