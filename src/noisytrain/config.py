@@ -65,25 +65,15 @@ class ArchConfig:
 
 
 @dataclass(frozen=True)
-class SelectionConfig:
-    tau: float = 5.0
-    d_mu: float = 0.7
-    quota_mode: str = "class_fraction"
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
     arch: ArchConfig = field(default_factory=ArchConfig)
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
-    selection: SelectionConfig = field(default_factory=SelectionConfig)
+    selection: CutoffParams = field(default_factory=CutoffParams)
     ablation: AblationFlags = field(default_factory=AblationFlags)
     output_dir: str = "runs/experiment"
-
-    def cutoff_params(self) -> CutoffParams:
-        return CutoffParams(tau=self.selection.tau, d_mu=self.selection.d_mu)
 
 
 _RANGES = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Matrix
+from .kernel import Matrix, wrap
 
 # substream tags, kept distinct so derived generators never collide
 _STREAM_MEANS = 101
@@ -93,15 +93,18 @@ def next_class_flip_map(num_classes: int) -> tuple[int, ...]:
 
 
 def validate_flip_map(flip_map, num_classes: int) -> tuple[int, ...]:
-    fm = tuple(int(t) for t in flip_map)
+    fm = tuple(flip_map)
     if len(fm) != num_classes:
         raise ValueError(f"flip_map must have {num_classes} entries, got {len(fm)}")
     for c, t in enumerate(fm):
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise ValueError(f"flip_map target for class {c} must be an integer, "
+                             f"got {type(t).__name__} {t!r}")
         if not 0 <= t < num_classes:
             raise ValueError(f"flip_map target {t} out of range for class {c}")
         if t == c:
             raise ValueError(f"flip_map maps class {c} to itself")
-    return fm
+    return tuple(int(t) for t in fm)
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,7 @@ def apply_noise(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
 def weak_augment(x: Matrix, spec: AugmentationSpec, rng: np.random.Generator) -> Matrix:
     """Additive Gaussian jitter (row-wise independent draws)."""
     noise = rng.normal(0.0, spec.weak_sigma, size=x.shape) if spec.weak_sigma > 0 else 0.0
-    return Matrix(x.data + noise)
+    return wrap(x.data + noise)
 
 
 def strong_augment(x: Matrix, spec: AugmentationSpec, rng: np.random.Generator) -> Matrix:
@@ -211,7 +214,7 @@ def strong_augment(x: Matrix, spec: AugmentationSpec, rng: np.random.Generator) 
     if spec.strong_dropout_prob > 0:
         keep = rng.random(x.shape) >= spec.strong_dropout_prob
         y = y * keep
-    return Matrix(y)
+    return wrap(y)
 
 
 def batch_iterator(indices, batch_size: int, seed, epoch: int) -> list[np.ndarray]:

@@ -37,7 +37,6 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
         hidden: int, embed_dim: int, aug: AugmentationSpec,
         cutoff_params: CutoffParams | None = None,
         flags: AblationFlags | None = None,
-        quota_mode: str = "class_fraction",
         on_epoch: Callable[[int, EpochRecord], None] | None = None) -> RunResult:
     """Train twin networks for hp.total_epochs and log metrics per epoch."""
     cutoff_params = cutoff_params or CutoffParams()
@@ -61,7 +60,7 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
             ))
             continue
 
-        report, sel = select_for_network(twins, 1, train_ds, cutoff_params, flags, quota_mode)
+        report, sel = select_for_network(twins, 1, train_ds, cutoff_params, flags)
         precision, recall = selection_precision_recall(sel, train_ds)
         try:
             auc = roc_auc(report, train_ds)
@@ -76,7 +75,7 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
         counts = class_histogram(sel, train_ds.given_labels, train_ds.num_classes)
 
         record = train_epoch(twins, opts, train_ds, hp, aug, cutoff_params, flags,
-                             epoch, quota_mode, first_selection=(report, sel))
+                             epoch, first_selection=(report, sel))
         if on_epoch is not None:
             on_epoch(epoch, record)
 

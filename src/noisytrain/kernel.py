@@ -60,11 +60,11 @@ class TapeUsageError(RuntimeError):
 
 
 class Matrix:
-    """A rows x cols matrix of finite float64 values, stored row-major.
+    """A rows x cols float64 matrix, stored row-major.
 
-    Value semantics: operations return new matrices and never alias the
-    inputs.  Hashing/equality are by identity so matrices can key the
-    gradient dictionaries returned by :func:`backward`.
+    ``Matrix(values)`` copies and rejects non-finite values, for what enters
+    from outside a training step; a step wraps its own arrays (:func:`wrap`).
+    Operations return new matrices; identity hashing lets them key gradient dicts.
     """
 
     __slots__ = ("data",)
@@ -108,7 +108,7 @@ class Matrix:
 
 
 def wrap(arr: np.ndarray) -> Matrix:
-    """Build a Matrix around an array the caller owns (no copy, no checks)."""
+    """Build a Matrix around an array the caller owns: no copy, no finiteness scan."""
     m = Matrix.__new__(Matrix)
     m.data = np.ascontiguousarray(arr, dtype=np.float64)
     return m

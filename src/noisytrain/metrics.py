@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AugmentationSpec, LabeledDataset, weak_augment
-from .kernel import Matrix
+from .kernel import Matrix, wrap
 from .model import TwinNetworks, ensemble_softmax
 from .selection import DivergenceReport, SelectionResult
 from .training import guess_pseudo_labels
@@ -106,7 +106,7 @@ def pseudo_label_recall(twins: TwinNetworks, ds: LabeledDataset, noisy_indices,
     idx = np.asarray(noisy_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("noisy set is empty")
-    x = Matrix(ds.features.data[idx])
+    x = wrap(ds.features.data[idx])
     q = guess_pseudo_labels(twins, weak_augment(x, aug, rng), weak_augment(x, aug, rng), T)
     predicted = q.data.argmax(axis=1)
     true = ds.true_labels[idx]

@@ -247,17 +247,26 @@ def load_checkpoint(path: str) -> TwinNetworks:
         raise ValueError(f"{path}: {len(raw) - tensors_start} bytes of tensor data, "
                          f"but the header declares {declared}")
     arch = Arch(**header["arch"])
+    shapes = arch.param_shapes()
     nets = {}
     for net_id, seed in zip((1, 2), header["seeds"]):
         nets[net_id] = NetworkParams(arch=arch, seed=seed, params={})
     offset = tensors_start
     for t in header["tensors"]:
+        net, name, shape = nets.get(t["net"]), t["name"], (t["rows"], t["cols"])
+        if net is None or name not in shapes:
+            raise ValueError(f"{path}: unknown tensor {name!r} of net {t['net']!r}")
+        if name in net.params:
+            raise ValueError(f"{path}: tensor {name!r} of net {t['net']} appears twice")
+        if shape != shapes[name]:
+            raise ValueError(f"{path}: tensor {name!r} of net {t['net']} has shape {shape}, "
+                             f"the arch gives {shapes[name]}")
         n = t["rows"] * t["cols"]
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(t["rows"], t["cols"])
-        nets[t["net"]].params[t["name"]] = Matrix(arr)
+        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
+        net.params[name] = Matrix(arr)
         offset += 8 * n
-    for net in nets.values():
-        missing = set(ALL_GROUPS) - set(net.params)
+    for net_id, net in nets.items():
+        missing = [n for n in ALL_GROUPS if n not in net.params]
         if missing:
-            raise ValueError(f"checkpoint missing tensors: {sorted(missing)}")
+            raise ValueError(f"{path}: net {net_id} lacks tensors {missing}")
     return TwinNetworks(nets[1], nets[2])

@@ -158,8 +158,7 @@ def cmd_run(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
 
     result: RunResult = run(
         train, test, cfg.hyperparams, cfg.arch.hidden, cfg.arch.embed_dim,
-        cfg.augmentation, cfg.cutoff_params(), cfg.ablation,
-        cfg.selection.quota_mode, on_epoch=on_epoch)
+        cfg.augmentation, cfg.selection, cfg.ablation, on_epoch=on_epoch)
 
     write_metrics_csv(result.rows, os.path.join(cfg.output_dir, "metrics.csv"))
     save_checkpoint(result.twins, os.path.join(cfg.output_dir, "checkpoint.bin"))

@@ -29,16 +29,19 @@ class DistributionError(ValueError):
 
 @dataclass(frozen=True)
 class CutoffParams:
-    """Filter coefficient tau and adjustment threshold d_mu."""
+    """Filter coefficient tau, adjustment threshold d_mu, per-class quota rule."""
 
     tau: float = 5.0
     d_mu: float = 0.7
+    quota_mode: str = "class_fraction"
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not 0.0 < self.d_mu < 1.0:
             raise ValueError(f"d_mu must be in (0, 1), got {self.d_mu}")
+        if self.quota_mode not in ("class_fraction", "dataset_fraction"):
+            raise ValueError(f"quota_mode must be class_fraction|dataset_fraction, got {self.quota_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class DivergenceReport:
         arr = np.asarray(d, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("divergence report needs a non-empty 1-D array")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):   # NaN fails both
             raise ValueError("divergences must lie in [0, 1]")
         return cls(d=arr, d_avg=float(arr.mean()), d_min=float(arr.min()))
 

@@ -43,6 +43,15 @@ class DegenerateBatchError(RuntimeError):
     """MixMatch assembly was asked to mix an empty collection."""
 
 
+class TrainingDivergedError(RuntimeError):
+    """A training step produced a non-finite loss term or parameter."""
+
+    def __init__(self, epoch: int, net: int, phase: str, term: str):
+        super().__init__(f"training diverged at epoch {epoch}, net {net} ({phase}): "
+                         f"{term} is not finite")
+        self.epoch, self.net, self.phase, self.term = epoch, net, phase, term
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Every scalar training knob in one validated record."""
@@ -110,7 +119,7 @@ def one_hot(labels, num_classes: int) -> Matrix:
     labels = np.asarray(labels, dtype=np.int64)
     out = np.zeros((len(labels), num_classes))
     out[np.arange(len(labels)), labels] = 1.0
-    return Matrix(out)
+    return kernel.wrap(out)
 
 
 def refinement_weights(d: np.ndarray, d_omega: float) -> np.ndarray:
@@ -124,13 +133,13 @@ def sharpen(p: Matrix, T: float) -> Matrix:
     if T <= 0:
         raise ValueError("T must be > 0")
     powered = p.data ** (1.0 / T)
-    return Matrix(powered / powered.sum(axis=1, keepdims=True))
+    return kernel.wrap(powered / powered.sum(axis=1, keepdims=True))
 
 
 def blend_targets(y_onehot: Matrix, p: Matrix, weights: np.ndarray) -> Matrix:
     """Per-row convex combination w * y + (1 - w) * p."""
     w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
-    return Matrix(w * y_onehot.data + (1.0 - w) * p.data)
+    return kernel.wrap(w * y_onehot.data + (1.0 - w) * p.data)
 
 
 def refine_labels(net: NetworkParams, x_weak_1: Matrix, x_weak_2: Matrix,
@@ -140,7 +149,7 @@ def refine_labels(net: NetworkParams, x_weak_1: Matrix, x_weak_2: Matrix,
     Only the network currently being trained contributes here; pseudo
     labels for the noisy set are the ones that use both networks.
     """
-    p = Matrix((forward_softmax(net, x_weak_1).data + forward_softmax(net, x_weak_2).data) / 2.0)
+    p = kernel.wrap((forward_softmax(net, x_weak_1).data + forward_softmax(net, x_weak_2).data) / 2.0)
     return sharpen(blend_targets(y_onehot, p, weights), T)
 
 
@@ -150,14 +159,14 @@ def guess_pseudo_labels(twins: TwinNetworks, u_weak_1: Matrix, u_weak_2: Matrix,
          + forward_softmax(twins.net1, u_weak_2).data
          + forward_softmax(twins.net2, u_weak_1).data
          + forward_softmax(twins.net2, u_weak_2).data) / 4.0
-    return sharpen(Matrix(q), T)
+    return sharpen(kernel.wrap(q), T)
 
 
 def mixup_with_lambda(x1: Matrix, t1: Matrix, x2: Matrix, t2: Matrix, lam: np.ndarray) -> MixedBatch:
     """Convex combination with given per-row coefficients (already >= 0.5)."""
     lam = np.asarray(lam, dtype=np.float64).reshape(-1, 1)
-    inputs = Matrix(lam * x1.data + (1.0 - lam) * x2.data)
-    targets = Matrix(lam * t1.data + (1.0 - lam) * t2.data)
+    inputs = kernel.wrap(lam * x1.data + (1.0 - lam) * x2.data)
+    targets = kernel.wrap(lam * t1.data + (1.0 - lam) * t2.data)
     return MixedBatch(inputs, targets, lam.ravel())
 
 
@@ -186,9 +195,9 @@ def mixmatch_assemble(x_inputs: Matrix, x_targets: Matrix,
     w_inputs = all_inputs[perm]
     w_targets = all_targets[perm]
     mixed_x = mixup(x_inputs, x_targets,
-                    Matrix(w_inputs[:n_x]), Matrix(w_targets[:n_x]), alpha, rng)
+                    kernel.wrap(w_inputs[:n_x]), kernel.wrap(w_targets[:n_x]), alpha, rng)
     mixed_u = mixup(u_inputs, u_targets,
-                    Matrix(w_inputs[n_x:]), Matrix(w_targets[n_x:]), alpha, rng)
+                    kernel.wrap(w_inputs[n_x:]), kernel.wrap(w_targets[n_x:]), alpha, rng)
     return mixed_x, mixed_u
 
 
@@ -277,7 +286,7 @@ def loss_contrastive(embeddings: Matrix, kappa: float, tape: GradientTape | None
     """
     n = embeddings.rows
     if n == 0:
-        return Matrix([[0.0]])
+        return Matrix.zeros(1, 1)
     if n % 2 != 0:
         raise ValueError("contrastive batch must hold an even number of embeddings")
     z = embeddings.data
@@ -350,18 +359,28 @@ class EpochRecord:
 
 
 def _rows(features: Matrix, idx: np.ndarray) -> Matrix:
-    return Matrix(features.data[idx])
+    return kernel.wrap(features.data[idx])
 
 
 def _update_params(net: NetworkParams, opt: OptimizerState, grads: dict[Matrix, Matrix],
-                   group_names: tuple[str, ...]) -> None:
+                   group_names: tuple[str, ...], terms: dict[str, Matrix],
+                   where: tuple[int, int, str]) -> None:
+    """One SGD step of the named groups, and training's one finiteness check:
+    a non-finite loss term in ``terms`` (before the update) or updated parameter
+    (after it) raises ``TrainingDivergedError`` at ``where`` (epoch, net, phase)."""
+    for name, term in terms.items():
+        if not np.isfinite(term.item()):
+            raise TrainingDivergedError(*where, name)
     group = net.group(group_names)
-    named_grads = {name: grads[p] for name, p in group.items()}
-    net.params.update(sgd_step(opt, group, named_grads))
+    updated = sgd_step(opt, group, {name: grads[p] for name, p in group.items()})
+    for name, p in updated.items():
+        if not np.isfinite(p.data).all():
+            raise TrainingDivergedError(*where, name)
+    net.params.update(updated)
 
 
 def _ce_step(net: NetworkParams, opt: OptimizerState, ds: LabeledDataset,
-             targets_full: Matrix, batch: np.ndarray) -> float:
+             targets_full: Matrix, batch: np.ndarray, where: tuple[int, int, str]) -> float:
     """One SGD step of theta and phi on the batch's given labels; returns its CE."""
     tape = GradientTape()
     for p in net.group(THETA + PHI).values():
@@ -369,7 +388,7 @@ def _ce_step(net: NetworkParams, opt: OptimizerState, ds: LabeledDataset,
     logits = forward_logits(net, _rows(ds.features, batch), tape)
     ce = loss_lx(logits, _rows(targets_full, batch), tape)
     grads = backward(tape, ce)
-    _update_params(net, opt, grads, THETA + PHI)
+    _update_params(net, opt, grads, THETA + PHI, {"lx": ce}, where)
     return ce.item()
 
 
@@ -390,14 +409,15 @@ def warmup_train(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState
         for k, (net, opt) in enumerate(zip((twins.net1, twins.net2), opts), start=1):
             opt.learning_rate = decayed_lr(hp, epoch)
             for batch in batch_iterator(all_idx, hp.batch_size, (hp.seed, _S_WARMUP, k), epoch):
-                ce_values.append(_ce_step(net, opt, ds, targets_full, batch))
+                ce_values.append(_ce_step(net, opt, ds, targets_full, batch,
+                                          (epoch, k, "warmup")))
         epoch_losses.append(float(np.mean(ce_values)) if ce_values else 0.0)
     return epoch_losses
 
 
 def select_for_network(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
-                       cutoff_params: CutoffParams, flags: AblationFlags,
-                       quota_mode: str = "class_fraction") -> tuple[DivergenceReport, SelectionResult]:
+                       cutoff_params: CutoffParams,
+                       flags: AblationFlags) -> tuple[DivergenceReport, SelectionResult]:
     """One full selection pass as seen by the given network.
 
     With ensembling on, divergences come from the averaged prediction of
@@ -412,7 +432,7 @@ def select_for_network(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
     rate = compute_filter_rate(report, d_cut)
     if flags.balancing:
         sel = uniform_select(report, ds.given_labels, ds.num_classes, rate,
-                             quota_mode=quota_mode, d_cutoff=d_cut)
+                             quota_mode=cutoff_params.quota_mode, d_cutoff=d_cut)
     else:
         sel = baseline_global_select(report, rate, ds.given_labels, ds.num_classes,
                                      d_cutoff=d_cut)
@@ -425,18 +445,18 @@ def _interleave_two_views(a: Matrix, b: Matrix) -> Matrix:
     out = np.empty((2 * n, d))
     out[0::2] = a.data
     out[1::2] = b.data
-    return Matrix(out)
+    return kernel.wrap(out)
 
 
 def _repeat_rows_twice(t: Matrix) -> Matrix:
-    return Matrix(np.repeat(t.data, 2, axis=0))
+    return kernel.wrap(np.repeat(t.data, 2, axis=0))
 
 
 def train_half_epoch(twins: TwinNetworks, net_index: int,
                      opts: tuple[OptimizerState, OptimizerState],
                      ds: LabeledDataset, hp: Hyperparams, aug: AugmentationSpec,
                      cutoff_params: CutoffParams, flags: AblationFlags,
-                     epoch: int, quota_mode: str = "class_fraction",
+                     epoch: int,
                      precomputed: tuple[DivergenceReport, SelectionResult] | None = None) -> HalfEpochRecord:
     """Select, then train one network while the other stays frozen."""
     net = twins.net1 if net_index == 1 else twins.net2
@@ -444,7 +464,7 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
     opt.learning_rate = decayed_lr(hp, epoch)
 
     if precomputed is None:
-        report, sel = select_for_network(twins, net_index, ds, cutoff_params, flags, quota_mode)
+        report, sel = select_for_network(twins, net_index, ds, cutoff_params, flags)
     else:
         report, sel = precomputed
     weights = refinement_weights(report.d, hp.d_omega)
@@ -464,7 +484,8 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
         logger.warning("epoch %d net %d: clean set empty, falling back to CE on noisy set",
                        epoch, net_index)
         for batch in noisy_batches:
-            losses["lx"].append(_ce_step(net, opt, ds, targets_full, batch))
+            losses["lx"].append(_ce_step(net, opt, ds, targets_full, batch,
+                                         (epoch, net_index, "empty_clean")))
             for key in ("lu", "lreg", "lc"):
                 losses[key].append(0.0)
         return HalfEpochRecord(net_index, report, sel, _mean_losses(losses), degenerate)
@@ -499,10 +520,11 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
             u_t = _repeat_rows_twice(q)
             mixed_x, mixed_u = mixmatch_assemble(x_in, x_t, u_in, u_t, hp.alpha, rng)
         else:
-            # noisy set exhausted: mix the clean entries among themselves
+            # empty noisy set (a short one ends the half instead: zip stops
+            # at the shorter list): mix the clean entries among themselves
             perm = rng.permutation(x_in.rows)
-            mixed_x = mixup(x_in, x_t, Matrix(x_in.data[perm]), Matrix(x_t.data[perm]),
-                            hp.alpha, rng)
+            mixed_x = mixup(x_in, x_t, kernel.wrap(x_in.data[perm]),
+                            kernel.wrap(x_t.data[perm]), hp.alpha, rng)
             mixed_u = None
 
         tape = GradientTape()
@@ -515,22 +537,20 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
             lu = loss_lu(logits_u, mixed_u.targets, tape)
             logits_all = kernel.concat_rows(logits_x, logits_u, tape)
         else:
-            lu = Matrix([[0.0]])
+            lu = Matrix.zeros(1, 1)
             logits_all = logits_x
         lreg = loss_reg(logits_all, ds.num_classes, tape)
         if flags.contrastive and ub is not None:
             z = forward_projection(net, u_in, tape)
             lc = loss_contrastive(z, hp.kappa, tape)
         else:
-            lc = Matrix([[0.0]])
+            lc = Matrix.zeros(1, 1)
         ltot = total_loss(lx, lu, lreg, lc, hp, tape)
         grads = backward(tape, ltot)
-        _update_params(net, opt, grads, ALL_GROUPS)
-
-        losses["lx"].append(lx.item())
-        losses["lu"].append(lu.item())
-        losses["lreg"].append(lreg.item())
-        losses["lc"].append(lc.item())
+        terms = {"lx": lx, "lu": lu, "lreg": lreg, "lc": lc}
+        _update_params(net, opt, grads, ALL_GROUPS, terms, (epoch, net_index, "ssl"))
+        for key, term in terms.items():
+            losses[key].append(term.item())
 
     return HalfEpochRecord(net_index, report, sel, _mean_losses(losses), degenerate)
 
@@ -542,7 +562,6 @@ def _mean_losses(losses: dict[str, list[float]]) -> dict[str, float]:
 def train_epoch(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState],
                 ds: LabeledDataset, hp: Hyperparams, aug: AugmentationSpec,
                 cutoff_params: CutoffParams, flags: AblationFlags, epoch: int,
-                quota_mode: str = "class_fraction",
                 first_selection: tuple[DivergenceReport, SelectionResult] | None = None) -> EpochRecord:
     """One SSL epoch: fresh selection before each network, trained in turn."""
     record = EpochRecord()
@@ -550,5 +569,5 @@ def train_epoch(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState]
         pre = first_selection if net_index == 1 else None
         record.halves.append(
             train_half_epoch(twins, net_index, opts, ds, hp, aug, cutoff_params,
-                             flags, epoch, quota_mode, precomputed=pre))
+                             flags, epoch, precomputed=pre))
     return record

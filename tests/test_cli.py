@@ -9,6 +9,7 @@ from noisytrain.cli import main
 from noisytrain.config import (ConfigFileError, ConfigKeyError,
                                ConfigSyntaxError, ConfigValueError,
                                config_from_dict, config_to_dict, parse_config)
+from noisytrain.data import round_half_up
 from noisytrain.runner import (build_datasets, cmd_ablate, cmd_generate,
                                cmd_report, cmd_run, hist_ratio)
 
@@ -175,6 +176,19 @@ class TestCommands:
         expected = np.zeros(len(d), dtype=bool)
         expected[order[:k]] = True
         assert np.array_equal(selected, expected)  # globally lowest-d wins
+
+    def test_dataset_fraction_quota_reaches_selection(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, {"selection.quota_mode": "dataset_fraction"}))
+        summary = cmd_run(cfg)
+        train, _ = build_datasets(cfg)
+        with open(os.path.join(cfg.output_dir, "metrics.csv")) as f:
+            first_ssl = next(r for r in csv.DictReader(f) if r["phase"] == "ssl")
+        R, n, C = float(first_ssl["R"]), len(train), train.num_classes
+        sizes = np.bincount(train.given_labels, minlength=C).tolist()
+        expected = [min(n_c, round_half_up(R * n / C)) for n_c in sizes]
+        assert summary["first_ssl_class_counts"] == expected
+        # unequal class sizes, so class_fraction would have selected other counts
+        assert expected != [round_half_up(R * n_c) for n_c in sizes]
 
     def test_ablate_emits_four_arms(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))

@@ -75,6 +75,16 @@ VALUE_CASES = [
                     "noise": {"kind": "asymmetric", "flip_map": value}},
                    _key("noise", "flip_map"), id=f"flip_map-{value!r}")
       for value in ([1, 2], [1, 2, 0, 1], [0, 2, 1], [1, 2, 3], [1, "a", 0], "120", 7)],
+    # entries must be integers: no truncation of floats, no bools, no numeric strings
+    *[pytest.param({"dataset": {"num_classes": 3},
+                    "noise": {"kind": "asymmetric", "flip_map": value}},
+                   _key("noise", "flip_map") + r": .*class 0 must be an integer, got \w+ ",
+                   id=f"flip_map-{value!r}")
+      for value in ([1.0, 2, 0], [1.5, 2, 0], [True, 2, 0], ["1", 2, 0])],
+    pytest.param({"dataset": {"num_classes": 4},
+                  "noise": {"kind": "asymmetric", "flip_map": [1.5, 2.9, True, 0]}},
+                 _key("noise", "flip_map") + ": .*must be an integer, got float 1.5",
+                 id="flip_map-floats-and-bool"),
     pytest.param({"augmentation": {"weak_sigma": 0.6}},
                  _key("augmentation", "strong_sigma"), id="strong-below-default-weak"),
     pytest.param({"augmentation": {"weak_sigma": 0.2, "strong_sigma": 0.1}},

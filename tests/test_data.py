@@ -96,6 +96,14 @@ class TestAsymmetricNoise:
             assert corrupted.sum() == 4
             assert np.all(out.given_labels[members][corrupted] == fm[c])
 
+    def test_flip_map_entries_must_be_integers(self):
+        ds = make_gaussian_blobs(3, 10, 3, 6.0, seed=2)
+        with pytest.raises(ValueError, match="class 1 must be an integer, got float 2.0"):
+            inject_asymmetric_noise(ds, 0.5, (1, 2.0, 0), seed=4)
+        numpy_ints = inject_asymmetric_noise(ds, 0.5, np.array([1, 2, 0]), seed=4)
+        python_ints = inject_asymmetric_noise(ds, 0.5, (1, 2, 0), seed=4)
+        assert np.array_equal(numpy_ints.given_labels, python_ints.given_labels)
+
     def test_self_map_rejected(self):
         ds = make_gaussian_blobs(3, 10, 3, 6.0, seed=2)
         with pytest.raises(ValueError):

@@ -299,7 +299,7 @@ def test_memo_recomputes_after_update(counted_forwards):
     feats = _features(1)
     before = dataset_softmax(net, feats)
     grads = {p: Matrix(np.full(p.shape, 0.1)) for p in net.params.values()}
-    _update_params(net, OptimizerState(0.5), grads, THETA + PHI)
+    _update_params(net, OptimizerState(0.5), grads, THETA + PHI, {}, (0, 1, "warmup"))
     after = dataset_softmax(net, feats)
     assert len(counted_forwards) == 2
     assert not np.array_equal(before.data, after.data)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -160,4 +163,41 @@ class TestCheckpoint:
         save_checkpoint(init_twins(ARCH, seed=21), str(path))
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(ValueError, match=r"ckpt\.bin: header cut short: 28 of \d+ bytes"):
+            load_checkpoint(str(path))
+
+    @staticmethod
+    def _rewrite_table(path, edit):
+        """Save a checkpoint, then let ``edit`` change its tensor table in place.
+
+        Tensor bytes are left as they are, so a table whose byte count is
+        unchanged passes the length check and reaches the table check.
+        """
+        save_checkpoint(init_twins(ARCH, seed=21), str(path))
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12:12 + header_len])
+        edit(header["tensors"])
+        new_header = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
+                         + raw[12 + header_len:])
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda ts: ts[0].update(rows=8, cols=5),
+         r"tensor 'w1' of net 1 has shape \(8, 5\), the arch gives \(5, 8\)"),
+        (lambda ts: ts[8].update(net=3), r"unknown tensor 'w1' of net 3"),
+        (lambda ts: ts[1].update(name="w9", rows=1, cols=8), r"unknown tensor 'w9' of net 1"),
+        (lambda ts: ts[3].update(name="b1"), r"tensor 'b1' of net 1 appears twice"),
+    ], ids=["swapped-shape", "unknown-net", "unknown-name", "duplicate"])
+    def test_table_must_match_arch(self, tmp_path, edit, message):
+        path = tmp_path / "ckpt.bin"
+        self._rewrite_table(path, edit)
+        with pytest.raises(ValueError, match=r"ckpt\.bin: " + message):
+            load_checkpoint(str(path))
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        # drop net 2's last tensor (bp) from the table and its bytes from the end
+        self._rewrite_table(path, lambda ts: ts.pop())
+        path.write_bytes(path.read_bytes()[:-8 * ARCH.embed_dim])
+        with pytest.raises(ValueError, match=r"ckpt\.bin: net 2 lacks tensors \['bp'\]"):
             load_checkpoint(str(path))

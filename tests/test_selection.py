@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noisytrain.data import make_gaussian_blobs, round_half_up
-from noisytrain.kernel import Matrix
+from noisytrain.kernel import Matrix, wrap
 from noisytrain.model import Arch, init_twins
 from noisytrain.selection import (CutoffParams, DistributionError,
                                   DivergenceReport, baseline_global_select,
@@ -80,6 +80,23 @@ class TestComputeDivergences:
         report = DivergenceReport.from_values(d)
         assert report.d_avg == pytest.approx(d.mean(), abs=1e-12)
         assert report.d_min == d.min()
+
+    @pytest.mark.parametrize("d", [[0.1, np.nan, 0.3], [np.nan], [-0.1, 0.5], [0.5, 1.2]])
+    def test_report_rejects_values_outside_unit_interval(self, d):
+        with pytest.raises(ValueError, match=r"divergences must lie in \[0, 1\]"):
+            DivergenceReport.from_values(d)
+
+    def test_nan_probability_row_rejected(self):
+        # unchecked softmax output (wrap, not Matrix) is how a NaN row arrives
+        probs = wrap(np.array([[0.9, 0.1], [np.nan, np.nan], [0.2, 0.8]]))
+        with pytest.raises(ValueError, match=r"divergences must lie in \[0, 1\]"):
+            divergences_from_probs(probs, np.array([0, 1, 1]))
+
+
+@pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"d_mu": 1.0}, {"quota_mode": "per_class"}])
+def test_cutoff_params_validated(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        CutoffParams(**kwargs)
 
 
 class TestCutoffAndFilterRate:

@@ -1,20 +1,25 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import finite_difference_grad, max_relative_error
+from noisytrain import training
+from noisytrain.cli import main
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
-from noisytrain.kernel import GradientTape, Matrix, OptimizerState, backward
-from noisytrain.model import (ALL_GROUPS, Arch, TwinNetworks, forward_logits,
+from noisytrain.kernel import GradientTape, Matrix, OptimizerState, backward, wrap
+from noisytrain.model import (ALL_GROUPS, PHI, THETA, Arch, TwinNetworks, forward_logits,
                               forward_softmax, init_network, init_twins)
 from noisytrain.selection import CutoffParams, DivergenceReport, uniform_select
 from noisytrain.training import (AblationFlags, DegenerateBatchError,
-                                 Hyperparams, blend_targets, decayed_lr,
+                                 Hyperparams, TrainingDivergedError,
+                                 _update_params, blend_targets, decayed_lr,
                                  guess_pseudo_labels, loss_contrastive,
                                  loss_lu, loss_lx, loss_reg, mixmatch_assemble,
                                  mixup, mixup_with_lambda, one_hot,
-                                 refine_labels, refinement_weights, sharpen,
-                                 total_loss, train_epoch, train_half_epoch,
-                                 warmup_train)
+                                 refine_labels, refinement_weights,
+                                 select_for_network, sharpen, total_loss,
+                                 train_epoch, train_half_epoch, warmup_train)
 
 AUG = AugmentationSpec()
 CUTOFF = CutoffParams()
@@ -400,6 +405,96 @@ class TestTrainEpoch:
         assert tape.num_records == 0
         assert not tape.tracks(refined)
         assert not tape.tracks(guessed)
+
+    @pytest.mark.parametrize("flags,checked", [
+        (AblationFlags(), 1),                    # net 2's selection: ensemble_softmax
+        (AblationFlags(ensemble=False), 0),
+        (AblationFlags(contrastive=False), 1),
+    ], ids=["all-on", "no-ensemble", "no-contrastive"])
+    def test_step_builds_no_checked_matrices(self, monkeypatch, flags, checked):
+        # the step's own arrays are wrapped, not copied and scanned; the
+        # one finiteness check of training is in _update_params
+        ds, hp, twins, opts = self._setup()
+        first = select_for_network(twins, 1, ds, CUTOFF, flags)
+        inits = []
+        init = Matrix.__init__
+
+        def counting_init(self, values):
+            inits.append(1)
+            init(self, values)
+        monkeypatch.setattr(Matrix, "__init__", counting_init)
+        record = train_epoch(twins, opts, ds, hp, AUG, CUTOFF, flags, epoch=1,
+                             first_selection=first)
+        assert [h.degenerate for h in record.halves] == [None, None]
+        assert len(inits) == checked
+
+    def test_non_finite_contrastive_term_stops_ssl_step(self, monkeypatch):
+        ds, hp, twins, opts = self._setup()
+        before = snapshot(twins.net1)
+        monkeypatch.setattr(training, "loss_contrastive",
+                            lambda z, kappa, tape=None: wrap(np.array([[np.nan]])))
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^training diverged at epoch 1, net 1 \(ssl\): lc is not finite$"):
+            train_epoch(twins, opts, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+        assert params_equal(before, snapshot(twins.net1))   # refused before the update
+
+    def test_non_finite_ce_stops_empty_clean_fallback(self, monkeypatch):
+        ds, hp, twins, opts = self._setup()
+        report = DivergenceReport.from_values(np.linspace(0.4, 0.99, len(ds)))
+        sel = uniform_select(report, ds.given_labels, 3, 0.0, d_cutoff=0.1)
+        lx = training.loss_lx
+
+        def infinite_lx(*args, **kwargs):
+            out = lx(*args, **kwargs)
+            out.data[0, 0] = np.inf
+            return out
+        monkeypatch.setattr(training, "loss_lx", infinite_lx)
+        with pytest.raises(TrainingDivergedError) as info:
+            train_half_epoch(twins, 2, opts, ds, hp, AUG, CUTOFF, FLAGS,
+                             epoch=4, precomputed=(report, sel))
+        err = info.value
+        assert (err.epoch, err.net, err.phase, err.term) == (4, 2, "empty_clean", "lx")
+
+
+def test_infinite_gradient_named_by_parameter():
+    net = init_network(Arch(3, 8, 2, 2), seed=1)
+    before = dict(net.params)
+    grads = {p: Matrix.zeros(*p.shape) for p in net.params.values()}
+    grads[net.params["w2"]] = wrap(np.full(net.params["w2"].shape, np.inf))
+    finite_terms = {"lx": wrap(np.array([[0.5]]))}
+    with pytest.raises(TrainingDivergedError,
+                       match=r"^training diverged at epoch 7, net 2 \(ssl\): w2 is not finite$"):
+        _update_params(net, OptimizerState(0.1), grads, THETA + PHI, finite_terms, (7, 2, "ssl"))
+    assert net.params == before   # no parameter replaced
+
+
+DESK_LR50 = {
+    "dataset": {"num_classes": 4, "per_class": 250, "test_per_class": 100,
+                "dims": 8, "separation": 8.0},
+    "noise": {"kind": "symmetric", "rate": 0.5},
+    "arch": {"hidden": 64, "embed_dim": 16},
+    "hyperparams": {"warmup_epochs": 10, "total_epochs": 60, "lr": 50.0},
+    "seed": 17,
+}
+
+
+def test_diverging_run_stops_at_first_non_finite_ce(tmp_path, monkeypatch, capsys):
+    ce_values = []
+    lx = training.loss_lx
+
+    def recording_lx(*args, **kwargs):
+        out = lx(*args, **kwargs)
+        ce_values.append(out.item())
+        return out
+    monkeypatch.setattr(training, "loss_lx", recording_lx)
+    path = tmp_path / "desk_lr50.json"
+    path.write_text(json.dumps({**DESK_LR50, "output_dir": str(tmp_path / "out")}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.strip().endswith(
+        "error: training diverged at epoch 0, net 1 (warmup): lx is not finite")
+    # the run stopped at the step whose CE first went non-finite
+    assert np.isfinite(ce_values[:-1]).all() and not np.isfinite(ce_values[-1])
 
 
 class TestHyperparams:
