@@ -202,18 +202,22 @@ def apply_noise(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
 
 def weak_augment(x: Matrix, spec: AugmentationSpec, rng: np.random.Generator) -> Matrix:
     """Additive Gaussian jitter (row-wise independent draws)."""
-    noise = rng.normal(0.0, spec.weak_sigma, size=x.shape) if spec.weak_sigma > 0 else 0.0
-    return wrap(x.data + noise)
+    if spec.weak_sigma > 0:
+        y = rng.normal(0.0, spec.weak_sigma, size=x.shape)
+        y += x.data
+        return wrap(y)
+    return wrap(x.data + 0.0)   # a new array, with -0.0 turned into +0.0
 
 
 def strong_augment(x: Matrix, spec: AugmentationSpec, rng: np.random.Generator) -> Matrix:
     """Larger jitter, then each coordinate independently zeroed."""
-    y = x.data.copy()
     if spec.strong_sigma > 0:
-        y = y + rng.normal(0.0, spec.strong_sigma, size=x.shape)
+        y = rng.normal(0.0, spec.strong_sigma, size=x.shape)
+        y += x.data
+    else:
+        y = x.data.copy()
     if spec.strong_dropout_prob > 0:
-        keep = rng.random(x.shape) >= spec.strong_dropout_prob
-        y = y * keep
+        y *= rng.random(x.shape) >= spec.strong_dropout_prob
     return wrap(y)
 
 
@@ -240,18 +244,14 @@ def batch_iterator(indices, batch_size: int, seed, epoch: int) -> list[np.ndarra
 
 
 def save_dataset_csv(ds: LabeledDataset, path: str) -> None:
-    """Write the snapshot atomically; float repr round-trips exactly."""
-    header = [f"feat_{j}" for j in range(ds.dims)] + ["true_label", "given_label"]
+    """Write the snapshot atomically; float repr round-trips exactly, and no
+    field can hold a comma or a quote, so lines are joined without csv."""
+    lines = [",".join([f"feat_{j}" for j in range(ds.dims)] + ["true_label", "given_label"])]
+    lines.extend(f"{','.join(map(repr, row))},{t},{g}" for row, t, g in
+                 zip(ds.features.data.tolist(), ds.true_labels.tolist(), ds.given_labels.tolist()))
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        feats = ds.features.data
-        for i in range(len(ds)):
-            row = [repr(float(v)) for v in feats[i]]
-            row.append(str(int(ds.true_labels[i])))
-            row.append(str(int(ds.given_labels[i])))
-            w.writerow(row)
+        f.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 

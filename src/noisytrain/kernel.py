@@ -387,7 +387,10 @@ class OptimizerState:
 
 
 def sgd_step(state: OptimizerState, params: dict[str, Matrix], grads: dict[str, Matrix]) -> dict[str, Matrix]:
-    """One SGD-with-momentum step; returns the updated parameter dict."""
+    """One SGD-with-momentum step; returns the updated parameter dict.
+
+    Velocities update in place.  Parameters get new matrices and are never
+    written, so identity-keyed caches (the softmax memo) see every update."""
     updated: dict[str, Matrix] = {}
     for name, p in params.items():
         g = grads[name]
@@ -395,8 +398,10 @@ def sgd_step(state: OptimizerState, params: dict[str, Matrix], grads: dict[str, 
             raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {p.shape} for '{name}'")
         v = state.velocity.get(name)
         if v is None:
-            v = np.zeros(p.shape)
-        v = state.momentum * v + g.data + state.weight_decay * p.data
-        state.velocity[name] = v
-        updated[name] = wrap(p.data - state.learning_rate * v)
+            v = state.velocity[name] = np.zeros(p.shape)
+        v *= state.momentum
+        v += g.data
+        v += state.weight_decay * p.data
+        step = state.learning_rate * v
+        updated[name] = wrap(np.subtract(p.data, step, out=step))
     return updated

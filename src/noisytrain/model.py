@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -99,33 +99,41 @@ def _head_forward(net: NetworkParams, x: Matrix, tape: GradientTape | None,
                   head: tuple[str, str], finish=None) -> Matrix:
     """Both ReLU layers and one linear head, taped as one fused operation.
 
-    The backward closure replays, expression for expression, the backward
+    The backward closure replays, operation for operation, the backward
     of the primitive chain (matmul, add_row, relu, ..., add_row) that this
-    function replaces, so every gradient is bit-identical to it.
+    function replaces, so every gradient is bit-identical to it.  Only
+    arrays this call allocates are written in place.
     ``finish`` maps the head's output to the final one and returns it with
     a function that turns the final output's gradient into the head's.
     """
     _check_input(net, x)
     inputs = (x,) + tuple(net.params[n] for n in THETA + head)
     xa, w1, b1, w2, b2, wh, bh = (m.data for m in inputs)
-    a1 = xa @ w1 + b1
-    h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ w2 + b2
-    h = np.maximum(a2, 0.0)
-    out = h @ wh + bh
+    h1 = xa @ w1
+    h1 += b1
+    np.maximum(h1, 0.0, out=h1)
+    h = h1 @ w2
+    h += b2
+    np.maximum(h, 0.0, out=h)
+    out = h @ wh
+    out += bh
     finish_grad = None
     if finish is not None:
         out, finish_grad = finish(out)
+    if tape is None:
+        return kernel.wrap(out)
 
     def bwd(g, tracked):
         if finish_grad is not None:
             g = finish_grad(g)
         gbh = g.sum(axis=0, keepdims=True)
         gwh = h.T @ g
-        g = (g @ wh.T) * (a2 > 0.0)
+        g = g @ wh.T
+        g *= h > 0.0            # the mask of the pre-activation, NaN included
         gb2 = g.sum(axis=0, keepdims=True)
         gw2 = h1.T @ g
-        g = (g @ w2.T) * (a1 > 0.0)
+        g = g @ w2.T
+        g *= h1 > 0.0
         gb1 = g.sum(axis=0, keepdims=True)
         gw1 = xa.T @ g
         gx = g @ w1.T if tracked[0] else None
@@ -138,22 +146,35 @@ def forward_logits(net: NetworkParams, x: Matrix, tape: GradientTape | None = No
     return _head_forward(net, x, tape, PHI)
 
 
+def softmax_in_place(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax written over ``z``, which the caller owns; the operations
+    of ``kernel.softmax_rows`` in its order, so the bits are the same."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
 def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
     """Class probabilities; evaluation only, never recorded on a tape."""
-    return kernel.softmax_rows(forward_logits(net, x))
+    return kernel.wrap(softmax_in_place(forward_logits(net, x).data))
 
 
 def _l2_normalize(z: np.ndarray):
+    """Normalize the rows of ``z`` in place (the caller owns it)."""
     norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms[:, 0] == 0.0)[0])
         raise kernel.DegenerateEmbeddingError(f"row {bad} has zero norm and cannot be normalized")
-    y = z / norms
+    z /= norms
 
     def grad(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (g - y * dot) / norms
-    return y, grad
+        dot = (g * z).sum(axis=1, keepdims=True)
+        gz = z * dot
+        np.subtract(g, gz, out=gz)
+        gz /= norms
+        return gz
+    return z, grad
 
 
 def forward_projection(net: NetworkParams, x: Matrix, tape: GradientTape | None = None) -> Matrix:
@@ -228,6 +249,30 @@ def save_checkpoint(twins: TwinNetworks, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _header_problem(header) -> str | None:
+    """What is missing or malformed in a checkpoint header, naming the key; None if nothing."""
+    if not isinstance(header, dict):
+        return "the header is not a JSON object"
+    missing = [k for k in ("version", "arch", "seeds", "tensors") if k not in header]
+    if missing:
+        return f"the header lacks {missing[0]!r}"
+    arch, seeds, tensors = header["arch"], header["seeds"], header["tensors"]
+    if not (isinstance(arch, dict) and set(arch) == {f.name for f in fields(Arch)}
+            and all(map(_is_int, arch.values()))):
+        return f"'arch' must map exactly the Arch fields to integers, got {arch!r}"
+    if not (isinstance(seeds, list) and len(seeds) == 2 and all(map(_is_int, seeds))):
+        return f"'seeds' must hold exactly two integers, got {seeds!r}"
+    if not (isinstance(tensors, list) and all(
+            isinstance(t, dict) and isinstance(t.get("name"), str)
+            and all(_is_int(t.get(k)) for k in ("net", "rows", "cols")) for t in tensors)):
+        return "'tensors' must be a list of objects with integer net, rows and cols and a string name"
+    return None
+
+
 def load_checkpoint(path: str) -> TwinNetworks:
     with open(path, "rb") as f:
         raw = f.read()
@@ -240,6 +285,9 @@ def load_checkpoint(path: str) -> TwinNetworks:
         raise ValueError(f"{path}: header cut short: "
                          f"{len(raw) - header_start} of {header_len} bytes")
     header = json.loads(raw[header_start:tensors_start].decode("utf-8"))
+    problem = _header_problem(header)
+    if problem is not None:
+        raise ValueError(f"{path}: {problem}")
     if header["version"] != 1:
         raise ValueError(f"unsupported checkpoint version {header['version']}")
     declared = 8 * sum(t["rows"] * t["cols"] for t in header["tensors"])

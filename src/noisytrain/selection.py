@@ -10,7 +10,6 @@ blind) variant exists purely as an ablation baseline.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -217,16 +216,17 @@ def baseline_global_select(report: DivergenceReport, filter_rate: float,
 
 def export_selection_csv(sel: SelectionResult, report: DivergenceReport,
                          given_labels, path: str) -> None:
-    """Offline inspection dump: index,given_label,d,selected."""
+    """Offline inspection dump: index,given_label,d,selected (no field needs csv quoting)."""
     n = len(report)
     labels = np.asarray(given_labels, dtype=np.int64)
     if len(labels) != n:
         raise ValueError("labels and divergences disagree in length")
     selected = np.zeros(n, dtype=np.int64)
     selected[sel.clean_indices] = 1
+    lines = ["index,given_label,d,selected"]
+    lines.extend(f"{i},{label},{d!r},{s}" for i, label, d, s in
+                 zip(range(n), labels.tolist(), report.d.tolist(), selected.tolist()))
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["index", "given_label", "d", "selected"])
-        w.writerows(zip(range(n), labels.tolist(), map(repr, report.d.tolist()), selected.tolist()))
+        f.write("\n".join(lines) + "\n")
     os.replace(tmp, path)

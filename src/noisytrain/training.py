@@ -14,6 +14,7 @@ passes: their outputs enter the losses as constants, never on the tape.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ from .data import (AugmentationSpec, LabeledDataset, batch_iterator,
                    strong_augment, weak_augment)
 from .kernel import GradientTape, Matrix, OptimizerState, backward, sgd_step
 from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, \
-    dataset_softmax, forward_logits, forward_projection, forward_softmax
+    dataset_softmax, forward_logits, forward_projection, forward_softmax, softmax_in_place
 from .selection import (CutoffParams, DivergenceReport, SelectionResult,
                         baseline_global_select, compute_cutoff,
                         compute_divergences, compute_filter_rate,
@@ -165,9 +166,12 @@ def guess_pseudo_labels(twins: TwinNetworks, u_weak_1: Matrix, u_weak_2: Matrix,
 def mixup_with_lambda(x1: Matrix, t1: Matrix, x2: Matrix, t2: Matrix, lam: np.ndarray) -> MixedBatch:
     """Convex combination with given per-row coefficients (already >= 0.5)."""
     lam = np.asarray(lam, dtype=np.float64).reshape(-1, 1)
-    inputs = kernel.wrap(lam * x1.data + (1.0 - lam) * x2.data)
-    targets = kernel.wrap(lam * t1.data + (1.0 - lam) * t2.data)
-    return MixedBatch(inputs, targets, lam.ravel())
+    rest = 1.0 - lam
+    inputs = lam * x1.data
+    inputs += rest * x2.data
+    targets = lam * t1.data
+    targets += rest * t2.data
+    return MixedBatch(kernel.wrap(inputs), kernel.wrap(targets), lam.ravel())
 
 
 def mixup(x1: Matrix, t1: Matrix, x2: Matrix, t2: Matrix, alpha: float,
@@ -205,47 +209,51 @@ def mixmatch_assemble(x_inputs: Matrix, x_targets: Matrix,
 # loss terms (tape-aware; targets are constants)
 #
 # Each taped loss is one fused tape record.  Its forward and its backward
-# closure replay, expression for expression and in the same order, the
+# closure replay, operation for operation and in the same order, the
 # kernel primitives (softmax_rows, mul, sum_all, scale, ...) that the term
 # was first written with, so values and gradients are bit-identical to
 # that primitive chain; tests/test_fused.py keeps it as the reference.
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+# Results accumulate in place only into arrays the same call allocated,
+# never into an input, a parameter or the incoming gradient ``g``.
 
 
 def _softmax_backward(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The softmax backward of ``g``, written over ``g`` (the caller owns it)."""
     dot = (g * s).sum(axis=1, keepdims=True)
-    return s * (g - dot)
+    g -= dot
+    g *= s
+    return g
 
 
 def loss_lx(logits: Matrix, targets: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Mean soft cross-entropy between target rows and softmax(logits)."""
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    ls = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    ls = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(ls)
+    ls -= np.log(e.sum(axis=1, keepdims=True))
     c = -1.0 / logits.rows
-    out = np.array([[(ls * targets.data).sum()]]) * c
+    out = np.array([[np.multiply(ls, targets.data, out=e).sum()]]) * c
 
     def bwd(g, tracked):
-        g_ls = np.full(ls.shape, (g * c)[0, 0]) * targets.data
-        return (g_ls - np.exp(ls) * g_ls.sum(axis=1, keepdims=True),)
+        g_ls = targets.data * (g * c)[0, 0]
+        p = np.exp(ls)
+        p *= g_ls.sum(axis=1, keepdims=True)
+        g_ls -= p
+        return (g_ls,)
 
     return kernel.record(tape, (logits,), kernel.wrap(out), bwd)
 
 
 def loss_lu(logits: Matrix, targets: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Mean squared Euclidean distance between targets and softmax(logits)."""
-    p = _softmax(logits.data)
+    p = softmax_in_place(logits.data.copy())
     diff = p - targets.data
     c = 1.0 / logits.rows
     out = np.array([[(diff * diff).sum()]]) * c
 
     def bwd(g, tracked):
-        g_half = np.full(diff.shape, (g * c)[0, 0]) * diff
-        return (_softmax_backward(p, g_half + g_half),)   # diff * diff reaches diff twice
+        g_diff = diff * (g * c)[0, 0]
+        g_diff += g_diff   # diff * diff reaches diff twice
+        return (_softmax_backward(p, g_diff),)
 
     return kernel.record(tape, (logits,), kernel.wrap(out), bwd)
 
@@ -257,23 +265,26 @@ def loss_reg(logits: Matrix, num_classes: int, tape: GradientTape | None = None)
     batch-mean prediction is exactly uniform.
     """
     n = logits.rows
-    p = _softmax(logits.data)
+    p = softmax_in_place(logits.data.copy())
     weights = np.full((1, n), 1.0 / n)
     mean_row = weights @ p
     c = -1.0 / num_classes
     out = np.array([[np.log(mean_row).sum()]]) * c + np.array([[-np.log(num_classes)]])
 
     def bwd(g, tracked):
-        g_log = np.full(mean_row.shape, (g * c)[0, 0])
-        return (_softmax_backward(p, weights.T @ (g_log / mean_row)),)
+        g_log = (g * c)[0, 0] / mean_row
+        return (_softmax_backward(p, weights.T @ g_log),)
 
     return kernel.record(tape, (logits,), kernel.wrap(out), bwd)
 
 
+@functools.lru_cache(maxsize=2)
 def _pair_mask(n: int) -> np.ndarray:
+    """The n x n positive-pair indicator (2b with 2b+1); shared, so read-only."""
     mask = np.zeros((n, n))
     idx = np.arange(n)
     mask[idx, idx ^ 1] = 1.0
+    mask.flags.writeable = False
     return mask
 
 
@@ -292,27 +303,32 @@ def loss_contrastive(embeddings: Matrix, kappa: float, tape: GradientTape | None
     z = embeddings.data
     z_t = z.T.copy()
     c = 1.0 / kappa
-    sim = (z @ z_t) * c
+    sim = z @ z_t
+    sim *= c
     # row-wise log-sum-exp over the off-diagonal similarities
     masked = sim.copy()
     np.fill_diagonal(masked, -np.inf)
     row_max = masked.max(axis=1, keepdims=True)
-    e = np.exp(masked - row_max)
+    e = masked - row_max
+    np.exp(e, out=e)
     np.fill_diagonal(e, 0.0)
     lse = row_max + np.log(e.sum(axis=1, keepdims=True))
     pairs = _pair_mask(n)
-    diff = np.array([[lse.sum()]]) - np.array([[(sim * pairs).sum()]])
+    sim *= pairs
+    diff = np.array([[lse.sum()]]) - np.array([[sim.sum()]])
     out = diff * (1.0 / n)
 
     def bwd(g, tracked):
         g_diff = g * (1.0 / n)
-        g_sim = np.full((n, n), (-g_diff)[0, 0]) * pairs
-        w = np.exp(masked - lse)
+        g_sim = pairs * (-g_diff)[0, 0]
+        w = masked - lse
+        np.exp(w, out=w)
         np.fill_diagonal(w, 0.0)
-        g_sim += np.full((n, 1), g_diff[0, 0]) * w
-        g_raw = g_sim * c
-        g_z = g_raw @ z_t.T
-        g_z += (z.T @ g_raw).T
+        w *= g_diff[0, 0]
+        g_sim += w
+        g_sim *= c
+        g_z = g_sim @ z_t.T
+        g_z += (z.T @ g_sim).T
         return (g_z,)
 
     return kernel.record(tape, (embeddings,), kernel.wrap(out), bwd)
@@ -381,14 +397,19 @@ def _update_params(net: NetworkParams, opt: OptimizerState, grads: dict[Matrix, 
 
 def _ce_step(net: NetworkParams, opt: OptimizerState, ds: LabeledDataset,
              targets_full: Matrix, batch: np.ndarray, where: tuple[int, int, str]) -> float:
-    """One SGD step of theta and phi on the batch's given labels; returns its CE."""
-    tape = GradientTape()
-    for p in net.group(THETA + PHI).values():
-        tape.watch(p)
-    logits = forward_logits(net, _rows(ds.features, batch), tape)
-    ce = loss_lx(logits, _rows(targets_full, batch), tape)
-    grads = backward(tape, ce)
-    _update_params(net, opt, grads, THETA + PHI, {"lx": ce}, where)
+    """One SGD step of theta and phi on the batch's given labels; returns its CE.
+
+    Floating-point warnings are off inside a step: ``_update_params`` names
+    a diverging step's epoch, network and term instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tape = GradientTape()
+        for p in net.group(THETA + PHI).values():
+            tape.watch(p)
+        logits = forward_logits(net, _rows(ds.features, batch), tape)
+        ce = loss_lx(logits, _rows(targets_full, batch), tape)
+        grads = backward(tape, ce)
+        _update_params(net, opt, grads, THETA + PHI, {"lx": ce}, where)
     return ce.item()
 
 
@@ -499,58 +520,60 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
         ((cb, None) for cb in clean_batches)
 
     for it, (cb, ub) in enumerate(iterations):
-        rng = np.random.default_rng([hp.seed, _S_ITER, epoch, net_index, it])
-        x_raw = _rows(ds.features, cb)
-        xw1 = weak_augment(x_raw, aug, rng)
-        xw2 = weak_augment(x_raw, aug, rng)
-        xs1 = strong_augment(x_raw, aug, rng)
-        xs2 = strong_augment(x_raw, aug, rng)
-        y_refined = refine_labels(net, xw1, xw2, _rows(targets_full, cb), weights[cb], hp.T)
-        x_in = _interleave_two_views(xs1, xs2)
-        x_t = _repeat_rows_twice(y_refined)
+        # as in _ce_step, _update_params names a diverging step, not numpy
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rng = np.random.default_rng([hp.seed, _S_ITER, epoch, net_index, it])
+            x_raw = _rows(ds.features, cb)
+            xw1 = weak_augment(x_raw, aug, rng)
+            xw2 = weak_augment(x_raw, aug, rng)
+            xs1 = strong_augment(x_raw, aug, rng)
+            xs2 = strong_augment(x_raw, aug, rng)
+            y_refined = refine_labels(net, xw1, xw2, _rows(targets_full, cb), weights[cb], hp.T)
+            x_in = _interleave_two_views(xs1, xs2)
+            x_t = _repeat_rows_twice(y_refined)
 
-        if ub is not None:
-            u_raw = _rows(ds.features, ub)
-            uw1 = weak_augment(u_raw, aug, rng)
-            uw2 = weak_augment(u_raw, aug, rng)
-            us1 = strong_augment(u_raw, aug, rng)
-            us2 = strong_augment(u_raw, aug, rng)
-            q = guess_pseudo_labels(twins, uw1, uw2, hp.T)
-            u_in = _interleave_two_views(us1, us2)
-            u_t = _repeat_rows_twice(q)
-            mixed_x, mixed_u = mixmatch_assemble(x_in, x_t, u_in, u_t, hp.alpha, rng)
-        else:
-            # empty noisy set (a short one ends the half instead: zip stops
-            # at the shorter list): mix the clean entries among themselves
-            perm = rng.permutation(x_in.rows)
-            mixed_x = mixup(x_in, x_t, kernel.wrap(x_in.data[perm]),
-                            kernel.wrap(x_t.data[perm]), hp.alpha, rng)
-            mixed_u = None
+            if ub is not None:
+                u_raw = _rows(ds.features, ub)
+                uw1 = weak_augment(u_raw, aug, rng)
+                uw2 = weak_augment(u_raw, aug, rng)
+                us1 = strong_augment(u_raw, aug, rng)
+                us2 = strong_augment(u_raw, aug, rng)
+                q = guess_pseudo_labels(twins, uw1, uw2, hp.T)
+                u_in = _interleave_two_views(us1, us2)
+                u_t = _repeat_rows_twice(q)
+                mixed_x, mixed_u = mixmatch_assemble(x_in, x_t, u_in, u_t, hp.alpha, rng)
+            else:
+                # empty noisy set (a short one ends the half instead: zip stops
+                # at the shorter list): mix the clean entries among themselves
+                perm = rng.permutation(x_in.rows)
+                mixed_x = mixup(x_in, x_t, kernel.wrap(x_in.data[perm]),
+                                kernel.wrap(x_t.data[perm]), hp.alpha, rng)
+                mixed_u = None
 
-        tape = GradientTape()
-        for p in net.group(ALL_GROUPS).values():
-            tape.watch(p)
-        logits_x = forward_logits(net, mixed_x.inputs, tape)
-        lx = loss_lx(logits_x, mixed_x.targets, tape)
-        if mixed_u is not None:
-            logits_u = forward_logits(net, mixed_u.inputs, tape)
-            lu = loss_lu(logits_u, mixed_u.targets, tape)
-            logits_all = kernel.concat_rows(logits_x, logits_u, tape)
-        else:
-            lu = Matrix.zeros(1, 1)
-            logits_all = logits_x
-        lreg = loss_reg(logits_all, ds.num_classes, tape)
-        if flags.contrastive and ub is not None:
-            z = forward_projection(net, u_in, tape)
-            lc = loss_contrastive(z, hp.kappa, tape)
-        else:
-            lc = Matrix.zeros(1, 1)
-        ltot = total_loss(lx, lu, lreg, lc, hp, tape)
-        grads = backward(tape, ltot)
-        terms = {"lx": lx, "lu": lu, "lreg": lreg, "lc": lc}
-        _update_params(net, opt, grads, ALL_GROUPS, terms, (epoch, net_index, "ssl"))
-        for key, term in terms.items():
-            losses[key].append(term.item())
+            tape = GradientTape()
+            for p in net.group(ALL_GROUPS).values():
+                tape.watch(p)
+            logits_x = forward_logits(net, mixed_x.inputs, tape)
+            lx = loss_lx(logits_x, mixed_x.targets, tape)
+            if mixed_u is not None:
+                logits_u = forward_logits(net, mixed_u.inputs, tape)
+                lu = loss_lu(logits_u, mixed_u.targets, tape)
+                logits_all = kernel.concat_rows(logits_x, logits_u, tape)
+            else:
+                lu = Matrix.zeros(1, 1)
+                logits_all = logits_x
+            lreg = loss_reg(logits_all, ds.num_classes, tape)
+            if flags.contrastive and ub is not None:
+                z = forward_projection(net, u_in, tape)
+                lc = loss_contrastive(z, hp.kappa, tape)
+            else:
+                lc = Matrix.zeros(1, 1)
+            ltot = total_loss(lx, lu, lreg, lc, hp, tape)
+            grads = backward(tape, ltot)
+            terms = {"lx": lx, "lu": lu, "lreg": lreg, "lc": lc}
+            _update_params(net, opt, grads, ALL_GROUPS, terms, (epoch, net_index, "ssl"))
+            for key, term in terms.items():
+                losses[key].append(term.item())
 
     return HalfEpochRecord(net_index, report, sel, _mean_losses(losses), degenerate)
 

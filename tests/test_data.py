@@ -185,6 +185,27 @@ class TestCsvRoundTrip:
         assert np.max(np.abs(loaded.features.data - ds.features.data)) < 1e-12
         assert loaded.num_classes == ds.num_classes
 
+    def test_bytes_match_row_by_row_writer(self, tmp_path):
+        """Reference: the csv-module row writer the snapshot replaced."""
+        import csv
+        rng = np.random.default_rng(23)
+        for n, dims in ((1, 1), (9, 1), (40, 64), (300, 8)):
+            feats = rng.standard_normal((n, dims)) * 10.0 ** rng.integers(-8, 8, (n, dims))
+            feats[0, 0] = -0.0    # the other entries are of both signs
+            labels = rng.integers(0, 3, n)
+            ds = LabeledDataset(Matrix(feats), labels, rng.integers(0, 3, n), 3)
+            path, ref = tmp_path / "snapshot.csv", tmp_path / "ref.csv"
+            save_dataset_csv(ds, str(path))
+            with open(ref, "w", newline="") as f:
+                w = csv.writer(f, lineterminator="\n")
+                w.writerow([f"feat_{j}" for j in range(dims)] + ["true_label", "given_label"])
+                for i in range(n):
+                    w.writerow([repr(float(v)) for v in feats[i]]
+                               + [str(int(ds.true_labels[i])), str(int(ds.given_labels[i]))])
+            assert path.read_bytes() == ref.read_bytes()
+            assert b"-0.0," in path.read_bytes()
+            assert np.array_equal(load_dataset_csv(str(path), num_classes=3).features.data, feats)
+
     def test_header_shape(self, tmp_path):
         ds = make_gaussian_blobs(2, 3, 4, 6.0, seed=13)
         path = str(tmp_path / "snapshot.csv")

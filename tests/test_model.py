@@ -166,8 +166,8 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     @staticmethod
-    def _rewrite_table(path, edit):
-        """Save a checkpoint, then let ``edit`` change its tensor table in place.
+    def _rewrite_header(path, edit):
+        """Save a checkpoint, then let ``edit`` change its header in place.
 
         Tensor bytes are left as they are, so a table whose byte count is
         unchanged passes the length check and reaches the table check.
@@ -176,10 +176,45 @@ class TestCheckpoint:
         raw = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", raw, 8)
         header = json.loads(raw[12:12 + header_len])
-        edit(header["tensors"])
+        edit(header)
         new_header = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
                          + raw[12 + header_len:])
+
+    @classmethod
+    def _rewrite_table(cls, path, edit):
+        cls._rewrite_header(path, lambda header: edit(header["tensors"]))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h.pop("version"), r"the header lacks 'version'"),
+        (lambda h: h.pop("arch"), r"the header lacks 'arch'"),
+        (lambda h: h.pop("seeds"), r"the header lacks 'seeds'"),
+        (lambda h: h.pop("tensors"), r"the header lacks 'tensors'"),
+        (lambda h: h["arch"].pop("hidden"), r"'arch' must map exactly the Arch fields"),
+        (lambda h: h["arch"].update(hidden="8"), r"'arch' must map exactly the Arch fields"),
+        (lambda h: h.update(seeds=[43]), r"'seeds' must hold exactly two integers, got \[43\]"),
+        (lambda h: h.update(seeds=[43, 44, 45]), r"'seeds' must hold exactly two integers"),
+        (lambda h: h.update(seeds=[43, "44"]), r"'seeds' must hold exactly two integers"),
+        (lambda h: h.update(seeds=[43, True]), r"'seeds' must hold exactly two integers"),
+        (lambda h: h.update(tensors={}), r"'tensors' must be a list of objects"),
+        (lambda h: h["tensors"][2].pop("rows"), r"'tensors' must be .* integer net, rows and cols"),
+        (lambda h: h["tensors"][2].update(net=[1]), r"'tensors' must be .* integer net"),
+        (lambda h: h["tensors"][2].update(name=7), r"'tensors' must be .* a string name"),
+        (lambda h: h["tensors"].__setitem__(0, "w1"), r"'tensors' must be a list of objects"),
+    ], ids=["no-version", "no-arch", "no-seeds", "no-tensors", "arch-key", "arch-str",
+            "one-seed", "three-seeds", "str-seed", "bool-seed", "tensors-object",
+            "no-rows", "list-net", "int-name", "str-entry"])
+    def test_header_keys_checked(self, tmp_path, edit, message):
+        path = tmp_path / "ckpt.bin"
+        self._rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=r"ckpt\.bin: " + message):
+            load_checkpoint(str(path))
+
+    def test_header_must_be_an_object(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(b"TWINNET1" + struct.pack("<I", 2) + b"[]")
+        with pytest.raises(ValueError, match=r"ckpt\.bin: the header is not a JSON object"):
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("edit,message", [
         (lambda ts: ts[0].update(rows=8, cols=5),

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from conftest import finite_difference_grad, max_relative_error
 from noisytrain import training
 from noisytrain.cli import main
+from noisytrain.config import config_from_dict
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.kernel import GradientTape, Matrix, OptimizerState, backward, wrap
 from noisytrain.model import (ALL_GROUPS, PHI, THETA, Arch, TwinNetworks, forward_logits,
                               forward_softmax, init_network, init_twins)
+from noisytrain.runner import cmd_run
 from noisytrain.selection import CutoffParams, DivergenceReport, uniform_select
 from noisytrain.training import (AblationFlags, DegenerateBatchError,
                                  Hyperparams, TrainingDivergedError,
@@ -495,6 +498,19 @@ def test_diverging_run_stops_at_first_non_finite_ce(tmp_path, monkeypatch, capsy
         "error: training diverged at epoch 0, net 1 (warmup): lx is not finite")
     # the run stopped at the step whose CE first went non-finite
     assert np.isfinite(ce_values[:-1]).all() and not np.isfinite(ce_values[-1])
+
+
+@pytest.mark.parametrize("warmup_epochs,phase,term", [(10, "warmup", "lx"), (0, "ssl", "lreg")])
+def test_diverging_run_raises_only_the_named_error(tmp_path, warmup_epochs, phase, term):
+    raw = {**DESK_LR50, "output_dir": str(tmp_path / "out")}
+    raw["hyperparams"] = {**raw["hyperparams"], "warmup_epochs": warmup_epochs}
+    cfg = config_from_dict(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy RuntimeWarning would raise first
+        with pytest.raises(TrainingDivergedError) as info:
+            cmd_run(cfg)
+    err = info.value
+    assert (err.epoch, err.net, err.phase, err.term) == (0, 1, phase, term)
 
 
 class TestHyperparams:
