@@ -56,6 +56,12 @@ def _resolve_config(args):
     return config_from_dict(raw)
 
 
+def _accuracies(summary: dict) -> str:
+    """best_acc and last_acc to 4 places; ``n/a`` for a run with no epochs."""
+    return " ".join(f"{k}={'n/a' if summary[k] is None else format(summary[k], '.4f')}"
+                    for k in ("best_acc", "last_acc"))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -65,12 +71,11 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         elif args.command == "run":
             summary = cmd_run(cfg, export_selection=args.export_selection)
-            print(f"best_acc={summary['best_acc']:.4f} last_acc={summary['last_acc']:.4f} "
-                  f"outputs in {cfg.output_dir}")
+            print(f"{_accuracies(summary)} outputs in {cfg.output_dir}")
         elif args.command == "ablate":
             summaries = cmd_ablate(cfg, export_selection=args.export_selection)
             for arm, s in summaries.items():
-                print(f"{arm}: best_acc={s['best_acc']:.4f} last_acc={s['last_acc']:.4f}")
+                print(f"{arm}: {_accuracies(s)}")
             print(f"comparison table in {os.path.join(cfg.output_dir, 'ablation_summary.csv')}")
         elif args.command == "report":
             metrics = os.path.join(cfg.output_dir, "metrics.csv")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,19 +241,43 @@ def batch_iterator(indices, batch_size: int, seed, epoch: int) -> list[np.ndarra
 
 
 # ---------------------------------------------------------------------------
+# output files
+
+
+@contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Open a temp file beside ``path``; rename it over ``path`` when the body ends.
+
+    Every output file is written through here.  If the body raises, the
+    temp file is removed and ``path`` keeps its old content.  Text mode
+    translates no line ending.
+    """
+    tmp = path + ".tmp"
+    f = open(tmp, mode) if "b" in mode else open(tmp, mode, newline="")
+    try:
+        with f:
+            yield f
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 # CSV snapshot: feat_0..feat_{D-1},true_label,given_label
 
 
-def save_dataset_csv(ds: LabeledDataset, path: str) -> None:
-    """Write the snapshot atomically; float repr round-trips exactly, and no
-    field can hold a comma or a quote, so lines are joined without csv."""
+def dataset_csv_text(ds: LabeledDataset) -> str:
+    """The snapshot's text; float repr round-trips exactly, and no field can
+    hold a comma or a quote, so lines are joined without csv."""
     lines = [",".join([f"feat_{j}" for j in range(ds.dims)] + ["true_label", "given_label"])]
     lines.extend(f"{','.join(map(repr, row))},{t},{g}" for row, t, g in
                  zip(ds.features.data.tolist(), ds.true_labels.tolist(), ds.given_labels.tolist()))
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    return "\n".join(lines) + "\n"
+
+
+def save_dataset_csv(ds: LabeledDataset, path: str) -> None:
+    with atomic_open(path) as f:
+        f.write(dataset_csv_text(ds))
 
 
 def load_dataset_csv(path: str, num_classes: int | None = None) -> LabeledDataset:

@@ -2,11 +2,13 @@
 
 A ``GradientTape`` records each operation applied to a watched parameter
 (or to anything derived from one) and replays the records in exact
-reverse order on ``backward``.  Every operation goes on the tape through
-:func:`record`, the primitives below as much as the fused operations of
-the training code, which record a whole forward pass or a whole loss
-term as one entry whose backward returns all of its gradients at once.
-The primitives stay the tested reference those fused records reproduce.
+reverse order on ``backward``.  Operations go on the tape through
+:func:`record`.  Training records a whole forward pass or a whole loss
+term as one entry whose backward returns all of its gradients at once
+(``model``, ``training``); only ``concat_rows`` and ``matmul`` are kept
+here as single operations.  The small primitives those fused entries
+replaced live beside the tests (``tests/reference_ops.py``), which hold
+the fused path to them bit for bit.
 
 Reductions rely on numpy's fixed reduction order, so identical inputs
 produce bit-identical outputs across runs.
@@ -19,40 +21,13 @@ from typing import Callable, Iterable
 import numpy as np
 
 __all__ = [
-    "Matrix",
-    "GradientTape",
-    "OptimizerState",
-    "ShapeMismatchError",
-    "DegenerateEmbeddingError",
-    "TapeUsageError",
-    "wrap",
-    "record",
-    "matmul",
-    "transpose",
-    "add",
-    "sub",
-    "mul",
-    "scale",
-    "add_row",
-    "relu",
-    "log",
-    "sum_all",
-    "concat_rows",
-    "softmax_rows",
-    "log_softmax_rows",
-    "lse_offdiag_rows",
-    "l2_normalize_rows",
-    "backward",
-    "sgd_step",
+    "Matrix", "wrap", "GradientTape", "record", "backward", "matmul", "concat_rows",
+    "OptimizerState", "sgd_step", "ShapeMismatchError", "TapeUsageError",
 ]
 
 
 class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-class DegenerateEmbeddingError(ValueError):
-    """A row with zero norm cannot be normalized (collapsed projection)."""
 
 
 class TapeUsageError(RuntimeError):
@@ -155,6 +130,9 @@ def record(tape: GradientTape | None, inputs: tuple[Matrix, ...], out: Matrix,
            backward_fn: Callable[[np.ndarray, tuple[bool, ...]], Iterable[np.ndarray | None]]) -> Matrix:
     """Record an operation as one tape entry and return ``out``.
 
+    The one way onto the tape: the fused forwards and loss terms of
+    ``model`` and ``training``, ``concat_rows`` and ``matmul`` here, and the
+    reference primitives of the tests all record through it.
     ``backward_fn(g, tracked)`` receives the gradient of ``out`` and, per
     entry of ``inputs``, whether that input is on the tape.  It returns one
     gradient per input, in order; entries for untracked inputs are ignored
@@ -207,11 +185,16 @@ def backward(tape: GradientTape, loss: Matrix) -> dict[Matrix, Matrix]:
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# single operations
 
 
 def matmul(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Standard matrix product a @ b."""
+    """Standard matrix product a @ b, as one tape record.
+
+    Training multiplies inside its fused records; this stands for the
+    product in the tests' reference chains, and ``bench/tracer.py`` counts
+    its calls.
+    """
     if a.cols != b.rows:
         raise ShapeMismatchError(f"matmul shapes do not align: {a.shape} @ {b.shape}")
 
@@ -222,142 +205,12 @@ def matmul(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     return record(tape, (a, b), wrap(a.data @ b.data), bwd)
 
 
-def transpose(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    return record(tape, (a,), wrap(a.data.T.copy()), lambda g, tracked: (g.T,))
-
-
-def _same_shape(a: Matrix, b: Matrix, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"{op} shapes differ: {a.shape} vs {b.shape}")
-
-
-def add(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
-    _same_shape(a, b, "add")
-    return record(tape, (a, b), wrap(a.data + b.data), lambda g, tracked: (g, g))
-
-
-def sub(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
-    _same_shape(a, b, "sub")
-    return record(tape, (a, b), wrap(a.data - b.data), lambda g, tracked: (g, -g))
-
-
-def mul(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Elementwise product."""
-    _same_shape(a, b, "mul")
-
-    def bwd(g, tracked):
-        return (g * b.data if tracked[0] else None,
-                g * a.data if tracked[1] else None)
-
-    return record(tape, (a, b), wrap(a.data * b.data), bwd)
-
-
-def scale(a: Matrix, c: float, tape: GradientTape | None = None) -> Matrix:
-    return record(tape, (a,), wrap(a.data * c), lambda g, tracked: (g * c,))
-
-
-def add_row(a: Matrix, bias: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Add a 1 x cols bias row to every row of ``a``."""
-    if bias.rows != 1 or bias.cols != a.cols:
-        raise ShapeMismatchError(f"add_row needs a 1x{a.cols} bias, got {bias.shape}")
-
-    def bwd(g, tracked):
-        return g, (g.sum(axis=0, keepdims=True) if tracked[1] else None)
-
-    return record(tape, (a, bias), wrap(a.data + bias.data), bwd)
-
-
-def relu(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    mask = a.data > 0.0
-    return record(tape, (a,), wrap(np.maximum(a.data, 0.0)), lambda g, tracked: (g * mask,))
-
-
-def log(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Natural log.  Base-2 values are obtained by scaling with 1/ln 2."""
-    return record(tape, (a,), wrap(np.log(a.data)), lambda g, tracked: (g / a.data,))
-
-
-def sum_all(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    return record(tape, (a,), wrap(np.array([[a.data.sum()]])),
-                  lambda g, tracked: (np.full(a.shape, g[0, 0]),))
-
-
 def concat_rows(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     if a.cols != b.cols:
         raise ShapeMismatchError(f"concat_rows column counts differ: {a.shape} vs {b.shape}")
     na = a.rows
     return record(tape, (a, b), wrap(np.vstack([a.data, b.data])),
                   lambda g, tracked: (g[:na], g[na:]))
-
-
-def softmax_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Row-wise softmax with max-subtraction; each row sums to 1."""
-    if m.cols < 1:
-        raise ShapeMismatchError("softmax_rows needs at least one column")
-    shifted = m.data - m.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g, tracked):
-        dot = (g * s).sum(axis=1, keepdims=True)
-        return (s * (g - dot),)
-
-    return record(tape, (m,), wrap(s), bwd)
-
-
-def log_softmax_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Row-wise log softmax, numerically stable."""
-    shifted = m.data - m.data.max(axis=1, keepdims=True)
-    ls = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-    def bwd(g, tracked):
-        return (g - np.exp(ls) * g.sum(axis=1, keepdims=True),)
-
-    return record(tape, (m,), wrap(ls), bwd)
-
-
-def lse_offdiag_rows(a: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Row-wise log-sum-exp over the off-diagonal entries of a square matrix.
-
-    Max-subtraction keeps the reduction stable and makes the single-term
-    case (a 2x2 input) exact.  Used for pairwise-similarity denominators.
-    """
-    if a.rows != a.cols:
-        raise ShapeMismatchError(f"lse_offdiag_rows needs a square matrix, got {a.shape}")
-    if a.rows < 2:
-        raise ShapeMismatchError("lse_offdiag_rows needs at least 2 rows")
-    masked = a.data.copy()
-    np.fill_diagonal(masked, -np.inf)
-    m = masked.max(axis=1, keepdims=True)
-    e = np.exp(masked - m)
-    np.fill_diagonal(e, 0.0)
-    lse = m + np.log(e.sum(axis=1, keepdims=True))
-
-    def bwd(g, tracked):
-        w = np.exp(masked - lse)
-        np.fill_diagonal(w, 0.0)
-        return (g * w,)
-
-    return record(tape, (a,), wrap(lse), bwd)
-
-
-def l2_normalize_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Rescale every row to unit Euclidean norm.
-
-    Raises ``DegenerateEmbeddingError`` on a zero-norm row, which signals
-    a collapsed projection rather than a recoverable condition.
-    """
-    norms = np.sqrt((m.data * m.data).sum(axis=1, keepdims=True))
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms[:, 0] == 0.0)[0])
-        raise DegenerateEmbeddingError(f"row {bad} has zero norm and cannot be normalized")
-    y = m.data / norms
-
-    def bwd(g, tracked):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return ((g - y * dot) / norms,)
-
-    return record(tape, (m,), wrap(y), bwd)
 
 
 # ---------------------------------------------------------------------------

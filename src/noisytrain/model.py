@@ -9,13 +9,13 @@ but never share parameters.
 from __future__ import annotations
 
 import json
-import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import kernel
+from .data import atomic_open
 from .kernel import GradientTape, Matrix, ShapeMismatchError
 
 THETA = ("w1", "b1", "w2", "b2")
@@ -148,7 +148,8 @@ def forward_logits(net: NetworkParams, x: Matrix, tape: GradientTape | None = No
 
 def softmax_in_place(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax written over ``z``, which the caller owns; the operations
-    of ``kernel.softmax_rows`` in its order, so the bits are the same."""
+    of the reference ``softmax_rows`` (``tests/reference_ops.py``) in its
+    order, so the bits are the same."""
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
@@ -163,9 +164,6 @@ def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
 def _l2_normalize(z: np.ndarray):
     """Normalize the rows of ``z`` in place (the caller owns it)."""
     norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms[:, 0] == 0.0)[0])
-        raise kernel.DegenerateEmbeddingError(f"row {bad} has zero norm and cannot be normalized")
     z /= norms
 
     def grad(g):
@@ -180,8 +178,8 @@ def _l2_normalize(z: np.ndarray):
 def forward_projection(net: NetworkParams, x: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Unit-norm embedding rows from the projection head.
 
-    Raises ``DegenerateEmbeddingError`` on a zero-norm row, which signals a
-    collapsed projection rather than a recoverable condition.
+    A zero-norm row (a collapsed projection) comes out NaN; the training
+    step's finiteness check then stops the run naming the contrastive term.
     """
     return _head_forward(net, x, tape, PSI, finish=_l2_normalize)
 
@@ -227,26 +225,15 @@ def save_checkpoint(twins: TwinNetworks, path: str) -> None:
             m = net.params[name]
             tensors.append({"net": net_id, "name": name, "rows": m.rows, "cols": m.cols})
             blobs.append(np.ascontiguousarray(m.data, dtype="<f8").tobytes())
-    header = {
-        "version": 1,
-        "arch": {
-            "in_dim": twins.net1.arch.in_dim,
-            "hidden": twins.net1.arch.hidden,
-            "num_classes": twins.net1.arch.num_classes,
-            "embed_dim": twins.net1.arch.embed_dim,
-        },
-        "seeds": [twins.net1.seed, twins.net2.seed],
-        "tensors": tensors,
-    }
+    header = {"version": 1, "arch": asdict(twins.net1.arch),
+              "seeds": [twins.net1.seed, twins.net2.seed], "tensors": tensors}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(header_bytes)))
         f.write(header_bytes)
         for blob in blobs:
             f.write(blob)
-    os.replace(tmp, path)
 
 
 def _is_int(v) -> bool:

@@ -1,8 +1,8 @@
 """Experiment commands: dataset generation, runs, ablations, reports.
 
-Every output file is written atomically (temp file + rename) so an
-interrupted run never leaves a truncated CSV behind.  With a fixed seed,
-repeated runs produce byte-identical outputs.
+Every output file is written through ``data.atomic_open`` (temp file +
+rename), so an interrupted run never leaves a truncated file behind.
+With a fixed seed, repeated runs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import (LabeledDataset, NoiseSpec, apply_noise, load_dataset_csv,
+from .data import (LabeledDataset, NoiseSpec, apply_noise, atomic_open, dataset_csv_text,
                    make_gaussian_blobs, save_dataset_csv)
 from .kernel import Matrix
 from .experiment import RunResult, run
@@ -77,8 +77,7 @@ def _fmt(value) -> str:
 
 
 def write_metrics_csv(rows: list[EpochMetrics], path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as f:
+    with atomic_open(path) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(METRICS_COLUMNS)
         for r in rows:
@@ -88,15 +87,12 @@ def write_metrics_csv(rows: list[EpochMetrics], path: str) -> None:
                 _fmt(r.pseudo_recall), _fmt(r.test_acc), _fmt(r.train_acc_given),
                 _fmt(r.loss_lx), _fmt(r.loss_lu), _fmt(r.loss_reg), _fmt(r.loss_lc),
             ])
-    os.replace(tmp, path)
 
 
 def _write_json(payload: dict, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
+    with atomic_open(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-    os.replace(tmp, path)
 
 
 def summarize(rows: list[EpochMetrics]) -> dict:
@@ -116,13 +112,11 @@ def _dataset_path(out_dir: str) -> str:
 
 
 def _check_snapshot(path: str, train: LabeledDataset) -> None:
-    """Refuse a snapshot left by a run with a different dataset or noise config."""
+    """Refuse a snapshot that is not, byte for byte, the one this config writes."""
     try:
-        snap = load_dataset_csv(path)
-        same = (np.array_equal(snap.features.data, train.features.data)
-                and np.array_equal(snap.true_labels, train.true_labels)
-                and np.array_equal(snap.given_labels, train.given_labels))
-    except ValueError:   # unreadable, so not a snapshot this config wrote
+        with open(path, newline="") as f:
+            same = f.read() == dataset_csv_text(train)
+    except ValueError:   # not text, so not a snapshot this config wrote
         same = False
     if not same:
         raise ValueError(f"{path} was not generated from this config; "
@@ -176,9 +170,7 @@ def cmd_ablate(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
             cfg, ablation=flags, output_dir=os.path.join(cfg.output_dir, arm_name))
         summaries[arm_name] = cmd_run(arm_cfg, export_selection=export_selection)
 
-    table_path = os.path.join(cfg.output_dir, "ablation_summary.csv")
-    tmp = table_path + ".tmp"
-    with open(tmp, "w", newline="") as f:
+    with atomic_open(os.path.join(cfg.output_dir, "ablation_summary.csv")) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["arm", "best_acc", "last_acc", "final_R", "final_auc",
                     "first_ssl_hist_ratio", "final_hist_ratio"])
@@ -190,7 +182,6 @@ def cmd_ablate(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
                 _fmt(hist_ratio(s["first_ssl_class_counts"])),
                 _fmt(hist_ratio(s["final_class_counts"])),
             ])
-    os.replace(tmp, table_path)
     return summaries
 
 
@@ -211,8 +202,7 @@ def cmd_report(metrics_path: str, out_path: str) -> str:
         r = csv.reader(f)
         header = next(r)
         rows = list(r)
-    tmp = out_path + ".tmp"
-    with open(tmp, "w", newline="") as f:
+    with atomic_open(out_path) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["epoch", "phase", "metric", "value"])
         for row in rows:
@@ -220,5 +210,4 @@ def cmd_report(metrics_path: str, out_path: str) -> str:
             for name, value in zip(header[2:], row[2:]):
                 if value != "":
                     w.writerow([epoch, phase, name, value])
-    os.replace(tmp, out_path)
     return out_path

@@ -10,12 +10,11 @@ blind) variant exists purely as an ablation baseline.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, round_half_up
+from .data import LabeledDataset, atomic_open, round_half_up
 from .kernel import Matrix
 from .model import TwinNetworks, ensemble_softmax
 
@@ -226,7 +225,5 @@ def export_selection_csv(sel: SelectionResult, report: DivergenceReport,
     lines = ["index,given_label,d,selected"]
     lines.extend(f"{i},{label},{d!r},{s}" for i, label, d, s in
                  zip(range(n), labels.tolist(), report.d.tolist(), selected.tolist()))
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as f:
+    with atomic_open(path) as f:
         f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)

@@ -159,7 +159,7 @@ def _non_degenerate_batch(arch, trial):
     Finite differences perturb by 1e-5, so every pre-activation must sit
     safely away from zero for the ReLU mask to stay fixed.
     """
-    from noisytrain.kernel import add_row, matmul, relu
+    from reference_ops import add_row, matmul, relu
     for attempt in range(100):
         net = init_network(arch, seed=trial * 100 + attempt)
         rng = np.random.default_rng(1000 + trial * 100 + attempt)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -9,9 +10,10 @@ from noisytrain.cli import main
 from noisytrain.config import (ConfigFileError, ConfigKeyError,
                                ConfigSyntaxError, ConfigValueError,
                                config_from_dict, config_to_dict, parse_config)
-from noisytrain.data import round_half_up
+from noisytrain.data import load_dataset_csv, round_half_up
+from noisytrain.metrics import EpochMetrics
 from noisytrain.runner import (build_datasets, cmd_ablate, cmd_generate,
-                               cmd_report, cmd_run, hist_ratio)
+                               cmd_report, cmd_run, hist_ratio, write_metrics_csv)
 
 TINY = {
     "dataset": {"num_classes": 3, "per_class": 20, "test_per_class": 10,
@@ -269,6 +271,22 @@ class TestMainEntry:
         assert str(tmp_path / "out" / "dataset.csv") in capsys.readouterr().err
         assert os.listdir(tmp_path / "out") == ["dataset.csv"]
 
+    def test_respelled_snapshot_refused(self, tmp_path, capsys):
+        # the same numbers in other spelling are not the bytes this config writes
+        path = write_config(tmp_path)
+        snap = tmp_path / "out" / "dataset.csv"
+        assert main(["run", "--config", path]) == 0
+        original = load_dataset_csv(str(snap))
+        header, first, rest = snap.read_text().split("\n", 2)
+        fields = first.split(",")
+        j = next(i for i, v in enumerate(fields) if "." in v and "e" not in v)
+        fields[j] += "0"                                  # e.g. 1.5 -> 1.50
+        snap.write_text("\n".join([header, ",".join(fields), rest]))
+        respelled = load_dataset_csv(str(snap))
+        assert np.array_equal(respelled.features.data, original.features.data)
+        assert main(["run", "--config", path]) == 1
+        assert str(snap) in capsys.readouterr().err
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, name="cfg3.json")
         assert main(["run", "--config", path, "--seed", "-4"]) == 1
@@ -280,6 +298,35 @@ def test_zero_epoch_run_summary(tmp_path):
         tmp_path, {"hyperparams.warmup_epochs": 0, "hyperparams.total_epochs": 0}))
     summary = cmd_run(cfg)
     assert summary["best_acc"] is None and summary["last_acc"] is None
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_zero_epoch_command_exits_zero(tmp_path, capsys, command):
+    path = write_config(
+        tmp_path, {"hyperparams.warmup_epochs": 0, "hyperparams.total_epochs": 0})
+    assert main([command, "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if command == "run":
+        assert lines == [f"best_acc=n/a last_acc=n/a outputs in {tmp_path / 'out'}"]
+    else:
+        assert lines[:4] == [f"{arm}: best_acc=n/a last_acc=n/a"
+                             for arm in ("full", "no_balancing", "no_cl", "no_ensemble")]
+
+
+def test_metrics_writer_failing_midway_keeps_previous_file(tmp_path):
+    cfg = parse_config(write_config(tmp_path))
+    cmd_run(cfg)
+    path = os.path.join(cfg.output_dir, "metrics.csv")
+    with open(path, "rb") as f:
+        before = f.read()
+    row = EpochMetrics(0, "warmup", None, None, None, None, None, None, 0.5, 0.5,
+                       0.1, None, None, None)
+    bad = dataclasses.replace(row, epoch=1, test_acc="not a number")
+    with pytest.raises(ValueError):
+        write_metrics_csv([row, bad], path)
+    with open(path, "rb") as f:
+        assert f.read() == before
+    assert not [n for n in os.listdir(cfg.output_dir) if n.endswith(".tmp")]
 
 
 def test_hist_ratio():

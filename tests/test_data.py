@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from noisytrain.data import (AugmentationSpec, LabeledDataset, NoiseSpec,
-                             batch_iterator, inject_asymmetric_noise,
+                             atomic_open, batch_iterator, inject_asymmetric_noise,
                              inject_symmetric_noise, load_dataset_csv,
                              make_gaussian_blobs, next_class_flip_map,
                              round_half_up, save_dataset_csv, strong_augment,
@@ -213,6 +215,35 @@ class TestCsvRoundTrip:
         with open(path) as f:
             header = f.readline().strip().split(",")
         assert header == [f"feat_{j}" for j in range(4)] + ["true_label", "given_label"]
+
+
+class TestAtomicOpen:
+    @pytest.mark.parametrize("mode,old,part", [("w", "a,b\n1,2\n", "a,b\n"),
+                                               ("wb", b"\x00\x01old", b"\x02new")])
+    def test_body_raising_midway_leaves_old_file(self, tmp_path, mode, old, part):
+        path = tmp_path / "out"
+        (path.write_text if isinstance(old, str) else path.write_bytes)(old)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_open(str(path), mode) as f:
+                f.write(part)
+                raise RuntimeError("midway")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_body_raising_creates_nothing(self, tmp_path):
+        with pytest.raises(KeyError):
+            with atomic_open(str(tmp_path / "new.csv")) as f:
+                f.write("partial")
+                raise KeyError("x")
+        assert os.listdir(tmp_path) == []
+
+    def test_text_written_as_given(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with atomic_open(str(path)) as f:
+            f.write("a\nb\r\n")
+        assert path.read_bytes() == b"a\nb\r\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
 
 
 def test_round_half_up():

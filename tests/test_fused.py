@@ -3,9 +3,9 @@
 `model.forward_logits`, `model.forward_projection` and the five loss
 functions in `training` compute on raw arrays and put one record each on
 the tape.  The reference functions below are those same computations
-composed from the kernel primitives, one tape record per primitive.  The
-fused path must reproduce their loss values and every parameter gradient
-bit for bit, not merely to a tolerance.
+composed from the primitives of `reference_ops`, one tape record per
+primitive.  The fused path must reproduce their loss values and every
+parameter gradient bit for bit, not merely to a tolerance.
 
 The second half covers the whole-dataset softmax memo on each network.
 """
@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import reference_ops as ref
 from noisytrain import kernel, model, training
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
@@ -26,46 +27,46 @@ from noisytrain.training import Hyperparams, _update_params
 
 
 # ---------------------------------------------------------------------------
-# reference: the same math as a chain of kernel primitives
+# reference: the same math as a chain of primitives
 
 
 def ref_forward_hidden(net, x, tape=None):
     p = net.params
-    h1 = kernel.relu(kernel.add_row(kernel.matmul(x, p["w1"], tape), p["b1"], tape), tape)
-    return kernel.relu(kernel.add_row(kernel.matmul(h1, p["w2"], tape), p["b2"], tape), tape)
+    h1 = ref.relu(ref.add_row(ref.matmul(x, p["w1"], tape), p["b1"], tape), tape)
+    return ref.relu(ref.add_row(ref.matmul(h1, p["w2"], tape), p["b2"], tape), tape)
 
 
 def ref_forward_logits(net, x, tape=None):
     h = ref_forward_hidden(net, x, tape)
-    return kernel.add_row(kernel.matmul(h, net.params["wc"], tape), net.params["bc"], tape)
+    return ref.add_row(ref.matmul(h, net.params["wc"], tape), net.params["bc"], tape)
 
 
 def ref_forward_projection(net, x, tape=None):
     h = ref_forward_hidden(net, x, tape)
-    z = kernel.add_row(kernel.matmul(h, net.params["wp"], tape), net.params["bp"], tape)
-    return kernel.l2_normalize_rows(z, tape)
+    z = ref.add_row(ref.matmul(h, net.params["wp"], tape), net.params["bp"], tape)
+    return ref.l2_normalize_rows(z, tape)
 
 
 def ref_loss_lx(logits, targets, tape=None):
-    ls = kernel.log_softmax_rows(logits, tape)
-    total = kernel.sum_all(kernel.mul(ls, targets, tape), tape)
-    return kernel.scale(total, -1.0 / logits.rows, tape)
+    ls = ref.log_softmax_rows(logits, tape)
+    total = ref.sum_all(ref.mul(ls, targets, tape), tape)
+    return ref.scale(total, -1.0 / logits.rows, tape)
 
 
 def ref_loss_lu(logits, targets, tape=None):
-    p = kernel.softmax_rows(logits, tape)
-    diff = kernel.sub(p, targets, tape)
-    total = kernel.sum_all(kernel.mul(diff, diff, tape), tape)
-    return kernel.scale(total, 1.0 / logits.rows, tape)
+    p = ref.softmax_rows(logits, tape)
+    diff = ref.sub(p, targets, tape)
+    total = ref.sum_all(ref.mul(diff, diff, tape), tape)
+    return ref.scale(total, 1.0 / logits.rows, tape)
 
 
 def ref_loss_reg(logits, num_classes, tape=None):
     n = logits.rows
-    p = kernel.softmax_rows(logits, tape)
-    mean_row = kernel.matmul(Matrix(np.full((1, n), 1.0 / n)), p, tape)
-    log_mean = kernel.log(mean_row, tape)
-    cross = kernel.scale(kernel.sum_all(log_mean, tape), -1.0 / num_classes, tape)
-    return kernel.add(cross, Matrix([[-np.log(num_classes)]]), tape)
+    p = ref.softmax_rows(logits, tape)
+    mean_row = ref.matmul(Matrix(np.full((1, n), 1.0 / n)), p, tape)
+    log_mean = ref.log(mean_row, tape)
+    cross = ref.scale(ref.sum_all(log_mean, tape), -1.0 / num_classes, tape)
+    return ref.add(cross, Matrix([[-np.log(num_classes)]]), tape)
 
 
 def ref_loss_contrastive(embeddings, kappa, tape=None):
@@ -75,18 +76,18 @@ def ref_loss_contrastive(embeddings, kappa, tape=None):
     mask = np.zeros((n, n))
     idx = np.arange(n)
     mask[idx, idx ^ 1] = 1.0
-    sim = kernel.matmul(embeddings, kernel.transpose(embeddings, tape), tape)
-    sim_t = kernel.scale(sim, 1.0 / kappa, tape)
-    denom = kernel.sum_all(kernel.lse_offdiag_rows(sim_t, tape), tape)
-    pos = kernel.sum_all(kernel.mul(sim_t, Matrix(mask), tape), tape)
-    return kernel.scale(kernel.sub(denom, pos, tape), 1.0 / n, tape)
+    sim = ref.matmul(embeddings, ref.transpose(embeddings, tape), tape)
+    sim_t = ref.scale(sim, 1.0 / kappa, tape)
+    denom = ref.sum_all(ref.lse_offdiag_rows(sim_t, tape), tape)
+    pos = ref.sum_all(ref.mul(sim_t, Matrix(mask), tape), tape)
+    return ref.scale(ref.sub(denom, pos, tape), 1.0 / n, tape)
 
 
 def ref_total_loss(lx, lu, lreg, lc, hp, tape=None):
-    semi = kernel.add(lx, kernel.scale(lu, hp.lambda_u, tape), tape)
-    extra = kernel.add(kernel.scale(lreg, hp.lambda_r, tape),
-                       kernel.scale(lc, hp.lambda_c, tape), tape)
-    return kernel.add(semi, extra, tape)
+    semi = ref.add(lx, ref.scale(lu, hp.lambda_u, tape), tape)
+    extra = ref.add(ref.scale(lreg, hp.lambda_r, tape),
+                       ref.scale(lc, hp.lambda_c, tape), tape)
+    return ref.add(semi, extra, tape)
 
 
 REFERENCE = SimpleNamespace(

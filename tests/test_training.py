@@ -441,6 +441,26 @@ class TestTrainEpoch:
             train_epoch(twins, opts, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
         assert params_equal(before, snapshot(twins.net1))   # refused before the update
 
+    def test_collapsed_projection_stops_ssl_step_at_lc(self):
+        # a dead second hidden layer leaves the projection at its zero bias
+        ds, hp, twins, opts = self._setup()
+        net = twins.net1
+        net.params["w2"] = Matrix.zeros(*net.params["w2"].shape)
+        net.params["b2"] = Matrix(np.full(net.params["b2"].shape, -1.0))
+        net.params["bp"] = Matrix.zeros(*net.params["bp"].shape)
+        report = DivergenceReport.from_values(np.linspace(0.01, 0.99, len(ds)))
+        sel = uniform_select(report, ds.given_labels, 3, 0.5, d_cutoff=0.5)
+        assert len(sel.clean_indices) and len(sel.noisy_indices)
+        before = dict(net.params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # the zero norm must not warn either
+            with pytest.raises(TrainingDivergedError) as info:
+                train_half_epoch(twins, 1, opts, ds, hp, AUG, CUTOFF, FLAGS,
+                                 epoch=1, precomputed=(report, sel))
+        err = info.value
+        assert (err.epoch, err.net, err.phase, err.term) == (1, 1, "ssl", "lc")
+        assert all(net.params[n] is before[n] for n in ALL_GROUPS)   # no update
+
     def test_non_finite_ce_stops_empty_clean_fallback(self, monkeypatch):
         ds, hp, twins, opts = self._setup()
         report = DivergenceReport.from_values(np.linspace(0.4, 0.99, len(ds)))
@@ -511,6 +531,19 @@ def test_diverging_run_raises_only_the_named_error(tmp_path, warmup_epochs, phas
             cmd_run(cfg)
     err = info.value
     assert (err.epoch, err.net, err.phase, err.term) == (0, 1, phase, term)
+
+
+def test_collapsed_projection_reported_as_divergence(tmp_path, capsys):
+    # one warmup epoch at lr 2 collapses net 1's projection in its first SSL step
+    raw = {**DESK_LR50, "output_dir": str(tmp_path / "out")}
+    raw["hyperparams"] = {**raw["hyperparams"], "warmup_epochs": 1, "lr": 2.0}
+    path = tmp_path / "desk_collapse.json"
+    path.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # as under python -W error
+        assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: training diverged at epoch 1, net 1 (ssl): lc is not finite\n")
 
 
 class TestHyperparams:
