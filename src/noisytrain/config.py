@@ -10,7 +10,6 @@ defaults; values are type- and range-checked here before construction.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .data import AugmentationSpec, validate_flip_map
@@ -194,11 +193,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise ConfigFileError(f"config file not found: {path}")
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
+    except FileNotFoundError as exc:
+        raise ConfigFileError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigFileError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigSyntaxError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigSyntaxError(f"malformed JSON in {path}: {exc}") from exc
     return config_from_dict(raw)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -265,19 +266,25 @@ def atomic_open(path: str, mode: str = "w"):
 
 # CSV snapshot: feat_0..feat_{D-1},true_label,given_label
 
+_SNAPSHOT_BLOCK_ROWS = 1024
 
-def dataset_csv_text(ds: LabeledDataset) -> str:
-    """The snapshot's text; float repr round-trips exactly, and no field can
-    hold a comma or a quote, so lines are joined without csv."""
-    lines = [",".join([f"feat_{j}" for j in range(ds.dims)] + ["true_label", "given_label"])]
-    lines.extend(f"{','.join(map(repr, row))},{t},{g}" for row, t, g in
-                 zip(ds.features.data.tolist(), ds.true_labels.tolist(), ds.given_labels.tolist()))
-    return "\n".join(lines) + "\n"
+
+def dataset_csv_blocks(ds: LabeledDataset) -> Iterator[str]:
+    """The snapshot's text in pieces: the header line, then blocks of
+    ``_SNAPSHOT_BLOCK_ROWS`` lines.  Float repr round-trips exactly, and no
+    field can hold a comma or a quote, so lines are joined without csv."""
+    yield ",".join([f"feat_{j}" for j in range(ds.dims)] + ["true_label", "given_label"]) + "\n"
+    for start in range(0, len(ds), _SNAPSHOT_BLOCK_ROWS):
+        stop = start + _SNAPSHOT_BLOCK_ROWS
+        yield "".join(f"{','.join(map(repr, row))},{t},{g}\n" for row, t, g in zip(
+            ds.features.data[start:stop].tolist(), ds.true_labels[start:stop].tolist(),
+            ds.given_labels[start:stop].tolist()))
 
 
 def save_dataset_csv(ds: LabeledDataset, path: str) -> None:
     with atomic_open(path) as f:
-        f.write(dataset_csv_text(ds))
+        for block in dataset_csv_blocks(ds):
+            f.write(block)
 
 
 def load_dataset_csv(path: str, num_classes: int | None = None) -> LabeledDataset:

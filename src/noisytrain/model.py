@@ -24,6 +24,8 @@ PSI = ("wp", "bp")
 ALL_GROUPS = THETA + PHI + PSI
 
 _SOFTMAX_MEMO_SIZE = 2
+# forward_softmax evaluates a taller input in blocks of this many rows
+_EVAL_BLOCK_ROWS = 1024
 
 _CHECKPOINT_MAGIC = b"TWINNET1"
 
@@ -157,8 +159,21 @@ def softmax_in_place(z: np.ndarray) -> np.ndarray:
 
 
 def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
-    """Class probabilities; evaluation only, never recorded on a tape."""
-    return kernel.wrap(softmax_in_place(forward_logits(net, x).data))
+    """Class probabilities; evaluation only, never recorded on a tape.
+
+    An input of more than ``_EVAL_BLOCK_ROWS`` rows is evaluated block by
+    block into one output array, so a whole-dataset pass holds one block's
+    hidden activations, not the dataset's.  Blocks may round differently
+    from one tall product; README's determinism notes say where they match.
+    """
+    if x.rows <= _EVAL_BLOCK_ROWS:
+        return kernel.wrap(softmax_in_place(forward_logits(net, x).data))
+    probs = np.empty((x.rows, net.arch.num_classes))
+    for start in range(0, x.rows, _EVAL_BLOCK_ROWS):
+        stop = start + _EVAL_BLOCK_ROWS
+        logits = forward_logits(net, kernel.wrap(x.data[start:stop])).data
+        probs[start:stop] = softmax_in_place(logits)
+    return kernel.wrap(probs)
 
 
 def _l2_normalize(z: np.ndarray):
@@ -271,7 +286,10 @@ def load_checkpoint(path: str) -> TwinNetworks:
     if len(raw) < tensors_start:
         raise ValueError(f"{path}: header cut short: "
                          f"{len(raw) - header_start} of {header_len} bytes")
-    header = json.loads(raw[header_start:tensors_start].decode("utf-8"))
+    try:
+        header = json.loads(raw[header_start:tensors_start].decode("utf-8"))
+    except ValueError as exc:   # UnicodeDecodeError or JSONDecodeError
+        raise ValueError(f"{path}: the header is not UTF-8 JSON: {exc}") from exc
     problem = _header_problem(header)
     if problem is not None:
         raise ValueError(f"{path}: {problem}")

@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import (LabeledDataset, NoiseSpec, apply_noise, atomic_open, dataset_csv_text,
+from .data import (LabeledDataset, NoiseSpec, apply_noise, atomic_open, dataset_csv_blocks,
                    make_gaussian_blobs, save_dataset_csv)
 from .kernel import Matrix
 from .experiment import RunResult, run
@@ -115,7 +115,8 @@ def _check_snapshot(path: str, train: LabeledDataset) -> None:
     """Refuse a snapshot that is not, byte for byte, the one this config writes."""
     try:
         with open(path, newline="") as f:
-            same = f.read() == dataset_csv_text(train)
+            same = (all(f.read(len(block)) == block for block in dataset_csv_blocks(train))
+                    and f.read(1) == "")
     except ValueError:   # not text, so not a snapshot this config wrote
         same = False
     if not same:

@@ -10,9 +10,10 @@ from noisytrain.cli import main
 from noisytrain.config import (ConfigFileError, ConfigKeyError,
                                ConfigSyntaxError, ConfigValueError,
                                config_from_dict, config_to_dict, parse_config)
-from noisytrain.data import load_dataset_csv, round_half_up
+from noisytrain.data import LabeledDataset, load_dataset_csv, round_half_up, save_dataset_csv
+from noisytrain.kernel import Matrix
 from noisytrain.metrics import EpochMetrics
-from noisytrain.runner import (build_datasets, cmd_ablate, cmd_generate,
+from noisytrain.runner import (_check_snapshot, build_datasets, cmd_ablate, cmd_generate,
                                cmd_report, cmd_run, hist_ratio, write_metrics_csv)
 
 TINY = {
@@ -234,6 +235,17 @@ class TestMainEntry:
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda p: p.mkdir(), "cannot read config file"),
+        (lambda p: p.write_bytes(b"\xff\xfe{}"), "is not UTF-8 text"),
+    ], ids=["directory", "binary"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, make, message):
+        path = tmp_path / "cfg.json"
+        make(path)
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and str(path) in err
+
     def test_report_before_run_fails(self, tmp_path, capsys):
         path = write_config(tmp_path, name="cfg2.json")
         assert main(["report", "--config", path, "--out", str(tmp_path / "empty")]) == 1
@@ -270,6 +282,21 @@ class TestMainEntry:
         assert main(["run", "--config", path]) == 1
         assert str(tmp_path / "out" / "dataset.csv") in capsys.readouterr().err
         assert os.listdir(tmp_path / "out") == ["dataset.csv"]
+
+    @pytest.mark.parametrize("rows", [1, 1024, 2049])
+    def test_snapshot_check_takes_exactly_the_written_bytes(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        ds = LabeledDataset(Matrix(rng.standard_normal((rows, 2))), rng.integers(0, 3, rows),
+                            np.zeros(rows), 3)
+        path = tmp_path / "dataset.csv"
+        save_dataset_csv(ds, str(path))
+        _check_snapshot(str(path), ds)
+        text = path.read_text()
+        # cut short, one row longer, the last label changed
+        for stale in (text[:-1], text + "0.0,0.0,0,0\n", text[:-2] + "1\n"):
+            path.write_text(stale)
+            with pytest.raises(ValueError, match="was not generated from this config"):
+                _check_snapshot(str(path), ds)
 
     def test_respelled_snapshot_refused(self, tmp_path, capsys):
         # the same numbers in other spelling are not the bytes this config writes

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from noisytrain import data
 from noisytrain.data import (AugmentationSpec, LabeledDataset, NoiseSpec,
                              atomic_open, batch_iterator, inject_asymmetric_noise,
                              inject_symmetric_noise, load_dataset_csv,
@@ -188,10 +189,13 @@ class TestCsvRoundTrip:
         assert loaded.num_classes == ds.num_classes
 
     def test_bytes_match_row_by_row_writer(self, tmp_path):
-        """Reference: the csv-module row writer the snapshot replaced."""
+        """Reference: the csv-module row writer the snapshot replaced; the
+        last three sizes end on, just past and one block past a block."""
         import csv
         rng = np.random.default_rng(23)
-        for n, dims in ((1, 1), (9, 1), (40, 64), (300, 8)):
+        block = data._SNAPSHOT_BLOCK_ROWS
+        for n, dims in ((1, 1), (9, 1), (40, 64), (300, 8),
+                        (block, 2), (block + 1, 2), (2 * block + 1, 1)):
             feats = rng.standard_normal((n, dims)) * 10.0 ** rng.integers(-8, 8, (n, dims))
             feats[0, 0] = -0.0    # the other entries are of both signs
             labels = rng.integers(0, 3, n)

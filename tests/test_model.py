@@ -1,13 +1,18 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from noisytrain import model
+from noisytrain.config import config_from_dict
 from noisytrain.kernel import GradientTape, Matrix, OptimizerState, ShapeMismatchError, backward
-from noisytrain.model import (Arch, PSI, TwinNetworks, ensemble_softmax,
+from noisytrain.model import (Arch, PSI, TwinNetworks, ensemble_softmax, forward_logits,
                               forward_projection, forward_softmax, init_network,
-                              init_twins, load_checkpoint, save_checkpoint)
+                              init_twins, load_checkpoint, save_checkpoint,
+                              softmax_in_place)
+from noisytrain.runner import build_datasets
 from noisytrain.training import loss_contrastive
 
 
@@ -100,6 +105,59 @@ class TestForward:
         assert not np.array_equal(before, after)
 
 
+def _unblocked_softmax(net, x):
+    """The softmax of one forward over all of ``x``, however tall."""
+    return softmax_in_place(forward_logits(net, x).data)
+
+
+class TestBlockedEvaluation:
+    BLOCK = model._EVAL_BLOCK_ROWS
+
+    @pytest.mark.parametrize("rows", [BLOCK + 1, 2 * BLOCK, 10_000])
+    def test_tall_input_is_the_blocks_concatenated(self, rows):
+        net = init_network(ARCH, seed=5)
+        x = np.random.default_rng(rows).normal(size=(rows, ARCH.in_dim))
+        blocks = [_unblocked_softmax(net, Matrix(x[i:i + self.BLOCK]))
+                  for i in range(0, rows, self.BLOCK)]
+        out = forward_softmax(net, Matrix(x))
+        assert out.shape == (rows, ARCH.num_classes)
+        assert out.data.tobytes() == np.vstack(blocks).tobytes()
+
+    def test_input_width_checked_on_a_tall_input(self):
+        net = init_network(ARCH, seed=5)
+        with pytest.raises(ShapeMismatchError):
+            forward_softmax(net, Matrix(np.zeros((self.BLOCK + 1, 3))))
+
+    def test_tall_evaluation_holds_one_block_of_activations(self):
+        # unblocked, the two 10,000 x 128 hidden activations alone take 20.5 MB
+        net = init_network(Arch(in_dim=32, hidden=128, num_classes=10, embed_dim=32), seed=5)
+        x = Matrix(np.random.default_rng(0).normal(size=(10_000, 32)))
+        tracemalloc.start()
+        try:
+            forward_softmax(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+    def test_wide_workload_keeps_the_single_forward_bytes(self):
+        """The benchmark's ``wide`` data and initial networks evaluate to the
+        bytes of one forward over the whole train set, so its golden outputs
+        do not depend on the block size.  A BLAS for which blocked and
+        whole products round differently fails here."""
+        cfg = config_from_dict({
+            "dataset": {"num_classes": 10, "per_class": 1000, "test_per_class": 100,
+                        "dims": 32, "separation": 3.0},
+            "noise": {"kind": "asymmetric", "rate": 0.4,
+                      "flip_map": [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]},
+            "arch": {"hidden": 128, "embed_dim": 32}, "seed": 17})
+        train, _ = build_datasets(cfg)
+        twins = init_twins(Arch(32, 128, 10, 32), cfg.hyperparams.seed)
+        for net in (twins.net1, twins.net2):
+            assert (forward_softmax(net, train.features).data.tobytes()
+                    == _unblocked_softmax(net, train.features).tobytes())
+
+
 class TestEnsemble:
     def test_identical_twins_equal_single(self):
         net = init_network(ARCH, seed=9)
@@ -167,7 +225,8 @@ class TestCheckpoint:
 
     @staticmethod
     def _rewrite_header(path, edit):
-        """Save a checkpoint, then let ``edit`` change its header in place.
+        """Save a checkpoint, then let ``edit`` change its header in place,
+        or return the raw bytes to write in its place.
 
         Tensor bytes are left as they are, so a table whose byte count is
         unchanged passes the length check and reaches the table check.
@@ -176,8 +235,9 @@ class TestCheckpoint:
         raw = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", raw, 8)
         header = json.loads(raw[12:12 + header_len])
-        edit(header)
-        new_header = json.dumps(header, sort_keys=True).encode()
+        new_header = edit(header)
+        if not isinstance(new_header, bytes):
+            new_header = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
                          + raw[12 + header_len:])
 
@@ -201,9 +261,11 @@ class TestCheckpoint:
         (lambda h: h["tensors"][2].update(net=[1]), r"'tensors' must be .* integer net"),
         (lambda h: h["tensors"][2].update(name=7), r"'tensors' must be .* a string name"),
         (lambda h: h["tensors"].__setitem__(0, "w1"), r"'tensors' must be a list of objects"),
+        (lambda h: b"\xff\xfe" + json.dumps(h).encode(), r"the header is not UTF-8 JSON"),
+        (lambda h: b"{not json", r"the header is not UTF-8 JSON"),
     ], ids=["no-version", "no-arch", "no-seeds", "no-tensors", "arch-key", "arch-str",
             "one-seed", "three-seeds", "str-seed", "bool-seed", "tensors-object",
-            "no-rows", "list-net", "int-name", "str-entry"])
+            "no-rows", "list-net", "int-name", "str-entry", "not-utf8", "not-json"])
     def test_header_keys_checked(self, tmp_path, edit, message):
         path = tmp_path / "ckpt.bin"
         self._rewrite_header(path, edit)
