@@ -24,7 +24,7 @@ PSI = ("wp", "bp")
 ALL_GROUPS = THETA + PHI + PSI
 
 _SOFTMAX_MEMO_SIZE = 2
-# forward_softmax evaluates a taller input in blocks of this many rows
+# forward_softmax evaluates its input in blocks of this many rows
 _EVAL_BLOCK_ROWS = 1024
 
 _CHECKPOINT_MAGIC = b"TWINNET1"
@@ -161,13 +161,12 @@ def softmax_in_place(z: np.ndarray) -> np.ndarray:
 def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
     """Class probabilities; evaluation only, never recorded on a tape.
 
-    An input of more than ``_EVAL_BLOCK_ROWS`` rows is evaluated block by
-    block into one output array, so a whole-dataset pass holds one block's
-    hidden activations, not the dataset's.  Blocks may round differently
-    from one tall product; README's determinism notes say where they match.
+    The input is evaluated in blocks of ``_EVAL_BLOCK_ROWS`` rows into one
+    output array, so a whole-dataset pass holds one block's hidden
+    activations, not the dataset's.  Blocks may round differently from one
+    tall product; README's determinism notes say where they match.
     """
-    if x.rows <= _EVAL_BLOCK_ROWS:
-        return kernel.wrap(softmax_in_place(forward_logits(net, x).data))
+    _check_input(net, x)
     probs = np.empty((x.rows, net.arch.num_classes))
     for start in range(0, x.rows, _EVAL_BLOCK_ROWS):
         stop = start + _EVAL_BLOCK_ROWS
