@@ -29,7 +29,10 @@ _S_METRIC = 80
 
 @dataclass
 class RunResult:
+    """A run's state after its last epoch: enough for ``run`` to continue it."""
+
     twins: TwinNetworks
+    opts: tuple[OptimizerState, OptimizerState]
     rows: list[EpochMetrics]
 
 
@@ -37,17 +40,27 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
         hidden: int, embed_dim: int, aug: AugmentationSpec,
         cutoff_params: CutoffParams | None = None,
         flags: AblationFlags | None = None,
-        on_epoch: Callable[[int, EpochRecord], None] | None = None) -> RunResult:
-    """Train twin networks for hp.total_epochs and log metrics per epoch."""
+        on_epoch: Callable[[int, EpochRecord], None] | None = None,
+        start: RunResult | None = None) -> RunResult:
+    """Train twin networks for hp.total_epochs and log metrics per epoch.
+
+    With ``start``, continue a finished run of the same data and settings
+    from epoch ``len(start.rows)``, training its networks and optimizer
+    states further in place.  Every random draw is keyed by seed and epoch,
+    so the result is the one an uninterrupted run would give.
+    """
     cutoff_params = cutoff_params or CutoffParams()
     flags = flags or AblationFlags()
-    arch = Arch(train_ds.dims, hidden, train_ds.num_classes, embed_dim)
-    twins = init_twins(arch, hp.seed)
-    opts = (OptimizerState(hp.lr, hp.momentum, hp.weight_decay),
-            OptimizerState(hp.lr, hp.momentum, hp.weight_decay))
+    if start is None:
+        arch = Arch(train_ds.dims, hidden, train_ds.num_classes, embed_dim)
+        twins = init_twins(arch, hp.seed)
+        opts = (OptimizerState(hp.lr, hp.momentum, hp.weight_decay),
+                OptimizerState(hp.lr, hp.momentum, hp.weight_decay))
+        rows: list[EpochMetrics] = []
+    else:
+        twins, opts, rows = start.twins, start.opts, list(start.rows)
 
-    rows: list[EpochMetrics] = []
-    for epoch in range(hp.total_epochs):
+    for epoch in range(len(rows), hp.total_epochs):
         if epoch < hp.warmup_epochs:
             ce = warmup_train(twins, opts, train_ds, hp, epochs=1, epoch_offset=epoch)
             rows.append(EpochMetrics(
@@ -91,4 +104,4 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
             loss_reg=losses["lreg"], loss_lc=losses["lc"],
             class_counts=[int(c) for c in counts],
         ))
-    return RunResult(twins=twins, rows=rows)
+    return RunResult(twins=twins, opts=opts, rows=rows)

@@ -7,6 +7,7 @@ With a fixed seed, repeated runs produce byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -133,16 +134,19 @@ def cmd_generate(cfg: ExperimentConfig) -> str:
     return path
 
 
-def cmd_run(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
-    """Run the full pipeline; emit metrics CSV, checkpoint, summary JSON."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    train, test = build_datasets(cfg)
-    snapshot = _dataset_path(cfg.output_dir)
-    if os.path.exists(snapshot):
-        _check_snapshot(snapshot, train)
+def _snapshot(out_dir: str, train: LabeledDataset) -> None:
+    """Make ``out_dir``; check the dataset snapshot in it, or write it."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = _dataset_path(out_dir)
+    if os.path.exists(path):
+        _check_snapshot(path, train)
     else:
-        save_dataset_csv(train, snapshot)
+        save_dataset_csv(train, path)
 
+
+def _train(cfg: ExperimentConfig, train: LabeledDataset, test: LabeledDataset,
+           export_selection: bool, start: RunResult | None = None) -> dict:
+    """Run cfg's training (continuing ``start``, if given); write its outputs."""
     on_epoch = None
     if export_selection:
         def on_epoch(epoch, record):
@@ -151,9 +155,8 @@ def cmd_run(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
                                     f"selection_epoch{epoch:03d}_net{half.net_index}.csv")
                 export_selection_csv(half.selection, half.report, train.given_labels, path)
 
-    result: RunResult = run(
-        train, test, cfg.hyperparams, cfg.arch.hidden, cfg.arch.embed_dim,
-        cfg.augmentation, cfg.selection, cfg.ablation, on_epoch=on_epoch)
+    result = run(train, test, cfg.hyperparams, cfg.arch.hidden, cfg.arch.embed_dim,
+                 cfg.augmentation, cfg.selection, cfg.ablation, on_epoch=on_epoch, start=start)
 
     write_metrics_csv(result.rows, os.path.join(cfg.output_dir, "metrics.csv"))
     save_checkpoint(result.twins, os.path.join(cfg.output_dir, "checkpoint.bin"))
@@ -162,14 +165,75 @@ def cmd_run(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
     return summary
 
 
+def cmd_run(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
+    """Run the full pipeline; emit metrics CSV, checkpoint, summary JSON."""
+    train, test = build_datasets(cfg)
+    _snapshot(cfg.output_dir, train)
+    return _train(cfg, train, test, export_selection)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # not every platform has it
+        return os.cpu_count() or 1
+
+
+# A worker's BLAS library reads these once, when it loads.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to 1 for processes started inside."""
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
 def cmd_ablate(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
-    """Run the four arms with a shared seed and emit a comparison table."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    summaries = {}
-    for arm_name, flags in ABLATION_ARMS:
-        arm_cfg = dataclasses.replace(
-            cfg, ablation=flags, output_dir=os.path.join(cfg.output_dir, arm_name))
-        summaries[arm_name] = cmd_run(arm_cfg, export_selection=export_selection)
+    """Run the four arms with a shared seed and emit a comparison table.
+
+    Warmup does not read the ablation flags, so it runs once, here; each
+    arm's SSL epochs then continue it in a spawned worker process with one
+    BLAS thread, since several multi-threaded BLAS pools on the same cores
+    spin against each other.  An arm writes the files ``cmd_run`` writes
+    for its config.
+    """
+    arms = [(name, dataclasses.replace(cfg, ablation=flags,
+                                       output_dir=os.path.join(cfg.output_dir, name)))
+            for name, flags in ABLATION_ARMS]
+    # Up to the first warmup epoch, only what cmd_run does: no other
+    # snapshot, no process; a benchmark times set-up up to that epoch.
+    train, test = build_datasets(cfg)
+    _snapshot(arms[0][1].output_dir, train)
+    hp = cfg.hyperparams
+    warm = run(train, test, dataclasses.replace(hp, total_epochs=hp.warmup_epochs),
+               cfg.arch.hidden, cfg.arch.embed_dim, cfg.augmentation, cfg.selection)
+    for _, arm_cfg in arms[1:]:
+        _snapshot(arm_cfg.output_dir, train)
+    for net in (warm.twins.net1, warm.twins.net2):
+        net.softmax_memo.clear()   # a cache keyed by object identity; not worth pickling
+
+    import multiprocessing   # here, after warmup, for the same reason
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(len(arms), _usable_cpus())
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with _one_blas_thread():   # workers start on submit
+            futures = [pool.submit(_train, arm_cfg, train, test, export_selection, warm)
+                       for _, arm_cfg in arms]
+        try:
+            summaries = {name: f.result() for (name, _), f in zip(arms, futures)}
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
     with atomic_open(os.path.join(cfg.output_dir, "ablation_summary.csv")) as f:
         w = csv.writer(f, lineterminator="\n")

@@ -52,6 +52,9 @@ class TrainingDivergedError(RuntimeError):
                          f"{term} is not finite")
         self.epoch, self.net, self.phase, self.term = epoch, net, phase, term
 
+    def __reduce__(self):   # so the error crosses a process boundary intact
+        return type(self), (self.epoch, self.net, self.phase, self.term)
+
 
 @dataclass(frozen=True)
 class Hyperparams:

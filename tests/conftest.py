@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,13 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
             continue
         err = max(err, abs(a - n) / denom)
     return err
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """`cmd_ablate` runs its arms in worker processes; none may outlive a test."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture
