@@ -1,5 +1,10 @@
 """Dense 2-D float64 arrays with reverse-mode gradients and SGD.
 
+A matrix may also be a stack of equal-shaped matrices on a leading axis,
+``(k, rows, cols)``, whose slices never mix: the tape and the optimizer
+treat each slice as the matrix it would be on its own.  Training steps
+its two networks' warmup as one stack (``training.warmup_train``).
+
 A ``GradientTape`` records each operation applied to a watched parameter
 (or to anything derived from one) and replays the records in exact
 reverse order on ``backward``.  Operations go on the tape through
@@ -16,6 +21,7 @@ produce bit-identical outputs across runs.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -60,14 +66,15 @@ class Matrix:
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        """Rows in all: a stack of k slices of r rows has k * r."""
+        return math.prod(self.data.shape[:-1])
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def copy(self) -> "Matrix":
@@ -76,7 +83,7 @@ class Matrix:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeMismatchError(f"item() needs a 1x1 matrix, got {self.shape}")
-        return float(self.data[0, 0])
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -151,19 +158,21 @@ def record(tape: GradientTape | None, inputs: tuple[Matrix, ...], out: Matrix,
 def backward(tape: GradientTape, loss: Matrix) -> dict[Matrix, Matrix]:
     """Replay the tape in reverse and return gradients for watched parameters.
 
-    ``loss`` must be the tracked 1x1 result of the recorded forward pass.
+    ``loss`` must be the tracked 1x1 result of the recorded forward pass,
+    or a (k, 1, 1) stack of them, one per slice of a stacked pass: slices
+    never mix, so each gets the gradients it would get on its own.
     The tape is consumed: a second backward raises ``TapeUsageError``.
     """
     if tape._consumed:
         raise TapeUsageError("tape already consumed by a previous backward")
     if not tape._records:
         raise TapeUsageError("backward on an empty tape: no operations were recorded")
-    if loss.shape != (1, 1):
+    if loss.shape[-2:] != (1, 1):
         raise ShapeMismatchError(f"loss must be 1x1, got {loss.shape}")
     if not tape.tracks(loss):
         raise TapeUsageError("loss was not produced by operations recorded on this tape")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
     for out, backward_fn in reversed(tape._records):
         g = grads.get(id(out))
         if g is None:
@@ -180,7 +189,7 @@ def backward(tape: GradientTape, loss: Matrix) -> dict[Matrix, Matrix]:
     out_grads: dict[Matrix, Matrix] = {}
     for p in tape._watched:
         g = grads.get(id(p))
-        out_grads[p] = wrap(g) if g is not None else Matrix.zeros(p.rows, p.cols)
+        out_grads[p] = wrap(g) if g is not None else wrap(np.zeros(p.shape))
     return out_grads
 
 
@@ -228,6 +237,11 @@ class OptimizerState:
 
     Switching to decoupled decay would mean moving the decay term out of
     the velocity update and into the parameter step.
+
+    For a stack of k networks (see ``training._stack``) the three settings
+    are (k, 1, 1) arrays and the velocities (k, rows, cols): slice j steps
+    with the settings in slice j, one multiplication of the same operands
+    as the scalar form, so its bits are those of a separate step.
     """
 
     def __init__(self, learning_rate: float, momentum: float = 0.9, weight_decay: float = 0.0):
@@ -242,8 +256,10 @@ class OptimizerState:
 def sgd_step(state: OptimizerState, params: dict[str, Matrix], grads: dict[str, Matrix]) -> dict[str, Matrix]:
     """One SGD-with-momentum step; returns the updated parameter dict.
 
-    Velocities update in place.  Parameters get new matrices and are never
-    written, so identity-keyed caches (the softmax memo) see every update."""
+    Parameters may be stacks on a leading axis, with the state's settings
+    one per slice (``OptimizerState``).  Velocities update in place.
+    Parameters get new matrices and are never written, so identity-keyed
+    caches (the softmax memo) see every update."""
     updated: dict[str, Matrix] = {}
     for name, p in params.items():
         g = grads[name]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import kernel
 from .data import (AugmentationSpec, LabeledDataset, batch_iterator,
                    strong_augment, weak_augment)
 from .kernel import GradientTape, Matrix, OptimizerState, backward, sgd_step
-from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, \
+from .model import _EVAL_BLOCK_ROWS, ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, \
     dataset_softmax, forward_logits, forward_projection, forward_softmax, softmax_in_place
 from .selection import (CutoffParams, DivergenceReport, SelectionResult,
                         baseline_global_select, compute_cutoff,
@@ -146,6 +147,21 @@ def blend_targets(y_onehot: Matrix, p: Matrix, weights: np.ndarray) -> Matrix:
     return kernel.wrap(w * y_onehot.data + (1.0 - w) * p.data)
 
 
+def _views_softmax(nets: tuple[NetworkParams, ...], a: Matrix, b: Matrix
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each network's ``forward_softmax`` of two views of one batch.
+
+    Views that fit one evaluation block together are stacked on a leading
+    axis and go through one pass per network; its slices have the bits of
+    two passes.  Taller views (a whole noisy set) go one at a time: a stack
+    would only copy them and double the block's activations.
+    """
+    if a.rows + b.rows > _EVAL_BLOCK_ROWS:
+        return [(forward_softmax(net, a).data, forward_softmax(net, b).data) for net in nets]
+    views = kernel.wrap(np.stack((a.data, b.data)))
+    return [tuple(forward_softmax(net, views).data) for net in nets]
+
+
 def refine_labels(net: NetworkParams, x_weak_1: Matrix, x_weak_2: Matrix,
                   y_onehot: Matrix, weights: np.ndarray, T: float) -> Matrix:
     """Blend given labels with the training network's average prediction.
@@ -153,16 +169,15 @@ def refine_labels(net: NetworkParams, x_weak_1: Matrix, x_weak_2: Matrix,
     Only the network currently being trained contributes here; pseudo
     labels for the noisy set are the ones that use both networks.
     """
-    p = kernel.wrap((forward_softmax(net, x_weak_1).data + forward_softmax(net, x_weak_2).data) / 2.0)
+    [(s1, s2)] = _views_softmax((net,), x_weak_1, x_weak_2)
+    p = kernel.wrap((s1 + s2) / 2.0)
     return sharpen(blend_targets(y_onehot, p, weights), T)
 
 
 def guess_pseudo_labels(twins: TwinNetworks, u_weak_1: Matrix, u_weak_2: Matrix, T: float) -> Matrix:
     """Average both networks over both weak views, then sharpen."""
-    q = (forward_softmax(twins.net1, u_weak_1).data
-         + forward_softmax(twins.net1, u_weak_2).data
-         + forward_softmax(twins.net2, u_weak_1).data
-         + forward_softmax(twins.net2, u_weak_2).data) / 4.0
+    (s11, s12), (s21, s22) = _views_softmax((twins.net1, twins.net2), u_weak_1, u_weak_2)
+    q = (s11 + s12 + s21 + s22) / 4.0
     return sharpen(kernel.wrap(q), T)
 
 
@@ -229,17 +244,20 @@ def _softmax_backward(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def loss_lx(logits: Matrix, targets: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Mean soft cross-entropy between target rows and softmax(logits)."""
-    ls = logits.data - logits.data.max(axis=1, keepdims=True)
+    """Mean soft cross-entropy between target rows and softmax(logits).
+
+    Stacked logits and targets give a (k, 1, 1) stack, one mean per slice.
+    """
+    ls = logits.data - logits.data.max(axis=-1, keepdims=True)
     e = np.exp(ls)
-    ls -= np.log(e.sum(axis=1, keepdims=True))
-    c = -1.0 / logits.rows
-    out = np.array([[np.multiply(ls, targets.data, out=e).sum()]]) * c
+    ls -= np.log(e.sum(axis=-1, keepdims=True))
+    c = -1.0 / logits.shape[-2]
+    out = np.multiply(ls, targets.data, out=e).sum(axis=(-2, -1), keepdims=True) * c
 
     def bwd(g, tracked):
-        g_ls = targets.data * (g * c)[0, 0]
+        g_ls = targets.data * (g * c)
         p = np.exp(ls)
-        p *= g_ls.sum(axis=1, keepdims=True)
+        p *= g_ls.sum(axis=-1, keepdims=True)
         g_ls -= p
         return (g_ls,)
 
@@ -381,29 +399,58 @@ def _rows(features: Matrix, idx: np.ndarray) -> Matrix:
     return kernel.wrap(features.data[idx])
 
 
+def _non_finite(named: dict[str, Matrix], k: int) -> dict[int, str]:
+    """For each of the k slices that holds a non-finite value, the first name
+    in ``named`` whose matrix holds one there."""
+    first: dict[int, str] = {}
+    for name, m in named.items():
+        if not np.isfinite(m.data).all():
+            bad = ~np.isfinite(m.data.reshape(k, -1)).all(axis=1)
+            for j in np.flatnonzero(bad):
+                first.setdefault(int(j), name)
+    return first
+
+
 def _update_params(net: NetworkParams, opt: OptimizerState, grads: dict[Matrix, Matrix],
                    group_names: tuple[str, ...], terms: dict[str, Matrix],
                    where: tuple[int, int, str]) -> None:
     """One SGD step of the named groups, and training's one finiteness check:
     a non-finite loss term in ``terms`` (before the update) or updated parameter
-    (after it) raises ``TrainingDivergedError`` at ``where`` (epoch, net, phase)."""
-    for name, term in terms.items():
-        if not np.isfinite(term.item()):
-            raise TrainingDivergedError(*where, name)
+    (after it) raises ``TrainingDivergedError`` at ``where`` (epoch, net, phase).
+
+    ``net`` may be a stack of networks (``_stack``), slice j being network
+    ``where[1] + j``.  Each slice is checked as one network is, and the first
+    slice with a non-finite value is the one named; the slices before it
+    take their update, it and the slices after it keep their parameters.
+    """
     group = net.group(group_names)
+    k = math.prod(next(iter(group.values())).shape[:-2])
+    failed = _non_finite(terms, k)
+    if 0 in failed:
+        raise TrainingDivergedError(*where, failed[0])
     updated = sgd_step(opt, group, {name: grads[p] for name, p in group.items()})
-    for name, p in updated.items():
-        if not np.isfinite(p.data).all():
-            raise TrainingDivergedError(*where, name)
+    for j, name in _non_finite(updated, k).items():
+        failed.setdefault(j, name)
+    if failed:
+        j = min(failed)
+        error = TrainingDivergedError(where[0], where[1] + j, where[2], failed[j])
+        if j == 0:
+            raise error
+        for name, p in updated.items():
+            p.data[j:] = group[name].data[j:]
+        net.params.update(updated)
+        raise error
     net.params.update(updated)
 
 
 def _ce_step(net: NetworkParams, opt: OptimizerState, ds: LabeledDataset,
-             targets_full: Matrix, batch: np.ndarray, where: tuple[int, int, str]) -> float:
-    """One SGD step of theta and phi on the batch's given labels; returns its CE.
+             targets_full: Matrix, batch: np.ndarray, where: tuple[int, int, str]) -> np.ndarray:
+    """One SGD step of theta and phi on the batch's given labels; returns its
+    CE, one value per network.
 
-    Floating-point warnings are off inside a step: ``_update_params`` names
-    a diverging step's epoch, network and term instead.
+    ``net`` and ``opt`` are one network or a stack (``_stack``) with one row
+    of ``batch`` per slice.  Floating-point warnings are off inside a step:
+    ``_update_params`` names a diverging step's epoch, network and term instead.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tape = GradientTape()
@@ -413,7 +460,34 @@ def _ce_step(net: NetworkParams, opt: OptimizerState, ds: LabeledDataset,
         ce = loss_lx(logits, _rows(targets_full, batch), tape)
         grads = backward(tape, ce)
         _update_params(net, opt, grads, THETA + PHI, {"lx": ce}, where)
-    return ce.item()
+    return ce.data.reshape(-1)
+
+
+def _stack(nets: tuple[NetworkParams, ...], opts: tuple[OptimizerState, ...]
+           ) -> tuple[NetworkParams, OptimizerState]:
+    """Theta and phi of the networks, and their optimizer states, on a leading
+    axis: slice j is ``nets[j]``, stepping with ``opts[j]``'s learning rate,
+    momentum, weight decay and velocity (zero where it has none yet).
+
+    Each ``opts[j]`` keeps slice j of the stacked velocities as its own, so
+    the in-place updates of the stack's steps are its updates too.
+    """
+    params = {n: kernel.wrap(np.stack([net.params[n].data for net in nets])) for n in THETA + PHI}
+    opt = OptimizerState(1.0)
+    for attr in ("learning_rate", "momentum", "weight_decay"):
+        setattr(opt, attr, np.array([getattr(o, attr) for o in opts]).reshape(-1, 1, 1))
+    for n, p in params.items():
+        opt.velocity[n] = np.stack([o.velocity.get(n, np.zeros(p.shape[1:])) for o in opts])
+        for o, v in zip(opts, opt.velocity[n]):
+            o.velocity[n] = v
+    return NetworkParams(nets[0].arch, nets[0].seed, params), opt
+
+
+def _unstack(stack: NetworkParams, nets: tuple[NetworkParams, ...]) -> None:
+    """Give each network its slice of the stack as new parameter matrices
+    (the softmax memo keys on identity)."""
+    for j, net in enumerate(nets):
+        net.params.update({n: kernel.wrap(m.data[j]) for n, m in stack.params.items()})
 
 
 def warmup_train(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState],
@@ -421,21 +495,43 @@ def warmup_train(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState
                  epoch_offset: int = 0) -> list[float]:
     """Cross-entropy on all given labels, both networks independently.
 
-    The projection head is untouched during warmup.  Returns the mean CE
-    per epoch (averaged over both networks).
+    Both networks step as one stack (``_stack``): step i updates each on its
+    own i-th batch with its own optimizer, with the bits of two separate
+    passes, and each epoch writes the stack back.  Divergence is reported as
+    in two serial passes: once net 2 has diverged, net 1 finishes the epoch
+    alone, and net 2's first non-finite step is named only if net 1 stays
+    finite.  The projection head is untouched during warmup.  Returns the
+    mean CE per epoch (averaged over both networks).
     """
     all_idx = np.arange(len(ds))
     targets_full = one_hot(ds.given_labels, ds.num_classes)
+    nets = (twins.net1, twins.net2)
     epoch_losses = []
     for i in range(epochs):
         epoch = epoch_offset + i
-        ce_values = []
-        for k, (net, opt) in enumerate(zip((twins.net1, twins.net2), opts), start=1):
+        for opt in opts:
             opt.learning_rate = decayed_lr(hp, epoch)
-            for batch in batch_iterator(all_idx, hp.batch_size, (hp.seed, _S_WARMUP, k), epoch):
-                ce_values.append(_ce_step(net, opt, ds, targets_full, batch,
-                                          (epoch, k, "warmup")))
-        epoch_losses.append(float(np.mean(ce_values)) if ce_values else 0.0)
+        batches = [batch_iterator(all_idx, hp.batch_size, (hp.seed, _S_WARMUP, k), epoch)
+                   for k in (1, 2)]
+        stack, stack_opt = _stack(nets, opts)
+        live, diverged = len(nets), None
+        ce_values = []
+        for pair in zip(*batches):
+            try:
+                ce_values.append(_ce_step(stack, stack_opt, ds, targets_full,
+                                          np.stack(pair[:live]), (epoch, 1, "warmup")))
+            except TrainingDivergedError as err:
+                if err.net == 1:
+                    raise
+                diverged, live = err, 1
+                _unstack(stack, nets[:1])
+                stack, stack_opt = _stack(nets[:1], opts[:1])
+        if diverged is not None:
+            raise diverged
+        _unstack(stack, nets)
+        # net 1's values, then net 2's, as two serial passes appended them
+        epoch_losses.append(float(np.mean(np.stack(ce_values, axis=1).ravel()))
+                            if ce_values else 0.0)
     return epoch_losses
 
 
@@ -509,7 +605,7 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
                        epoch, net_index)
         for batch in noisy_batches:
             losses["lx"].append(_ce_step(net, opt, ds, targets_full, batch,
-                                         (epoch, net_index, "empty_clean")))
+                                         (epoch, net_index, "empty_clean")).item())
             for key in ("lu", "lreg", "lc"):
                 losses[key].append(0.0)
         return HalfEpochRecord(net_index, report, sel, _mean_losses(losses), degenerate)

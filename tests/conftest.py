@@ -3,6 +3,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from noisytrain import training
+from noisytrain.data import batch_iterator
 from noisytrain.kernel import Matrix
 
 
@@ -54,3 +56,20 @@ def rng():
 
 def random_matrix(rng, rows, cols, lo=-1.0, hi=1.0) -> Matrix:
     return Matrix(rng.uniform(lo, hi, size=(rows, cols)))
+
+
+def serial_warmup(twins, opts, ds, hp, epochs, epoch_offset=0):
+    """Warmup as two serial passes per epoch, net 1's then net 2's, one 2-D
+    CE step (``training._ce_step``) at a time; returns the mean CE per epoch."""
+    targets = training.one_hot(ds.given_labels, ds.num_classes)
+    losses = []
+    for epoch in range(epoch_offset, epoch_offset + epochs):
+        ce = []
+        for k, (net, opt) in enumerate(zip((twins.net1, twins.net2), opts), start=1):
+            opt.learning_rate = training.decayed_lr(hp, epoch)
+            for batch in batch_iterator(np.arange(len(ds)), hp.batch_size,
+                                        (hp.seed, training._S_WARMUP, k), epoch):
+                ce.append(training._ce_step(net, opt, ds, targets, batch,
+                                            (epoch, k, "warmup")).item())
+        losses.append(float(np.mean(ce)))
+    return losses

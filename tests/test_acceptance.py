@@ -18,6 +18,7 @@ criterion 8's byte-compared runs.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,8 +342,8 @@ def test_criterion_8_byte_determinism(desk_runs, ablation_runs, tmp_path_factory
 
     mismatched = []
     for first, second in pairs:
-        a = open(os.path.join(str(first), "metrics.csv"), "rb").read()
-        b = open(os.path.join(str(second), "metrics.csv"), "rb").read()
+        a = Path(first, "metrics.csv").read_bytes()
+        b = Path(second, "metrics.csv").read_bytes()
         if a != b:
             mismatched.append(str(first))
     ok = not mismatched

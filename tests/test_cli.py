@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,11 +113,11 @@ class TestCommands:
     def test_generate_counts_and_idempotence(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         path = cmd_generate(cfg)
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         assert len(lines) == 61  # header + 60 rows
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         cmd_generate(cfg)
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
 
     def test_generate_high_noise_count(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, {"noise.rate": 0.8}))
@@ -149,8 +150,8 @@ class TestCommands:
         cfg_b = dataclasses.replace(cfg_a, output_dir=str(tmp_path / "out_b"))
         cmd_run(cfg_a)
         cmd_run(cfg_b)
-        a = open(os.path.join(cfg_a.output_dir, "metrics.csv"), "rb").read()
-        b = open(os.path.join(cfg_b.output_dir, "metrics.csv"), "rb").read()
+        a = Path(cfg_a.output_dir, "metrics.csv").read_bytes()
+        b = Path(cfg_b.output_dir, "metrics.csv").read_bytes()
         assert a == b
 
     def test_warmup_only_run(self, tmp_path):

@@ -39,6 +39,21 @@ def test_continued_run_equals_uninterrupted(tmp_path, stop, flags):
     rows_before = list(part.rows)
     continued = go(HP, start=part, flags=flags)
     assert part.rows == rows_before   # the start's rows are not extended
+    assert_same_run(continued, whole, tmp_path)
+
+
+def test_run_continued_from_mid_warmup_equals_uninterrupted(tmp_path):
+    # warmup steps both networks as one stack and writes it back per epoch
+    hp = dataclasses.replace(HP, warmup_epochs=10, total_epochs=11)
+    whole = go(hp)
+    part = go(dataclasses.replace(hp, warmup_epochs=3, total_epochs=3))
+    assert [r.phase for r in part.rows] == ["warmup"] * 3
+    continued = go(hp, start=part)
+    assert [r.phase for r in continued.rows] == ["warmup"] * 10 + ["ssl"]
+    assert_same_run(continued, whole, tmp_path)
+
+
+def assert_same_run(continued, whole, tmp_path):
     assert continued.rows == whole.rows
     assert checkpoint_bytes(continued, tmp_path / "a.bin") == \
         checkpoint_bytes(whole, tmp_path / "b.bin")

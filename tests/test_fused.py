@@ -10,12 +10,14 @@ parameter gradient bit for bit, not merely to a tolerance.
 The second half covers the whole-dataset softmax memo on each network.
 """
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import reference_ops as ref
+from conftest import serial_warmup
 from noisytrain import kernel, model, training
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
@@ -214,8 +216,67 @@ def test_untaped_values_bit_identical():
         assert np.array_equal(ref_fn(net, b["u_in"]).data, fused_fn(net, b["u_in"]).data)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_leading_axis_matches_each_slice_bit_for_bit(seed):
+    """A stack of k networks steps with the bits of k separate 2-D steps.
+
+    The stacked forward and every gradient of ``_head_forward`` (the
+    input's too), ``loss_lx``'s value and logits gradient, and
+    ``sgd_step`` with each slice's own settings and velocity; and a stack
+    of inputs evaluated by one network.
+    """
+    rng = np.random.default_rng(seed)
+    k, rows = int(rng.integers(1, 4)), int(rng.integers(16, 257))
+    arch = Arch(in_dim=int(rng.integers(1, 33)), hidden=int(rng.integers(1, 129)),
+                num_classes=int(rng.integers(2, 11)), embed_dim=4)
+    names = THETA + PHI
+    nets = [init_network(arch, seed=seed * 4 + j) for j in range(k)]
+    opts = [OptimizerState(rng.uniform(0.01, 0.5), rng.uniform(0.0, 0.99), rng.uniform(0.0, 1e-2))
+            for _ in range(k)]
+    for net, opt in zip(nets, opts):   # non-zero biases, and a velocity from earlier steps
+        net.params.update({n: Matrix(rng.normal(size=m.shape)) for n, m in net.params.items()})
+        opt.velocity = {n: rng.normal(size=net.params[n].shape) for n in names}
+    x = rng.normal(scale=3.0, size=(k, rows, arch.in_dim))
+    t = rng.dirichlet(np.full(arch.num_classes, 0.3), size=(k, rows))
+    z = rng.normal(scale=3.0, size=(k, rows, arch.num_classes))
+
+    def step(net, opt, x, t, z):
+        tape = GradientTape()
+        x_in = kernel.wrap(x)
+        for m in (x_in, *net.group(names).values()):
+            tape.watch(m)
+        logits = model.forward_logits(net, x_in, tape)
+        ce = training.loss_lx(logits, kernel.wrap(t), tape)
+        grads = backward(tape, ce)
+        out = {"logits": logits.data, "ce": ce.data, "gx": grads[x_in].data}
+        out.update({"g" + n: grads[net.params[n]].data for n in names})
+        updated = kernel.sgd_step(opt, net.group(names), {n: grads[net.params[n]] for n in names})
+        out.update({n: updated[n].data for n in names})
+        out.update({"v" + n: opt.velocity[n] for n in names})
+        tape = GradientTape()
+        z_in = kernel.wrap(z)
+        tape.watch(z_in)
+        lx = training.loss_lx(z_in, kernel.wrap(t), tape)
+        out.update(lx=lx.data, gz=backward(tape, lx)[z_in].data)
+        return out
+
+    stack, stack_opt = training._stack(nets, copy.deepcopy(opts))   # the stack updates their velocities
+    stacked = step(stack, stack_opt, x, t, z)
+    probs = forward_softmax(nets[0], kernel.wrap(x)).data
+    for j in range(k):
+        single = step(nets[j], opts[j], x[j], t[j], z[j])
+        assert stacked.keys() == single.keys()
+        for name, value in single.items():
+            assert np.array_equal(stacked[name][j], value), name
+        assert np.array_equal(probs[j], forward_softmax(nets[0], kernel.wrap(x[j])).data)
+
+
 def test_training_loop_matches_reference_chain(monkeypatch):
-    """Whole half-epochs and warmup: parameters agree bit for bit."""
+    """Whole half-epochs and warmup: parameters agree bit for bit.
+
+    The reference warms the networks up one after the other through the
+    primitive chain; the fused path steps both as one stack.
+    """
     ds = inject_symmetric_noise(make_gaussian_blobs(3, 40, 4, 8.0, seed=2), 0.4, seed=3)
     hp = Hyperparams(seed=4, batch_size=16, warmup_epochs=1, total_epochs=3)
     aug = AugmentationSpec()
@@ -226,13 +287,17 @@ def test_training_loop_matches_reference_chain(monkeypatch):
         twins = init_twins(Arch(4, 16, 3, 6), seed=4)
         opts = (OptimizerState(hp.lr, hp.momentum, hp.weight_decay),
                 OptimizerState(hp.lr, hp.momentum, hp.weight_decay))
-        training.warmup_train(twins, opts, ds, hp, epochs=1)
+        if fns is REFERENCE:
+            warmup_ce = serial_warmup(twins, opts, ds, hp, epochs=1)
+        else:
+            warmup_ce = training.warmup_train(twins, opts, ds, hp, epochs=1)
         training.train_epoch(twins, opts, ds, hp, aug, training.CutoffParams(),
                              training.AblationFlags(), epoch=1)
-        return [m.data for net in (twins.net1, twins.net2) for m in net.params.values()]
+        return warmup_ce, [m.data for net in (twins.net1, twins.net2) for m in net.params.values()]
 
-    ref = train(REFERENCE)
-    fused = train(FUSED)
+    ref_ce, ref = train(REFERENCE)
+    fused_ce, fused = train(FUSED)
+    assert ref_ce == fused_ce
     assert all(np.array_equal(a, b) for a, b in zip(ref, fused))
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -249,7 +251,7 @@ def test_export_selection_csv(tmp_path, rng):
     sel = uniform_select(report, labels, 2, 0.5)
     path = str(tmp_path / "sel.csv")
     export_selection_csv(sel, report, labels, path)
-    lines = open(path).read().strip().split("\n")
+    lines = Path(path).read_text().strip().split("\n")
     assert lines[0] == "index,given_label,d,selected"
     assert len(lines) == 11
     selected = {int(line.split(",")[0]) for line in lines[1:] if line.split(",")[3] == "1"}
@@ -273,7 +275,7 @@ def test_export_selection_csv_bytes_match_row_by_row_writer(tmp_path, rng):
             w.writerow(["index", "given_label", "d", "selected"])
             for i in range(n):
                 w.writerow([i, int(labels[i]), repr(float(report.d[i])), int(mask[i])])
-        assert open(path, "rb").read() == open(ref, "rb").read()
+        assert Path(path).read_bytes() == Path(ref).read_bytes()
 
 
 def test_export_selection_csv_rejects_length_mismatch(tmp_path):

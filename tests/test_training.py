@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad, max_relative_error
+from conftest import finite_difference_grad, max_relative_error, serial_warmup
 from noisytrain import training
 from noisytrain.cli import main
 from noisytrain.config import config_from_dict
@@ -338,6 +338,59 @@ class TestWarmup:
         assert len(losses) == 3
         assert losses[0] > losses[-1]
 
+    def _stacked_and_serial(self, opts_args, hp, epochs=1):
+        """Warmup through the stack and through two serial passes, from the same start."""
+        ds = self._noisy_setup(rate=0.2)[0]
+        results = []
+        for warm in (warmup_train, serial_warmup):
+            twins = init_twins(Arch(4, 32, 3, 8), seed=1)
+            opts = tuple(OptimizerState(*args) for args in opts_args)
+            try:
+                out = warm(twins, opts, ds, hp, epochs=epochs)
+            except TrainingDivergedError as err:
+                out = (err.epoch, err.net, err.phase, err.term)
+            results.append((out, twins, opts))
+        return results
+
+    def test_each_network_keeps_its_own_optimizer_settings(self):
+        # 30 CE values an epoch: enough for their order to show in the mean
+        hp = Hyperparams(seed=1, batch_size=8)
+        (got, twins, opts), (want, ref_twins, ref_opts) = self._stacked_and_serial(
+            [(hp.lr, 0.9, 5e-4), (hp.lr, 0.5, 1e-2)], hp, epochs=3)
+        assert got == want
+        for net, ref_net in ((twins.net1, ref_twins.net1), (twins.net2, ref_twins.net2)):
+            assert all(np.array_equal(net.params[n].data, ref_net.params[n].data)
+                       for n in ALL_GROUPS)
+        for opt, ref_opt in zip(opts, ref_opts):
+            assert (opt.momentum, opt.weight_decay) == (ref_opt.momentum, ref_opt.weight_decay)
+            assert opt.velocity.keys() == ref_opt.velocity.keys() == set(THETA + PHI)
+            assert all(np.array_equal(opt.velocity[n], ref_opt.velocity[n]) for n in THETA + PHI)
+
+    def test_net_2_diverging_alone_is_named_at_its_first_non_finite_step(self):
+        # a huge weight decay overflows net 2's first update: lx is finite, w1 is not
+        hp = Hyperparams(seed=1, batch_size=16, lr=10.0)
+        (got, *_), (want, *_) = self._stacked_and_serial(
+            [(hp.lr, 0.9, 5e-4), (hp.lr, 0.9, 1e308)], hp)
+        assert got == want == (0, 2, "warmup", "w1")
+
+    def test_net_1_diverging_later_is_named_before_net_2(self, monkeypatch):
+        # at lr 1000 net 1 diverges late in epoch 0; net 2 diverges at its first step
+        shapes = []
+        lx = training.loss_lx
+
+        def recording_lx(*args, **kwargs):
+            out = lx(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+        hp = Hyperparams(seed=1, batch_size=16, lr=1000.0)
+        opts_args = [(hp.lr, 0.9, 5e-4), (hp.lr, 0.9, 1e308)]
+        monkeypatch.setattr(training, "loss_lx", recording_lx)
+        (got, *_), (want, *_) = self._stacked_and_serial(opts_args, hp)
+        assert got == want == (0, 1, "warmup", "lx")
+        stacked = shapes[:shapes.index((1, 1))]     # the serial pass recorded 2-D losses
+        assert stacked[0] == (2, 1, 1) and set(stacked[1:]) == {(1, 1, 1)}
+        assert len(stacked) == shapes.count((1, 1))  # net 1 went as far as serially
+
 
 class TestTrainEpoch:
     def _setup(self, rate=0.4, seed=3):
@@ -408,6 +461,30 @@ class TestTrainEpoch:
         assert tape.num_records == 0
         assert not tape.tracks(refined)
         assert not tape.tracks(guessed)
+
+    @pytest.mark.parametrize("rows,passes", [(40, (2, 1)), (600, (4, 2))])
+    def test_views_evaluated_stacked_match_separate_passes(self, monkeypatch, rows, passes):
+        # two views that fit one evaluation block together go through one pass
+        rng = np.random.default_rng(rows)
+        twins = init_twins(Arch(4, 16, 3, 4), seed=2)
+        u1, u2 = (wrap(rng.normal(scale=3.0, size=(rows, 4))) for _ in range(2))
+        y, w = one_hot(rng.integers(0, 3, rows), 3), rng.uniform(size=rows)
+        f = forward_softmax
+        q = (f(twins.net1, u1).data + f(twins.net1, u2).data
+             + f(twins.net2, u1).data + f(twins.net2, u2).data) / 4.0
+        p = (f(twins.net1, u1).data + f(twins.net1, u2).data) / 2.0
+        evaluated = []
+
+        def counting(net, x):
+            evaluated.append(x.rows)
+            return f(net, x)
+        monkeypatch.setattr(training, "forward_softmax", counting)
+        guessed = guess_pseudo_labels(twins, u1, u2, 0.5)
+        assert len(evaluated) == passes[0] and sum(evaluated) == 4 * rows
+        refined = refine_labels(twins.net1, u1, u2, y, w, 0.5)
+        assert len(evaluated) == sum(passes) and sum(evaluated) == 6 * rows
+        assert np.array_equal(guessed.data, sharpen(wrap(q), 0.5).data)
+        assert np.array_equal(refined.data, sharpen(blend_targets(y, wrap(p), w), 0.5).data)
 
     @pytest.mark.parametrize("flags,checked", [
         (AblationFlags(), 1),                    # net 2's selection: ensemble_softmax
@@ -507,7 +584,7 @@ def test_diverging_run_stops_at_first_non_finite_ce(tmp_path, monkeypatch, capsy
 
     def recording_lx(*args, **kwargs):
         out = lx(*args, **kwargs)
-        ce_values.append(out.item())
+        ce_values.append(out.data.flat[0])   # net 1's slice of a stacked warmup step
         return out
     monkeypatch.setattr(training, "loss_lx", recording_lx)
     path = tmp_path / "desk_lr50.json"
