@@ -1,10 +1,5 @@
 """Dense 2-D float64 arrays with reverse-mode gradients and SGD.
 
-A matrix may also be a stack of equal-shaped matrices on a leading axis,
-``(k, rows, cols)``, whose slices never mix: the tape and the optimizer
-treat each slice as the matrix it would be on its own.  Training steps
-its two networks' warmup as one stack (``training.warmup_train``).
-
 A ``GradientTape`` records each operation applied to a watched parameter
 (or to anything derived from one) and replays the records in exact
 reverse order on ``backward``.  Operations go on the tape through
@@ -21,7 +16,6 @@ produce bit-identical outputs across runs.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -66,15 +60,14 @@ class Matrix:
 
     @property
     def rows(self) -> int:
-        """Rows in all: a stack of k slices of r rows has k * r."""
-        return math.prod(self.data.shape[:-1])
+        return self.data.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[-1]
+        return self.data.shape[1]
 
     @property
-    def shape(self) -> tuple[int, ...]:
+    def shape(self) -> tuple[int, int]:
         return self.data.shape
 
     def copy(self) -> "Matrix":
@@ -83,7 +76,7 @@ class Matrix:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeMismatchError(f"item() needs a 1x1 matrix, got {self.shape}")
-        return self.data.item()
+        return float(self.data[0, 0])
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -147,7 +140,7 @@ def record(tape: GradientTape | None, inputs: tuple[Matrix, ...], out: Matrix,
     """
     if tape is None:
         return out
-    tracked = tuple(tape.tracks(x) for x in inputs)
+    tracked = tuple([id(x) in tape._tracked for x in inputs])
     if any(tracked):
         def bwd(g):
             return [(x, gx) for x, gx, t in zip(inputs, backward_fn(g, tracked), tracked) if t]
@@ -158,38 +151,46 @@ def record(tape: GradientTape | None, inputs: tuple[Matrix, ...], out: Matrix,
 def backward(tape: GradientTape, loss: Matrix) -> dict[Matrix, Matrix]:
     """Replay the tape in reverse and return gradients for watched parameters.
 
-    ``loss`` must be the tracked 1x1 result of the recorded forward pass,
-    or a (k, 1, 1) stack of them, one per slice of a stacked pass: slices
-    never mix, so each gets the gradients it would get on its own.
+    ``loss`` must be the tracked 1x1 result of the recorded forward pass.
     The tape is consumed: a second backward raises ``TapeUsageError``.
+    A gradient may be the very array a backward closure returned, so
+    callers read the gradients and never write into them.
     """
     if tape._consumed:
         raise TapeUsageError("tape already consumed by a previous backward")
     if not tape._records:
         raise TapeUsageError("backward on an empty tape: no operations were recorded")
-    if loss.shape[-2:] != (1, 1):
+    if loss.shape != (1, 1):
         raise ShapeMismatchError(f"loss must be 1x1, got {loss.shape}")
     if not tape.tracks(loss):
         raise TapeUsageError("loss was not produced by operations recorded on this tape")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
+    # A contribution is kept as returned; an input's second one makes a sum
+    # backward owns, and later ones add into that.  So no array a closure
+    # returned is ever written, and a lone contribution is never copied.
+    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    owned: set[int] = set()
     for out, backward_fn in reversed(tape._records):
         g = grads.get(id(out))
         if g is None:
             continue
         for inp, contrib in backward_fn(g):
-            acc = grads.get(id(inp))
+            key = id(inp)
+            acc = grads.get(key)
             if acc is None:
-                grads[id(inp)] = contrib.copy()
-            else:
+                grads[key] = contrib
+            elif key in owned:
                 acc += contrib
+            else:
+                grads[key] = acc + contrib
+                owned.add(key)
     tape._consumed = True
     tape._records.clear()
 
     out_grads: dict[Matrix, Matrix] = {}
     for p in tape._watched:
         g = grads.get(id(p))
-        out_grads[p] = wrap(g) if g is not None else wrap(np.zeros(p.shape))
+        out_grads[p] = wrap(g) if g is not None else Matrix.zeros(p.rows, p.cols)
     return out_grads
 
 
@@ -237,11 +238,6 @@ class OptimizerState:
 
     Switching to decoupled decay would mean moving the decay term out of
     the velocity update and into the parameter step.
-
-    For a stack of k networks (see ``training._stack``) the three settings
-    are (k, 1, 1) arrays and the velocities (k, rows, cols): slice j steps
-    with the settings in slice j, one multiplication of the same operands
-    as the scalar form, so its bits are those of a separate step.
     """
 
     def __init__(self, learning_rate: float, momentum: float = 0.9, weight_decay: float = 0.0):
@@ -256,10 +252,8 @@ class OptimizerState:
 def sgd_step(state: OptimizerState, params: dict[str, Matrix], grads: dict[str, Matrix]) -> dict[str, Matrix]:
     """One SGD-with-momentum step; returns the updated parameter dict.
 
-    Parameters may be stacks on a leading axis, with the state's settings
-    one per slice (``OptimizerState``).  Velocities update in place.
-    Parameters get new matrices and are never written, so identity-keyed
-    caches (the softmax memo) see every update."""
+    Velocities update in place.  Parameters get new matrices and are never
+    written, so identity-keyed caches (the softmax memo) see every update."""
     updated: dict[str, Matrix] = {}
     for name, p in params.items():
         g = grads[name]

@@ -107,12 +107,6 @@ def _head_forward(net: NetworkParams, x: Matrix, tape: GradientTape | None,
     arrays this call allocates are written in place.
     ``finish`` maps the head's output to the final one and returns it with
     a function that turns the final output's gradient into the head's.
-
-    ``x`` and the parameters may be stacks on a leading axis (a stack of
-    inputs may also meet one network, untaped).  A 3-D ``np.matmul`` makes
-    the 2-D product's BLAS call once per slice, and the transposes and
-    column sums act on the last two axes, so every slice has the bits of
-    its own 2-D pass.
     """
     _check_input(net, x)
     inputs = (x,) + tuple(net.params[n] for n in THETA + head)
@@ -134,17 +128,17 @@ def _head_forward(net: NetworkParams, x: Matrix, tape: GradientTape | None,
     def bwd(g, tracked):
         if finish_grad is not None:
             g = finish_grad(g)
-        gbh = g.sum(axis=-2, keepdims=True)
-        gwh = h.swapaxes(-1, -2) @ g
-        g = g @ wh.swapaxes(-1, -2)
+        gbh = g.sum(axis=0, keepdims=True)
+        gwh = h.T @ g
+        g = g @ wh.T
         g *= h > 0.0            # the mask of the pre-activation, NaN included
-        gb2 = g.sum(axis=-2, keepdims=True)
-        gw2 = h1.swapaxes(-1, -2) @ g
-        g = g @ w2.swapaxes(-1, -2)
+        gb2 = g.sum(axis=0, keepdims=True)
+        gw2 = h1.T @ g
+        g = g @ w2.T
         g *= h1 > 0.0
-        gb1 = g.sum(axis=-2, keepdims=True)
-        gw1 = xa.swapaxes(-1, -2) @ g
-        gx = g @ w1.swapaxes(-1, -2) if tracked[0] else None
+        gb1 = g.sum(axis=0, keepdims=True)
+        gw1 = xa.T @ g
+        gx = g @ w1.T if tracked[0] else None
         return gx, gw1, gb1, gw2, gb2, gwh, gbh
 
     return kernel.record(tape, inputs, kernel.wrap(out), bwd)
@@ -158,9 +152,9 @@ def softmax_in_place(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax written over ``z``, which the caller owns; the operations
     of the reference ``softmax_rows`` (``tests/reference_ops.py``) in its
     order, so the bits are the same."""
-    z -= z.max(axis=-1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= z.sum(axis=1, keepdims=True)
     return z
 
 
@@ -171,15 +165,13 @@ def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
     output array, so a whole-dataset pass holds one block's hidden
     activations, not the dataset's.  Blocks may round differently from one
     tall product; README's determinism notes say where they match.
-    A stack of inputs (views of one batch, say) is evaluated in blocks of
-    rows of every slice at once; its slices have the bits of separate calls.
     """
     _check_input(net, x)
-    probs = np.empty(x.shape[:-1] + (net.arch.num_classes,))
-    for start in range(0, x.shape[-2], _EVAL_BLOCK_ROWS):
+    probs = np.empty((x.rows, net.arch.num_classes))
+    for start in range(0, x.rows, _EVAL_BLOCK_ROWS):
         stop = start + _EVAL_BLOCK_ROWS
-        logits = forward_logits(net, kernel.wrap(x.data[..., start:stop, :])).data
-        probs[..., start:stop, :] = softmax_in_place(logits)
+        logits = forward_logits(net, kernel.wrap(x.data[start:stop])).data
+        probs[start:stop] = softmax_in_place(logits)
     return kernel.wrap(probs)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import kernel
 from .data import (AugmentationSpec, LabeledDataset, batch_iterator,
                    strong_augment, weak_augment)
 from .kernel import GradientTape, Matrix, OptimizerState, backward, sgd_step
-from .model import _EVAL_BLOCK_ROWS, ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, \
+from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, \
     dataset_softmax, forward_logits, forward_projection, forward_softmax, softmax_in_place
 from .selection import (CutoffParams, DivergenceReport, SelectionResult,
                         baseline_global_select, compute_cutoff,
@@ -147,21 +146,6 @@ def blend_targets(y_onehot: Matrix, p: Matrix, weights: np.ndarray) -> Matrix:
     return kernel.wrap(w * y_onehot.data + (1.0 - w) * p.data)
 
 
-def _views_softmax(nets: tuple[NetworkParams, ...], a: Matrix, b: Matrix
-                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each network's ``forward_softmax`` of two views of one batch.
-
-    Views that fit one evaluation block together are stacked on a leading
-    axis and go through one pass per network; its slices have the bits of
-    two passes.  Taller views (a whole noisy set) go one at a time: a stack
-    would only copy them and double the block's activations.
-    """
-    if a.rows + b.rows > _EVAL_BLOCK_ROWS:
-        return [(forward_softmax(net, a).data, forward_softmax(net, b).data) for net in nets]
-    views = kernel.wrap(np.stack((a.data, b.data)))
-    return [tuple(forward_softmax(net, views).data) for net in nets]
-
-
 def refine_labels(net: NetworkParams, x_weak_1: Matrix, x_weak_2: Matrix,
                   y_onehot: Matrix, weights: np.ndarray, T: float) -> Matrix:
     """Blend given labels with the training network's average prediction.
@@ -169,15 +153,16 @@ def refine_labels(net: NetworkParams, x_weak_1: Matrix, x_weak_2: Matrix,
     Only the network currently being trained contributes here; pseudo
     labels for the noisy set are the ones that use both networks.
     """
-    [(s1, s2)] = _views_softmax((net,), x_weak_1, x_weak_2)
-    p = kernel.wrap((s1 + s2) / 2.0)
+    p = kernel.wrap((forward_softmax(net, x_weak_1).data + forward_softmax(net, x_weak_2).data) / 2.0)
     return sharpen(blend_targets(y_onehot, p, weights), T)
 
 
 def guess_pseudo_labels(twins: TwinNetworks, u_weak_1: Matrix, u_weak_2: Matrix, T: float) -> Matrix:
     """Average both networks over both weak views, then sharpen."""
-    (s11, s12), (s21, s22) = _views_softmax((twins.net1, twins.net2), u_weak_1, u_weak_2)
-    q = (s11 + s12 + s21 + s22) / 4.0
+    q = (forward_softmax(twins.net1, u_weak_1).data
+         + forward_softmax(twins.net1, u_weak_2).data
+         + forward_softmax(twins.net2, u_weak_1).data
+         + forward_softmax(twins.net2, u_weak_2).data) / 4.0
     return sharpen(kernel.wrap(q), T)
 
 
@@ -244,20 +229,17 @@ def _softmax_backward(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def loss_lx(logits: Matrix, targets: Matrix, tape: GradientTape | None = None) -> Matrix:
-    """Mean soft cross-entropy between target rows and softmax(logits).
-
-    Stacked logits and targets give a (k, 1, 1) stack, one mean per slice.
-    """
-    ls = logits.data - logits.data.max(axis=-1, keepdims=True)
+    """Mean soft cross-entropy between target rows and softmax(logits)."""
+    ls = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(ls)
-    ls -= np.log(e.sum(axis=-1, keepdims=True))
-    c = -1.0 / logits.shape[-2]
-    out = np.multiply(ls, targets.data, out=e).sum(axis=(-2, -1), keepdims=True) * c
+    ls -= np.log(e.sum(axis=1, keepdims=True))
+    c = -1.0 / logits.rows
+    out = np.array([[np.multiply(ls, targets.data, out=e).sum()]]) * c
 
     def bwd(g, tracked):
-        g_ls = targets.data * (g * c)
+        g_ls = targets.data * (g * c)[0, 0]
         p = np.exp(ls)
-        p *= g_ls.sum(axis=-1, keepdims=True)
+        p *= g_ls.sum(axis=1, keepdims=True)
         g_ls -= p
         return (g_ls,)
 
@@ -399,95 +381,100 @@ def _rows(features: Matrix, idx: np.ndarray) -> Matrix:
     return kernel.wrap(features.data[idx])
 
 
-def _non_finite(named: dict[str, Matrix], k: int) -> dict[int, str]:
-    """For each of the k slices that holds a non-finite value, the first name
-    in ``named`` whose matrix holds one there."""
-    first: dict[int, str] = {}
-    for name, m in named.items():
-        if not np.isfinite(m.data).all():
-            bad = ~np.isfinite(m.data.reshape(k, -1)).all(axis=1)
-            for j in np.flatnonzero(bad):
-                first.setdefault(int(j), name)
-    return first
+def _check_finite(named: dict[str, np.ndarray], where: tuple[int, int, str]) -> None:
+    """Training's one finiteness check: raise ``TrainingDivergedError`` at
+    ``where`` (epoch, net, phase) naming the first array in ``named`` that
+    holds a non-finite value."""
+    for name, arr in named.items():
+        if not np.isfinite(arr).all():
+            raise TrainingDivergedError(*where, name)
 
 
 def _update_params(net: NetworkParams, opt: OptimizerState, grads: dict[Matrix, Matrix],
                    group_names: tuple[str, ...], terms: dict[str, Matrix],
                    where: tuple[int, int, str]) -> None:
-    """One SGD step of the named groups, and training's one finiteness check:
-    a non-finite loss term in ``terms`` (before the update) or updated parameter
-    (after it) raises ``TrainingDivergedError`` at ``where`` (epoch, net, phase).
-
-    ``net`` may be a stack of networks (``_stack``), slice j being network
-    ``where[1] + j``.  Each slice is checked as one network is, and the first
-    slice with a non-finite value is the one named; the slices before it
-    take their update, it and the slices after it keep their parameters.
-    """
+    """One SGD step of the named groups, refused if a loss term in ``terms``
+    (before the update) or an updated parameter (after it) is not finite."""
+    _check_finite({name: term.data for name, term in terms.items()}, where)
     group = net.group(group_names)
-    k = math.prod(next(iter(group.values())).shape[:-2])
-    failed = _non_finite(terms, k)
-    if 0 in failed:
-        raise TrainingDivergedError(*where, failed[0])
     updated = sgd_step(opt, group, {name: grads[p] for name, p in group.items()})
-    for j, name in _non_finite(updated, k).items():
-        failed.setdefault(j, name)
-    if failed:
-        j = min(failed)
-        error = TrainingDivergedError(where[0], where[1] + j, where[2], failed[j])
-        if j == 0:
-            raise error
-        for name, p in updated.items():
-            p.data[j:] = group[name].data[j:]
-        net.params.update(updated)
-        raise error
+    _check_finite({name: p.data for name, p in updated.items()}, where)
     net.params.update(updated)
 
 
-def _ce_step(net: NetworkParams, opt: OptimizerState, ds: LabeledDataset,
-             targets_full: Matrix, batch: np.ndarray, where: tuple[int, int, str]) -> np.ndarray:
-    """One SGD step of theta and phi on the batch's given labels; returns its
-    CE, one value per network.
+# the key of the packed row in the optimizer state of ``_ce_steps``
+_ROW = "theta_phi"
 
-    ``net`` and ``opt`` are one network or a stack (``_stack``) with one row
-    of ``batch`` per slice.  Floating-point warnings are off inside a step:
-    ``_update_params`` names a diverging step's epoch, network and term instead.
+
+def _pack(arrays) -> np.ndarray:
+    """The arrays' values, one after the other, as one (1, n) row."""
+    return np.concatenate([a.ravel() for a in arrays]).reshape(1, -1)
+
+
+def _unpack(row: np.ndarray, shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
+    """Views of consecutive parts of ``row``, one per name, in its shape."""
+    views, start = {}, 0
+    for name, (rows, cols) in shapes.items():
+        views[name] = row[0, start:start + rows * cols].reshape(rows, cols)
+        start += rows * cols
+    return views
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _ce_steps(net: NetworkParams, opt: OptimizerState, ds: LabeledDataset,
+              targets_full: Matrix, batches, where: tuple[int, int, str]) -> list[float]:
+    """SGD steps of theta and phi on each batch's given labels in turn;
+    returns their CEs.
+
+    For these steps theta and phi live in one read-only row whose views are
+    the network's parameter matrices, and their velocities in one row of a
+    private optimizer state with ``opt``'s settings.  So a step's
+    ``sgd_step`` updates one row, not six matrices, and its finiteness check
+    scans one array.  Every element goes through the same operations as in
+    a step of the six, so the bits are the same.  Each step still gives the
+    network new matrices (the softmax memo keys on identity), and ``opt``
+    gets its velocities back, as views of the row, when the steps end.  A
+    diverging step leaves what a step of the six leaves: the parameters from
+    before it and the velocities it updated.
+
+    Floating-point warnings are off inside the steps: the finiteness check
+    names a diverging step's epoch, network and term instead.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        tape = GradientTape()
-        for p in net.group(THETA + PHI).values():
-            tape.watch(p)
-        logits = forward_logits(net, _rows(ds.features, batch), tape)
-        ce = loss_lx(logits, _rows(targets_full, batch), tape)
-        grads = backward(tape, ce)
-        _update_params(net, opt, grads, THETA + PHI, {"lx": ce}, where)
-    return ce.data.reshape(-1)
-
-
-def _stack(nets: tuple[NetworkParams, ...], opts: tuple[OptimizerState, ...]
-           ) -> tuple[NetworkParams, OptimizerState]:
-    """Theta and phi of the networks, and their optimizer states, on a leading
-    axis: slice j is ``nets[j]``, stepping with ``opts[j]``'s learning rate,
-    momentum, weight decay and velocity (zero where it has none yet).
-
-    Each ``opts[j]`` keeps slice j of the stacked velocities as its own, so
-    the in-place updates of the stack's steps are its updates too.
-    """
-    params = {n: kernel.wrap(np.stack([net.params[n].data for net in nets])) for n in THETA + PHI}
-    opt = OptimizerState(1.0)
-    for attr in ("learning_rate", "momentum", "weight_decay"):
-        setattr(opt, attr, np.array([getattr(o, attr) for o in opts]).reshape(-1, 1, 1))
-    for n, p in params.items():
-        opt.velocity[n] = np.stack([o.velocity.get(n, np.zeros(p.shape[1:])) for o in opts])
-        for o, v in zip(opts, opt.velocity[n]):
-            o.velocity[n] = v
-    return NetworkParams(nets[0].arch, nets[0].seed, params), opt
-
-
-def _unstack(stack: NetworkParams, nets: tuple[NetworkParams, ...]) -> None:
-    """Give each network its slice of the stack as new parameter matrices
-    (the softmax memo keys on identity)."""
-    for j, net in enumerate(nets):
-        net.params.update({n: kernel.wrap(m.data[j]) for n, m in stack.params.items()})
+    params = net.group(THETA + PHI)
+    shapes = {name: p.shape for name, p in params.items()}
+    row = _read_only(_pack(p.data for p in params.values()))
+    state = OptimizerState(opt.learning_rate, opt.momentum, opt.weight_decay)
+    state.velocity[_ROW] = _pack(opt.velocity.get(name, np.zeros(shape))
+                                 for name, shape in shapes.items())
+    ce_values: list[float] = []
+    stepped = False
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for batch in batches:
+                tape = GradientTape()
+                for p in params.values():
+                    tape.watch(p)
+                logits = forward_logits(net, _rows(ds.features, batch), tape)
+                ce = loss_lx(logits, _rows(targets_full, batch), tape)
+                grads = backward(tape, ce)
+                _check_finite({"lx": ce.data}, where)
+                stepped = True
+                grad_row = kernel.wrap(_pack(grads[p].data for p in params.values()))
+                updated = sgd_step(state, {_ROW: kernel.wrap(row)}, {_ROW: grad_row})[_ROW].data
+                if not np.isfinite(updated).all():
+                    _check_finite(_unpack(updated, shapes), where)
+                row = _read_only(updated)
+                params = {name: kernel.wrap(v) for name, v in _unpack(row, shapes).items()}
+                net.params.update(params)
+                ce_values.append(ce.item())
+    finally:
+        if stepped:
+            opt.velocity.update(_unpack(state.velocity[_ROW], shapes))
+    return ce_values
 
 
 def warmup_train(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState],
@@ -495,43 +482,20 @@ def warmup_train(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState
                  epoch_offset: int = 0) -> list[float]:
     """Cross-entropy on all given labels, both networks independently.
 
-    Both networks step as one stack (``_stack``): step i updates each on its
-    own i-th batch with its own optimizer, with the bits of two separate
-    passes, and each epoch writes the stack back.  Divergence is reported as
-    in two serial passes: once net 2 has diverged, net 1 finishes the epoch
-    alone, and net 2's first non-finite step is named only if net 1 stays
-    finite.  The projection head is untouched during warmup.  Returns the
-    mean CE per epoch (averaged over both networks).
+    The projection head is untouched during warmup.  Returns the mean CE
+    per epoch (averaged over both networks).
     """
     all_idx = np.arange(len(ds))
     targets_full = one_hot(ds.given_labels, ds.num_classes)
-    nets = (twins.net1, twins.net2)
     epoch_losses = []
     for i in range(epochs):
         epoch = epoch_offset + i
-        for opt in opts:
-            opt.learning_rate = decayed_lr(hp, epoch)
-        batches = [batch_iterator(all_idx, hp.batch_size, (hp.seed, _S_WARMUP, k), epoch)
-                   for k in (1, 2)]
-        stack, stack_opt = _stack(nets, opts)
-        live, diverged = len(nets), None
         ce_values = []
-        for pair in zip(*batches):
-            try:
-                ce_values.append(_ce_step(stack, stack_opt, ds, targets_full,
-                                          np.stack(pair[:live]), (epoch, 1, "warmup")))
-            except TrainingDivergedError as err:
-                if err.net == 1:
-                    raise
-                diverged, live = err, 1
-                _unstack(stack, nets[:1])
-                stack, stack_opt = _stack(nets[:1], opts[:1])
-        if diverged is not None:
-            raise diverged
-        _unstack(stack, nets)
-        # net 1's values, then net 2's, as two serial passes appended them
-        epoch_losses.append(float(np.mean(np.stack(ce_values, axis=1).ravel()))
-                            if ce_values else 0.0)
+        for k, (net, opt) in enumerate(zip((twins.net1, twins.net2), opts), start=1):
+            opt.learning_rate = decayed_lr(hp, epoch)
+            batches = batch_iterator(all_idx, hp.batch_size, (hp.seed, _S_WARMUP, k), epoch)
+            ce_values += _ce_steps(net, opt, ds, targets_full, batches, (epoch, k, "warmup"))
+        epoch_losses.append(float(np.mean(ce_values)) if ce_values else 0.0)
     return epoch_losses
 
 
@@ -603,11 +567,10 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
         degenerate = "empty_clean"
         logger.warning("epoch %d net %d: clean set empty, falling back to CE on noisy set",
                        epoch, net_index)
-        for batch in noisy_batches:
-            losses["lx"].append(_ce_step(net, opt, ds, targets_full, batch,
-                                         (epoch, net_index, "empty_clean")).item())
-            for key in ("lu", "lreg", "lc"):
-                losses[key].append(0.0)
+        losses["lx"] = _ce_steps(net, opt, ds, targets_full, noisy_batches,
+                                 (epoch, net_index, "empty_clean"))
+        for key in ("lu", "lreg", "lc"):
+            losses[key] = [0.0] * len(losses["lx"])
         return HalfEpochRecord(net_index, report, sel, _mean_losses(losses), degenerate)
 
     if not noisy_batches:
@@ -619,7 +582,7 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
         ((cb, None) for cb in clean_batches)
 
     for it, (cb, ub) in enumerate(iterations):
-        # as in _ce_step, _update_params names a diverging step, not numpy
+        # as in _ce_steps, the finiteness check names a diverging step, not numpy
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rng = np.random.default_rng([hp.seed, _S_ITER, epoch, net_index, it])
             x_raw = _rows(ds.features, cb)

@@ -5,7 +5,8 @@ import pytest
 
 from noisytrain import training
 from noisytrain.data import batch_iterator
-from noisytrain.kernel import Matrix
+from noisytrain.kernel import GradientTape, Matrix, backward, wrap
+from noisytrain.model import PHI, THETA
 
 
 def finite_difference_grad(fn, mats, h=1e-5):
@@ -59,9 +60,12 @@ def random_matrix(rng, rows, cols, lo=-1.0, hi=1.0) -> Matrix:
 
 
 def serial_warmup(twins, opts, ds, hp, epochs, epoch_offset=0):
-    """Warmup as two serial passes per epoch, net 1's then net 2's, one 2-D
-    CE step (``training._ce_step``) at a time; returns the mean CE per epoch."""
+    """Warmup one CE step at a time, each updating theta and phi matrix by
+    matrix through ``training._update_params`` (one ``sgd_step`` entry per
+    parameter): the reference for ``training._ce_steps``, which packs them
+    into one row.  Returns the mean CE per epoch."""
     targets = training.one_hot(ds.given_labels, ds.num_classes)
+    names = THETA + PHI
     losses = []
     for epoch in range(epoch_offset, epoch_offset + epochs):
         ce = []
@@ -69,7 +73,15 @@ def serial_warmup(twins, opts, ds, hp, epochs, epoch_offset=0):
             opt.learning_rate = training.decayed_lr(hp, epoch)
             for batch in batch_iterator(np.arange(len(ds)), hp.batch_size,
                                         (hp.seed, training._S_WARMUP, k), epoch):
-                ce.append(training._ce_step(net, opt, ds, targets, batch,
-                                            (epoch, k, "warmup")).item())
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    tape = GradientTape()
+                    for p in net.group(names).values():
+                        tape.watch(p)
+                    logits = training.forward_logits(net, wrap(ds.features.data[batch]), tape)
+                    lx = training.loss_lx(logits, wrap(targets.data[batch]), tape)
+                    grads = backward(tape, lx)
+                    training._update_params(net, opt, grads, names, {"lx": lx},
+                                            (epoch, k, "warmup"))
+                ce.append(lx.item())
         losses.append(float(np.mean(ce)))
     return losses

@@ -43,7 +43,7 @@ def test_continued_run_equals_uninterrupted(tmp_path, stop, flags):
 
 
 def test_run_continued_from_mid_warmup_equals_uninterrupted(tmp_path):
-    # warmup steps both networks as one stack and writes it back per epoch
+    # each warmup epoch packs theta, phi and their velocities and hands them back
     hp = dataclasses.replace(HP, warmup_epochs=10, total_epochs=11)
     whole = go(hp)
     part = go(dataclasses.replace(hp, warmup_epochs=3, total_epochs=3))

@@ -10,7 +10,6 @@ parameter gradient bit for bit, not merely to a tolerance.
 The second half covers the whole-dataset softmax memo on each network.
 """
 
-import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -217,65 +216,56 @@ def test_untaped_values_bit_identical():
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_leading_axis_matches_each_slice_bit_for_bit(seed):
-    """A stack of k networks steps with the bits of k separate 2-D steps.
-
-    The stacked forward and every gradient of ``_head_forward`` (the
-    input's too), ``loss_lx``'s value and logits gradient, and
-    ``sgd_step`` with each slice's own settings and velocity; and a stack
-    of inputs evaluated by one network.
-    """
+def test_packed_ce_steps_match_matrix_by_matrix_steps(seed):
+    """``_ce_steps`` packs theta and phi, and their velocities, into one row
+    each; its CE values, parameters and velocities have the bits of steps
+    that update the six matrices one by one (``_update_params``)."""
     rng = np.random.default_rng(seed)
-    k, rows = int(rng.integers(1, 4)), int(rng.integers(16, 257))
+    rows = int(rng.integers(16, 257))
     arch = Arch(in_dim=int(rng.integers(1, 33)), hidden=int(rng.integers(1, 129)),
                 num_classes=int(rng.integers(2, 11)), embed_dim=4)
     names = THETA + PHI
-    nets = [init_network(arch, seed=seed * 4 + j) for j in range(k)]
-    opts = [OptimizerState(rng.uniform(0.01, 0.5), rng.uniform(0.0, 0.99), rng.uniform(0.0, 1e-2))
-            for _ in range(k)]
-    for net, opt in zip(nets, opts):   # non-zero biases, and a velocity from earlier steps
-        net.params.update({n: Matrix(rng.normal(size=m.shape)) for n, m in net.params.items()})
-        opt.velocity = {n: rng.normal(size=net.params[n].shape) for n in names}
-    x = rng.normal(scale=3.0, size=(k, rows, arch.in_dim))
-    t = rng.dirichlet(np.full(arch.num_classes, 0.3), size=(k, rows))
-    z = rng.normal(scale=3.0, size=(k, rows, arch.num_classes))
+    n = 3 * rows
+    ds = SimpleNamespace(features=Matrix(rng.normal(scale=3.0, size=(n, arch.in_dim))))
+    targets = Matrix(rng.dirichlet(np.full(arch.num_classes, 0.3), size=n))
+    batches = np.split(rng.permutation(n), [rows, 2 * rows])
+    opt_args = (rng.uniform(0.01, 0.5), rng.uniform(0.0, 0.99), rng.uniform(0.0, 1e-2))
+    start = {k: rng.normal(size=m.shape) for k, m in init_network(arch, seed).params.items()}
+    nets, opts = [], []
+    for _ in range(2):   # non-zero biases, the same in both
+        net = init_network(arch, seed)
+        net.params.update({k: Matrix(v) for k, v in start.items()})
+        nets.append(net)
+        opts.append(OptimizerState(*opt_args))
+    if seed % 2:   # a velocity from earlier steps; otherwise the first steps create it
+        velocity = {k: rng.normal(size=nets[0].params[k].shape) for k in names}
+        for opt in opts:
+            opt.velocity = {k: v.copy() for k, v in velocity.items()}
 
-    def step(net, opt, x, t, z):
+    where = (0, 1, "warmup")
+    packed = training._ce_steps(nets[0], opts[0], ds, targets, batches, where)
+    single = []
+    for batch in batches:
         tape = GradientTape()
-        x_in = kernel.wrap(x)
-        for m in (x_in, *net.group(names).values()):
-            tape.watch(m)
-        logits = model.forward_logits(net, x_in, tape)
-        ce = training.loss_lx(logits, kernel.wrap(t), tape)
-        grads = backward(tape, ce)
-        out = {"logits": logits.data, "ce": ce.data, "gx": grads[x_in].data}
-        out.update({"g" + n: grads[net.params[n]].data for n in names})
-        updated = kernel.sgd_step(opt, net.group(names), {n: grads[net.params[n]] for n in names})
-        out.update({n: updated[n].data for n in names})
-        out.update({"v" + n: opt.velocity[n] for n in names})
-        tape = GradientTape()
-        z_in = kernel.wrap(z)
-        tape.watch(z_in)
-        lx = training.loss_lx(z_in, kernel.wrap(t), tape)
-        out.update(lx=lx.data, gz=backward(tape, lx)[z_in].data)
-        return out
-
-    stack, stack_opt = training._stack(nets, copy.deepcopy(opts))   # the stack updates their velocities
-    stacked = step(stack, stack_opt, x, t, z)
-    probs = forward_softmax(nets[0], kernel.wrap(x)).data
-    for j in range(k):
-        single = step(nets[j], opts[j], x[j], t[j], z[j])
-        assert stacked.keys() == single.keys()
-        for name, value in single.items():
-            assert np.array_equal(stacked[name][j], value), name
-        assert np.array_equal(probs[j], forward_softmax(nets[0], kernel.wrap(x[j])).data)
+        for p in nets[1].group(names).values():
+            tape.watch(p)
+        logits = model.forward_logits(nets[1], kernel.wrap(ds.features.data[batch]), tape)
+        lx = training.loss_lx(logits, kernel.wrap(targets.data[batch]), tape)
+        _update_params(nets[1], opts[1], backward(tape, lx), names, {"lx": lx}, where)
+        single.append(lx.item())
+    assert packed == single
+    assert all(np.array_equal(nets[0].params[k].data, nets[1].params[k].data)
+               for k in ALL_GROUPS)
+    assert opts[0].velocity.keys() == opts[1].velocity.keys() == set(names)
+    assert all(np.array_equal(opts[0].velocity[k], opts[1].velocity[k]) for k in names)
 
 
 def test_training_loop_matches_reference_chain(monkeypatch):
     """Whole half-epochs and warmup: parameters agree bit for bit.
 
-    The reference warms the networks up one after the other through the
-    primitive chain; the fused path steps both as one stack.
+    The reference warms up through the primitive chain and updates each
+    parameter matrix on its own; the fused path packs theta and phi into one
+    row (``training._ce_steps``).
     """
     ds = inject_symmetric_noise(make_gaussian_blobs(3, 40, 4, 8.0, seed=2), 0.4, seed=3)
     hp = Hyperparams(seed=4, batch_size=16, warmup_epochs=1, total_epochs=3)

@@ -83,7 +83,7 @@ def _tiny(seed=3):
 def test_a_step_writes_into_no_array_it_was_given(frozen_inputs):
     train, test, twins, hp, opts = _tiny()
     targets = training.one_hot(train.given_labels, train.num_classes)
-    training._ce_step(twins.net1, opts[0], train, targets, np.arange(16), (0, 1, "warmup"))
+    training._ce_steps(twins.net1, opts[0], train, targets, [np.arange(16)], (0, 1, "warmup"))
     training.warmup_train(twins, opts, train, hp, epochs=1)
     rec = training.train_half_epoch(twins, 1, opts, train, hp, AugmentationSpec(),
                                     CutoffParams(), AblationFlags(), epoch=1)
@@ -106,7 +106,7 @@ def test_tripwire_catches_a_write_into_a_parameter(frozen_inputs, monkeypatch):
     monkeypatch.setattr(training, "sgd_step", writing_step)
     targets = training.one_hot(train.given_labels, train.num_classes)
     with pytest.raises(ValueError, match="read-only"):
-        training._ce_step(twins.net1, opts[0], train, targets, np.arange(16), (0, 1, "warmup"))
+        training._ce_steps(twins.net1, opts[0], train, targets, [np.arange(16)], (0, 1, "warmup"))
 
 
 def _ref_sgd_step(v, g, p, momentum, weight_decay, lr):

@@ -338,8 +338,9 @@ class TestWarmup:
         assert len(losses) == 3
         assert losses[0] > losses[-1]
 
-    def _stacked_and_serial(self, opts_args, hp, epochs=1):
-        """Warmup through the stack and through two serial passes, from the same start."""
+    def _packed_and_serial(self, opts_args, hp, epochs=1):
+        """Warmup through ``warmup_train`` and through the matrix-by-matrix
+        reference, from the same start; a divergence is returned as its fields."""
         ds = self._noisy_setup(rate=0.2)[0]
         results = []
         for warm in (warmup_train, serial_warmup):
@@ -352,44 +353,61 @@ class TestWarmup:
             results.append((out, twins, opts))
         return results
 
-    def test_each_network_keeps_its_own_optimizer_settings(self):
-        # 30 CE values an epoch: enough for their order to show in the mean
-        hp = Hyperparams(seed=1, batch_size=8)
-        (got, twins, opts), (want, ref_twins, ref_opts) = self._stacked_and_serial(
-            [(hp.lr, 0.9, 5e-4), (hp.lr, 0.5, 1e-2)], hp, epochs=3)
-        assert got == want
+    @staticmethod
+    def _assert_same_state(got, want):
+        """Both networks' parameters, and both optimizers' settings and velocities."""
+        (_, twins, opts), (_, ref_twins, ref_opts) = got, want
         for net, ref_net in ((twins.net1, ref_twins.net1), (twins.net2, ref_twins.net2)):
             assert all(np.array_equal(net.params[n].data, ref_net.params[n].data)
                        for n in ALL_GROUPS)
         for opt, ref_opt in zip(opts, ref_opts):
-            assert (opt.momentum, opt.weight_decay) == (ref_opt.momentum, ref_opt.weight_decay)
-            assert opt.velocity.keys() == ref_opt.velocity.keys() == set(THETA + PHI)
-            assert all(np.array_equal(opt.velocity[n], ref_opt.velocity[n]) for n in THETA + PHI)
+            assert (opt.learning_rate, opt.momentum, opt.weight_decay) == \
+                (ref_opt.learning_rate, ref_opt.momentum, ref_opt.weight_decay)
+            assert opt.velocity.keys() == ref_opt.velocity.keys()
+            assert all(np.array_equal(opt.velocity[n], ref_opt.velocity[n])
+                       for n in opt.velocity)
+
+    def test_each_network_keeps_its_own_optimizer_settings(self):
+        # 30 CE values an epoch: enough for their order to show in the mean
+        hp = Hyperparams(seed=1, batch_size=8)
+        got, want = self._packed_and_serial([(hp.lr, 0.9, 5e-4), (hp.lr, 0.5, 1e-2)], hp,
+                                            epochs=3)
+        assert got[0] == want[0]
+        assert got[2][0].velocity.keys() == set(THETA + PHI)
+        self._assert_same_state(got, want)
 
     def test_net_2_diverging_alone_is_named_at_its_first_non_finite_step(self):
         # a huge weight decay overflows net 2's first update: lx is finite, w1 is not
         hp = Hyperparams(seed=1, batch_size=16, lr=10.0)
-        (got, *_), (want, *_) = self._stacked_and_serial(
-            [(hp.lr, 0.9, 5e-4), (hp.lr, 0.9, 1e308)], hp)
-        assert got == want == (0, 2, "warmup", "w1")
+        got, want = self._packed_and_serial([(hp.lr, 0.9, 5e-4), (hp.lr, 0.9, 1e308)], hp)
+        assert got[0] == want[0] == (0, 2, "warmup", "w1")
+        # net 2 keeps its parameters from before the step and the velocities it updated
+        self._assert_same_state(got, want)
+        assert np.any(got[2][1].velocity["w1"] != 0.0)
 
-    def test_net_1_diverging_later_is_named_before_net_2(self, monkeypatch):
-        # at lr 1000 net 1 diverges late in epoch 0; net 2 diverges at its first step
-        shapes = []
+    def test_refused_first_step_leaves_network_and_optimizer_as_they_were(self, monkeypatch):
+        ds, twins, opts = self._noisy_setup()
+        before = dict(twins.net1.params)
         lx = training.loss_lx
 
-        def recording_lx(*args, **kwargs):
+        def infinite_lx(*args, **kwargs):
             out = lx(*args, **kwargs)
-            shapes.append(out.shape)
+            out.data[0, 0] = np.inf
             return out
+        monkeypatch.setattr(training, "loss_lx", infinite_lx)
+        with pytest.raises(TrainingDivergedError, match=r"net 1 \(warmup\): lx is not finite$"):
+            warmup_train(twins, opts, ds, Hyperparams(seed=1, batch_size=32), epochs=1)
+        assert all(twins.net1.params[n] is before[n] for n in ALL_GROUPS)
+        assert opts[0].velocity == {}
+
+    def test_net_1_diverging_later_is_named_before_net_2(self):
+        # at lr 1000 net 1's CE goes non-finite in epoch 0, before net 2 takes a step
         hp = Hyperparams(seed=1, batch_size=16, lr=1000.0)
-        opts_args = [(hp.lr, 0.9, 5e-4), (hp.lr, 0.9, 1e308)]
-        monkeypatch.setattr(training, "loss_lx", recording_lx)
-        (got, *_), (want, *_) = self._stacked_and_serial(opts_args, hp)
-        assert got == want == (0, 1, "warmup", "lx")
-        stacked = shapes[:shapes.index((1, 1))]     # the serial pass recorded 2-D losses
-        assert stacked[0] == (2, 1, 1) and set(stacked[1:]) == {(1, 1, 1)}
-        assert len(stacked) == shapes.count((1, 1))  # net 1 went as far as serially
+        got, want = self._packed_and_serial([(hp.lr, 0.9, 5e-4), (hp.lr, 0.9, 1e308)], hp)
+        assert got[0] == want[0] == (0, 1, "warmup", "lx")
+        # refused before the update: net 2 never stepped, so it has no velocity yet
+        self._assert_same_state(got, want)
+        assert got[2][1].velocity == {}
 
 
 class TestTrainEpoch:
@@ -461,30 +479,6 @@ class TestTrainEpoch:
         assert tape.num_records == 0
         assert not tape.tracks(refined)
         assert not tape.tracks(guessed)
-
-    @pytest.mark.parametrize("rows,passes", [(40, (2, 1)), (600, (4, 2))])
-    def test_views_evaluated_stacked_match_separate_passes(self, monkeypatch, rows, passes):
-        # two views that fit one evaluation block together go through one pass
-        rng = np.random.default_rng(rows)
-        twins = init_twins(Arch(4, 16, 3, 4), seed=2)
-        u1, u2 = (wrap(rng.normal(scale=3.0, size=(rows, 4))) for _ in range(2))
-        y, w = one_hot(rng.integers(0, 3, rows), 3), rng.uniform(size=rows)
-        f = forward_softmax
-        q = (f(twins.net1, u1).data + f(twins.net1, u2).data
-             + f(twins.net2, u1).data + f(twins.net2, u2).data) / 4.0
-        p = (f(twins.net1, u1).data + f(twins.net1, u2).data) / 2.0
-        evaluated = []
-
-        def counting(net, x):
-            evaluated.append(x.rows)
-            return f(net, x)
-        monkeypatch.setattr(training, "forward_softmax", counting)
-        guessed = guess_pseudo_labels(twins, u1, u2, 0.5)
-        assert len(evaluated) == passes[0] and sum(evaluated) == 4 * rows
-        refined = refine_labels(twins.net1, u1, u2, y, w, 0.5)
-        assert len(evaluated) == sum(passes) and sum(evaluated) == 6 * rows
-        assert np.array_equal(guessed.data, sharpen(wrap(q), 0.5).data)
-        assert np.array_equal(refined.data, sharpen(blend_targets(y, wrap(p), w), 0.5).data)
 
     @pytest.mark.parametrize("flags,checked", [
         (AblationFlags(), 1),                    # net 2's selection: ensemble_softmax
@@ -584,7 +578,7 @@ def test_diverging_run_stops_at_first_non_finite_ce(tmp_path, monkeypatch, capsy
 
     def recording_lx(*args, **kwargs):
         out = lx(*args, **kwargs)
-        ce_values.append(out.data.flat[0])   # net 1's slice of a stacked warmup step
+        ce_values.append(out.item())
         return out
     monkeypatch.setattr(training, "loss_lx", recording_lx)
     path = tmp_path / "desk_lr50.json"
