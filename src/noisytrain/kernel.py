@@ -140,7 +140,7 @@ def record(tape: GradientTape | None, inputs: tuple[Matrix, ...], out: Matrix,
     """
     if tape is None:
         return out
-    tracked = tuple(tape.tracks(x) for x in inputs)
+    tracked = tuple([id(x) in tape._tracked for x in inputs])
     if any(tracked):
         def bwd(g):
             return [(x, gx) for x, gx, t in zip(inputs, backward_fn(g, tracked), tracked) if t]
