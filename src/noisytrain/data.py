@@ -89,11 +89,6 @@ class NoiseSpec:
             raise ValueError("asymmetric noise requires a flip_map")
 
 
-def next_class_flip_map(num_classes: int) -> tuple[int, ...]:
-    """The default asymmetric structure: class c flips to (c+1) mod C."""
-    return tuple((c + 1) % num_classes for c in range(num_classes))
-
-
 def validate_flip_map(flip_map, num_classes: int) -> tuple[int, ...]:
     fm = tuple(flip_map)
     if len(fm) != num_classes:

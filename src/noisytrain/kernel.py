@@ -10,6 +10,11 @@ here as single operations.  The small primitives those fused entries
 replaced live beside the tests (``tests/reference_ops.py``), which hold
 the fused path to them bit for bit.
 
+``sgd_step`` updates one array.  A training step packs every parameter
+it trains, their gradients and their velocities into one row each and
+makes one call (``training._sgd_steps``); elementwise, that is the update
+of each matrix on its own, bit for bit.
+
 Reductions rely on numpy's fixed reduction order, so identical inputs
 produce bit-identical outputs across runs.
 """
@@ -237,7 +242,9 @@ class OptimizerState:
         param <- param - lr * v
 
     Switching to decoupled decay would mean moving the decay term out of
-    the velocity update and into the parameter step.
+    the velocity update and into the parameter step.  ``velocity`` maps a
+    parameter's name to its velocity, so it carries from warmup (theta and
+    phi) into the SSL epochs (all groups).
     """
 
     def __init__(self, learning_rate: float, momentum: float = 0.9, weight_decay: float = 0.0):
@@ -249,22 +256,18 @@ class OptimizerState:
         self.velocity: dict[str, np.ndarray] = {}
 
 
-def sgd_step(state: OptimizerState, params: dict[str, Matrix], grads: dict[str, Matrix]) -> dict[str, Matrix]:
-    """One SGD-with-momentum step; returns the updated parameter dict.
+def sgd_step(state: OptimizerState, p: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One SGD-with-momentum step of one array; returns the updated parameter.
 
-    Velocities update in place.  Parameters get new matrices and are never
-    written, so identity-keyed caches (the softmax memo) see every update."""
-    updated: dict[str, Matrix] = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {p.shape} for '{name}'")
-        v = state.velocity.get(name)
-        if v is None:
-            v = state.velocity[name] = np.zeros(p.shape)
-        v *= state.momentum
-        v += g.data
-        v += state.weight_decay * p.data
-        step = state.learning_rate * v
-        updated[name] = wrap(np.subtract(p.data, step, out=step))
-    return updated
+    The velocity ``v`` updates in place.  ``p`` is never written: the
+    update is a new array, so identity-keyed caches (the softmax memo) see
+    every update.  Training steps all its parameters at once by packing
+    them, their gradients and their velocities into one row each."""
+    if g.shape != p.shape or v.shape != p.shape:
+        raise ShapeMismatchError(f"gradient {g.shape} and velocity {v.shape} "
+                                 f"must match parameter {p.shape}")
+    v *= state.momentum
+    v += g
+    v += state.weight_decay * p
+    step = state.learning_rate * v
+    return np.subtract(p, step, out=step)

@@ -10,6 +10,10 @@ noisy sample.
 
 Label refinement and pseudo-label guessing are evaluation-mode forward
 passes: their outputs enter the losses as constants, never on the tape.
+
+Every SGD step, of warmup, of the empty-clean fallback and of an SSL half,
+goes through ``_sgd_steps``: one tape, one backward, one finiteness check
+and one update of the step's parameters packed into a row.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ _S_WARMUP = 50
 _S_CLEAN = 60
 _S_NOISY = 61
 _S_ITER = 70
+
+# the loss terms of an SSL step, in the order records report them
+_LOSS_TERMS = ("lx", "lu", "lreg", "lc")
 
 
 class DegenerateBatchError(RuntimeError):
@@ -220,7 +227,7 @@ def mixmatch_assemble(x_inputs: Matrix, x_targets: Matrix,
 # never into an input, a parameter or the incoming gradient ``g``.
 
 
-def _softmax_backward(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The softmax backward of ``g``, written over ``g`` (the caller owns it)."""
     dot = (g * s).sum(axis=1, keepdims=True)
     g -= dot
@@ -256,7 +263,7 @@ def loss_lu(logits: Matrix, targets: Matrix, tape: GradientTape | None = None) -
     def bwd(g, tracked):
         g_diff = diff * (g * c)[0, 0]
         g_diff += g_diff   # diff * diff reaches diff twice
-        return (_softmax_backward(p, g_diff),)
+        return (_softmax_grad(p, g_diff),)
 
     return kernel.record(tape, (logits,), kernel.wrap(out), bwd)
 
@@ -276,7 +283,7 @@ def loss_reg(logits: Matrix, num_classes: int, tape: GradientTape | None = None)
 
     def bwd(g, tracked):
         g_log = (g * c)[0, 0] / mean_row
-        return (_softmax_backward(p, weights.T @ g_log),)
+        return (_softmax_grad(p, weights.T @ g_log),)
 
     return kernel.record(tape, (logits,), kernel.wrap(out), bwd)
 
@@ -373,8 +380,7 @@ class EpochRecord:
     halves: list[HalfEpochRecord] = field(default_factory=list)
 
     def mean_losses(self) -> dict[str, float]:
-        keys = ("lx", "lu", "lreg", "lc")
-        return {k: float(np.mean([h.losses[k] for h in self.halves])) for k in keys}
+        return {k: float(np.mean([h.losses[k] for h in self.halves])) for k in _LOSS_TERMS}
 
 
 def _rows(features: Matrix, idx: np.ndarray) -> Matrix:
@@ -388,22 +394,6 @@ def _check_finite(named: dict[str, np.ndarray], where: tuple[int, int, str]) -> 
     for name, arr in named.items():
         if not np.isfinite(arr).all():
             raise TrainingDivergedError(*where, name)
-
-
-def _update_params(net: NetworkParams, opt: OptimizerState, grads: dict[Matrix, Matrix],
-                   group_names: tuple[str, ...], terms: dict[str, Matrix],
-                   where: tuple[int, int, str]) -> None:
-    """One SGD step of the named groups, refused if a loss term in ``terms``
-    (before the update) or an updated parameter (after it) is not finite."""
-    _check_finite({name: term.data for name, term in terms.items()}, where)
-    group = net.group(group_names)
-    updated = sgd_step(opt, group, {name: grads[p] for name, p in group.items()})
-    _check_finite({name: p.data for name, p in updated.items()}, where)
-    net.params.update(updated)
-
-
-# the key of the packed row in the optimizer state of ``_ce_steps``
-_ROW = "theta_phi"
 
 
 def _pack(arrays) -> np.ndarray:
@@ -425,56 +415,65 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _ce_steps(net: NetworkParams, opt: OptimizerState, ds: LabeledDataset,
-              targets_full: Matrix, batches, where: tuple[int, int, str]) -> list[float]:
-    """SGD steps of theta and phi on each batch's given labels in turn;
-    returns their CEs.
+def _sgd_steps(net: NetworkParams, opt: OptimizerState, names: tuple[str, ...], items,
+               loss_fn, where: tuple[int, int, str]) -> list[dict[str, float]]:
+    """One SGD step of the parameters ``names`` per entry of ``items``;
+    returns each step's loss terms as floats.
 
-    For these steps theta and phi live in one read-only row whose views are
-    the network's parameter matrices, and their velocities in one row of a
-    private optimizer state with ``opt``'s settings.  So a step's
-    ``sgd_step`` updates one row, not six matrices, and its finiteness check
-    scans one array.  Every element goes through the same operations as in
-    a step of the six, so the bits are the same.  Each step still gives the
-    network new matrices (the softmax memo keys on identity), and ``opt``
-    gets its velocities back, as views of the row, when the steps end.  A
-    diverging step leaves what a step of the six leaves: the parameters from
-    before it and the velocities it updated.
+    A step watches the parameters on a new tape, takes ``loss, terms =
+    loss_fn(tape, item)``, makes one ``backward`` of ``loss`` and is refused
+    if a term is not finite.  For the steps the parameters live in one
+    read-only row whose views are the network's parameter matrices, and
+    their velocities in another row.  So a step updates one row, not one
+    matrix per name, and its finiteness check scans one array; a non-finite
+    row is scanned matrix by matrix to name the first bad parameter.  Every
+    element goes through the same operations as in an update of its matrix
+    alone, so the bits are the same.  Each step gives the network new
+    matrices (the softmax memo keys on identity), and ``opt`` gets its
+    velocities back, as views of the row, when the steps end.  A diverging
+    step leaves the parameters from before it and the velocities it updated.
 
     Floating-point warnings are off inside the steps: the finiteness check
     names a diverging step's epoch, network and term instead.
     """
-    params = net.group(THETA + PHI)
+    params = net.group(names)
     shapes = {name: p.shape for name, p in params.items()}
     row = _read_only(_pack(p.data for p in params.values()))
-    state = OptimizerState(opt.learning_rate, opt.momentum, opt.weight_decay)
-    state.velocity[_ROW] = _pack(opt.velocity.get(name, np.zeros(shape))
-                                 for name, shape in shapes.items())
-    ce_values: list[float] = []
+    velocity = _pack(opt.velocity.get(name, np.zeros(shape)) for name, shape in shapes.items())
+    steps: list[dict[str, float]] = []
     stepped = False
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for batch in batches:
+            for item in items:
                 tape = GradientTape()
                 for p in params.values():
                     tape.watch(p)
-                logits = forward_logits(net, _rows(ds.features, batch), tape)
-                ce = loss_lx(logits, _rows(targets_full, batch), tape)
-                grads = backward(tape, ce)
-                _check_finite({"lx": ce.data}, where)
+                loss, terms = loss_fn(tape, item)
+                grads = backward(tape, loss)
+                _check_finite({name: term.data for name, term in terms.items()}, where)
                 stepped = True
-                grad_row = kernel.wrap(_pack(grads[p].data for p in params.values()))
-                updated = sgd_step(state, {_ROW: kernel.wrap(row)}, {_ROW: grad_row})[_ROW].data
+                grad_row = _pack(grads[p].data for p in params.values())
+                updated = sgd_step(opt, row, grad_row, velocity)
                 if not np.isfinite(updated).all():
                     _check_finite(_unpack(updated, shapes), where)
                 row = _read_only(updated)
                 params = {name: kernel.wrap(v) for name, v in _unpack(row, shapes).items()}
                 net.params.update(params)
-                ce_values.append(ce.item())
+                steps.append({name: term.item() for name, term in terms.items()})
     finally:
         if stepped:
-            opt.velocity.update(_unpack(state.velocity[_ROW], shapes))
-    return ce_values
+            opt.velocity.update(_unpack(velocity, shapes))
+    return steps
+
+
+def _ce_loss(net: NetworkParams, ds: LabeledDataset, targets_full: Matrix):
+    """The loss function of CE steps: ``lx`` of a batch's logits against
+    its rows of ``targets_full``."""
+    def ce(tape: GradientTape, batch: np.ndarray):
+        lx = loss_lx(forward_logits(net, _rows(ds.features, batch), tape),
+                     _rows(targets_full, batch), tape)
+        return lx, {"lx": lx}
+    return ce
 
 
 def warmup_train(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState],
@@ -494,7 +493,9 @@ def warmup_train(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState
         for k, (net, opt) in enumerate(zip((twins.net1, twins.net2), opts), start=1):
             opt.learning_rate = decayed_lr(hp, epoch)
             batches = batch_iterator(all_idx, hp.batch_size, (hp.seed, _S_WARMUP, k), epoch)
-            ce_values += _ce_steps(net, opt, ds, targets_full, batches, (epoch, k, "warmup"))
+            steps = _sgd_steps(net, opt, THETA + PHI, batches, _ce_loss(net, ds, targets_full),
+                               (epoch, k, "warmup"))
+            ce_values += [terms["lx"] for terms in steps]
         epoch_losses.append(float(np.mean(ce_values)) if ce_values else 0.0)
     return epoch_losses
 
@@ -559,89 +560,79 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
     noisy_batches = batch_iterator(sel.noisy_indices, hp.batch_size,
                                    (hp.seed, _S_NOISY, net_index), epoch)
 
-    losses = {"lx": [], "lu": [], "lreg": [], "lc": []}
-    degenerate = None
-
     if not clean_batches:
         # no trusted samples: fall back to plain CE on the given labels
-        degenerate = "empty_clean"
         logger.warning("epoch %d net %d: clean set empty, falling back to CE on noisy set",
                        epoch, net_index)
-        losses["lx"] = _ce_steps(net, opt, ds, targets_full, noisy_batches,
-                                 (epoch, net_index, "empty_clean"))
-        for key in ("lu", "lreg", "lc"):
-            losses[key] = [0.0] * len(losses["lx"])
-        return HalfEpochRecord(net_index, report, sel, _mean_losses(losses), degenerate)
+        steps = _sgd_steps(net, opt, THETA + PHI, noisy_batches, _ce_loss(net, ds, targets_full),
+                           (epoch, net_index, "empty_clean"))
+        return HalfEpochRecord(net_index, report, sel, _mean_losses(steps), "empty_clean")
 
+    degenerate = None
     if not noisy_batches:
         degenerate = "empty_noisy"
         logger.warning("epoch %d net %d: noisy set empty, training on refined clean labels only",
                        epoch, net_index)
 
+    def ssl_loss(tape: GradientTape, item) -> tuple[Matrix, dict[str, Matrix]]:
+        it, (cb, ub) = item
+        rng = np.random.default_rng([hp.seed, _S_ITER, epoch, net_index, it])
+        x_raw = _rows(ds.features, cb)
+        xw1 = weak_augment(x_raw, aug, rng)
+        xw2 = weak_augment(x_raw, aug, rng)
+        xs1 = strong_augment(x_raw, aug, rng)
+        xs2 = strong_augment(x_raw, aug, rng)
+        y_refined = refine_labels(net, xw1, xw2, _rows(targets_full, cb), weights[cb], hp.T)
+        x_in = _interleave_two_views(xs1, xs2)
+        x_t = _repeat_rows_twice(y_refined)
+
+        if ub is not None:
+            u_raw = _rows(ds.features, ub)
+            uw1 = weak_augment(u_raw, aug, rng)
+            uw2 = weak_augment(u_raw, aug, rng)
+            us1 = strong_augment(u_raw, aug, rng)
+            us2 = strong_augment(u_raw, aug, rng)
+            q = guess_pseudo_labels(twins, uw1, uw2, hp.T)
+            u_in = _interleave_two_views(us1, us2)
+            u_t = _repeat_rows_twice(q)
+            mixed_x, mixed_u = mixmatch_assemble(x_in, x_t, u_in, u_t, hp.alpha, rng)
+        else:
+            # empty noisy set (a short one ends the half instead: zip stops
+            # at the shorter list): mix the clean entries among themselves
+            perm = rng.permutation(x_in.rows)
+            mixed_x = mixup(x_in, x_t, kernel.wrap(x_in.data[perm]),
+                            kernel.wrap(x_t.data[perm]), hp.alpha, rng)
+            mixed_u = None
+
+        logits_x = forward_logits(net, mixed_x.inputs, tape)
+        lx = loss_lx(logits_x, mixed_x.targets, tape)
+        if mixed_u is not None:
+            logits_u = forward_logits(net, mixed_u.inputs, tape)
+            lu = loss_lu(logits_u, mixed_u.targets, tape)
+            logits_all = kernel.concat_rows(logits_x, logits_u, tape)
+        else:
+            lu = Matrix.zeros(1, 1)
+            logits_all = logits_x
+        lreg = loss_reg(logits_all, ds.num_classes, tape)
+        if flags.contrastive and ub is not None:
+            z = forward_projection(net, u_in, tape)
+            lc = loss_contrastive(z, hp.kappa, tape)
+        else:
+            lc = Matrix.zeros(1, 1)
+        terms = {"lx": lx, "lu": lu, "lreg": lreg, "lc": lc}
+        return total_loss(lx, lu, lreg, lc, hp, tape), terms
+
     iterations = zip(clean_batches, noisy_batches) if noisy_batches else \
         ((cb, None) for cb in clean_batches)
-
-    for it, (cb, ub) in enumerate(iterations):
-        # as in _ce_steps, the finiteness check names a diverging step, not numpy
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rng = np.random.default_rng([hp.seed, _S_ITER, epoch, net_index, it])
-            x_raw = _rows(ds.features, cb)
-            xw1 = weak_augment(x_raw, aug, rng)
-            xw2 = weak_augment(x_raw, aug, rng)
-            xs1 = strong_augment(x_raw, aug, rng)
-            xs2 = strong_augment(x_raw, aug, rng)
-            y_refined = refine_labels(net, xw1, xw2, _rows(targets_full, cb), weights[cb], hp.T)
-            x_in = _interleave_two_views(xs1, xs2)
-            x_t = _repeat_rows_twice(y_refined)
-
-            if ub is not None:
-                u_raw = _rows(ds.features, ub)
-                uw1 = weak_augment(u_raw, aug, rng)
-                uw2 = weak_augment(u_raw, aug, rng)
-                us1 = strong_augment(u_raw, aug, rng)
-                us2 = strong_augment(u_raw, aug, rng)
-                q = guess_pseudo_labels(twins, uw1, uw2, hp.T)
-                u_in = _interleave_two_views(us1, us2)
-                u_t = _repeat_rows_twice(q)
-                mixed_x, mixed_u = mixmatch_assemble(x_in, x_t, u_in, u_t, hp.alpha, rng)
-            else:
-                # empty noisy set (a short one ends the half instead: zip stops
-                # at the shorter list): mix the clean entries among themselves
-                perm = rng.permutation(x_in.rows)
-                mixed_x = mixup(x_in, x_t, kernel.wrap(x_in.data[perm]),
-                                kernel.wrap(x_t.data[perm]), hp.alpha, rng)
-                mixed_u = None
-
-            tape = GradientTape()
-            for p in net.group(ALL_GROUPS).values():
-                tape.watch(p)
-            logits_x = forward_logits(net, mixed_x.inputs, tape)
-            lx = loss_lx(logits_x, mixed_x.targets, tape)
-            if mixed_u is not None:
-                logits_u = forward_logits(net, mixed_u.inputs, tape)
-                lu = loss_lu(logits_u, mixed_u.targets, tape)
-                logits_all = kernel.concat_rows(logits_x, logits_u, tape)
-            else:
-                lu = Matrix.zeros(1, 1)
-                logits_all = logits_x
-            lreg = loss_reg(logits_all, ds.num_classes, tape)
-            if flags.contrastive and ub is not None:
-                z = forward_projection(net, u_in, tape)
-                lc = loss_contrastive(z, hp.kappa, tape)
-            else:
-                lc = Matrix.zeros(1, 1)
-            ltot = total_loss(lx, lu, lreg, lc, hp, tape)
-            grads = backward(tape, ltot)
-            terms = {"lx": lx, "lu": lu, "lreg": lreg, "lc": lc}
-            _update_params(net, opt, grads, ALL_GROUPS, terms, (epoch, net_index, "ssl"))
-            for key, term in terms.items():
-                losses[key].append(term.item())
-
-    return HalfEpochRecord(net_index, report, sel, _mean_losses(losses), degenerate)
+    steps = _sgd_steps(net, opt, ALL_GROUPS, enumerate(iterations), ssl_loss,
+                       (epoch, net_index, "ssl"))
+    return HalfEpochRecord(net_index, report, sel, _mean_losses(steps), degenerate)
 
 
-def _mean_losses(losses: dict[str, list[float]]) -> dict[str, float]:
-    return {k: (float(np.mean(v)) if v else 0.0) for k, v in losses.items()}
+def _mean_losses(steps: list[dict[str, float]]) -> dict[str, float]:
+    """Each loss term's mean over the steps; a term a step lacks counts 0."""
+    return {k: float(np.mean([terms.get(k, 0.0) for terms in steps])) if steps else 0.0
+            for k in _LOSS_TERMS}
 
 
 def train_epoch(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState],

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from noisytrain import training
-from noisytrain.data import batch_iterator
-from noisytrain.kernel import GradientTape, Matrix, backward, wrap
-from noisytrain.model import PHI, THETA
+from noisytrain.kernel import GradientTape, Matrix, backward, sgd_step, wrap
 
 
 def finite_difference_grad(fn, mats, h=1e-5):
@@ -59,29 +57,30 @@ def random_matrix(rng, rows, cols, lo=-1.0, hi=1.0) -> Matrix:
     return Matrix(rng.uniform(lo, hi, size=(rows, cols)))
 
 
-def serial_warmup(twins, opts, ds, hp, epochs, epoch_offset=0):
-    """Warmup one CE step at a time, each updating theta and phi matrix by
-    matrix through ``training._update_params`` (one ``sgd_step`` entry per
-    parameter): the reference for ``training._ce_steps``, which packs them
-    into one row.  Returns the mean CE per epoch."""
-    targets = training.one_hot(ds.given_labels, ds.num_classes)
-    names = THETA + PHI
-    losses = []
-    for epoch in range(epoch_offset, epoch_offset + epochs):
-        ce = []
-        for k, (net, opt) in enumerate(zip((twins.net1, twins.net2), opts), start=1):
-            opt.learning_rate = training.decayed_lr(hp, epoch)
-            for batch in batch_iterator(np.arange(len(ds)), hp.batch_size,
-                                        (hp.seed, training._S_WARMUP, k), epoch):
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    tape = GradientTape()
-                    for p in net.group(names).values():
-                        tape.watch(p)
-                    logits = training.forward_logits(net, wrap(ds.features.data[batch]), tape)
-                    lx = training.loss_lx(logits, wrap(targets.data[batch]), tape)
-                    grads = backward(tape, lx)
-                    training._update_params(net, opt, grads, names, {"lx": lx},
-                                            (epoch, k, "warmup"))
-                ce.append(lx.item())
-        losses.append(float(np.mean(ce)))
-    return losses
+def serial_sgd_steps(net, opt, names, items, loss_fn, where):
+    """``training._sgd_steps`` one matrix at a time: the reference for its
+    packed row.  Each step makes one ``sgd_step`` call per parameter, in
+    the order of ``names``, then checks the updated parameters in that order."""
+    steps = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for item in items:
+            tape = GradientTape()
+            group = net.group(names)
+            for p in group.values():
+                tape.watch(p)
+            loss, terms = loss_fn(tape, item)
+            grads = backward(tape, loss)
+            for name, term in terms.items():
+                if not np.isfinite(term.data).all():
+                    raise training.TrainingDivergedError(*where, name)
+            updated = {}
+            for name, p in group.items():
+                v = opt.velocity.setdefault(name, np.zeros(p.shape))
+                updated[name] = wrap(sgd_step(opt, p.data, grads[p].data, v))
+            for name, p in updated.items():
+                if not np.isfinite(p.data).all():
+                    raise training.TrainingDivergedError(*where, name)
+            net.params.update(updated)
+            steps.append({name: term.item() for name, term in terms.items()})
+    return steps
+

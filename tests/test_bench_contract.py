@@ -73,3 +73,44 @@ def test_counted_attributes_exist():
     from noisytrain.training import HalfEpochRecord
     assert isinstance(GradientTape().num_records, int)
     assert "degenerate" in HalfEpochRecord.__dataclass_fields__
+
+
+def test_one_backward_per_network_step(monkeypatch):
+    # the tracer counts steps by calls to `kernel.backward`: warmup_iterations
+    # must be nets x batches x warmup epochs, and each SSL iteration adds one
+    from noisytrain import experiment, training
+    from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
+    from noisytrain.training import Hyperparams
+
+    train = inject_symmetric_noise(make_gaussian_blobs(3, 30, 4, 8.0, seed=1), 0.4, seed=2)
+    test = make_gaussian_blobs(3, 10, 4, 8.0, seed=3)
+    hp = Hyperparams(seed=1, batch_size=16, warmup_epochs=2, total_epochs=4)
+    calls = {"warmup": 0, "ssl": 0}
+    phase = ["ssl"]
+    backward, warmup_train = training.backward, experiment.warmup_train
+
+    def counting_backward(tape, loss):
+        calls[phase[0]] += 1
+        return backward(tape, loss)
+
+    def warmup(*args, **kwargs):
+        phase[0] = "warmup"
+        try:
+            return warmup_train(*args, **kwargs)
+        finally:
+            phase[0] = "ssl"
+    monkeypatch.setattr(training, "backward", counting_backward)
+    monkeypatch.setattr(experiment, "warmup_train", warmup)
+    halves = []
+    experiment.run(train, test, hp, hidden=16, embed_dim=4, aug=AugmentationSpec(),
+                   on_epoch=lambda epoch, record: halves.extend(record.halves))
+
+    def batches(indices):
+        return -(-len(indices) // hp.batch_size)
+
+    def iterations(half):   # zip stops at the shorter list; an empty one is skipped
+        counts = [batches(half.selection.clean_indices), batches(half.selection.noisy_indices)]
+        return min(counts) if all(counts) else max(counts)
+    assert calls["warmup"] == 2 * batches(train.given_labels) * hp.warmup_epochs == 24
+    assert len(halves) == 2 * (hp.total_epochs - hp.warmup_epochs)
+    assert calls["ssl"] == sum(iterations(h) for h in halves) > 0

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import reference_ops as ref
-from conftest import serial_warmup
+from conftest import serial_sgd_steps
 from noisytrain import kernel, model, training
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
@@ -24,7 +24,7 @@ from noisytrain.kernel import GradientTape, Matrix, OptimizerState, backward
 from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks,
                               dataset_softmax, ensemble_softmax, forward_softmax,
                               init_network, init_twins)
-from noisytrain.training import Hyperparams, _update_params
+from noisytrain.training import Hyperparams
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +215,17 @@ def test_untaped_values_bit_identical():
         assert np.array_equal(ref_fn(net, b["u_in"]).data, fused_fn(net, b["u_in"]).data)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_packed_ce_steps_match_matrix_by_matrix_steps(seed):
-    """``_ce_steps`` packs theta and phi, and their velocities, into one row
-    each; its CE values, parameters and velocities have the bits of steps
-    that update the six matrices one by one (``_update_params``)."""
+def _packed_and_serial_steps(seed, names):
+    """Steps of ``names`` through ``training._sgd_steps`` and through the
+    matrix-by-matrix reference, on two networks with one random start.
+
+    Theta and phi may carry velocities from earlier steps (always, when psi
+    is stepped too: warmup came first); psi never does, so the first step
+    creates its velocity, as at the warmup-to-SSL handoff."""
     rng = np.random.default_rng(seed)
     rows = int(rng.integers(16, 257))
     arch = Arch(in_dim=int(rng.integers(1, 33)), hidden=int(rng.integers(1, 129)),
                 num_classes=int(rng.integers(2, 11)), embed_dim=4)
-    names = THETA + PHI
     n = 3 * rows
     ds = SimpleNamespace(features=Matrix(rng.normal(scale=3.0, size=(n, arch.in_dim))))
     targets = Matrix(rng.dirichlet(np.full(arch.num_classes, 0.3), size=n))
@@ -237,58 +238,88 @@ def test_packed_ce_steps_match_matrix_by_matrix_steps(seed):
         net.params.update({k: Matrix(v) for k, v in start.items()})
         nets.append(net)
         opts.append(OptimizerState(*opt_args))
-    if seed % 2:   # a velocity from earlier steps; otherwise the first steps create it
-        velocity = {k: rng.normal(size=nets[0].params[k].shape) for k in names}
+    if seed % 2 or names == ALL_GROUPS:
+        velocity = {k: rng.normal(size=nets[0].params[k].shape) for k in THETA + PHI}
         for opt in opts:
             opt.velocity = {k: v.copy() for k, v in velocity.items()}
 
+    def loss_fn(net):
+        if names == THETA + PHI:
+            return training._ce_loss(net, ds, targets)
+
+        def ssl(tape, batch):   # every group gets a gradient
+            x = kernel.wrap(ds.features.data[batch])
+            logits = model.forward_logits(net, x, tape)
+            y = kernel.wrap(targets.data[batch])
+            lx = training.loss_lx(logits, y, tape)
+            lu = training.loss_lu(logits, y, tape)
+            pairs = kernel.wrap(x.data[:len(batch) // 2 * 2])
+            lc = training.loss_contrastive(model.forward_projection(net, pairs, tape),
+                                           HP.kappa, tape)
+            lreg = Matrix.zeros(1, 1)   # saturated random logits would make it -log 0
+            terms = {"lx": lx, "lu": lu, "lreg": lreg, "lc": lc}
+            return training.total_loss(lx, lu, lreg, lc, HP, tape), terms
+        return ssl
+
     where = (0, 1, "warmup")
-    packed = training._ce_steps(nets[0], opts[0], ds, targets, batches, where)
-    single = []
-    for batch in batches:
-        tape = GradientTape()
-        for p in nets[1].group(names).values():
-            tape.watch(p)
-        logits = model.forward_logits(nets[1], kernel.wrap(ds.features.data[batch]), tape)
-        lx = training.loss_lx(logits, kernel.wrap(targets.data[batch]), tape)
-        _update_params(nets[1], opts[1], backward(tape, lx), names, {"lx": lx}, where)
-        single.append(lx.item())
-    assert packed == single
+    packed = training._sgd_steps(nets[0], opts[0], names, batches, loss_fn(nets[0]), where)
+    serial = serial_sgd_steps(nets[1], opts[1], names, batches, loss_fn(nets[1]), where)
+    assert packed == serial
     assert all(np.array_equal(nets[0].params[k].data, nets[1].params[k].data)
                for k in ALL_GROUPS)
     assert opts[0].velocity.keys() == opts[1].velocity.keys() == set(names)
     assert all(np.array_equal(opts[0].velocity[k], opts[1].velocity[k]) for k in names)
+    assert all(not np.array_equal(nets[0].params[k].data, start[k]) for k in names)
+    return nets[0], start
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_packed_ce_steps_match_matrix_by_matrix_steps(seed):
+    """CE steps pack theta and phi, and their velocities, into one row each;
+    their CE values, parameters and velocities have the bits of steps that
+    update the six matrices one by one."""
+    net, start = _packed_and_serial_steps(seed, THETA + PHI)
+    assert all(np.array_equal(net.params[k].data, start[k]) for k in PSI)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_packed_ssl_steps_match_matrix_by_matrix_steps(seed):
+    """SSL steps pack all eight matrices; psi joins the row without a
+    velocity while theta and phi bring theirs from warmup."""
+    _packed_and_serial_steps(seed, ALL_GROUPS)
 
 
 def test_training_loop_matches_reference_chain(monkeypatch):
-    """Whole half-epochs and warmup: parameters agree bit for bit.
-
-    The reference warms up through the primitive chain and updates each
-    parameter matrix on its own; the fused path packs theta and phi into one
-    row (``training._ce_steps``).
+    """Warmup and a whole SSL epoch agree bit for bit with the reference:
+    primitive chains for the forwards and losses, and steps that update each
+    parameter matrix on its own (``serial_sgd_steps``).
     """
     ds = inject_symmetric_noise(make_gaussian_blobs(3, 40, 4, 8.0, seed=2), 0.4, seed=3)
     hp = Hyperparams(seed=4, batch_size=16, warmup_epochs=1, total_epochs=3)
     aug = AugmentationSpec()
+    packed_steps = training._sgd_steps
 
-    def train(fns):
+    def train(fns, steps):
         for name in vars(FUSED):
             monkeypatch.setattr(training, name, getattr(fns, name))
+        monkeypatch.setattr(training, "_sgd_steps", steps)
         twins = init_twins(Arch(4, 16, 3, 6), seed=4)
         opts = (OptimizerState(hp.lr, hp.momentum, hp.weight_decay),
                 OptimizerState(hp.lr, hp.momentum, hp.weight_decay))
-        if fns is REFERENCE:
-            warmup_ce = serial_warmup(twins, opts, ds, hp, epochs=1)
-        else:
-            warmup_ce = training.warmup_train(twins, opts, ds, hp, epochs=1)
-        training.train_epoch(twins, opts, ds, hp, aug, training.CutoffParams(),
-                             training.AblationFlags(), epoch=1)
-        return warmup_ce, [m.data for net in (twins.net1, twins.net2) for m in net.params.values()]
+        warmup_ce = training.warmup_train(twins, opts, ds, hp, epochs=1)
+        record = training.train_epoch(twins, opts, ds, hp, aug, training.CutoffParams(),
+                                      training.AblationFlags(), epoch=1)
+        assert [h.degenerate for h in record.halves] == [None, None]
+        assert all(h.losses["lc"] != 0.0 for h in record.halves)
+        params = [m.data for net in (twins.net1, twins.net2) for m in net.params.values()]
+        velocities = [opt.velocity[n] for opt in opts for n in ALL_GROUPS]
+        return warmup_ce, [h.losses for h in record.halves], params, velocities
 
-    ref_ce, ref = train(REFERENCE)
-    fused_ce, fused = train(FUSED)
-    assert ref_ce == fused_ce
-    assert all(np.array_equal(a, b) for a, b in zip(ref, fused))
+    ref = train(REFERENCE, serial_sgd_steps)
+    fused = train(FUSED, packed_steps)
+    assert ref[:2] == fused[:2]
+    for ref_arrays, fused_arrays in zip(ref[2:], fused[2:]):
+        assert all(np.array_equal(a, b) for a, b in zip(ref_arrays, fused_arrays))
 
 
 def test_backward_drops_replayed_records():
@@ -354,8 +385,10 @@ def test_memo_recomputes_after_update(counted_forwards):
     net = init_network(ARCH, seed=3)
     feats = _features(1)
     before = dataset_softmax(net, feats)
-    grads = {p: Matrix(np.full(p.shape, 0.1)) for p in net.params.values()}
-    _update_params(net, OptimizerState(0.5), grads, THETA + PHI, {}, (0, 1, "warmup"))
+    targets = Matrix(np.full((feats.rows, ARCH.num_classes), 1.0 / ARCH.num_classes))
+    training._sgd_steps(net, OptimizerState(0.5), THETA + PHI, [np.arange(4)],
+                        training._ce_loss(net, SimpleNamespace(features=feats), targets),
+                        (0, 1, "warmup"))
     after = dataset_softmax(net, feats)
     assert len(counted_forwards) == 2
     assert not np.array_equal(before.data, after.data)

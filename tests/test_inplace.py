@@ -38,13 +38,8 @@ def frozen_inputs(monkeypatch):
             return out
         return call
 
-    def frozen_sgd_step(state, params, grads):
-        for m in (*params.values(), *grads.values()):
-            _freeze(m.data)
-        updated = sgd_step(state, params, grads)
-        for m in updated.values():
-            _freeze(m.data)
-        return updated
+    def frozen_sgd_step(state, p, g, v):
+        return _freeze(sgd_step(state, _freeze(p), _freeze(g), v))
 
     record = kernel.record
 
@@ -83,7 +78,8 @@ def _tiny(seed=3):
 def test_a_step_writes_into_no_array_it_was_given(frozen_inputs):
     train, test, twins, hp, opts = _tiny()
     targets = training.one_hot(train.given_labels, train.num_classes)
-    training._ce_steps(twins.net1, opts[0], train, targets, [np.arange(16)], (0, 1, "warmup"))
+    training._sgd_steps(twins.net1, opts[0], THETA + PHI, [np.arange(16)],
+                        training._ce_loss(twins.net1, train, targets), (0, 1, "warmup"))
     training.warmup_train(twins, opts, train, hp, epochs=1)
     rec = training.train_half_epoch(twins, 1, opts, train, hp, AugmentationSpec(),
                                     CutoffParams(), AblationFlags(), epoch=1)
@@ -98,15 +94,15 @@ def test_a_step_writes_into_no_array_it_was_given(frozen_inputs):
 def test_tripwire_catches_a_write_into_a_parameter(frozen_inputs, monkeypatch):
     train, _, twins, _, opts = _tiny()
 
-    def writing_step(state, params, grads):
-        for name, p in params.items():
-            p.data -= state.learning_rate * grads[name].data
-        return dict(params)
+    def writing_step(state, p, g, v):
+        p -= state.learning_rate * g
+        return p
     monkeypatch.setattr(kernel, "sgd_step", writing_step)
     monkeypatch.setattr(training, "sgd_step", writing_step)
     targets = training.one_hot(train.given_labels, train.num_classes)
     with pytest.raises(ValueError, match="read-only"):
-        training._ce_steps(twins.net1, opts[0], train, targets, [np.arange(16)], (0, 1, "warmup"))
+        training._sgd_steps(twins.net1, opts[0], THETA + PHI, [np.arange(16)],
+                            training._ce_loss(twins.net1, train, targets), (0, 1, "warmup"))
 
 
 def _ref_sgd_step(v, g, p, momentum, weight_decay, lr):
@@ -117,28 +113,28 @@ def _ref_sgd_step(v, g, p, momentum, weight_decay, lr):
 def test_sgd_step_matches_the_reference_update_bit_for_bit():
     rng = np.random.default_rng(7)
     net = init_network(Arch(5, 8, 3, 4), seed=2)
-    params = {n: Matrix(rng.standard_normal(m.shape)) for n, m in net.params.items()}
+    params = {n: rng.standard_normal(m.shape) for n, m in net.params.items()}
     state = OptimizerState(0.05, momentum=0.9, weight_decay=5e-4)
+    velocity: dict[str, np.ndarray] = {}
     ref_v: dict[str, np.ndarray] = {}
     for step in range(5):
         names = THETA + PHI if step < 2 else ALL_GROUPS   # psi joins late, as after warmup
-        group = {n: params[n] for n in names}
-        grads = {n: kernel.wrap(rng.standard_normal(p.shape) * 10.0 ** (step - 2))
-                 for n, p in group.items()}
-        before = {n: p.data.copy() for n, p in group.items()}
-        updated = sgd_step(state, group, grads)
-        for n, p in group.items():
-            assert p.data.tobytes() == before[n].tobytes()       # the input is left untouched
-            v, expected = _ref_sgd_step(ref_v.get(n, np.zeros(p.shape)), grads[n].data,
-                                        p.data, state.momentum, state.weight_decay,
-                                        state.learning_rate)
-            ref_v[n] = v
-            assert state.velocity[n].tobytes() == v.tobytes()
-            assert updated[n].data.tobytes() == expected.tobytes()
-            assert updated[n] is not p
-            assert not np.shares_memory(updated[n].data, state.velocity[n])
-        params.update(updated)
-    assert set(state.velocity) == set(ALL_GROUPS)
+        for n in names:
+            p = params[n]
+            g = rng.standard_normal(p.shape) * 10.0 ** (step - 2)
+            before = p.copy()
+            v = velocity.setdefault(n, np.zeros(p.shape))
+            updated = sgd_step(state, p, g, v)
+            assert p.tobytes() == before.tobytes()       # the input is left untouched
+            ref_v[n], expected = _ref_sgd_step(ref_v.get(n, np.zeros(p.shape)), g, p,
+                                               state.momentum, state.weight_decay,
+                                               state.learning_rate)
+            assert v.tobytes() == ref_v[n].tobytes()
+            assert updated.tobytes() == expected.tobytes()
+            assert updated is not p
+            assert not np.shares_memory(updated, v)
+            params[n] = updated
+    assert set(velocity) == set(ALL_GROUPS)
 
 
 @pytest.mark.parametrize("seed", range(20))

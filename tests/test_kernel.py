@@ -183,32 +183,36 @@ class TestBackward:
 class TestSgdStep:
     def test_plain_gradient_descent(self):
         state = OptimizerState(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
-        params = {"w": Matrix([[1.0, 2.0]])}
-        grads = {"w": Matrix([[0.5, -0.5]])}
-        out = sgd_step(state, params, grads)
-        assert np.allclose(out["w"].data, [[0.95, 2.05]], atol=1e-15)
+        out = sgd_step(state, np.array([[1.0, 2.0]]), np.array([[0.5, -0.5]]), np.zeros((1, 2)))
+        assert np.allclose(out, [[0.95, 2.05]], atol=1e-15)
 
     def test_zero_grad_zero_velocity_is_identity(self):
         state = OptimizerState(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
-        params = {"w": Matrix([[1.0, -3.0]])}
-        out = sgd_step(state, params, {"w": Matrix.zeros(1, 2)})
-        assert np.array_equal(out["w"].data, params["w"].data)
+        p = np.array([[1.0, -3.0]])
+        out = sgd_step(state, p, np.zeros((1, 2)), np.zeros((1, 2)))
+        assert np.array_equal(out, p)
 
     def test_two_step_momentum_recurrence(self):
-        lr, g = 0.1, 2.0
+        lr, g = 0.1, np.array([[2.0]])
         state = OptimizerState(learning_rate=lr, momentum=0.9, weight_decay=0.0)
-        params = {"w": Matrix([[5.0]])}
-        grads = {"w": Matrix([[g]])}
-        p1 = sgd_step(state, params, grads)
-        p2 = sgd_step(state, p1, grads)
-        displacement = params["w"].data[0, 0] - p2["w"].data[0, 0]
-        assert displacement == pytest.approx(lr * g * (1 + 1.9), abs=1e-12)
+        p0, v = np.array([[5.0]]), np.zeros((1, 1))
+        p2 = sgd_step(state, sgd_step(state, p0, g, v), g, v)
+        displacement = p0[0, 0] - p2[0, 0]
+        assert displacement == pytest.approx(lr * g[0, 0] * (1 + 1.9), abs=1e-12)
+        assert v[0, 0] == pytest.approx(g[0, 0] * 1.9, abs=1e-12)   # updated in place
 
     def test_weight_decay_coupled_into_velocity(self):
         state = OptimizerState(learning_rate=1.0, momentum=0.0, weight_decay=0.1)
-        params = {"w": Matrix([[10.0]])}
-        out = sgd_step(state, params, {"w": Matrix.zeros(1, 1)})
-        assert out["w"].data[0, 0] == pytest.approx(9.0, abs=1e-12)
+        out = sgd_step(state, np.array([[10.0]]), np.zeros((1, 1)), np.zeros((1, 1)))
+        assert out[0, 0] == pytest.approx(9.0, abs=1e-12)
+
+    def test_mismatched_shapes_rejected(self):
+        state = OptimizerState(learning_rate=0.1)
+        p = np.zeros((2, 3))
+        with pytest.raises(ShapeMismatchError):
+            sgd_step(state, p, np.zeros((3, 2)), np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatchError):
+            sgd_step(state, p, np.zeros((2, 3)), np.zeros((1, 6)))
 
     def test_invalid_learning_rate(self):
         with pytest.raises(ValueError):

@@ -101,8 +101,8 @@ class TestForward:
         loss = loss_contrastive(z, kappa=0.5, tape=tape)
         grads = backward(tape, loss)
         state = OptimizerState(learning_rate=0.5)
-        group = net.group(PSI)
-        net.params.update(sgd_step(state, group, {n: grads[p] for n, p in group.items()}))
+        for name, p in net.group(PSI).items():
+            net.params[name] = Matrix(sgd_step(state, p.data, grads[p].data, np.zeros(p.shape)))
         after = forward_projection(net, x).data
         assert not np.array_equal(before, after)
 

@@ -4,19 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad, max_relative_error, serial_warmup
+from conftest import finite_difference_grad, max_relative_error, serial_sgd_steps
 from noisytrain import training
 from noisytrain.cli import main
 from noisytrain.config import config_from_dict
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
-from noisytrain.kernel import GradientTape, Matrix, OptimizerState, backward, wrap
+from noisytrain.kernel import GradientTape, Matrix, OptimizerState, backward, record, wrap
 from noisytrain.model import (ALL_GROUPS, PHI, THETA, Arch, TwinNetworks, forward_logits,
                               forward_softmax, init_network, init_twins)
 from noisytrain.runner import cmd_run
 from noisytrain.selection import CutoffParams, DivergenceReport, uniform_select
 from noisytrain.training import (AblationFlags, DegenerateBatchError,
                                  Hyperparams, TrainingDivergedError,
-                                 _update_params, blend_targets, decayed_lr,
+                                 blend_targets, decayed_lr,
                                  guess_pseudo_labels, loss_contrastive,
                                  loss_lu, loss_lx, loss_reg, mixmatch_assemble,
                                  mixup, mixup_with_lambda, one_hot,
@@ -339,17 +339,19 @@ class TestWarmup:
         assert losses[0] > losses[-1]
 
     def _packed_and_serial(self, opts_args, hp, epochs=1):
-        """Warmup through ``warmup_train`` and through the matrix-by-matrix
-        reference, from the same start; a divergence is returned as its fields."""
+        """Warmup with packed steps and with the matrix-by-matrix reference
+        steps, from the same start; a divergence is returned as its fields."""
         ds = self._noisy_setup(rate=0.2)[0]
         results = []
-        for warm in (warmup_train, serial_warmup):
+        for steps in (training._sgd_steps, serial_sgd_steps):
             twins = init_twins(Arch(4, 32, 3, 8), seed=1)
             opts = tuple(OptimizerState(*args) for args in opts_args)
-            try:
-                out = warm(twins, opts, ds, hp, epochs=epochs)
-            except TrainingDivergedError as err:
-                out = (err.epoch, err.net, err.phase, err.term)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(training, "_sgd_steps", steps)
+                try:
+                    out = warmup_train(twins, opts, ds, hp, epochs=epochs)
+                except TrainingDivergedError as err:
+                    out = (err.epoch, err.net, err.phase, err.term)
             results.append((out, twins, opts))
         return results
 
@@ -487,7 +489,7 @@ class TestTrainEpoch:
     ], ids=["all-on", "no-ensemble", "no-contrastive"])
     def test_step_builds_no_checked_matrices(self, monkeypatch, flags, checked):
         # the step's own arrays are wrapped, not copied and scanned; the
-        # one finiteness check of training is in _update_params
+        # one finiteness check of training is in _sgd_steps
         ds, hp, twins, opts = self._setup()
         first = select_for_network(twins, 1, ds, CUTOFF, flags)
         inits = []
@@ -551,15 +553,28 @@ class TestTrainEpoch:
 
 
 def test_infinite_gradient_named_by_parameter():
-    net = init_network(Arch(3, 8, 2, 2), seed=1)
-    before = dict(net.params)
-    grads = {p: Matrix.zeros(*p.shape) for p in net.params.values()}
-    grads[net.params["w2"]] = wrap(np.full(net.params["w2"].shape, np.inf))
-    finite_terms = {"lx": wrap(np.array([[0.5]]))}
-    with pytest.raises(TrainingDivergedError,
-                       match=r"^training diverged at epoch 7, net 2 \(ssl\): w2 is not finite$"):
-        _update_params(net, OptimizerState(0.1), grads, THETA + PHI, finite_terms, (7, 2, "ssl"))
-    assert net.params == before   # no parameter replaced
+    """A step whose loss terms are finite but whose update is not names the
+    first non-finite parameter, also inside the packed row's psi part."""
+    for names, bad, phase in ((THETA + PHI, "w2", "warmup"), (ALL_GROUPS, "w2", "ssl"),
+                              (ALL_GROUPS, "wp", "ssl")):
+        net = init_network(Arch(3, 8, 2, 2), seed=1)
+        opt = OptimizerState(0.1)
+        before = dict(net.params)
+
+        def loss_fn(tape, item):
+            # a finite loss whose only gradient, that of ``bad``, is infinite
+            p = net.params[bad]
+            loss = record(tape, (p,), wrap(np.array([[0.5]])),
+                          lambda g, tracked: (np.full(p.shape, np.inf),))
+            return loss, {"lx": loss}
+        with pytest.raises(TrainingDivergedError,
+                           match=rf"^training diverged at epoch 7, net 2 \({phase}\): "
+                                 rf"{bad} is not finite$"):
+            training._sgd_steps(net, opt, names, [None], loss_fn, (7, 2, phase))
+        assert all(net.params[n] is before[n] for n in ALL_GROUPS)   # no parameter replaced
+        # the velocities the refused step updated are handed back
+        assert opt.velocity.keys() == set(names)
+        assert all(np.isinf(v).all() == (n == bad) for n, v in opt.velocity.items())
 
 
 DESK_LR50 = {
