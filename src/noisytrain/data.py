@@ -297,6 +297,8 @@ def load_dataset_csv(path: str, num_classes: int | None = None) -> LabeledDatase
             feats.append([float(v) for v in row[:dims]])
             true_l.append(int(row[dims]))
             given_l.append(int(row[dims + 1]))
+    if not feats:
+        raise ValueError(f"{path} holds no rows")
     true_arr = np.array(true_l, dtype=np.int64)
     given_arr = np.array(given_l, dtype=np.int64)
     if num_classes is None:

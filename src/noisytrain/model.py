@@ -8,6 +8,7 @@ but never share parameters.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -97,6 +98,18 @@ def _check_input(net: NetworkParams, x: Matrix) -> None:
         raise ShapeMismatchError(f"input has {x.cols} columns, network expects {net.arch.in_dim}")
 
 
+def _hidden(xa: np.ndarray, w1, b1, w2, b2, h1=None, h=None) -> tuple[np.ndarray, np.ndarray]:
+    """Both ReLU layers of ``xa``: the activations ``h1`` and ``h``, written
+    into the given arrays, or into new ones where none is given."""
+    h1 = np.matmul(xa, w1, out=h1)
+    h1 += b1
+    np.maximum(h1, 0.0, out=h1)
+    h = np.matmul(h1, w2, out=h)
+    h += b2
+    np.maximum(h, 0.0, out=h)
+    return h1, h
+
+
 def _head_forward(net: NetworkParams, x: Matrix, tape: GradientTape | None,
                   head: tuple[str, str], finish=None) -> Matrix:
     """Both ReLU layers and one linear head, taped as one fused operation.
@@ -104,19 +117,16 @@ def _head_forward(net: NetworkParams, x: Matrix, tape: GradientTape | None,
     The backward closure replays, operation for operation, the backward
     of the primitive chain (matmul, add_row, relu, ..., add_row) that this
     function replaces, so every gradient is bit-identical to it.  Only
-    arrays this call allocates are written in place.
-    ``finish`` maps the head's output to the final one and returns it with
-    a function that turns the final output's gradient into the head's.
+    arrays this call allocates are written in place, and the hidden
+    activations are new arrays on every call, because the closure keeps
+    them until the backward (``forward_softmax``'s workspace is never used
+    here).  ``finish`` maps the head's output to the final one and returns
+    it with a function that turns the final output's gradient into the head's.
     """
     _check_input(net, x)
     inputs = (x,) + tuple(net.params[n] for n in THETA + head)
     xa, w1, b1, w2, b2, wh, bh = (m.data for m in inputs)
-    h1 = xa @ w1
-    h1 += b1
-    np.maximum(h1, 0.0, out=h1)
-    h = h1 @ w2
-    h += b2
-    np.maximum(h, 0.0, out=h)
+    h1, h = _hidden(xa, w1, b1, w2, b2)
     out = h @ wh
     out += bh
     finish_grad = None
@@ -158,20 +168,39 @@ def softmax_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
+@functools.lru_cache(maxsize=2)
+def _eval_workspace(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two ``_EVAL_BLOCK_ROWS`` x ``hidden`` arrays that ``forward_softmax``
+    writes each block's hidden activations into; one pair per hidden width.
+    Shared by every evaluation in the process, so not for concurrent calls
+    from several threads (the program evaluates in one thread)."""
+    return np.empty((_EVAL_BLOCK_ROWS, hidden)), np.empty((_EVAL_BLOCK_ROWS, hidden))
+
+
 def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
     """Class probabilities; evaluation only, never recorded on a tape.
 
-    The input is evaluated in blocks of ``_EVAL_BLOCK_ROWS`` rows into one
-    output array, so a whole-dataset pass holds one block's hidden
-    activations, not the dataset's.  Blocks may round differently from one
-    tall product; README's determinism notes say where they match.
+    The input is evaluated in blocks of ``_EVAL_BLOCK_ROWS`` rows.  Each
+    block's two hidden activations go into the leading rows of a workspace
+    kept for the hidden width, so repeated passes allocate no activations,
+    and its logits go straight into its rows of the new output array, where
+    the softmax is taken in place.  Nothing returned aliases the workspace.
+    The products, bias adds and ReLUs are those of an untaped
+    ``forward_logits`` of the block, so the bits are the same.  Blocks may
+    round differently from one tall product; README's determinism notes say
+    where they match.
     """
     _check_input(net, x)
+    w1, b1, w2, b2, wc, bc = (net.params[n].data for n in THETA + PHI)
+    ws1, ws2 = _eval_workspace(w1.shape[1])
     probs = np.empty((x.rows, net.arch.num_classes))
     for start in range(0, x.rows, _EVAL_BLOCK_ROWS):
-        stop = start + _EVAL_BLOCK_ROWS
-        logits = forward_logits(net, kernel.wrap(x.data[start:stop])).data
-        probs[start:stop] = softmax_in_place(logits)
+        xb = x.data[start:start + _EVAL_BLOCK_ROWS]
+        n = xb.shape[0]
+        _, h = _hidden(xb, w1, b1, w2, b2, ws1[:n], ws2[:n])
+        logits = np.matmul(h, wc, out=probs[start:start + n])
+        logits += bc
+        softmax_in_place(logits)
     return kernel.wrap(probs)
 
 

@@ -265,7 +265,9 @@ def cmd_report(metrics_path: str, out_path: str) -> str:
     """Flatten a metrics CSV into plot-ready long format."""
     with open(metrics_path, newline="") as f:
         r = csv.reader(f)
-        header = next(r)
+        header = next(r, None)
+        if header is None:
+            raise ValueError(f"{metrics_path} has no header line")
         rows = list(r)
     with atomic_open(out_path) as f:
         w = csv.writer(f, lineterminator="\n")

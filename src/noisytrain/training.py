@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -388,26 +389,31 @@ def _rows(features: Matrix, idx: np.ndarray) -> Matrix:
 
 
 def _check_finite(named: dict[str, np.ndarray], where: tuple[int, int, str]) -> None:
-    """Training's one finiteness check: raise ``TrainingDivergedError`` at
-    ``where`` (epoch, net, phase) naming the first array in ``named`` that
-    holds a non-finite value."""
+    """Raise ``TrainingDivergedError`` at ``where`` (epoch, net, phase)
+    naming the first array in ``named`` that holds a non-finite value."""
     for name, arr in named.items():
         if not np.isfinite(arr).all():
             raise TrainingDivergedError(*where, name)
 
 
 def _pack(arrays) -> np.ndarray:
-    """The arrays' values, one after the other, as one (1, n) row."""
-    return np.concatenate([a.ravel() for a in arrays]).reshape(1, -1)
+    """The arrays' values, one after the other, as one flat row."""
+    return np.concatenate([a.ravel() for a in arrays])
 
 
-def _unpack(row: np.ndarray, shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
-    """Views of consecutive parts of ``row``, one per name, in its shape."""
-    views, start = {}, 0
+def _layout(shapes: dict[str, tuple[int, int]]) -> list[tuple[str, slice, tuple[int, int]]]:
+    """Where each named array of ``shapes`` lies in their packed row: (name,
+    part of the row, shape), in order."""
+    layout, start = [], 0
     for name, (rows, cols) in shapes.items():
-        views[name] = row[0, start:start + rows * cols].reshape(rows, cols)
+        layout.append((name, slice(start, start + rows * cols), (rows, cols)))
         start += rows * cols
-    return views
+    return layout
+
+
+def _unpack(row: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Views of ``row``'s parts, one per name of ``layout``, in their shapes."""
+    return {name: row[part].reshape(shape) for name, part, shape in layout}
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -422,47 +428,51 @@ def _sgd_steps(net: NetworkParams, opt: OptimizerState, names: tuple[str, ...], 
 
     A step watches the parameters on a new tape, takes ``loss, terms =
     loss_fn(tape, item)``, makes one ``backward`` of ``loss`` and is refused
-    if a term is not finite.  For the steps the parameters live in one
-    read-only row whose views are the network's parameter matrices, and
-    their velocities in another row.  So a step updates one row, not one
-    matrix per name, and its finiteness check scans one array; a non-finite
-    row is scanned matrix by matrix to name the first bad parameter.  Every
-    element goes through the same operations as in an update of its matrix
-    alone, so the bits are the same.  Each step gives the network new
-    matrices (the softmax memo keys on identity), and ``opt`` gets its
+    if a term is not finite; each term's float is read once, for the check
+    and the result.  For the steps the parameters live in one read-only row
+    whose views are the network's parameter matrices, and their velocities
+    in another row; where each name lies in a row is worked out once per
+    call.  So a step updates one row, not one matrix per name, and its
+    finiteness check scans one array; a non-finite row is scanned matrix by
+    matrix to name the first bad parameter.  Every element goes through the
+    same operations as in an update of its matrix alone, so the bits are the
+    same.  Each step gives the network new matrices (the softmax memo keys
+    on identity) and packs a new gradient row, and ``opt`` gets its
     velocities back, as views of the row, when the steps end.  A diverging
     step leaves the parameters from before it and the velocities it updated.
 
     Floating-point warnings are off inside the steps: the finiteness check
     names a diverging step's epoch, network and term instead.
     """
-    params = net.group(names)
-    shapes = {name: p.shape for name, p in params.items()}
-    row = _read_only(_pack(p.data for p in params.values()))
-    velocity = _pack(opt.velocity.get(name, np.zeros(shape)) for name, shape in shapes.items())
+    params = [net.params[name] for name in names]
+    layout = _layout({name: p.shape for name, p in zip(names, params)})
+    row = _read_only(_pack(p.data for p in params))
+    velocity = _pack(opt.velocity.get(name, np.zeros(shape)) for name, _, shape in layout)
     steps: list[dict[str, float]] = []
     stepped = False
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for item in items:
                 tape = GradientTape()
-                for p in params.values():
+                for p in params:
                     tape.watch(p)
                 loss, terms = loss_fn(tape, item)
                 grads = backward(tape, loss)
-                _check_finite({name: term.data for name, term in terms.items()}, where)
+                values = {name: term.item() for name, term in terms.items()}
+                for name, value in values.items():
+                    if not math.isfinite(value):
+                        raise TrainingDivergedError(*where, name)
                 stepped = True
-                grad_row = _pack(grads[p].data for p in params.values())
-                updated = sgd_step(opt, row, grad_row, velocity)
+                updated = sgd_step(opt, row, _pack(grads[p].data for p in params), velocity)
                 if not np.isfinite(updated).all():
-                    _check_finite(_unpack(updated, shapes), where)
+                    _check_finite(_unpack(updated, layout), where)
                 row = _read_only(updated)
-                params = {name: kernel.wrap(v) for name, v in _unpack(row, shapes).items()}
-                net.params.update(params)
-                steps.append({name: term.item() for name, term in terms.items()})
+                params = [kernel.wrap(row[part].reshape(shape)) for _, part, shape in layout]
+                net.params.update(zip(names, params))
+                steps.append(values)
     finally:
         if stepped:
-            opt.velocity.update(_unpack(velocity, shapes))
+            opt.velocity.update(_unpack(velocity, layout))
     return steps
 
 

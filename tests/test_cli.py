@@ -251,6 +251,15 @@ class TestMainEntry:
         path = write_config(tmp_path, name="cfg2.json")
         assert main(["report", "--config", path, "--out", str(tmp_path / "empty")]) == 1
 
+    def test_report_on_empty_metrics_names_the_file(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        metrics = tmp_path / "out" / "metrics.csv"
+        metrics.parent.mkdir()
+        metrics.write_text("")
+        assert main(["report", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: {metrics} has no header line\n"
+        assert not (tmp_path / "out" / "report_long.csv").exists()
+
     def test_stale_snapshot_refused(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = tmp_path / "out"

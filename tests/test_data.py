@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,13 @@ class TestCsvRoundTrip:
             assert path.read_bytes() == ref.read_bytes()
             assert b"-0.0," in path.read_bytes()
             assert np.array_equal(load_dataset_csv(str(path), num_classes=3).features.data, feats)
+
+    @pytest.mark.parametrize("num_classes", [None, 3], ids=["inferred", "given"])
+    def test_header_only_file_refused(self, tmp_path, num_classes):
+        path = tmp_path / "snapshot.csv"
+        path.write_text("feat_0,feat_1,true_label,given_label\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} holds no rows$"):
+            load_dataset_csv(str(path), num_classes=num_classes)
 
     def test_header_shape(self, tmp_path):
         ds = make_gaussian_blobs(2, 3, 4, 6.0, seed=13)

@@ -15,7 +15,7 @@ from noisytrain.model import (Arch, PSI, TwinNetworks, ensemble_softmax, forward
                               init_twins, load_checkpoint, save_checkpoint,
                               softmax_in_place)
 from noisytrain.runner import build_datasets
-from noisytrain.training import loss_contrastive
+from noisytrain.training import loss_contrastive, loss_lx
 
 
 ARCH = Arch(in_dim=5, hidden=8, num_classes=4, embed_dim=3)
@@ -189,6 +189,70 @@ class TestBlockedEvaluation:
         for net in (twins.net1, twins.net2):
             assert (forward_softmax(net, train.features).data.tobytes()
                     == _unblocked_softmax(net, train.features).tobytes())
+
+
+class TestEvalWorkspace:
+    """``forward_softmax`` writes hidden activations into a workspace that it
+    reuses across calls; nothing it returns or remembers may alias it."""
+
+    BLOCK = model._EVAL_BLOCK_ROWS
+
+    def _inputs(self):
+        rng = np.random.default_rng(31)
+        return [Matrix(rng.normal(size=(rows, ARCH.in_dim)))
+                for rows in (50, 50, 7, self.BLOCK + 3)]
+
+    def test_results_keep_their_bytes_after_later_evaluations(self):
+        net = init_network(ARCH, seed=5)
+        first, *later = self._inputs()
+        out = forward_softmax(net, first)
+        kept = out.data.copy()
+        for x in later:
+            forward_softmax(net, x)
+            assert out.data.tobytes() == kept.tobytes()
+
+    def test_memo_entries_keep_their_bytes_after_later_evaluations(self):
+        net = init_network(ARCH, seed=5)
+        other = init_network(ARCH, seed=6)
+        first, *later = self._inputs()
+        probs = model.dataset_softmax(net, first)
+        kept = probs.data.copy()
+        for x in later:
+            forward_softmax(net, x)
+            model.dataset_softmax(other, x)
+        assert model.dataset_softmax(net, first) is probs
+        assert probs.data.tobytes() == kept.tobytes()
+
+    def test_evaluation_between_forward_and_backward_keeps_gradients(self):
+        x, *others = self._inputs()
+        targets = Matrix(np.full((x.rows, ARCH.num_classes), 1.0 / ARCH.num_classes))
+
+        def grads(evaluate):
+            net = init_network(ARCH, seed=5)
+            tape = GradientTape()
+            for p in net.params.values():
+                tape.watch(p)
+            loss = loss_lx(forward_logits(net, x, tape), targets, tape)
+            if evaluate:
+                for other in others:
+                    forward_softmax(net, other)
+            g = backward(tape, loss)
+            return [g[p].data.tobytes() for p in net.params.values() if p in g]
+
+        assert grads(evaluate=True) == grads(evaluate=False)
+
+    def test_repeat_evaluation_allocates_no_hidden_activation(self):
+        arch = Arch(in_dim=8, hidden=64, num_classes=4, embed_dim=16)
+        net = init_network(arch, seed=5)
+        x = Matrix(np.random.default_rng(0).normal(size=(1000, arch.in_dim)))
+        forward_softmax(net, x)
+        tracemalloc.start()
+        try:
+            forward_softmax(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * arch.hidden * 8
 
 
 class TestEnsemble:
