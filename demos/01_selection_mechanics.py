@@ -13,7 +13,6 @@ from noisytrain import (CutoffParams, compute_cutoff, compute_divergences,
 from noisytrain.metrics import class_histogram, roc_auc, selection_precision_recall
 from noisytrain.model import Arch
 from noisytrain.training import Hyperparams, warmup_train
-from noisytrain.kernel import OptimizerState
 
 print("= Divergence of a given label from a prediction =")
 print("agreeing one-hots:      ", jsd([1, 0, 0, 0], [1, 0, 0, 0]))
@@ -29,9 +28,7 @@ print(f"{len(ds)} samples, measured corruption {corrupted:.3f}")
 print("\n= Warm up twin networks with plain cross-entropy =")
 twins = init_twins(Arch(in_dim=8, hidden=64, num_classes=4, embed_dim=16), seed=3)
 hp = Hyperparams(seed=3)
-opts = (OptimizerState(hp.lr, hp.momentum, hp.weight_decay),
-        OptimizerState(hp.lr, hp.momentum, hp.weight_decay))
-warmup_train(twins, opts, ds, hp, epochs=10)
+warmup_train(twins, ds, hp, epochs=10)
 
 report = compute_divergences(twins, ds)
 clean_mask = ds.given_labels == ds.true_labels

@@ -9,7 +9,7 @@ and metrics needed to study it on synthetic data.
 from .data import (AugmentationSpec, LabeledDataset, NoiseSpec,
                    inject_asymmetric_noise, inject_symmetric_noise,
                    make_gaussian_blobs)
-from .kernel import GradientTape, Matrix, OptimizerState
+from .kernel import GradientTape, Matrix
 from .model import Arch, NetworkParams, TwinNetworks, init_twins
 from .selection import (CutoffParams, DivergenceReport, SelectionResult,
                         baseline_global_select, compute_cutoff,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentationSpec", "LabeledDataset", "NoiseSpec",
     "inject_asymmetric_noise", "inject_symmetric_noise", "make_gaussian_blobs",
-    "GradientTape", "Matrix", "OptimizerState",
+    "GradientTape", "Matrix",
     "Arch", "NetworkParams", "TwinNetworks", "init_twins",
     "CutoffParams", "DivergenceReport", "SelectionResult",
     "baseline_global_select", "compute_cutoff", "compute_divergences",

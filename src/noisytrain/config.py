@@ -169,8 +169,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "seed" in raw:
         values["hyperparams"]["seed"] = _check_range("seed", raw["seed"])
     output_dir = raw.get("output_dir", ExperimentConfig.output_dir)
-    if not isinstance(output_dir, str):
-        raise ConfigValueError("output_dir: expected a string")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigValueError("output_dir: expected a non-empty string")
 
     flip_map = values["noise"].get("flip_map")
     if flip_map is not None:

@@ -290,13 +290,16 @@ def load_dataset_csv(path: str, num_classes: int | None = None) -> LabeledDatase
             raise ValueError(f"unrecognized dataset header in {path}")
         dims = len(header) - 2
         feats, true_l, given_l = [], [], []
-        for row in r:
+        for i, row in enumerate(r, start=1):
             if len(row) != len(header):
-                raise ValueError(f"{path}: row {len(feats) + 1} has {len(row)} fields, "
+                raise ValueError(f"{path}: row {i} has {len(row)} fields, "
                                  f"the header {len(header)}")
-            feats.append([float(v) for v in row[:dims]])
-            true_l.append(int(row[dims]))
-            given_l.append(int(row[dims + 1]))
+            try:
+                feats.append([float(v) for v in row[:dims]])
+                true_l.append(int(row[dims]))
+                given_l.append(int(row[dims + 1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from exc
     if not feats:
         raise ValueError(f"{path} holds no rows")
     true_arr = np.array(true_l, dtype=np.int64)

@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .data import AugmentationSpec, LabeledDataset
-from .kernel import OptimizerState
 from .metrics import (EpochMetrics, UndefinedAUCError, accuracy,
                       class_histogram, pseudo_label_recall,
                       selection_precision_recall, roc_auc)
@@ -29,10 +28,11 @@ _S_METRIC = 80
 
 @dataclass
 class RunResult:
-    """A run's state after its last epoch: enough for ``run`` to continue it."""
+    """A run's state after its last epoch: enough for ``run`` to continue it.
+
+    Each network of ``twins`` carries its SGD velocity row."""
 
     twins: TwinNetworks
-    opts: tuple[OptimizerState, OptimizerState]
     rows: list[EpochMetrics]
 
 
@@ -45,8 +45,8 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
     """Train twin networks for hp.total_epochs and log metrics per epoch.
 
     With ``start``, continue a finished run of the same data and settings
-    from epoch ``len(start.rows)``, training its networks and optimizer
-    states further in place.  Every random draw is keyed by seed and epoch,
+    from epoch ``len(start.rows)``, training its networks and their velocity
+    rows further in place.  Every random draw is keyed by seed and epoch,
     so the result is the one an uninterrupted run would give.
     """
     cutoff_params = cutoff_params or CutoffParams()
@@ -54,15 +54,13 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
     if start is None:
         arch = Arch(train_ds.dims, hidden, train_ds.num_classes, embed_dim)
         twins = init_twins(arch, hp.seed)
-        opts = (OptimizerState(hp.lr, hp.momentum, hp.weight_decay),
-                OptimizerState(hp.lr, hp.momentum, hp.weight_decay))
         rows: list[EpochMetrics] = []
     else:
-        twins, opts, rows = start.twins, start.opts, list(start.rows)
+        twins, rows = start.twins, list(start.rows)
 
     for epoch in range(len(rows), hp.total_epochs):
         if epoch < hp.warmup_epochs:
-            ce = warmup_train(twins, opts, train_ds, hp, epochs=1, epoch_offset=epoch)
+            ce = warmup_train(twins, train_ds, hp, epochs=1, epoch_offset=epoch)
             rows.append(EpochMetrics(
                 epoch=epoch, phase="warmup",
                 filter_rate=None, d_cutoff=None, precision=None, recall=None,
@@ -87,7 +85,7 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
             p_recall = None
         counts = class_histogram(sel, train_ds.given_labels, train_ds.num_classes)
 
-        record = train_epoch(twins, opts, train_ds, hp, aug, cutoff_params, flags,
+        record = train_epoch(twins, train_ds, hp, aug, cutoff_params, flags,
                              epoch, first_selection=(report, sel))
         if on_epoch is not None:
             on_epoch(epoch, record)
@@ -104,4 +102,4 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
             loss_reg=losses["lreg"], loss_lc=losses["lc"],
             class_counts=[int(c) for c in counts],
         ))
-    return RunResult(twins=twins, opts=opts, rows=rows)
+    return RunResult(twins=twins, rows=rows)

@@ -11,9 +11,9 @@ replaced live beside the tests (``tests/reference_ops.py``), which hold
 the fused path to them bit for bit.
 
 ``sgd_step`` updates one array.  A training step packs every parameter
-it trains, their gradients and their velocities into one row each and
-makes one call (``training._sgd_steps``); elementwise, that is the update
-of each matrix on its own, bit for bit.
+it trains and their gradients into one row each and makes one call
+against the network's velocity row (``training._sgd_steps``);
+elementwise, that is the update of each matrix on its own, bit for bit.
 
 Reductions rely on numpy's fixed reduction order, so identical inputs
 produce bit-identical outputs across runs.
@@ -27,7 +27,7 @@ import numpy as np
 
 __all__ = [
     "Matrix", "wrap", "GradientTape", "record", "backward", "matmul", "concat_rows",
-    "OptimizerState", "sgd_step", "ShapeMismatchError", "TapeUsageError",
+    "sgd_step", "ShapeMismatchError", "TapeUsageError",
 ]
 
 
@@ -232,42 +232,27 @@ def concat_rows(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matri
 # optimizer
 
 
-class OptimizerState:
-    """SGD with momentum and coupled weight decay.
+def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, learning_rate: float,
+             momentum: float, weight_decay: float) -> np.ndarray:
+    """One SGD-with-momentum step of one array; returns the updated parameter.
 
-    The update is the classical form: weight decay is added to the raw
-    gradient before the momentum accumulation,
+    The update is the classical form with coupled weight decay: the decay
+    term is added to the raw gradient before the momentum accumulation,
 
         v <- momentum * v + grad + weight_decay * param
         param <- param - lr * v
 
     Switching to decoupled decay would mean moving the decay term out of
-    the velocity update and into the parameter step.  ``velocity`` maps a
-    parameter's name to its velocity, so it carries from warmup (theta and
-    phi) into the SSL epochs (all groups).
-    """
-
-    def __init__(self, learning_rate: float, momentum: float = 0.9, weight_decay: float = 0.0):
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-        self.learning_rate = float(learning_rate)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self.velocity: dict[str, np.ndarray] = {}
-
-
-def sgd_step(state: OptimizerState, p: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One SGD-with-momentum step of one array; returns the updated parameter.
-
-    The velocity ``v`` updates in place.  ``p`` is never written: the
-    update is a new array, so identity-keyed caches (the softmax memo) see
-    every update.  Training steps all its parameters at once by packing
-    them, their gradients and their velocities into one row each."""
+    the velocity update and into the parameter step.  The velocity ``v``
+    updates in place.  ``p`` is never written: the update is a new array,
+    so identity-keyed caches (the softmax memo) see every update.  Training
+    steps all its parameters at once by packing them and their gradients
+    into one row each, against the network's velocity row."""
     if g.shape != p.shape or v.shape != p.shape:
         raise ShapeMismatchError(f"gradient {g.shape} and velocity {v.shape} "
                                  f"must match parameter {p.shape}")
-    v *= state.momentum
+    v *= momentum
     v += g
-    v += state.weight_decay * p
-    step = state.learning_rate * v
+    v += weight_decay * p
+    step = learning_rate * v
     return np.subtract(p, step, out=step)

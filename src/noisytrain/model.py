@@ -58,16 +58,30 @@ class Arch:
         }
 
 
+@functools.lru_cache(maxsize=None)
+def layout(arch: Arch) -> tuple[tuple[str, slice, tuple[int, int]], ...]:
+    """Where each parameter lies in a row packing all eight, in ``ALL_GROUPS``
+    order: (name, part of the row, shape).  Theta and phi come first, so
+    their row is a prefix of the whole one."""
+    parts, start = [], 0
+    for name, (rows, cols) in arch.param_shapes().items():
+        parts.append((name, slice(start, start + rows * cols), (rows, cols)))
+        start += rows * cols
+    return tuple(parts)
+
+
 @dataclass
 class NetworkParams:
     arch: Arch
     seed: int
     params: dict[str, Matrix]
+    # SGD velocities, one row laid out by layout(arch); steps update it in place
+    velocity: np.ndarray = field(init=False, repr=False, compare=False)
     # (features, parameter matrices, softmax) entries; see dataset_softmax
     softmax_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def group(self, names) -> dict[str, Matrix]:
-        return {n: self.params[n] for n in names}
+    def __post_init__(self):
+        self.velocity = np.zeros(layout(self.arch)[-1][1].stop)
 
 
 @dataclass

@@ -78,8 +78,8 @@ def _as_distribution(v, name: str) -> np.ndarray:
     arr = np.asarray(v.data if isinstance(v, Matrix) else v, dtype=np.float64).reshape(-1)
     if arr.size < 2:
         raise DistributionError(f"{name} must have at least 2 entries")
-    if np.any(arr < 0.0):
-        raise DistributionError(f"{name} has negative entries")
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise DistributionError(f"{name} has negative or non-finite entries")
     if abs(arr.sum() - 1.0) > 1e-6:
         raise DistributionError(f"{name} sums to {arr.sum():.8f}, not 1")
     return arr

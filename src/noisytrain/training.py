@@ -28,8 +28,8 @@ import numpy as np
 from . import kernel
 from .data import (AugmentationSpec, LabeledDataset, batch_iterator,
                    strong_augment, weak_augment)
-from .kernel import GradientTape, Matrix, OptimizerState, backward, sgd_step
-from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, \
+from .kernel import GradientTape, Matrix, backward, sgd_step
+from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, layout, \
     dataset_softmax, forward_logits, forward_projection, forward_softmax, softmax_in_place
 from .selection import (CutoffParams, DivergenceReport, SelectionResult,
                         baseline_global_select, compute_cutoff,
@@ -388,91 +388,56 @@ def _rows(features: Matrix, idx: np.ndarray) -> Matrix:
     return kernel.wrap(features.data[idx])
 
 
-def _check_finite(named: dict[str, np.ndarray], where: tuple[int, int, str]) -> None:
-    """Raise ``TrainingDivergedError`` at ``where`` (epoch, net, phase)
-    naming the first array in ``named`` that holds a non-finite value."""
-    for name, arr in named.items():
-        if not np.isfinite(arr).all():
-            raise TrainingDivergedError(*where, name)
-
-
-def _pack(arrays) -> np.ndarray:
-    """The arrays' values, one after the other, as one flat row."""
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _layout(shapes: dict[str, tuple[int, int]]) -> list[tuple[str, slice, tuple[int, int]]]:
-    """Where each named array of ``shapes`` lies in their packed row: (name,
-    part of the row, shape), in order."""
-    layout, start = [], 0
-    for name, (rows, cols) in shapes.items():
-        layout.append((name, slice(start, start + rows * cols), (rows, cols)))
-        start += rows * cols
-    return layout
-
-
-def _unpack(row: np.ndarray, layout) -> dict[str, np.ndarray]:
-    """Views of ``row``'s parts, one per name of ``layout``, in their shapes."""
-    return {name: row[part].reshape(shape) for name, part, shape in layout}
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-def _sgd_steps(net: NetworkParams, opt: OptimizerState, names: tuple[str, ...], items,
-               loss_fn, where: tuple[int, int, str]) -> list[dict[str, float]]:
-    """One SGD step of the parameters ``names`` per entry of ``items``;
-    returns each step's loss terms as floats.
+def _sgd_steps(net: NetworkParams, hp: Hyperparams, lr: float, names: tuple[str, ...],
+               items, loss_fn, where: tuple[int, int, str]) -> list[dict[str, float]]:
+    """One SGD step of the parameters ``names``, a prefix of ``ALL_GROUPS``,
+    per entry of ``items``, at learning rate ``lr`` and ``hp``'s momentum
+    and weight decay; returns each step's loss terms as floats.
 
     A step watches the parameters on a new tape, takes ``loss, terms =
     loss_fn(tape, item)``, makes one ``backward`` of ``loss`` and is refused
     if a term is not finite; each term's float is read once, for the check
     and the result.  For the steps the parameters live in one read-only row
     whose views are the network's parameter matrices, and their velocities
-    in another row; where each name lies in a row is worked out once per
-    call.  So a step updates one row, not one matrix per name, and its
-    finiteness check scans one array; a non-finite row is scanned matrix by
-    matrix to name the first bad parameter.  Every element goes through the
-    same operations as in an update of its matrix alone, so the bits are the
-    same.  Each step gives the network new matrices (the softmax memo keys
-    on identity) and packs a new gradient row, and ``opt`` gets its
-    velocities back, as views of the row, when the steps end.  A diverging
-    step leaves the parameters from before it and the velocities it updated.
+    are the same prefix of ``net.velocity``, updated in place.  So a step
+    updates one row, not one matrix per name, and its finiteness check scans
+    one array; a non-finite row is scanned part by part to name the first
+    bad parameter.  Every element goes through the same operations as in an
+    update of its matrix alone, so the bits are the same.  Each step gives
+    the network new matrices (the softmax memo keys on identity) and packs
+    a new gradient row.  A diverging step leaves the parameters from before
+    it and the velocities it updated.
 
     Floating-point warnings are off inside the steps: the finiteness check
     names a diverging step's epoch, network and term instead.
     """
+    assert names == ALL_GROUPS[:len(names)], names
+    parts = layout(net.arch)[:len(names)]
+    velocity = net.velocity[:parts[-1][1].stop]
     params = [net.params[name] for name in names]
-    layout = _layout({name: p.shape for name, p in zip(names, params)})
-    row = _read_only(_pack(p.data for p in params))
-    velocity = _pack(opt.velocity.get(name, np.zeros(shape)) for name, _, shape in layout)
+    row = np.concatenate([p.data.ravel() for p in params])
+    row.flags.writeable = False   # sgd_step must not write into the row it steps from
     steps: list[dict[str, float]] = []
-    stepped = False
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for item in items:
-                tape = GradientTape()
-                for p in params:
-                    tape.watch(p)
-                loss, terms = loss_fn(tape, item)
-                grads = backward(tape, loss)
-                values = {name: term.item() for name, term in terms.items()}
-                for name, value in values.items():
-                    if not math.isfinite(value):
-                        raise TrainingDivergedError(*where, name)
-                stepped = True
-                updated = sgd_step(opt, row, _pack(grads[p].data for p in params), velocity)
-                if not np.isfinite(updated).all():
-                    _check_finite(_unpack(updated, layout), where)
-                row = _read_only(updated)
-                params = [kernel.wrap(row[part].reshape(shape)) for _, part, shape in layout]
-                net.params.update(zip(names, params))
-                steps.append(values)
-    finally:
-        if stepped:
-            opt.velocity.update(_unpack(velocity, layout))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for item in items:
+            tape = GradientTape()
+            for p in params:
+                tape.watch(p)
+            loss, terms = loss_fn(tape, item)
+            grads = backward(tape, loss)
+            values = {name: term.item() for name, term in terms.items()}
+            for name, value in values.items():
+                if not math.isfinite(value):
+                    raise TrainingDivergedError(*where, name)
+            row = sgd_step(row, np.concatenate([grads[p].data.ravel() for p in params]),
+                           velocity, lr, hp.momentum, hp.weight_decay)
+            if not np.isfinite(row).all():
+                raise TrainingDivergedError(*where, next(
+                    name for name, part, _ in parts if not np.isfinite(row[part]).all()))
+            row.flags.writeable = False   # its views become the network's matrices
+            params = [kernel.wrap(row[part].reshape(shape)) for _, part, shape in parts]
+            net.params.update(zip(names, params))
+            steps.append(values)
     return steps
 
 
@@ -486,8 +451,7 @@ def _ce_loss(net: NetworkParams, ds: LabeledDataset, targets_full: Matrix):
     return ce
 
 
-def warmup_train(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState],
-                 ds: LabeledDataset, hp: Hyperparams, epochs: int,
+def warmup_train(twins: TwinNetworks, ds: LabeledDataset, hp: Hyperparams, epochs: int,
                  epoch_offset: int = 0) -> list[float]:
     """Cross-entropy on all given labels, both networks independently.
 
@@ -500,11 +464,10 @@ def warmup_train(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState
     for i in range(epochs):
         epoch = epoch_offset + i
         ce_values = []
-        for k, (net, opt) in enumerate(zip((twins.net1, twins.net2), opts), start=1):
-            opt.learning_rate = decayed_lr(hp, epoch)
+        for k, net in enumerate((twins.net1, twins.net2), start=1):
             batches = batch_iterator(all_idx, hp.batch_size, (hp.seed, _S_WARMUP, k), epoch)
-            steps = _sgd_steps(net, opt, THETA + PHI, batches, _ce_loss(net, ds, targets_full),
-                               (epoch, k, "warmup"))
+            steps = _sgd_steps(net, hp, decayed_lr(hp, epoch), THETA + PHI, batches,
+                               _ce_loss(net, ds, targets_full), (epoch, k, "warmup"))
             ce_values += [terms["lx"] for terms in steps]
         epoch_losses.append(float(np.mean(ce_values)) if ce_values else 0.0)
     return epoch_losses
@@ -547,16 +510,13 @@ def _repeat_rows_twice(t: Matrix) -> Matrix:
     return kernel.wrap(np.repeat(t.data, 2, axis=0))
 
 
-def train_half_epoch(twins: TwinNetworks, net_index: int,
-                     opts: tuple[OptimizerState, OptimizerState],
-                     ds: LabeledDataset, hp: Hyperparams, aug: AugmentationSpec,
-                     cutoff_params: CutoffParams, flags: AblationFlags,
-                     epoch: int,
+def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
+                     hp: Hyperparams, aug: AugmentationSpec,
+                     cutoff_params: CutoffParams, flags: AblationFlags, epoch: int,
                      precomputed: tuple[DivergenceReport, SelectionResult] | None = None) -> HalfEpochRecord:
     """Select, then train one network while the other stays frozen."""
     net = twins.net1 if net_index == 1 else twins.net2
-    opt = opts[net_index - 1]
-    opt.learning_rate = decayed_lr(hp, epoch)
+    lr = decayed_lr(hp, epoch)
 
     if precomputed is None:
         report, sel = select_for_network(twins, net_index, ds, cutoff_params, flags)
@@ -574,8 +534,8 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
         # no trusted samples: fall back to plain CE on the given labels
         logger.warning("epoch %d net %d: clean set empty, falling back to CE on noisy set",
                        epoch, net_index)
-        steps = _sgd_steps(net, opt, THETA + PHI, noisy_batches, _ce_loss(net, ds, targets_full),
-                           (epoch, net_index, "empty_clean"))
+        steps = _sgd_steps(net, hp, lr, THETA + PHI, noisy_batches,
+                           _ce_loss(net, ds, targets_full), (epoch, net_index, "empty_clean"))
         return HalfEpochRecord(net_index, report, sel, _mean_losses(steps), "empty_clean")
 
     degenerate = None
@@ -634,7 +594,7 @@ def train_half_epoch(twins: TwinNetworks, net_index: int,
 
     iterations = zip(clean_batches, noisy_batches) if noisy_batches else \
         ((cb, None) for cb in clean_batches)
-    steps = _sgd_steps(net, opt, ALL_GROUPS, enumerate(iterations), ssl_loss,
+    steps = _sgd_steps(net, hp, lr, ALL_GROUPS, enumerate(iterations), ssl_loss,
                        (epoch, net_index, "ssl"))
     return HalfEpochRecord(net_index, report, sel, _mean_losses(steps), degenerate)
 
@@ -645,15 +605,14 @@ def _mean_losses(steps: list[dict[str, float]]) -> dict[str, float]:
             for k in _LOSS_TERMS}
 
 
-def train_epoch(twins: TwinNetworks, opts: tuple[OptimizerState, OptimizerState],
-                ds: LabeledDataset, hp: Hyperparams, aug: AugmentationSpec,
-                cutoff_params: CutoffParams, flags: AblationFlags, epoch: int,
+def train_epoch(twins: TwinNetworks, ds: LabeledDataset, hp: Hyperparams,
+                aug: AugmentationSpec, cutoff_params: CutoffParams, flags: AblationFlags, epoch: int,
                 first_selection: tuple[DivergenceReport, SelectionResult] | None = None) -> EpochRecord:
     """One SSL epoch: fresh selection before each network, trained in turn."""
     record = EpochRecord()
     for net_index in (1, 2):
         pre = first_selection if net_index == 1 else None
         record.halves.append(
-            train_half_epoch(twins, net_index, opts, ds, hp, aug, cutoff_params,
+            train_half_epoch(twins, net_index, ds, hp, aug, cutoff_params,
                              flags, epoch, precomputed=pre))
     return record

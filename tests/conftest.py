@@ -5,6 +5,7 @@ import pytest
 
 from noisytrain import training
 from noisytrain.kernel import GradientTape, Matrix, backward, sgd_step, wrap
+from noisytrain.model import layout
 
 
 def finite_difference_grad(fn, mats, h=1e-5):
@@ -57,15 +58,17 @@ def random_matrix(rng, rows, cols, lo=-1.0, hi=1.0) -> Matrix:
     return Matrix(rng.uniform(lo, hi, size=(rows, cols)))
 
 
-def serial_sgd_steps(net, opt, names, items, loss_fn, where):
+def serial_sgd_steps(net, hp, lr, names, items, loss_fn, where):
     """``training._sgd_steps`` one matrix at a time: the reference for its
     packed row.  Each step makes one ``sgd_step`` call per parameter, in
-    the order of ``names``, then checks the updated parameters in that order."""
+    the order of ``names``, against that parameter's view of the network's
+    velocity row, then checks the updated parameters in that order."""
+    views = {name: net.velocity[part].reshape(shape) for name, part, shape in layout(net.arch)}
     steps = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for item in items:
             tape = GradientTape()
-            group = net.group(names)
+            group = {name: net.params[name] for name in names}
             for p in group.values():
                 tape.watch(p)
             loss, terms = loss_fn(tape, item)
@@ -75,8 +78,8 @@ def serial_sgd_steps(net, opt, names, items, loss_fn, where):
                     raise training.TrainingDivergedError(*where, name)
             updated = {}
             for name, p in group.items():
-                v = opt.velocity.setdefault(name, np.zeros(p.shape))
-                updated[name] = wrap(sgd_step(opt, p.data, grads[p].data, v))
+                updated[name] = wrap(sgd_step(p.data, grads[p].data, views[name],
+                                              lr, hp.momentum, hp.weight_decay))
             for name, p in updated.items():
                 if not np.isfinite(p.data).all():
                     raise training.TrainingDivergedError(*where, name)

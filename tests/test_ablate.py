@@ -23,7 +23,8 @@ import pytest
 import noisytrain
 from noisytrain import config, experiment, kernel, metrics, selection, training
 from noisytrain.config import config_from_dict
-from noisytrain.runner import ABLATION_ARMS, cmd_ablate, cmd_run
+from noisytrain.model import ALL_GROUPS
+from noisytrain.runner import ABLATION_ARMS, build_datasets, cmd_ablate, cmd_run
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -156,6 +157,27 @@ def test_exception_survives_pickling(exc):
     assert type(back) is type(exc)
     assert str(back) == str(exc)
     assert vars(back) == vars(exc)
+
+
+def test_warm_start_reaches_a_worker_with_both_velocity_rows(tmp_path):
+    # cmd_ablate's shared warmup reaches each spawned worker through pickle
+    from multiprocessing.reduction import ForkingPickler
+    cfg = tiny_config(tmp_path)
+    hp = cfg.hyperparams
+    warm = experiment.run(*build_datasets(cfg),
+                          dataclasses.replace(hp, total_epochs=hp.warmup_epochs),
+                          cfg.arch.hidden, cfg.arch.embed_dim, cfg.augmentation, cfg.selection)
+    nets = (warm.twins.net1, warm.twins.net2)
+    for net in nets:
+        net.softmax_memo.clear()
+    back = pickle.loads(ForkingPickler.dumps(warm))
+    assert back.rows == warm.rows
+    for net, got in zip(nets, (back.twins.net1, back.twins.net2)):
+        assert net.velocity.any()
+        assert got.velocity.tobytes() == net.velocity.tobytes()
+        assert got.velocity.flags.writeable   # the worker's steps update it in place
+        assert all(got.params[n].data.tobytes() == net.params[n].data.tobytes()
+                   for n in ALL_GROUPS)
 
 
 def test_demo_04_runs_under_spawn(tmp_path):

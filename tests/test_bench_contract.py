@@ -77,7 +77,8 @@ def test_counted_attributes_exist():
 
 def test_one_backward_per_network_step(monkeypatch):
     # the tracer counts steps by calls to `kernel.backward`: warmup_iterations
-    # must be nets x batches x warmup epochs, and each SSL iteration adds one
+    # must be nets x batches x warmup epochs, and each SSL iteration adds one;
+    # its `kernel.sgd` span wraps `sgd_step`, which each step calls once
     from noisytrain import experiment, training
     from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
     from noisytrain.training import Hyperparams
@@ -86,12 +87,18 @@ def test_one_backward_per_network_step(monkeypatch):
     test = make_gaussian_blobs(3, 10, 4, 8.0, seed=3)
     hp = Hyperparams(seed=1, batch_size=16, warmup_epochs=2, total_epochs=4)
     calls = {"warmup": 0, "ssl": 0}
+    sgd_calls = {"warmup": 0, "ssl": 0}
     phase = ["ssl"]
-    backward, warmup_train = training.backward, experiment.warmup_train
+    backward, sgd_step = training.backward, training.sgd_step
+    warmup_train = experiment.warmup_train
 
     def counting_backward(tape, loss):
         calls[phase[0]] += 1
         return backward(tape, loss)
+
+    def counting_sgd_step(*args, **kwargs):
+        sgd_calls[phase[0]] += 1
+        return sgd_step(*args, **kwargs)
 
     def warmup(*args, **kwargs):
         phase[0] = "warmup"
@@ -100,6 +107,7 @@ def test_one_backward_per_network_step(monkeypatch):
         finally:
             phase[0] = "ssl"
     monkeypatch.setattr(training, "backward", counting_backward)
+    monkeypatch.setattr(training, "sgd_step", counting_sgd_step)
     monkeypatch.setattr(experiment, "warmup_train", warmup)
     halves = []
     experiment.run(train, test, hp, hidden=16, embed_dim=4, aug=AugmentationSpec(),
@@ -114,3 +122,4 @@ def test_one_backward_per_network_step(monkeypatch):
     assert calls["warmup"] == 2 * batches(train.given_labels) * hp.warmup_epochs == 24
     assert len(halves) == 2 * (hp.total_epochs - hp.warmup_epochs)
     assert calls["ssl"] == sum(iterations(h) for h in halves) > 0
+    assert sgd_calls == calls

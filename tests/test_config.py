@@ -70,7 +70,7 @@ VALUE_CASES = [
     *[pytest.param({"ablation": {flag: value}}, _key("ablation", flag), id=f"{flag}-{value!r}")
       for flag in ("balancing", "contrastive", "ensemble") for value in ("yes", 1, None)],
     *[pytest.param({"output_dir": value}, "output_dir", id=f"output_dir-{value!r}")
-      for value in (5, None, ["runs"])],
+      for value in (5, None, ["runs"], "")],
     *[pytest.param({"dataset": {"num_classes": 3},
                     "noise": {"kind": "asymmetric", "flip_map": value}},
                    _key("noise", "flip_map"), id=f"flip_map-{value!r}")

@@ -219,6 +219,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))} holds no rows$"):
             load_dataset_csv(str(path), num_classes=num_classes)
 
+    @pytest.mark.parametrize("bad_row,detail", [
+        ("0.5,x,1,1", "could not convert string to float: 'x'"),
+        ("0.5,1.5,1,one", "invalid literal for int() with base 10: 'one'"),
+    ], ids=["feature", "label"])
+    def test_unparsable_field_names_path_and_row(self, tmp_path, bad_row, detail):
+        path = tmp_path / "snapshot.csv"
+        path.write_text(f"feat_0,feat_1,true_label,given_label\n0.1,0.2,0,0\n{bad_row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row 2: {detail}')}$"):
+            load_dataset_csv(str(path))
+
     def test_header_shape(self, tmp_path):
         ds = make_gaussian_blobs(2, 3, 4, 6.0, seed=13)
         path = str(tmp_path / "snapshot.csv")

@@ -1,9 +1,9 @@
 """`experiment.run` continued from a finished run's state.
 
 Every random draw is keyed by (seed, tag, epoch, net), and the state a
-run carries between epochs is its twin networks and their optimizer
-states, so a run continued with ``start=`` must match an uninterrupted
-run to the byte.
+run carries between epochs is its twin networks, each with its parameters
+and its SGD velocity row, so a run continued with ``start=`` must match
+an uninterrupted run to the byte.
 """
 
 import dataclasses
@@ -43,7 +43,7 @@ def test_continued_run_equals_uninterrupted(tmp_path, stop, flags):
 
 
 def test_run_continued_from_mid_warmup_equals_uninterrupted(tmp_path):
-    # each warmup epoch packs theta, phi and their velocities and hands them back
+    # each warmup epoch steps theta, phi and their prefix of the velocity row
     hp = dataclasses.replace(HP, warmup_epochs=10, total_epochs=11)
     whole = go(hp)
     part = go(dataclasses.replace(hp, warmup_epochs=3, total_epochs=3))
@@ -57,6 +57,7 @@ def assert_same_run(continued, whole, tmp_path):
     assert continued.rows == whole.rows
     assert checkpoint_bytes(continued, tmp_path / "a.bin") == \
         checkpoint_bytes(whole, tmp_path / "b.bin")
-    for got, want in zip(continued.opts, whole.opts):
-        assert got.velocity.keys() == want.velocity.keys()
-        assert all((got.velocity[k] == want.velocity[k]).all() for k in got.velocity)
+    for got, want in ((continued.twins.net1, whole.twins.net1),
+                      (continued.twins.net2, whole.twins.net2)):
+        assert got.velocity.shape == want.velocity.shape
+        assert (got.velocity == want.velocity).all()

@@ -20,10 +20,10 @@ from conftest import serial_sgd_steps
 from noisytrain import kernel, model, training
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
-from noisytrain.kernel import GradientTape, Matrix, OptimizerState, backward
+from noisytrain.kernel import GradientTape, Matrix, backward
 from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks,
                               dataset_softmax, ensemble_softmax, forward_softmax,
-                              init_network, init_twins)
+                              init_network, init_twins, layout)
 from noisytrain.training import Hyperparams
 
 
@@ -220,8 +220,8 @@ def _packed_and_serial_steps(seed, names):
     matrix-by-matrix reference, on two networks with one random start.
 
     Theta and phi may carry velocities from earlier steps (always, when psi
-    is stepped too: warmup came first); psi never does, so the first step
-    creates its velocity, as at the warmup-to-SSL handoff."""
+    is stepped too: warmup came first); psi's part of the velocity row is
+    always zero at the start, as at the warmup-to-SSL handoff."""
     rng = np.random.default_rng(seed)
     rows = int(rng.integers(16, 257))
     arch = Arch(in_dim=int(rng.integers(1, 33)), hidden=int(rng.integers(1, 129)),
@@ -230,18 +230,19 @@ def _packed_and_serial_steps(seed, names):
     ds = SimpleNamespace(features=Matrix(rng.normal(scale=3.0, size=(n, arch.in_dim))))
     targets = Matrix(rng.dirichlet(np.full(arch.num_classes, 0.3), size=n))
     batches = np.split(rng.permutation(n), [rows, 2 * rows])
-    opt_args = (rng.uniform(0.01, 0.5), rng.uniform(0.0, 0.99), rng.uniform(0.0, 1e-2))
+    hp = Hyperparams(lr=rng.uniform(0.01, 0.5), momentum=rng.uniform(0.0, 0.99),
+                     weight_decay=rng.uniform(0.0, 1e-2))
     start = {k: rng.normal(size=m.shape) for k, m in init_network(arch, seed).params.items()}
-    nets, opts = [], []
+    nets = []
     for _ in range(2):   # non-zero biases, the same in both
         net = init_network(arch, seed)
         net.params.update({k: Matrix(v) for k, v in start.items()})
         nets.append(net)
-        opts.append(OptimizerState(*opt_args))
     if seed % 2 or names == ALL_GROUPS:
-        velocity = {k: rng.normal(size=nets[0].params[k].shape) for k in THETA + PHI}
-        for opt in opts:
-            opt.velocity = {k: v.copy() for k, v in velocity.items()}
+        head = np.concatenate([rng.normal(size=nets[0].params[k].shape).ravel()
+                               for k in THETA + PHI])
+        for net in nets:
+            net.velocity[:head.size] = head
 
     def loss_fn(net):
         if names == THETA + PHI:
@@ -262,30 +263,31 @@ def _packed_and_serial_steps(seed, names):
         return ssl
 
     where = (0, 1, "warmup")
-    packed = training._sgd_steps(nets[0], opts[0], names, batches, loss_fn(nets[0]), where)
-    serial = serial_sgd_steps(nets[1], opts[1], names, batches, loss_fn(nets[1]), where)
+    packed = training._sgd_steps(nets[0], hp, hp.lr, names, batches, loss_fn(nets[0]), where)
+    serial = serial_sgd_steps(nets[1], hp, hp.lr, names, batches, loss_fn(nets[1]), where)
     assert packed == serial
     assert all(np.array_equal(nets[0].params[k].data, nets[1].params[k].data)
                for k in ALL_GROUPS)
-    assert opts[0].velocity.keys() == opts[1].velocity.keys() == set(names)
-    assert all(np.array_equal(opts[0].velocity[k], opts[1].velocity[k]) for k in names)
+    assert np.array_equal(nets[0].velocity, nets[1].velocity)
+    beyond = layout(arch)[len(names) - 1][1].stop
+    assert not nets[0].velocity[beyond:].any()   # psi's part, when only theta and phi step
     assert all(not np.array_equal(nets[0].params[k].data, start[k]) for k in names)
     return nets[0], start
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_packed_ce_steps_match_matrix_by_matrix_steps(seed):
-    """CE steps pack theta and phi, and their velocities, into one row each;
-    their CE values, parameters and velocities have the bits of steps that
-    update the six matrices one by one."""
+    """CE steps pack theta and phi into one row and update their prefix of
+    the velocity row; their CE values, parameters and velocities have the
+    bits of steps that update the six matrices one by one."""
     net, start = _packed_and_serial_steps(seed, THETA + PHI)
     assert all(np.array_equal(net.params[k].data, start[k]) for k in PSI)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_packed_ssl_steps_match_matrix_by_matrix_steps(seed):
-    """SSL steps pack all eight matrices; psi joins the row without a
-    velocity while theta and phi bring theirs from warmup."""
+    """SSL steps pack all eight matrices; psi's part of the velocity row
+    starts at zero while theta and phi bring theirs from warmup."""
     _packed_and_serial_steps(seed, ALL_GROUPS)
 
 
@@ -304,15 +306,13 @@ def test_training_loop_matches_reference_chain(monkeypatch):
             monkeypatch.setattr(training, name, getattr(fns, name))
         monkeypatch.setattr(training, "_sgd_steps", steps)
         twins = init_twins(Arch(4, 16, 3, 6), seed=4)
-        opts = (OptimizerState(hp.lr, hp.momentum, hp.weight_decay),
-                OptimizerState(hp.lr, hp.momentum, hp.weight_decay))
-        warmup_ce = training.warmup_train(twins, opts, ds, hp, epochs=1)
-        record = training.train_epoch(twins, opts, ds, hp, aug, training.CutoffParams(),
+        warmup_ce = training.warmup_train(twins, ds, hp, epochs=1)
+        record = training.train_epoch(twins, ds, hp, aug, training.CutoffParams(),
                                       training.AblationFlags(), epoch=1)
         assert [h.degenerate for h in record.halves] == [None, None]
         assert all(h.losses["lc"] != 0.0 for h in record.halves)
         params = [m.data for net in (twins.net1, twins.net2) for m in net.params.values()]
-        velocities = [opt.velocity[n] for opt in opts for n in ALL_GROUPS]
+        velocities = [twins.net1.velocity, twins.net2.velocity]
         return warmup_ce, [h.losses for h in record.halves], params, velocities
 
     ref = train(REFERENCE, serial_sgd_steps)
@@ -386,7 +386,7 @@ def test_memo_recomputes_after_update(counted_forwards):
     feats = _features(1)
     before = dataset_softmax(net, feats)
     targets = Matrix(np.full((feats.rows, ARCH.num_classes), 1.0 / ARCH.num_classes))
-    training._sgd_steps(net, OptimizerState(0.5), THETA + PHI, [np.arange(4)],
+    training._sgd_steps(net, HP, 0.5, THETA + PHI, [np.arange(4)],
                         training._ce_loss(net, SimpleNamespace(features=feats), targets),
                         (0, 1, "warmup"))
     after = dataset_softmax(net, feats)

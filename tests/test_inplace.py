@@ -1,7 +1,7 @@
 """The in-place rules of the training hot path.
 
 A step may write in place only into arrays it allocated itself, and into
-the optimizer's velocity.  It never writes into its inputs: features,
+the network's velocity row.  It never writes into its inputs: features,
 targets, parameters, gradients handed to the optimizer, memoized
 softmaxes, another tape record's output or the incoming gradient of a
 backward closure.  The tripwire below makes all of those read-only, so a
@@ -15,7 +15,7 @@ import pytest
 import reference_ops as ref
 from noisytrain import kernel, training
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
-from noisytrain.kernel import Matrix, OptimizerState, sgd_step
+from noisytrain.kernel import Matrix, sgd_step
 from noisytrain.metrics import accuracy
 from noisytrain.model import (ALL_GROUPS, PHI, THETA, Arch, dataset_softmax,
                               forward_logits, forward_softmax, init_network, init_twins)
@@ -38,8 +38,8 @@ def frozen_inputs(monkeypatch):
             return out
         return call
 
-    def frozen_sgd_step(state, p, g, v):
-        return _freeze(sgd_step(state, _freeze(p), _freeze(g), v))
+    def frozen_sgd_step(p, g, v, *settings):
+        return _freeze(sgd_step(_freeze(p), _freeze(g), v, *settings))
 
     record = kernel.record
 
@@ -70,18 +70,16 @@ def _tiny(seed=3):
         for m in net.params.values():
             _freeze(m.data)
     hp = Hyperparams(seed=seed, batch_size=16, warmup_epochs=1, total_epochs=3)
-    opts = (OptimizerState(hp.lr, hp.momentum, hp.weight_decay),
-            OptimizerState(hp.lr, hp.momentum, hp.weight_decay))
-    return train, test, twins, hp, opts
+    return train, test, twins, hp
 
 
 def test_a_step_writes_into_no_array_it_was_given(frozen_inputs):
-    train, test, twins, hp, opts = _tiny()
+    train, test, twins, hp = _tiny()
     targets = training.one_hot(train.given_labels, train.num_classes)
-    training._sgd_steps(twins.net1, opts[0], THETA + PHI, [np.arange(16)],
+    training._sgd_steps(twins.net1, hp, hp.lr, THETA + PHI, [np.arange(16)],
                         training._ce_loss(twins.net1, train, targets), (0, 1, "warmup"))
-    training.warmup_train(twins, opts, train, hp, epochs=1)
-    rec = training.train_half_epoch(twins, 1, opts, train, hp, AugmentationSpec(),
+    training.warmup_train(twins, train, hp, epochs=1)
+    rec = training.train_half_epoch(twins, 1, train, hp, AugmentationSpec(),
                                     CutoffParams(), AblationFlags(), epoch=1)
     assert rec.degenerate is None and rec.losses["lc"] != 0.0   # every term ran
     for net in (twins.net1, twins.net2):
@@ -92,16 +90,16 @@ def test_a_step_writes_into_no_array_it_was_given(frozen_inputs):
 
 
 def test_tripwire_catches_a_write_into_a_parameter(frozen_inputs, monkeypatch):
-    train, _, twins, _, opts = _tiny()
+    train, _, twins, hp = _tiny()
 
-    def writing_step(state, p, g, v):
-        p -= state.learning_rate * g
+    def writing_step(p, g, v, learning_rate, momentum, weight_decay):
+        p -= learning_rate * g
         return p
     monkeypatch.setattr(kernel, "sgd_step", writing_step)
     monkeypatch.setattr(training, "sgd_step", writing_step)
     targets = training.one_hot(train.given_labels, train.num_classes)
     with pytest.raises(ValueError, match="read-only"):
-        training._sgd_steps(twins.net1, opts[0], THETA + PHI, [np.arange(16)],
+        training._sgd_steps(twins.net1, hp, hp.lr, THETA + PHI, [np.arange(16)],
                             training._ce_loss(twins.net1, train, targets), (0, 1, "warmup"))
 
 
@@ -114,7 +112,7 @@ def test_sgd_step_matches_the_reference_update_bit_for_bit():
     rng = np.random.default_rng(7)
     net = init_network(Arch(5, 8, 3, 4), seed=2)
     params = {n: rng.standard_normal(m.shape) for n, m in net.params.items()}
-    state = OptimizerState(0.05, momentum=0.9, weight_decay=5e-4)
+    lr, momentum, weight_decay = 0.05, 0.9, 5e-4
     velocity: dict[str, np.ndarray] = {}
     ref_v: dict[str, np.ndarray] = {}
     for step in range(5):
@@ -124,11 +122,10 @@ def test_sgd_step_matches_the_reference_update_bit_for_bit():
             g = rng.standard_normal(p.shape) * 10.0 ** (step - 2)
             before = p.copy()
             v = velocity.setdefault(n, np.zeros(p.shape))
-            updated = sgd_step(state, p, g, v)
+            updated = sgd_step(p, g, v, lr, momentum, weight_decay)
             assert p.tobytes() == before.tobytes()       # the input is left untouched
             ref_v[n], expected = _ref_sgd_step(ref_v.get(n, np.zeros(p.shape)), g, p,
-                                               state.momentum, state.weight_decay,
-                                               state.learning_rate)
+                                               momentum, weight_decay, lr)
             assert v.tobytes() == ref_v[n].tobytes()
             assert updated.tobytes() == expected.tobytes()
             assert updated is not p

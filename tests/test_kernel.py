@@ -7,7 +7,7 @@ import pytest
 import reference_ops as ref
 from conftest import finite_difference_grad, max_relative_error, random_matrix
 from noisytrain import kernel
-from noisytrain.kernel import (GradientTape, Matrix, OptimizerState, ShapeMismatchError,
+from noisytrain.kernel import (GradientTape, Matrix, ShapeMismatchError,
                                TapeUsageError, backward, sgd_step)
 from reference_ops import DegenerateEmbeddingError
 
@@ -182,41 +182,34 @@ class TestBackward:
 
 class TestSgdStep:
     def test_plain_gradient_descent(self):
-        state = OptimizerState(learning_rate=0.1, momentum=0.0, weight_decay=0.0)
-        out = sgd_step(state, np.array([[1.0, 2.0]]), np.array([[0.5, -0.5]]), np.zeros((1, 2)))
+        out = sgd_step(np.array([[1.0, 2.0]]), np.array([[0.5, -0.5]]), np.zeros((1, 2)),
+                       learning_rate=0.1, momentum=0.0, weight_decay=0.0)
         assert np.allclose(out, [[0.95, 2.05]], atol=1e-15)
 
     def test_zero_grad_zero_velocity_is_identity(self):
-        state = OptimizerState(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
         p = np.array([[1.0, -3.0]])
-        out = sgd_step(state, p, np.zeros((1, 2)), np.zeros((1, 2)))
+        out = sgd_step(p, np.zeros((1, 2)), np.zeros((1, 2)), 0.1, 0.9, 0.0)
         assert np.array_equal(out, p)
 
     def test_two_step_momentum_recurrence(self):
         lr, g = 0.1, np.array([[2.0]])
-        state = OptimizerState(learning_rate=lr, momentum=0.9, weight_decay=0.0)
         p0, v = np.array([[5.0]]), np.zeros((1, 1))
-        p2 = sgd_step(state, sgd_step(state, p0, g, v), g, v)
+        p2 = sgd_step(sgd_step(p0, g, v, lr, 0.9, 0.0), g, v, lr, 0.9, 0.0)
         displacement = p0[0, 0] - p2[0, 0]
         assert displacement == pytest.approx(lr * g[0, 0] * (1 + 1.9), abs=1e-12)
         assert v[0, 0] == pytest.approx(g[0, 0] * 1.9, abs=1e-12)   # updated in place
 
     def test_weight_decay_coupled_into_velocity(self):
-        state = OptimizerState(learning_rate=1.0, momentum=0.0, weight_decay=0.1)
-        out = sgd_step(state, np.array([[10.0]]), np.zeros((1, 1)), np.zeros((1, 1)))
+        out = sgd_step(np.array([[10.0]]), np.zeros((1, 1)), np.zeros((1, 1)),
+                       learning_rate=1.0, momentum=0.0, weight_decay=0.1)
         assert out[0, 0] == pytest.approx(9.0, abs=1e-12)
 
     def test_mismatched_shapes_rejected(self):
-        state = OptimizerState(learning_rate=0.1)
         p = np.zeros((2, 3))
         with pytest.raises(ShapeMismatchError):
-            sgd_step(state, p, np.zeros((3, 2)), np.zeros((2, 3)))
+            sgd_step(p, np.zeros((3, 2)), np.zeros((2, 3)), 0.1, 0.9, 0.0)
         with pytest.raises(ShapeMismatchError):
-            sgd_step(state, p, np.zeros((2, 3)), np.zeros((1, 6)))
-
-    def test_invalid_learning_rate(self):
-        with pytest.raises(ValueError):
-            OptimizerState(learning_rate=0.0)
+            sgd_step(p, np.zeros((2, 3)), np.zeros((1, 6)), 0.1, 0.9, 0.0)
 
 
 def test_determinism_bit_identical(rng):
@@ -261,5 +254,5 @@ def test_every_kernel_export_has_a_caller_in_the_library():
 def test_kernel_exports():
     assert sorted(kernel.__all__) == sorted([
         "Matrix", "wrap", "GradientTape", "record", "backward", "matmul", "concat_rows",
-        "OptimizerState", "sgd_step", "ShapeMismatchError", "TapeUsageError"])
+        "sgd_step", "ShapeMismatchError", "TapeUsageError"])
     assert all(hasattr(kernel, name) for name in kernel.__all__)

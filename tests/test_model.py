@@ -9,11 +9,11 @@ import pytest
 
 from noisytrain import model
 from noisytrain.config import config_from_dict
-from noisytrain.kernel import GradientTape, Matrix, OptimizerState, ShapeMismatchError, backward
-from noisytrain.model import (Arch, PSI, TwinNetworks, ensemble_softmax, forward_logits,
-                              forward_projection, forward_softmax, init_network,
-                              init_twins, load_checkpoint, save_checkpoint,
-                              softmax_in_place)
+from noisytrain.kernel import GradientTape, Matrix, ShapeMismatchError, backward
+from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks,
+                              ensemble_softmax, forward_logits, forward_projection,
+                              forward_softmax, init_network, init_twins, layout,
+                              load_checkpoint, save_checkpoint, softmax_in_place)
 from noisytrain.runner import build_datasets
 from noisytrain.training import loss_contrastive, loss_lx
 
@@ -55,6 +55,19 @@ class TestInit:
         with pytest.raises(ValueError):
             Arch(in_dim=0, hidden=8, num_classes=4, embed_dim=3)
 
+    def test_layout_packs_all_groups_in_order_theta_and_phi_first(self):
+        parts = layout(ARCH)
+        assert layout(ARCH) is parts   # cached per Arch
+        assert tuple(name for name, _, _ in parts) == ALL_GROUPS
+        assert ALL_GROUPS[:len(THETA + PHI)] == THETA + PHI
+        shapes, stop = ARCH.param_shapes(), 0
+        for name, part, shape in parts:
+            assert (part.start, part.stop, shape) == (stop, stop + shape[0] * shape[1],
+                                                      shapes[name])
+            stop = part.stop
+        net = init_network(ARCH, seed=1)
+        assert net.velocity.shape == (stop,) and not net.velocity.any()
+
 
 class TestForward:
     def test_softmax_rows_sum_to_one(self):
@@ -95,14 +108,15 @@ class TestForward:
         x = Matrix(np.random.default_rng(6).normal(size=(4, 5)))
         before = forward_projection(net, x).data.copy()
         tape = GradientTape()
-        for p in net.group(PSI).values():
-            tape.watch(p)
+        for name in PSI:
+            tape.watch(net.params[name])
         z = forward_projection(net, x, tape)
         loss = loss_contrastive(z, kappa=0.5, tape=tape)
         grads = backward(tape, loss)
-        state = OptimizerState(learning_rate=0.5)
-        for name, p in net.group(PSI).items():
-            net.params[name] = Matrix(sgd_step(state, p.data, grads[p].data, np.zeros(p.shape)))
+        for name in PSI:
+            p = net.params[name]
+            net.params[name] = Matrix(sgd_step(p.data, grads[p].data, np.zeros(p.shape),
+                                               0.5, 0.9, 0.0))
         after = forward_projection(net, x).data
         assert not np.array_equal(before, after)
 

@@ -42,6 +42,13 @@ class TestJsd:
             if np.max(np.abs(p - q)) > 1e-6:
                 assert jsd(p, q) > 1e-9
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(DistributionError, match="^y has negative or non-finite entries$"):
+            jsd([bad, 1.0], [0.5, 0.5])
+        with pytest.raises(DistributionError, match="^p has negative or non-finite entries$"):
+            jsd([0.5, 0.5], [1.0, bad])
+
     def test_rejects_non_distribution(self):
         with pytest.raises(DistributionError):
             jsd([0.5, 0.6], [0.5, 0.5])

@@ -9,9 +9,9 @@ from noisytrain import training
 from noisytrain.cli import main
 from noisytrain.config import config_from_dict
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
-from noisytrain.kernel import GradientTape, Matrix, OptimizerState, backward, record, wrap
-from noisytrain.model import (ALL_GROUPS, PHI, THETA, Arch, TwinNetworks, forward_logits,
-                              forward_softmax, init_network, init_twins)
+from noisytrain.kernel import GradientTape, Matrix, backward, record, wrap
+from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks, forward_logits,
+                              forward_softmax, init_network, init_twins, layout)
 from noisytrain.runner import cmd_run
 from noisytrain.selection import CutoffParams, DivergenceReport, uniform_select
 from noisytrain.training import (AblationFlags, DegenerateBatchError,
@@ -311,84 +311,94 @@ class TestWarmup:
         if rate > 0:
             ds = inject_symmetric_noise(ds, rate, seed=7)
         twins = init_twins(Arch(4, 32, 3, 8), seed=1)
-        opts = (OptimizerState(0.02, 0.9, 5e-4), OptimizerState(0.02, 0.9, 5e-4))
-        return ds, twins, opts
+        return ds, twins
 
     def test_zero_epochs_no_change(self):
-        ds, twins, opts = self._noisy_setup()
+        ds, twins = self._noisy_setup()
         before = snapshot(twins.net1)
-        warmup_train(twins, opts, ds, Hyperparams(seed=1, batch_size=32), epochs=0)
+        warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=0)
         assert params_equal(before, snapshot(twins.net1))
 
     def test_clean_blobs_reach_high_train_accuracy(self):
         from noisytrain.metrics import accuracy
-        ds, twins, opts = self._noisy_setup(rate=0.0)
-        warmup_train(twins, opts, ds, Hyperparams(seed=1, batch_size=32), epochs=10)
+        ds, twins = self._noisy_setup(rate=0.0)
+        warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=10)
         assert accuracy(twins, ds.features, ds.given_labels) > 0.95
 
     def test_projection_head_untouched(self):
-        ds, twins, opts = self._noisy_setup(rate=0.2)
+        ds, twins = self._noisy_setup(rate=0.2)
         wp_before = twins.net1.params["wp"].data.copy()
-        warmup_train(twins, opts, ds, Hyperparams(seed=1, batch_size=32), epochs=2)
+        warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=2)
         assert np.array_equal(wp_before, twins.net1.params["wp"].data)
 
+    def test_psi_velocity_stays_zero_through_warmup(self):
+        # theta and phi are a prefix of the velocity row; psi's part follows
+        ds, twins = self._noisy_setup(rate=0.2)
+        before = [dict(net.params) for net in (twins.net1, twins.net2)]
+        warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=1)
+        for net, params in zip((twins.net1, twins.net2), before):
+            parts = {name: part for name, part, _ in layout(net.arch)}
+            psi = net.velocity[parts["wp"].start:]
+            assert psi.size == sum(net.params[n].data.size for n in PSI)
+            assert not psi.any()
+            assert net.velocity[parts["w1"]].any() and net.velocity[parts["bc"]].any()
+            assert all(net.params[n] is params[n] for n in PSI)
+            assert all(net.params[n] is not params[n] for n in THETA + PHI)
+
     def test_returns_one_loss_per_epoch(self):
-        ds, twins, opts = self._noisy_setup(rate=0.2)
-        losses = warmup_train(twins, opts, ds, Hyperparams(seed=1, batch_size=32), epochs=3)
+        ds, twins = self._noisy_setup(rate=0.2)
+        losses = warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=3)
         assert len(losses) == 3
         assert losses[0] > losses[-1]
 
-    def _packed_and_serial(self, opts_args, hp, epochs=1):
+    def _packed_and_serial(self, hp, epochs=1, net2_w1_velocity=0.0):
         """Warmup with packed steps and with the matrix-by-matrix reference
-        steps, from the same start; a divergence is returned as its fields."""
+        steps, from the same start; a divergence is returned as its fields.
+        Net 2's w1 velocity starts at ``net2_w1_velocity``."""
         ds = self._noisy_setup(rate=0.2)[0]
         results = []
         for steps in (training._sgd_steps, serial_sgd_steps):
             twins = init_twins(Arch(4, 32, 3, 8), seed=1)
-            opts = tuple(OptimizerState(*args) for args in opts_args)
+            twins.net2.velocity[layout(twins.net2.arch)[0][1]] = net2_w1_velocity
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(training, "_sgd_steps", steps)
                 try:
-                    out = warmup_train(twins, opts, ds, hp, epochs=epochs)
+                    out = warmup_train(twins, ds, hp, epochs=epochs)
                 except TrainingDivergedError as err:
                     out = (err.epoch, err.net, err.phase, err.term)
-            results.append((out, twins, opts))
+            results.append((out, twins))
         return results
 
     @staticmethod
     def _assert_same_state(got, want):
-        """Both networks' parameters, and both optimizers' settings and velocities."""
-        (_, twins, opts), (_, ref_twins, ref_opts) = got, want
+        """Both networks' parameters and velocity rows."""
+        (_, twins), (_, ref_twins) = got, want
         for net, ref_net in ((twins.net1, ref_twins.net1), (twins.net2, ref_twins.net2)):
             assert all(np.array_equal(net.params[n].data, ref_net.params[n].data)
                        for n in ALL_GROUPS)
-        for opt, ref_opt in zip(opts, ref_opts):
-            assert (opt.learning_rate, opt.momentum, opt.weight_decay) == \
-                (ref_opt.learning_rate, ref_opt.momentum, ref_opt.weight_decay)
-            assert opt.velocity.keys() == ref_opt.velocity.keys()
-            assert all(np.array_equal(opt.velocity[n], ref_opt.velocity[n])
-                       for n in opt.velocity)
+            assert np.array_equal(net.velocity, ref_net.velocity)
 
-    def test_each_network_keeps_its_own_optimizer_settings(self):
+    def test_each_network_keeps_its_own_velocity(self):
         # 30 CE values an epoch: enough for their order to show in the mean
         hp = Hyperparams(seed=1, batch_size=8)
-        got, want = self._packed_and_serial([(hp.lr, 0.9, 5e-4), (hp.lr, 0.5, 1e-2)], hp,
-                                            epochs=3)
+        got, want = self._packed_and_serial(hp, epochs=3)
         assert got[0] == want[0]
-        assert got[2][0].velocity.keys() == set(THETA + PHI)
         self._assert_same_state(got, want)
+        twins = got[1]
+        assert not np.array_equal(twins.net1.velocity, twins.net2.velocity)
 
     def test_net_2_diverging_alone_is_named_at_its_first_non_finite_step(self):
-        # a huge weight decay overflows net 2's first update: lx is finite, w1 is not
+        # a huge velocity overflows net 2's first update: lx is finite, w1 is not
         hp = Hyperparams(seed=1, batch_size=16, lr=10.0)
-        got, want = self._packed_and_serial([(hp.lr, 0.9, 5e-4), (hp.lr, 0.9, 1e308)], hp)
+        got, want = self._packed_and_serial(hp, net2_w1_velocity=1e308)
         assert got[0] == want[0] == (0, 2, "warmup", "w1")
         # net 2 keeps its parameters from before the step and the velocities it updated
         self._assert_same_state(got, want)
-        assert np.any(got[2][1].velocity["w1"] != 0.0)
+        w1 = layout(got[1].net2.arch)[0][1]
+        assert np.all(got[1].net2.velocity[w1] != 1e308)
 
     def test_refused_first_step_leaves_network_and_optimizer_as_they_were(self, monkeypatch):
-        ds, twins, opts = self._noisy_setup()
+        ds, twins = self._noisy_setup()
         before = dict(twins.net1.params)
         lx = training.loss_lx
 
@@ -398,18 +408,21 @@ class TestWarmup:
             return out
         monkeypatch.setattr(training, "loss_lx", infinite_lx)
         with pytest.raises(TrainingDivergedError, match=r"net 1 \(warmup\): lx is not finite$"):
-            warmup_train(twins, opts, ds, Hyperparams(seed=1, batch_size=32), epochs=1)
+            warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=1)
         assert all(twins.net1.params[n] is before[n] for n in ALL_GROUPS)
-        assert opts[0].velocity == {}
+        assert not twins.net1.velocity.any()
 
     def test_net_1_diverging_later_is_named_before_net_2(self):
-        # at lr 1000 net 1's CE goes non-finite in epoch 0, before net 2 takes a step
+        # at lr 1000 net 1's CE goes non-finite in epoch 0, before net 2, whose
+        # first update would overflow, takes a step
         hp = Hyperparams(seed=1, batch_size=16, lr=1000.0)
-        got, want = self._packed_and_serial([(hp.lr, 0.9, 5e-4), (hp.lr, 0.9, 1e308)], hp)
+        got, want = self._packed_and_serial(hp, net2_w1_velocity=1e308)
         assert got[0] == want[0] == (0, 1, "warmup", "lx")
-        # refused before the update: net 2 never stepped, so it has no velocity yet
+        # refused before the update: net 2 never stepped, so its velocity is as it started
         self._assert_same_state(got, want)
-        assert got[2][1].velocity == {}
+        w1 = layout(got[1].net2.arch)[0][1]
+        assert np.all(got[1].net2.velocity[w1] == 1e308)
+        assert not np.delete(got[1].net2.velocity, np.arange(w1.start, w1.stop)).any()
 
 
 class TestTrainEpoch:
@@ -418,40 +431,38 @@ class TestTrainEpoch:
         ds = inject_symmetric_noise(ds, rate, seed=seed + 1)
         hp = Hyperparams(seed=seed, batch_size=16, warmup_epochs=1, total_epochs=3)
         twins = init_twins(Arch(4, 16, 3, 4), seed=seed)
-        opts = (OptimizerState(hp.lr, hp.momentum, hp.weight_decay),
-                OptimizerState(hp.lr, hp.momentum, hp.weight_decay))
-        warmup_train(twins, opts, ds, hp, epochs=1)
-        return ds, hp, twins, opts
+        warmup_train(twins, ds, hp, epochs=1)
+        return ds, hp, twins
 
     def test_other_network_frozen_during_half_epoch(self):
-        ds, hp, twins, opts = self._setup()
+        ds, hp, twins = self._setup()
         net2_before = snapshot(twins.net2)
         net1_before = snapshot(twins.net1)
-        train_half_epoch(twins, 1, opts, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+        train_half_epoch(twins, 1, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
         assert params_equal(net2_before, snapshot(twins.net2))
         assert not params_equal(net1_before, snapshot(twins.net1))
 
     def test_epoch_is_deterministic(self):
-        ds, hp, twins_a, opts_a = self._setup()
-        _, _, twins_b, opts_b = self._setup()
-        train_epoch(twins_a, opts_a, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
-        train_epoch(twins_b, opts_b, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+        ds, hp, twins_a = self._setup()
+        _, _, twins_b = self._setup()
+        train_epoch(twins_a, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+        train_epoch(twins_b, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
         assert params_equal(snapshot(twins_a.net1), snapshot(twins_b.net1))
         assert params_equal(snapshot(twins_a.net2), snapshot(twins_b.net2))
 
     def test_fresh_selection_each_half(self):
-        ds, hp, twins, opts = self._setup()
-        record = train_epoch(twins, opts, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+        ds, hp, twins = self._setup()
+        record = train_epoch(twins, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
         assert len(record.halves) == 2
         assert record.halves[0].net_index == 1
         assert record.halves[1].net_index == 2
 
     def test_noisy_set_empty_degrades_to_clean_only(self):
-        ds, hp, twins, opts = self._setup()
+        ds, hp, twins = self._setup()
         report = DivergenceReport.from_values(np.linspace(0.01, 0.6, len(ds)))
         sel = uniform_select(report, ds.given_labels, 3, 1.0, d_cutoff=0.9)
         assert len(sel.noisy_indices) == 0
-        rec = train_half_epoch(twins, 1, opts, ds, hp, AUG, CUTOFF, FLAGS,
+        rec = train_half_epoch(twins, 1, ds, hp, AUG, CUTOFF, FLAGS,
                                epoch=1, precomputed=(report, sel))
         assert rec.degenerate == "empty_noisy"
         assert rec.losses["lu"] == 0.0
@@ -459,18 +470,18 @@ class TestTrainEpoch:
         assert rec.losses["lx"] > 0.0
 
     def test_clean_set_empty_degrades_to_ce(self):
-        ds, hp, twins, opts = self._setup()
+        ds, hp, twins = self._setup()
         report = DivergenceReport.from_values(np.linspace(0.4, 0.99, len(ds)))
         sel = uniform_select(report, ds.given_labels, 3, 0.0, d_cutoff=0.1)
         assert len(sel.clean_indices) == 0
-        rec = train_half_epoch(twins, 1, opts, ds, hp, AUG, CUTOFF, FLAGS,
+        rec = train_half_epoch(twins, 1, ds, hp, AUG, CUTOFF, FLAGS,
                                epoch=1, precomputed=(report, sel))
         assert rec.degenerate == "empty_clean"
         assert rec.losses["lx"] > 0.0
         assert rec.losses["lu"] == 0.0
 
     def test_targets_never_tracked_on_tape(self):
-        ds, hp, twins, opts = self._setup()
+        ds, hp, twins = self._setup()
         tape = GradientTape()
         for p in twins.net1.params.values():
             tape.watch(p)
@@ -490,7 +501,7 @@ class TestTrainEpoch:
     def test_step_builds_no_checked_matrices(self, monkeypatch, flags, checked):
         # the step's own arrays are wrapped, not copied and scanned; the
         # one finiteness check of training is in _sgd_steps
-        ds, hp, twins, opts = self._setup()
+        ds, hp, twins = self._setup()
         first = select_for_network(twins, 1, ds, CUTOFF, flags)
         inits = []
         init = Matrix.__init__
@@ -499,24 +510,24 @@ class TestTrainEpoch:
             inits.append(1)
             init(self, values)
         monkeypatch.setattr(Matrix, "__init__", counting_init)
-        record = train_epoch(twins, opts, ds, hp, AUG, CUTOFF, flags, epoch=1,
+        record = train_epoch(twins, ds, hp, AUG, CUTOFF, flags, epoch=1,
                              first_selection=first)
         assert [h.degenerate for h in record.halves] == [None, None]
         assert len(inits) == checked
 
     def test_non_finite_contrastive_term_stops_ssl_step(self, monkeypatch):
-        ds, hp, twins, opts = self._setup()
+        ds, hp, twins = self._setup()
         before = snapshot(twins.net1)
         monkeypatch.setattr(training, "loss_contrastive",
                             lambda z, kappa, tape=None: wrap(np.array([[np.nan]])))
         with pytest.raises(TrainingDivergedError,
                            match=r"^training diverged at epoch 1, net 1 \(ssl\): lc is not finite$"):
-            train_epoch(twins, opts, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+            train_epoch(twins, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
         assert params_equal(before, snapshot(twins.net1))   # refused before the update
 
     def test_collapsed_projection_stops_ssl_step_at_lc(self):
         # a dead second hidden layer leaves the projection at its zero bias
-        ds, hp, twins, opts = self._setup()
+        ds, hp, twins = self._setup()
         net = twins.net1
         net.params["w2"] = Matrix.zeros(*net.params["w2"].shape)
         net.params["b2"] = Matrix(np.full(net.params["b2"].shape, -1.0))
@@ -528,14 +539,14 @@ class TestTrainEpoch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # the zero norm must not warn either
             with pytest.raises(TrainingDivergedError) as info:
-                train_half_epoch(twins, 1, opts, ds, hp, AUG, CUTOFF, FLAGS,
+                train_half_epoch(twins, 1, ds, hp, AUG, CUTOFF, FLAGS,
                                  epoch=1, precomputed=(report, sel))
         err = info.value
         assert (err.epoch, err.net, err.phase, err.term) == (1, 1, "ssl", "lc")
         assert all(net.params[n] is before[n] for n in ALL_GROUPS)   # no update
 
     def test_non_finite_ce_stops_empty_clean_fallback(self, monkeypatch):
-        ds, hp, twins, opts = self._setup()
+        ds, hp, twins = self._setup()
         report = DivergenceReport.from_values(np.linspace(0.4, 0.99, len(ds)))
         sel = uniform_select(report, ds.given_labels, 3, 0.0, d_cutoff=0.1)
         lx = training.loss_lx
@@ -546,7 +557,7 @@ class TestTrainEpoch:
             return out
         monkeypatch.setattr(training, "loss_lx", infinite_lx)
         with pytest.raises(TrainingDivergedError) as info:
-            train_half_epoch(twins, 2, opts, ds, hp, AUG, CUTOFF, FLAGS,
+            train_half_epoch(twins, 2, ds, hp, AUG, CUTOFF, FLAGS,
                              epoch=4, precomputed=(report, sel))
         err = info.value
         assert (err.epoch, err.net, err.phase, err.term) == (4, 2, "empty_clean", "lx")
@@ -558,7 +569,6 @@ def test_infinite_gradient_named_by_parameter():
     for names, bad, phase in ((THETA + PHI, "w2", "warmup"), (ALL_GROUPS, "w2", "ssl"),
                               (ALL_GROUPS, "wp", "ssl")):
         net = init_network(Arch(3, 8, 2, 2), seed=1)
-        opt = OptimizerState(0.1)
         before = dict(net.params)
 
         def loss_fn(tape, item):
@@ -570,11 +580,12 @@ def test_infinite_gradient_named_by_parameter():
         with pytest.raises(TrainingDivergedError,
                            match=rf"^training diverged at epoch 7, net 2 \({phase}\): "
                                  rf"{bad} is not finite$"):
-            training._sgd_steps(net, opt, names, [None], loss_fn, (7, 2, phase))
+            training._sgd_steps(net, Hyperparams(), 0.1, names, [None], loss_fn, (7, 2, phase))
         assert all(net.params[n] is before[n] for n in ALL_GROUPS)   # no parameter replaced
-        # the velocities the refused step updated are handed back
-        assert opt.velocity.keys() == set(names)
-        assert all(np.isinf(v).all() == (n == bad) for n, v in opt.velocity.items())
+        # the refused step's velocities stay updated in the network's row
+        assert all(np.isinf(net.velocity[part]).all() == (n == bad)
+                   for n, part, _ in layout(net.arch)[:len(names)])
+        assert not net.velocity[layout(net.arch)[len(names) - 1][1].stop:].any()
 
 
 DESK_LR50 = {
@@ -654,6 +665,12 @@ class TestHyperparams:
             Hyperparams(d_omega=1.5)
         with pytest.raises(ValueError):
             Hyperparams(total_epochs=5, warmup_epochs=10)
+
+    def test_invalid_learning_rate(self):
+        # every SGD step takes its learning rate from here (decayed_lr)
+        for lr in (0.0, -0.02):
+            with pytest.raises(ValueError, match="lr must be > 0"):
+                Hyperparams(lr=lr)
 
     def test_lr_decay_schedule(self):
         hp = Hyperparams(lr=0.02, lr_decay_factor=0.1, lr_decay_every=120)
