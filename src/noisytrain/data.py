@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +31,41 @@ _STREAM_BATCHES = 301
 def round_half_up(x: float) -> int:
     """round() with deterministic .5-up behavior (no banker's rounding)."""
     return int(math.floor(x + 0.5))
+
+
+# settings: each field's type and range, declared once on its dataclass
+def setting(default=MISSING, kind=None, lo=-math.inf, hi=math.inf, *, choices=()):
+    """A dataclass field that ``check_settings`` holds to ``kind`` (int, float
+    or bool) within [lo, hi], or to one of the strings in ``choices``."""
+    return field(default=default, metadata={"kind": str if choices else kind,
+                                            "range": (lo, hi), "choices": choices})
+
+
+def check_settings(obj) -> None:
+    """Check each ``setting`` field of a dataclass instance, first thing in its
+    ``__post_init__``: no bool or string passes for a number, NaN fails every
+    range, an int given for a float is stored as a float, and the
+    ``ValueError`` names the field first."""
+    for f in fields(obj):
+        if "kind" not in f.metadata:
+            continue
+        name, value, kind = f.name, getattr(obj, f.name), f.metadata["kind"]
+        if kind is bool:
+            if not isinstance(value, bool):
+                raise ValueError(f"{name}: expected a boolean")
+        elif kind is str:
+            choices = f.metadata["choices"]
+            if not (isinstance(value, str) and value in choices):
+                raise ValueError(f"{name}: expected {'|'.join(choices)}, got {value!r}")
+        else:
+            wanted = numbers.Integral if kind is int else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, wanted):
+                what = "an integer" if kind is int else "a number"
+                raise ValueError(f"{name}: expected {what}, got {value!r}")
+            lo, hi = f.metadata["range"]
+            if not lo <= value <= hi:
+                raise ValueError(f"{name}: {value!r} out of range [{lo}, {hi}]")
+            object.__setattr__(obj, name, kind(value))
 
 
 @dataclass
@@ -75,18 +111,14 @@ class LabeledDataset:
 class NoiseSpec:
     """Label corruption model: symmetric redistribution or structured flips."""
 
-    kind: str
-    rate: float
-    seed: int
+    kind: str = setting("symmetric", choices=("symmetric", "asymmetric"))
+    rate: float = setting(0.5, float, 0.0, 1.0)
     flip_map: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("symmetric", "asymmetric"):
-            raise ValueError(f"noise kind must be symmetric|asymmetric, got {self.kind!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"noise rate must be in [0, 1], got {self.rate}")
+        check_settings(self)
         if self.kind == "asymmetric" and self.flip_map is None:
-            raise ValueError("asymmetric noise requires a flip_map")
+            raise ValueError("flip_map is required for asymmetric noise")
 
 
 def validate_flip_map(flip_map, num_classes: int) -> tuple[int, ...]:
@@ -108,17 +140,14 @@ def validate_flip_map(flip_map, num_classes: int) -> tuple[int, ...]:
 class AugmentationSpec:
     """Weak = Gaussian jitter; strong = larger jitter plus coordinate dropout."""
 
-    weak_sigma: float = 0.1
-    strong_sigma: float = 0.5
-    strong_dropout_prob: float = 0.2
+    weak_sigma: float = setting(0.1, float, 0.0, 1e9)
+    strong_sigma: float = setting(0.5, float, 0.0, 1e9)
+    strong_dropout_prob: float = setting(0.2, float, 0.0, 0.999999)
 
     def __post_init__(self):
-        if self.weak_sigma < 0:
-            raise ValueError("weak_sigma must be >= 0")
+        check_settings(self)
         if self.strong_sigma < self.weak_sigma:
             raise ValueError("strong_sigma must be >= weak_sigma")
-        if not 0.0 <= self.strong_dropout_prob < 1.0:
-            raise ValueError("strong_dropout_prob must be in [0, 1)")
 
 
 def make_gaussian_blobs(num_classes: int, per_class: int, dims: int,
@@ -191,10 +220,10 @@ def inject_asymmetric_noise(ds: LabeledDataset, rate: float, flip_map, seed: int
     return out
 
 
-def apply_noise(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
+def apply_noise(ds: LabeledDataset, spec: NoiseSpec, seed: int) -> LabeledDataset:
     if spec.kind == "symmetric":
-        return inject_symmetric_noise(ds, spec.rate, spec.seed)
-    return inject_asymmetric_noise(ds, spec.rate, spec.flip_map, spec.seed)
+        return inject_symmetric_noise(ds, spec.rate, seed)
+    return inject_asymmetric_noise(ds, spec.rate, spec.flip_map, seed)
 
 
 def weak_augment(x: Matrix, spec: AugmentationSpec, rng: np.random.Generator) -> Matrix:
@@ -296,6 +325,8 @@ def load_dataset_csv(path: str, num_classes: int | None = None) -> LabeledDatase
                                  f"the header {len(header)}")
             try:
                 feats.append([float(v) for v in row[:dims]])
+                if not all(map(math.isfinite, feats[-1])):
+                    raise ValueError("feature values must be finite")
                 true_l.append(int(row[dims]))
                 given_l.append(int(row[dims + 1]))
             except ValueError as exc:
@@ -306,4 +337,7 @@ def load_dataset_csv(path: str, num_classes: int | None = None) -> LabeledDatase
     given_arr = np.array(given_l, dtype=np.int64)
     if num_classes is None:
         num_classes = int(max(true_arr.max(), given_arr.max())) + 1
-    return LabeledDataset(Matrix(np.array(feats)), true_arr, given_arr, num_classes)
+    try:
+        return LabeledDataset(Matrix(np.array(feats)), true_arr, given_arr, num_classes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import kernel
-from .data import atomic_open
+from .data import atomic_open, check_settings, setting
 from .kernel import GradientTape, Matrix, ShapeMismatchError
 
 THETA = ("w1", "b1", "w2", "b2")
@@ -35,15 +35,13 @@ _CHECKPOINT_MAGIC = b"TWINNET1"
 class Arch:
     """Dimensions that fully determine every parameter shape."""
 
-    in_dim: int
-    hidden: int
-    num_classes: int
-    embed_dim: int
+    in_dim: int = setting(kind=int, lo=1)
+    hidden: int = setting(kind=int, lo=1)
+    num_classes: int = setting(kind=int, lo=1)
+    embed_dim: int = setting(kind=int, lo=1)
 
     def __post_init__(self):
-        for name in ("in_dim", "hidden", "num_classes", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_settings(self)
 
     def param_shapes(self) -> dict[str, tuple[int, int]]:
         return {
@@ -341,7 +339,10 @@ def load_checkpoint(path: str) -> TwinNetworks:
     if len(raw) - tensors_start != declared:
         raise ValueError(f"{path}: {len(raw) - tensors_start} bytes of tensor data, "
                          f"but the header declares {declared}")
-    arch = Arch(**header["arch"])
+    try:
+        arch = Arch(**header["arch"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: arch.{exc}") from exc
     shapes = arch.param_shapes()
     nets = {}
     for net_id, seed in zip((1, 2), header["seeds"]):

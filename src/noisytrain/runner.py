@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import (LabeledDataset, NoiseSpec, apply_noise, atomic_open, dataset_csv_blocks,
+from .data import (LabeledDataset, apply_noise, atomic_open, dataset_csv_blocks,
                    make_gaussian_blobs, save_dataset_csv)
 from .kernel import Matrix
 from .experiment import RunResult, run
@@ -66,9 +66,7 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
     train = subset(train_idx)
     test = subset(test_idx)
-    spec = NoiseSpec(kind=cfg.noise.kind, rate=cfg.noise.rate, seed=cfg.hyperparams.seed,
-                     flip_map=cfg.noise.flip_map)
-    return apply_noise(train, spec), test
+    return apply_noise(train, cfg.noise, cfg.hyperparams.seed), test
 
 
 def _fmt(value) -> str:

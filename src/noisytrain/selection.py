@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, atomic_open, round_half_up
+from .data import LabeledDataset, atomic_open, check_settings, round_half_up, setting
 from .kernel import Matrix
 from .model import TwinNetworks, ensemble_softmax
 
@@ -29,17 +29,12 @@ class DistributionError(ValueError):
 class CutoffParams:
     """Filter coefficient tau, adjustment threshold d_mu, per-class quota rule."""
 
-    tau: float = 5.0
-    d_mu: float = 0.7
-    quota_mode: str = "class_fraction"
+    tau: float = setting(5.0, float, 1e-9, 1e9)
+    d_mu: float = setting(0.7, float, 1e-9, 0.999999)
+    quota_mode: str = setting("class_fraction", choices=("class_fraction", "dataset_fraction"))
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not 0.0 < self.d_mu < 1.0:
-            raise ValueError(f"d_mu must be in (0, 1), got {self.d_mu}")
-        if self.quota_mode not in ("class_fraction", "dataset_fraction"):
-            raise ValueError(f"quota_mode must be class_fraction|dataset_fraction, got {self.quota_mode!r}")
+        check_settings(self)
 
 
 @dataclass(frozen=True)

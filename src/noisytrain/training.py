@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .data import (AugmentationSpec, LabeledDataset, batch_iterator,
-                   strong_augment, weak_augment)
+from .data import (AugmentationSpec, LabeledDataset, batch_iterator, check_settings,
+                   setting, strong_augment, weak_augment)
 from .kernel import GradientTape, Matrix, backward, sgd_step
 from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, layout, \
     dataset_softmax, forward_logits, forward_projection, forward_softmax, softmax_in_place
@@ -68,56 +68,39 @@ class TrainingDivergedError(RuntimeError):
 class Hyperparams:
     """Every scalar training knob in one validated record."""
 
-    T: float = 0.5
-    lambda_u: float = 30.0
-    lambda_c: float = 0.025
-    lambda_r: float = 1.0
-    kappa: float = 0.05
-    d_omega: float = 0.5
-    alpha: float = 4.0
-    lr: float = 0.02
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    batch_size: int = 64
-    warmup_epochs: int = 10
-    total_epochs: int = 300
-    lr_decay_factor: float = 0.1
-    lr_decay_every: int = 120
-    seed: int = 0
+    T: float = setting(0.5, float, 1e-9, 1e9)
+    lambda_u: float = setting(30.0, float, 0.0, 1e9)
+    lambda_c: float = setting(0.025, float, 0.0, 1e9)
+    lambda_r: float = setting(1.0, float, 0.0, 1e9)
+    kappa: float = setting(0.05, float, 1e-9, 1e9)
+    d_omega: float = setting(0.5, float, 0.0, 1.0)
+    alpha: float = setting(4.0, float, 1e-9, 1e9)
+    lr: float = setting(0.02, float, 1e-12, 1e9)
+    momentum: float = setting(0.9, float, 0.0, 0.999999)
+    weight_decay: float = setting(5e-4, float, 0.0, 1e9)
+    batch_size: int = setting(64, int, 1, 10_000_000)
+    warmup_epochs: int = setting(10, int, 0, 10_000_000)
+    total_epochs: int = setting(300, int, 0, 10_000_000)
+    lr_decay_factor: float = setting(0.1, float, 1e-9, 1.0)
+    lr_decay_every: int = setting(120, int, 1, 10_000_000)
+    seed: int = setting(0, int, 0, 2 ** 62)
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be > 0")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be > 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        for name in ("lambda_u", "lambda_c", "lambda_r"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0.0 <= self.d_omega <= 1.0:
-            raise ValueError("d_omega must be in [0, 1]")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.warmup_epochs < 0 or self.total_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
+        check_settings(self)
         if self.total_epochs < self.warmup_epochs:
             raise ValueError("total_epochs must be >= warmup_epochs")
-        if not 0.0 < self.lr_decay_factor <= 1.0:
-            raise ValueError("lr_decay_factor must be in (0, 1]")
-        if self.lr_decay_every < 1:
-            raise ValueError("lr_decay_every must be >= 1")
 
 
 @dataclass(frozen=True)
 class AblationFlags:
     """Switchable pieces of the pipeline; all on for the full method."""
 
-    balancing: bool = True
-    contrastive: bool = True
-    ensemble: bool = True
+    balancing: bool = setting(True, bool)
+    contrastive: bool = setting(True, bool)
+    ensemble: bool = setting(True, bool)
+
+    def __post_init__(self):
+        check_settings(self)
 
 
 @dataclass

@@ -6,17 +6,30 @@ a round trip through its canonical dict form.
 """
 
 import json
+import math
 import os
 import re
+from dataclasses import fields
 
 import pytest
 
 from noisytrain.cli import main
-from noisytrain.config import (_RANGES, ConfigKeyError, ConfigValueError,
+from noisytrain.config import (ConfigKeyError, ConfigValueError, ExperimentConfig,
                                config_from_dict, config_to_dict)
+from noisytrain.data import AugmentationSpec, NoiseSpec
+from noisytrain.model import Arch
+from noisytrain.selection import CutoffParams
+from noisytrain.training import Hyperparams
 
 SECTIONS = ("dataset", "noise", "augmentation", "arch", "hyperparams",
             "selection", "ablation")
+
+# JSON section name -> its dataclass
+SECTION_CLASSES = {f.name: f.default_factory for f in fields(ExperimentConfig)
+                   if f.name in SECTIONS}
+# every settings class, with the arguments it needs besides the one under test
+SETTINGS_CLASSES = {cls: {} for cls in SECTION_CLASSES.values()}
+SETTINGS_CLASSES[Arch] = {"in_dim": 2, "hidden": 3, "num_classes": 2, "embed_dim": 1}
 
 # every field set, and set to something other than its default
 NON_DEFAULT = {
@@ -42,17 +55,26 @@ def _nested(dotted, value):
     return {section: {key: value}} if key else {section: value}
 
 
+def _numeric_settings(cls):
+    """(name, kind, lo, hi) of each int or float field ``cls`` declares."""
+    for f in fields(cls):
+        if f.metadata.get("kind") in (int, float):
+            yield f.name, f.metadata["kind"], *f.metadata["range"]
+
+
 def _range_cases():
-    for dotted, (kind, lo, hi) in _RANGES.items():
-        if kind is int:
-            bad = {"below": lo - 1, "above": hi + 1, "fraction": 2.5}
-        else:
-            bad = {"below": 0.0 if lo > 0 else lo - 0.5,
-                   "above": 2 * hi if hi > 1 else (1.0 if hi < 1 else 1.5)}
-        bad.update(string="1", bool=True)
-        for label, value in bad.items():
-            yield pytest.param(_nested(dotted, value), re.escape(dotted),
-                               id=f"{dotted}-{label}")
+    for section, cls in SECTION_CLASSES.items():
+        for name, kind, lo, hi in _numeric_settings(cls):
+            dotted = name if name == "seed" else f"{section}.{name}"   # a top-level key
+            if kind is int:
+                bad = {"below": lo - 1, "above": hi + 1, "fraction": 2.5}
+            else:
+                bad = {"below": 0.0 if lo > 0 else lo - 0.5,
+                       "above": 2 * hi if hi > 1 else (1.0 if hi < 1 else 1.5)}
+            bad.update(string="1", bool=True)
+            for label, value in bad.items():
+                yield pytest.param(_nested(dotted, value), re.escape(dotted),
+                                   id=f"{dotted}-{label}")
 
 
 def _key(section, key):
@@ -108,6 +130,46 @@ KEY_CASES = [
 def test_out_of_range_or_mistyped_value_names_key(raw, key):
     with pytest.raises(ConfigValueError, match=key):
         config_from_dict(raw)
+
+
+def _construction(cls, tag="", **kwargs):
+    """``cls`` built from ``kwargs`` and the class's base arguments; the
+    error must name the first field in ``kwargs``."""
+    name = next(iter(kwargs))
+    return pytest.param(cls, {**SETTINGS_CLASSES[cls], **kwargs}, name,
+                        id=f"{tag}{cls.__name__}-{name}-{kwargs[name]!r}")
+
+
+def _direct_cases():
+    for cls in SETTINGS_CLASSES:
+        for name, *_ in _numeric_settings(cls):
+            for value in (math.nan, math.inf, -math.inf, True, "1"):
+                yield _construction(cls, **{name: value})
+
+
+# each of these constructed without error before the fields declared their ranges
+DIRECT_PROBES = [
+    *[_construction(Hyperparams, "probe-", **{name: math.nan})
+      for name in ("lr", "T", "lambda_u", "momentum")],
+    _construction(Hyperparams, "probe-", weight_decay=-1.0),
+    _construction(Hyperparams, "probe-", kappa=math.inf),
+    _construction(Hyperparams, "probe-", batch_size=2.5),
+    _construction(CutoffParams, "probe-", tau=math.nan),
+    _construction(AugmentationSpec, "probe-", weak_sigma=math.nan, strong_sigma=math.nan),
+    _construction(Arch, "probe-", in_dim=2.5),
+]
+
+
+@pytest.mark.parametrize("cls,kwargs,name", [*_direct_cases(), *DIRECT_PROBES])
+def test_direct_construction_checks_the_declared_range(cls, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls", SETTINGS_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_field_is_a_declared_setting(cls):
+    undeclared = [f.name for f in fields(cls) if "kind" not in f.metadata]
+    assert undeclared == (["flip_map"] if cls is NoiseSpec else [])
 
 
 @pytest.mark.parametrize("raw,key", VALUE_CASES)
@@ -192,3 +254,4 @@ def test_numbers_are_canonicalized():
     assert isinstance(cfg.noise.rate, float) and cfg.noise.rate == 0.0
     assert isinstance(cfg.selection.tau, float)
     assert isinstance(cfg.dataset.separation, float)
+    assert isinstance(Hyperparams(lr=1).lr, float)   # constructed directly, too

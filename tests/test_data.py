@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noisytrain import data
-from noisytrain.data import (AugmentationSpec, LabeledDataset, NoiseSpec,
+from noisytrain.data import (AugmentationSpec, LabeledDataset, NoiseSpec, apply_noise,
                              atomic_open, batch_iterator, inject_asymmetric_noise,
                              inject_symmetric_noise, load_dataset_csv,
                              make_gaussian_blobs, round_half_up, save_dataset_csv,
@@ -112,11 +112,20 @@ class TestAsymmetricNoise:
         with pytest.raises(ValueError):
             inject_asymmetric_noise(ds, 0.5, (0, 2, 0), seed=4)
 
+    def test_apply_noise_takes_the_seed(self):
+        ds = make_gaussian_blobs(3, 10, 3, 6.0, seed=2)
+        sym = apply_noise(ds, NoiseSpec(rate=0.4), seed=4)
+        assert np.array_equal(sym.given_labels,
+                              inject_symmetric_noise(ds, 0.4, seed=4).given_labels)
+        asym = apply_noise(ds, NoiseSpec("asymmetric", 0.4, (1, 2, 0)), seed=4)
+        assert np.array_equal(asym.given_labels,
+                              inject_asymmetric_noise(ds, 0.4, (1, 2, 0), seed=4).given_labels)
+
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
-            NoiseSpec(kind="weird", rate=0.5, seed=0)
+            NoiseSpec(kind="weird", rate=0.5)
         with pytest.raises(ValueError):
-            NoiseSpec(kind="asymmetric", rate=0.5, seed=0, flip_map=None)
+            NoiseSpec(kind="asymmetric", rate=0.5, flip_map=None)
 
 
 class TestAugmentation:
@@ -222,11 +231,19 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("bad_row,detail", [
         ("0.5,x,1,1", "could not convert string to float: 'x'"),
         ("0.5,1.5,1,one", "invalid literal for int() with base 10: 'one'"),
-    ], ids=["feature", "label"])
+        ("0.5,nan,1,1", "feature values must be finite"),
+        ("-inf,1.5,1,1", "feature values must be finite"),
+    ], ids=["feature", "label", "nan-feature", "inf-feature"])
     def test_unparsable_field_names_path_and_row(self, tmp_path, bad_row, detail):
         path = tmp_path / "snapshot.csv"
         path.write_text(f"feat_0,feat_1,true_label,given_label\n0.1,0.2,0,0\n{bad_row}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row 2: {detail}')}$"):
+            load_dataset_csv(str(path))
+
+    def test_out_of_range_label_names_path(self, tmp_path):
+        path = tmp_path / "snapshot.csv"
+        path.write_text("feat_0,true_label,given_label\n0.1,1,1\n0.5,-1,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: true labels out of range [0, 2)')}$"):
             load_dataset_csv(str(path))
 
     def test_header_shape(self, tmp_path):

@@ -363,6 +363,7 @@ class TestCheckpoint:
         (lambda h: h.pop("tensors"), r"the header lacks 'tensors'"),
         (lambda h: h["arch"].pop("hidden"), r"'arch' must map exactly the Arch fields"),
         (lambda h: h["arch"].update(hidden="8"), r"'arch' must map exactly the Arch fields"),
+        (lambda h: h["arch"].update(embed_dim=0), r"arch\.embed_dim: 0 out of range \[1, "),
         (lambda h: h.update(seeds=[43]), r"'seeds' must hold exactly two integers, got \[43\]"),
         (lambda h: h.update(seeds=[43, 44, 45]), r"'seeds' must hold exactly two integers"),
         (lambda h: h.update(seeds=[43, "44"]), r"'seeds' must hold exactly two integers"),
@@ -374,7 +375,7 @@ class TestCheckpoint:
         (lambda h: h["tensors"].__setitem__(0, "w1"), r"'tensors' must be a list of objects"),
         (lambda h: b"\xff\xfe" + json.dumps(h).encode(), r"the header is not UTF-8 JSON"),
         (lambda h: b"{not json", r"the header is not UTF-8 JSON"),
-    ], ids=["no-version", "no-arch", "no-seeds", "no-tensors", "arch-key", "arch-str",
+    ], ids=["no-version", "no-arch", "no-seeds", "no-tensors", "arch-key", "arch-str", "arch-zero",
             "one-seed", "three-seeds", "str-seed", "bool-seed", "tensors-object",
             "no-rows", "list-net", "int-name", "str-entry", "not-utf8", "not-json"])
     def test_header_keys_checked(self, tmp_path, edit, message):

@@ -669,7 +669,7 @@ class TestHyperparams:
     def test_invalid_learning_rate(self):
         # every SGD step takes its learning rate from here (decayed_lr)
         for lr in (0.0, -0.02):
-            with pytest.raises(ValueError, match="lr must be > 0"):
+            with pytest.raises(ValueError, match=r"^lr: .* out of range \[1e-12, "):
                 Hyperparams(lr=lr)
 
     def test_lr_decay_schedule(self):
