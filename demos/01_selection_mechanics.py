@@ -10,7 +10,7 @@ from noisytrain import (CutoffParams, compute_cutoff, compute_divergences,
                         compute_filter_rate, init_twins, jsd,
                         make_gaussian_blobs, inject_symmetric_noise,
                         uniform_select, baseline_global_select)
-from noisytrain.metrics import class_histogram, roc_auc, selection_precision_recall
+from noisytrain.metrics import roc_auc, selection_precision_recall
 from noisytrain.model import Arch
 from noisytrain.training import Hyperparams, warmup_train
 
@@ -28,7 +28,8 @@ print(f"{len(ds)} samples, measured corruption {corrupted:.3f}")
 print("\n= Warm up twin networks with plain cross-entropy =")
 twins = init_twins(Arch(in_dim=8, hidden=64, num_classes=4, embed_dim=16), seed=3)
 hp = Hyperparams(seed=3)
-warmup_train(twins, ds, hp, epochs=10)
+for epoch in range(10):
+    warmup_train(twins, ds, hp, epoch)
 
 report = compute_divergences(twins, ds)
 clean_mask = ds.given_labels == ds.true_labels
@@ -48,7 +49,6 @@ balanced = uniform_select(report, ds.given_labels, 4, rate, d_cutoff=cutoff)
 global_sel = baseline_global_select(report, rate, ds.given_labels, 4, d_cutoff=cutoff)
 for name, sel in (("balanced", balanced), ("class-blind", global_sel)):
     precision, recall = selection_precision_recall(sel, ds)
-    hist = class_histogram(sel, ds.given_labels, 4)
-    print(f"{name:12s} per-class counts {hist.tolist()}  "
+    print(f"{name:12s} per-class counts {sel.per_class_quota.tolist()}  "
           f"precision {precision:.3f}  recall {recall:.3f}")
 print(f"ranking quality (ROC-AUC of 1 - d): {roc_auc(report, ds):.3f}")

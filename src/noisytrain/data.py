@@ -58,14 +58,19 @@ def check_settings(obj) -> None:
             if not (isinstance(value, str) and value in choices):
                 raise ValueError(f"{name}: expected {'|'.join(choices)}, got {value!r}")
         else:
-            wanted = numbers.Integral if kind is int else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, wanted):
-                what = "an integer" if kind is int else "a number"
-                raise ValueError(f"{name}: expected {what}, got {value!r}")
-            lo, hi = f.metadata["range"]
-            if not lo <= value <= hi:
-                raise ValueError(f"{name}: {value!r} out of range [{lo}, {hi}]")
-            object.__setattr__(obj, name, kind(value))
+            object.__setattr__(obj, name, _check_number(name, value, kind, *f.metadata["range"]))
+
+
+def _check_number(name: str, value, kind, lo=-math.inf, hi=math.inf):
+    """``value`` as ``kind`` (int or float) if it is one within [lo, hi]; else
+    a ``ValueError`` naming ``name``.  No bool passes, and NaN fails every range."""
+    wanted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name}: expected {what}, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name}: {value!r} out of range [{lo}, {hi}]")
+    return kind(value)
 
 
 @dataclass
@@ -157,14 +162,11 @@ def make_gaussian_blobs(num_classes: int, per_class: int, dims: int,
     Samples are grouped by class (class 0 first).  Given labels start out
     identical to the true labels; corruption is a separate step.
     """
-    if num_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if per_class < 1:
-        raise ValueError("need at least 1 sample per class")
-    if dims < 2:
-        raise ValueError("need at least 2 feature dimensions")
-    if separation <= 0:
-        raise ValueError("separation must be > 0")
+    num_classes = _check_number("num_classes", num_classes, int, 2)
+    per_class = _check_number("per_class", per_class, int, 1)
+    dims = _check_number("dims", dims, int, 2)
+    if not 0.0 < _check_number("separation", separation, float) < math.inf:
+        raise ValueError(f"separation: {separation!r} must be finite and > 0")
 
     rng_means = np.random.default_rng([seed, _STREAM_MEANS])
     means = rng_means.standard_normal((num_classes, dims))
@@ -254,8 +256,7 @@ def batch_iterator(indices, batch_size: int, seed, epoch: int) -> list[np.ndarra
     obtained by passing distinct tuples).  The final short batch is kept.
     An empty index set yields an empty list; callers decide how to degrade.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    batch_size = _check_number("batch_size", batch_size, int, 1)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         return []

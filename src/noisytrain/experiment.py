@@ -1,10 +1,12 @@
 """Full training runs: warmup followed by SSL epochs, with per-epoch metrics.
 
-A run logs one metrics row per epoch.  For SSL epochs the selection
-fields describe the partition computed at the start of the epoch (the
-same one the first network trains against), so the first SSL row is the
-state of selection exactly at the end of warmup.  Accuracy fields always
-describe the model after the epoch's updates.
+An SSL epoch is two halves, one per network.  Before each half, ``run``
+makes that network's selection with ``select_for_network`` and hands it
+to ``train_half_epoch``.  A run logs one metrics row per epoch.  For SSL
+epochs the selection fields describe the first network's selection,
+made at the start of the epoch, so the first SSL row is the state of
+selection exactly at the end of warmup.  Accuracy fields always describe
+the model after the epoch's updates.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from typing import Callable
 import numpy as np
 
 from .data import AugmentationSpec, LabeledDataset
-from .metrics import (EpochMetrics, UndefinedAUCError, accuracy,
-                      class_histogram, pseudo_label_recall,
+from .metrics import (EpochMetrics, UndefinedAUCError, accuracy, pseudo_label_recall,
                       selection_precision_recall, roc_auc)
 from .model import Arch, TwinNetworks, init_twins
 from .selection import CutoffParams
-from .training import (AblationFlags, EpochRecord, Hyperparams, select_for_network,
-                       train_epoch, warmup_train)
+from .training import (AblationFlags, HalfEpochRecord, Hyperparams, select_for_network,
+                       train_half_epoch, warmup_train)
 
 _S_METRIC = 80
 
@@ -40,14 +41,15 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
         hidden: int, embed_dim: int, aug: AugmentationSpec,
         cutoff_params: CutoffParams | None = None,
         flags: AblationFlags | None = None,
-        on_epoch: Callable[[int, EpochRecord], None] | None = None,
+        on_epoch: Callable[[int, list[HalfEpochRecord]], None] | None = None,
         start: RunResult | None = None) -> RunResult:
     """Train twin networks for hp.total_epochs and log metrics per epoch.
 
     With ``start``, continue a finished run of the same data and settings
     from epoch ``len(start.rows)``, training its networks and their velocity
     rows further in place.  Every random draw is keyed by seed and epoch,
-    so the result is the one an uninterrupted run would give.
+    so the result is the one an uninterrupted run would give.  After each
+    SSL epoch, ``on_epoch(epoch, halves)`` gets its two half-epoch records.
     """
     cutoff_params = cutoff_params or CutoffParams()
     flags = flags or AblationFlags()
@@ -60,37 +62,37 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
 
     for epoch in range(len(rows), hp.total_epochs):
         if epoch < hp.warmup_epochs:
-            ce = warmup_train(twins, train_ds, hp, epochs=1, epoch_offset=epoch)
+            ce = warmup_train(twins, train_ds, hp, epoch)
             rows.append(EpochMetrics(
                 epoch=epoch, phase="warmup",
                 filter_rate=None, d_cutoff=None, precision=None, recall=None,
                 roc_auc=None, pseudo_recall=None,
                 test_acc=accuracy(twins, test_ds.features, test_ds.true_labels),
                 train_acc_given=accuracy(twins, train_ds.features, train_ds.given_labels),
-                loss_lx=ce[0], loss_lu=None, loss_reg=None, loss_lc=None,
+                loss_lx=ce, loss_lu=None, loss_reg=None, loss_lc=None,
             ))
             continue
 
-        report, sel = select_for_network(twins, 1, train_ds, cutoff_params, flags)
+        halves = []
+        for net_index in (1, 2):
+            report, sel = select_for_network(twins, net_index, train_ds, cutoff_params, flags)
+            if net_index == 1:
+                p_recall = None if len(sel.noisy_indices) == 0 else pseudo_label_recall(
+                    twins, train_ds, sel.noisy_indices, hp.T, aug,
+                    np.random.default_rng([hp.seed, _S_METRIC, epoch]))
+            halves.append(train_half_epoch(twins, net_index, train_ds, hp, aug, flags, epoch,
+                                           report, sel))
+        if on_epoch is not None:
+            on_epoch(epoch, halves)
+
+        report, sel = halves[0].report, halves[0].selection
         precision, recall = selection_precision_recall(sel, train_ds)
         try:
             auc = roc_auc(report, train_ds)
         except UndefinedAUCError:
             auc = None
-        if len(sel.noisy_indices) > 0:
-            rng = np.random.default_rng([hp.seed, _S_METRIC, epoch])
-            p_recall = pseudo_label_recall(twins, train_ds, sel.noisy_indices,
-                                           hp.T, aug, rng)
-        else:
-            p_recall = None
-        counts = class_histogram(sel, train_ds.given_labels, train_ds.num_classes)
-
-        record = train_epoch(twins, train_ds, hp, aug, cutoff_params, flags,
-                             epoch, first_selection=(report, sel))
-        if on_epoch is not None:
-            on_epoch(epoch, record)
-
-        losses = record.mean_losses()
+        lx, lu, lreg, lc = (float(np.mean([h.losses[k] for h in halves]))
+                            for k in ("lx", "lu", "lreg", "lc"))
         rows.append(EpochMetrics(
             epoch=epoch, phase="ssl",
             filter_rate=sel.filter_rate, d_cutoff=sel.d_cutoff,
@@ -98,8 +100,7 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
             pseudo_recall=p_recall,
             test_acc=accuracy(twins, test_ds.features, test_ds.true_labels),
             train_acc_given=accuracy(twins, train_ds.features, train_ds.given_labels),
-            loss_lx=losses["lx"], loss_lu=losses["lu"],
-            loss_reg=losses["lreg"], loss_lc=losses["lc"],
-            class_counts=[int(c) for c in counts],
+            loss_lx=lx, loss_lu=lu, loss_reg=lreg, loss_lc=lc,
+            class_counts=[int(c) for c in sel.per_class_quota],
         ))
     return RunResult(twins=twins, rows=rows)

@@ -130,10 +130,3 @@ def accuracy(twins: TwinNetworks, features: Matrix, labels) -> float:
     predicted = probs.data.argmax(axis=1)
     return float((predicted == labels).mean())
 
-
-def class_histogram(sel: SelectionResult, given_labels, num_classes: int) -> np.ndarray:
-    """Selected-sample count per given class."""
-    labels = np.asarray(given_labels, dtype=np.int64)
-    if len(sel.clean_indices) == 0:
-        return np.zeros(num_classes, dtype=np.int64)
-    return np.bincount(labels[sel.clean_indices], minlength=num_classes)

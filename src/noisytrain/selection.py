@@ -66,7 +66,7 @@ class SelectionResult:
     noisy_indices: np.ndarray
     filter_rate: float
     d_cutoff: float
-    per_class_quota: np.ndarray
+    per_class_quota: np.ndarray   # selected count per given class
 
 
 def _as_distribution(v, name: str) -> np.ndarray:
@@ -185,12 +185,11 @@ def uniform_select(report: DivergenceReport, given_labels, num_classes: int,
 
 
 def baseline_global_select(report: DivergenceReport, filter_rate: float,
-                           given_labels=None, num_classes: int | None = None,
+                           given_labels, num_classes: int,
                            d_cutoff: float = float("nan")) -> SelectionResult:
     """Class-blind selection of the globally lowest round(R * N) divergences.
 
-    Ablation baseline only; per_class_quota records the realized counts
-    when labels are supplied.
+    Ablation baseline only; per_class_quota records the realized counts.
     """
     if not 0.0 <= filter_rate <= 1.0:
         raise ValueError(f"filter_rate must be in [0, 1], got {filter_rate}")
@@ -201,10 +200,7 @@ def baseline_global_select(report: DivergenceReport, filter_rate: float,
     mask = np.zeros(n, dtype=bool)
     mask[clean] = True
     noisy = np.flatnonzero(~mask)
-    if given_labels is not None and num_classes is not None:
-        counts = np.bincount(np.asarray(given_labels)[clean], minlength=num_classes)
-    else:
-        counts = np.empty(0, dtype=np.int64)
+    counts = np.bincount(np.asarray(given_labels)[clean], minlength=num_classes)
     return SelectionResult(clean, noisy, float(filter_rate), float(d_cutoff), counts)
 
 

@@ -1,9 +1,10 @@
 """Two-network training: cross-entropy warmup and the per-epoch SSL loop.
 
 Each SSL epoch trains the networks alternately.  Before a network's half
-of the epoch, the clean/noisy partition is recomputed from scratch, so
-the other network's most recent update always informs the split.  Within
-the half, clean batches get refined labels, noisy batches get sharpened
+of the epoch, the caller recomputes the clean/noisy partition from scratch
+with ``select_for_network`` and hands it to ``train_half_epoch``, so the
+other network's most recent update always informs the split.  Within the
+half, clean batches get refined labels, noisy batches get sharpened
 pseudo-labels guessed by both networks, everything is mixed with MixUp,
 and the contrastive term pulls together the two strong views of each
 noisy sample.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -359,14 +360,6 @@ class HalfEpochRecord:
     degenerate: str | None = None
 
 
-@dataclass
-class EpochRecord:
-    halves: list[HalfEpochRecord] = field(default_factory=list)
-
-    def mean_losses(self) -> dict[str, float]:
-        return {k: float(np.mean([h.losses[k] for h in self.halves])) for k in _LOSS_TERMS}
-
-
 def _rows(features: Matrix, idx: np.ndarray) -> Matrix:
     return kernel.wrap(features.data[idx])
 
@@ -434,26 +427,21 @@ def _ce_loss(net: NetworkParams, ds: LabeledDataset, targets_full: Matrix):
     return ce
 
 
-def warmup_train(twins: TwinNetworks, ds: LabeledDataset, hp: Hyperparams, epochs: int,
-                 epoch_offset: int = 0) -> list[float]:
-    """Cross-entropy on all given labels, both networks independently.
+def warmup_train(twins: TwinNetworks, ds: LabeledDataset, hp: Hyperparams, epoch: int) -> float:
+    """One epoch of cross-entropy on all given labels, both networks independently.
 
-    The projection head is untouched during warmup.  Returns the mean CE
-    per epoch (averaged over both networks).
+    The projection head is untouched during warmup.  Returns the epoch's
+    mean CE over both networks' steps.
     """
     all_idx = np.arange(len(ds))
     targets_full = one_hot(ds.given_labels, ds.num_classes)
-    epoch_losses = []
-    for i in range(epochs):
-        epoch = epoch_offset + i
-        ce_values = []
-        for k, net in enumerate((twins.net1, twins.net2), start=1):
-            batches = batch_iterator(all_idx, hp.batch_size, (hp.seed, _S_WARMUP, k), epoch)
-            steps = _sgd_steps(net, hp, decayed_lr(hp, epoch), THETA + PHI, batches,
-                               _ce_loss(net, ds, targets_full), (epoch, k, "warmup"))
-            ce_values += [terms["lx"] for terms in steps]
-        epoch_losses.append(float(np.mean(ce_values)) if ce_values else 0.0)
-    return epoch_losses
+    ce_values = []
+    for k, net in enumerate((twins.net1, twins.net2), start=1):
+        batches = batch_iterator(all_idx, hp.batch_size, (hp.seed, _S_WARMUP, k), epoch)
+        steps = _sgd_steps(net, hp, decayed_lr(hp, epoch), THETA + PHI, batches,
+                           _ce_loss(net, ds, targets_full), (epoch, k, "warmup"))
+        ce_values += [terms["lx"] for terms in steps]
+    return float(np.mean(ce_values)) if ce_values else 0.0
 
 
 def select_for_network(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
@@ -494,17 +482,11 @@ def _repeat_rows_twice(t: Matrix) -> Matrix:
 
 
 def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
-                     hp: Hyperparams, aug: AugmentationSpec,
-                     cutoff_params: CutoffParams, flags: AblationFlags, epoch: int,
-                     precomputed: tuple[DivergenceReport, SelectionResult] | None = None) -> HalfEpochRecord:
-    """Select, then train one network while the other stays frozen."""
+                     hp: Hyperparams, aug: AugmentationSpec, flags: AblationFlags, epoch: int,
+                     report: DivergenceReport, sel: SelectionResult) -> HalfEpochRecord:
+    """Train one network on the split ``sel`` of ``report`` while the other stays frozen."""
     net = twins.net1 if net_index == 1 else twins.net2
     lr = decayed_lr(hp, epoch)
-
-    if precomputed is None:
-        report, sel = select_for_network(twins, net_index, ds, cutoff_params, flags)
-    else:
-        report, sel = precomputed
     weights = refinement_weights(report.d, hp.d_omega)
     targets_full = one_hot(ds.given_labels, ds.num_classes)
 
@@ -587,15 +569,3 @@ def _mean_losses(steps: list[dict[str, float]]) -> dict[str, float]:
     return {k: float(np.mean([terms.get(k, 0.0) for terms in steps])) if steps else 0.0
             for k in _LOSS_TERMS}
 
-
-def train_epoch(twins: TwinNetworks, ds: LabeledDataset, hp: Hyperparams,
-                aug: AugmentationSpec, cutoff_params: CutoffParams, flags: AblationFlags, epoch: int,
-                first_selection: tuple[DivergenceReport, SelectionResult] | None = None) -> EpochRecord:
-    """One SSL epoch: fresh selection before each network, trained in turn."""
-    record = EpochRecord()
-    for net_index in (1, 2):
-        pre = first_selection if net_index == 1 else None
-        record.halves.append(
-            train_half_epoch(twins, net_index, ds, hp, aug, cutoff_params,
-                             flags, epoch, precomputed=pre))
-    return record

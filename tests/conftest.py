@@ -87,3 +87,19 @@ def serial_sgd_steps(net, hp, lr, names, items, loss_fn, where):
             steps.append({name: term.item() for name, term in terms.items()})
     return steps
 
+
+def warmup_epochs(twins, ds, hp, epochs):
+    """``training.warmup_train`` for epochs 0 .. ``epochs - 1``; returns each
+    epoch's mean CE."""
+    return [training.warmup_train(twins, ds, hp, epoch) for epoch in range(epochs)]
+
+
+def ssl_epoch(twins, ds, hp, aug, cutoff_params, flags, epoch):
+    """One SSL epoch as ``experiment.run`` drives it: a fresh selection
+    before each network's half; returns the two half-epoch records."""
+    halves = []
+    for net_index in (1, 2):
+        report, sel = training.select_for_network(twins, net_index, ds, cutoff_params, flags)
+        halves.append(training.train_half_epoch(twins, net_index, ds, hp, aug, flags, epoch,
+                                                report, sel))
+    return halves

@@ -46,6 +46,15 @@ class TestGaussianBlobs:
         with pytest.raises(ValueError):
             make_gaussian_blobs(2, 5, 2, -1.0, seed=0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("separation", float("nan")), ("separation", float("inf")),
+        ("num_classes", 2.5), ("per_class", 2.5), ("dims", 2.5), ("per_class", True),
+    ])
+    def test_bad_argument_is_named(self, name, value):
+        args = {"num_classes": 2, "per_class": 5, "dims": 2, "separation": 4.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            make_gaussian_blobs(**args, seed=0)
+
 
 class TestSymmetricNoise:
     def test_rate_zero_is_identity(self):
@@ -183,6 +192,11 @@ class TestBatchIterator:
 
     def test_empty_indices(self):
         assert batch_iterator(np.array([], dtype=np.int64), 4, seed=1, epoch=0) == []
+
+    @pytest.mark.parametrize("batch_size", [True, 2.5])
+    def test_bad_batch_size_is_named(self, batch_size):
+        with pytest.raises(ValueError, match="^batch_size: "):
+            batch_iterator(np.arange(10), batch_size, seed=1, epoch=0)
 
 
 class TestCsvRoundTrip:

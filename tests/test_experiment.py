@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from noisytrain import experiment
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
 from noisytrain.model import save_checkpoint
@@ -18,11 +19,11 @@ from noisytrain.training import AblationFlags, Hyperparams
 HP = Hyperparams(warmup_epochs=2, total_epochs=6, batch_size=16, seed=3)
 
 
-def go(hp, start=None, flags=None):
+def go(hp, start=None, flags=None, on_epoch=None):
     train = inject_symmetric_noise(make_gaussian_blobs(3, 20, 4, 6.0, seed=3), 0.4, seed=3)
     test = make_gaussian_blobs(3, 10, 4, 6.0, seed=4)
     return run(train, test, hp, hidden=16, embed_dim=4, aug=AugmentationSpec(),
-               flags=flags, start=start)
+               flags=flags, on_epoch=on_epoch, start=start)
 
 
 def checkpoint_bytes(result, path):
@@ -61,3 +62,39 @@ def assert_same_run(continued, whole, tmp_path):
                       (continued.twins.net2, whole.twins.net2)):
         assert got.velocity.shape == want.velocity.shape
         assert (got.velocity == want.velocity).all()
+
+
+def test_each_ssl_epoch_selects_then_trains_each_half(monkeypatch):
+    """Per SSL epoch: select(1), half(1), select(2), half(2); each half trains
+    on the very selection made for it, and the row reports the first one."""
+    calls = []
+    select, half = experiment.select_for_network, experiment.train_half_epoch
+
+    def logged_select(twins, net_index, *args):
+        out = select(twins, net_index, *args)
+        calls.append(("select", net_index, out))
+        return out
+
+    def logged_half(twins, net_index, ds, hp, aug, flags, epoch, report, sel):
+        out = half(twins, net_index, ds, hp, aug, flags, epoch, report, sel)
+        calls.append(("half", net_index, (report, sel), out))
+        return out
+    monkeypatch.setattr(experiment, "select_for_network", logged_select)
+    monkeypatch.setattr(experiment, "train_half_epoch", logged_half)
+    seen = []
+    result = go(HP, on_epoch=lambda epoch, halves: seen.append((epoch, halves)))
+
+    ssl_epochs = range(HP.warmup_epochs, HP.total_epochs)
+    assert [epoch for epoch, _ in seen] == list(ssl_epochs)
+    assert len(calls) == 4 * len(ssl_epochs)
+    for i, (epoch, halves) in enumerate(seen):
+        s1, h1, s2, h2 = calls[4 * i:4 * i + 4]
+        assert [c[:2] for c in (s1, h1, s2, h2)] == \
+            [("select", 1), ("half", 1), ("select", 2), ("half", 2)]
+        for (_, _, (report, sel)), (_, _, given, record) in ((s1, h1), (s2, h2)):
+            assert given[0] is report and given[1] is sel
+            assert record.report is report and record.selection is sel
+        assert len(halves) == 2 and halves[0] is h1[3] and halves[1] is h2[3]
+        row, sel = result.rows[epoch], s1[2][1]
+        assert (row.filter_rate, row.d_cutoff) == (sel.filter_rate, sel.d_cutoff)
+        assert row.class_counts == sel.per_class_quota.tolist()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import reference_ops as ref
-from conftest import serial_sgd_steps
+from conftest import serial_sgd_steps, ssl_epoch
 from noisytrain import kernel, model, training
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
@@ -306,14 +306,14 @@ def test_training_loop_matches_reference_chain(monkeypatch):
             monkeypatch.setattr(training, name, getattr(fns, name))
         monkeypatch.setattr(training, "_sgd_steps", steps)
         twins = init_twins(Arch(4, 16, 3, 6), seed=4)
-        warmup_ce = training.warmup_train(twins, ds, hp, epochs=1)
-        record = training.train_epoch(twins, ds, hp, aug, training.CutoffParams(),
-                                      training.AblationFlags(), epoch=1)
-        assert [h.degenerate for h in record.halves] == [None, None]
-        assert all(h.losses["lc"] != 0.0 for h in record.halves)
+        warmup_ce = training.warmup_train(twins, ds, hp, 0)
+        halves = ssl_epoch(twins, ds, hp, aug, training.CutoffParams(),
+                           training.AblationFlags(), epoch=1)
+        assert [h.degenerate for h in halves] == [None, None]
+        assert all(h.losses["lc"] != 0.0 for h in halves)
         params = [m.data for net in (twins.net1, twins.net2) for m in net.params.values()]
         velocities = [twins.net1.velocity, twins.net2.velocity]
-        return warmup_ce, [h.losses for h in record.halves], params, velocities
+        return warmup_ce, [h.losses for h in halves], params, velocities
 
     ref = train(REFERENCE, serial_sgd_steps)
     fused = train(FUSED, packed_steps)

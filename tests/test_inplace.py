@@ -78,9 +78,10 @@ def test_a_step_writes_into_no_array_it_was_given(frozen_inputs):
     targets = training.one_hot(train.given_labels, train.num_classes)
     training._sgd_steps(twins.net1, hp, hp.lr, THETA + PHI, [np.arange(16)],
                         training._ce_loss(twins.net1, train, targets), (0, 1, "warmup"))
-    training.warmup_train(twins, train, hp, epochs=1)
-    rec = training.train_half_epoch(twins, 1, train, hp, AugmentationSpec(),
-                                    CutoffParams(), AblationFlags(), epoch=1)
+    training.warmup_train(twins, train, hp, 0)
+    report, sel = training.select_for_network(twins, 1, train, CutoffParams(), AblationFlags())
+    rec = training.train_half_epoch(twins, 1, train, hp, AugmentationSpec(), AblationFlags(), 1,
+                                    report, sel)
     assert rec.degenerate is None and rec.losses["lc"] != 0.0   # every term ran
     for net in (twins.net1, twins.net2):
         probs = dataset_softmax(net, test.features)

@@ -1,6 +1,3 @@
-import ast
-import os
-
 import numpy as np
 import pytest
 
@@ -218,37 +215,6 @@ def test_determinism_bit_identical(rng):
     first = ref.softmax_rows(kernel.matmul(a, b)).data
     second = ref.softmax_rows(kernel.matmul(a, b)).data
     assert first.tobytes() == second.tobytes()
-
-
-def _kernel_names_used_by_library() -> set:
-    """Kernel names the library refers to: ``kernel.X``, ``from .kernel import X``,
-    and, inside kernel.py, any use outside the definition of X itself."""
-    src = os.path.dirname(kernel.__file__)
-    used = set()
-    for fname in sorted(os.listdir(src)):
-        if not fname.endswith(".py"):
-            continue
-        with open(os.path.join(src, fname)) as f:
-            tree = ast.parse(f.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module in ("kernel", "noisytrain.kernel"):
-                used.update(alias.name for alias in node.names)
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id == "kernel"):
-                used.add(node.attr)
-        if fname == "kernel.py":
-            for top in tree.body:
-                names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
-                if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                    names.discard(top.name)
-                used |= names
-    return used
-
-
-def test_every_kernel_export_has_a_caller_in_the_library():
-    # matmul has none: the benchmark's tracer counts calls to it by name
-    unused = set(kernel.__all__) - _kernel_names_used_by_library() - {"matmul"}
-    assert not unused, f"kernel exports without a caller in src/noisytrain: {sorted(unused)}"
 
 
 def test_kernel_exports():

@@ -4,8 +4,7 @@ import pytest
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.kernel import Matrix
 from noisytrain.metrics import (UndefinedAUCError, _tied_ranks, accuracy,
-                                class_histogram, pseudo_label_recall, roc_auc,
-                                selection_precision_recall)
+                                pseudo_label_recall, roc_auc, selection_precision_recall)
 from noisytrain.model import Arch, init_twins
 from noisytrain.selection import (DivergenceReport, SelectionResult,
                                   baseline_global_select, uniform_select)
@@ -187,23 +186,42 @@ class TestAccuracy:
 
 
 class TestClassHistogram:
+    """``per_class_quota`` holds each class's selected count."""
+
     def test_uniform_selection_balanced(self, rng):
         labels = np.repeat(np.arange(4), 30)
         d = rng.uniform(0, 1, 120)
         report = DivergenceReport.from_values(d)
         sel = uniform_select(report, labels, 4, 0.5)
-        counts = class_histogram(sel, labels, 4)
+        counts = sel.per_class_quota
         assert counts.max() - counts.min() <= 1
         assert counts.sum() == len(sel.clean_indices)
 
     def test_empty_selection_zeros(self):
         labels = np.array([0, 1, 0, 1])
-        sel = make_selection([], 4)
-        assert class_histogram(sel, labels, 2).tolist() == [0, 0]
+        report = DivergenceReport.from_values([0.1, 0.2, 0.3, 0.4])
+        sel = uniform_select(report, labels, 2, 0.0)
+        assert len(sel.clean_indices) == 0
+        assert sel.per_class_quota.tolist() == [0, 0]
 
     def test_skewed_baseline_histogram(self):
         d = np.concatenate([np.linspace(0.01, 0.1, 6), np.linspace(0.9, 0.99, 6)])
         labels = np.array([0] * 6 + [1] * 6)
         report = DivergenceReport.from_values(d)
         sel = baseline_global_select(report, 0.5, labels, 2)
-        assert class_histogram(sel, labels, 2).tolist() == [6, 0]
+        assert sel.per_class_quota.tolist() == [6, 0]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_per_class_quota_is_the_selected_count_per_class(seed):
+    rng = np.random.default_rng(seed)
+    C = int(rng.integers(2, 7))
+    labels = rng.integers(0, C, int(rng.integers(1, 80)))
+    labels[rng.permutation(len(labels))[:int(rng.integers(0, len(labels)))]] = 0   # skew
+    report = DivergenceReport.from_values(rng.uniform(0, 1, len(labels)))
+    for rate in (0.0, 1.0, float(rng.uniform())):
+        for sel in (uniform_select(report, labels, C, rate),
+                    uniform_select(report, labels, C, rate, quota_mode="dataset_fraction"),
+                    baseline_global_select(report, rate, labels, C)):
+            counts = np.bincount(labels[sel.clean_indices], minlength=C)
+            assert sel.per_class_quota.tolist() == counts.tolist()

@@ -231,7 +231,7 @@ class TestBaselineGlobalSelect:
     def test_same_as_uniform_on_balanced_example(self):
         d = np.array([0.1, 0.2, 0.9, 0.95, 0.05, 0.4, 0.6, 0.8])
         report = DivergenceReport.from_values(d)
-        sel = baseline_global_select(report, 0.5)
+        sel = baseline_global_select(report, 0.5, np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2)
         assert sorted(sel.clean_indices.tolist()) == [0, 1, 4, 5]
 
     def test_skew_case_differs_from_uniform(self):
@@ -247,7 +247,7 @@ class TestBaselineGlobalSelect:
 
     def test_rate_one_takes_everything(self):
         report = DivergenceReport.from_values([0.5, 0.1, 0.9])
-        sel = baseline_global_select(report, 1.0)
+        sel = baseline_global_select(report, 1.0, np.array([0, 1, 1]), 2)
         assert len(sel.clean_indices) == 3
 
 

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad, max_relative_error, serial_sgd_steps
+from conftest import (finite_difference_grad, max_relative_error, serial_sgd_steps, ssl_epoch,
+                      warmup_epochs)
 from noisytrain import training
 from noisytrain.cli import main
 from noisytrain.config import config_from_dict
@@ -22,7 +23,7 @@ from noisytrain.training import (AblationFlags, DegenerateBatchError,
                                  mixup, mixup_with_lambda, one_hot,
                                  refine_labels, refinement_weights,
                                  select_for_network, sharpen, total_loss,
-                                 train_epoch, train_half_epoch, warmup_train)
+                                 train_half_epoch, warmup_train)
 
 AUG = AugmentationSpec()
 CUTOFF = CutoffParams()
@@ -313,29 +314,23 @@ class TestWarmup:
         twins = init_twins(Arch(4, 32, 3, 8), seed=1)
         return ds, twins
 
-    def test_zero_epochs_no_change(self):
-        ds, twins = self._noisy_setup()
-        before = snapshot(twins.net1)
-        warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=0)
-        assert params_equal(before, snapshot(twins.net1))
-
     def test_clean_blobs_reach_high_train_accuracy(self):
         from noisytrain.metrics import accuracy
         ds, twins = self._noisy_setup(rate=0.0)
-        warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=10)
+        warmup_epochs(twins, ds, Hyperparams(seed=1, batch_size=32), 10)
         assert accuracy(twins, ds.features, ds.given_labels) > 0.95
 
     def test_projection_head_untouched(self):
         ds, twins = self._noisy_setup(rate=0.2)
         wp_before = twins.net1.params["wp"].data.copy()
-        warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=2)
+        warmup_epochs(twins, ds, Hyperparams(seed=1, batch_size=32), 2)
         assert np.array_equal(wp_before, twins.net1.params["wp"].data)
 
     def test_psi_velocity_stays_zero_through_warmup(self):
         # theta and phi are a prefix of the velocity row; psi's part follows
         ds, twins = self._noisy_setup(rate=0.2)
         before = [dict(net.params) for net in (twins.net1, twins.net2)]
-        warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=1)
+        warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), 0)
         for net, params in zip((twins.net1, twins.net2), before):
             parts = {name: part for name, part, _ in layout(net.arch)}
             psi = net.velocity[parts["wp"].start:]
@@ -347,8 +342,8 @@ class TestWarmup:
 
     def test_returns_one_loss_per_epoch(self):
         ds, twins = self._noisy_setup(rate=0.2)
-        losses = warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=3)
-        assert len(losses) == 3
+        losses = warmup_epochs(twins, ds, Hyperparams(seed=1, batch_size=32), 3)
+        assert all(isinstance(loss, float) for loss in losses)
         assert losses[0] > losses[-1]
 
     def _packed_and_serial(self, hp, epochs=1, net2_w1_velocity=0.0):
@@ -363,7 +358,7 @@ class TestWarmup:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(training, "_sgd_steps", steps)
                 try:
-                    out = warmup_train(twins, ds, hp, epochs=epochs)
+                    out = warmup_epochs(twins, ds, hp, epochs)
                 except TrainingDivergedError as err:
                     out = (err.epoch, err.net, err.phase, err.term)
             results.append((out, twins))
@@ -408,7 +403,7 @@ class TestWarmup:
             return out
         monkeypatch.setattr(training, "loss_lx", infinite_lx)
         with pytest.raises(TrainingDivergedError, match=r"net 1 \(warmup\): lx is not finite$"):
-            warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), epochs=1)
+            warmup_train(twins, ds, Hyperparams(seed=1, batch_size=32), 0)
         assert all(twins.net1.params[n] is before[n] for n in ALL_GROUPS)
         assert not twins.net1.velocity.any()
 
@@ -431,39 +426,32 @@ class TestTrainEpoch:
         ds = inject_symmetric_noise(ds, rate, seed=seed + 1)
         hp = Hyperparams(seed=seed, batch_size=16, warmup_epochs=1, total_epochs=3)
         twins = init_twins(Arch(4, 16, 3, 4), seed=seed)
-        warmup_train(twins, ds, hp, epochs=1)
+        warmup_train(twins, ds, hp, 0)
         return ds, hp, twins
 
     def test_other_network_frozen_during_half_epoch(self):
         ds, hp, twins = self._setup()
         net2_before = snapshot(twins.net2)
         net1_before = snapshot(twins.net1)
-        train_half_epoch(twins, 1, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+        report, sel = select_for_network(twins, 1, ds, CUTOFF, FLAGS)
+        train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
         assert params_equal(net2_before, snapshot(twins.net2))
         assert not params_equal(net1_before, snapshot(twins.net1))
 
     def test_epoch_is_deterministic(self):
         ds, hp, twins_a = self._setup()
         _, _, twins_b = self._setup()
-        train_epoch(twins_a, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
-        train_epoch(twins_b, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+        ssl_epoch(twins_a, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+        ssl_epoch(twins_b, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
         assert params_equal(snapshot(twins_a.net1), snapshot(twins_b.net1))
         assert params_equal(snapshot(twins_a.net2), snapshot(twins_b.net2))
-
-    def test_fresh_selection_each_half(self):
-        ds, hp, twins = self._setup()
-        record = train_epoch(twins, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
-        assert len(record.halves) == 2
-        assert record.halves[0].net_index == 1
-        assert record.halves[1].net_index == 2
 
     def test_noisy_set_empty_degrades_to_clean_only(self):
         ds, hp, twins = self._setup()
         report = DivergenceReport.from_values(np.linspace(0.01, 0.6, len(ds)))
         sel = uniform_select(report, ds.given_labels, 3, 1.0, d_cutoff=0.9)
         assert len(sel.noisy_indices) == 0
-        rec = train_half_epoch(twins, 1, ds, hp, AUG, CUTOFF, FLAGS,
-                               epoch=1, precomputed=(report, sel))
+        rec = train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
         assert rec.degenerate == "empty_noisy"
         assert rec.losses["lu"] == 0.0
         assert rec.losses["lc"] == 0.0
@@ -474,8 +462,7 @@ class TestTrainEpoch:
         report = DivergenceReport.from_values(np.linspace(0.4, 0.99, len(ds)))
         sel = uniform_select(report, ds.given_labels, 3, 0.0, d_cutoff=0.1)
         assert len(sel.clean_indices) == 0
-        rec = train_half_epoch(twins, 1, ds, hp, AUG, CUTOFF, FLAGS,
-                               epoch=1, precomputed=(report, sel))
+        rec = train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
         assert rec.degenerate == "empty_clean"
         assert rec.losses["lx"] > 0.0
         assert rec.losses["lu"] == 0.0
@@ -494,26 +481,30 @@ class TestTrainEpoch:
         assert not tape.tracks(guessed)
 
     @pytest.mark.parametrize("flags,checked", [
-        (AblationFlags(), 1),                    # net 2's selection: ensemble_softmax
+        (AblationFlags(), 1),                    # the ensemble's mean softmax
         (AblationFlags(ensemble=False), 0),
         (AblationFlags(contrastive=False), 1),
     ], ids=["all-on", "no-ensemble", "no-contrastive"])
     def test_step_builds_no_checked_matrices(self, monkeypatch, flags, checked):
         # the step's own arrays are wrapped, not copied and scanned; the
-        # one finiteness check of training is in _sgd_steps
+        # one finiteness check of training is in _sgd_steps.  A selection
+        # with the ensemble on builds one checked Matrix; a half builds none.
         ds, hp, twins = self._setup()
-        first = select_for_network(twins, 1, ds, CUTOFF, flags)
-        inits = []
+        inits = {"select": 0, "half": 0}
+        where = ["select"]
         init = Matrix.__init__
 
         def counting_init(self, values):
-            inits.append(1)
+            inits[where[0]] += 1
             init(self, values)
         monkeypatch.setattr(Matrix, "__init__", counting_init)
-        record = train_epoch(twins, ds, hp, AUG, CUTOFF, flags, epoch=1,
-                             first_selection=first)
-        assert [h.degenerate for h in record.halves] == [None, None]
-        assert len(inits) == checked
+        for net_index in (1, 2):
+            where[0] = "select"
+            report, sel = select_for_network(twins, net_index, ds, CUTOFF, flags)
+            where[0] = "half"
+            assert train_half_epoch(twins, net_index, ds, hp, AUG, flags, 1,
+                                    report, sel).degenerate is None
+        assert inits == {"select": 2 * checked, "half": 0}
 
     def test_non_finite_contrastive_term_stops_ssl_step(self, monkeypatch):
         ds, hp, twins = self._setup()
@@ -522,7 +513,7 @@ class TestTrainEpoch:
                             lambda z, kappa, tape=None: wrap(np.array([[np.nan]])))
         with pytest.raises(TrainingDivergedError,
                            match=r"^training diverged at epoch 1, net 1 \(ssl\): lc is not finite$"):
-            train_epoch(twins, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+            ssl_epoch(twins, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
         assert params_equal(before, snapshot(twins.net1))   # refused before the update
 
     def test_collapsed_projection_stops_ssl_step_at_lc(self):
@@ -539,8 +530,7 @@ class TestTrainEpoch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # the zero norm must not warn either
             with pytest.raises(TrainingDivergedError) as info:
-                train_half_epoch(twins, 1, ds, hp, AUG, CUTOFF, FLAGS,
-                                 epoch=1, precomputed=(report, sel))
+                train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
         err = info.value
         assert (err.epoch, err.net, err.phase, err.term) == (1, 1, "ssl", "lc")
         assert all(net.params[n] is before[n] for n in ALL_GROUPS)   # no update
@@ -557,8 +547,7 @@ class TestTrainEpoch:
             return out
         monkeypatch.setattr(training, "loss_lx", infinite_lx)
         with pytest.raises(TrainingDivergedError) as info:
-            train_half_epoch(twins, 2, ds, hp, AUG, CUTOFF, FLAGS,
-                             epoch=4, precomputed=(report, sel))
+            train_half_epoch(twins, 2, ds, hp, AUG, FLAGS, 4, report, sel)
         err = info.value
         assert (err.epoch, err.net, err.phase, err.term) == (4, 2, "empty_clean", "lx")
 
