@@ -19,17 +19,11 @@ pool = make_gaussian_blobs(num_classes=4, per_class=180, dims=8, separation=8.0,
 
 
 def split(ds, train_per_class, num_classes):
-    block = len(ds) // num_classes
-    train_rows, test_rows = [], []
-    for c in range(num_classes):
-        start = c * block
-        train_rows.extend(range(start, start + train_per_class))
-        test_rows.extend(range(start + train_per_class, start + block))
-    def subset(rows):
-        rows = np.array(rows)
-        return LabeledDataset(Matrix(ds.features.data[rows]), ds.true_labels[rows],
-                              ds.given_labels[rows], num_classes)
-    return subset(train_rows), subset(test_rows)
+    rows = np.arange(len(ds)).reshape(num_classes, -1)   # the pool is grouped by class
+    def subset(idx):
+        return LabeledDataset(Matrix(ds.features.data[idx]), ds.true_labels[idx],
+                              ds.given_labels[idx], num_classes)
+    return subset(rows[:, :train_per_class].ravel()), subset(rows[:, train_per_class:].ravel())
 
 
 train, test = split(pool, train_per_class=150, num_classes=4)

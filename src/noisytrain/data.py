@@ -20,12 +20,14 @@ import numpy as np
 
 from .kernel import Matrix, wrap
 
-# substream tags, kept distinct so derived generators never collide
+# substream tags; tests/test_library.py holds every module's tags distinct,
+# so derived generators never collide
 _STREAM_MEANS = 101
 _STREAM_SAMPLES = 102
 _STREAM_SYM_NOISE = 201
 _STREAM_ASYM_NOISE = 202
 _STREAM_BATCHES = 301
+MAX_SEED = 2 ** 62   # the largest seed a run, a dataset or its noise takes
 
 
 def round_half_up(x: float) -> int:
@@ -103,14 +105,6 @@ class LabeledDataset:
     def dims(self) -> int:
         return self.features.cols
 
-    def clone(self) -> "LabeledDataset":
-        return LabeledDataset(
-            features=self.features.copy(),
-            true_labels=self.true_labels.copy(),
-            given_labels=self.given_labels.copy(),
-            num_classes=self.num_classes,
-        )
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -162,6 +156,7 @@ def make_gaussian_blobs(num_classes: int, per_class: int, dims: int,
     Samples are grouped by class (class 0 first).  Given labels start out
     identical to the true labels; corruption is a separate step.
     """
+    seed = _check_number("seed", seed, int, 0, MAX_SEED)
     num_classes = _check_number("num_classes", num_classes, int, 2)
     per_class = _check_number("per_class", per_class, int, 1)
     dims = _check_number("dims", dims, int, 2)
@@ -183,43 +178,41 @@ def make_gaussian_blobs(num_classes: int, per_class: int, dims: int,
     return LabeledDataset(features, labels, labels.copy(), num_classes)
 
 
+def _corrupt(ds: LabeledDataset, rate: float, seed: int, stream: int,
+             replacements) -> LabeledDataset:
+    """Relabel round(rate * N_c) samples of each true class c, picked by the (seed,
+    stream, c) generator, to ``replacements(rng, c, k)``; both injectors' loop."""
+    rate = _check_number("rate", rate, float, 0.0, 1.0)
+    seed = _check_number("seed", seed, int, 0, MAX_SEED)
+    given = ds.given_labels.copy()
+    for c in range(ds.num_classes):
+        members = np.flatnonzero(ds.true_labels == c)
+        k = round_half_up(rate * len(members))
+        if k:
+            rng = np.random.default_rng([seed, stream, c])
+            picked = rng.choice(members, size=k, replace=False)
+            given[picked] = replacements(rng, c, k)
+    return LabeledDataset(ds.features, ds.true_labels, given, ds.num_classes)
+
+
 def inject_symmetric_noise(ds: LabeledDataset, rate: float, seed: int) -> LabeledDataset:
     """Corrupt exactly round(rate * N_c) samples per class.
 
     Replacement labels are drawn uniformly from the other C-1 classes;
-    a corrupted sample never keeps its own class.
+    a corrupted sample never keeps its own class.  The result shares ``ds``'s
+    features and true labels; only its given labels are a new array.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"noise rate must be in [0, 1], got {rate}")
-    out = ds.clone()
-    C = ds.num_classes
-    for c in range(C):
-        members = np.flatnonzero(ds.true_labels == c)
-        k = round_half_up(rate * len(members))
-        if k == 0:
-            continue
-        rng = np.random.default_rng([seed, _STREAM_SYM_NOISE, c])
-        picked = rng.choice(members, size=k, replace=False)
-        draws = rng.integers(0, C - 1, size=k)
-        out.given_labels[picked] = draws + (draws >= c)
-    return out
+    def other_class(rng, c, k):
+        draws = rng.integers(0, ds.num_classes - 1, size=k)
+        return draws + (draws >= c)
+    return _corrupt(ds, rate, seed, _STREAM_SYM_NOISE, other_class)
 
 
 def inject_asymmetric_noise(ds: LabeledDataset, rate: float, flip_map, seed: int) -> LabeledDataset:
-    """Corrupt exactly round(rate * N_c) samples per class to flip_map[c]."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"noise rate must be in [0, 1], got {rate}")
+    """Corrupt exactly round(rate * N_c) samples per class to flip_map[c]; like
+    inject_symmetric_noise, share ``ds``'s features and true labels."""
     fm = validate_flip_map(flip_map, ds.num_classes)
-    out = ds.clone()
-    for c in range(ds.num_classes):
-        members = np.flatnonzero(ds.true_labels == c)
-        k = round_half_up(rate * len(members))
-        if k == 0:
-            continue
-        rng = np.random.default_rng([seed, _STREAM_ASYM_NOISE, c])
-        picked = rng.choice(members, size=k, replace=False)
-        out.given_labels[picked] = fm[c]
-    return out
+    return _corrupt(ds, rate, seed, _STREAM_ASYM_NOISE, lambda rng, c, k: fm[c])
 
 
 def apply_noise(ds: LabeledDataset, spec: NoiseSpec, seed: int) -> LabeledDataset:

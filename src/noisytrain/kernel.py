@@ -75,9 +75,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def copy(self) -> "Matrix":
-        return wrap(self.data.copy())
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeMismatchError(f"item() needs a 1x1 matrix, got {self.shape}")

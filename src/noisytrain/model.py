@@ -29,6 +29,7 @@ _SOFTMAX_MEMO_SIZE = 2
 _EVAL_BLOCK_ROWS = 1024
 
 _CHECKPOINT_MAGIC = b"TWINNET1"
+_S_INIT = 401   # substream tag of init_network's generator
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class TwinNetworks:
 
 def init_network(arch: Arch, seed: int) -> NetworkParams:
     """Scaled-uniform fan-in initialization for weights; zero biases."""
-    rng = np.random.default_rng([seed, 401])
+    rng = np.random.default_rng([seed, _S_INIT])
     params: dict[str, Matrix] = {}
     for name, (rows, cols) in arch.param_shapes().items():
         if name.startswith("b"):

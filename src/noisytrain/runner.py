@@ -47,25 +47,14 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
     d = cfg.dataset
     pooled = make_gaussian_blobs(d.num_classes, d.per_class + d.test_per_class,
                                  d.dims, d.separation, cfg.hyperparams.seed)
-    block = d.per_class + d.test_per_class
-    train_rows, test_rows = [], []
-    for c in range(d.num_classes):
-        start = c * block
-        train_rows.append(np.arange(start, start + d.per_class))
-        test_rows.append(np.arange(start + d.per_class, start + block))
-    train_idx = np.concatenate(train_rows)
-    test_idx = np.concatenate(test_rows)
+    rows = np.arange(len(pooled)).reshape(d.num_classes, -1)   # one row of indices per class
 
     def subset(idx):
-        return LabeledDataset(
-            Matrix(pooled.features.data[idx]),
-            pooled.true_labels[idx].copy(),
-            pooled.given_labels[idx].copy(),
-            d.num_classes,
-        )
+        return LabeledDataset(Matrix(pooled.features.data[idx]), pooled.true_labels[idx],
+                              pooled.given_labels[idx], d.num_classes)
 
-    train = subset(train_idx)
-    test = subset(test_idx)
+    train = subset(rows[:, :d.per_class].ravel())
+    test = subset(rows[:, d.per_class:].ravel())
     return apply_noise(train, cfg.noise, cfg.hyperparams.seed), test
 
 
@@ -267,10 +256,13 @@ def cmd_report(metrics_path: str, out_path: str) -> str:
         if header is None:
             raise ValueError(f"{metrics_path} has no header line")
         rows = list(r)
-    with atomic_open(out_path) as f:
+    with atomic_open(out_path) as f:   # a bad row leaves no output file
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["epoch", "phase", "metric", "value"])
-        for row in rows:
+        for i, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise ValueError(f"{metrics_path}: row {i} has {len(row)} fields, "
+                                 f"the header {len(header)}")
             epoch, phase = row[0], row[1]
             for name, value in zip(header[2:], row[2:]):
                 if value != "":

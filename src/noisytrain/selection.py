@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, atomic_open, check_settings, round_half_up, setting
+from .data import LabeledDataset, _check_number, atomic_open, check_settings, round_half_up, setting
 from .kernel import Matrix
 from .model import TwinNetworks, ensemble_softmax
 
@@ -155,8 +155,7 @@ def uniform_select(report: DivergenceReport, given_labels, num_classes: int,
     "dataset_fraction" targets round(R * N / C) per class and takes all
     available samples from any class that falls short.
     """
-    if not 0.0 <= filter_rate <= 1.0:
-        raise ValueError(f"filter_rate must be in [0, 1], got {filter_rate}")
+    filter_rate = _check_number("filter_rate", filter_rate, float, 0.0, 1.0)
     if quota_mode not in ("class_fraction", "dataset_fraction"):
         raise ValueError(f"unknown quota_mode {quota_mode!r}")
     labels = np.asarray(given_labels, dtype=np.int64)
@@ -181,7 +180,7 @@ def uniform_select(report: DivergenceReport, given_labels, num_classes: int,
     mask = np.zeros(n, dtype=bool)
     mask[clean] = True
     noisy = np.flatnonzero(~mask)
-    return SelectionResult(clean, noisy, float(filter_rate), float(d_cutoff), quotas)
+    return SelectionResult(clean, noisy, filter_rate, float(d_cutoff), quotas)
 
 
 def baseline_global_select(report: DivergenceReport, filter_rate: float,
@@ -191,8 +190,7 @@ def baseline_global_select(report: DivergenceReport, filter_rate: float,
 
     Ablation baseline only; per_class_quota records the realized counts.
     """
-    if not 0.0 <= filter_rate <= 1.0:
-        raise ValueError(f"filter_rate must be in [0, 1], got {filter_rate}")
+    filter_rate = _check_number("filter_rate", filter_rate, float, 0.0, 1.0)
     n = len(report)
     k = round_half_up(filter_rate * n)
     order = np.lexsort((np.arange(n), report.d))
@@ -201,7 +199,7 @@ def baseline_global_select(report: DivergenceReport, filter_rate: float,
     mask[clean] = True
     noisy = np.flatnonzero(~mask)
     counts = np.bincount(np.asarray(given_labels)[clean], minlength=num_classes)
-    return SelectionResult(clean, noisy, float(filter_rate), float(d_cutoff), counts)
+    return SelectionResult(clean, noisy, filter_rate, float(d_cutoff), counts)
 
 
 def export_selection_csv(sel: SelectionResult, report: DivergenceReport,

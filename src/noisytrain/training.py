@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .data import (AugmentationSpec, LabeledDataset, batch_iterator, check_settings,
-                   setting, strong_augment, weak_augment)
+from .data import (MAX_SEED, AugmentationSpec, LabeledDataset, batch_iterator,
+                   check_settings, setting, strong_augment, weak_augment)
 from .kernel import GradientTape, Matrix, backward, sgd_step
 from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, layout, \
     dataset_softmax, forward_logits, forward_projection, forward_softmax, softmax_in_place
@@ -84,7 +84,7 @@ class Hyperparams:
     total_epochs: int = setting(300, int, 0, 10_000_000)
     lr_decay_factor: float = setting(0.1, float, 1e-9, 1.0)
     lr_decay_every: int = setting(120, int, 1, 10_000_000)
-    seed: int = setting(0, int, 0, 2 ** 62)
+    seed: int = setting(0, int, 0, MAX_SEED)
 
     def __post_init__(self):
         check_settings(self)

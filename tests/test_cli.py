@@ -11,7 +11,8 @@ from noisytrain.cli import main
 from noisytrain.config import (ConfigFileError, ConfigKeyError,
                                ConfigSyntaxError, ConfigValueError,
                                config_from_dict, config_to_dict, parse_config)
-from noisytrain.data import LabeledDataset, load_dataset_csv, round_half_up, save_dataset_csv
+from noisytrain.data import (LabeledDataset, load_dataset_csv, make_gaussian_blobs, round_half_up,
+                             save_dataset_csv)
 from noisytrain.kernel import Matrix
 from noisytrain.metrics import EpochMetrics
 from noisytrain.runner import (_check_snapshot, build_datasets, cmd_ablate, cmd_generate,
@@ -107,6 +108,19 @@ class TestBuildDatasets:
         train_rows = {tuple(row) for row in train.features.data}
         test_rows = {tuple(row) for row in test.features.data}
         assert not train_rows & test_rows
+
+    def test_each_class_block_splits_into_train_head_and_test_tail(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path))
+        d = cfg.dataset
+        train, test = build_datasets(cfg)
+        pooled = make_gaussian_blobs(d.num_classes, d.per_class + d.test_per_class, d.dims,
+                                     d.separation, cfg.hyperparams.seed)
+        blocks = pooled.features.data.reshape(d.num_classes, -1, d.dims)
+        assert train.features.data.tobytes() == blocks[:, :d.per_class].tobytes()
+        assert test.features.data.tobytes() == blocks[:, d.per_class:].tobytes()
+        assert np.array_equal(train.true_labels, np.repeat(np.arange(d.num_classes), d.per_class))
+        assert np.array_equal(test.true_labels,
+                              np.repeat(np.arange(d.num_classes), d.test_per_class))
 
 
 class TestCommands:
@@ -258,6 +272,19 @@ class TestMainEntry:
         metrics.write_text("")
         assert main(["report", "--config", path]) == 1
         assert capsys.readouterr().err == f"error: {metrics} has no header line\n"
+        assert not (tmp_path / "out" / "report_long.csv").exists()
+
+    @pytest.mark.parametrize("row", ["1,warmup,0.5", "1,warmup,0.5,0.9,,0.1"],
+                             ids=["short", "long"])
+    def test_report_refuses_a_row_unlike_the_header(self, tmp_path, capsys, row):
+        path = write_config(tmp_path)
+        metrics = tmp_path / "out" / "metrics.csv"
+        metrics.parent.mkdir()
+        metrics.write_text(f"epoch,phase,R,test_acc\n0,warmup,,0.5\n{row}\n")
+        assert main(["report", "--config", path]) == 1
+        fields = row.count(",") + 1
+        assert capsys.readouterr().err == (f"error: {metrics}: row 2 has {fields} fields, "
+                                           f"the header 4\n")
         assert not (tmp_path / "out" / "report_long.csv").exists()
 
     def test_stale_snapshot_refused(self, tmp_path, capsys):

@@ -49,11 +49,13 @@ class TestGaussianBlobs:
     @pytest.mark.parametrize("name,value", [
         ("separation", float("nan")), ("separation", float("inf")),
         ("num_classes", 2.5), ("per_class", 2.5), ("dims", 2.5), ("per_class", True),
+        ("seed", True), ("seed", -1), ("seed", 2 ** 62 + 1), ("seed", 3.0),
     ])
     def test_bad_argument_is_named(self, name, value):
-        args = {"num_classes": 2, "per_class": 5, "dims": 2, "separation": 4.0, name: value}
+        args = {"num_classes": 2, "per_class": 5, "dims": 2, "separation": 4.0, "seed": 0,
+                name: value}
         with pytest.raises(ValueError, match=f"^{name}: "):
-            make_gaussian_blobs(**args, seed=0)
+            make_gaussian_blobs(**args)
 
 
 class TestSymmetricNoise:
@@ -135,6 +137,31 @@ class TestAsymmetricNoise:
             NoiseSpec(kind="weird", rate=0.5)
         with pytest.raises(ValueError):
             NoiseSpec(kind="asymmetric", rate=0.5, flip_map=None)
+
+
+@pytest.mark.parametrize("inject", [
+    lambda ds, rate, seed: inject_symmetric_noise(ds, rate, seed),
+    lambda ds, rate, seed: inject_asymmetric_noise(ds, rate, (1, 2, 0), seed),
+], ids=["symmetric", "asymmetric"])
+class TestNoiseLoop:
+    @pytest.mark.parametrize("name,rate,seed", [
+        ("rate", True, 0), ("rate", float("nan"), 0), ("rate", "0.5", 0), ("rate", -0.1, 0),
+        ("rate", 1.5, 0), ("seed", 0.5, True), ("seed", 0.5, -1), ("seed", 0.5, 2 ** 62 + 1),
+        ("seed", 0.5, 4.0),
+    ])
+    def test_bad_argument_is_named(self, inject, name, rate, seed):
+        ds = make_gaussian_blobs(3, 10, 3, 6.0, seed=2)
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            inject(ds, rate, seed)
+
+    def test_result_shares_features_and_true_labels(self, inject):
+        ds = make_gaussian_blobs(3, 10, 3, 6.0, seed=2)
+        given = ds.given_labels.tobytes()
+        out = inject(ds, 0.5, 4)
+        assert out.features is ds.features and out.true_labels is ds.true_labels
+        assert not np.shares_memory(out.given_labels, ds.given_labels)
+        assert ds.given_labels.tobytes() == given
+        assert (out.given_labels != out.true_labels).sum() == 3 * 5
 
 
 class TestAugmentation:

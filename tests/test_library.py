@@ -1,10 +1,16 @@
-"""Every public top-level function and class of the library has a user.
+"""Library-wide checks, read from the source of ``src/noisytrain``.
+
+Every public top-level function and class of the library has a user.
 
 A name counts as used when another library module imports it or reads it
 as ``module.name``, when its own module uses it outside its definition,
 when ``noisytrain.__all__`` exports it, or when the benchmark (read as
 text under ``bench/``, not imported) names it: the tracer and the bench
 child hook some functions by name.
+
+Every random substream tag is a named module-level constant (``_S_*`` or
+``_STREAM_*``), and no two tags in the library share a value, so no two
+generators derived from the same seed coincide.
 """
 
 import ast
@@ -41,12 +47,17 @@ def _bench_text() -> str:
     return "\n".join(parts)
 
 
-def test_every_public_name_has_a_user():
+def _trees() -> dict:
     trees = {}
     for fname in sorted(os.listdir(SRC)):
         if fname.endswith(".py"):
             with open(os.path.join(SRC, fname)) as f:
                 trees[fname] = ast.parse(f.read())
+    return trees
+
+
+def test_every_public_name_has_a_user():
+    trees = _trees()
     bench = _bench_text()
     modules = {fname[:-3] for fname in trees}
     unused = []
@@ -61,3 +72,23 @@ def test_every_public_name_has_a_user():
                     or re.search(rf"\b{top.name}\b", bench)):
                 unused.append(f"{fname[:-3]}.{top.name}")
     assert not unused, f"public names nothing uses: {unused}"
+
+
+def test_substream_tags_are_named_and_distinct():
+    tags, bare = {}, []
+    for fname, tree in _trees().items():
+        for top in tree.body:
+            if (isinstance(top, ast.Assign) and isinstance(top.value, ast.Constant)
+                    and type(top.value.value) is int):
+                for target in top.targets:
+                    if isinstance(target, ast.Name) and re.fullmatch(r"_(S|STREAM)_\w+", target.id):
+                        tags.setdefault(top.value.value, []).append(f"{fname[:-3]}.{target.id}")
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "default_rng" and call.args
+                    and isinstance(call.args[0], ast.List)):
+                bare += [f"{fname[:-3]}:{e.lineno}" for e in call.args[0].elts
+                         if isinstance(e, ast.Constant)]
+    assert len(tags) >= 11, tags   # data 5, training 4, experiment 1, model 1
+    assert not {v: names for v, names in tags.items() if len(names) > 1}
+    assert not bare, f"default_rng seeded with an unnamed tag at {bare}"

@@ -251,6 +251,17 @@ class TestBaselineGlobalSelect:
         assert len(sel.clean_indices) == 3
 
 
+@pytest.mark.parametrize("rate", [True, float("nan"), "0.5", -0.1, 1.5])
+@pytest.mark.parametrize("select", [
+    lambda report, labels, rate: uniform_select(report, labels, 2, rate),
+    lambda report, labels, rate: baseline_global_select(report, rate, labels, 2),
+], ids=["uniform", "baseline"])
+def test_bad_filter_rate_is_named(select, rate):
+    report = DivergenceReport.from_values([0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(ValueError, match="^filter_rate: "):
+        select(report, np.array([0, 0, 1, 1]), rate)
+
+
 def test_export_selection_csv(tmp_path, rng):
     d = rng.uniform(0, 1, 10)
     labels = rng.integers(0, 2, 10)
