@@ -250,10 +250,12 @@ def batch_iterator(indices, batch_size: int, seed, epoch: int) -> list[np.ndarra
     An empty index set yields an empty list; callers decide how to degrade.
     """
     batch_size = _check_number("batch_size", batch_size, int, 1)
+    parts = [_check_number("seed", s, int, 0)
+             for s in (seed if isinstance(seed, (tuple, list)) else [seed])]
+    epoch = _check_number("epoch", epoch, int, 0)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         return []
-    parts = list(seed) if isinstance(seed, (tuple, list)) else [seed]
     rng = np.random.default_rng([*parts, _STREAM_BATCHES, epoch])
     perm = rng.permutation(idx)
     return [perm[i:i + batch_size] for i in range(0, len(perm), batch_size)]

@@ -62,45 +62,34 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
 
     for epoch in range(len(rows), hp.total_epochs):
         if epoch < hp.warmup_epochs:
-            ce = warmup_train(twins, train_ds, hp, epoch)
-            rows.append(EpochMetrics(
-                epoch=epoch, phase="warmup",
-                filter_rate=None, d_cutoff=None, precision=None, recall=None,
-                roc_auc=None, pseudo_recall=None,
-                test_acc=accuracy(twins, test_ds.features, test_ds.true_labels),
-                train_acc_given=accuracy(twins, train_ds.features, train_ds.given_labels),
-                loss_lx=ce, loss_lu=None, loss_reg=None, loss_lc=None,
-            ))
-            continue
+            logged = dict(phase="warmup", loss_lx=warmup_train(twins, train_ds, hp, epoch))
+        else:
+            halves = []
+            for net_index in (1, 2):
+                report, sel = select_for_network(twins, net_index, train_ds, cutoff_params, flags)
+                if net_index == 1:
+                    p_recall = None if len(sel.noisy_indices) == 0 else pseudo_label_recall(
+                        twins, train_ds, sel.noisy_indices, hp.T, aug,
+                        np.random.default_rng([hp.seed, _S_METRIC, epoch]))
+                halves.append(train_half_epoch(twins, net_index, train_ds, hp, aug, flags,
+                                               epoch, report, sel))
+            if on_epoch is not None:
+                on_epoch(epoch, halves)
 
-        halves = []
-        for net_index in (1, 2):
-            report, sel = select_for_network(twins, net_index, train_ds, cutoff_params, flags)
-            if net_index == 1:
-                p_recall = None if len(sel.noisy_indices) == 0 else pseudo_label_recall(
-                    twins, train_ds, sel.noisy_indices, hp.T, aug,
-                    np.random.default_rng([hp.seed, _S_METRIC, epoch]))
-            halves.append(train_half_epoch(twins, net_index, train_ds, hp, aug, flags, epoch,
-                                           report, sel))
-        if on_epoch is not None:
-            on_epoch(epoch, halves)
-
-        report, sel = halves[0].report, halves[0].selection
-        precision, recall = selection_precision_recall(sel, train_ds)
-        try:
-            auc = roc_auc(report, train_ds)
-        except UndefinedAUCError:
-            auc = None
-        lx, lu, lreg, lc = (float(np.mean([h.losses[k] for h in halves]))
-                            for k in ("lx", "lu", "lreg", "lc"))
+            report, sel = halves[0].report, halves[0].selection
+            precision, recall = selection_precision_recall(sel, train_ds)
+            try:
+                auc = roc_auc(report, train_ds)
+            except UndefinedAUCError:
+                auc = None
+            lx, lu, lreg, lc = (float(np.mean([h.losses[k] for h in halves]))
+                                for k in ("lx", "lu", "lreg", "lc"))
+            logged = dict(phase="ssl", filter_rate=sel.filter_rate, d_cutoff=sel.d_cutoff,
+                          precision=precision, recall=recall, roc_auc=auc,
+                          pseudo_recall=p_recall, loss_lx=lx, loss_lu=lu, loss_reg=lreg,
+                          loss_lc=lc, class_counts=[int(c) for c in sel.per_class_quota])
         rows.append(EpochMetrics(
-            epoch=epoch, phase="ssl",
-            filter_rate=sel.filter_rate, d_cutoff=sel.d_cutoff,
-            precision=precision, recall=recall, roc_auc=auc,
-            pseudo_recall=p_recall,
+            epoch=epoch, **logged,
             test_acc=accuracy(twins, test_ds.features, test_ds.true_labels),
-            train_acc_given=accuracy(twins, train_ds.features, train_ds.given_labels),
-            loss_lx=lx, loss_lu=lu, loss_reg=lreg, loss_lc=lc,
-            class_counts=[int(c) for c in sel.per_class_quota],
-        ))
+            train_acc_given=accuracy(twins, train_ds.features, train_ds.given_labels)))
     return RunResult(twins=twins, rows=rows)

@@ -24,30 +24,32 @@ class UndefinedAUCError(ValueError):
     """ROC-AUC needs both truly-clean and truly-noisy samples."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EpochMetrics:
-    """One logged row per training epoch.
+    """One logged row per training epoch, built by keyword only.
 
-    Selection-quality fields describe the partition entering the epoch
-    (the first network's selection pass); accuracy fields describe the
-    model at the end of the epoch.  Warmup rows leave selection fields
-    unset.
+    Its fields, in order and without ``class_counts``, are the columns of
+    ``metrics.csv`` (``filter_rate`` is written as ``R``).  Selection-quality
+    fields describe the partition entering the epoch (the first network's
+    selection pass); accuracy fields describe the model at the end of the
+    epoch.  A warmup row sets ``epoch``, ``phase``, the two accuracies and
+    ``loss_lx``, and leaves every other field ``None``.
     """
 
     epoch: int
     phase: str
-    filter_rate: float | None
-    d_cutoff: float | None
-    precision: float | None
-    recall: float | None
-    roc_auc: float | None
-    pseudo_recall: float | None
+    filter_rate: float | None = None
+    d_cutoff: float | None = None
+    precision: float | None = None
+    recall: float | None = None
+    roc_auc: float | None = None
+    pseudo_recall: float | None = None
     test_acc: float
     train_acc_given: float
-    loss_lx: float | None
-    loss_lu: float | None
-    loss_reg: float | None
-    loss_lc: float | None
+    loss_lx: float
+    loss_lu: float | None = None
+    loss_reg: float | None = None
+    loss_lc: float | None = None
     class_counts: list[int] | None = None
 
 

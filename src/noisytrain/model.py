@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import kernel
-from .data import atomic_open, check_settings, setting
+from .data import MAX_SEED, _check_number, atomic_open, check_settings, setting
 from .kernel import GradientTape, Matrix, ShapeMismatchError
 
 THETA = ("w1", "b1", "w2", "b2")
@@ -90,7 +90,10 @@ class TwinNetworks:
 
 
 def init_network(arch: Arch, seed: int) -> NetworkParams:
-    """Scaled-uniform fan-in initialization for weights; zero biases."""
+    """Scaled-uniform fan-in initialization for weights; zero biases.
+
+    ``seed`` is an int in [0, 2 * MAX_SEED + 2], the range ``init_twins`` derives."""
+    seed = _check_number("seed", seed, int, 0, 2 * MAX_SEED + 2)
     rng = np.random.default_rng([seed, _S_INIT])
     params: dict[str, Matrix] = {}
     for name, (rows, cols) in arch.param_shapes().items():
@@ -334,8 +337,8 @@ def load_checkpoint(path: str) -> TwinNetworks:
     problem = _header_problem(header)
     if problem is not None:
         raise ValueError(f"{path}: {problem}")
-    if header["version"] != 1:
-        raise ValueError(f"unsupported checkpoint version {header['version']}")
+    if not (_is_int(header["version"]) and header["version"] == 1):
+        raise ValueError(f"{path}: unsupported checkpoint version {header['version']!r}")
     declared = 8 * sum(t["rows"] * t["cols"] for t in header["tensors"])
     if len(raw) - tensors_start != declared:
         raise ValueError(f"{path}: {len(raw) - tensors_start} bytes of tensor data, "

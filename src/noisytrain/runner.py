@@ -25,9 +25,8 @@ from .model import save_checkpoint
 from .selection import export_selection_csv
 from .training import AblationFlags
 
-METRICS_COLUMNS = ["epoch", "phase", "R", "d_cutoff", "precision", "recall",
-                   "roc_auc", "pseudo_recall", "test_acc", "train_acc_given",
-                   "loss_lx", "loss_lu", "loss_reg", "loss_lc"]
+_METRIC_FIELDS = [f.name for f in dataclasses.fields(EpochMetrics) if f.name != "class_counts"]
+METRICS_COLUMNS = ["R" if name == "filter_rate" else name for name in _METRIC_FIELDS]
 
 ABLATION_ARMS = (
     ("full", AblationFlags(True, True, True)),
@@ -64,17 +63,18 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_metrics_csv(rows: list[EpochMetrics], path: str) -> None:
+def _write_table(path: str, header: list[str], rows) -> None:
+    """Write a CSV table; if building a row raises, ``path`` keeps its old content."""
     with atomic_open(path) as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(METRICS_COLUMNS)
-        for r in rows:
-            w.writerow([
-                r.epoch, r.phase, _fmt(r.filter_rate), _fmt(r.d_cutoff),
-                _fmt(r.precision), _fmt(r.recall), _fmt(r.roc_auc),
-                _fmt(r.pseudo_recall), _fmt(r.test_acc), _fmt(r.train_acc_given),
-                _fmt(r.loss_lx), _fmt(r.loss_lu), _fmt(r.loss_reg), _fmt(r.loss_lc),
-            ])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_metrics_csv(rows: list[EpochMetrics], path: str) -> None:
+    _write_table(path, METRICS_COLUMNS,
+                 ([r.epoch, r.phase, *(_fmt(getattr(r, name)) for name in _METRIC_FIELDS[2:])]
+                  for r in rows))
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -112,15 +112,6 @@ def _check_snapshot(path: str, train: LabeledDataset) -> None:
                          f"remove it or choose another output directory")
 
 
-def cmd_generate(cfg: ExperimentConfig) -> str:
-    """Write the (noisy) train split snapshot; idempotent per seed."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    train, _ = build_datasets(cfg)
-    path = _dataset_path(cfg.output_dir)
-    save_dataset_csv(train, path)
-    return path
-
-
 def _snapshot(out_dir: str, train: LabeledDataset) -> None:
     """Make ``out_dir``; check the dataset snapshot in it, or write it."""
     os.makedirs(out_dir, exist_ok=True)
@@ -129,6 +120,13 @@ def _snapshot(out_dir: str, train: LabeledDataset) -> None:
         _check_snapshot(path, train)
     else:
         save_dataset_csv(train, path)
+
+
+def cmd_generate(cfg: ExperimentConfig) -> str:
+    """Write the (noisy) train split snapshot, or check the one already there."""
+    train, _ = build_datasets(cfg)
+    _snapshot(cfg.output_dir, train)
+    return _dataset_path(cfg.output_dir)
 
 
 def _train(cfg: ExperimentConfig, train: LabeledDataset, test: LabeledDataset,
@@ -222,18 +220,12 @@ def cmd_ablate(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
             pool.shutdown(cancel_futures=True)
             raise
 
-    with atomic_open(os.path.join(cfg.output_dir, "ablation_summary.csv")) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["arm", "best_acc", "last_acc", "final_R", "final_auc",
-                    "first_ssl_hist_ratio", "final_hist_ratio"])
-        for arm_name, _ in ABLATION_ARMS:
-            s = summaries[arm_name]
-            w.writerow([
-                arm_name, _fmt(s["best_acc"]), _fmt(s["last_acc"]),
-                _fmt(s["final_R"]), _fmt(s["final_auc"]),
-                _fmt(hist_ratio(s["first_ssl_class_counts"])),
-                _fmt(hist_ratio(s["final_class_counts"])),
-            ])
+    _write_table(os.path.join(cfg.output_dir, "ablation_summary.csv"),
+                 ["arm", "best_acc", "last_acc", "final_R", "final_auc",
+                  "first_ssl_hist_ratio", "final_hist_ratio"],
+                 ([name, _fmt(s["best_acc"]), _fmt(s["last_acc"]), _fmt(s["final_R"]),
+                   _fmt(s["final_auc"]), _fmt(hist_ratio(s["first_ssl_class_counts"])),
+                   _fmt(hist_ratio(s["final_class_counts"]))] for name, s in summaries.items()))
     return summaries
 
 
@@ -256,15 +248,11 @@ def cmd_report(metrics_path: str, out_path: str) -> str:
         if header is None:
             raise ValueError(f"{metrics_path} has no header line")
         rows = list(r)
-    with atomic_open(out_path) as f:   # a bad row leaves no output file
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["epoch", "phase", "metric", "value"])
-        for i, row in enumerate(rows, start=1):
-            if len(row) != len(header):
-                raise ValueError(f"{metrics_path}: row {i} has {len(row)} fields, "
-                                 f"the header {len(header)}")
-            epoch, phase = row[0], row[1]
-            for name, value in zip(header[2:], row[2:]):
-                if value != "":
-                    w.writerow([epoch, phase, name, value])
+    for i, row in enumerate(rows, start=1):   # a bad row leaves no output file
+        if len(row) != len(header):
+            raise ValueError(f"{metrics_path}: row {i} has {len(row)} fields, "
+                             f"the header {len(header)}")
+    _write_table(out_path, ["epoch", "phase", "metric", "value"],
+                 ([row[0], row[1], name, value] for row in rows
+                  for name, value in zip(header[2:], row[2:]) if value != ""))
     return out_path

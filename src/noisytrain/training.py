@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .data import (MAX_SEED, AugmentationSpec, LabeledDataset, batch_iterator,
+from .data import (MAX_SEED, AugmentationSpec, LabeledDataset, _check_number, batch_iterator,
                    check_settings, setting, strong_augment, weak_augment)
 from .kernel import GradientTape, Matrix, backward, sgd_step
 from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, layout, \
@@ -126,8 +126,8 @@ def refinement_weights(d: np.ndarray, d_omega: float) -> np.ndarray:
 
 def sharpen(p: Matrix, T: float) -> Matrix:
     """Raise each row to 1/T and renormalize; T < 1 concentrates mass."""
-    if T <= 0:
-        raise ValueError("T must be > 0")
+    if not 0.0 < _check_number("T", T, float) < math.inf:
+        raise ValueError(f"T: {T!r} must be finite and > 0")
     powered = p.data ** (1.0 / T)
     return kernel.wrap(powered / powered.sum(axis=1, keepdims=True))
 

@@ -15,8 +15,8 @@ from noisytrain.data import (LabeledDataset, load_dataset_csv, make_gaussian_blo
                              save_dataset_csv)
 from noisytrain.kernel import Matrix
 from noisytrain.metrics import EpochMetrics
-from noisytrain.runner import (_check_snapshot, build_datasets, cmd_ablate, cmd_generate,
-                               cmd_report, cmd_run, hist_ratio, write_metrics_csv)
+from noisytrain.runner import (METRICS_COLUMNS, _check_snapshot, build_datasets, cmd_ablate,
+                               cmd_generate, cmd_report, cmd_run, hist_ratio, write_metrics_csv)
 
 TINY = {
     "dataset": {"num_classes": 3, "per_class": 20, "test_per_class": 10,
@@ -305,6 +305,17 @@ class TestMainEntry:
         assert main(["run", "--config", path]) == 0
         assert outputs() == before
 
+    def test_generate_refuses_another_configs_snapshot(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        snap = tmp_path / "out" / "dataset.csv"
+        assert main(["generate", "--config", path, "--seed", "1"]) == 0
+        before = snap.read_bytes()
+        assert main(["generate", "--config", path, "--seed", "2"]) == 1
+        assert str(snap) in capsys.readouterr().err
+        assert snap.read_bytes() == before
+        assert os.listdir(tmp_path / "out") == ["dataset.csv"]
+        assert main(["run", "--config", path, "--seed", "1"]) == 0
+
     @pytest.mark.parametrize("content", [
         "feat_0,feat_1,feat_2,feat_3,true_label,given_label\n",
         "feat_0,feat_1,feat_2,feat_3,true_label,given_label\nx,1,2,3,0,0\n",
@@ -383,14 +394,32 @@ def test_metrics_writer_failing_midway_keeps_previous_file(tmp_path):
     path = os.path.join(cfg.output_dir, "metrics.csv")
     with open(path, "rb") as f:
         before = f.read()
-    row = EpochMetrics(0, "warmup", None, None, None, None, None, None, 0.5, 0.5,
-                       0.1, None, None, None)
+    row = EpochMetrics(epoch=0, phase="warmup", test_acc=0.5, train_acc_given=0.5, loss_lx=0.1)
     bad = dataclasses.replace(row, epoch=1, test_acc="not a number")
     with pytest.raises(ValueError):
         write_metrics_csv([row, bad], path)
     with open(path, "rb") as f:
         assert f.read() == before
     assert not [n for n in os.listdir(cfg.output_dir) if n.endswith(".tmp")]
+
+
+def test_metrics_columns_are_the_written_header():
+    assert METRICS_COLUMNS == ["epoch", "phase", "R", "d_cutoff", "precision", "recall",
+                               "roc_auc", "pseudo_recall", "test_acc", "train_acc_given",
+                               "loss_lx", "loss_lu", "loss_reg", "loss_lc"]
+
+
+def test_warmup_row_writes_empty_selection_and_loss_cells(tmp_path):
+    path = tmp_path / "metrics.csv"
+    row = EpochMetrics(epoch=0, phase="warmup", test_acc=0.5, train_acc_given=0.25, loss_lx=0.125)
+    write_metrics_csv([row], str(path))
+    assert path.read_text().split("\n")[1:] == ["0,warmup,,,,,,,0.5,0.25,0.125,,,", ""]
+
+
+def test_epoch_metrics_refuses_positional_fields():
+    with pytest.raises(TypeError):
+        EpochMetrics(0, "warmup", None, None, None, None, None, None, 0.5, 0.5,
+                     0.1, None, None, None)
 
 
 def test_hist_ratio():

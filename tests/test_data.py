@@ -225,6 +225,14 @@ class TestBatchIterator:
         with pytest.raises(ValueError, match="^batch_size: "):
             batch_iterator(np.arange(10), batch_size, seed=1, epoch=0)
 
+    @pytest.mark.parametrize("name,seed,epoch", [
+        ("seed", True, 0), ("seed", -1, 0), ("seed", (3, 2.5), 0), ("seed", (3, True), 0),
+        ("epoch", 1, True), ("epoch", 1, -1), ("epoch", 1, 1.5),
+    ])
+    def test_bad_seed_or_epoch_is_named(self, name, seed, epoch):
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            batch_iterator(np.arange(10), 4, seed=seed, epoch=epoch)
+
 
 class TestCsvRoundTrip:
     def test_lossless(self, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 from noisytrain import model
 from noisytrain.config import config_from_dict
+from noisytrain.data import MAX_SEED
 from noisytrain.kernel import GradientTape, Matrix, ShapeMismatchError, backward
 from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks,
                               ensemble_softmax, forward_logits, forward_projection,
@@ -32,6 +33,15 @@ class TestInit:
         a = init_network(ARCH, seed=3)
         b = init_network(ARCH, seed=4)
         assert a.params["w1"].data.tobytes() != b.params["w1"].data.tobytes()
+
+    @pytest.mark.parametrize("seed", [True, -1, 2.5, float("nan"), 2 * MAX_SEED + 3])
+    def test_bad_seed_is_named(self, seed):
+        with pytest.raises(ValueError, match="^seed: "):
+            init_network(ARCH, seed)
+
+    def test_twins_take_every_run_seed(self):
+        twins = init_twins(ARCH, seed=MAX_SEED)
+        assert (twins.net1.seed, twins.net2.seed) == (2 * MAX_SEED + 1, 2 * MAX_SEED + 2)
 
     def test_biases_zero(self):
         net = init_network(ARCH, seed=3)
@@ -358,6 +368,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda h: h.pop("version"), r"the header lacks 'version'"),
+        (lambda h: h.update(version=True), r"unsupported checkpoint version True"),
+        (lambda h: h.update(version=1.0), r"unsupported checkpoint version 1\.0"),
         (lambda h: h.pop("arch"), r"the header lacks 'arch'"),
         (lambda h: h.pop("seeds"), r"the header lacks 'seeds'"),
         (lambda h: h.pop("tensors"), r"the header lacks 'tensors'"),
@@ -375,7 +387,7 @@ class TestCheckpoint:
         (lambda h: h["tensors"].__setitem__(0, "w1"), r"'tensors' must be a list of objects"),
         (lambda h: b"\xff\xfe" + json.dumps(h).encode(), r"the header is not UTF-8 JSON"),
         (lambda h: b"{not json", r"the header is not UTF-8 JSON"),
-    ], ids=["no-version", "no-arch", "no-seeds", "no-tensors", "arch-key", "arch-str", "arch-zero",
+    ], ids=["no-version", "true-version", "float-version", "no-arch", "no-seeds", "no-tensors", "arch-key", "arch-str", "arch-zero",
             "one-seed", "three-seeds", "str-seed", "bool-seed", "tensors-object",
             "no-rows", "list-net", "int-name", "str-entry", "not-utf8", "not-json"])
     def test_header_keys_checked(self, tmp_path, edit, message):

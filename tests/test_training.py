@@ -55,6 +55,11 @@ class TestSharpen:
         p = Matrix([[0.0, 1.0, 0.0]])
         assert np.array_equal(sharpen(p, 0.5).data, p.data)
 
+    @pytest.mark.parametrize("T", [float("nan"), True, 0.0, -1.0, float("inf"), "0.5"])
+    def test_bad_temperature_is_named(self, T):
+        with pytest.raises(ValueError, match="^T: "):
+            sharpen(Matrix([[0.8, 0.2]]), T)
+
 
 class TestRefinementWeights:
     def test_threshold_behavior(self):
