@@ -312,6 +312,8 @@ def _header_problem(header) -> str | None:
         return f"'arch' must map exactly the Arch fields to integers, got {arch!r}"
     if not (isinstance(seeds, list) and len(seeds) == 2 and all(map(_is_int, seeds))):
         return f"'seeds' must hold exactly two integers, got {seeds!r}"
+    if not all(0 <= s <= 2 * MAX_SEED + 2 for s in seeds):
+        return f"'seeds' must lie in [0, {2 * MAX_SEED + 2}], got {seeds!r}"
     if not (isinstance(tensors, list) and all(
             isinstance(t, dict) and isinstance(t.get("name"), str)
             and all(_is_int(t.get(k)) for k in ("net", "rows", "cols")) for t in tensors)):
@@ -363,6 +365,8 @@ def load_checkpoint(path: str) -> TwinNetworks:
                              f"the arch gives {shapes[name]}")
         n = t["rows"] * t["cols"]
         arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: tensor {name!r} of net {t['net']} holds a non-finite value")
         net.params[name] = Matrix(arr)
         offset += 8 * n
     for net_id, net in nets.items():

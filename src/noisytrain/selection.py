@@ -146,6 +146,16 @@ def _ordered_members(d: np.ndarray, members: np.ndarray) -> np.ndarray:
     return members[order]
 
 
+def _checked_labels(given_labels, num_classes: int, report: DivergenceReport) -> np.ndarray:
+    """The given labels as int64, refused unless there is one per sample, each in [0, num_classes)."""
+    labels = np.asarray(given_labels, dtype=np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"labels out of range [0, {num_classes})")
+    if len(labels) != len(report):
+        raise ValueError("labels and divergences disagree in length")
+    return labels
+
+
 def uniform_select(report: DivergenceReport, given_labels, num_classes: int,
                    filter_rate: float, quota_mode: str = "class_fraction",
                    d_cutoff: float = float("nan")) -> SelectionResult:
@@ -158,11 +168,7 @@ def uniform_select(report: DivergenceReport, given_labels, num_classes: int,
     filter_rate = _check_number("filter_rate", filter_rate, float, 0.0, 1.0)
     if quota_mode not in ("class_fraction", "dataset_fraction"):
         raise ValueError(f"unknown quota_mode {quota_mode!r}")
-    labels = np.asarray(given_labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"labels out of range [0, {num_classes})")
-    if len(labels) != len(report):
-        raise ValueError("labels and divergences disagree in length")
+    labels = _checked_labels(given_labels, num_classes, report)
 
     n = len(report)
     quotas = np.zeros(num_classes, dtype=np.int64)
@@ -177,9 +183,7 @@ def uniform_select(report: DivergenceReport, given_labels, num_classes: int,
         if quota > 0:
             clean_parts.append(_ordered_members(report.d, members)[:quota])
     clean = np.sort(np.concatenate(clean_parts)) if clean_parts else np.empty(0, dtype=np.int64)
-    mask = np.zeros(n, dtype=bool)
-    mask[clean] = True
-    noisy = np.flatnonzero(~mask)
+    noisy = np.delete(np.arange(n), clean)
     return SelectionResult(clean, noisy, filter_rate, float(d_cutoff), quotas)
 
 
@@ -191,14 +195,13 @@ def baseline_global_select(report: DivergenceReport, filter_rate: float,
     Ablation baseline only; per_class_quota records the realized counts.
     """
     filter_rate = _check_number("filter_rate", filter_rate, float, 0.0, 1.0)
+    labels = _checked_labels(given_labels, num_classes, report)
     n = len(report)
     k = round_half_up(filter_rate * n)
     order = np.lexsort((np.arange(n), report.d))
     clean = np.sort(order[:k])
-    mask = np.zeros(n, dtype=bool)
-    mask[clean] = True
-    noisy = np.flatnonzero(~mask)
-    counts = np.bincount(np.asarray(given_labels)[clean], minlength=num_classes)
+    noisy = np.delete(np.arange(n), clean)
+    counts = np.bincount(labels[clean], minlength=num_classes)
     return SelectionResult(clean, noisy, filter_rate, float(d_cutoff), counts)
 
 

@@ -7,7 +7,10 @@ other network's most recent update always informs the split.  Within the
 half, clean batches get refined labels, noisy batches get sharpened
 pseudo-labels guessed by both networks, everything is mixed with MixUp,
 and the contrastive term pulls together the two strong views of each
-noisy sample.
+noisy sample.  A half with an empty noisy set mixes the clean entries
+among themselves, with ``lu = lc = 0``, and is flagged ``empty_noisy``; one
+with an empty clean set runs CE on the noisy set's given labels and is
+flagged ``empty_clean``.
 
 Label refinement and pseudo-label guessing are evaluation-mode forward
 passes: their outputs enter the losses as constants, never on the tape.
@@ -50,7 +53,7 @@ _LOSS_TERMS = ("lx", "lu", "lreg", "lc")
 
 
 class DegenerateBatchError(RuntimeError):
-    """MixMatch assembly was asked to mix an empty collection."""
+    """MixMatch assembly was asked to mix an empty labeled collection."""
 
 
 class TrainingDivergedError(RuntimeError):
@@ -184,13 +187,14 @@ def mixup(x1: Matrix, t1: Matrix, x2: Matrix, t2: Matrix, alpha: float,
 def mixmatch_assemble(x_inputs: Matrix, x_targets: Matrix,
                       u_inputs: Matrix, u_targets: Matrix,
                       alpha: float, rng: np.random.Generator) -> tuple[MixedBatch, MixedBatch]:
-    """Mix labeled and unlabeled entries against a shuffle of their union."""
-    n_x, n_u = x_inputs.rows, u_inputs.rows
-    if n_x == 0 or n_u == 0:
-        raise DegenerateBatchError("mixmatch needs non-empty labeled and unlabeled collections")
+    """Mix labeled and unlabeled entries against a shuffle of their union; with
+    no unlabeled entries, the labeled ones mix among themselves and ``u`` is empty."""
+    n_x = x_inputs.rows
+    if n_x == 0:
+        raise DegenerateBatchError("mixmatch needs a non-empty labeled collection")
     all_inputs = np.vstack([x_inputs.data, u_inputs.data])
     all_targets = np.vstack([x_targets.data, u_targets.data])
-    perm = rng.permutation(n_x + n_u)
+    perm = rng.permutation(len(all_inputs))
     w_inputs = all_inputs[perm]
     w_targets = all_targets[perm]
     mixed_x = mixup(x_inputs, x_targets,
@@ -508,59 +512,40 @@ def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
         degenerate = "empty_noisy"
         logger.warning("epoch %d net %d: noisy set empty, training on refined clean labels only",
                        epoch, net_index)
+        noisy_batches = [sel.noisy_indices] * len(clean_batches)
+
+    def views(idx: np.ndarray, rng: np.random.Generator) -> list[Matrix]:
+        """Two weak, then two strong augmentations of the rows ``idx``, in draw order."""
+        raw = _rows(ds.features, idx)
+        return [f(raw, aug, rng) for f in (weak_augment, weak_augment, strong_augment, strong_augment)]
 
     def ssl_loss(tape: GradientTape, item) -> tuple[Matrix, dict[str, Matrix]]:
         it, (cb, ub) = item
         rng = np.random.default_rng([hp.seed, _S_ITER, epoch, net_index, it])
-        x_raw = _rows(ds.features, cb)
-        xw1 = weak_augment(x_raw, aug, rng)
-        xw2 = weak_augment(x_raw, aug, rng)
-        xs1 = strong_augment(x_raw, aug, rng)
-        xs2 = strong_augment(x_raw, aug, rng)
+        xw1, xw2, xs1, xs2 = views(cb, rng)
         y_refined = refine_labels(net, xw1, xw2, _rows(targets_full, cb), weights[cb], hp.T)
-        x_in = _interleave_two_views(xs1, xs2)
-        x_t = _repeat_rows_twice(y_refined)
-
-        if ub is not None:
-            u_raw = _rows(ds.features, ub)
-            uw1 = weak_augment(u_raw, aug, rng)
-            uw2 = weak_augment(u_raw, aug, rng)
-            us1 = strong_augment(u_raw, aug, rng)
-            us2 = strong_augment(u_raw, aug, rng)
-            q = guess_pseudo_labels(twins, uw1, uw2, hp.T)
-            u_in = _interleave_two_views(us1, us2)
-            u_t = _repeat_rows_twice(q)
-            mixed_x, mixed_u = mixmatch_assemble(x_in, x_t, u_in, u_t, hp.alpha, rng)
-        else:
-            # empty noisy set (a short one ends the half instead: zip stops
-            # at the shorter list): mix the clean entries among themselves
-            perm = rng.permutation(x_in.rows)
-            mixed_x = mixup(x_in, x_t, kernel.wrap(x_in.data[perm]),
-                            kernel.wrap(x_t.data[perm]), hp.alpha, rng)
-            mixed_u = None
+        uw1, uw2, us1, us2 = views(ub, rng)
+        q = guess_pseudo_labels(twins, uw1, uw2, hp.T)
+        u_in = _interleave_two_views(us1, us2)
+        mixed_x, mixed_u = mixmatch_assemble(
+            _interleave_two_views(xs1, xs2), _repeat_rows_twice(y_refined),
+            u_in, _repeat_rows_twice(q), hp.alpha, rng)
 
         logits_x = forward_logits(net, mixed_x.inputs, tape)
         lx = loss_lx(logits_x, mixed_x.targets, tape)
-        if mixed_u is not None:
+        lu = lc = Matrix.zeros(1, 1)
+        if len(ub):   # the unlabeled terms; an empty noisy batch leaves lu and lc at 0
             logits_u = forward_logits(net, mixed_u.inputs, tape)
             lu = loss_lu(logits_u, mixed_u.targets, tape)
-            logits_all = kernel.concat_rows(logits_x, logits_u, tape)
+            lreg = loss_reg(kernel.concat_rows(logits_x, logits_u, tape), ds.num_classes, tape)
+            if flags.contrastive:
+                lc = loss_contrastive(forward_projection(net, u_in, tape), hp.kappa, tape)
         else:
-            lu = Matrix.zeros(1, 1)
-            logits_all = logits_x
-        lreg = loss_reg(logits_all, ds.num_classes, tape)
-        if flags.contrastive and ub is not None:
-            z = forward_projection(net, u_in, tape)
-            lc = loss_contrastive(z, hp.kappa, tape)
-        else:
-            lc = Matrix.zeros(1, 1)
-        terms = {"lx": lx, "lu": lu, "lreg": lreg, "lc": lc}
-        return total_loss(lx, lu, lreg, lc, hp, tape), terms
+            lreg = loss_reg(logits_x, ds.num_classes, tape)
+        return total_loss(lx, lu, lreg, lc, hp, tape), {"lx": lx, "lu": lu, "lreg": lreg, "lc": lc}
 
-    iterations = zip(clean_batches, noisy_batches) if noisy_batches else \
-        ((cb, None) for cb in clean_batches)
-    steps = _sgd_steps(net, hp, lr, ALL_GROUPS, enumerate(iterations), ssl_loss,
-                       (epoch, net_index, "ssl"))
+    steps = _sgd_steps(net, hp, lr, ALL_GROUPS, enumerate(zip(clean_batches, noisy_batches)),
+                       ssl_loss, (epoch, net_index, "ssl"))
     return HalfEpochRecord(net_index, report, sel, _mean_losses(steps), degenerate)
 
 

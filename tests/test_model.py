@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -380,6 +381,10 @@ class TestCheckpoint:
         (lambda h: h.update(seeds=[43, 44, 45]), r"'seeds' must hold exactly two integers"),
         (lambda h: h.update(seeds=[43, "44"]), r"'seeds' must hold exactly two integers"),
         (lambda h: h.update(seeds=[43, True]), r"'seeds' must hold exactly two integers"),
+        (lambda h: h.update(seeds=[-7, 44]),
+         rf"'seeds' must lie in \[0, {2 * MAX_SEED + 2}\], got \[-7, 44\]"),
+        (lambda h: h.update(seeds=[43, 2**80]),
+         rf"'seeds' must lie in \[0, {2 * MAX_SEED + 2}\], got \[43, {2**80}\]"),
         (lambda h: h.update(tensors={}), r"'tensors' must be a list of objects"),
         (lambda h: h["tensors"][2].pop("rows"), r"'tensors' must be .* integer net, rows and cols"),
         (lambda h: h["tensors"][2].update(net=[1]), r"'tensors' must be .* integer net"),
@@ -388,7 +393,8 @@ class TestCheckpoint:
         (lambda h: b"\xff\xfe" + json.dumps(h).encode(), r"the header is not UTF-8 JSON"),
         (lambda h: b"{not json", r"the header is not UTF-8 JSON"),
     ], ids=["no-version", "true-version", "float-version", "no-arch", "no-seeds", "no-tensors", "arch-key", "arch-str", "arch-zero",
-            "one-seed", "three-seeds", "str-seed", "bool-seed", "tensors-object",
+            "one-seed", "three-seeds", "str-seed", "bool-seed", "negative-seed", "huge-seed",
+            "tensors-object",
             "no-rows", "list-net", "int-name", "str-entry", "not-utf8", "not-json"])
     def test_header_keys_checked(self, tmp_path, edit, message):
         path = tmp_path / "ckpt.bin"
@@ -413,6 +419,21 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         self._rewrite_table(path, edit)
         with pytest.raises(ValueError, match=r"ckpt\.bin: " + message):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("value,last,named", [
+        (np.nan, False, "'w1' of net 1"), (np.inf, False, "'w1' of net 1"),
+        (-np.inf, True, "'bp' of net 2"),
+    ], ids=["nan-first", "inf-first", "minus-inf-last"])
+    def test_non_finite_value_names_tensor(self, tmp_path, value, last, named):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(init_twins(ARCH, seed=21), str(path))
+        raw = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        struct.pack_into("<d", raw, len(raw) - 8 if last else 12 + header_len, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tensor {named} "
+                                             "holds a non-finite value$"):
             load_checkpoint(str(path))
 
     def test_missing_tensor_rejected(self, tmp_path):

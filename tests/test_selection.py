@@ -251,15 +251,31 @@ class TestBaselineGlobalSelect:
         assert len(sel.clean_indices) == 3
 
 
-@pytest.mark.parametrize("rate", [True, float("nan"), "0.5", -0.1, 1.5])
-@pytest.mark.parametrize("select", [
+both_selectors = pytest.mark.parametrize("select", [
     lambda report, labels, rate: uniform_select(report, labels, 2, rate),
     lambda report, labels, rate: baseline_global_select(report, rate, labels, 2),
 ], ids=["uniform", "baseline"])
+
+
+@pytest.mark.parametrize("rate", [True, float("nan"), "0.5", -0.1, 1.5])
+@both_selectors
 def test_bad_filter_rate_is_named(select, rate):
     report = DivergenceReport.from_values([0.1, 0.2, 0.3, 0.4])
     with pytest.raises(ValueError, match="^filter_rate: "):
         select(report, np.array([0, 0, 1, 1]), rate)
+
+
+@pytest.mark.parametrize("labels,message", [
+    ([0, 2, 1, 1], r"labels out of range \[0, 2\)"),
+    ([0, -1, 1, 1], r"labels out of range \[0, 2\)"),
+    ([0, 0, 1], "labels and divergences disagree in length"),
+    ([0, 0, 1, 1, 1], "labels and divergences disagree in length"),
+], ids=["label-C", "negative", "shorter", "longer"])
+@both_selectors
+def test_bad_labels_refused(select, labels, message):
+    report = DivergenceReport.from_values([0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        select(report, np.array(labels), 0.5)
 
 
 def test_export_selection_csv(tmp_path, rng):

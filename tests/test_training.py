@@ -9,7 +9,8 @@ from conftest import (finite_difference_grad, max_relative_error, serial_sgd_ste
 from noisytrain import training
 from noisytrain.cli import main
 from noisytrain.config import config_from_dict
-from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
+from noisytrain.data import (AugmentationSpec, batch_iterator, inject_symmetric_noise,
+                             make_gaussian_blobs, strong_augment, weak_augment)
 from noisytrain.kernel import GradientTape, Matrix, backward, record, wrap
 from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks, forward_logits,
                               forward_softmax, init_network, init_twins, layout)
@@ -191,11 +192,23 @@ class TestMixmatchAssemble:
         assert a[0].inputs.data.tobytes() == b[0].inputs.data.tobytes()
         assert a[1].targets.data.tobytes() == b[1].targets.data.tobytes()
 
-    def test_empty_collection_raises(self, rng):
-        xi, xt = self._entries(rng, 4)
+    def test_empty_labeled_side_raises(self, rng):
+        ui, ut = self._entries(rng, 4)
         empty_i, empty_t = Matrix(np.zeros((0, 3))), Matrix(np.zeros((0, 2)))
         with pytest.raises(DegenerateBatchError):
-            mixmatch_assemble(xi, xt, empty_i, empty_t, 4.0, np.random.default_rng(0))
+            mixmatch_assemble(empty_i, empty_t, ui, ut, 4.0, np.random.default_rng(0))
+
+    def test_empty_unlabeled_side_mixes_labeled_among_themselves(self, rng):
+        xi, xt = self._entries(rng, 5)
+        empty_i, empty_t = Matrix(np.zeros((0, 3))), Matrix(np.zeros((0, 2)))
+        mx, mu = mixmatch_assemble(xi, xt, empty_i, empty_t, 4.0, np.random.default_rng(9))
+        ref_rng = np.random.default_rng(9)
+        perm = ref_rng.permutation(5)
+        ref = mixup(xi, xt, Matrix(xi.data[perm]), Matrix(xt.data[perm]), 4.0, ref_rng)
+        assert mx.inputs.data.tobytes() == ref.inputs.data.tobytes()
+        assert mx.targets.data.tobytes() == ref.targets.data.tobytes()
+        assert mx.lambda_prime.tobytes() == ref.lambda_prime.tobytes()
+        assert mu.inputs.shape == (0, 3) and mu.targets.shape == (0, 2)
 
 
 class TestLossValues:
@@ -461,6 +474,43 @@ class TestTrainEpoch:
         assert rec.losses["lu"] == 0.0
         assert rec.losses["lc"] == 0.0
         assert rec.losses["lx"] > 0.0
+
+    @pytest.mark.parametrize("flags", [FLAGS, AblationFlags(contrastive=False)],
+                             ids=["contrastive", "no-contrastive"])
+    def test_empty_noisy_half_equals_clean_mixup_reference(self, flags):
+        # reference: the clean entries shuffled and mixed with MixUp, then lx and lreg only
+        ds, hp, twins = self._setup()
+        _, _, ref = self._setup()
+        report = DivergenceReport.from_values(np.linspace(0.01, 0.6, len(ds)))
+        sel = uniform_select(report, ds.given_labels, 3, 1.0, d_cutoff=0.9)
+        rec = train_half_epoch(twins, 2, ds, hp, AUG, flags, 1, report, sel)
+        net, targets = ref.net2, one_hot(ds.given_labels, 3).data
+        weights = training.refinement_weights(report.d, hp.d_omega)
+
+        def clean_only(tape, item):
+            it, cb = item
+            rng = np.random.default_rng([hp.seed, training._S_ITER, 1, 2, it])
+            x = wrap(ds.features.data[cb])
+            xw1, xw2, xs1, xs2 = (f(x, AUG, rng) for f in (weak_augment, weak_augment,
+                                                          strong_augment, strong_augment))
+            y = refine_labels(net, xw1, xw2, wrap(targets[cb]), weights[cb], hp.T)
+            x_in = np.stack([xs1.data, xs2.data], axis=1).reshape(2 * len(cb), -1)
+            x_t = np.repeat(y.data, 2, axis=0)
+            perm = rng.permutation(len(x_in))
+            mixed = mixup(wrap(x_in), wrap(x_t), wrap(x_in[perm]), wrap(x_t[perm]), hp.alpha, rng)
+            logits = forward_logits(net, mixed.inputs, tape)
+            lx, lreg = loss_lx(logits, mixed.targets, tape), loss_reg(logits, 3, tape)
+            zero = Matrix.zeros(1, 1)
+            return total_loss(lx, zero, lreg, zero, hp, tape), {"lx": lx, "lreg": lreg}
+
+        clean = batch_iterator(sel.clean_indices, hp.batch_size, (hp.seed, training._S_CLEAN, 2), 1)
+        steps = training._sgd_steps(net, hp, decayed_lr(hp, 1), ALL_GROUPS, enumerate(clean),
+                                    clean_only, (1, 2, "ssl"))
+        for name in ALL_GROUPS:
+            assert twins.net2.params[name].data.tobytes() == net.params[name].data.tobytes()
+        assert twins.net2.velocity.tobytes() == net.velocity.tobytes()
+        assert rec.losses == {"lx": float(np.mean([s["lx"] for s in steps])), "lu": 0.0,
+                              "lreg": float(np.mean([s["lreg"] for s in steps])), "lc": 0.0}
 
     def test_clean_set_empty_degrades_to_ce(self):
         ds, hp, twins = self._setup()
