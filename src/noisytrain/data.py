@@ -89,6 +89,7 @@ class LabeledDataset:
     num_classes: int
 
     def __post_init__(self):
+        self.num_classes = _check_number("num_classes", self.num_classes, int, 1)
         self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
         self.given_labels = np.asarray(self.given_labels, dtype=np.int64)
         n = self.features.rows

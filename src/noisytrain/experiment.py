@@ -24,8 +24,6 @@ from .selection import CutoffParams
 from .training import (AblationFlags, HalfEpochRecord, Hyperparams, select_for_network,
                        train_half_epoch, warmup_train)
 
-_S_METRIC = 80
-
 
 @dataclass
 class RunResult:
@@ -69,8 +67,7 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
                 report, sel = select_for_network(twins, net_index, train_ds, cutoff_params, flags)
                 if net_index == 1:
                     p_recall = None if len(sel.noisy_indices) == 0 else pseudo_label_recall(
-                        twins, train_ds, sel.noisy_indices, hp.T, aug,
-                        np.random.default_rng([hp.seed, _S_METRIC, epoch]))
+                        twins, train_ds, sel.noisy_indices)
                 halves.append(train_half_epoch(twins, net_index, train_ds, hp, aug, flags,
                                                epoch, report, sel))
             if on_epoch is not None:

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AugmentationSpec, LabeledDataset, weak_augment
-from .kernel import Matrix, wrap
+from .data import LabeledDataset
+from .kernel import Matrix
 from .model import TwinNetworks, ensemble_softmax
 from .selection import DivergenceReport, SelectionResult
-from .training import guess_pseudo_labels
 
 logger = logging.getLogger(__name__)
 
@@ -57,12 +56,24 @@ def truly_clean_mask(ds: LabeledDataset) -> np.ndarray:
     return ds.given_labels == ds.true_labels
 
 
+def _check_length(name: str, size: int, n: int) -> None:
+    if size != n:
+        raise ValueError(f"{name}: {size} entries for a dataset of {n} samples")
+
+
+def _checked_indices(name: str, indices, n: int) -> np.ndarray:
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"{name}: indices {idx.min()}..{idx.max()} outside [0, {n})")
+    return idx
+
+
 def selection_precision_recall(sel: SelectionResult, ds: LabeledDataset) -> tuple[float, float]:
     """How much of the selected set is truly clean, and how much of the
     truly clean set was captured."""
     clean_mask = truly_clean_mask(ds)
     n_true_clean = int(clean_mask.sum())
-    selected = sel.clean_indices
+    selected = _checked_indices("clean_indices", sel.clean_indices, len(ds))
     if len(selected) == 0:
         logger.warning("empty selection: precision reported as 1 by convention")
         return 1.0, 0.0
@@ -86,6 +97,7 @@ def _tied_ranks(values: np.ndarray) -> np.ndarray:
 
 def roc_auc(report: DivergenceReport, ds: LabeledDataset) -> float:
     """Rank-sum AUC of cleanness score 1 - d for truly-clean vs truly-noisy."""
+    _check_length("report", len(report), len(ds))
     clean_mask = truly_clean_mask(ds)
     n_pos = int(clean_mask.sum())
     n_neg = len(ds) - n_pos
@@ -97,20 +109,17 @@ def roc_auc(report: DivergenceReport, ds: LabeledDataset) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def pseudo_label_recall(twins: TwinNetworks, ds: LabeledDataset, noisy_indices,
-                        T: float, aug: AugmentationSpec,
-                        rng: np.random.Generator) -> float:
-    """Macro-averaged per-true-class recall of argmax pseudo-labels.
+def pseudo_label_recall(twins: TwinNetworks, ds: LabeledDataset, noisy_indices) -> float:
+    """Macro-averaged per-true-class recall of the ensemble argmax on the noisy set.
 
-    Restricted to the noisy set; true classes absent from it are left out
-    of the average.
+    Reads the raw train features' ``ensemble_softmax``, which selection has just
+    remembered, so no forward pass runs.  True classes absent from the noisy set
+    are left out of the average.
     """
-    idx = np.asarray(noisy_indices, dtype=np.int64)
+    idx = _checked_indices("noisy_indices", noisy_indices, len(ds))
     if idx.size == 0:
         raise ValueError("noisy set is empty")
-    x = wrap(ds.features.data[idx])
-    q = guess_pseudo_labels(twins, weak_augment(x, aug, rng), weak_augment(x, aug, rng), T)
-    predicted = q.data.argmax(axis=1)
+    predicted = ensemble_softmax(twins, ds.features).data[idx].argmax(axis=1)
     true = ds.true_labels[idx]
     recalls = []
     for c in range(ds.num_classes):
@@ -128,6 +137,7 @@ def accuracy(twins: TwinNetworks, features: Matrix, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) == 0:
         raise ValueError("empty evaluation set")
+    _check_length("labels", len(labels), features.rows)
     probs = ensemble_softmax(twins, features)
     predicted = probs.data.argmax(axis=1)
     return float((predicted == labels).mean())

@@ -345,3 +345,7 @@ def test_labeled_dataset_validation():
         LabeledDataset(Matrix(np.zeros((3, 2))), np.array([0, 1]), np.array([0, 1, 0]), 2)
     with pytest.raises(ValueError):
         LabeledDataset(Matrix(np.zeros((2, 2))), np.array([0, 5]), np.array([0, 1]), 2)
+    for num_classes in (True, 2.5):
+        with pytest.raises(ValueError, match="num_classes"):
+            LabeledDataset(Matrix(np.zeros((2, 2))), np.array([0, 1]), np.array([0, 1]),
+                           num_classes)

@@ -11,6 +11,9 @@ child hook some functions by name.
 Every random substream tag is a named module-level constant (``_S_*`` or
 ``_STREAM_*``), and no two tags in the library share a value, so no two
 generators derived from the same seed coincide.
+
+Evaluation (``metrics``) imports nothing from ``training`` and uses no
+augmentation: it reads predictions, it does not make training inputs.
 """
 
 import ast
@@ -89,6 +92,15 @@ def test_substream_tags_are_named_and_distinct():
                     and isinstance(call.args[0], ast.List)):
                 bare += [f"{fname[:-3]}:{e.lineno}" for e in call.args[0].elts
                          if isinstance(e, ast.Constant)]
-    assert len(tags) >= 11, tags   # data 5, training 4, experiment 1, model 1
+    assert len(tags) >= 10, tags   # data 5, training 4, model 1
     assert not {v: names for v, names in tags.items() if len(names) > 1}
     assert not bare, f"default_rng seeded with an unnamed tag at {bare}"
+
+
+def test_metrics_does_not_reach_into_training():
+    with open(os.path.join(SRC, "metrics.py")) as f:
+        tree = ast.parse(f.read())
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "training" not in imported, "metrics imports from training"
+    augmentation = {"AugmentationSpec", "weak_augment", "strong_augment"}
+    assert not augmentation & _names(tree, set()), "metrics uses augmentation"

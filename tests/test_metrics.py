@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
+from noisytrain import metrics, model, training
+from noisytrain.data import inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.kernel import Matrix
 from noisytrain.metrics import (UndefinedAUCError, _tied_ranks, accuracy,
                                 pseudo_label_recall, roc_auc, selection_precision_recall)
-from noisytrain.model import Arch, init_twins
+from noisytrain.model import Arch, ensemble_softmax, forward_softmax, init_twins
 from noisytrain.selection import (DivergenceReport, SelectionResult,
                                   baseline_global_select, uniform_select)
 
@@ -136,35 +137,34 @@ class TestRocAuc:
 
 class TestPseudoLabelRecall:
     def test_macro_average_arithmetic(self):
-        # on well-separated blobs with a trained-free network we cannot
-        # control outputs, so check the macro average on a degenerate case:
-        # recall is averaged only over classes present in the noisy set.
-        ds = make_gaussian_blobs(2, 20, 4, 10.0, seed=3)
-        ds = inject_symmetric_noise(ds, 0.5, seed=4)
-        twins = init_twins(Arch(4, 16, 2, 4), seed=1)
-        noisy_idx = np.flatnonzero(ds.given_labels != ds.true_labels)
-        value = pseudo_label_recall(twins, ds, noisy_idx, T=0.5,
-                                    aug=AugmentationSpec(),
-                                    rng=np.random.default_rng(5))
-        assert 0.0 <= value <= 1.0
+        # class 2 has no member in the noisy set, so the average is over 0 and 1
+        ds = make_gaussian_blobs(3, 15, 4, 8.0, seed=3)
+        twins = init_twins(Arch(4, 16, 3, 4), seed=1)
+        idx = np.flatnonzero(ds.true_labels != 2)[::2]
+        predicted = ensemble_softmax(twins, ds.features).data[idx].argmax(1)
+        true = ds.true_labels[idx]
+        manual = np.mean([np.mean(predicted[true == c] == c) for c in (0, 1)])
+        assert pseudo_label_recall(twins, ds, idx) == manual
 
     def test_empty_noisy_set_rejected(self):
         ds = make_gaussian_blobs(2, 5, 4, 10.0, seed=3)
         twins = init_twins(Arch(4, 16, 2, 4), seed=1)
-        with pytest.raises(ValueError):
-            pseudo_label_recall(twins, ds, np.array([], dtype=np.int64), 0.5,
-                                AugmentationSpec(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="noisy set is empty"):
+            pseudo_label_recall(twins, ds, np.array([], dtype=np.int64))
 
-    def test_deterministic_given_rng_seed(self):
-        ds = make_gaussian_blobs(3, 15, 4, 8.0, seed=3)
-        ds = inject_symmetric_noise(ds, 0.4, seed=4)
+    def test_reads_remembered_predictions(self, monkeypatch):
+        ds = inject_symmetric_noise(make_gaussian_blobs(3, 15, 4, 8.0, seed=3), 0.4, seed=4)
         twins = init_twins(Arch(4, 16, 3, 4), seed=1)
-        noisy_idx = np.flatnonzero(ds.given_labels != ds.true_labels)
-        a = pseudo_label_recall(twins, ds, noisy_idx, 0.5, AugmentationSpec(),
-                                np.random.default_rng(11))
-        b = pseudo_label_recall(twins, ds, noisy_idx, 0.5, AugmentationSpec(),
-                                np.random.default_rng(11))
-        assert a == b
+        ensemble_softmax(twins, ds.features)
+        calls = []
+
+        def counting_forward_softmax(net, x):
+            calls.append(x.rows)
+            return forward_softmax(net, x)
+        for module in (model, metrics, training):   # wherever the name is held
+            monkeypatch.setattr(module, "forward_softmax", counting_forward_softmax, raising=False)
+        pseudo_label_recall(twins, ds, np.flatnonzero(ds.given_labels != ds.true_labels))
+        assert calls == []
 
 
 class TestAccuracy:
@@ -183,6 +183,24 @@ class TestAccuracy:
         from noisytrain.model import ensemble_softmax
         predicted = ensemble_softmax(twins, ds.features).data.argmax(axis=1)
         assert accuracy(twins, ds.features, predicted) == 1.0
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda twins, ds: accuracy(twins, ds.features, [0]),
+     "labels: 1 entries for a dataset of 40 samples"),
+    (lambda twins, ds: roc_auc(DivergenceReport.from_values(np.full(10, 0.5)), ds),
+     "report: 10 entries for a dataset of 40 samples"),
+    (lambda twins, ds: selection_precision_recall(
+        SelectionResult(np.array([-1, 3]), np.array([0]), 0.5, 0.5, np.array([1, 1])), ds),
+     r"clean_indices: indices -1\.\.3 outside \[0, 40\)"),
+    (lambda twins, ds: pseudo_label_recall(twins, ds, [3, 40]),
+     r"noisy_indices: indices 3\.\.40 outside \[0, 40\)"),
+], ids=["accuracy-labels", "auc-report", "precision-negative-index", "pseudo-recall-index"])
+def test_inputs_of_another_size_refused(call, message):
+    ds = make_gaussian_blobs(2, 20, 4, 10.0, seed=3)
+    twins = init_twins(Arch(4, 16, 2, 4), seed=1)
+    with pytest.raises(ValueError, match=message):
+        call(twins, ds)
 
 
 class TestClassHistogram:
