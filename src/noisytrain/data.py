@@ -75,6 +75,14 @@ def _check_number(name: str, value, kind, lo=-math.inf, hi=math.inf):
     return kind(value)
 
 
+def _checked_indices(name: str, indices, n: int) -> np.ndarray:
+    """``indices`` as int64 if each lies in [0, n); else a ``ValueError`` naming ``name``."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"{name}: indices {idx.min()}..{idx.max()} outside [0, {n})")
+    return idx
+
+
 @dataclass
 class LabeledDataset:
     """Features plus true and given class labels.

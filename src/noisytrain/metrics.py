@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, _checked_indices
 from .kernel import Matrix
 from .model import TwinNetworks, ensemble_softmax
 from .selection import DivergenceReport, SelectionResult
@@ -59,13 +59,6 @@ def truly_clean_mask(ds: LabeledDataset) -> np.ndarray:
 def _check_length(name: str, size: int, n: int) -> None:
     if size != n:
         raise ValueError(f"{name}: {size} entries for a dataset of {n} samples")
-
-
-def _checked_indices(name: str, indices, n: int) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"{name}: indices {idx.min()}..{idx.max()} outside [0, {n})")
-    return idx
 
 
 def selection_precision_recall(sel: SelectionResult, ds: LabeledDataset) -> tuple[float, float]:
@@ -134,7 +127,7 @@ def accuracy(twins: TwinNetworks, features: Matrix, labels) -> float:
 
     Against given labels on the train set this measures memorization.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _checked_indices("labels", labels, twins.net1.arch.num_classes)
     if len(labels) == 0:
         raise ValueError("empty evaluation set")
     _check_length("labels", len(labels), features.rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,8 +62,9 @@ def layout(arch: Arch) -> tuple[tuple[str, slice, tuple[int, int]], ...]:
     """Where each parameter lies in a row packing all eight, in ``ALL_GROUPS``
     order: (name, part of the row, shape).  Theta and phi come first, so
     their row is a prefix of the whole one."""
-    parts, start = [], 0
-    for name, (rows, cols) in arch.param_shapes().items():
+    shapes, parts, start = arch.param_shapes(), [], 0
+    for name in ALL_GROUPS:
+        rows, cols = shapes[name]
         parts.append((name, slice(start, start + rows * cols), (rows, cols)))
         start += rows * cols
     return tuple(parts)
@@ -87,6 +88,11 @@ class NetworkParams:
 class TwinNetworks:
     net1: NetworkParams
     net2: NetworkParams
+
+    def __post_init__(self):
+        if self.net1.arch != self.net2.arch:
+            raise ValueError(f"twin networks must share one arch, got {self.net1.arch} "
+                             f"and {self.net2.arch}")
 
 
 def init_network(arch: Arch, seed: int) -> NetworkParams:
@@ -276,101 +282,78 @@ def ensemble_softmax(twins: TwinNetworks, x: Matrix) -> Matrix:
 # checkpoints: magic, version, JSON header, raw little-endian float64 blobs
 
 
+def _tensor_table(arch: Arch) -> list[dict]:
+    """A checkpoint header's tensor table: net 1's parameters, then net 2's, in ``layout`` order."""
+    return [{"net": net_id, "name": name, "rows": rows, "cols": cols}
+            for net_id in (1, 2) for name, _, (rows, cols) in layout(arch)]
+
+
 def save_checkpoint(twins: TwinNetworks, path: str) -> None:
-    tensors = []
-    blobs = []
-    for net_id, net in ((1, twins.net1), (2, twins.net2)):
-        for name in ALL_GROUPS:
-            m = net.params[name]
-            tensors.append({"net": net_id, "name": name, "rows": m.rows, "cols": m.cols})
-            blobs.append(np.ascontiguousarray(m.data, dtype="<f8").tobytes())
-    header = {"version": 1, "arch": asdict(twins.net1.arch),
-              "seeds": [twins.net1.seed, twins.net2.seed], "tensors": tensors}
+    arch = twins.net1.arch
+    header = {"version": 1, "arch": asdict(arch),
+              "seeds": [twins.net1.seed, twins.net2.seed], "tensors": _tensor_table(arch)}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as f:
         f.write(_CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(header_bytes)))
         f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _header_problem(header) -> str | None:
-    """What is missing or malformed in a checkpoint header, naming the key; None if nothing."""
-    if not isinstance(header, dict):
-        return "the header is not a JSON object"
-    missing = [k for k in ("version", "arch", "seeds", "tensors") if k not in header]
-    if missing:
-        return f"the header lacks {missing[0]!r}"
-    arch, seeds, tensors = header["arch"], header["seeds"], header["tensors"]
-    if not (isinstance(arch, dict) and set(arch) == {f.name for f in fields(Arch)}
-            and all(map(_is_int, arch.values()))):
-        return f"'arch' must map exactly the Arch fields to integers, got {arch!r}"
-    if not (isinstance(seeds, list) and len(seeds) == 2 and all(map(_is_int, seeds))):
-        return f"'seeds' must hold exactly two integers, got {seeds!r}"
-    if not all(0 <= s <= 2 * MAX_SEED + 2 for s in seeds):
-        return f"'seeds' must lie in [0, {2 * MAX_SEED + 2}], got {seeds!r}"
-    if not (isinstance(tensors, list) and all(
-            isinstance(t, dict) and isinstance(t.get("name"), str)
-            and all(_is_int(t.get(k)) for k in ("net", "rows", "cols")) for t in tensors)):
-        return "'tensors' must be a list of objects with integer net, rows and cols and a string name"
-    return None
+        for net in (twins.net1, twins.net2):
+            for name in ALL_GROUPS:
+                f.write(np.ascontiguousarray(net.params[name].data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> TwinNetworks:
+    """The twin networks of a checkpoint ``save_checkpoint`` wrote.  Each
+    network's parameters are read-only views of one packed row, laid out by
+    ``layout``; a ``ValueError`` that starts with the path refuses anything else."""
     with open(path, "rb") as f:
         raw = f.read()
     header_start = len(_CHECKPOINT_MAGIC) + 4
     if not raw.startswith(_CHECKPOINT_MAGIC) or len(raw) < header_start:
         raise ValueError(f"{path} is not a twin-network checkpoint")
     (header_len,) = struct.unpack_from("<I", raw, len(_CHECKPOINT_MAGIC))
-    tensors_start = header_start + header_len
-    if len(raw) < tensors_start:
+    rows_start = header_start + header_len
+    if len(raw) < rows_start:
         raise ValueError(f"{path}: header cut short: "
                          f"{len(raw) - header_start} of {header_len} bytes")
     try:
-        header = json.loads(raw[header_start:tensors_start].decode("utf-8"))
+        header = json.loads(raw[header_start:rows_start].decode("utf-8"))
     except ValueError as exc:   # UnicodeDecodeError or JSONDecodeError
         raise ValueError(f"{path}: the header is not UTF-8 JSON: {exc}") from exc
-    problem = _header_problem(header)
-    if problem is not None:
-        raise ValueError(f"{path}: {problem}")
-    if not (_is_int(header["version"]) and header["version"] == 1):
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: the header is not a JSON object")
+    missing = [k for k in ("version", "arch", "seeds", "tensors") if k not in header]
+    if missing:
+        raise ValueError(f"{path}: the header lacks {missing[0]!r}")
+    if json.dumps(header["version"]) != "1":
         raise ValueError(f"{path}: unsupported checkpoint version {header['version']!r}")
-    declared = 8 * sum(t["rows"] * t["cols"] for t in header["tensors"])
-    if len(raw) - tensors_start != declared:
-        raise ValueError(f"{path}: {len(raw) - tensors_start} bytes of tensor data, "
-                         f"but the header declares {declared}")
+    seeds = header["seeds"]
+    if not (isinstance(seeds, list) and len(seeds) == 2):
+        raise ValueError(f"{path}: 'seeds' must hold exactly two integers, got {seeds!r}")
     try:
         arch = Arch(**header["arch"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:   # not a mapping, a key missing or unknown, a bad value
         raise ValueError(f"{path}: arch.{exc}") from exc
-    shapes = arch.param_shapes()
-    nets = {}
-    for net_id, seed in zip((1, 2), header["seeds"]):
-        nets[net_id] = NetworkParams(arch=arch, seed=seed, params={})
-    offset = tensors_start
-    for t in header["tensors"]:
-        net, name, shape = nets.get(t["net"]), t["name"], (t["rows"], t["cols"])
-        if net is None or name not in shapes:
-            raise ValueError(f"{path}: unknown tensor {name!r} of net {t['net']!r}")
-        if name in net.params:
-            raise ValueError(f"{path}: tensor {name!r} of net {t['net']} appears twice")
-        if shape != shapes[name]:
-            raise ValueError(f"{path}: tensor {name!r} of net {t['net']} has shape {shape}, "
-                             f"the arch gives {shapes[name]}")
-        n = t["rows"] * t["cols"]
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: tensor {name!r} of net {t['net']} holds a non-finite value")
-        net.params[name] = Matrix(arr)
-        offset += 8 * n
-    for net_id, net in nets.items():
-        missing = [n for n in ALL_GROUPS if n not in net.params]
-        if missing:
-            raise ValueError(f"{path}: net {net_id} lacks tensors {missing}")
-    return TwinNetworks(nets[1], nets[2])
+    try:
+        seeds = [_check_number("seed", s, int, 0, 2 * MAX_SEED + 2) for s in seeds]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    # compared as JSON, so a true or a 1.0 does not pass for a 1
+    table = json.dumps(_tensor_table(arch), sort_keys=True)
+    if json.dumps(header["tensors"], sort_keys=True) != table:
+        raise ValueError(f"{path}: 'tensors' must list {', '.join(ALL_GROUPS)} of net 1, then "
+                         f"of net 2, with the shapes of arch {asdict(arch)}")
+    row_len = layout(arch)[-1][1].stop
+    if len(raw) - rows_start != 2 * 8 * row_len:
+        raise ValueError(f"{path}: {len(raw) - rows_start} bytes of tensor data, "
+                         f"but the header declares {2 * 8 * row_len}")
+    nets = []
+    for net_id, seed in zip((1, 2), seeds):
+        row = np.frombuffer(raw, dtype="<f8", count=row_len,
+                            offset=rows_start + 8 * row_len * (net_id - 1))
+        bad = [name for name, part, _ in layout(arch) if not np.isfinite(row[part]).all()]
+        if bad:
+            raise ValueError(f"{path}: tensor {bad[0]!r} of net {net_id} holds a non-finite value")
+        nets.append(NetworkParams(arch=arch, seed=seed, params={
+            name: kernel.wrap(row[part].reshape(shape)) for name, part, shape in layout(arch)}))
+    return TwinNetworks(*nets)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, _check_number, atomic_open, check_settings, round_half_up, setting
+from .data import (LabeledDataset, _check_number, _checked_indices, atomic_open, check_settings,
+                   round_half_up, setting)
 from .kernel import Matrix
 from .model import TwinNetworks, ensemble_softmax
 
@@ -213,7 +214,7 @@ def export_selection_csv(sel: SelectionResult, report: DivergenceReport,
     if len(labels) != n:
         raise ValueError("labels and divergences disagree in length")
     selected = np.zeros(n, dtype=np.int64)
-    selected[sel.clean_indices] = 1
+    selected[_checked_indices("clean_indices", sel.clean_indices, n)] = 1
     lines = ["index,given_label,d,selected"]
     lines.extend(f"{i},{label},{d!r},{s}" for i, label, d, s in
                  zip(range(n), labels.tolist(), report.d.tolist(), selected.tolist()))

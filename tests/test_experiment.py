@@ -7,13 +7,16 @@ an uninterrupted run to the byte.
 """
 
 import dataclasses
+import json
+import struct
 
+import numpy as np
 import pytest
 
 from noisytrain import experiment
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
-from noisytrain.model import save_checkpoint
+from noisytrain.model import ALL_GROUPS, layout, load_checkpoint, save_checkpoint
 from noisytrain.training import AblationFlags, Hyperparams
 
 HP = Hyperparams(warmup_epochs=2, total_epochs=6, batch_size=16, seed=3)
@@ -62,6 +65,30 @@ def assert_same_run(continued, whole, tmp_path):
                       (continued.twins.net2, whole.twins.net2)):
         assert got.velocity.shape == want.velocity.shape
         assert (got.velocity == want.velocity).all()
+
+
+def test_checkpoint_of_a_run_holds_its_packed_rows(tmp_path):
+    """After a run every parameter is a read-only view of its network's packed
+    row.  The checkpoint is the magic, the header and then the two rows in
+    ``layout`` order, and loading and saving it again gives the same bytes."""
+    twins = go(dataclasses.replace(HP, total_epochs=HP.warmup_epochs + 1)).twins
+    nets, arch = (twins.net1, twins.net2), twins.net1.arch
+    assert not any(m.data.flags.writeable for net in nets for m in net.params.values())
+    path = tmp_path / "a.bin"
+    save_checkpoint(twins, str(path))
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    assert raw[:8] == b"TWINNET1"
+    shapes = arch.param_shapes()
+    assert json.loads(raw[12:12 + header_len]) == {
+        "version": 1, "arch": dataclasses.asdict(arch), "seeds": [net.seed for net in nets],
+        "tensors": [{"net": i, "name": name, "rows": shapes[name][0], "cols": shapes[name][1]}
+                    for i in (1, 2) for name in ALL_GROUPS]}
+    rows = [np.concatenate([net.params[name].data.ravel() for name, _, _ in layout(arch)])
+            for net in nets]
+    assert raw[12 + header_len:] == b"".join(row.astype("<f8").tobytes() for row in rows)
+    save_checkpoint(load_checkpoint(str(path)), str(tmp_path / "b.bin"))
+    assert (tmp_path / "b.bin").read_bytes() == raw
 
 
 def test_each_ssl_epoch_selects_then_trains_each_half(monkeypatch):

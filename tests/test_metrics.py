@@ -188,6 +188,10 @@ class TestAccuracy:
 @pytest.mark.parametrize("call,message", [
     (lambda twins, ds: accuracy(twins, ds.features, [0]),
      "labels: 1 entries for a dataset of 40 samples"),
+    (lambda twins, ds: accuracy(twins, ds.features, np.full(40, 7)),
+     r"labels: indices 7\.\.7 outside \[0, 2\)"),
+    (lambda twins, ds: accuracy(twins, ds.features, np.full(40, -1)),
+     r"labels: indices -1\.\.-1 outside \[0, 2\)"),
     (lambda twins, ds: roc_auc(DivergenceReport.from_values(np.full(10, 0.5)), ds),
      "report: 10 entries for a dataset of 40 samples"),
     (lambda twins, ds: selection_precision_recall(
@@ -195,7 +199,8 @@ class TestAccuracy:
      r"clean_indices: indices -1\.\.3 outside \[0, 40\)"),
     (lambda twins, ds: pseudo_label_recall(twins, ds, [3, 40]),
      r"noisy_indices: indices 3\.\.40 outside \[0, 40\)"),
-], ids=["accuracy-labels", "auc-report", "precision-negative-index", "pseudo-recall-index"])
+], ids=["accuracy-labels", "accuracy-label-above", "accuracy-label-below", "auc-report",
+        "precision-negative-index", "pseudo-recall-index"])
 def test_inputs_of_another_size_refused(call, message):
     ds = make_gaussian_blobs(2, 20, 4, 10.0, seed=3)
     twins = init_twins(Arch(4, 16, 2, 4), seed=1)

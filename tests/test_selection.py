@@ -7,7 +7,7 @@ from noisytrain.data import make_gaussian_blobs, round_half_up
 from noisytrain.kernel import Matrix, wrap
 from noisytrain.model import Arch, init_twins
 from noisytrain.selection import (CutoffParams, DistributionError,
-                                  DivergenceReport, baseline_global_select,
+                                  DivergenceReport, SelectionResult, baseline_global_select,
                                   compute_cutoff, compute_divergences,
                                   compute_filter_rate, divergences_from_probs,
                                   export_selection_csv, jsd, uniform_select)
@@ -317,3 +317,13 @@ def test_export_selection_csv_rejects_length_mismatch(tmp_path):
     sel = uniform_select(report, [0, 1, 0], 2, 0.5)
     with pytest.raises(ValueError):
         export_selection_csv(sel, report, [0, 1], str(tmp_path / "sel.csv"))
+
+
+def test_export_selection_csv_refuses_index_outside_report(tmp_path):
+    # a negative index would otherwise mark the last sample selected
+    report = DivergenceReport.from_values(np.full(40, 0.5))
+    sel = SelectionResult(np.array([-1, 3]), np.array([0]), 0.5, 0.5, np.array([1, 1]))
+    path = tmp_path / "sel.csv"
+    with pytest.raises(ValueError, match=r"^clean_indices: indices -1\.\.3 outside \[0, 40\)$"):
+        export_selection_csv(sel, report, np.zeros(40, dtype=np.int64), str(path))
+    assert not path.exists()
