@@ -76,11 +76,18 @@ def _check_number(name: str, value, kind, lo=-math.inf, hi=math.inf):
 
 
 def _checked_indices(name: str, indices, n: int) -> np.ndarray:
-    """``indices`` as int64 if each lies in [0, n); else a ``ValueError`` naming ``name``."""
-    idx = np.asarray(indices, dtype=np.int64)
+    """``indices`` as int64 if each is an integer (or a whole float) in [0, n);
+    else a ``ValueError`` naming ``name``.  Booleans, NaN and fractions are
+    refused, not truncated; an empty array passes."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        whole = idx.dtype.kind == "f" and np.isfinite(idx) & (idx == np.floor(idx))
+        if not np.all(whole):
+            bad = (idx[~whole] if idx.dtype.kind == "f" else idx).ravel()[:1].tolist()[0]
+            raise ValueError(f"{name}: {bad!r} is not an integer")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"{name}: indices {idx.min()}..{idx.max()} outside [0, {n})")
-    return idx
+    return idx.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -98,14 +105,11 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.num_classes = _check_number("num_classes", self.num_classes, int, 1)
-        self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
-        self.given_labels = np.asarray(self.given_labels, dtype=np.int64)
+        self.true_labels = _checked_indices("true_labels", self.true_labels, self.num_classes)
+        self.given_labels = _checked_indices("given_labels", self.given_labels, self.num_classes)
         n = self.features.rows
         if len(self.true_labels) != n or len(self.given_labels) != n:
             raise ValueError("label arrays must have one entry per feature row")
-        for name, labels in (("true", self.true_labels), ("given", self.given_labels)):
-            if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-                raise ValueError(f"{name} labels out of range [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return self.features.rows
@@ -127,6 +131,8 @@ class NoiseSpec:
         check_settings(self)
         if self.kind == "asymmetric" and self.flip_map is None:
             raise ValueError("flip_map is required for asymmetric noise")
+        if self.kind != "asymmetric" and self.flip_map is not None:
+            raise ValueError(f"flip_map is only for asymmetric noise, not {self.kind}")
 
 
 def validate_flip_map(flip_map, num_classes: int) -> tuple[int, ...]:

@@ -7,6 +7,12 @@ epochs the selection fields describe the first network's selection,
 made at the start of the epoch, so the first SSL row is the state of
 selection exactly at the end of warmup.  Accuracy fields always describe
 the model after the epoch's updates.
+
+``run`` is the one owner of the current predictions.  It evaluates both
+networks on the train set after each warmup epoch (or at the first SSL
+epoch of a continuation), one network again right after its half, and
+both on the test set once per epoch; selection and every metric read
+these arrays and their ``ensemble_softmax``, averaged once per state.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .data import AugmentationSpec, LabeledDataset
+from .kernel import Matrix
 from .metrics import (EpochMetrics, UndefinedAUCError, accuracy, pseudo_label_recall,
                       selection_precision_recall, roc_auc)
-from .model import Arch, TwinNetworks, init_twins
+from .model import Arch, TwinNetworks, ensemble_softmax, forward_softmax, init_twins
 from .selection import CutoffParams
 from .training import (AblationFlags, HalfEpochRecord, Hyperparams, select_for_network,
                        train_half_epoch, warmup_train)
@@ -58,18 +65,34 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
     else:
         twins, rows = start.twins, list(start.rows)
 
+    nets = (twins.net1, twins.net2)
+
+    def evaluate(ds: LabeledDataset) -> tuple[list[Matrix], Matrix]:
+        """Each network's softmax on ``ds``, and their ensemble."""
+        probs = [forward_softmax(net, ds.features) for net in nets]
+        return probs, ensemble_softmax(*probs)
+
+    train = None   # evaluate(train_ds) of the networks' current state
     for epoch in range(len(rows), hp.total_epochs):
         if epoch < hp.warmup_epochs:
             logged = dict(phase="warmup", loss_lx=warmup_train(twins, train_ds, hp, epoch))
+            train = evaluate(train_ds)
         else:
+            if train is None:   # the first SSL epoch of a continuation
+                train = evaluate(train_ds)
+            probs, ens = train
             halves = []
-            for net_index in (1, 2):
-                report, sel = select_for_network(twins, net_index, train_ds, cutoff_params, flags)
-                if net_index == 1:
+            for k, net in enumerate(nets):
+                report, sel = select_for_network(ens if flags.ensemble else probs[k], train_ds,
+                                                 cutoff_params, flags)
+                if k == 0:
                     p_recall = None if len(sel.noisy_indices) == 0 else pseudo_label_recall(
-                        twins, train_ds, sel.noisy_indices)
-                halves.append(train_half_epoch(twins, net_index, train_ds, hp, aug, flags,
+                        ens, train_ds, sel.noisy_indices)
+                halves.append(train_half_epoch(twins, k + 1, train_ds, hp, aug, flags,
                                                epoch, report, sel))
+                probs[k] = forward_softmax(net, train_ds.features)
+                ens = ensemble_softmax(*probs)
+            train = probs, ens
             if on_epoch is not None:
                 on_epoch(epoch, halves)
 
@@ -87,6 +110,6 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
                           loss_lc=lc, class_counts=[int(c) for c in sel.per_class_quota])
         rows.append(EpochMetrics(
             epoch=epoch, **logged,
-            test_acc=accuracy(twins, test_ds.features, test_ds.true_labels),
-            train_acc_given=accuracy(twins, train_ds.features, train_ds.given_labels)))
+            test_acc=accuracy(evaluate(test_ds)[1], test_ds.true_labels),
+            train_acc_given=accuracy(train[1], train_ds.given_labels)))
     return RunResult(twins=twins, rows=rows)

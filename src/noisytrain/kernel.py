@@ -242,9 +242,10 @@ def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, learning_rate: float,
     Switching to decoupled decay would mean moving the decay term out of
     the velocity update and into the parameter step.  The velocity ``v``
     updates in place.  ``p`` is never written: the update is a new array,
-    so identity-keyed caches (the softmax memo) see every update.  Training
-    steps all its parameters at once by packing them and their gradients
-    into one row each, against the network's velocity row."""
+    because no training step writes into an array it was given
+    (``tests/test_inplace.py``).  Training steps all its parameters at once
+    by packing them and their gradients into one row each, against the
+    network's velocity row."""
     if g.shape != p.shape or v.shape != p.shape:
         raise ShapeMismatchError(f"gradient {g.shape} and velocity {v.shape} "
                                  f"must match parameter {p.shape}")

@@ -1,7 +1,9 @@
 """Evaluation of selection quality, pseudo-labels, accuracy, memorization.
 
-All functions are pure and deterministic.  True labels are consulted
-only here, never by training code.
+All functions are pure and deterministic, and read predictions a caller
+has already made (``experiment.run`` passes the two networks' averaged
+softmax); none runs a forward pass.  True labels are consulted only here,
+never by training code.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 
 from .data import LabeledDataset, _checked_indices
 from .kernel import Matrix
-from .model import TwinNetworks, ensemble_softmax
 from .selection import DivergenceReport, SelectionResult
 
 logger = logging.getLogger(__name__)
@@ -102,17 +103,17 @@ def roc_auc(report: DivergenceReport, ds: LabeledDataset) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def pseudo_label_recall(twins: TwinNetworks, ds: LabeledDataset, noisy_indices) -> float:
-    """Macro-averaged per-true-class recall of the ensemble argmax on the noisy set.
+def pseudo_label_recall(probs: Matrix, ds: LabeledDataset, noisy_indices) -> float:
+    """Macro-averaged per-true-class recall of the argmax of ``probs``, one
+    prediction row per sample of ``ds``, on the noisy set.
 
-    Reads the raw train features' ``ensemble_softmax``, which selection has just
-    remembered, so no forward pass runs.  True classes absent from the noisy set
-    are left out of the average.
+    True classes absent from the noisy set are left out of the average.
     """
+    _check_length("probs", probs.rows, len(ds))
     idx = _checked_indices("noisy_indices", noisy_indices, len(ds))
     if idx.size == 0:
         raise ValueError("noisy set is empty")
-    predicted = ensemble_softmax(twins, ds.features).data[idx].argmax(axis=1)
+    predicted = probs.data[idx].argmax(axis=1)
     true = ds.true_labels[idx]
     recalls = []
     for c in range(ds.num_classes):
@@ -122,16 +123,14 @@ def pseudo_label_recall(twins: TwinNetworks, ds: LabeledDataset, noisy_indices) 
     return float(np.mean(recalls))
 
 
-def accuracy(twins: TwinNetworks, features: Matrix, labels) -> float:
-    """Fraction of ensemble argmax predictions matching the labels.
+def accuracy(probs: Matrix, labels) -> float:
+    """Fraction of argmax predictions of ``probs`` matching the labels.
 
     Against given labels on the train set this measures memorization.
     """
-    labels = _checked_indices("labels", labels, twins.net1.arch.num_classes)
+    labels = _checked_indices("labels", labels, probs.cols)
     if len(labels) == 0:
         raise ValueError("empty evaluation set")
-    _check_length("labels", len(labels), features.rows)
-    probs = ensemble_softmax(twins, features)
+    _check_length("labels", len(labels), probs.rows)
     predicted = probs.data.argmax(axis=1)
     return float((predicted == labels).mean())
-

@@ -24,7 +24,6 @@ PHI = ("wc", "bc")
 PSI = ("wp", "bp")
 ALL_GROUPS = THETA + PHI + PSI
 
-_SOFTMAX_MEMO_SIZE = 2
 # forward_softmax evaluates its input in blocks of this many rows
 _EVAL_BLOCK_ROWS = 1024
 
@@ -77,8 +76,6 @@ class NetworkParams:
     params: dict[str, Matrix]
     # SGD velocities, one row laid out by layout(arch); steps update it in place
     velocity: np.ndarray = field(init=False, repr=False, compare=False)
-    # (features, parameter matrices, softmax) entries; see dataset_softmax
-    softmax_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.velocity = np.zeros(layout(self.arch)[-1][1].stop)
@@ -249,32 +246,9 @@ def forward_projection(net: NetworkParams, x: Matrix, tape: GradientTape | None 
     return _head_forward(net, x, tape, PSI, finish=_l2_normalize)
 
 
-def dataset_softmax(net: NetworkParams, features: Matrix) -> Matrix:
-    """``forward_softmax`` over a whole dataset, remembered on the network.
-
-    A remembered result is reused only for the same ``features`` object
-    and the very same parameter matrices, compared by identity.  Training
-    replaces parameters with new matrices rather than writing into them,
-    so any update misses.  The memo keeps the last ``_SOFTMAX_MEMO_SIZE``
-    results (the train and test sets), and the arrays it hands out are
-    read-only because every caller shares them.
-    """
-    params = tuple(net.params[n] for n in THETA + PHI)
-    memo = net.softmax_memo
-    for feats, used, probs in memo:
-        if feats is features and all(a is b for a, b in zip(used, params)):
-            return probs
-    probs = forward_softmax(net, features)
-    probs.data.flags.writeable = False
-    memo.append((features, params, probs))
-    del memo[:-_SOFTMAX_MEMO_SIZE]
-    return probs
-
-
-def ensemble_softmax(twins: TwinNetworks, x: Matrix) -> Matrix:
-    """Elementwise mean of the two networks' softmax outputs."""
-    s1 = dataset_softmax(twins.net1, x)
-    s2 = dataset_softmax(twins.net2, x)
+def ensemble_softmax(s1: Matrix, s2: Matrix) -> Matrix:
+    """Elementwise mean of two networks' softmax outputs, as a checked ``Matrix``,
+    so a non-finite prediction stops here."""
     return Matrix((s1.data + s2.data) / 2.0)
 
 
@@ -289,7 +263,18 @@ def _tensor_table(arch: Arch) -> list[dict]:
 
 
 def save_checkpoint(twins: TwinNetworks, path: str) -> None:
+    """Write ``twins`` to ``path``; a ``ValueError`` naming the network and the
+    tensor refuses parameters that disagree with ``layout(arch)``, before any
+    byte is written."""
     arch = twins.net1.arch
+    declared = {name: shape for name, _, shape in layout(arch)}
+    for net_id, net in ((1, twins.net1), (2, twins.net2)):
+        held = {name: m.shape for name, m in net.params.items()}
+        for name in [*declared, *sorted(held.keys() - declared.keys())]:
+            if held.get(name) != declared.get(name):
+                raise ValueError(f"{path}: tensor {name!r} of net {net_id} is "
+                                 f"{held.get(name, 'missing')}, but arch {asdict(arch)} "
+                                 f"declares {declared.get(name, 'no such tensor')}")
     header = {"version": 1, "arch": asdict(arch),
               "seeds": [twins.net1.seed, twins.net2.seed], "tensors": _tensor_table(arch)}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")

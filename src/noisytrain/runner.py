@@ -204,8 +204,6 @@ def cmd_ablate(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
                cfg.arch.hidden, cfg.arch.embed_dim, cfg.augmentation, cfg.selection)
     for _, arm_cfg in arms[1:]:
         _snapshot(arm_cfg.output_dir, train)
-    for net in (warm.twins.net1, warm.twins.net2):
-        net.softmax_memo.clear()   # a cache keyed by object identity; not worth pickling
 
     import multiprocessing   # here, after warmup, for the same reason
     from concurrent.futures import ProcessPoolExecutor

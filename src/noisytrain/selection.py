@@ -17,7 +17,7 @@ import numpy as np
 from .data import (LabeledDataset, _check_number, _checked_indices, atomic_open, check_settings,
                    round_half_up, setting)
 from .kernel import Matrix
-from .model import TwinNetworks, ensemble_softmax
+from .model import TwinNetworks, ensemble_softmax, forward_softmax
 
 _LN2 = np.log(2.0)
 
@@ -117,11 +117,12 @@ def divergences_from_probs(probs: Matrix, given_labels: np.ndarray) -> Divergenc
 def compute_divergences(twins: TwinNetworks, ds: LabeledDataset) -> DivergenceReport:
     """Divergence of each given label from the two-network ensemble prediction.
 
-    Runs on the raw (un-augmented) features in evaluation mode.
+    Evaluates both networks on the raw (un-augmented) features.
     """
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    probs = ensemble_softmax(twins, ds.features)
+    probs = ensemble_softmax(forward_softmax(twins.net1, ds.features),
+                             forward_softmax(twins.net2, ds.features))
     return divergences_from_probs(probs, ds.given_labels)
 
 
@@ -149,9 +150,7 @@ def _ordered_members(d: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 def _checked_labels(given_labels, num_classes: int, report: DivergenceReport) -> np.ndarray:
     """The given labels as int64, refused unless there is one per sample, each in [0, num_classes)."""
-    labels = np.asarray(given_labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"labels out of range [0, {num_classes})")
+    labels = _checked_indices("given_labels", given_labels, num_classes)
     if len(labels) != len(report):
         raise ValueError("labels and divergences disagree in length")
     return labels

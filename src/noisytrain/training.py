@@ -2,12 +2,13 @@
 
 Each SSL epoch trains the networks alternately.  Before a network's half
 of the epoch, the caller recomputes the clean/noisy partition from scratch
-with ``select_for_network`` and hands it to ``train_half_epoch``, so the
-other network's most recent update always informs the split.  Within the
-half, clean batches get refined labels, noisy batches get sharpened
-pseudo-labels guessed by both networks, everything is mixed with MixUp,
-and the contrastive term pulls together the two strong views of each
-noisy sample.  A half with an empty noisy set mixes the clean entries
+with ``select_for_network``, from the networks' current train-set
+predictions, and hands it to ``train_half_epoch``, so the other network's
+most recent update always informs the split.  Within the half, clean
+batches get refined labels, noisy batches get sharpened pseudo-labels
+guessed by both networks, everything is mixed with MixUp, and the
+contrastive term pulls together the two strong views of each noisy
+sample.  A half with an empty noisy set mixes the clean entries
 among themselves, with ``lu = lc = 0``, and is flagged ``empty_noisy``; one
 with an empty clean set runs CE on the noisy set's given labels and is
 flagged ``empty_clean``.
@@ -34,10 +35,9 @@ from .data import (MAX_SEED, AugmentationSpec, LabeledDataset, _check_number, ba
                    check_settings, setting, strong_augment, weak_augment)
 from .kernel import GradientTape, Matrix, backward, sgd_step
 from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, layout, \
-    dataset_softmax, forward_logits, forward_projection, forward_softmax, softmax_in_place
+    forward_logits, forward_projection, forward_softmax, softmax_in_place
 from .selection import (CutoffParams, DivergenceReport, SelectionResult,
-                        baseline_global_select, compute_cutoff,
-                        compute_divergences, compute_filter_rate,
+                        baseline_global_select, compute_cutoff, compute_filter_rate,
                         divergences_from_probs, uniform_select)
 
 logger = logging.getLogger(__name__)
@@ -384,9 +384,10 @@ def _sgd_steps(net: NetworkParams, hp: Hyperparams, lr: float, names: tuple[str,
     one array; a non-finite row is scanned part by part to name the first
     bad parameter.  Every element goes through the same operations as in an
     update of its matrix alone, so the bits are the same.  Each step gives
-    the network new matrices (the softmax memo keys on identity) and packs
-    a new gradient row.  A diverging step leaves the parameters from before
-    it and the velocities it updated.
+    the network new matrices, views of a new row, because no step writes
+    into an array it was given (``tests/test_inplace.py``), and packs a new
+    gradient row.  A diverging step leaves the parameters from before it
+    and the velocities it updated.
 
     Floating-point warnings are off inside the steps: the finiteness check
     names a diverging step's epoch, network and term instead.
@@ -448,19 +449,13 @@ def warmup_train(twins: TwinNetworks, ds: LabeledDataset, hp: Hyperparams, epoch
     return float(np.mean(ce_values)) if ce_values else 0.0
 
 
-def select_for_network(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
-                       cutoff_params: CutoffParams,
+def select_for_network(probs: Matrix, ds: LabeledDataset, cutoff_params: CutoffParams,
                        flags: AblationFlags) -> tuple[DivergenceReport, SelectionResult]:
-    """One full selection pass as seen by the given network.
-
-    With ensembling on, divergences come from the averaged prediction of
-    both networks; with it off, only the network's own softmax is used.
+    """One full selection pass from ``probs``, the train-set prediction a
+    network's half is selected by: the ``ensemble_softmax`` of both networks,
+    or with ensembling off, the network's own ``forward_softmax``.
     """
-    if flags.ensemble:
-        report = compute_divergences(twins, ds)
-    else:
-        net = twins.net1 if net_index == 1 else twins.net2
-        report = divergences_from_probs(dataset_softmax(net, ds.features), ds.given_labels)
+    report = divergences_from_probs(probs, ds.given_labels)
     d_cut = compute_cutoff(report, cutoff_params)
     rate = compute_filter_rate(report, d_cut)
     if flags.balancing:

@@ -5,7 +5,7 @@ import pytest
 
 from noisytrain import training
 from noisytrain.kernel import GradientTape, Matrix, backward, sgd_step, wrap
-from noisytrain.model import layout
+from noisytrain.model import ensemble_softmax, forward_softmax, layout
 
 
 def finite_difference_grad(fn, mats, h=1e-5):
@@ -94,12 +94,22 @@ def warmup_epochs(twins, ds, hp, epochs):
     return [training.warmup_train(twins, ds, hp, epoch) for epoch in range(epochs)]
 
 
+def select(twins, net_index, ds, cutoff_params, flags):
+    """``training.select_for_network`` from the prediction ``experiment.run``
+    hands it, evaluated here: both networks' ensemble, or with ensembling
+    off, the network's own softmax."""
+    probs = [forward_softmax(net, ds.features) for net in (twins.net1, twins.net2)]
+    return training.select_for_network(
+        ensemble_softmax(*probs) if flags.ensemble else probs[net_index - 1], ds,
+        cutoff_params, flags)
+
+
 def ssl_epoch(twins, ds, hp, aug, cutoff_params, flags, epoch):
     """One SSL epoch as ``experiment.run`` drives it: a fresh selection
     before each network's half; returns the two half-epoch records."""
     halves = []
     for net_index in (1, 2):
-        report, sel = training.select_for_network(twins, net_index, ds, cutoff_params, flags)
+        report, sel = select(twins, net_index, ds, cutoff_params, flags)
         halves.append(training.train_half_epoch(twins, net_index, ds, hp, aug, flags, epoch,
                                                 report, sel))
     return halves

@@ -168,8 +168,6 @@ def test_warm_start_reaches_a_worker_with_both_velocity_rows(tmp_path):
                           dataclasses.replace(hp, total_epochs=hp.warmup_epochs),
                           cfg.arch.hidden, cfg.arch.embed_dim, cfg.augmentation, cfg.selection)
     nets = (warm.twins.net1, warm.twins.net2)
-    for net in nets:
-        net.softmax_memo.clear()
     back = pickle.loads(ForkingPickler.dumps(warm))
     assert back.rows == warm.rows
     for net, got in zip(nets, (back.twins.net1, back.twins.net2)):

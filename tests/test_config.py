@@ -208,6 +208,14 @@ def test_asymmetric_noise_needs_flip_map():
         config_from_dict({"noise": {"kind": "asymmetric", "flip_map": None}})
 
 
+def test_symmetric_noise_refuses_flip_map():
+    with pytest.raises(ConfigValueError,
+                       match=f"^{_key('noise', 'flip_map')} is only for asymmetric noise"):
+        config_from_dict({"noise": {"kind": "symmetric", "rate": 0.3, "flip_map": [1, 2, 3, 0]}})
+    with pytest.raises(ConfigValueError, match=_key("noise", "flip_map")):
+        config_from_dict({"noise": {"flip_map": [1, 2, 3, 0]}})   # symmetric by default
+
+
 def test_bad_seed_fails_before_any_output(tmp_path, capsys):
     out = tmp_path / "out"
     path = tmp_path / "config.json"

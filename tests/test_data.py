@@ -292,7 +292,8 @@ class TestCsvRoundTrip:
     def test_out_of_range_label_names_path(self, tmp_path):
         path = tmp_path / "snapshot.csv"
         path.write_text("feat_0,true_label,given_label\n0.1,1,1\n0.5,-1,1\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: true labels out of range [0, 2)')}$"):
+        message = f"{path}: true_labels: indices -1..1 outside [0, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_dataset_csv(str(path))
 
     def test_header_shape(self, tmp_path):
@@ -345,6 +346,12 @@ def test_labeled_dataset_validation():
         LabeledDataset(Matrix(np.zeros((3, 2))), np.array([0, 1]), np.array([0, 1, 0]), 2)
     with pytest.raises(ValueError):
         LabeledDataset(Matrix(np.zeros((2, 2))), np.array([0, 5]), np.array([0, 1]), 2)
+    # fractional, NaN and boolean labels are refused, not truncated
+    for labels, bad in (([0.7, 1.2], "0.7"), ([0.0, np.nan], "nan"), ([True, False], "True")):
+        with pytest.raises(ValueError, match=f"^true_labels: {bad} is not an integer$"):
+            LabeledDataset(Matrix([[0.0, 1.0], [1.0, 0.0]]), labels, [0, 1], 2)
+    assert LabeledDataset(Matrix([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0], [0, 1], 2) \
+        .true_labels.tolist() == [1, 0]
     for num_classes in (True, 2.5):
         with pytest.raises(ValueError, match="num_classes"):
             LabeledDataset(Matrix(np.zeros((2, 2))), np.array([0, 1]), np.array([0, 1]),

@@ -97,9 +97,9 @@ def test_each_ssl_epoch_selects_then_trains_each_half(monkeypatch):
     calls = []
     select, half = experiment.select_for_network, experiment.train_half_epoch
 
-    def logged_select(twins, net_index, *args):
-        out = select(twins, net_index, *args)
-        calls.append(("select", net_index, out))
+    def logged_select(*args):   # selection takes predictions, not a network index
+        out = select(*args)
+        calls.append(("select", None, out))
         return out
 
     def logged_half(twins, net_index, ds, hp, aug, flags, epoch, report, sel):
@@ -117,7 +117,7 @@ def test_each_ssl_epoch_selects_then_trains_each_half(monkeypatch):
     for i, (epoch, halves) in enumerate(seen):
         s1, h1, s2, h2 = calls[4 * i:4 * i + 4]
         assert [c[:2] for c in (s1, h1, s2, h2)] == \
-            [("select", 1), ("half", 1), ("select", 2), ("half", 2)]
+            [("select", None), ("half", 1), ("select", None), ("half", 2)]
         for (_, _, (report, sel)), (_, _, given, record) in ((s1, h1), (s2, h2)):
             assert given[0] is report and given[1] is sel
             assert record.report is report and record.selection is sel

@@ -7,9 +7,11 @@ composed from the primitives of `reference_ops`, one tape record per
 primitive.  The fused path must reproduce their loss values and every
 parameter gradient bit for bit, not merely to a tolerance.
 
-The second half covers the whole-dataset softmax memo on each network.
+The last test counts the whole-dataset evaluation passes of a run.
 """
 
+import dataclasses
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,10 +23,9 @@ from noisytrain import kernel, model, training
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
 from noisytrain.kernel import GradientTape, Matrix, backward
-from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks,
-                              dataset_softmax, ensemble_softmax, forward_softmax,
-                              init_network, init_twins, layout)
-from noisytrain.training import Hyperparams
+from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, init_network, init_twins,
+                              layout)
+from noisytrain.training import AblationFlags, Hyperparams
 
 
 # ---------------------------------------------------------------------------
@@ -344,97 +345,41 @@ def test_untracked_inputs_record_nothing():
 
 
 # ---------------------------------------------------------------------------
-# whole-dataset softmax memo
+# whole-dataset evaluation passes of a run
 
 
 @pytest.fixture
 def counted_forwards(monkeypatch):
-    """Count the forward_softmax calls dataset_softmax makes."""
+    """The input of every forward_softmax call, wherever the library holds the name."""
     calls = []
     original = model.forward_softmax
 
     def counting(net, x):
         calls.append(x)
         return original(net, x)
-    monkeypatch.setattr(model, "forward_softmax", counting)
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("noisytrain") and \
+                getattr(module, "forward_softmax", None) is original:
+            monkeypatch.setattr(module, "forward_softmax", counting)
     return calls
 
 
-def _features(seed, rows=30):
-    return Matrix(np.random.default_rng(seed).normal(size=(rows, ARCH.in_dim)))
-
-
-def test_memo_hit_needs_same_features_and_parameters(counted_forwards):
-    net = init_network(ARCH, seed=2)
-    feats = _features(0)
-    first = dataset_softmax(net, feats)
-    again = dataset_softmax(net, feats)
-    assert again is first
-    assert len(counted_forwards) == 1
-    assert np.array_equal(first.data, forward_softmax(net, feats).data)
-    with pytest.raises(ValueError):
-        first.data[0, 0] = 0.5   # shared between callers, so read-only
-
-    # equal parameter values in new matrix objects are a different parameter set
-    net.params["w1"] = Matrix(net.params["w1"].data)
-    dataset_softmax(net, feats)
-    assert len(counted_forwards) == 2
-
-
-def test_memo_recomputes_after_update(counted_forwards):
-    net = init_network(ARCH, seed=3)
-    feats = _features(1)
-    before = dataset_softmax(net, feats)
-    targets = Matrix(np.full((feats.rows, ARCH.num_classes), 1.0 / ARCH.num_classes))
-    training._sgd_steps(net, HP, 0.5, THETA + PHI, [np.arange(4)],
-                        training._ce_loss(net, SimpleNamespace(features=feats), targets),
-                        (0, 1, "warmup"))
-    after = dataset_softmax(net, feats)
-    assert len(counted_forwards) == 2
-    assert not np.array_equal(before.data, after.data)
-    assert np.array_equal(after.data, forward_softmax(net, feats).data)
-
-
-def test_memo_misses_other_features_object(counted_forwards):
-    net = init_network(ARCH, seed=4)
-    feats = _features(2)
-    dataset_softmax(net, feats)
-    same_values = Matrix(feats.data)
-    out = dataset_softmax(net, same_values)
-    assert len(counted_forwards) == 2
-    assert counted_forwards[-1] is same_values
-    assert np.array_equal(out.data, dataset_softmax(net, feats).data)
-    assert len(counted_forwards) == 2   # both still remembered
-
-
-def test_memo_is_bounded(counted_forwards):
-    net = init_network(ARCH, seed=5)
-    feature_sets = [_features(s) for s in range(6)]
-    for feats in feature_sets:
-        dataset_softmax(net, feats)
-    assert len(net.softmax_memo) == model._SOFTMAX_MEMO_SIZE
-    dataset_softmax(net, feature_sets[0])   # evicted long ago
-    assert len(counted_forwards) == 7
-
-
-def test_identical_twins_share_one_forward(counted_forwards):
-    net = init_network(ARCH, seed=6)
-    feats = _features(3)
-    ens = ensemble_softmax(TwinNetworks(net, net), feats)
-    assert len(counted_forwards) == 1
-    assert np.array_equal(ens.data, forward_softmax(net, feats).data)
-
-
 def test_run_reuses_train_set_forwards(counted_forwards):
-    """Per SSL epoch only 2 of the 6 train-set forwards are computed.
-
-    The end-of-epoch accuracy forward is the next epoch's first selection,
-    net 2 is unchanged during net 1's half, and net 1 after its half is
-    already in its end-of-epoch state.
-    """
+    """``experiment.run`` evaluates each set twice per epoch, with or without
+    ensembling: both networks on the train set after a warmup epoch, one
+    network right after its half of an SSL epoch, and both on the test set
+    once per epoch.  A continuation evaluates its start once more, at its
+    first SSL epoch."""
     train = inject_symmetric_noise(make_gaussian_blobs(3, 20, 4, 8.0, seed=8), 0.4, seed=9)
     test = make_gaussian_blobs(3, 10, 4, 8.0, seed=10)
     hp = Hyperparams(seed=1, batch_size=16, warmup_epochs=1, total_epochs=3)
-    run(train, test, hp, hidden=8, embed_dim=4, aug=AugmentationSpec())
-    train_forwards = sum(1 for x in counted_forwards if x is train.features)
-    assert train_forwards == 2 + 2 * 2   # warmup accuracy, then 2 per SSL epoch
+
+    def passes(**kwargs):
+        counted_forwards.clear()
+        result = run(train, test, **kwargs, hidden=8, embed_dim=4, aug=AugmentationSpec())
+        return result, [sum(1 for x in counted_forwards if x is ds.features)
+                        for ds in (train, test)]
+    for flags in (None, AblationFlags(ensemble=False)):
+        assert passes(hp=hp, flags=flags)[1] == [2 * 3, 2 * 3]
+        warm, _ = passes(hp=dataclasses.replace(hp, total_epochs=1), flags=flags)
+        assert passes(hp=hp, flags=flags, start=warm)[1] == [2 + 2 * 2, 2 * 2]

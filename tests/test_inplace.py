@@ -2,9 +2,9 @@
 
 A step may write in place only into arrays it allocated itself, and into
 the network's velocity row.  It never writes into its inputs: features,
-targets, parameters, gradients handed to the optimizer, memoized
-softmaxes, another tape record's output or the incoming gradient of a
-backward closure.  The tripwire below makes all of those read-only, so a
+targets, parameters, gradients handed to the optimizer, predictions
+handed to selection and metrics, another tape record's output or the
+incoming gradient of a backward closure.  The tripwire below makes all of those read-only, so a
 write into any of them raises.  The other tests pin the in-place forms to
 the plain expressions they replaced, bit for bit.
 """
@@ -17,7 +17,7 @@ from noisytrain import kernel, training
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.kernel import Matrix, sgd_step
 from noisytrain.metrics import accuracy
-from noisytrain.model import (ALL_GROUPS, PHI, THETA, Arch, dataset_softmax,
+from noisytrain.model import (ALL_GROUPS, PHI, THETA, Arch, ensemble_softmax,
                               forward_logits, forward_softmax, init_network, init_twins)
 from noisytrain.selection import CutoffParams
 from noisytrain.training import AblationFlags, Hyperparams
@@ -79,15 +79,19 @@ def test_a_step_writes_into_no_array_it_was_given(frozen_inputs):
     training._sgd_steps(twins.net1, hp, hp.lr, THETA + PHI, [np.arange(16)],
                         training._ce_loss(twins.net1, train, targets), (0, 1, "warmup"))
     training.warmup_train(twins, train, hp, 0)
-    report, sel = training.select_for_network(twins, 1, train, CutoffParams(), AblationFlags())
+
+    def predictions(ds):
+        probs = ensemble_softmax(*(forward_softmax(net, ds.features)
+                                   for net in (twins.net1, twins.net2)))
+        _freeze(probs.data)
+        return probs
+    report, sel = training.select_for_network(predictions(train), train, CutoffParams(),
+                                              AblationFlags())
     rec = training.train_half_epoch(twins, 1, train, hp, AugmentationSpec(), AblationFlags(), 1,
                                     report, sel)
     assert rec.degenerate is None and rec.losses["lc"] != 0.0   # every term ran
-    for net in (twins.net1, twins.net2):
-        probs = dataset_softmax(net, test.features)
-        assert not probs.data.flags.writeable
-    assert 0.0 <= accuracy(twins, test.features, test.true_labels) <= 1.0
-    assert 0.0 <= accuracy(twins, train.features, train.given_labels) <= 1.0
+    assert 0.0 <= accuracy(predictions(test), test.true_labels) <= 1.0
+    assert 0.0 <= accuracy(predictions(train), train.given_labels) <= 1.0
 
 
 def test_tripwire_catches_a_write_into_a_parameter(frozen_inputs, monkeypatch):

@@ -14,13 +14,18 @@ generators derived from the same seed coincide.
 
 Evaluation (``metrics``) imports nothing from ``training`` and uses no
 augmentation: it reads predictions, it does not make training inputs.
+
+A network carries only what a checkpoint and a resume need: its arch,
+seed, parameters and SGD velocity row, and no cached state.
 """
 
 import ast
+import dataclasses
 import os
 import re
 
 import noisytrain
+from noisytrain.model import NetworkParams
 
 SRC = os.path.dirname(noisytrain.__file__)
 BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
@@ -104,3 +109,8 @@ def test_metrics_does_not_reach_into_training():
     assert "training" not in imported, "metrics imports from training"
     augmentation = {"AugmentationSpec", "weak_augment", "strong_augment"}
     assert not augmentation & _names(tree, set()), "metrics uses augmentation"
+
+
+def test_network_holds_only_checkpoint_and_resume_state():
+    assert [f.name for f in dataclasses.fields(NetworkParams)] == \
+        ["arch", "seed", "params", "velocity"]

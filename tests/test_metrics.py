@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from noisytrain import metrics, model, training
-from noisytrain.data import inject_symmetric_noise, make_gaussian_blobs
+from noisytrain.data import make_gaussian_blobs
 from noisytrain.kernel import Matrix
 from noisytrain.metrics import (UndefinedAUCError, _tied_ranks, accuracy,
                                 pseudo_label_recall, roc_auc, selection_precision_recall)
@@ -135,77 +134,68 @@ class TestRocAuc:
             assert fast == pytest.approx(correct / total, abs=1e-12)
 
 
+def ensemble(twins, x):
+    return ensemble_softmax(forward_softmax(twins.net1, x), forward_softmax(twins.net2, x))
+
+
 class TestPseudoLabelRecall:
     def test_macro_average_arithmetic(self):
         # class 2 has no member in the noisy set, so the average is over 0 and 1
         ds = make_gaussian_blobs(3, 15, 4, 8.0, seed=3)
-        twins = init_twins(Arch(4, 16, 3, 4), seed=1)
+        probs = ensemble(init_twins(Arch(4, 16, 3, 4), seed=1), ds.features)
         idx = np.flatnonzero(ds.true_labels != 2)[::2]
-        predicted = ensemble_softmax(twins, ds.features).data[idx].argmax(1)
+        predicted = probs.data[idx].argmax(1)
         true = ds.true_labels[idx]
         manual = np.mean([np.mean(predicted[true == c] == c) for c in (0, 1)])
-        assert pseudo_label_recall(twins, ds, idx) == manual
+        assert pseudo_label_recall(probs, ds, idx) == manual
 
     def test_empty_noisy_set_rejected(self):
         ds = make_gaussian_blobs(2, 5, 4, 10.0, seed=3)
-        twins = init_twins(Arch(4, 16, 2, 4), seed=1)
+        probs = ensemble(init_twins(Arch(4, 16, 2, 4), seed=1), ds.features)
         with pytest.raises(ValueError, match="noisy set is empty"):
-            pseudo_label_recall(twins, ds, np.array([], dtype=np.int64))
-
-    def test_reads_remembered_predictions(self, monkeypatch):
-        ds = inject_symmetric_noise(make_gaussian_blobs(3, 15, 4, 8.0, seed=3), 0.4, seed=4)
-        twins = init_twins(Arch(4, 16, 3, 4), seed=1)
-        ensemble_softmax(twins, ds.features)
-        calls = []
-
-        def counting_forward_softmax(net, x):
-            calls.append(x.rows)
-            return forward_softmax(net, x)
-        for module in (model, metrics, training):   # wherever the name is held
-            monkeypatch.setattr(module, "forward_softmax", counting_forward_softmax, raising=False)
-        pseudo_label_recall(twins, ds, np.flatnonzero(ds.given_labels != ds.true_labels))
-        assert calls == []
+            pseudo_label_recall(probs, ds, np.array([], dtype=np.int64))
 
 
 class TestAccuracy:
     def test_three_of_four(self):
-        # craft twins unnecessary: use one net twice and compare to labels
         ds = make_gaussian_blobs(2, 50, 4, 10.0, seed=9)
-        twins = init_twins(Arch(4, 16, 2, 4), seed=2)
-        from noisytrain.model import ensemble_softmax
-        predicted = ensemble_softmax(twins, ds.features).data.argmax(axis=1)
-        manual = float((predicted == ds.true_labels).mean())
-        assert accuracy(twins, ds.features, ds.true_labels) == manual
+        probs = ensemble(init_twins(Arch(4, 16, 2, 4), seed=2), ds.features)
+        manual = float((probs.data.argmax(axis=1) == ds.true_labels).mean())
+        assert accuracy(probs, ds.true_labels) == manual
 
     def test_perfect_labels(self):
         ds = make_gaussian_blobs(2, 50, 4, 10.0, seed=9)
-        twins = init_twins(Arch(4, 16, 2, 4), seed=2)
-        from noisytrain.model import ensemble_softmax
-        predicted = ensemble_softmax(twins, ds.features).data.argmax(axis=1)
-        assert accuracy(twins, ds.features, predicted) == 1.0
+        probs = ensemble(init_twins(Arch(4, 16, 2, 4), seed=2), ds.features)
+        assert accuracy(probs, probs.data.argmax(axis=1)) == 1.0
+
+    def test_fractional_labels_refused_not_truncated(self):
+        probs = Matrix([[0.2, 0.8], [0.3, 0.7]])
+        with pytest.raises(ValueError, match=r"^labels: 0\.9 is not an integer$"):
+            accuracy(probs, [0.9, 1.0])
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda twins, ds: accuracy(twins, ds.features, [0]),
+    (lambda probs, ds: accuracy(probs, [0]),
      "labels: 1 entries for a dataset of 40 samples"),
-    (lambda twins, ds: accuracy(twins, ds.features, np.full(40, 7)),
+    (lambda probs, ds: accuracy(probs, np.full(40, 7)),
      r"labels: indices 7\.\.7 outside \[0, 2\)"),
-    (lambda twins, ds: accuracy(twins, ds.features, np.full(40, -1)),
+    (lambda probs, ds: accuracy(probs, np.full(40, -1)),
      r"labels: indices -1\.\.-1 outside \[0, 2\)"),
-    (lambda twins, ds: roc_auc(DivergenceReport.from_values(np.full(10, 0.5)), ds),
+    (lambda probs, ds: roc_auc(DivergenceReport.from_values(np.full(10, 0.5)), ds),
      "report: 10 entries for a dataset of 40 samples"),
-    (lambda twins, ds: selection_precision_recall(
+    (lambda probs, ds: selection_precision_recall(
         SelectionResult(np.array([-1, 3]), np.array([0]), 0.5, 0.5, np.array([1, 1])), ds),
      r"clean_indices: indices -1\.\.3 outside \[0, 40\)"),
-    (lambda twins, ds: pseudo_label_recall(twins, ds, [3, 40]),
+    (lambda probs, ds: pseudo_label_recall(probs, ds, [3, 40]),
      r"noisy_indices: indices 3\.\.40 outside \[0, 40\)"),
+    (lambda probs, ds: pseudo_label_recall(Matrix(probs.data[:39]), ds, [3]),
+     "probs: 39 entries for a dataset of 40 samples"),
 ], ids=["accuracy-labels", "accuracy-label-above", "accuracy-label-below", "auc-report",
-        "precision-negative-index", "pseudo-recall-index"])
+        "precision-negative-index", "pseudo-recall-index", "pseudo-recall-probs"])
 def test_inputs_of_another_size_refused(call, message):
     ds = make_gaussian_blobs(2, 20, 4, 10.0, seed=3)
-    twins = init_twins(Arch(4, 16, 2, 4), seed=1)
     with pytest.raises(ValueError, match=message):
-        call(twins, ds)
+        call(ensemble(init_twins(Arch(4, 16, 2, 4), seed=1), ds.features), ds)
 
 
 class TestClassHistogram:

@@ -11,7 +11,7 @@ import pytest
 from noisytrain import model
 from noisytrain.config import config_from_dict
 from noisytrain.data import MAX_SEED
-from noisytrain.kernel import GradientTape, Matrix, ShapeMismatchError, backward
+from noisytrain.kernel import GradientTape, Matrix, ShapeMismatchError, backward, wrap
 from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks,
                               ensemble_softmax, forward_logits, forward_projection,
                               forward_softmax, init_network, init_twins, layout,
@@ -246,18 +246,6 @@ class TestEvalWorkspace:
             forward_softmax(net, x)
             assert out.data.tobytes() == kept.tobytes()
 
-    def test_memo_entries_keep_their_bytes_after_later_evaluations(self):
-        net = init_network(ARCH, seed=5)
-        other = init_network(ARCH, seed=6)
-        first, *later = self._inputs()
-        probs = model.dataset_softmax(net, first)
-        kept = probs.data.copy()
-        for x in later:
-            forward_softmax(net, x)
-            model.dataset_softmax(other, x)
-        assert model.dataset_softmax(net, first) is probs
-        assert probs.data.tobytes() == kept.tobytes()
-
     def test_evaluation_between_forward_and_backward_keeps_gradients(self):
         x, *others = self._inputs()
         targets = Matrix(np.full((x.rows, ARCH.num_classes), 1.0 / ARCH.num_classes))
@@ -293,26 +281,30 @@ class TestEvalWorkspace:
 class TestEnsemble:
     def test_identical_twins_equal_single(self):
         net = init_network(ARCH, seed=9)
-        twins = TwinNetworks(net, net)
         x = Matrix(np.random.default_rng(7).normal(size=(5, 5)))
-        assert np.allclose(ensemble_softmax(twins, x).data,
-                           forward_softmax(net, x).data, atol=1e-15)
+        probs = forward_softmax(net, x)
+        assert np.allclose(ensemble_softmax(probs, probs).data, probs.data, atol=1e-15)
 
     def test_mean_of_distributions(self):
         twins = init_twins(ARCH, seed=0)
         x = Matrix(np.random.default_rng(8).normal(size=(5, 5)))
-        s1 = forward_softmax(twins.net1, x).data
-        s2 = forward_softmax(twins.net2, x).data
-        ens = ensemble_softmax(twins, x).data
-        assert np.allclose(ens, (s1 + s2) / 2, atol=1e-15)
+        s1 = forward_softmax(twins.net1, x)
+        s2 = forward_softmax(twins.net2, x)
+        ens = ensemble_softmax(s1, s2).data
+        assert np.allclose(ens, (s1.data + s2.data) / 2, atol=1e-15)
         assert np.allclose(ens.sum(axis=1), 1.0, atol=1e-9)
 
     def test_permutation_symmetric(self):
         twins = init_twins(ARCH, seed=0)
-        swapped = TwinNetworks(twins.net2, twins.net1)
         x = Matrix(np.random.default_rng(9).normal(size=(5, 5)))
-        assert np.array_equal(ensemble_softmax(twins, x).data,
-                              ensemble_softmax(swapped, x).data)
+        s1, s2 = forward_softmax(twins.net1, x), forward_softmax(twins.net2, x)
+        assert np.array_equal(ensemble_softmax(s1, s2).data, ensemble_softmax(s2, s1).data)
+
+    def test_non_finite_prediction_refused(self):
+        probs = Matrix(np.full((2, 3), 1.0 / 3.0))
+        bad = wrap(np.array([[np.nan, 0.5, 0.5], [1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            ensemble_softmax(probs, bad)
 
     def test_twins_never_share_parameters(self):
         twins = init_twins(ARCH, seed=0)
@@ -336,6 +328,24 @@ class TestCheckpoint:
         for net_a, net_b in ((twins.net1, loaded.net1), (twins.net2, loaded.net2)):
             for name in net_a.params:
                 assert net_a.params[name].data.tobytes() == net_b.params[name].data.tobytes()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p.update(w1=Matrix(np.zeros((4, 8)))),
+         r"'w1' of net 2 is \(4, 8\), .* declares \(5, 8\)"),
+        (lambda p: p.pop("bp"), r"'bp' of net 2 is missing, .* declares \(1, 3\)"),
+        (lambda p: p.update(extra=Matrix([[1.0]])),
+         r"'extra' of net 2 is \(1, 1\), .* declares no such tensor"),
+    ], ids=["shape", "missing", "unknown"])
+    def test_parameters_off_the_arch_refused_before_writing(self, tmp_path, edit, message):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(init_twins(ARCH, seed=1), str(path))
+        before = path.read_bytes()
+        twins = init_twins(ARCH, seed=1)
+        edit(twins.net2.params)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: tensor {message}"):
+            save_checkpoint(twins, str(path))
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["ckpt.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

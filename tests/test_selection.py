@@ -226,6 +226,11 @@ class TestUniformSelect:
         with pytest.raises(ValueError):
             uniform_select(report, [0, 5], 2, 0.5)
 
+    def test_fractional_labels_refused_not_truncated(self):
+        report = DivergenceReport.from_values([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match=r"^given_labels: 0\.5 is not an integer$"):
+            uniform_select(report, [0.5, 1.5, 0.0], 2, 0.5)
+
 
 class TestBaselineGlobalSelect:
     def test_same_as_uniform_on_balanced_example(self):
@@ -266,11 +271,14 @@ def test_bad_filter_rate_is_named(select, rate):
 
 
 @pytest.mark.parametrize("labels,message", [
-    ([0, 2, 1, 1], r"labels out of range \[0, 2\)"),
-    ([0, -1, 1, 1], r"labels out of range \[0, 2\)"),
+    ([0, 2, 1, 1], r"given_labels: indices 0\.\.2 outside \[0, 2\)"),
+    ([0, -1, 1, 1], r"given_labels: indices -1\.\.1 outside \[0, 2\)"),
+    ([0.5, 1.5, 0.0, 1.0], r"given_labels: 0\.5 is not an integer"),
+    ([0, np.nan, 1, 1], r"given_labels: nan is not an integer"),
+    ([False, True, True, False], r"given_labels: False is not an integer"),
     ([0, 0, 1], "labels and divergences disagree in length"),
     ([0, 0, 1, 1, 1], "labels and divergences disagree in length"),
-], ids=["label-C", "negative", "shorter", "longer"])
+], ids=["label-C", "negative", "fractional", "nan", "bool", "shorter", "longer"])
 @both_selectors
 def test_bad_labels_refused(select, labels, message):
     report = DivergenceReport.from_values([0.1, 0.2, 0.3, 0.4])

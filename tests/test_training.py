@@ -4,16 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (finite_difference_grad, max_relative_error, serial_sgd_steps, ssl_epoch,
-                      warmup_epochs)
+from conftest import (finite_difference_grad, max_relative_error, select, serial_sgd_steps,
+                      ssl_epoch, warmup_epochs)
 from noisytrain import training
 from noisytrain.cli import main
 from noisytrain.config import config_from_dict
 from noisytrain.data import (AugmentationSpec, batch_iterator, inject_symmetric_noise,
                              make_gaussian_blobs, strong_augment, weak_augment)
 from noisytrain.kernel import GradientTape, Matrix, backward, record, wrap
-from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks, forward_logits,
-                              forward_softmax, init_network, init_twins, layout)
+from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks, ensemble_softmax,
+                              forward_logits, forward_softmax, init_network, init_twins, layout)
 from noisytrain.runner import cmd_run
 from noisytrain.selection import CutoffParams, DivergenceReport, uniform_select
 from noisytrain.training import (AblationFlags, DegenerateBatchError,
@@ -23,7 +23,7 @@ from noisytrain.training import (AblationFlags, DegenerateBatchError,
                                  loss_lu, loss_lx, loss_reg, mixmatch_assemble,
                                  mixup, mixup_with_lambda, one_hot,
                                  refine_labels, refinement_weights,
-                                 select_for_network, sharpen, total_loss,
+                                 sharpen, total_loss,
                                  train_half_epoch, warmup_train)
 
 AUG = AugmentationSpec()
@@ -336,7 +336,9 @@ class TestWarmup:
         from noisytrain.metrics import accuracy
         ds, twins = self._noisy_setup(rate=0.0)
         warmup_epochs(twins, ds, Hyperparams(seed=1, batch_size=32), 10)
-        assert accuracy(twins, ds.features, ds.given_labels) > 0.95
+        probs = ensemble_softmax(*(forward_softmax(net, ds.features)
+                                   for net in (twins.net1, twins.net2)))
+        assert accuracy(probs, ds.given_labels) > 0.95
 
     def test_projection_head_untouched(self):
         ds, twins = self._noisy_setup(rate=0.2)
@@ -451,7 +453,7 @@ class TestTrainEpoch:
         ds, hp, twins = self._setup()
         net2_before = snapshot(twins.net2)
         net1_before = snapshot(twins.net1)
-        report, sel = select_for_network(twins, 1, ds, CUTOFF, FLAGS)
+        report, sel = select(twins, 1, ds, CUTOFF, FLAGS)
         train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
         assert params_equal(net2_before, snapshot(twins.net2))
         assert not params_equal(net1_before, snapshot(twins.net1))
@@ -555,7 +557,7 @@ class TestTrainEpoch:
         monkeypatch.setattr(Matrix, "__init__", counting_init)
         for net_index in (1, 2):
             where[0] = "select"
-            report, sel = select_for_network(twins, net_index, ds, CUTOFF, flags)
+            report, sel = select(twins, net_index, ds, CUTOFF, flags)
             where[0] = "half"
             assert train_half_epoch(twins, net_index, ds, hp, AUG, flags, 1,
                                     report, sel).degenerate is None
