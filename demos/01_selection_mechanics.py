@@ -3,15 +3,14 @@
 Builds a noisy blob dataset, measures per-sample Jensen-Shannon divergence
 between given labels and an ensemble prediction, derives the automatic
 cutoff and filter rate, and contrasts class-balanced selection with the
-class-blind baseline.
+class-blind baseline: the same ranking, per class or over one group.
 """
 
-from noisytrain import (CutoffParams, compute_cutoff, compute_divergences,
-                        compute_filter_rate, init_twins, jsd,
-                        make_gaussian_blobs, inject_symmetric_noise,
-                        uniform_select, baseline_global_select)
+from noisytrain import (CutoffParams, compute_cutoff, compute_filter_rate, init_twins, jsd,
+                        make_gaussian_blobs, inject_symmetric_noise, select_clean)
 from noisytrain.metrics import roc_auc, selection_precision_recall
-from noisytrain.model import Arch
+from noisytrain.model import Arch, ensemble_softmax, forward_softmax
+from noisytrain.selection import divergences_from_probs
 from noisytrain.training import Hyperparams, warmup_train
 
 print("= Divergence of a given label from a prediction =")
@@ -31,7 +30,10 @@ hp = Hyperparams(seed=3)
 for epoch in range(10):
     warmup_train(twins, ds, hp, epoch)
 
-report = compute_divergences(twins, ds)
+# the selection reads a prediction made here: the two networks' averaged softmax
+probs = ensemble_softmax(forward_softmax(twins.net1, ds.features),
+                         forward_softmax(twins.net2, ds.features))
+report = divergences_from_probs(probs, ds.given_labels)
 clean_mask = ds.given_labels == ds.true_labels
 print(f"divergences: mean {report.d_avg:.3f}, min {report.d_min:.3f}")
 print(f"  truly-clean mean {report.d[clean_mask].mean():.3f}, "
@@ -45,10 +47,9 @@ print(f"cutoff {cutoff:.3f} -> filter rate R = {rate:.3f} "
       f"(clean fraction is {clean_mask.mean():.3f})")
 
 print("\n= Class-balanced vs class-blind selection =")
-balanced = uniform_select(report, ds.given_labels, 4, rate, d_cutoff=cutoff)
-global_sel = baseline_global_select(report, rate, ds.given_labels, 4, d_cutoff=cutoff)
-for name, sel in (("balanced", balanced), ("class-blind", global_sel)):
+for name, balancing in (("balanced", True), ("class-blind", False)):
+    sel = select_clean(report, ds.given_labels, 4, rate, balancing=balancing, d_cutoff=cutoff)
     precision, recall = selection_precision_recall(sel, ds)
-    print(f"{name:12s} per-class counts {sel.per_class_quota.tolist()}  "
+    print(f"{name:12s} per-class counts {sel.class_counts.tolist()}  "
           f"precision {precision:.3f}  recall {recall:.3f}")
 print(f"ranking quality (ROC-AUC of 1 - d): {roc_auc(report, ds):.3f}")

@@ -12,9 +12,7 @@ from .data import (AugmentationSpec, LabeledDataset, NoiseSpec,
 from .kernel import GradientTape, Matrix
 from .model import Arch, NetworkParams, TwinNetworks, init_twins
 from .selection import (CutoffParams, DivergenceReport, SelectionResult,
-                        baseline_global_select, compute_cutoff,
-                        compute_divergences, compute_filter_rate, jsd,
-                        uniform_select)
+                        compute_cutoff, compute_filter_rate, jsd, select_clean)
 from .training import AblationFlags, Hyperparams
 from .experiment import RunResult, run
 
@@ -26,8 +24,7 @@ __all__ = [
     "GradientTape", "Matrix",
     "Arch", "NetworkParams", "TwinNetworks", "init_twins",
     "CutoffParams", "DivergenceReport", "SelectionResult",
-    "baseline_global_select", "compute_cutoff", "compute_divergences",
-    "compute_filter_rate", "jsd", "uniform_select",
+    "compute_cutoff", "compute_filter_rate", "jsd", "select_clean",
     "AblationFlags", "Hyperparams", "RunResult", "run",
     "__version__",
 ]

@@ -90,6 +90,12 @@ def _checked_indices(name: str, indices, n: int) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
+def _check_columns(probs: Matrix, num_classes: int) -> None:
+    """Refuse a prediction whose column count is not the dataset's class count."""
+    if probs.cols != num_classes:
+        raise ValueError(f"probs: {probs.cols} columns for a dataset of {num_classes} classes")
+
+
 @dataclass
 class LabeledDataset:
     """Features plus true and given class labels.
@@ -263,12 +269,14 @@ def batch_iterator(indices, batch_size: int, seed, epoch: int) -> list[np.ndarra
     ``seed`` may be an int or a tuple of ints (independent substreams are
     obtained by passing distinct tuples).  The final short batch is kept.
     An empty index set yields an empty list; callers decide how to degrade.
+    The iterator knows no dataset size, so it refuses only entries that are
+    not non-negative integers; bounding them is the caller's job.
     """
     batch_size = _check_number("batch_size", batch_size, int, 1)
     parts = [_check_number("seed", s, int, 0)
              for s in (seed if isinstance(seed, (tuple, list)) else [seed])]
     epoch = _check_number("epoch", epoch, int, 0)
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _checked_indices("indices", indices, math.inf)
     if idx.size == 0:
         return []
     rng = np.random.default_rng([*parts, _STREAM_BATCHES, epoch])

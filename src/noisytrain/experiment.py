@@ -107,7 +107,7 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
             logged = dict(phase="ssl", filter_rate=sel.filter_rate, d_cutoff=sel.d_cutoff,
                           precision=precision, recall=recall, roc_auc=auc,
                           pseudo_recall=p_recall, loss_lx=lx, loss_lu=lu, loss_reg=lreg,
-                          loss_lc=lc, class_counts=[int(c) for c in sel.per_class_quota])
+                          loss_lc=lc, class_counts=[int(c) for c in sel.class_counts])
         rows.append(EpochMetrics(
             epoch=epoch, **logged,
             test_acc=accuracy(evaluate(test_ds)[1], test_ds.true_labels),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, _checked_indices
+from .data import LabeledDataset, _check_columns, _checked_indices
 from .kernel import Matrix
 from .selection import DivergenceReport, SelectionResult
 
@@ -110,6 +110,7 @@ def pseudo_label_recall(probs: Matrix, ds: LabeledDataset, noisy_indices) -> flo
     True classes absent from the noisy set are left out of the average.
     """
     _check_length("probs", probs.rows, len(ds))
+    _check_columns(probs, ds.num_classes)
     idx = _checked_indices("noisy_indices", noisy_indices, len(ds))
     if idx.size == 0:
         raise ValueError("noisy set is empty")

@@ -1,11 +1,12 @@
 """Divergence-based clean/noisy partitioning with class balancing.
 
-Per-sample disagreement between the given one-hot label and the model's
-predicted distribution is measured with the Jensen-Shannon divergence in
-base 2, so values span exactly [0, 1].  A cutoff derived from the
-divergence distribution yields the filter rate R, and the lowest-R
-portion of each class is admitted to the clean set.  A global (class
-blind) variant exists purely as an ablation baseline.
+Per-sample disagreement between the given one-hot label and a prediction
+the caller has already made is measured with the Jensen-Shannon
+divergence in base 2, so values span exactly [0, 1]; nothing here runs a
+network.  A cutoff derived from the divergence distribution yields the
+filter rate R, and ``select_clean`` admits the lowest-R portion of each
+class to the clean set.  Without class balancing the same ranking runs
+over one group of all samples: the class-blind ablation baseline.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (LabeledDataset, _check_number, _checked_indices, atomic_open, check_settings,
-                   round_half_up, setting)
+from .data import _check_number, _checked_indices, atomic_open, check_settings, round_half_up, setting
 from .kernel import Matrix
-from .model import TwinNetworks, ensemble_softmax, forward_softmax
 
 _LN2 = np.log(2.0)
 
@@ -67,7 +66,7 @@ class SelectionResult:
     noisy_indices: np.ndarray
     filter_rate: float
     d_cutoff: float
-    per_class_quota: np.ndarray   # selected count per given class
+    class_counts: np.ndarray   # selected count per given class
 
 
 def _as_distribution(v, name: str) -> np.ndarray:
@@ -103,7 +102,9 @@ def divergences_from_probs(probs: Matrix, given_labels: np.ndarray) -> Divergenc
     """Vectorized jsd(one_hot(label), probs_row) over a whole dataset."""
     P = probs.data
     n, C = P.shape
-    labels = np.asarray(given_labels, dtype=np.int64)
+    labels = _checked_indices("given_labels", given_labels, C)
+    if len(labels) != n:
+        raise ValueError(f"given_labels: {len(labels)} labels for {n} prediction rows")
     Y = np.zeros((n, C))
     Y[np.arange(n), labels] = 1.0
     M = (Y + P) / 2.0
@@ -112,18 +113,6 @@ def divergences_from_probs(probs: Matrix, given_labels: np.ndarray) -> Divergenc
         t_p = np.where(P > 0.0, P * np.log(P / M), 0.0).sum(axis=1)
     d = 0.5 * (t_y + t_p) / _LN2
     return DivergenceReport.from_values(np.clip(d, 0.0, 1.0))
-
-
-def compute_divergences(twins: TwinNetworks, ds: LabeledDataset) -> DivergenceReport:
-    """Divergence of each given label from the two-network ensemble prediction.
-
-    Evaluates both networks on the raw (un-augmented) features.
-    """
-    if len(ds) == 0:
-        raise ValueError("dataset is empty")
-    probs = ensemble_softmax(forward_softmax(twins.net1, ds.features),
-                             forward_softmax(twins.net2, ds.features))
-    return divergences_from_probs(probs, ds.given_labels)
 
 
 def compute_cutoff(report: DivergenceReport, params: CutoffParams) -> float:
@@ -142,74 +131,45 @@ def compute_filter_rate(report: DivergenceReport, d_cutoff: float) -> float:
     return float(np.count_nonzero(report.d < d_cutoff)) / len(report)
 
 
-def _ordered_members(d: np.ndarray, members: np.ndarray) -> np.ndarray:
-    # sort by divergence, ties broken by lower sample index
-    order = np.lexsort((members, d[members]))
-    return members[order]
+def select_clean(report: DivergenceReport, given_labels, num_classes: int,
+                 filter_rate: float, balancing: bool = True, quota_mode: str = "class_fraction",
+                 d_cutoff: float = float("nan")) -> SelectionResult:
+    """Admit the lowest-divergence samples of each group, ties to the lower index.
 
-
-def _checked_labels(given_labels, num_classes: int, report: DivergenceReport) -> np.ndarray:
-    """The given labels as int64, refused unless there is one per sample, each in [0, num_classes)."""
-    labels = _checked_indices("given_labels", given_labels, num_classes)
-    if len(labels) != len(report):
-        raise ValueError("labels and divergences disagree in length")
-    return labels
-
-
-def uniform_select(report: DivergenceReport, given_labels, num_classes: int,
-                   filter_rate: float, quota_mode: str = "class_fraction",
-                   d_cutoff: float = float("nan")) -> SelectionResult:
-    """Admit the lowest-divergence portion of every class independently.
-
-    quota_mode "class_fraction" takes round(R * N_c) per class;
-    "dataset_fraction" targets round(R * N / C) per class and takes all
-    available samples from any class that falls short.
+    With ``balancing`` a sample's group is its given class (uniform
+    selection); without it all samples form one group (the class-blind
+    baseline).  A group of N_g samples keeps round(R * N_g).  With
+    balancing, quota_mode "dataset_fraction" keeps min(N_c, round(R * N / C))
+    of each class instead.
     """
     filter_rate = _check_number("filter_rate", filter_rate, float, 0.0, 1.0)
     if quota_mode not in ("class_fraction", "dataset_fraction"):
         raise ValueError(f"unknown quota_mode {quota_mode!r}")
-    labels = _checked_labels(given_labels, num_classes, report)
-
+    labels = _checked_indices("given_labels", given_labels, num_classes)
     n = len(report)
-    quotas = np.zeros(num_classes, dtype=np.int64)
-    clean_parts = []
-    for c in range(num_classes):
-        members = np.flatnonzero(labels == c)
-        if quota_mode == "class_fraction":
-            quota = round_half_up(filter_rate * len(members))
-        else:
-            quota = min(len(members), round_half_up(filter_rate * n / num_classes))
-        quotas[c] = quota
-        if quota > 0:
-            clean_parts.append(_ordered_members(report.d, members)[:quota])
-    clean = np.sort(np.concatenate(clean_parts)) if clean_parts else np.empty(0, dtype=np.int64)
+    if len(labels) != n:
+        raise ValueError("labels and divergences disagree in length")
+    group = labels if balancing else np.zeros(n, dtype=np.int64)
+    sizes = np.bincount(group, minlength=num_classes if balancing else 1)
+    if balancing and quota_mode == "dataset_fraction":
+        quotas = np.minimum(sizes, round_half_up(filter_rate * n / num_classes))
+    else:
+        quotas = np.array([round_half_up(filter_rate * size) for size in sizes])
+    # by group, then divergence; lexsort is stable, so ties keep the lower index
+    order = np.lexsort((report.d, group))
+    ranked_group = group[order]
+    rank_in_group = np.arange(n) - (np.cumsum(sizes) - sizes)[ranked_group]
+    clean = np.sort(order[rank_in_group < quotas[ranked_group]])
     noisy = np.delete(np.arange(n), clean)
-    return SelectionResult(clean, noisy, filter_rate, float(d_cutoff), quotas)
-
-
-def baseline_global_select(report: DivergenceReport, filter_rate: float,
-                           given_labels, num_classes: int,
-                           d_cutoff: float = float("nan")) -> SelectionResult:
-    """Class-blind selection of the globally lowest round(R * N) divergences.
-
-    Ablation baseline only; per_class_quota records the realized counts.
-    """
-    filter_rate = _check_number("filter_rate", filter_rate, float, 0.0, 1.0)
-    labels = _checked_labels(given_labels, num_classes, report)
-    n = len(report)
-    k = round_half_up(filter_rate * n)
-    order = np.lexsort((np.arange(n), report.d))
-    clean = np.sort(order[:k])
-    noisy = np.delete(np.arange(n), clean)
-    counts = np.bincount(labels[clean], minlength=num_classes)
-    return SelectionResult(clean, noisy, filter_rate, float(d_cutoff), counts)
+    return SelectionResult(clean, noisy, filter_rate, float(d_cutoff),
+                           np.bincount(labels[clean], minlength=num_classes))
 
 
 def export_selection_csv(sel: SelectionResult, report: DivergenceReport,
                          given_labels, path: str) -> None:
     """Offline inspection dump: index,given_label,d,selected (no field needs csv quoting)."""
     n = len(report)
-    labels = np.asarray(given_labels, dtype=np.int64)
+    labels = _checked_indices("given_labels", given_labels, len(sel.class_counts))
     if len(labels) != n:
         raise ValueError("labels and divergences disagree in length")
     selected = np.zeros(n, dtype=np.int64)

@@ -31,14 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .data import (MAX_SEED, AugmentationSpec, LabeledDataset, _check_number, batch_iterator,
-                   check_settings, setting, strong_augment, weak_augment)
+from .data import (MAX_SEED, AugmentationSpec, LabeledDataset, _check_columns, _check_number,
+                   _checked_indices, batch_iterator, check_settings, setting, strong_augment,
+                   weak_augment)
 from .kernel import GradientTape, Matrix, backward, sgd_step
 from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, layout, \
     forward_logits, forward_projection, forward_softmax, softmax_in_place
-from .selection import (CutoffParams, DivergenceReport, SelectionResult,
-                        baseline_global_select, compute_cutoff, compute_filter_rate,
-                        divergences_from_probs, uniform_select)
+from .selection import (CutoffParams, DivergenceReport, SelectionResult, compute_cutoff,
+                        compute_filter_rate, divergences_from_probs, select_clean)
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +115,7 @@ class MixedBatch:
 
 
 def one_hot(labels, num_classes: int) -> Matrix:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _checked_indices("labels", labels, num_classes)
     out = np.zeros((len(labels), num_classes))
     out[np.arange(len(labels)), labels] = 1.0
     return kernel.wrap(out)
@@ -455,15 +455,11 @@ def select_for_network(probs: Matrix, ds: LabeledDataset, cutoff_params: CutoffP
     network's half is selected by: the ``ensemble_softmax`` of both networks,
     or with ensembling off, the network's own ``forward_softmax``.
     """
+    _check_columns(probs, ds.num_classes)
     report = divergences_from_probs(probs, ds.given_labels)
     d_cut = compute_cutoff(report, cutoff_params)
-    rate = compute_filter_rate(report, d_cut)
-    if flags.balancing:
-        sel = uniform_select(report, ds.given_labels, ds.num_classes, rate,
-                             quota_mode=cutoff_params.quota_mode, d_cutoff=d_cut)
-    else:
-        sel = baseline_global_select(report, rate, ds.given_labels, ds.num_classes,
-                                     d_cutoff=d_cut)
+    sel = select_clean(report, ds.given_labels, ds.num_classes, compute_filter_rate(report, d_cut),
+                       flags.balancing, cutoff_params.quota_mode, d_cut)
     return report, sel
 
 

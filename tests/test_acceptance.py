@@ -31,7 +31,7 @@ from noisytrain.model import (PHI, PSI, THETA, Arch, forward_logits,
                               forward_projection, init_network)
 from noisytrain.runner import cmd_ablate, cmd_run, hist_ratio
 from noisytrain.selection import (CutoffParams, DivergenceReport,
-                                  compute_cutoff, jsd, uniform_select)
+                                  compute_cutoff, jsd, select_clean)
 from noisytrain.training import (Hyperparams, loss_contrastive, loss_lu,
                                  loss_lx, loss_reg, mixup_with_lambda,
                                  sharpen, total_loss)
@@ -232,7 +232,7 @@ def test_criterion_3_selection_oracle_equivalence():
         labels = rng.integers(0, c, n)
         rate = float(rng.uniform(0, 1))
         report_obj = DivergenceReport.from_values(d)
-        sel = uniform_select(report_obj, labels, c, rate)
+        sel = select_clean(report_obj, labels, c, rate)
         oracle = []
         for j in range(c):
             members = sorted((i for i in range(n) if labels[i] == j),
@@ -246,7 +246,7 @@ def test_criterion_3_selection_oracle_equivalence():
         d = rng.uniform(0, 1, 30 * c)
         report_obj = DivergenceReport.from_values(d)
         for rate in np.linspace(0, 1, 11):
-            sel = uniform_select(report_obj, labels, c, float(rate))
+            sel = select_clean(report_obj, labels, c, float(rate))
             counts = np.bincount(labels[sel.clean_indices], minlength=c)
             assert counts.max() - counts.min() <= 1
     elapsed = time.time() - t0

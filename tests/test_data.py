@@ -233,6 +233,16 @@ class TestBatchIterator:
         with pytest.raises(ValueError, match=f"^{name}: "):
             batch_iterator(np.arange(10), 4, seed=seed, epoch=epoch)
 
+    @pytest.mark.parametrize("indices,message", [
+        ([0.5, 1.7, 2.2], r"indices: 0\.5 is not an integer"),
+        ([0, np.nan], r"indices: nan is not an integer"),
+        ([2, -1, 0], r"indices: indices -1\.\.2 outside \[0, inf\)"),
+    ], ids=["fractional", "nan", "negative"])
+    def test_entries_that_are_not_sample_indices_refused(self, indices, message):
+        # fractions were truncated to batches [1, 2] and [0]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            batch_iterator(indices, 2, 1, 0)
+
 
 class TestCsvRoundTrip:
     def test_lossless(self, tmp_path):

@@ -124,4 +124,4 @@ def test_each_ssl_epoch_selects_then_trains_each_half(monkeypatch):
         assert len(halves) == 2 and halves[0] is h1[3] and halves[1] is h2[3]
         row, sel = result.rows[epoch], s1[2][1]
         assert (row.filter_rate, row.d_cutoff) == (sel.filter_rate, sel.d_cutoff)
-        assert row.class_counts == sel.per_class_quota.tolist()
+        assert row.class_counts == sel.class_counts.tolist()

@@ -14,6 +14,8 @@ generators derived from the same seed coincide.
 
 Evaluation (``metrics``) imports nothing from ``training`` and uses no
 augmentation: it reads predictions, it does not make training inputs.
+Selection (``selection``) imports nothing from ``model`` or ``training``:
+it reads predictions and runs no network.
 
 A network carries only what a checkpoint and a resume need: its arch,
 seed, parameters and SGD velocity row, and no cached state.
@@ -109,6 +111,13 @@ def test_metrics_does_not_reach_into_training():
     assert "training" not in imported, "metrics imports from training"
     augmentation = {"AugmentationSpec", "weak_augment", "strong_augment"}
     assert not augmentation & _names(tree, set()), "metrics uses augmentation"
+
+
+def test_selection_reads_predictions_and_runs_no_network():
+    with open(os.path.join(SRC, "selection.py")) as f:
+        tree = ast.parse(f.read())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"model", "training"}, "selection imports from model or training"
 
 
 def test_network_holds_only_checkpoint_and_resume_state():

@@ -6,8 +6,7 @@ from noisytrain.kernel import Matrix
 from noisytrain.metrics import (UndefinedAUCError, _tied_ranks, accuracy,
                                 pseudo_label_recall, roc_auc, selection_precision_recall)
 from noisytrain.model import Arch, ensemble_softmax, forward_softmax, init_twins
-from noisytrain.selection import (DivergenceReport, SelectionResult,
-                                  baseline_global_select, uniform_select)
+from noisytrain.selection import DivergenceReport, SelectionResult, select_clean
 
 
 def make_selection(clean, total):
@@ -190,8 +189,11 @@ class TestAccuracy:
      r"noisy_indices: indices 3\.\.40 outside \[0, 40\)"),
     (lambda probs, ds: pseudo_label_recall(Matrix(probs.data[:39]), ds, [3]),
      "probs: 39 entries for a dataset of 40 samples"),
+    (lambda probs, ds: pseudo_label_recall(Matrix(np.full((40, 3), 1 / 3)), ds, [3]),
+     "probs: 3 columns for a dataset of 2 classes"),
 ], ids=["accuracy-labels", "accuracy-label-above", "accuracy-label-below", "auc-report",
-        "precision-negative-index", "pseudo-recall-index", "pseudo-recall-probs"])
+        "precision-negative-index", "pseudo-recall-index", "pseudo-recall-probs",
+        "pseudo-recall-probs-width"])
 def test_inputs_of_another_size_refused(call, message):
     ds = make_gaussian_blobs(2, 20, 4, 10.0, seed=3)
     with pytest.raises(ValueError, match=message):
@@ -199,42 +201,43 @@ def test_inputs_of_another_size_refused(call, message):
 
 
 class TestClassHistogram:
-    """``per_class_quota`` holds each class's selected count."""
+    """``class_counts`` holds each class's selected count."""
 
     def test_uniform_selection_balanced(self, rng):
         labels = np.repeat(np.arange(4), 30)
         d = rng.uniform(0, 1, 120)
         report = DivergenceReport.from_values(d)
-        sel = uniform_select(report, labels, 4, 0.5)
-        counts = sel.per_class_quota
+        sel = select_clean(report, labels, 4, 0.5)
+        counts = sel.class_counts
         assert counts.max() - counts.min() <= 1
         assert counts.sum() == len(sel.clean_indices)
 
     def test_empty_selection_zeros(self):
         labels = np.array([0, 1, 0, 1])
         report = DivergenceReport.from_values([0.1, 0.2, 0.3, 0.4])
-        sel = uniform_select(report, labels, 2, 0.0)
+        sel = select_clean(report, labels, 2, 0.0)
         assert len(sel.clean_indices) == 0
-        assert sel.per_class_quota.tolist() == [0, 0]
+        assert sel.class_counts.tolist() == [0, 0]
 
     def test_skewed_baseline_histogram(self):
         d = np.concatenate([np.linspace(0.01, 0.1, 6), np.linspace(0.9, 0.99, 6)])
         labels = np.array([0] * 6 + [1] * 6)
         report = DivergenceReport.from_values(d)
-        sel = baseline_global_select(report, 0.5, labels, 2)
-        assert sel.per_class_quota.tolist() == [6, 0]
+        sel = select_clean(report, labels, 2, 0.5, balancing=False)
+        assert sel.class_counts.tolist() == [6, 0]
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_per_class_quota_is_the_selected_count_per_class(seed):
+    """``class_counts``, the count each class contributes, in every arm and quota mode."""
     rng = np.random.default_rng(seed)
     C = int(rng.integers(2, 7))
     labels = rng.integers(0, C, int(rng.integers(1, 80)))
     labels[rng.permutation(len(labels))[:int(rng.integers(0, len(labels)))]] = 0   # skew
     report = DivergenceReport.from_values(rng.uniform(0, 1, len(labels)))
     for rate in (0.0, 1.0, float(rng.uniform())):
-        for sel in (uniform_select(report, labels, C, rate),
-                    uniform_select(report, labels, C, rate, quota_mode="dataset_fraction"),
-                    baseline_global_select(report, rate, labels, C)):
+        for sel in (select_clean(report, labels, C, rate),
+                    select_clean(report, labels, C, rate, quota_mode="dataset_fraction"),
+                    select_clean(report, labels, C, rate, balancing=False)):
             counts = np.bincount(labels[sel.clean_indices], minlength=C)
-            assert sel.per_class_quota.tolist() == counts.tolist()
+            assert sel.class_counts.tolist() == counts.tolist()

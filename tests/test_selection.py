@@ -5,12 +5,12 @@ import pytest
 
 from noisytrain.data import make_gaussian_blobs, round_half_up
 from noisytrain.kernel import Matrix, wrap
-from noisytrain.model import Arch, init_twins
+from noisytrain.model import Arch, ensemble_softmax, forward_softmax, init_twins
 from noisytrain.selection import (CutoffParams, DistributionError,
-                                  DivergenceReport, SelectionResult, baseline_global_select,
-                                  compute_cutoff, compute_divergences,
-                                  compute_filter_rate, divergences_from_probs,
-                                  export_selection_csv, jsd, uniform_select)
+                                  DivergenceReport, SelectionResult,
+                                  compute_cutoff, compute_filter_rate, divergences_from_probs,
+                                  export_selection_csv, jsd, select_clean)
+from noisytrain.training import AblationFlags, select_for_network
 
 
 class TestJsd:
@@ -72,7 +72,9 @@ class TestComputeDivergences:
     def test_untrained_nets_cluster(self):
         ds = make_gaussian_blobs(4, 50, 6, 8.0, seed=2)
         twins = init_twins(Arch(6, 16, 4, 4), seed=0)
-        report = compute_divergences(twins, ds)
+        probs = ensemble_softmax(forward_softmax(twins.net1, ds.features),
+                                 forward_softmax(twins.net2, ds.features))
+        report = divergences_from_probs(probs, ds.given_labels)
         assert len(report) == len(ds)
         assert np.all((report.d > 0.0) & (report.d < 1.0))
         assert report.d.std() < 0.2
@@ -100,6 +102,18 @@ class TestComputeDivergences:
         probs = wrap(np.array([[0.9, 0.1], [np.nan, np.nan], [0.2, 0.8]]))
         with pytest.raises(ValueError, match=r"divergences must lie in \[0, 1\]"):
             divergences_from_probs(probs, np.array([0, 1, 1]))
+
+    @pytest.mark.parametrize("labels,message", [
+        ([-1, 1, 0], r"given_labels: indices -1\.\.1 outside \[0, 2\)"),
+        ([0, 2, 1], r"given_labels: indices 0\.\.2 outside \[0, 2\)"),
+        ([0.5, 1.0, 0.0], r"given_labels: 0\.5 is not an integer"),
+        ([0, 1], "given_labels: 2 labels for 3 prediction rows"),
+    ], ids=["negative", "label-C", "fractional", "shorter"])
+    def test_bad_labels_refused(self, labels, message):
+        # a negative label would otherwise score against the last class
+        probs = Matrix(np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            divergences_from_probs(probs, labels)
 
 
 @pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"d_mu": 1.0}, {"quota_mode": "per_class"}])
@@ -139,15 +153,37 @@ class TestCutoffAndFilterRate:
         assert compute_filter_rate(report, 0.71) == 1.0
 
 
-def brute_force_uniform_select(d, labels, num_classes, rate):
-    """Independent oracle: full sort per class, lowest round(R*N_c) win."""
+def brute_force_uniform_select(d, labels, num_classes, rate, quota_mode="class_fraction"):
+    """Independent oracle: full sort per class, lowest quota win, ties to the lower index.
+
+    The quota is round(R*N_c), or min(N_c, round(R*N/C)) for "dataset_fraction".
+    """
     clean = []
     for c in range(num_classes):
         members = [i for i in range(len(d)) if labels[i] == c]
         members.sort(key=lambda i: (d[i], i))
-        quota = round_half_up(rate * len(members))
+        if quota_mode == "class_fraction":
+            quota = round_half_up(rate * len(members))
+        else:
+            quota = min(len(members), round_half_up(rate * len(d) / num_classes))
         clean.extend(members[:quota])
     return sorted(clean)
+
+
+def brute_force_global_select(d, rate):
+    """Independent oracle for the class-blind arm: sort by (d, i), lowest round(R*N) win."""
+    ranked = sorted(range(len(d)), key=lambda i: (d[i], i))
+    return sorted(ranked[:round_half_up(rate * len(d))])
+
+
+def _random_instance(rng, tied: bool):
+    c = int(rng.integers(1, 8))
+    n = int(rng.integers(1, 120))
+    # a handful of values makes ties common; continuous draws almost never tie
+    d = rng.choice(rng.uniform(0, 1, 4), n) if tied else rng.uniform(0, 1, n)
+    labels = rng.integers(0, c, n)
+    rate = float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))
+    return c, d, labels, rate
 
 
 class TestUniformSelect:
@@ -155,18 +191,18 @@ class TestUniformSelect:
         d = np.array([0.1, 0.2, 0.9, 0.95, 0.05, 0.4, 0.6, 0.8])
         labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         report = DivergenceReport.from_values(d)
-        sel = uniform_select(report, labels, 2, 0.5)
+        sel = select_clean(report, labels, 2, 0.5)
         assert sorted(sel.clean_indices.tolist()) == [0, 1, 4, 5]
 
     def test_rate_zero_empty(self):
         report = DivergenceReport.from_values([0.1, 0.2, 0.3, 0.4])
-        sel = uniform_select(report, [0, 0, 1, 1], 2, 0.0)
+        sel = select_clean(report, [0, 0, 1, 1], 2, 0.0)
         assert len(sel.clean_indices) == 0
         assert len(sel.noisy_indices) == 4
 
     def test_rate_one_everything(self):
         report = DivergenceReport.from_values([0.1, 0.2, 0.3, 0.4])
-        sel = uniform_select(report, [0, 0, 1, 1], 2, 1.0)
+        sel = select_clean(report, [0, 0, 1, 1], 2, 1.0)
         assert len(sel.clean_indices) == 4
         assert len(sel.noisy_indices) == 0
 
@@ -174,29 +210,40 @@ class TestUniformSelect:
         d = rng.uniform(0, 1, 37)
         labels = rng.integers(0, 3, 37)
         report = DivergenceReport.from_values(d)
-        sel = uniform_select(report, labels, 3, 0.4)
+        sel = select_clean(report, labels, 3, 0.4)
         combined = np.sort(np.concatenate([sel.clean_indices, sel.noisy_indices]))
         assert np.array_equal(combined, np.arange(37))
         assert len(np.intersect1d(sel.clean_indices, sel.noisy_indices)) == 0
 
     def test_oracle_equivalence_random_instances(self, rng):
-        for _ in range(100):
-            c = int(rng.integers(2, 7))
-            n = int(rng.integers(20, 120))
-            d = rng.uniform(0, 1, n)
-            labels = rng.integers(0, c, n)
-            rate = float(rng.uniform(0, 1))
-            report = DivergenceReport.from_values(d)
-            sel = uniform_select(report, labels, c, rate)
-            oracle = brute_force_uniform_select(d, labels, c, rate)
-            assert sel.clean_indices.tolist() == oracle
+        """Both arms and both quota modes against the oracles, with and without ties."""
+        for tied in (False, True):
+            for _ in range(100):
+                c, d, labels, rate = _random_instance(rng, tied)
+                report = DivergenceReport.from_values(d)
+                for quota_mode in ("class_fraction", "dataset_fraction"):
+                    sel = select_clean(report, labels, c, rate, quota_mode=quota_mode)
+                    assert sel.clean_indices.tolist() == \
+                        brute_force_uniform_select(d, labels, c, rate, quota_mode)
+                    # quota_mode applies to balanced selection only
+                    sel = select_clean(report, labels, c, rate, False, quota_mode)
+                    assert sel.clean_indices.tolist() == brute_force_global_select(d, rate)
+
+    def test_one_class_both_arms_select_the_same_set(self, rng):
+        for tied in (False, True):
+            for _ in range(50):
+                _, d, _, rate = _random_instance(rng, tied)
+                labels = np.zeros(len(d), dtype=np.int64)
+                report = DivergenceReport.from_values(d)
+                assert select_clean(report, labels, 1, rate).clean_indices.tolist() == \
+                    select_clean(report, labels, 1, rate, balancing=False).clean_indices.tolist()
 
     def test_class_balance_for_equal_classes(self, rng):
         labels = np.repeat(np.arange(4), 25)
         d = rng.uniform(0, 1, 100)
         report = DivergenceReport.from_values(d)
         for rate in np.linspace(0, 1, 11):
-            sel = uniform_select(report, labels, 4, float(rate))
+            sel = select_clean(report, labels, 4, float(rate))
             counts = np.bincount(labels[sel.clean_indices], minlength=4)
             assert counts.max() - counts.min() <= 1
 
@@ -206,7 +253,7 @@ class TestUniformSelect:
         report = DivergenceReport.from_values(d)
         previous = set()
         for rate in np.linspace(0, 1, 21):
-            sel = uniform_select(report, labels, 3, float(rate))
+            sel = select_clean(report, labels, 3, float(rate))
             current = set(sel.clean_indices.tolist())
             assert previous <= current
             previous = current
@@ -216,7 +263,7 @@ class TestUniformSelect:
         d = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.15, 0.25])
         labels = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1, 1])
         report = DivergenceReport.from_values(d)
-        sel = uniform_select(report, labels, 2, 0.6, quota_mode="dataset_fraction")
+        sel = select_clean(report, labels, 2, 0.6, quota_mode="dataset_fraction")
         counts = np.bincount(labels[sel.clean_indices], minlength=2)
         assert counts[1] == 2  # both available samples taken
         assert counts[0] == 3  # round(0.6 * 10 / 2)
@@ -224,27 +271,27 @@ class TestUniformSelect:
     def test_label_range_validated(self):
         report = DivergenceReport.from_values([0.1, 0.2])
         with pytest.raises(ValueError):
-            uniform_select(report, [0, 5], 2, 0.5)
+            select_clean(report, [0, 5], 2, 0.5)
 
     def test_fractional_labels_refused_not_truncated(self):
         report = DivergenceReport.from_values([0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match=r"^given_labels: 0\.5 is not an integer$"):
-            uniform_select(report, [0.5, 1.5, 0.0], 2, 0.5)
+            select_clean(report, [0.5, 1.5, 0.0], 2, 0.5)
 
 
 class TestBaselineGlobalSelect:
     def test_same_as_uniform_on_balanced_example(self):
         d = np.array([0.1, 0.2, 0.9, 0.95, 0.05, 0.4, 0.6, 0.8])
         report = DivergenceReport.from_values(d)
-        sel = baseline_global_select(report, 0.5, np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2)
+        sel = select_clean(report, np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2, 0.5, balancing=False)
         assert sorted(sel.clean_indices.tolist()) == [0, 1, 4, 5]
 
     def test_skew_case_differs_from_uniform(self):
         d = np.concatenate([np.linspace(0.01, 0.1, 5), np.linspace(0.9, 0.99, 5)])
         labels = np.array([0] * 5 + [1] * 5)
         report = DivergenceReport.from_values(d)
-        global_sel = baseline_global_select(report, 0.5, labels, 2)
-        uniform_sel = uniform_select(report, labels, 2, 0.5)
+        global_sel = select_clean(report, labels, 2, 0.5, balancing=False)
+        uniform_sel = select_clean(report, labels, 2, 0.5)
         global_counts = np.bincount(labels[global_sel.clean_indices], minlength=2)
         uniform_counts = np.bincount(labels[uniform_sel.clean_indices], minlength=2)
         assert global_counts.tolist() == [5, 0]
@@ -252,22 +299,19 @@ class TestBaselineGlobalSelect:
 
     def test_rate_one_takes_everything(self):
         report = DivergenceReport.from_values([0.5, 0.1, 0.9])
-        sel = baseline_global_select(report, 1.0, np.array([0, 1, 1]), 2)
+        sel = select_clean(report, np.array([0, 1, 1]), 2, 1.0, balancing=False)
         assert len(sel.clean_indices) == 3
 
 
-both_selectors = pytest.mark.parametrize("select", [
-    lambda report, labels, rate: uniform_select(report, labels, 2, rate),
-    lambda report, labels, rate: baseline_global_select(report, rate, labels, 2),
-], ids=["uniform", "baseline"])
+both_selectors = pytest.mark.parametrize("balancing", [True, False], ids=["uniform", "baseline"])
 
 
 @pytest.mark.parametrize("rate", [True, float("nan"), "0.5", -0.1, 1.5])
 @both_selectors
-def test_bad_filter_rate_is_named(select, rate):
+def test_bad_filter_rate_is_named(balancing, rate):
     report = DivergenceReport.from_values([0.1, 0.2, 0.3, 0.4])
     with pytest.raises(ValueError, match="^filter_rate: "):
-        select(report, np.array([0, 0, 1, 1]), rate)
+        select_clean(report, np.array([0, 0, 1, 1]), 2, rate, balancing)
 
 
 @pytest.mark.parametrize("labels,message", [
@@ -280,17 +324,27 @@ def test_bad_filter_rate_is_named(select, rate):
     ([0, 0, 1, 1, 1], "labels and divergences disagree in length"),
 ], ids=["label-C", "negative", "fractional", "nan", "bool", "shorter", "longer"])
 @both_selectors
-def test_bad_labels_refused(select, labels, message):
+def test_bad_labels_refused(balancing, labels, message):
     report = DivergenceReport.from_values([0.1, 0.2, 0.3, 0.4])
     with pytest.raises(ValueError, match=f"^{message}$"):
-        select(report, np.array(labels), 0.5)
+        select_clean(report, np.array(labels), 2, 0.5, balancing)
+
+
+@both_selectors
+def test_prediction_of_another_width_refused(balancing):
+    # a 4-column prediction for 3 classes would otherwise select 9 of 12 samples
+    ds = make_gaussian_blobs(3, 4, 2, 6.0, seed=0)
+    probs = Matrix(np.full((len(ds), 4), 0.25))
+    flags = AblationFlags(balancing=balancing)
+    with pytest.raises(ValueError, match="^probs: 4 columns for a dataset of 3 classes$"):
+        select_for_network(probs, ds, CutoffParams(), flags)
 
 
 def test_export_selection_csv(tmp_path, rng):
     d = rng.uniform(0, 1, 10)
     labels = rng.integers(0, 2, 10)
     report = DivergenceReport.from_values(d)
-    sel = uniform_select(report, labels, 2, 0.5)
+    sel = select_clean(report, labels, 2, 0.5)
     path = str(tmp_path / "sel.csv")
     export_selection_csv(sel, report, labels, path)
     lines = Path(path).read_text().strip().split("\n")
@@ -306,7 +360,7 @@ def test_export_selection_csv_bytes_match_row_by_row_writer(tmp_path, rng):
     for n in (1, 37, 500):
         labels = rng.integers(0, 4, n)
         report = DivergenceReport.from_values(rng.uniform(0, 1, n) ** 3)
-        sel = uniform_select(report, labels, 4, 0.4)
+        sel = select_clean(report, labels, 4, 0.4)
         path = str(tmp_path / "sel.csv")
         export_selection_csv(sel, report, labels, path)
         mask = np.zeros(n, dtype=bool)
@@ -322,9 +376,23 @@ def test_export_selection_csv_bytes_match_row_by_row_writer(tmp_path, rng):
 
 def test_export_selection_csv_rejects_length_mismatch(tmp_path):
     report = DivergenceReport.from_values([0.1, 0.2, 0.3])
-    sel = uniform_select(report, [0, 1, 0], 2, 0.5)
+    sel = select_clean(report, [0, 1, 0], 2, 0.5)
     with pytest.raises(ValueError):
         export_selection_csv(sel, report, [0, 1], str(tmp_path / "sel.csv"))
+
+
+@pytest.mark.parametrize("labels,message", [
+    ([0, 7, -1], r"given_labels: indices -1\.\.7 outside \[0, 2\)"),
+    ([0.6, 1.9, 1.0], r"given_labels: 0\.6 is not an integer"),
+], ids=["out-of-range", "fractional"])
+def test_export_selection_csv_refuses_bad_labels(tmp_path, labels, message):
+    # these were written as 7 and -1, or truncated to 0,1,1
+    report = DivergenceReport.from_values([0.1, 0.2, 0.3])
+    sel = select_clean(report, [0, 1, 0], 2, 0.5)
+    path = tmp_path / "sel.csv"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        export_selection_csv(sel, report, labels, str(path))
+    assert not path.exists()
 
 
 def test_export_selection_csv_refuses_index_outside_report(tmp_path):

@@ -15,7 +15,7 @@ from noisytrain.kernel import GradientTape, Matrix, backward, record, wrap
 from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks, ensemble_softmax,
                               forward_logits, forward_softmax, init_network, init_twins, layout)
 from noisytrain.runner import cmd_run
-from noisytrain.selection import CutoffParams, DivergenceReport, uniform_select
+from noisytrain.selection import CutoffParams, DivergenceReport, select_clean
 from noisytrain.training import (AblationFlags, DegenerateBatchError,
                                  Hyperparams, TrainingDivergedError,
                                  blend_targets, decayed_lr,
@@ -60,6 +60,17 @@ class TestSharpen:
     def test_bad_temperature_is_named(self, T):
         with pytest.raises(ValueError, match="^T: "):
             sharpen(Matrix([[0.8, 0.2]]), T)
+
+
+@pytest.mark.parametrize("labels,message", [
+    ([0.5, 1.7, -1], r"labels: 0\.5 is not an integer"),
+    ([0, 3, 1], r"labels: indices 0\.\.3 outside \[0, 3\)"),
+    ([0, -1, 1], r"labels: indices -1\.\.1 outside \[0, 3\)"),
+], ids=["fractional", "label-C", "negative"])
+def test_one_hot_refuses_labels_that_are_not_classes(labels, message):
+    # these gave rows for classes 0, 1 and 2, truncating and wrapping
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        one_hot(labels, 3)
 
 
 class TestRefinementWeights:
@@ -469,7 +480,7 @@ class TestTrainEpoch:
     def test_noisy_set_empty_degrades_to_clean_only(self):
         ds, hp, twins = self._setup()
         report = DivergenceReport.from_values(np.linspace(0.01, 0.6, len(ds)))
-        sel = uniform_select(report, ds.given_labels, 3, 1.0, d_cutoff=0.9)
+        sel = select_clean(report, ds.given_labels, 3, 1.0, d_cutoff=0.9)
         assert len(sel.noisy_indices) == 0
         rec = train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
         assert rec.degenerate == "empty_noisy"
@@ -484,7 +495,7 @@ class TestTrainEpoch:
         ds, hp, twins = self._setup()
         _, _, ref = self._setup()
         report = DivergenceReport.from_values(np.linspace(0.01, 0.6, len(ds)))
-        sel = uniform_select(report, ds.given_labels, 3, 1.0, d_cutoff=0.9)
+        sel = select_clean(report, ds.given_labels, 3, 1.0, d_cutoff=0.9)
         rec = train_half_epoch(twins, 2, ds, hp, AUG, flags, 1, report, sel)
         net, targets = ref.net2, one_hot(ds.given_labels, 3).data
         weights = training.refinement_weights(report.d, hp.d_omega)
@@ -517,7 +528,7 @@ class TestTrainEpoch:
     def test_clean_set_empty_degrades_to_ce(self):
         ds, hp, twins = self._setup()
         report = DivergenceReport.from_values(np.linspace(0.4, 0.99, len(ds)))
-        sel = uniform_select(report, ds.given_labels, 3, 0.0, d_cutoff=0.1)
+        sel = select_clean(report, ds.given_labels, 3, 0.0, d_cutoff=0.1)
         assert len(sel.clean_indices) == 0
         rec = train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
         assert rec.degenerate == "empty_clean"
@@ -581,7 +592,7 @@ class TestTrainEpoch:
         net.params["b2"] = Matrix(np.full(net.params["b2"].shape, -1.0))
         net.params["bp"] = Matrix.zeros(*net.params["bp"].shape)
         report = DivergenceReport.from_values(np.linspace(0.01, 0.99, len(ds)))
-        sel = uniform_select(report, ds.given_labels, 3, 0.5, d_cutoff=0.5)
+        sel = select_clean(report, ds.given_labels, 3, 0.5, d_cutoff=0.5)
         assert len(sel.clean_indices) and len(sel.noisy_indices)
         before = dict(net.params)
         with warnings.catch_warnings():
@@ -595,7 +606,7 @@ class TestTrainEpoch:
     def test_non_finite_ce_stops_empty_clean_fallback(self, monkeypatch):
         ds, hp, twins = self._setup()
         report = DivergenceReport.from_values(np.linspace(0.4, 0.99, len(ds)))
-        sel = uniform_select(report, ds.given_labels, 3, 0.0, d_cutoff=0.1)
+        sel = select_clean(report, ds.given_labels, 3, 0.0, d_cutoff=0.1)
         lx = training.loss_lx
 
         def infinite_lx(*args, **kwargs):
