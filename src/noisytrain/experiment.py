@@ -53,17 +53,26 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
     With ``start``, continue a finished run of the same data and settings
     from epoch ``len(start.rows)``, training its networks and their velocity
     rows further in place.  Every random draw is keyed by seed and epoch,
-    so the result is the one an uninterrupted run would give.  After each
+    so the result is the one an uninterrupted run would give.  A ``start``
+    of another arch, of networks not seeded from ``hp.seed``, or with more
+    rows than ``hp.total_epochs`` is refused before any epoch.  After each
     SSL epoch, ``on_epoch(epoch, halves)`` gets its two half-epoch records.
     """
     cutoff_params = cutoff_params or CutoffParams()
     flags = flags or AblationFlags()
+    arch = Arch(train_ds.dims, hidden, train_ds.num_classes, embed_dim)
     if start is None:
-        arch = Arch(train_ds.dims, hidden, train_ds.num_classes, embed_dim)
         twins = init_twins(arch, hp.seed)
         rows: list[EpochMetrics] = []
     else:
         twins, rows = start.twins, list(start.rows)
+        seeds, want = [twins.net1.seed, twins.net2.seed], [2 * hp.seed + 1, 2 * hp.seed + 2]
+        if twins.net1.arch != arch:
+            raise ValueError(f"start: arch {twins.net1.arch} is not this run's {arch}")
+        if seeds != want:
+            raise ValueError(f"start: network seeds {seeds} are not seed {hp.seed}'s {want}")
+        if len(rows) > hp.total_epochs:
+            raise ValueError(f"start: {len(rows)} rows, more than total_epochs {hp.total_epochs}")
 
     nets = (twins.net1, twins.net2)
 

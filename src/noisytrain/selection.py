@@ -11,6 +11,7 @@ over one group of all samples: the class-blind ablation baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,8 @@ class DistributionError(ValueError):
 class CutoffParams:
     """Filter coefficient tau, adjustment threshold d_mu, per-class quota rule."""
 
-    tau: float = setting(5.0, float, 1e-9, 1e9)
+    # tau > 1: at tau <= 1 the cutoff is at or below d_min and selects nothing
+    tau: float = setting(5.0, float, math.nextafter(1.0, math.inf), 1e9)
     d_mu: float = setting(0.7, float, 1e-9, 0.999999)
     quota_mode: str = setting("class_fraction", choices=("class_fraction", "dataset_fraction"))
 

@@ -8,17 +8,17 @@ most recent update always informs the split.  Within the half, clean
 batches get refined labels, noisy batches get sharpened pseudo-labels
 guessed by both networks, everything is mixed with MixUp, and the
 contrastive term pulls together the two strong views of each noisy
-sample.  A half with an empty noisy set mixes the clean entries
-among themselves, with ``lu = lc = 0``, and is flagged ``empty_noisy``; one
-with an empty clean set runs CE on the noisy set's given labels and is
+sample.  A half makes one step per clean batch: with an empty noisy set
+it mixes the clean entries among themselves, with ``lu = lc = 0``, and is
+flagged ``empty_noisy``; with an empty clean set it makes no step and is
 flagged ``empty_clean``.
 
 Label refinement and pseudo-label guessing are evaluation-mode forward
 passes: their outputs enter the losses as constants, never on the tape.
 
-Every SGD step, of warmup, of the empty-clean fallback and of an SSL half,
-goes through ``_sgd_steps``: one tape, one backward, one finiteness check
-and one update of the step's parameters packed into a row.
+Every SGD step, of warmup and of an SSL half, goes through ``_sgd_steps``:
+one tape, one backward, one finiteness check and one update of the step's
+parameters packed into a row.
 """
 
 from __future__ import annotations
@@ -490,16 +490,11 @@ def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
     noisy_batches = batch_iterator(sel.noisy_indices, hp.batch_size,
                                    (hp.seed, _S_NOISY, net_index), epoch)
 
-    if not clean_batches:
-        # no trusted samples: fall back to plain CE on the given labels
-        logger.warning("epoch %d net %d: clean set empty, falling back to CE on noisy set",
-                       epoch, net_index)
-        steps = _sgd_steps(net, hp, lr, THETA + PHI, noisy_batches,
-                           _ce_loss(net, ds, targets_full), (epoch, net_index, "empty_clean"))
-        return HalfEpochRecord(net_index, report, sel, _mean_losses(steps), "empty_clean")
-
     degenerate = None
-    if not noisy_batches:
+    if not clean_batches:   # one step per clean batch, so none
+        degenerate = "empty_clean"
+        logger.warning("epoch %d net %d: clean set empty, no step made", epoch, net_index)
+    elif not noisy_batches:
         degenerate = "empty_noisy"
         logger.warning("epoch %d net %d: noisy set empty, training on refined clean labels only",
                        epoch, net_index)

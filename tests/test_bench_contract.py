@@ -116,9 +116,9 @@ def test_one_backward_per_network_step(monkeypatch):
     def batches(indices):
         return -(-len(indices) // hp.batch_size)
 
-    def iterations(half):   # zip stops at the shorter list; an empty one is skipped
-        counts = [batches(half.selection.clean_indices), batches(half.selection.noisy_indices)]
-        return min(counts) if all(counts) else max(counts)
+    def iterations(half):   # zip stops at the shorter list; an empty noisy one is skipped
+        clean, noisy = batches(half.selection.clean_indices), batches(half.selection.noisy_indices)
+        return min(clean, noisy) if noisy else clean
     assert calls["warmup"] == 2 * batches(train.given_labels) * hp.warmup_epochs == 24
     assert len(halves) == 2 * (hp.total_epochs - hp.warmup_epochs)
     assert calls["ssl"] == sum(iterations(h) for h in halves) > 0

@@ -115,6 +115,9 @@ VALUE_CASES = [
                  _key("hyperparams", "total_epochs"), id="total-below-warmup"),
     pytest.param({"hyperparams": {"warmup_epochs": 400}},
                  _key("hyperparams", "total_epochs"), id="total-below-warmup-default"),
+    # tau <= 1 puts the cutoff at or below d_min, where selection admits nothing
+    *[pytest.param({"selection": {"tau": value}}, _key("selection", "tau") + ": ",
+                   id=f"tau-{value!r}") for value in (0.5, 1, 1.0)],
 ]
 
 KEY_CASES = [
@@ -155,6 +158,8 @@ DIRECT_PROBES = [
     _construction(Hyperparams, "probe-", kappa=math.inf),
     _construction(Hyperparams, "probe-", batch_size=2.5),
     _construction(CutoffParams, "probe-", tau=math.nan),
+    _construction(CutoffParams, "probe-", tau=1.0),
+    _construction(CutoffParams, "probe-", tau=0.5),
     _construction(AugmentationSpec, "probe-", weak_sigma=math.nan, strong_sigma=math.nan),
     _construction(Arch, "probe-", in_dim=2.5),
 ]

@@ -17,16 +17,18 @@ from noisytrain import experiment
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
 from noisytrain.model import ALL_GROUPS, layout, load_checkpoint, save_checkpoint
+from noisytrain.selection import CutoffParams
 from noisytrain.training import AblationFlags, Hyperparams
 
 HP = Hyperparams(warmup_epochs=2, total_epochs=6, batch_size=16, seed=3)
 
 
-def go(hp, start=None, flags=None, on_epoch=None):
-    train = inject_symmetric_noise(make_gaussian_blobs(3, 20, 4, 6.0, seed=3), 0.4, seed=3)
+def go(hp, start=None, flags=None, on_epoch=None, per_class=20, cutoff_params=None,
+       hidden=16, embed_dim=4):
+    train = inject_symmetric_noise(make_gaussian_blobs(3, per_class, 4, 6.0, seed=3), 0.4, seed=3)
     test = make_gaussian_blobs(3, 10, 4, 6.0, seed=4)
-    return run(train, test, hp, hidden=16, embed_dim=4, aug=AugmentationSpec(),
-               flags=flags, on_epoch=on_epoch, start=start)
+    return run(train, test, hp, hidden=hidden, embed_dim=embed_dim, aug=AugmentationSpec(),
+               cutoff_params=cutoff_params, flags=flags, on_epoch=on_epoch, start=start)
 
 
 def checkpoint_bytes(result, path):
@@ -55,6 +57,42 @@ def test_run_continued_from_mid_warmup_equals_uninterrupted(tmp_path):
     continued = go(hp, start=part)
     assert [r.phase for r in continued.rows] == ["warmup"] * 10 + ["ssl"]
     assert_same_run(continued, whole, tmp_path)
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(hidden=32, embed_dim=8), r"^start: arch Arch\(.*hidden=16.* is not this run's "
+                                   r"Arch\(.*hidden=32"),
+    (dict(hp=dataclasses.replace(HP, seed=9)), r"^start: network seeds \[7, 8\] are not "
+                                               r"seed 9's \[19, 20\]$"),
+    (dict(hp=dataclasses.replace(HP, total_epochs=1, warmup_epochs=1)),
+     r"^start: 2 rows, more than total_epochs 1$"),
+], ids=["arch", "seed", "rows"])
+def test_stale_start_refused_before_any_epoch(change, message):
+    part = go(dataclasses.replace(HP, total_epochs=HP.warmup_epochs))
+    before = [net.velocity.copy() for net in (part.twins.net1, part.twins.net2)]
+    with pytest.raises(ValueError, match=message):
+        go(**{"hp": HP, **change}, start=part)
+    # an SSL step would have updated them
+    assert [net.velocity.tolist() for net in (part.twins.net1, part.twins.net2)] == \
+        [v.tolist() for v in before]
+
+
+def test_empty_selection_makes_no_step(tmp_path):
+    """With tau just above 1 and d_mu near 0 the cutoff lies just above d_min,
+    so R is 1/90 and every class's quota rounds to 0: each SSL half is
+    flagged ``empty_clean`` and the networks end as warmup left them."""
+    cutoff = CutoffParams(tau=1.000001, d_mu=1e-9)
+    halves = []
+    whole = go(HP, per_class=30, cutoff_params=cutoff,
+               on_epoch=lambda epoch, records: halves.extend(records))
+    warm = go(dataclasses.replace(HP, total_epochs=HP.warmup_epochs), per_class=30)
+    assert len(halves) == 2 * (HP.total_epochs - HP.warmup_epochs)
+    assert all(h.degenerate == "empty_clean" and h.selection.filter_rate == 1 / 90 and
+               len(h.selection.clean_indices) == 0 for h in halves)
+    assert all(h.losses == dict.fromkeys(("lx", "lu", "lreg", "lc"), 0.0) for h in halves)
+    assert checkpoint_bytes(whole, tmp_path / "a.bin") == checkpoint_bytes(warm, tmp_path / "b.bin")
+    for got, want in ((whole.twins.net1, warm.twins.net1), (whole.twins.net2, warm.twins.net2)):
+        assert got.velocity.tobytes() == want.velocity.tobytes()
 
 
 def assert_same_run(continued, whole, tmp_path):

@@ -116,7 +116,9 @@ class TestComputeDivergences:
             divergences_from_probs(probs, labels)
 
 
-@pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"d_mu": 1.0}, {"quota_mode": "per_class"}])
+# at tau <= 1 the cutoff is at or below d_min, so selection would admit nothing
+@pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"d_mu": 1.0}, {"quota_mode": "per_class"},
+                                    {"tau": 0.5}, {"tau": 1.0}, {"tau": 1}])
 def test_cutoff_params_validated(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         CutoffParams(**kwargs)
