@@ -114,14 +114,12 @@ def pseudo_label_recall(probs: Matrix, ds: LabeledDataset, noisy_indices) -> flo
     idx = _checked_indices("noisy_indices", noisy_indices, len(ds))
     if idx.size == 0:
         raise ValueError("noisy set is empty")
-    predicted = probs.data[idx].argmax(axis=1)
+    predicted = probs.data.argmax(axis=1)[idx]
     true = ds.true_labels[idx]
-    recalls = []
-    for c in range(ds.num_classes):
-        members = true == c
-        if members.any():
-            recalls.append(float((predicted[members] == c).mean()))
-    return float(np.mean(recalls))
+    members = np.bincount(true, minlength=ds.num_classes)
+    hits = np.bincount(true[predicted == true], minlength=ds.num_classes)
+    present = members > 0
+    return float(np.mean(hits[present] / members[present]))
 
 
 def accuracy(probs: Matrix, labels) -> float:

@@ -101,19 +101,18 @@ def jsd(y, p) -> float:
 
 
 def divergences_from_probs(probs: Matrix, given_labels: np.ndarray) -> DivergenceReport:
-    """Vectorized jsd(one_hot(label), probs_row) over a whole dataset."""
-    P = probs.data
-    n, C = P.shape
+    """jsd(one_hot(label), row) for every row, read from the label's entry p.
+
+    Rows must be distributions, as ``jsd`` requires: each off-label entry p_j
+    has midpoint p_j / 2, so together they add (1 - p) * ln 2."""
+    n, C = probs.data.shape
     labels = _checked_indices("given_labels", given_labels, C)
     if len(labels) != n:
         raise ValueError(f"given_labels: {len(labels)} labels for {n} prediction rows")
-    Y = np.zeros((n, C))
-    Y[np.arange(n), labels] = 1.0
-    M = (Y + P) / 2.0
-    t_y = -np.log(M[np.arange(n), labels])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_p = np.where(P > 0.0, P * np.log(P / M), 0.0).sum(axis=1)
-    d = 0.5 * (t_y + t_p) / _LN2
+    p = probs.data[np.arange(n), labels]
+    m = (1.0 + p) / 2.0
+    t_p = p * np.log(np.where(p > 0.0, p / m, 1.0))   # p = 0 drops its term
+    d = (t_p - np.log(m) + (1.0 - p) * _LN2) / (2.0 * _LN2)
     return DivergenceReport.from_values(np.clip(d, 0.0, 1.0))
 
 

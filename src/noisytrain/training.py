@@ -72,7 +72,8 @@ class TrainingDivergedError(RuntimeError):
 class Hyperparams:
     """Every scalar training knob in one validated record."""
 
-    T: float = setting(0.5, float, 1e-9, 1e9)
+    # T >= 0.01: a row's largest entry (>= 1/1000 classes) stays >= 1e-300 in sharpen
+    T: float = setting(0.5, float, 0.01, 1e9)
     lambda_u: float = setting(30.0, float, 0.0, 1e9)
     lambda_c: float = setting(0.025, float, 0.0, 1e9)
     lambda_r: float = setting(1.0, float, 0.0, 1e9)

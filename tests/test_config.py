@@ -118,6 +118,8 @@ VALUE_CASES = [
     # tau <= 1 puts the cutoff at or below d_min, where selection admits nothing
     *[pytest.param({"selection": {"tau": value}}, _key("selection", "tau") + ": ",
                    id=f"tau-{value!r}") for value in (0.5, 1, 1.0)],
+    # below T = 0.01, sharpen can underflow a whole row to 0 and divide 0 by 0
+    pytest.param({"hyperparams": {"T": 0.001}}, _key("hyperparams", "T") + ": ", id="T-0.001"),
 ]
 
 KEY_CASES = [
@@ -157,6 +159,7 @@ DIRECT_PROBES = [
     _construction(Hyperparams, "probe-", weight_decay=-1.0),
     _construction(Hyperparams, "probe-", kappa=math.inf),
     _construction(Hyperparams, "probe-", batch_size=2.5),
+    _construction(Hyperparams, "probe-", T=0.001),
     _construction(CutoffParams, "probe-", tau=math.nan),
     _construction(CutoffParams, "probe-", tau=1.0),
     _construction(CutoffParams, "probe-", tau=0.5),

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,35 @@ class TestJsd:
             onehot = np.zeros(c)
             onehot[labels[i]] = 1.0
             assert report.d[i] == pytest.approx(jsd(onehot, probs[i]), abs=1e-12)
+
+    def test_closed_form_matches_scalar_oracle(self, rng):
+        rows = []
+        for conc in (0.05, 1.0, 10.0):
+            for _ in range(100):
+                c = int(rng.integers(2, 13))
+                rows.append((rng.dirichlet(np.full(c, conc)), int(rng.integers(0, c))))
+        rows += [([0.0, 0.3, 0.7], 0), ([1.0, 0.0, 0.0], 0), ([0.0, 1.0, 0.0], 0),
+                 ([0.0, 1.0], 1), ([0.0, 0.0, 0.0, 1.0], 2), ([0.5, 0.5], 0),
+                 (np.full(7, 1 / 7), 3), (np.full(12, 1 / 12), 11)]
+        for row, label in rows:
+            row = np.asarray(row, dtype=np.float64)
+            onehot = np.zeros(row.size)
+            onehot[label] = 1.0
+            d = divergences_from_probs(wrap(row[None, :]), [label]).d[0]
+            assert abs(d - jsd(onehot, row)) <= 1e-15, (row, label)
+
+    def test_reads_no_full_size_temporary(self, rng):
+        # one 20,000 x 50 float64 array is 8 MB; the call needs only per-row vectors
+        n, c = 20_000, 50
+        probs = wrap(rng.dirichlet(np.ones(c), size=n))
+        labels = rng.integers(0, c, size=n)
+        tracemalloc.start()
+        try:
+            divergences_from_probs(probs, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * c * 8
 
 
 class TestComputeDivergences:

@@ -56,6 +56,12 @@ class TestSharpen:
         p = Matrix([[0.0, 1.0, 0.0]])
         assert np.array_equal(sharpen(p, 0.5).data, p.data)
 
+    def test_smallest_declared_temperature_keeps_uniform_row(self):
+        # Hyperparams' lowest T, on a row of DatasetConfig's most classes
+        out = sharpen(Matrix(np.full((1, 1000), 1e-3)), Hyperparams(T=0.01).T)
+        assert np.all(np.isfinite(out.data)) and np.all(out.data == out.data[0, 0])
+        assert out.data[0, 0] == pytest.approx(1e-3, rel=1e-12)
+
     @pytest.mark.parametrize("T", [float("nan"), True, 0.0, -1.0, float("inf"), "0.5"])
     def test_bad_temperature_is_named(self, T):
         with pytest.raises(ValueError, match="^T: "):
