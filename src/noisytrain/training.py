@@ -23,10 +23,9 @@ parameters packed into a row.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,6 +95,9 @@ class Hyperparams:
             raise ValueError("total_epochs must be >= warmup_epochs")
 
 
+_T_RANGE = next(f for f in fields(Hyperparams) if f.name == "T").metadata["range"]
+
+
 @dataclass(frozen=True)
 class AblationFlags:
     """Switchable pieces of the pipeline; all on for the full method."""
@@ -130,8 +132,7 @@ def refinement_weights(d: np.ndarray, d_omega: float) -> np.ndarray:
 
 def sharpen(p: Matrix, T: float) -> Matrix:
     """Raise each row to 1/T and renormalize; T < 1 concentrates mass."""
-    if not 0.0 < _check_number("T", T, float) < math.inf:
-        raise ValueError(f"T: {T!r} must be finite and > 0")
+    T = _check_number("T", T, float, *_T_RANGE)
     powered = p.data ** (1.0 / T)
     return kernel.wrap(powered / powered.sum(axis=1, keepdims=True))
 
@@ -278,16 +279,6 @@ def loss_reg(logits: Matrix, num_classes: int, tape: GradientTape | None = None)
     return kernel.record(tape, (logits,), kernel.wrap(out), bwd)
 
 
-@functools.lru_cache(maxsize=2)
-def _pair_mask(n: int) -> np.ndarray:
-    """The n x n positive-pair indicator (2b with 2b+1); shared, so read-only."""
-    mask = np.zeros((n, n))
-    idx = np.arange(n)
-    mask[idx, idx ^ 1] = 1.0
-    mask.flags.writeable = False
-    return mask
-
-
 def loss_contrastive(embeddings: Matrix, kappa: float, tape: GradientTape | None = None) -> Matrix:
     """Normalized-temperature cross-entropy over interleaved positive pairs.
 
@@ -305,30 +296,29 @@ def loss_contrastive(embeddings: Matrix, kappa: float, tape: GradientTape | None
     c = 1.0 / kappa
     sim = z @ z_t
     sim *= c
-    # row-wise log-sum-exp over the off-diagonal similarities
-    masked = sim.copy()
-    np.fill_diagonal(masked, -np.inf)
-    row_max = masked.max(axis=1, keepdims=True)
-    e = masked - row_max
-    np.exp(e, out=e)
-    np.fill_diagonal(e, 0.0)
-    lse = row_max + np.log(e.sum(axis=1, keepdims=True))
-    pairs = _pair_mask(n)
-    sim *= pairs
-    diff = np.array([[lse.sum()]]) - np.array([[sim.sum()]])
+    # the positives are the two pair bands, (2b, 2b+1) and (2b+1, 2b)
+    stride = 2 * n + 2
+    pos = np.stack((sim.flat[1::stride], sim.flat[n::stride]))
+    # row-wise log-sum-exp over the off-diagonal similarities; exp(-inf) = 0
+    np.fill_diagonal(sim, -np.inf)
+    row_max = sim.max(axis=1, keepdims=True)
+    sim -= row_max
+    e = np.exp(sim, out=sim)
+    s = e.sum(axis=1, keepdims=True)
+    lse = row_max + np.log(s)
+    diff = np.array([[lse.sum()]]) - np.array([[pos.sum()]])
     out = diff * (1.0 / n)
 
     def bwd(g, tracked):
-        g_diff = g * (1.0 / n)
-        g_sim = pairs * (-g_diff)[0, 0]
-        w = masked - lse
-        np.exp(w, out=w)
-        np.fill_diagonal(w, 0.0)
-        w *= g_diff[0, 0]
-        g_sim += w
-        g_sim *= c
-        g_z = g_sim @ z_t.T
-        g_z += (z.T @ g_sim).T
+        g_diff = (g * (1.0 / n))[0, 0]
+        # a tape replays once, so the exponentials become the softmax weights in place
+        w = np.divide(e, s, out=e)
+        w *= g_diff
+        w.flat[1::stride] -= g_diff
+        w.flat[n::stride] -= g_diff
+        w *= c
+        g_z = w @ z_t.T
+        g_z += (z.T @ w).T
         return (g_z,)
 
     return kernel.record(tape, (embeddings,), kernel.wrap(out), bwd)

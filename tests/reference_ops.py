@@ -125,15 +125,32 @@ def lse_offdiag_rows(a: Matrix, tape: GradientTape | None = None) -> Matrix:
     np.fill_diagonal(masked, -np.inf)
     m = masked.max(axis=1, keepdims=True)
     e = np.exp(masked - m)
-    np.fill_diagonal(e, 0.0)
-    lse = m + np.log(e.sum(axis=1, keepdims=True))
+    s = e.sum(axis=1, keepdims=True)
+    lse = m + np.log(s)
 
     def bwd(g, tracked):
-        w = np.exp(masked - lse)
-        np.fill_diagonal(w, 0.0)
-        return (g * w,)
+        return (g * (e / s),)   # the softmax weights, from the forward's exponentials
 
     return record(tape, (a,), wrap(lse), bwd)
+
+
+def pair_bands(a: Matrix, tape: GradientTape | None = None) -> Matrix:
+    """The entries (2b, 2b+1) and (2b+1, 2b) of an n x n matrix, n even, as
+    a 2 x n/2 matrix: row 0 the upper band, row 1 the lower.  Used to read
+    the positive pairs of interleaved two-view similarities."""
+    n = a.rows
+    if a.cols != n or n % 2 != 0:
+        raise ShapeMismatchError(f"pair_bands needs an even square matrix, got {a.shape}")
+    stride = 2 * n + 2
+    bands = np.stack((a.data.flat[1::stride], a.data.flat[n::stride]))
+
+    def bwd(g, tracked):
+        out = np.zeros((n, n))
+        out.flat[1::stride] = g[0]
+        out.flat[n::stride] = g[1]
+        return (out,)
+
+    return record(tape, (a,), wrap(bands), bwd)
 
 
 def l2_normalize_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:

@@ -75,13 +75,10 @@ def ref_loss_contrastive(embeddings, kappa, tape=None):
     n = embeddings.rows
     if n == 0:
         return Matrix([[0.0]])
-    mask = np.zeros((n, n))
-    idx = np.arange(n)
-    mask[idx, idx ^ 1] = 1.0
     sim = ref.matmul(embeddings, ref.transpose(embeddings, tape), tape)
     sim_t = ref.scale(sim, 1.0 / kappa, tape)
     denom = ref.sum_all(ref.lse_offdiag_rows(sim_t, tape), tape)
-    pos = ref.sum_all(ref.mul(sim_t, Matrix(mask), tape), tape)
+    pos = ref.sum_all(ref.pair_bands(sim_t, tape), tape)
     return ref.scale(ref.sub(denom, pos, tape), 1.0 / n, tape)
 
 

@@ -148,13 +148,3 @@ def test_forward_softmax_equals_softmax_rows_of_logits(seed):
     x = Matrix(rng.standard_normal((int(rng.integers(1, 130)), arch.in_dim)) * 3.0)
     expected = ref.softmax_rows(forward_logits(net, x)).data
     assert forward_softmax(net, x).data.tobytes() == expected.tobytes()
-
-
-def test_pair_mask_is_cached_and_read_only():
-    for n in (2, 8, 128):
-        mask = training._pair_mask(n)
-        assert training._pair_mask(n) is mask
-        assert not mask.flags.writeable
-        assert mask.sum() == n and (mask == mask.T).all()
-        with pytest.raises(ValueError, match="read-only"):
-            mask[0, 0] = 1.0

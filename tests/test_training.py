@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -62,7 +63,8 @@ class TestSharpen:
         assert np.all(np.isfinite(out.data)) and np.all(out.data == out.data[0, 0])
         assert out.data[0, 0] == pytest.approx(1e-3, rel=1e-12)
 
-    @pytest.mark.parametrize("T", [float("nan"), True, 0.0, -1.0, float("inf"), "0.5"])
+    @pytest.mark.parametrize("T", [float("nan"), True, 0.0, -1.0, float("inf"), "0.5",
+                                   0.001, 0.0099])
     def test_bad_temperature_is_named(self, T):
         with pytest.raises(ValueError, match="^T: "):
             sharpen(Matrix([[0.8, 0.2]]), T)
@@ -295,6 +297,63 @@ class TestLossValues:
 
     def test_contrastive_empty_batch_zero(self):
         assert loss_contrastive(Matrix(np.zeros((0, 3))), 0.05).item() == 0.0
+
+    @staticmethod
+    def _nt_xent_long_double(z: np.ndarray, kappa: float):
+        """NT-Xent from its definition, in long double: the mean over rows i
+        of -log(exp(s_ip) / sum_{j != i} exp(s_ij)), s = z z^T / kappa, p the
+        other view of i; and its gradient in z."""
+        z = z.astype(np.longdouble)
+        n = len(z)
+        sim = (z @ z.T) / np.longdouble(kappa)
+        idx = np.arange(n)
+        partner = idx ^ 1
+        ratio = np.exp(sim - sim[idx, partner][:, None])
+        ratio[idx, idx] = 0
+        denom = ratio.sum(axis=1, keepdims=True)
+        loss = np.log(denom).mean()
+        d_sim = ratio / denom   # dL/ds_ij, times n
+        d_sim[idx, partner] -= 1
+        return loss, (d_sim + d_sim.T) @ z / (n * np.longdouble(kappa))
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.05, 10.0])
+    @pytest.mark.parametrize("n", [2, 4, 16, 128])
+    def test_contrastive_matches_long_double_definition(self, n, kappa):
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=(n, 8))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        tape = GradientTape()
+        zm = Matrix(z)
+        tape.watch(zm)
+        loss = loss_contrastive(zm, kappa, tape)
+        grad = backward(tape, loss)[zm].data
+        want_loss, want_grad = self._nt_xent_long_double(z, kappa)
+        assert abs(loss.item() - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+    def test_contrastive_holds_under_three_square_arrays(self, monkeypatch):
+        # one forward and backward: a single n x n exponential, no mask and no copy
+        n = 512
+        z = np.random.default_rng(0).normal(size=(n, 32))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        tape = GradientTape()
+        zm = Matrix(z)
+        tape.watch(zm)
+        exp = np.exp
+        square_exps = []
+
+        def counting_exp(x, *args, **kwargs):
+            square_exps.append(np.size(x) == n * n)
+            return exp(x, *args, **kwargs)
+        monkeypatch.setattr(np, "exp", counting_exp)
+        tracemalloc.start()
+        try:
+            backward(tape, loss_contrastive(zm, 0.05, tape))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert square_exps.count(True) == 1
+        assert peak < 3 * n * n * 8
 
     def test_total_loss_combinations(self):
         hp = Hyperparams()
