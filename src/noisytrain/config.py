@@ -107,8 +107,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     sections = {}
     for section, cls in _SECTIONS.items():
         values = given[section]
-        flip_map = values.get("flip_map")
-        if flip_map is not None:   # in "noise", which is built after "dataset"
+        flip_map = values.get("flip_map")   # in "noise", which is built after "dataset"
+        if flip_map is not None and values.get("kind") == "asymmetric":   # else NoiseSpec refuses
             if not isinstance(flip_map, list):
                 raise ConfigValueError("noise.flip_map: expected a list of class indices")
             try:

@@ -11,8 +11,8 @@ the model after the epoch's updates.
 ``run`` is the one owner of the current predictions.  It evaluates both
 networks on the train set after each warmup epoch (or at the first SSL
 epoch of a continuation), one network again right after its half, and
-both on the test set once per epoch; selection and every metric read
-these arrays and their ``ensemble_softmax``, averaged once per state.
+both on the test set once per epoch; selection, metrics and ``on_epoch``
+read these read-only arrays and their ``ensemble_softmax``, one per state.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
         hidden: int, embed_dim: int, aug: AugmentationSpec,
         cutoff_params: CutoffParams | None = None,
         flags: AblationFlags | None = None,
-        on_epoch: Callable[[int, list[HalfEpochRecord]], None] | None = None,
+        on_epoch: Callable[[EpochMetrics, list[HalfEpochRecord], tuple, tuple], None] | None = None,
         start: RunResult | None = None) -> RunResult:
     """Train twin networks for hp.total_epochs and log metrics per epoch.
 
@@ -55,8 +55,10 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
     rows further in place.  Every random draw is keyed by seed and epoch,
     so the result is the one an uninterrupted run would give.  A ``start``
     of another arch, of networks not seeded from ``hp.seed``, or with more
-    rows than ``hp.total_epochs`` is refused before any epoch.  After each
-    SSL epoch, ``on_epoch(epoch, halves)`` gets its two half-epoch records.
+    rows than ``hp.total_epochs`` is refused before any epoch.  After every
+    epoch, warmup included, ``on_epoch(row, halves, train, test)`` gets the
+    row, its half-epoch records (none in warmup) and the train- and test-set
+    ``(per-network softmaxes, ensemble)`` it read, which no later epoch changes.
     """
     cutoff_params = cutoff_params or CutoffParams()
     flags = flags or AblationFlags()
@@ -76,21 +78,21 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
 
     nets = (twins.net1, twins.net2)
 
-    def evaluate(ds: LabeledDataset) -> tuple[list[Matrix], Matrix]:
+    def evaluate(ds: LabeledDataset) -> tuple[tuple[Matrix, ...], Matrix]:
         """Each network's softmax on ``ds``, and their ensemble."""
-        probs = [forward_softmax(net, ds.features) for net in nets]
+        probs = tuple(forward_softmax(net, ds.features) for net in nets)
         return probs, ensemble_softmax(*probs)
 
     train = None   # evaluate(train_ds) of the networks' current state
     for epoch in range(len(rows), hp.total_epochs):
+        halves = []
         if epoch < hp.warmup_epochs:
             logged = dict(phase="warmup", loss_lx=warmup_train(twins, train_ds, hp, epoch))
             train = evaluate(train_ds)
         else:
             if train is None:   # the first SSL epoch of a continuation
                 train = evaluate(train_ds)
-            probs, ens = train
-            halves = []
+            (probs, ens), train = train, None   # a replaced state is freed unless a reader kept it
             for k, net in enumerate(nets):
                 report, sel = select_for_network(ens if flags.ensemble else probs[k], train_ds,
                                                  cutoff_params, flags)
@@ -99,11 +101,9 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
                         ens, train_ds, sel.noisy_indices)
                 halves.append(train_half_epoch(twins, k + 1, train_ds, hp, aug, flags,
                                                epoch, report, sel))
-                probs[k] = forward_softmax(net, train_ds.features)
+                probs = probs[:k] + (forward_softmax(net, train_ds.features),) + probs[k + 1:]
                 ens = ensemble_softmax(*probs)
             train = probs, ens
-            if on_epoch is not None:
-                on_epoch(epoch, halves)
 
             report, sel = halves[0].report, halves[0].selection
             precision, recall = selection_precision_recall(sel, train_ds)
@@ -117,8 +117,10 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
                           precision=precision, recall=recall, roc_auc=auc,
                           pseudo_recall=p_recall, loss_lx=lx, loss_lu=lu, loss_reg=lreg,
                           loss_lc=lc, class_counts=[int(c) for c in sel.class_counts])
+        test = evaluate(test_ds)
         rows.append(EpochMetrics(
-            epoch=epoch, **logged,
-            test_acc=accuracy(evaluate(test_ds)[1], test_ds.true_labels),
+            epoch=epoch, **logged, test_acc=accuracy(test[1], test_ds.true_labels),
             train_acc_given=accuracy(train[1], train_ds.given_labels)))
+        if on_epoch is not None:
+            on_epoch(rows[-1], halves, train, test)
     return RunResult(twins=twins, rows=rows)

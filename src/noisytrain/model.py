@@ -203,11 +203,11 @@ def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
     block's two hidden activations go into the leading rows of a workspace
     kept for the hidden width, so repeated passes allocate no activations,
     and its logits go straight into its rows of the new output array, where
-    the softmax is taken in place.  Nothing returned aliases the workspace.
-    The products, bias adds and ReLUs are those of an untaped
-    ``forward_logits`` of the block, so the bits are the same.  Blocks may
-    round differently from one tall product; README's determinism notes say
-    where they match.
+    the softmax is taken in place; the array is then made read-only, and
+    nothing returned aliases the workspace.  The products, bias adds and
+    ReLUs are those of an untaped ``forward_logits`` of the block, so the
+    bits are the same.  Blocks may round differently from one tall product;
+    README's determinism notes say where they match.
     """
     _check_input(net, x)
     w1, b1, w2, b2, wc, bc = (net.params[n].data for n in THETA + PHI)
@@ -220,6 +220,7 @@ def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
         logits = np.matmul(h, wc, out=probs[start:start + n])
         logits += bc
         softmax_in_place(logits)
+    probs.flags.writeable = False
     return kernel.wrap(probs)
 
 
@@ -247,9 +248,10 @@ def forward_projection(net: NetworkParams, x: Matrix, tape: GradientTape | None 
 
 
 def ensemble_softmax(s1: Matrix, s2: Matrix) -> Matrix:
-    """Elementwise mean of two networks' softmax outputs, as a checked ``Matrix``,
-    so a non-finite prediction stops here."""
-    return Matrix((s1.data + s2.data) / 2.0)
+    """Two softmaxes' mean as a read-only ``Matrix``; a non-finite one stops here."""
+    out = Matrix((s1.data + s2.data) / 2.0)
+    out.data.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------

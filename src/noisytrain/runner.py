@@ -134,10 +134,10 @@ def _train(cfg: ExperimentConfig, train: LabeledDataset, test: LabeledDataset,
     """Run cfg's training (continuing ``start``, if given); write its outputs."""
     on_epoch = None
     if export_selection:
-        def on_epoch(epoch, halves):
+        def on_epoch(row, halves, *_):   # a warmup epoch has no halves
             for half in halves:
                 path = os.path.join(cfg.output_dir,
-                                    f"selection_epoch{epoch:03d}_net{half.net_index}.csv")
+                                    f"selection_epoch{row.epoch:03d}_net{half.net_index}.csv")
                 export_selection_csv(half.selection, half.report, train.given_labels, path)
 
     result = run(train, test, cfg.hyperparams, cfg.arch.hidden, cfg.arch.embed_dim,

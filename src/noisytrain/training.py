@@ -114,7 +114,6 @@ class AblationFlags:
 class MixedBatch:
     inputs: Matrix
     targets: Matrix
-    lambda_prime: np.ndarray
 
 
 def one_hot(labels, num_classes: int) -> Matrix:
@@ -171,7 +170,7 @@ def mixup_with_lambda(x1: Matrix, t1: Matrix, x2: Matrix, t2: Matrix, lam: np.nd
     inputs += rest * x2.data
     targets = lam * t1.data
     targets += rest * t2.data
-    return MixedBatch(kernel.wrap(inputs), kernel.wrap(targets), lam.ravel())
+    return MixedBatch(kernel.wrap(inputs), kernel.wrap(targets))
 
 
 def mixup(x1: Matrix, t1: Matrix, x2: Matrix, t2: Matrix, alpha: float,

@@ -111,7 +111,7 @@ def test_one_backward_per_network_step(monkeypatch):
     monkeypatch.setattr(experiment, "warmup_train", warmup)
     halves = []
     experiment.run(train, test, hp, hidden=16, embed_dim=4, aug=AugmentationSpec(),
-                   on_epoch=lambda epoch, records: halves.extend(records))
+                   on_epoch=lambda row, records, train, test: halves.extend(records))
 
     def batches(indices):
         return -(-len(indices) // hp.batch_size)

@@ -103,6 +103,10 @@ VALUE_CASES = [
                    _key("noise", "flip_map") + r": .*class 0 must be an integer, got \w+ ",
                    id=f"flip_map-{value!r}")
       for value in ([1.0, 2, 0], [1.5, 2, 0], [True, 2, 0], ["1", 2, 0])],
+    # with symmetric noise the fault is the map itself, whatever its entries
+    *[pytest.param({"noise": {"flip_map": value}},
+                   f"^{_key('noise', 'flip_map')} is only for asymmetric noise, not symmetric$",
+                   id=f"flip_map-symmetric-{value!r}") for value in ([1, 0], "x")],
     pytest.param({"dataset": {"num_classes": 4},
                   "noise": {"kind": "asymmetric", "flip_map": [1.5, 2.9, True, 0]}},
                  _key("noise", "flip_map") + ": .*must be an integer, got float 1.5",

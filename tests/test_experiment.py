@@ -16,17 +16,23 @@ import pytest
 from noisytrain import experiment
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
-from noisytrain.model import ALL_GROUPS, layout, load_checkpoint, save_checkpoint
+from noisytrain.metrics import accuracy
+from noisytrain.model import (ALL_GROUPS, ensemble_softmax, layout, load_checkpoint,
+                              save_checkpoint)
 from noisytrain.selection import CutoffParams
 from noisytrain.training import AblationFlags, Hyperparams
 
 HP = Hyperparams(warmup_epochs=2, total_epochs=6, batch_size=16, seed=3)
 
 
+def datasets(per_class=20):
+    train = inject_symmetric_noise(make_gaussian_blobs(3, per_class, 4, 6.0, seed=3), 0.4, seed=3)
+    return train, make_gaussian_blobs(3, 10, 4, 6.0, seed=4)
+
+
 def go(hp, start=None, flags=None, on_epoch=None, per_class=20, cutoff_params=None,
        hidden=16, embed_dim=4):
-    train = inject_symmetric_noise(make_gaussian_blobs(3, per_class, 4, 6.0, seed=3), 0.4, seed=3)
-    test = make_gaussian_blobs(3, 10, 4, 6.0, seed=4)
+    train, test = datasets(per_class)
     return run(train, test, hp, hidden=hidden, embed_dim=embed_dim, aug=AugmentationSpec(),
                cutoff_params=cutoff_params, flags=flags, on_epoch=on_epoch, start=start)
 
@@ -84,7 +90,7 @@ def test_empty_selection_makes_no_step(tmp_path):
     cutoff = CutoffParams(tau=1.000001, d_mu=1e-9)
     halves = []
     whole = go(HP, per_class=30, cutoff_params=cutoff,
-               on_epoch=lambda epoch, records: halves.extend(records))
+               on_epoch=lambda row, records, train, test: halves.extend(records))
     warm = go(dataclasses.replace(HP, total_epochs=HP.warmup_epochs), per_class=30)
     assert len(halves) == 2 * (HP.total_epochs - HP.warmup_epochs)
     assert all(h.degenerate == "empty_clean" and h.selection.filter_rate == 1 / 90 and
@@ -147,10 +153,12 @@ def test_each_ssl_epoch_selects_then_trains_each_half(monkeypatch):
     monkeypatch.setattr(experiment, "select_for_network", logged_select)
     monkeypatch.setattr(experiment, "train_half_epoch", logged_half)
     seen = []
-    result = go(HP, on_epoch=lambda epoch, halves: seen.append((epoch, halves)))
+    result = go(HP, on_epoch=lambda row, halves, train, test: seen.append((row.epoch, halves)))
 
     ssl_epochs = range(HP.warmup_epochs, HP.total_epochs)
-    assert [epoch for epoch, _ in seen] == list(ssl_epochs)
+    assert [epoch for epoch, _ in seen] == list(range(HP.total_epochs))
+    assert all(halves == [] for _, halves in seen[:HP.warmup_epochs])   # warmup has no halves
+    seen = seen[HP.warmup_epochs:]
     assert len(calls) == 4 * len(ssl_epochs)
     for i, (epoch, halves) in enumerate(seen):
         s1, h1, s2, h2 = calls[4 * i:4 * i + 4]
@@ -163,3 +171,87 @@ def test_each_ssl_epoch_selects_then_trains_each_half(monkeypatch):
         row, sel = result.rows[epoch], s1[2][1]
         assert (row.filter_rate, row.d_cutoff) == (sel.filter_rate, sel.d_cutoff)
         assert row.class_counts == sel.class_counts.tolist()
+
+
+def states(train, test):
+    """The matrices of a train and a test prediction state, in a fixed order."""
+    return [m for probs, ens in (train, test) for m in (*probs, ens)]
+
+
+def test_observer_sees_every_epoch_with_its_row_and_predictions():
+    """``on_epoch`` fires once per epoch, in order and warmup included, with the
+    row just logged, no halves in warmup and one per network in SSL, and the
+    train- and test-set predictions that the row's accuracies were read from."""
+    train_ds, test_ds = datasets()
+    calls = []
+    result = go(HP, on_epoch=lambda *args: calls.append(args))
+    assert len(calls) == HP.total_epochs
+    assert all(row is logged for (row, *_), logged in zip(calls, result.rows))
+    for row, halves, train, test in calls:
+        ssl = row.epoch >= HP.warmup_epochs
+        assert [h.net_index for h in halves] == ([1, 2] if ssl else [])
+        for (probs, ens), ds in ((train, train_ds), (test, test_ds)):
+            assert len(probs) == 2 and all(m.shape == (len(ds.true_labels), 3)
+                                           for m in (*probs, ens))
+            assert ens.data.tobytes() == ensemble_softmax(*probs).data.tobytes()
+        assert row.train_acc_given == accuracy(train[1], train_ds.given_labels)
+        assert row.test_acc == accuracy(test[1], test_ds.true_labels)
+
+    # a continuation's observer starts at the continuation's first epoch
+    seen = []
+    go(HP, start=go(dataclasses.replace(HP, total_epochs=3)),
+       on_epoch=lambda row, *_: seen.append(row.epoch))
+    assert seen == list(range(3, HP.total_epochs))
+
+
+def test_observer_reads_per_class_accuracy_without_another_evaluation(monkeypatch):
+    """Warmup-end per-class test accuracy is read from the observer's test
+    ensemble, and the run evaluates the same networks on the same rows with
+    the observer as without it."""
+    _, test_ds = datasets()
+    evaluations = []
+    forward = experiment.forward_softmax
+
+    def logged_forward(net, x):
+        evaluations.append((net.seed, x.data.tobytes()))
+        return forward(net, x)
+    monkeypatch.setattr(experiment, "forward_softmax", logged_forward)
+    go(HP)
+    plain, evaluations[:] = list(evaluations), []
+    warm_end = {}
+
+    def observe(row, halves, train, test):
+        if row.epoch == HP.warmup_epochs - 1:
+            predicted = test[1].data.argmax(axis=1)
+            warm_end["ens"] = test[1].data.tobytes()
+            warm_end["per_class"] = [float((predicted[test_ds.true_labels == c] == c).mean())
+                                     for c in range(3)]
+            warm_end["acc"] = row.test_acc
+    go(HP, on_epoch=observe)
+    assert evaluations == plain
+
+    # the same ensemble a separate evaluation of the warmed-up networks gives
+    warm = go(dataclasses.replace(HP, total_epochs=HP.warmup_epochs)).twins
+    again = ensemble_softmax(forward(warm.net1, test_ds.features),
+                             forward(warm.net2, test_ds.features))
+    assert warm_end["ens"] == again.data.tobytes()
+    # 10 test samples per class, so the overall accuracy is the per-class mean
+    assert np.mean(warm_end["per_class"]) == pytest.approx(warm_end["acc"], abs=1e-12)
+
+
+def test_observed_predictions_are_read_only_and_kept_states_never_change():
+    """Writing into an observed prediction raises ``ValueError``, and a state
+    kept from an epoch holds the same bytes when the run has ended."""
+    kept = []
+
+    def observe(row, halves, train, test):
+        for m in states(train, test):
+            with pytest.raises(ValueError, match="read-only"):
+                m.data[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                m.data *= 2.0
+        kept.append((train, test, [m.data.tobytes() for m in states(train, test)]))
+    go(HP, on_epoch=observe)
+    assert len(kept) == HP.total_epochs
+    for train, test, raw in kept:
+        assert [m.data.tobytes() for m in states(train, test)] == raw

@@ -306,6 +306,17 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="finite"):
             ensemble_softmax(probs, bad)
 
+    def test_predictions_are_read_only(self):
+        """No reader can write into a prediction that a run goes on reading."""
+        twins = init_twins(ARCH, seed=0)
+        x = Matrix(np.random.default_rng(10).normal(size=(5, 5)))
+        s1, s2 = forward_softmax(twins.net1, x), forward_softmax(twins.net2, x)
+        for m in (s1, s2, ensemble_softmax(s1, s2)):
+            with pytest.raises(ValueError, match="read-only"):
+                m.data[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                np.exp(m.data, out=m.data)
+
     def test_twins_never_share_parameters(self):
         twins = init_twins(ARCH, seed=0)
         assert twins.net1.params["w1"].data.tobytes() != twins.net2.params["w1"].data.tobytes()

@@ -172,10 +172,12 @@ class TestMixup:
         assert np.allclose(out.targets.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_lambda_prime_at_least_half(self):
+        # mixing targets [1, 0] with [0, 1] leaves each row's lambda' as its first target
         x = Matrix(np.zeros((200, 2)))
-        t = Matrix(np.tile([1.0, 0.0], (200, 1)))
-        out = mixup(x, t, x, t, alpha=4.0, rng=np.random.default_rng(4))
-        assert np.all((out.lambda_prime >= 0.5) & (out.lambda_prime <= 1.0))
+        t1, t2 = Matrix(np.tile([1.0, 0.0], (200, 1))), Matrix(np.tile([0.0, 1.0], (200, 1)))
+        out = mixup(x, t1, x, t2, alpha=4.0, rng=np.random.default_rng(4))
+        lam = out.targets.data[:, 0]
+        assert np.all((lam >= 0.5) & (lam <= 1.0))
 
 
 class TestMixmatchAssemble:
@@ -196,12 +198,15 @@ class TestMixmatchAssemble:
         mx, _ = mixmatch_assemble(xi, xt, ui, ut, 4.0, np.random.default_rng(1))
         union = np.vstack([xi.data, ui.data])
         for i in range(4):
-            lam = mx.lambda_prime[i]
-            if lam == 1.0:
+            moved = mx.inputs.data[i] - xi.data[i]
+            if not moved.any():   # lambda' == 1, or mixed with itself
                 continue
-            partner = (mx.inputs.data[i] - lam * xi.data[i]) / (1 - lam)
-            dists = np.abs(union - partner).max(axis=1)
-            assert dists.min() < 1e-8
+            # the partner's weight 1 - lambda' along the step from x_i to each union row
+            steps = union - xi.data[i]
+            weight = steps @ moved / np.maximum((steps * steps).sum(axis=1), 1e-300)
+            miss = np.abs(steps * weight[:, None] - moved).max(axis=1)
+            j = miss.argmin()
+            assert miss[j] < 1e-8 and 0.0 < weight[j] <= 0.5
 
     def test_deterministic_given_seed(self, rng):
         xi, xt = self._entries(rng, 4)
@@ -226,7 +231,6 @@ class TestMixmatchAssemble:
         ref = mixup(xi, xt, Matrix(xi.data[perm]), Matrix(xt.data[perm]), 4.0, ref_rng)
         assert mx.inputs.data.tobytes() == ref.inputs.data.tobytes()
         assert mx.targets.data.tobytes() == ref.targets.data.tobytes()
-        assert mx.lambda_prime.tobytes() == ref.lambda_prime.tobytes()
         assert mu.inputs.shape == (0, 3) and mu.targets.shape == (0, 2)
 
 
