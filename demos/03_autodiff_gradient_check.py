@@ -17,7 +17,7 @@ rng = np.random.default_rng(0)
 arch = Arch(in_dim=5, hidden=8, num_classes=3, embed_dim=4)
 net = init_network(arch, seed=1)
 x = Matrix(rng.normal(size=(6, 5)))
-targets = Matrix(rng.dirichlet(np.ones(3), size=6))
+targets = rng.dirichlet(np.ones(3), size=6)   # a plain array: a constant, never on the tape
 hp = Hyperparams()
 
 

@@ -11,7 +11,7 @@ defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .data import AugmentationSpec, NoiseSpec, check_settings, setting, validate_flip_map
 from .selection import CutoffParams
@@ -70,6 +70,16 @@ class ExperimentConfig:
     ablation: AblationFlags = field(default_factory=AblationFlags)
     output_dir: str = "runs/experiment"
 
+    def __post_init__(self):   # the rules that span sections
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValueError("output_dir: expected a non-empty string")
+        if self.noise.flip_map is not None:
+            try:
+                flip_map = validate_flip_map(self.noise.flip_map, self.dataset.num_classes)
+            except ValueError as exc:
+                raise ValueError(f"noise.flip_map: {exc}") from exc
+            object.__setattr__(self, "noise", replace(self.noise, flip_map=flip_map))   # a tuple
+
 
 # JSON section name -> the dataclass that holds it
 _SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
@@ -100,27 +110,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             given["hyperparams"]["seed"] = Hyperparams(seed=raw["seed"]).seed
         except ValueError as exc:
             raise ConfigValueError(str(exc)) from exc
-    output_dir = raw.get("output_dir", ExperimentConfig.output_dir)
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigValueError("output_dir: expected a non-empty string")
 
     sections = {}
     for section, cls in _SECTIONS.items():
-        values = given[section]
-        flip_map = values.get("flip_map")   # in "noise", which is built after "dataset"
-        if flip_map is not None and values.get("kind") == "asymmetric":   # else NoiseSpec refuses
-            if not isinstance(flip_map, list):
-                raise ConfigValueError("noise.flip_map: expected a list of class indices")
-            try:
-                values["flip_map"] = validate_flip_map(flip_map, sections["dataset"].num_classes)
-            except (TypeError, ValueError) as exc:
-                raise ConfigValueError(f"noise.flip_map: {exc}") from exc
         try:
-            sections[section] = cls(**values)
+            sections[section] = cls(**given[section])
         except ValueError as exc:
             # the constructors' messages start with the field name
             raise ConfigValueError(f"{section}.{exc}") from exc
-    return ExperimentConfig(**sections, output_dir=output_dir)
+    try:   # its own messages name the key in full
+        return ExperimentConfig(**sections,
+                                output_dir=raw.get("output_dir", ExperimentConfig.output_dir))
+    except ValueError as exc:
+        raise ConfigValueError(str(exc)) from exc
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -90,10 +90,12 @@ def _checked_indices(name: str, indices, n: int) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-def _check_columns(probs: Matrix, num_classes: int) -> None:
-    """Refuse a prediction whose column count is not the dataset's class count."""
-    if probs.cols != num_classes:
-        raise ValueError(f"probs: {probs.cols} columns for a dataset of {num_classes} classes")
+def _check_columns(probs: np.ndarray, num_classes: int | None = None) -> None:
+    """Refuse a prediction that is not 2-D, or whose columns are not ``num_classes``, if given."""
+    if np.ndim(probs) != 2:
+        raise ValueError(f"probs: expected a 2-D array, got {np.ndim(probs)} dimensions")
+    if num_classes not in (None, probs.shape[1]):
+        raise ValueError(f"probs: {probs.shape[1]} columns for a dataset of {num_classes} classes")
 
 
 @dataclass
@@ -142,6 +144,8 @@ class NoiseSpec:
 
 
 def validate_flip_map(flip_map, num_classes: int) -> tuple[int, ...]:
+    if not isinstance(flip_map, (list, tuple, np.ndarray)):
+        raise ValueError("expected a list of class indices")
     fm = tuple(flip_map)
     if len(fm) != num_classes:
         raise ValueError(f"flip_map must have {num_classes} entries, got {len(fm)}")

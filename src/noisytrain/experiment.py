@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from .data import AugmentationSpec, LabeledDataset
-from .kernel import Matrix
 from .metrics import (EpochMetrics, UndefinedAUCError, accuracy, pseudo_label_recall,
                       selection_precision_recall, roc_auc)
 from .model import Arch, TwinNetworks, ensemble_softmax, forward_softmax, init_twins
@@ -78,7 +77,7 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
 
     nets = (twins.net1, twins.net2)
 
-    def evaluate(ds: LabeledDataset) -> tuple[tuple[Matrix, ...], Matrix]:
+    def evaluate(ds: LabeledDataset) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Each network's softmax on ``ds``, and their ensemble."""
         probs = tuple(forward_softmax(net, ds.features) for net in nets)
         return probs, ensemble_softmax(*probs)

@@ -40,7 +40,7 @@ class TapeUsageError(RuntimeError):
 
 
 class Matrix:
-    """A rows x cols float64 matrix, stored row-major.
+    """A rows x cols float64 matrix, stored row-major: what a network reads and the tape records.
 
     ``Matrix(values)`` copies and rejects non-finite values, for what enters
     from outside a training step; a step wraps its own arrays (:func:`wrap`).

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, _check_columns, _checked_indices
-from .kernel import Matrix
 from .selection import DivergenceReport, SelectionResult
 
 logger = logging.getLogger(__name__)
@@ -103,18 +102,18 @@ def roc_auc(report: DivergenceReport, ds: LabeledDataset) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def pseudo_label_recall(probs: Matrix, ds: LabeledDataset, noisy_indices) -> float:
+def pseudo_label_recall(probs: np.ndarray, ds: LabeledDataset, noisy_indices) -> float:
     """Macro-averaged per-true-class recall of the argmax of ``probs``, one
     prediction row per sample of ``ds``, on the noisy set.
 
     True classes absent from the noisy set are left out of the average.
     """
-    _check_length("probs", probs.rows, len(ds))
     _check_columns(probs, ds.num_classes)
+    _check_length("probs", len(probs), len(ds))
     idx = _checked_indices("noisy_indices", noisy_indices, len(ds))
     if idx.size == 0:
         raise ValueError("noisy set is empty")
-    predicted = probs.data.argmax(axis=1)[idx]
+    predicted = probs.argmax(axis=1)[idx]
     true = ds.true_labels[idx]
     members = np.bincount(true, minlength=ds.num_classes)
     hits = np.bincount(true[predicted == true], minlength=ds.num_classes)
@@ -122,14 +121,15 @@ def pseudo_label_recall(probs: Matrix, ds: LabeledDataset, noisy_indices) -> flo
     return float(np.mean(hits[present] / members[present]))
 
 
-def accuracy(probs: Matrix, labels) -> float:
+def accuracy(probs: np.ndarray, labels) -> float:
     """Fraction of argmax predictions of ``probs`` matching the labels.
 
     Against given labels on the train set this measures memorization.
     """
-    labels = _checked_indices("labels", labels, probs.cols)
+    _check_columns(probs)
+    labels = _checked_indices("labels", labels, probs.shape[1])
     if len(labels) == 0:
         raise ValueError("empty evaluation set")
-    _check_length("labels", len(labels), probs.rows)
-    predicted = probs.data.argmax(axis=1)
+    _check_length("labels", len(labels), len(probs))
+    predicted = probs.argmax(axis=1)
     return float((predicted == labels).mean())

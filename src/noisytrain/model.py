@@ -196,8 +196,8 @@ def _eval_workspace(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((_EVAL_BLOCK_ROWS, hidden)), np.empty((_EVAL_BLOCK_ROWS, hidden))
 
 
-def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
-    """Class probabilities; evaluation only, never recorded on a tape.
+def forward_softmax(net: NetworkParams, x: Matrix) -> np.ndarray:
+    """Class probabilities, a read-only array; evaluation only, never recorded on a tape.
 
     The input is evaluated in blocks of ``_EVAL_BLOCK_ROWS`` rows.  Each
     block's two hidden activations go into the leading rows of a workspace
@@ -221,7 +221,7 @@ def forward_softmax(net: NetworkParams, x: Matrix) -> Matrix:
         logits += bc
         softmax_in_place(logits)
     probs.flags.writeable = False
-    return kernel.wrap(probs)
+    return probs
 
 
 def _l2_normalize(z: np.ndarray):
@@ -247,10 +247,12 @@ def forward_projection(net: NetworkParams, x: Matrix, tape: GradientTape | None 
     return _head_forward(net, x, tape, PSI, finish=_l2_normalize)
 
 
-def ensemble_softmax(s1: Matrix, s2: Matrix) -> Matrix:
-    """Two softmaxes' mean as a read-only ``Matrix``; a non-finite one stops here."""
-    out = Matrix((s1.data + s2.data) / 2.0)
-    out.data.flags.writeable = False
+def ensemble_softmax(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Two softmaxes' mean as a read-only array; a non-finite one stops here."""
+    out = (s1 + s2) / 2.0
+    if not np.isfinite(out).all():
+        raise ValueError("ensemble_softmax: the mean of the two softmaxes is not finite")
+    out.flags.writeable = False
     return out
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_number, _checked_indices, atomic_open, check_settings, round_half_up, setting
-from .kernel import Matrix
+from .data import (_check_columns, _check_number, _checked_indices, atomic_open, check_settings,
+                   round_half_up, setting)
 
 _LN2 = np.log(2.0)
 
@@ -72,7 +72,7 @@ class SelectionResult:
 
 
 def _as_distribution(v, name: str) -> np.ndarray:
-    arr = np.asarray(v.data if isinstance(v, Matrix) else v, dtype=np.float64).reshape(-1)
+    arr = np.asarray(v, dtype=np.float64).reshape(-1)
     if arr.size < 2:
         raise DistributionError(f"{name} must have at least 2 entries")
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
@@ -100,16 +100,17 @@ def jsd(y, p) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
-def divergences_from_probs(probs: Matrix, given_labels: np.ndarray) -> DivergenceReport:
-    """jsd(one_hot(label), row) for every row, read from the label's entry p.
+def divergences_from_probs(probs: np.ndarray, given_labels: np.ndarray) -> DivergenceReport:
+    """jsd(one_hot(label), row) for every row of the 2-D ``probs``, read from the label's entry p.
 
     Rows must be distributions, as ``jsd`` requires: each off-label entry p_j
     has midpoint p_j / 2, so together they add (1 - p) * ln 2."""
-    n, C = probs.data.shape
+    _check_columns(probs)
+    n, C = probs.shape
     labels = _checked_indices("given_labels", given_labels, C)
     if len(labels) != n:
         raise ValueError(f"given_labels: {len(labels)} labels for {n} prediction rows")
-    p = probs.data[np.arange(n), labels]
+    p = probs[np.arange(n), labels]
     m = (1.0 + p) / 2.0
     t_p = p * np.log(np.where(p > 0.0, p / m, 1.0))   # p = 0 drops its term
     d = (t_p - np.log(m) + (1.0 - p) * _LN2) / (2.0 * _LN2)

@@ -113,14 +113,11 @@ class AblationFlags:
 @dataclass
 class MixedBatch:
     inputs: Matrix
-    targets: Matrix
+    targets: np.ndarray
 
 
-def one_hot(labels, num_classes: int) -> Matrix:
-    labels = _checked_indices("labels", labels, num_classes)
-    out = np.zeros((len(labels), num_classes))
-    out[np.arange(len(labels)), labels] = 1.0
-    return kernel.wrap(out)
+def one_hot(labels, num_classes: int) -> np.ndarray:
+    return np.eye(num_classes)[_checked_indices("labels", labels, num_classes)]
 
 
 def refinement_weights(d: np.ndarray, d_omega: float) -> np.ndarray:
@@ -129,51 +126,51 @@ def refinement_weights(d: np.ndarray, d_omega: float) -> np.ndarray:
     return np.where(d < d_omega, 1.0, 1.0 - d)
 
 
-def sharpen(p: Matrix, T: float) -> Matrix:
+def sharpen(p: np.ndarray, T: float) -> np.ndarray:
     """Raise each row to 1/T and renormalize; T < 1 concentrates mass."""
     T = _check_number("T", T, float, *_T_RANGE)
-    powered = p.data ** (1.0 / T)
-    return kernel.wrap(powered / powered.sum(axis=1, keepdims=True))
+    powered = p ** (1.0 / T)
+    return powered / powered.sum(axis=1, keepdims=True)
 
 
-def blend_targets(y_onehot: Matrix, p: Matrix, weights: np.ndarray) -> Matrix:
+def blend_targets(y_onehot: np.ndarray, p: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-row convex combination w * y + (1 - w) * p."""
     w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
-    return kernel.wrap(w * y_onehot.data + (1.0 - w) * p.data)
+    return w * y_onehot + (1.0 - w) * p
 
 
 def refine_labels(net: NetworkParams, x_weak_1: Matrix, x_weak_2: Matrix,
-                  y_onehot: Matrix, weights: np.ndarray, T: float) -> Matrix:
+                  y_onehot: np.ndarray, weights: np.ndarray, T: float) -> np.ndarray:
     """Blend given labels with the training network's average prediction.
 
     Only the network currently being trained contributes here; pseudo
     labels for the noisy set are the ones that use both networks.
     """
-    p = kernel.wrap((forward_softmax(net, x_weak_1).data + forward_softmax(net, x_weak_2).data) / 2.0)
+    p = (forward_softmax(net, x_weak_1) + forward_softmax(net, x_weak_2)) / 2.0
     return sharpen(blend_targets(y_onehot, p, weights), T)
 
 
-def guess_pseudo_labels(twins: TwinNetworks, u_weak_1: Matrix, u_weak_2: Matrix, T: float) -> Matrix:
+def guess_pseudo_labels(twins: TwinNetworks, u_weak_1: Matrix, u_weak_2: Matrix,
+                        T: float) -> np.ndarray:
     """Average both networks over both weak views, then sharpen."""
-    q = (forward_softmax(twins.net1, u_weak_1).data
-         + forward_softmax(twins.net1, u_weak_2).data
-         + forward_softmax(twins.net2, u_weak_1).data
-         + forward_softmax(twins.net2, u_weak_2).data) / 4.0
-    return sharpen(kernel.wrap(q), T)
+    q = sum(forward_softmax(net, u) for net in (twins.net1, twins.net2)
+            for u in (u_weak_1, u_weak_2)) / 4.0
+    return sharpen(q, T)
 
 
-def mixup_with_lambda(x1: Matrix, t1: Matrix, x2: Matrix, t2: Matrix, lam: np.ndarray) -> MixedBatch:
+def mixup_with_lambda(x1: Matrix, t1: np.ndarray, x2: Matrix, t2: np.ndarray,
+                      lam: np.ndarray) -> MixedBatch:
     """Convex combination with given per-row coefficients (already >= 0.5)."""
     lam = np.asarray(lam, dtype=np.float64).reshape(-1, 1)
     rest = 1.0 - lam
     inputs = lam * x1.data
     inputs += rest * x2.data
-    targets = lam * t1.data
-    targets += rest * t2.data
-    return MixedBatch(kernel.wrap(inputs), kernel.wrap(targets))
+    targets = lam * t1
+    targets += rest * t2
+    return MixedBatch(kernel.wrap(inputs), targets)
 
 
-def mixup(x1: Matrix, t1: Matrix, x2: Matrix, t2: Matrix, alpha: float,
+def mixup(x1: Matrix, t1: np.ndarray, x2: Matrix, t2: np.ndarray, alpha: float,
           rng: np.random.Generator) -> MixedBatch:
     """Beta(alpha, alpha) mixing with lambda' = max(lambda, 1 - lambda).
 
@@ -185,8 +182,8 @@ def mixup(x1: Matrix, t1: Matrix, x2: Matrix, t2: Matrix, alpha: float,
     return mixup_with_lambda(x1, t1, x2, t2, lam)
 
 
-def mixmatch_assemble(x_inputs: Matrix, x_targets: Matrix,
-                      u_inputs: Matrix, u_targets: Matrix,
+def mixmatch_assemble(x_inputs: Matrix, x_targets: np.ndarray,
+                      u_inputs: Matrix, u_targets: np.ndarray,
                       alpha: float, rng: np.random.Generator) -> tuple[MixedBatch, MixedBatch]:
     """Mix labeled and unlabeled entries against a shuffle of their union; with
     no unlabeled entries, the labeled ones mix among themselves and ``u`` is empty."""
@@ -194,14 +191,12 @@ def mixmatch_assemble(x_inputs: Matrix, x_targets: Matrix,
     if n_x == 0:
         raise DegenerateBatchError("mixmatch needs a non-empty labeled collection")
     all_inputs = np.vstack([x_inputs.data, u_inputs.data])
-    all_targets = np.vstack([x_targets.data, u_targets.data])
+    all_targets = np.vstack([x_targets, u_targets])
     perm = rng.permutation(len(all_inputs))
     w_inputs = all_inputs[perm]
     w_targets = all_targets[perm]
-    mixed_x = mixup(x_inputs, x_targets,
-                    kernel.wrap(w_inputs[:n_x]), kernel.wrap(w_targets[:n_x]), alpha, rng)
-    mixed_u = mixup(u_inputs, u_targets,
-                    kernel.wrap(w_inputs[n_x:]), kernel.wrap(w_targets[n_x:]), alpha, rng)
+    mixed_x = mixup(x_inputs, x_targets, kernel.wrap(w_inputs[:n_x]), w_targets[:n_x], alpha, rng)
+    mixed_u = mixup(u_inputs, u_targets, kernel.wrap(w_inputs[n_x:]), w_targets[n_x:], alpha, rng)
     return mixed_x, mixed_u
 
 
@@ -225,16 +220,16 @@ def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def loss_lx(logits: Matrix, targets: Matrix, tape: GradientTape | None = None) -> Matrix:
+def loss_lx(logits: Matrix, targets: np.ndarray, tape: GradientTape | None = None) -> Matrix:
     """Mean soft cross-entropy between target rows and softmax(logits)."""
     ls = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(ls)
     ls -= np.log(e.sum(axis=1, keepdims=True))
     c = -1.0 / logits.rows
-    out = np.array([[np.multiply(ls, targets.data, out=e).sum()]]) * c
+    out = np.array([[np.multiply(ls, targets, out=e).sum()]]) * c
 
     def bwd(g, tracked):
-        g_ls = targets.data * (g * c)[0, 0]
+        g_ls = targets * (g * c)[0, 0]
         p = np.exp(ls)
         p *= g_ls.sum(axis=1, keepdims=True)
         g_ls -= p
@@ -243,10 +238,10 @@ def loss_lx(logits: Matrix, targets: Matrix, tape: GradientTape | None = None) -
     return kernel.record(tape, (logits,), kernel.wrap(out), bwd)
 
 
-def loss_lu(logits: Matrix, targets: Matrix, tape: GradientTape | None = None) -> Matrix:
+def loss_lu(logits: Matrix, targets: np.ndarray, tape: GradientTape | None = None) -> Matrix:
     """Mean squared Euclidean distance between targets and softmax(logits)."""
     p = softmax_in_place(logits.data.copy())
-    diff = p - targets.data
+    diff = p - targets
     c = 1.0 / logits.rows
     out = np.array([[(diff * diff).sum()]]) * c
 
@@ -412,12 +407,12 @@ def _sgd_steps(net: NetworkParams, hp: Hyperparams, lr: float, names: tuple[str,
     return steps
 
 
-def _ce_loss(net: NetworkParams, ds: LabeledDataset, targets_full: Matrix):
+def _ce_loss(net: NetworkParams, ds: LabeledDataset, targets_full: np.ndarray):
     """The loss function of CE steps: ``lx`` of a batch's logits against
     its rows of ``targets_full``."""
     def ce(tape: GradientTape, batch: np.ndarray):
         lx = loss_lx(forward_logits(net, _rows(ds.features, batch), tape),
-                     _rows(targets_full, batch), tape)
+                     targets_full[batch], tape)
         return lx, {"lx": lx}
     return ce
 
@@ -439,7 +434,7 @@ def warmup_train(twins: TwinNetworks, ds: LabeledDataset, hp: Hyperparams, epoch
     return float(np.mean(ce_values)) if ce_values else 0.0
 
 
-def select_for_network(probs: Matrix, ds: LabeledDataset, cutoff_params: CutoffParams,
+def select_for_network(probs: np.ndarray, ds: LabeledDataset, cutoff_params: CutoffParams,
                        flags: AblationFlags) -> tuple[DivergenceReport, SelectionResult]:
     """One full selection pass from ``probs``, the train-set prediction a
     network's half is selected by: the ``ensemble_softmax`` of both networks,
@@ -460,10 +455,6 @@ def _interleave_two_views(a: Matrix, b: Matrix) -> Matrix:
     out[0::2] = a.data
     out[1::2] = b.data
     return kernel.wrap(out)
-
-
-def _repeat_rows_twice(t: Matrix) -> Matrix:
-    return kernel.wrap(np.repeat(t.data, 2, axis=0))
 
 
 def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
@@ -499,13 +490,13 @@ def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
         it, (cb, ub) = item
         rng = np.random.default_rng([hp.seed, _S_ITER, epoch, net_index, it])
         xw1, xw2, xs1, xs2 = views(cb, rng)
-        y_refined = refine_labels(net, xw1, xw2, _rows(targets_full, cb), weights[cb], hp.T)
+        y_refined = refine_labels(net, xw1, xw2, targets_full[cb], weights[cb], hp.T)
         uw1, uw2, us1, us2 = views(ub, rng)
         q = guess_pseudo_labels(twins, uw1, uw2, hp.T)
         u_in = _interleave_two_views(us1, us2)
         mixed_x, mixed_u = mixmatch_assemble(
-            _interleave_two_views(xs1, xs2), _repeat_rows_twice(y_refined),
-            u_in, _repeat_rows_twice(q), hp.alpha, rng)
+            _interleave_two_views(xs1, xs2), np.repeat(y_refined, 2, axis=0),
+            u_in, np.repeat(q, 2, axis=0), hp.alpha, rng)
 
         logits_x = forward_logits(net, mixed_x.inputs, tape)
         lx = loss_lx(logits_x, mixed_x.targets, tape)

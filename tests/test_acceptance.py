@@ -129,15 +129,15 @@ def test_criterion_1_formula_oracles():
     low = DivergenceReport(np.array([0.5]), d_avg=0.5, d_min=0.1)
     assert compute_cutoff(low, CutoffParams(tau=5.0, d_mu=0.7)) == 0.5
 
-    assert np.allclose(sharpen(Matrix([[0.8, 0.2]]), 0.5).data,
+    assert np.allclose(sharpen(np.array([[0.8, 0.2]]), 0.5),
                        [[0.941176, 0.058824]], atol=1e-6)
-    mixed = mixup_with_lambda(Matrix([[0.0]]), Matrix([[1.0, 0.0]]),
-                              Matrix([[1.0]]), Matrix([[0.0, 1.0]]), np.array([0.7]))
-    assert np.allclose(mixed.targets.data, [[0.7, 0.3]], atol=1e-6)
+    mixed = mixup_with_lambda(Matrix([[0.0]]), np.array([[1.0, 0.0]]),
+                              Matrix([[1.0]]), np.array([[0.0, 1.0]]), np.array([0.7]))
+    assert np.allclose(mixed.targets, [[0.7, 0.3]], atol=1e-6)
 
-    assert loss_lx(Matrix([[0.0, 0.0]]), Matrix([[0.5, 0.5]])).item() == pytest.approx(math.log(2), abs=1e-6)
+    assert loss_lx(Matrix([[0.0, 0.0]]), np.array([[0.5, 0.5]])).item() == pytest.approx(math.log(2), abs=1e-6)
     assert loss_lu(Matrix([[math.log(0.6), math.log(0.4)]]),
-                   Matrix([[1.0, 0.0]])).item() == pytest.approx(0.32, abs=1e-6)
+                   np.array([[1.0, 0.0]])).item() == pytest.approx(0.32, abs=1e-6)
     assert loss_reg(Matrix([[math.log(0.9), math.log(0.1)]]), 2).item() == pytest.approx(0.510826, abs=1e-6)
 
     assert loss_contrastive(Matrix([[1.0, 0.0], [0.0, 1.0]]), 0.05).item() == 0.0
@@ -165,7 +165,7 @@ def _non_degenerate_batch(arch, trial):
         net = init_network(arch, seed=trial * 100 + attempt)
         rng = np.random.default_rng(1000 + trial * 100 + attempt)
         x = Matrix(rng.normal(size=(4, arch.in_dim)))
-        targets = Matrix(rng.dirichlet(np.ones(arch.num_classes), size=4))
+        targets = rng.dirichlet(np.ones(arch.num_classes), size=4)
         p = net.params
         pre1 = add_row(matmul(x, p["w1"]), p["b1"])
         h1 = relu(pre1)

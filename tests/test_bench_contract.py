@@ -10,6 +10,7 @@ import ast
 import importlib
 import inspect
 import os
+import sys
 
 import pytest
 
@@ -73,6 +74,43 @@ def test_counted_attributes_exist():
     from noisytrain.training import HalfEpochRecord
     assert isinstance(GradientTape().num_records, int)
     assert "degenerate" in HalfEpochRecord.__dataclass_fields__
+
+
+def test_hooked_calls_carry_what_the_tracer_reads(monkeypatch):
+    # the tracer adds forward_softmax's ``x.rows`` to model.eval_rows and,
+    # after each backward, the tape's ``num_records`` to kernel.tape_records;
+    # like the tracer, wrap the functions in every module that holds them
+    from noisytrain import experiment, kernel, model
+    from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
+    from noisytrain.training import Hyperparams
+
+    def rebind(original, wrapper):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("noisytrain.") and getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, wrapper)
+
+    rows, records = [], []
+    forward_softmax, backward = model.forward_softmax, kernel.backward
+
+    def counting_forward_softmax(net, x):
+        rows.append(x.rows)
+        return forward_softmax(net, x)
+
+    def counting_backward(tape, loss):
+        grads = backward(tape, loss)
+        records.append(tape.num_records)
+        return grads
+    rebind(forward_softmax, counting_forward_softmax)
+    rebind(backward, counting_backward)
+    train = inject_symmetric_noise(make_gaussian_blobs(3, 20, 4, 8.0, seed=1), 0.4, seed=2)
+    test = make_gaussian_blobs(3, 5, 4, 8.0, seed=3)
+    experiment.run(train, test, Hyperparams(seed=1, batch_size=16, warmup_epochs=1,
+                                            total_epochs=2),
+                   hidden=8, embed_dim=4, aug=AugmentationSpec())
+    assert rows and all(type(n) is int and n > 0 for n in rows)
+    assert {60, 15} <= set(rows)   # the run's train- and test-set evaluations
+    assert len(rows) > 6           # and the refinement and guessing passes of the halves
+    assert records and all(type(n) is int and n > 0 for n in records)
 
 
 def test_one_backward_per_network_step(monkeypatch):

@@ -9,13 +9,13 @@ import json
 import math
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from noisytrain.cli import main
-from noisytrain.config import (ConfigKeyError, ConfigValueError, ExperimentConfig,
-                               config_from_dict, config_to_dict)
+from noisytrain.config import (ConfigKeyError, ConfigValueError, DatasetConfig,
+                               ExperimentConfig, config_from_dict, config_to_dict)
 from noisytrain.data import AugmentationSpec, NoiseSpec
 from noisytrain.model import Arch
 from noisytrain.selection import CutoffParams
@@ -226,6 +226,28 @@ def test_symmetric_noise_refuses_flip_map():
         config_from_dict({"noise": {"kind": "symmetric", "rate": 0.3, "flip_map": [1, 2, 3, 0]}})
     with pytest.raises(ConfigValueError, match=_key("noise", "flip_map")):
         config_from_dict({"noise": {"flip_map": [1, 2, 3, 0]}})   # symmetric by default
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"dataset": DatasetConfig(num_classes=10),
+      "noise": NoiseSpec("asymmetric", 0.4, (1, 2, 3, 0))},
+     r"noise\.flip_map: flip_map must have 10 entries, got 4"),
+    ({"noise": NoiseSpec("asymmetric", 0.4, (0, 1, 2, 3))},
+     r"noise\.flip_map: flip_map maps class 0 to itself"),
+    ({"output_dir": ""}, "output_dir: expected a non-empty string"),
+], ids=["flip_map-of-another-width", "flip_map-to-itself", "output_dir-empty"])
+def test_direct_construction_checks_the_rules_across_sections(kwargs, message):
+    # these were accepted, and the flip maps failed only later, without the "noise." prefix
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig(**kwargs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(ExperimentConfig(), **kwargs)
+
+
+def test_direct_construction_stores_the_flip_map_as_a_tuple():
+    cfg = ExperimentConfig(noise=NoiseSpec("asymmetric", 0.4, [1, 2, 3, 0]))
+    assert cfg.noise.flip_map == (1, 2, 3, 0)
+    assert cfg == config_from_dict(config_to_dict(cfg))
 
 
 def test_bad_seed_fails_before_any_output(tmp_path, capsys):

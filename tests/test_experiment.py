@@ -193,7 +193,7 @@ def test_observer_sees_every_epoch_with_its_row_and_predictions():
         for (probs, ens), ds in ((train, train_ds), (test, test_ds)):
             assert len(probs) == 2 and all(m.shape == (len(ds.true_labels), 3)
                                            for m in (*probs, ens))
-            assert ens.data.tobytes() == ensemble_softmax(*probs).data.tobytes()
+            assert ens.tobytes() == ensemble_softmax(*probs).tobytes()
         assert row.train_acc_given == accuracy(train[1], train_ds.given_labels)
         assert row.test_acc == accuracy(test[1], test_ds.true_labels)
 
@@ -222,8 +222,8 @@ def test_observer_reads_per_class_accuracy_without_another_evaluation(monkeypatc
 
     def observe(row, halves, train, test):
         if row.epoch == HP.warmup_epochs - 1:
-            predicted = test[1].data.argmax(axis=1)
-            warm_end["ens"] = test[1].data.tobytes()
+            predicted = test[1].argmax(axis=1)
+            warm_end["ens"] = test[1].tobytes()
             warm_end["per_class"] = [float((predicted[test_ds.true_labels == c] == c).mean())
                                      for c in range(3)]
             warm_end["acc"] = row.test_acc
@@ -234,7 +234,7 @@ def test_observer_reads_per_class_accuracy_without_another_evaluation(monkeypatc
     warm = go(dataclasses.replace(HP, total_epochs=HP.warmup_epochs)).twins
     again = ensemble_softmax(forward(warm.net1, test_ds.features),
                              forward(warm.net2, test_ds.features))
-    assert warm_end["ens"] == again.data.tobytes()
+    assert warm_end["ens"] == again.tobytes()
     # 10 test samples per class, so the overall accuracy is the per-class mean
     assert np.mean(warm_end["per_class"]) == pytest.approx(warm_end["acc"], abs=1e-12)
 
@@ -246,12 +246,13 @@ def test_observed_predictions_are_read_only_and_kept_states_never_change():
 
     def observe(row, halves, train, test):
         for m in states(train, test):
+            assert type(m) is np.ndarray
             with pytest.raises(ValueError, match="read-only"):
-                m.data[0, 0] = 0.5
+                m[0, 0] = 0.5
             with pytest.raises(ValueError, match="read-only"):
-                m.data *= 2.0
-        kept.append((train, test, [m.data.tobytes() for m in states(train, test)]))
+                m *= 2.0
+        kept.append((train, test, [m.tobytes() for m in states(train, test)]))
     go(HP, on_epoch=observe)
     assert len(kept) == HP.total_epochs
     for train, test, raw in kept:
-        assert [m.data.tobytes() for m in states(train, test)] == raw
+        assert [m.tobytes() for m in states(train, test)] == raw

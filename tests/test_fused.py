@@ -51,13 +51,13 @@ def ref_forward_projection(net, x, tape=None):
 
 def ref_loss_lx(logits, targets, tape=None):
     ls = ref.log_softmax_rows(logits, tape)
-    total = ref.sum_all(ref.mul(ls, targets, tape), tape)
+    total = ref.sum_all(ref.mul(ls, Matrix(targets), tape), tape)
     return ref.scale(total, -1.0 / logits.rows, tape)
 
 
 def ref_loss_lu(logits, targets, tape=None):
     p = ref.softmax_rows(logits, tape)
-    diff = ref.sub(p, targets, tape)
+    diff = ref.sub(p, Matrix(targets), tape)
     total = ref.sum_all(ref.mul(diff, diff, tape), tape)
     return ref.scale(total, 1.0 / logits.rows, tape)
 
@@ -115,9 +115,9 @@ def _case(seed):
     alpha = np.full(arch.num_classes, 0.3)
     batch = {
         "x_in": Matrix(rng.normal(scale=3.0, size=(n_x, arch.in_dim))),
-        "x_t": Matrix(rng.dirichlet(alpha, size=n_x)),
+        "x_t": rng.dirichlet(alpha, size=n_x),
         "u_in": Matrix(rng.normal(scale=3.0, size=(n_u, arch.in_dim))),
-        "u_t": Matrix(rng.dirichlet(alpha, size=n_u)),
+        "u_t": rng.dirichlet(alpha, size=n_u),
     }
     return init_network(arch, seed=seed), batch
 
@@ -226,7 +226,7 @@ def _packed_and_serial_steps(seed, names):
                 num_classes=int(rng.integers(2, 11)), embed_dim=4)
     n = 3 * rows
     ds = SimpleNamespace(features=Matrix(rng.normal(scale=3.0, size=(n, arch.in_dim))))
-    targets = Matrix(rng.dirichlet(np.full(arch.num_classes, 0.3), size=n))
+    targets = rng.dirichlet(np.full(arch.num_classes, 0.3), size=n)
     batches = np.split(rng.permutation(n), [rows, 2 * rows])
     hp = Hyperparams(lr=rng.uniform(0.01, 0.5), momentum=rng.uniform(0.0, 0.99),
                      weight_decay=rng.uniform(0.0, 1e-2))
@@ -249,7 +249,7 @@ def _packed_and_serial_steps(seed, names):
         def ssl(tape, batch):   # every group gets a gradient
             x = kernel.wrap(ds.features.data[batch])
             logits = model.forward_logits(net, x, tape)
-            y = kernel.wrap(targets.data[batch])
+            y = targets[batch]
             lx = training.loss_lx(logits, y, tape)
             lu = training.loss_lu(logits, y, tape)
             pairs = kernel.wrap(x.data[:len(batch) // 2 * 2])
@@ -335,7 +335,7 @@ def test_backward_drops_replayed_records():
 def test_untracked_inputs_record_nothing():
     tape = GradientTape()
     logits = Matrix(np.random.default_rng(0).normal(size=(4, 3)))
-    targets = Matrix(np.full((4, 3), 1.0 / 3.0))
+    targets = np.full((4, 3), 1.0 / 3.0)
     training.loss_lx(logits, targets, tape)
     training.total_loss(Matrix([[1.0]]), Matrix([[0.0]]), Matrix([[0.0]]), Matrix([[0.0]]), HP, tape)
     assert tape.num_records == 0

@@ -28,14 +28,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _freeze_all(*values) -> None:
+    """Make the array of each Matrix and each array among ``values`` read-only."""
+    for v in values:
+        if isinstance(v, (Matrix, np.ndarray)):
+            _freeze(v.data if isinstance(v, Matrix) else v)
+
+
 @pytest.fixture
 def frozen_inputs(monkeypatch):
     """Make every array that enters a step, or passes between its stages, read-only."""
     def frozen(fn):
         def call(*args):
             out = fn(*args)
-            _freeze(out.data)
+            _freeze_all(out)
             return out
+        return call
+
+    def frozen_args(fn):
+        def call(*args):
+            _freeze_all(*args)
+            return fn(*args)
         return call
 
     def frozen_sgd_step(p, g, v, *settings):
@@ -53,8 +66,10 @@ def frozen_inputs(monkeypatch):
 
     # targets, a batch's rows, and what one stage of a step hands the next
     for name in ("one_hot", "_rows", "weak_augment", "strong_augment", "sharpen",
-                 "_interleave_two_views", "_repeat_rows_twice"):
+                 "_interleave_two_views"):
         monkeypatch.setattr(training, name, frozen(getattr(training, name)))
+    # the targets, each row repeated for its two views, come straight from np.repeat
+    monkeypatch.setattr(training, "mixmatch_assemble", frozen_args(training.mixmatch_assemble))
     monkeypatch.setattr(training, "sgd_step", frozen_sgd_step)
     monkeypatch.setattr(kernel, "record", frozen_record)
 
@@ -80,11 +95,9 @@ def test_a_step_writes_into_no_array_it_was_given(frozen_inputs):
                         training._ce_loss(twins.net1, train, targets), (0, 1, "warmup"))
     training.warmup_train(twins, train, hp, 0)
 
-    def predictions(ds):
-        probs = ensemble_softmax(*(forward_softmax(net, ds.features)
-                                   for net in (twins.net1, twins.net2)))
-        _freeze(probs.data)
-        return probs
+    def predictions(ds):   # read-only, as every prediction is
+        return ensemble_softmax(*(forward_softmax(net, ds.features)
+                                  for net in (twins.net1, twins.net2)))
     report, sel = training.select_for_network(predictions(train), train, CutoffParams(),
                                               AblationFlags())
     rec = training.train_half_epoch(twins, 1, train, hp, AugmentationSpec(), AblationFlags(), 1,
@@ -147,4 +160,4 @@ def test_forward_softmax_equals_softmax_rows_of_logits(seed):
     net = init_network(arch, seed=seed)
     x = Matrix(rng.standard_normal((int(rng.integers(1, 130)), arch.in_dim)) * 3.0)
     expected = ref.softmax_rows(forward_logits(net, x)).data
-    assert forward_softmax(net, x).data.tobytes() == expected.tobytes()
+    assert forward_softmax(net, x).tobytes() == expected.tobytes()

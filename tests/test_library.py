@@ -15,7 +15,10 @@ generators derived from the same seed coincide.
 Evaluation (``metrics``) imports nothing from ``training`` and uses no
 augmentation: it reads predictions, it does not make training inputs.
 Selection (``selection``) imports nothing from ``model`` or ``training``:
-it reads predictions and runs no network.
+it reads predictions and runs no network.  Predictions and targets are
+plain arrays, so ``selection``, ``metrics`` and ``experiment`` import
+nothing from ``kernel``: only the modules that run a network or record
+on the tape know its types.
 
 A network carries only what a checkpoint and a resume need: its arch,
 seed, parameters and SGD velocity row, and no cached state.
@@ -118,6 +121,16 @@ def test_selection_reads_predictions_and_runs_no_network():
         tree = ast.parse(f.read())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not imported & {"model", "training"}, "selection imports from model or training"
+
+
+def test_readers_of_predictions_import_nothing_from_kernel():
+    trees = _trees()
+    for fname in ("selection.py", "metrics.py", "experiment.py"):
+        imports = [node for node in ast.walk(trees[fname])
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        modules = [(getattr(node, "module", None) or "").split(".")[-1] for node in imports]
+        names = [alias.name.split(".")[-1] for node in imports for alias in node.names]
+        assert "kernel" not in modules + names, f"{fname} imports from kernel"
 
 
 def test_network_holds_only_checkpoint_and_resume_state():

@@ -143,7 +143,7 @@ class TestPseudoLabelRecall:
         ds = make_gaussian_blobs(3, 15, 4, 8.0, seed=3)
         probs = ensemble(init_twins(Arch(4, 16, 3, 4), seed=1), ds.features)
         idx = np.flatnonzero(ds.true_labels != 2)[::2]
-        predicted = probs.data[idx].argmax(1)
+        predicted = probs[idx].argmax(1)
         true = ds.true_labels[idx]
         manual = np.mean([np.mean(predicted[true == c] == c) for c in (0, 1)])
         assert pseudo_label_recall(probs, ds, idx) == manual
@@ -159,16 +159,16 @@ class TestAccuracy:
     def test_three_of_four(self):
         ds = make_gaussian_blobs(2, 50, 4, 10.0, seed=9)
         probs = ensemble(init_twins(Arch(4, 16, 2, 4), seed=2), ds.features)
-        manual = float((probs.data.argmax(axis=1) == ds.true_labels).mean())
+        manual = float((probs.argmax(axis=1) == ds.true_labels).mean())
         assert accuracy(probs, ds.true_labels) == manual
 
     def test_perfect_labels(self):
         ds = make_gaussian_blobs(2, 50, 4, 10.0, seed=9)
         probs = ensemble(init_twins(Arch(4, 16, 2, 4), seed=2), ds.features)
-        assert accuracy(probs, probs.data.argmax(axis=1)) == 1.0
+        assert accuracy(probs, probs.argmax(axis=1)) == 1.0
 
     def test_fractional_labels_refused_not_truncated(self):
-        probs = Matrix([[0.2, 0.8], [0.3, 0.7]])
+        probs = np.array([[0.2, 0.8], [0.3, 0.7]])
         with pytest.raises(ValueError, match=r"^labels: 0\.9 is not an integer$"):
             accuracy(probs, [0.9, 1.0])
 
@@ -187,9 +187,9 @@ class TestAccuracy:
      r"clean_indices: indices -1\.\.3 outside \[0, 40\)"),
     (lambda probs, ds: pseudo_label_recall(probs, ds, [3, 40]),
      r"noisy_indices: indices 3\.\.40 outside \[0, 40\)"),
-    (lambda probs, ds: pseudo_label_recall(Matrix(probs.data[:39]), ds, [3]),
+    (lambda probs, ds: pseudo_label_recall(probs[:39], ds, [3]),
      "probs: 39 entries for a dataset of 40 samples"),
-    (lambda probs, ds: pseudo_label_recall(Matrix(np.full((40, 3), 1 / 3)), ds, [3]),
+    (lambda probs, ds: pseudo_label_recall(np.full((40, 3), 1 / 3), ds, [3]),
      "probs: 3 columns for a dataset of 2 classes"),
 ], ids=["accuracy-labels", "accuracy-label-above", "accuracy-label-below", "auc-report",
         "precision-negative-index", "pseudo-recall-index", "pseudo-recall-probs",
@@ -198,6 +198,16 @@ def test_inputs_of_another_size_refused(call, message):
     ds = make_gaussian_blobs(2, 20, 4, 10.0, seed=3)
     with pytest.raises(ValueError, match=message):
         call(ensemble(init_twins(Arch(4, 16, 2, 4), seed=1), ds.features), ds)
+
+
+@pytest.mark.parametrize("probs", [np.full(4, 0.5), np.full((4, 2, 1), 0.5)], ids=["1-D", "3-D"])
+def test_prediction_that_is_not_2d_refused(probs):
+    # a 1-D row would otherwise read its argmax as one prediction for every label
+    ds = make_gaussian_blobs(2, 2, 4, 10.0, seed=3)
+    with pytest.raises(ValueError, match=f"^probs: expected a 2-D array, got {probs.ndim} dimensions$"):
+        accuracy(probs, ds.true_labels)
+    with pytest.raises(ValueError, match=f"^probs: expected a 2-D array, got {probs.ndim} dimensions$"):
+        pseudo_label_recall(probs, ds, [0])
 
 
 class TestClassHistogram:

@@ -11,7 +11,7 @@ import pytest
 from noisytrain import model
 from noisytrain.config import config_from_dict
 from noisytrain.data import MAX_SEED
-from noisytrain.kernel import GradientTape, Matrix, ShapeMismatchError, backward, wrap
+from noisytrain.kernel import GradientTape, Matrix, ShapeMismatchError, backward
 from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks,
                               ensemble_softmax, forward_logits, forward_projection,
                               forward_softmax, init_network, init_twins, layout,
@@ -57,13 +57,13 @@ class TestInit:
         net = init_network(ARCH, seed=3)
         x = Matrix(np.random.default_rng(0).normal(size=(16, 5)))
         probs = forward_softmax(net, x)
-        assert np.all(np.isfinite(probs.data))
+        assert np.all(np.isfinite(probs))
 
     def test_untrained_softmax_near_uniform(self):
         net = init_network(ARCH, seed=3)
         x = Matrix(np.random.default_rng(1).normal(size=(1000, 5)))
         probs = forward_softmax(net, x)
-        mean_max = probs.data.max(axis=1).mean()
+        mean_max = probs.max(axis=1).mean()
         assert mean_max < 2 / ARCH.num_classes + 0.1
 
     def test_arch_validation(self):
@@ -95,7 +95,7 @@ class TestForward:
         net = init_network(ARCH, seed=5)
         x = Matrix(np.random.default_rng(2).normal(size=(7, 5)))
         out = forward_softmax(net, x)
-        assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
         assert out.shape == (7, 4)
 
     def test_duplicate_input_rows_duplicate_outputs(self):
@@ -103,7 +103,7 @@ class TestForward:
         row = np.random.default_rng(3).normal(size=(1, 5))
         x = Matrix(np.vstack([row, row]))
         out = forward_softmax(net, x)
-        assert np.array_equal(out.data[0], out.data[1])
+        assert np.array_equal(out[0], out[1])
 
     def test_input_width_checked(self):
         net = init_network(ARCH, seed=5)
@@ -181,7 +181,7 @@ class TestBlockedEvaluation:
                   for i in range(0, rows, self.BLOCK)]
         out = forward_softmax(net, Matrix(x))
         assert out.shape == (rows, ARCH.num_classes)
-        assert out.data.tobytes() == np.vstack(blocks).tobytes()
+        assert out.tobytes() == np.vstack(blocks).tobytes()
 
     @pytest.mark.parametrize("rows", [0, BLOCK + 1])
     def test_input_width_checked_on_an_empty_or_tall_input(self, rows):
@@ -222,7 +222,7 @@ class TestBlockedEvaluation:
         train, _ = build_datasets(cfg)
         twins = init_twins(Arch(32, 128, 10, 32), cfg.hyperparams.seed)
         for net in (twins.net1, twins.net2):
-            assert (forward_softmax(net, train.features).data.tobytes()
+            assert (forward_softmax(net, train.features).tobytes()
                     == _unblocked_softmax(net, train.features).tobytes())
 
 
@@ -241,14 +241,14 @@ class TestEvalWorkspace:
         net = init_network(ARCH, seed=5)
         first, *later = self._inputs()
         out = forward_softmax(net, first)
-        kept = out.data.copy()
+        kept = out.copy()
         for x in later:
             forward_softmax(net, x)
-            assert out.data.tobytes() == kept.tobytes()
+            assert out.tobytes() == kept.tobytes()
 
     def test_evaluation_between_forward_and_backward_keeps_gradients(self):
         x, *others = self._inputs()
-        targets = Matrix(np.full((x.rows, ARCH.num_classes), 1.0 / ARCH.num_classes))
+        targets = np.full((x.rows, ARCH.num_classes), 1.0 / ARCH.num_classes)
 
         def grads(evaluate):
             net = init_network(ARCH, seed=5)
@@ -283,27 +283,27 @@ class TestEnsemble:
         net = init_network(ARCH, seed=9)
         x = Matrix(np.random.default_rng(7).normal(size=(5, 5)))
         probs = forward_softmax(net, x)
-        assert np.allclose(ensemble_softmax(probs, probs).data, probs.data, atol=1e-15)
+        assert np.allclose(ensemble_softmax(probs, probs), probs, atol=1e-15)
 
     def test_mean_of_distributions(self):
         twins = init_twins(ARCH, seed=0)
         x = Matrix(np.random.default_rng(8).normal(size=(5, 5)))
         s1 = forward_softmax(twins.net1, x)
         s2 = forward_softmax(twins.net2, x)
-        ens = ensemble_softmax(s1, s2).data
-        assert np.allclose(ens, (s1.data + s2.data) / 2, atol=1e-15)
+        ens = ensemble_softmax(s1, s2)
+        assert np.allclose(ens, (s1 + s2) / 2, atol=1e-15)
         assert np.allclose(ens.sum(axis=1), 1.0, atol=1e-9)
 
     def test_permutation_symmetric(self):
         twins = init_twins(ARCH, seed=0)
         x = Matrix(np.random.default_rng(9).normal(size=(5, 5)))
         s1, s2 = forward_softmax(twins.net1, x), forward_softmax(twins.net2, x)
-        assert np.array_equal(ensemble_softmax(s1, s2).data, ensemble_softmax(s2, s1).data)
+        assert np.array_equal(ensemble_softmax(s1, s2), ensemble_softmax(s2, s1))
 
     def test_non_finite_prediction_refused(self):
-        probs = Matrix(np.full((2, 3), 1.0 / 3.0))
-        bad = wrap(np.array([[np.nan, 0.5, 0.5], [1.0, 0.0, 0.0]]))
-        with pytest.raises(ValueError, match="finite"):
+        probs = np.full((2, 3), 1.0 / 3.0)
+        bad = np.array([[np.nan, 0.5, 0.5], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="^ensemble_softmax: .* not finite$"):
             ensemble_softmax(probs, bad)
 
     def test_predictions_are_read_only(self):
@@ -312,10 +312,11 @@ class TestEnsemble:
         x = Matrix(np.random.default_rng(10).normal(size=(5, 5)))
         s1, s2 = forward_softmax(twins.net1, x), forward_softmax(twins.net2, x)
         for m in (s1, s2, ensemble_softmax(s1, s2)):
+            assert type(m) is np.ndarray
             with pytest.raises(ValueError, match="read-only"):
-                m.data[0, 0] = 0.5
+                m[0, 0] = 0.5
             with pytest.raises(ValueError, match="read-only"):
-                np.exp(m.data, out=m.data)
+                np.exp(m, out=m)
 
     def test_twins_never_share_parameters(self):
         twins = init_twins(ARCH, seed=0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from noisytrain.data import make_gaussian_blobs, round_half_up
-from noisytrain.kernel import Matrix, wrap
 from noisytrain.model import Arch, ensemble_softmax, forward_softmax, init_twins
 from noisytrain.selection import (CutoffParams, DistributionError,
                                   DivergenceReport, SelectionResult,
@@ -62,7 +61,7 @@ class TestJsd:
         n, c = 40, 5
         probs = rng.dirichlet(np.ones(c), size=n)
         labels = rng.integers(0, c, size=n)
-        report = divergences_from_probs(Matrix(probs), labels)
+        report = divergences_from_probs(probs, labels)
         for i in range(n):
             onehot = np.zeros(c)
             onehot[labels[i]] = 1.0
@@ -81,13 +80,13 @@ class TestJsd:
             row = np.asarray(row, dtype=np.float64)
             onehot = np.zeros(row.size)
             onehot[label] = 1.0
-            d = divergences_from_probs(wrap(row[None, :]), [label]).d[0]
+            d = divergences_from_probs(row[None, :], [label]).d[0]
             assert abs(d - jsd(onehot, row)) <= 1e-15, (row, label)
 
     def test_reads_no_full_size_temporary(self, rng):
         # one 20,000 x 50 float64 array is 8 MB; the call needs only per-row vectors
         n, c = 20_000, 50
-        probs = wrap(rng.dirichlet(np.ones(c), size=n))
+        probs = rng.dirichlet(np.ones(c), size=n)
         labels = rng.integers(0, c, size=n)
         tracemalloc.start()
         try:
@@ -113,7 +112,7 @@ class TestComputeDivergences:
         ds = make_gaussian_blobs(2, 5, 3, 6.0, seed=2)
         onehot = np.zeros((len(ds), 2))
         onehot[np.arange(len(ds)), ds.given_labels] = 1.0
-        report = divergences_from_probs(Matrix(onehot), ds.given_labels)
+        report = divergences_from_probs(onehot, ds.given_labels)
         assert np.all(report.d == 0.0)
 
     def test_report_invariants(self, rng):
@@ -128,8 +127,8 @@ class TestComputeDivergences:
             DivergenceReport.from_values(d)
 
     def test_nan_probability_row_rejected(self):
-        # unchecked softmax output (wrap, not Matrix) is how a NaN row arrives
-        probs = wrap(np.array([[0.9, 0.1], [np.nan, np.nan], [0.2, 0.8]]))
+        # a network's own softmax is not scanned, so a NaN row can arrive
+        probs = np.array([[0.9, 0.1], [np.nan, np.nan], [0.2, 0.8]])
         with pytest.raises(ValueError, match=r"divergences must lie in \[0, 1\]"):
             divergences_from_probs(probs, np.array([0, 1, 1]))
 
@@ -141,9 +140,16 @@ class TestComputeDivergences:
     ], ids=["negative", "label-C", "fractional", "shorter"])
     def test_bad_labels_refused(self, labels, message):
         # a negative label would otherwise score against the last class
-        probs = Matrix(np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
+        probs = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
         with pytest.raises(ValueError, match=f"^{message}$"):
             divergences_from_probs(probs, labels)
+
+    @pytest.mark.parametrize("probs", [np.array([0.7, 0.3]), np.full((3, 2, 1), 0.5)],
+                             ids=["1-D", "3-D"])
+    def test_prediction_that_is_not_2d_refused(self, probs):
+        with pytest.raises(ValueError,
+                           match=f"^probs: expected a 2-D array, got {probs.ndim} dimensions$"):
+            divergences_from_probs(probs, [0, 1, 1])
 
 
 # at tau <= 1 the cutoff is at or below d_min, so selection would admit nothing
@@ -366,7 +372,7 @@ def test_bad_labels_refused(balancing, labels, message):
 def test_prediction_of_another_width_refused(balancing):
     # a 4-column prediction for 3 classes would otherwise select 9 of 12 samples
     ds = make_gaussian_blobs(3, 4, 2, 6.0, seed=0)
-    probs = Matrix(np.full((len(ds), 4), 0.25))
+    probs = np.full((len(ds), 4), 0.25)
     flags = AblationFlags(balancing=balancing)
     with pytest.raises(ValueError, match="^probs: 4 columns for a dataset of 3 classes$"):
         select_for_network(probs, ds, CutoffParams(), flags)
