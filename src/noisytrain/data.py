@@ -360,7 +360,7 @@ def load_dataset_csv(path: str, num_classes: int | None = None) -> LabeledDatase
     given_arr = np.array(given_l, dtype=np.int64)
     if num_classes is None:
         num_classes = int(max(true_arr.max(), given_arr.max())) + 1
-    try:
-        return LabeledDataset(Matrix(np.array(feats)), true_arr, given_arr, num_classes)
+    try:   # each row's finiteness was checked as it was parsed
+        return LabeledDataset(wrap(np.array(feats)), true_arr, given_arr, num_classes)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -42,8 +42,9 @@ class TapeUsageError(RuntimeError):
 class Matrix:
     """A rows x cols float64 matrix, stored row-major: what a network reads and the tape records.
 
-    ``Matrix(values)`` copies and rejects non-finite values, for what enters
-    from outside a training step; a step wraps its own arrays (:func:`wrap`).
+    ``Matrix(values)`` copies and rejects non-finite values, for values a
+    caller's arguments can make non-finite (a generated dataset); arrays the
+    program made or has already scanned are wrapped (:func:`wrap`).
     Operations return new matrices; identity hashing lets them key gradient dicts.
     """
 

@@ -104,7 +104,7 @@ def init_network(arch: Arch, seed: int) -> NetworkParams:
             params[name] = Matrix.zeros(rows, cols)
         else:
             bound = 1.0 / np.sqrt(rows)
-            params[name] = Matrix(rng.uniform(-bound, bound, size=(rows, cols)))
+            params[name] = kernel.wrap(rng.uniform(-bound, bound, size=(rows, cols)))
     return NetworkParams(arch=arch, seed=seed, params=params)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import (LabeledDataset, apply_noise, atomic_open, dataset_csv_blocks,
                    make_gaussian_blobs, save_dataset_csv)
-from .kernel import Matrix
+from .kernel import wrap
 from .experiment import RunResult, run
 from .metrics import EpochMetrics
 from .model import save_checkpoint
@@ -48,8 +48,8 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
                                  d.dims, d.separation, cfg.hyperparams.seed)
     rows = np.arange(len(pooled)).reshape(d.num_classes, -1)   # one row of indices per class
 
-    def subset(idx):
-        return LabeledDataset(Matrix(pooled.features.data[idx]), pooled.true_labels[idx],
+    def subset(idx):   # the pooled features were scanned when they were drawn
+        return LabeledDataset(wrap(pooled.features.data[idx]), pooled.true_labels[idx],
                               pooled.given_labels[idx], d.num_classes)
 
     train = subset(rows[:, :d.per_class].ravel())

@@ -51,10 +51,6 @@ _S_ITER = 70
 _LOSS_TERMS = ("lx", "lu", "lreg", "lc")
 
 
-class DegenerateBatchError(RuntimeError):
-    """MixMatch assembly was asked to mix an empty labeled collection."""
-
-
 class TrainingDivergedError(RuntimeError):
     """A training step produced a non-finite loss term or parameter."""
 
@@ -182,22 +178,13 @@ def mixup(x1: Matrix, t1: np.ndarray, x2: Matrix, t2: np.ndarray, alpha: float,
     return mixup_with_lambda(x1, t1, x2, t2, lam)
 
 
-def mixmatch_assemble(x_inputs: Matrix, x_targets: np.ndarray,
-                      u_inputs: Matrix, u_targets: np.ndarray,
-                      alpha: float, rng: np.random.Generator) -> tuple[MixedBatch, MixedBatch]:
-    """Mix labeled and unlabeled entries against a shuffle of their union; with
-    no unlabeled entries, the labeled ones mix among themselves and ``u`` is empty."""
-    n_x = x_inputs.rows
-    if n_x == 0:
-        raise DegenerateBatchError("mixmatch needs a non-empty labeled collection")
-    all_inputs = np.vstack([x_inputs.data, u_inputs.data])
-    all_targets = np.vstack([x_targets, u_targets])
-    perm = rng.permutation(len(all_inputs))
-    w_inputs = all_inputs[perm]
-    w_targets = all_targets[perm]
-    mixed_x = mixup(x_inputs, x_targets, kernel.wrap(w_inputs[:n_x]), w_targets[:n_x], alpha, rng)
-    mixed_u = mixup(u_inputs, u_targets, kernel.wrap(w_inputs[n_x:]), w_targets[n_x:], alpha, rng)
-    return mixed_x, mixed_u
+def mixmatch_assemble(inputs: Matrix, targets: np.ndarray, alpha: float,
+                      rng: np.random.Generator) -> MixedBatch:
+    """Mix each entry of a MixMatch union against the entry at its own
+    position in one shuffle of the union; the caller stacks the labeled
+    entries first, so the mixed rows keep that order."""
+    perm = rng.permutation(inputs.rows)
+    return mixup(inputs, targets, kernel.wrap(inputs.data[perm]), targets[perm], alpha, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +435,11 @@ def select_for_network(probs: np.ndarray, ds: LabeledDataset, cutoff_params: Cut
     return report, sel
 
 
-def _interleave_two_views(a: Matrix, b: Matrix) -> Matrix:
+def _interleave_two_views(a: np.ndarray, b: np.ndarray) -> Matrix:
     """Stack two per-sample views as adjacent rows: a0, b0, a1, b1, ..."""
-    n, d = a.shape
-    out = np.empty((2 * n, d))
-    out[0::2] = a.data
-    out[1::2] = b.data
+    out = np.empty((2 * len(a), a.shape[1]))
+    out[0::2] = a
+    out[1::2] = b
     return kernel.wrap(out)
 
 
@@ -493,20 +479,23 @@ def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
         y_refined = refine_labels(net, xw1, xw2, targets_full[cb], weights[cb], hp.T)
         uw1, uw2, us1, us2 = views(ub, rng)
         q = guess_pseudo_labels(twins, uw1, uw2, hp.T)
-        u_in = _interleave_two_views(us1, us2)
-        mixed_x, mixed_u = mixmatch_assemble(
-            _interleave_two_views(xs1, xs2), np.repeat(y_refined, 2, axis=0),
-            u_in, np.repeat(q, 2, axis=0), hp.alpha, rng)
+        # the MixMatch union: each clean sample's two strong views, then each noisy sample's
+        union = _interleave_two_views(np.vstack([xs1.data, us1.data]),
+                                      np.vstack([xs2.data, us2.data]))
+        mixed = mixmatch_assemble(union, np.repeat(np.vstack([y_refined, q]), 2, axis=0),
+                                  hp.alpha, rng)
+        n_x = 2 * len(cb)
 
-        logits_x = forward_logits(net, mixed_x.inputs, tape)
-        lx = loss_lx(logits_x, mixed_x.targets, tape)
+        logits_x = forward_logits(net, kernel.wrap(mixed.inputs.data[:n_x]), tape)
+        lx = loss_lx(logits_x, mixed.targets[:n_x], tape)
         lu = lc = Matrix.zeros(1, 1)
         if len(ub):   # the unlabeled terms; an empty noisy batch leaves lu and lc at 0
-            logits_u = forward_logits(net, mixed_u.inputs, tape)
-            lu = loss_lu(logits_u, mixed_u.targets, tape)
+            logits_u = forward_logits(net, kernel.wrap(mixed.inputs.data[n_x:]), tape)
+            lu = loss_lu(logits_u, mixed.targets[n_x:], tape)
             lreg = loss_reg(kernel.concat_rows(logits_x, logits_u, tape), ds.num_classes, tape)
             if flags.contrastive:
-                lc = loss_contrastive(forward_projection(net, u_in, tape), hp.kappa, tape)
+                lc = loss_contrastive(forward_projection(net, kernel.wrap(union.data[n_x:]), tape),
+                                      hp.kappa, tape)
         else:
             lreg = loss_reg(logits_x, ds.num_classes, tape)
         return total_loss(lx, lu, lreg, lc, hp, tape), {"lx": lx, "lu": lu, "lreg": lreg, "lc": lc}

@@ -11,6 +11,10 @@ They record through the public ``kernel.record``, so a reference chain
 runs on the same tape as the fused records.  ``matmul`` stays in
 ``kernel``, where the benchmark counts its calls; it is imported here so
 one namespace holds a whole reference chain.
+
+``two_part_mixmatch`` is the MixMatch assembly as two mixes, the labeled
+and the unlabeled entries each in its own ``mixup`` call; the one-call
+``training.mixmatch_assemble`` over their union must match it byte for byte.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 
 from noisytrain.kernel import GradientTape, Matrix, ShapeMismatchError, record, wrap
 from noisytrain.kernel import matmul  # noqa: F401  (part of the reference chain)
+from noisytrain.training import MixedBatch, mixup
 
 
 class DegenerateEmbeddingError(ValueError):
@@ -171,3 +176,19 @@ def l2_normalize_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
         return ((g - y * dot) / norms,)
 
     return record(tape, (m,), wrap(y), bwd)
+
+
+def two_part_mixmatch(x_inputs: Matrix, x_targets: np.ndarray, u_inputs: Matrix,
+                      u_targets: np.ndarray, alpha: float,
+                      rng: np.random.Generator) -> tuple[MixedBatch, MixedBatch]:
+    """Shuffle the union of the labeled and unlabeled entries once, then mix
+    the labeled entries against the shuffle's first rows and the unlabeled
+    ones against the rest, in two ``mixup`` calls."""
+    n_x = x_inputs.rows
+    w_inputs = np.vstack([x_inputs.data, u_inputs.data])
+    w_targets = np.vstack([x_targets, u_targets])
+    perm = rng.permutation(len(w_inputs))
+    w_inputs, w_targets = w_inputs[perm], w_targets[perm]
+    mixed_x = mixup(x_inputs, x_targets, wrap(w_inputs[:n_x]), w_targets[:n_x], alpha, rng)
+    mixed_u = mixup(u_inputs, u_targets, wrap(w_inputs[n_x:]), w_targets[n_x:], alpha, rng)
+    return mixed_x, mixed_u

@@ -133,7 +133,6 @@ def _exception_classes():
 
 EXAMPLES = [
     training.TrainingDivergedError(3, 1, "ssl", "lc"),
-    training.DegenerateBatchError("empty"),
     kernel.ShapeMismatchError("2x3 @ 4x5"),
     kernel.TapeUsageError("consumed"),
     metrics.UndefinedAUCError("one class"),

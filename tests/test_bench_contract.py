@@ -32,6 +32,26 @@ def _function(module: str, name: str):
     return getattr(importlib.import_module(f"noisytrain.{module}"), name)
 
 
+def _rebind(monkeypatch, original, wrapper) -> None:
+    """Like the tracer, point every ``noisytrain`` module's reference to ``original`` at ``wrapper``."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("noisytrain.") and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, wrapper)
+
+
+def _tiny_run(**kwargs):
+    """Two epochs on 3x20 blobs at 40% noise: one warmup epoch, one SSL epoch."""
+    from noisytrain import experiment
+    from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
+    from noisytrain.training import Hyperparams
+
+    train = inject_symmetric_noise(make_gaussian_blobs(3, 20, 4, 8.0, seed=1), 0.4, seed=2)
+    test = make_gaussian_blobs(3, 5, 4, 8.0, seed=3)
+    experiment.run(train, test, Hyperparams(seed=1, batch_size=16, warmup_epochs=1,
+                                            total_epochs=2),
+                   hidden=8, embed_dim=4, aug=AugmentationSpec(), **kwargs)
+
+
 @pytest.mark.parametrize("module,name", sorted(_spans()))
 def test_traced_function_exists(module, name):
     assert callable(_function(module, name))
@@ -76,18 +96,33 @@ def test_counted_attributes_exist():
     assert "degenerate" in HalfEpochRecord.__dataclass_fields__
 
 
+def test_an_ssl_run_calls_every_spanned_training_function(monkeypatch):
+    # a span whose function is renamed away, or no longer called, would go dark
+    # while test_traced_function_exists still passes
+    called = set()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return call
+    names = sorted(name for module, name in _spans() if module == "training")
+    for name in names:
+        fn = _function("training", name)
+        _rebind(monkeypatch, fn, counting(name, fn))
+    noisy = []
+    _tiny_run(on_epoch=lambda row, halves, train, test: noisy.extend(
+        len(h.selection.noisy_indices) for h in halves))
+    assert noisy and all(noisy)   # every half had noisy rows, so every loss term ran
+    assert {"mixup", "mixmatch_assemble", "loss_contrastive"} <= set(names)
+    assert sorted(called) == names
+
+
 def test_hooked_calls_carry_what_the_tracer_reads(monkeypatch):
     # the tracer adds forward_softmax's ``x.rows`` to model.eval_rows and,
     # after each backward, the tape's ``num_records`` to kernel.tape_records;
     # like the tracer, wrap the functions in every module that holds them
-    from noisytrain import experiment, kernel, model
-    from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
-    from noisytrain.training import Hyperparams
-
-    def rebind(original, wrapper):
-        for name, module in list(sys.modules.items()):
-            if name.startswith("noisytrain.") and getattr(module, original.__name__, None) is original:
-                monkeypatch.setattr(module, original.__name__, wrapper)
+    from noisytrain import kernel, model
 
     rows, records = [], []
     forward_softmax, backward = model.forward_softmax, kernel.backward
@@ -100,13 +135,9 @@ def test_hooked_calls_carry_what_the_tracer_reads(monkeypatch):
         grads = backward(tape, loss)
         records.append(tape.num_records)
         return grads
-    rebind(forward_softmax, counting_forward_softmax)
-    rebind(backward, counting_backward)
-    train = inject_symmetric_noise(make_gaussian_blobs(3, 20, 4, 8.0, seed=1), 0.4, seed=2)
-    test = make_gaussian_blobs(3, 5, 4, 8.0, seed=3)
-    experiment.run(train, test, Hyperparams(seed=1, batch_size=16, warmup_epochs=1,
-                                            total_epochs=2),
-                   hidden=8, embed_dim=4, aug=AugmentationSpec())
+    _rebind(monkeypatch, forward_softmax, counting_forward_softmax)
+    _rebind(monkeypatch, backward, counting_backward)
+    _tiny_run()
     assert rows and all(type(n) is int and n > 0 for n in rows)
     assert {60, 15} <= set(rows)   # the run's train- and test-set evaluations
     assert len(rows) > 6           # and the refinement and guessing passes of the halves

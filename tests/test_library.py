@@ -20,6 +20,11 @@ plain arrays, so ``selection``, ``metrics`` and ``experiment`` import
 nothing from ``kernel``: only the modules that run a network or record
 on the tape know its types.
 
+The checked ``Matrix(...)`` constructor, a copy and a finiteness scan,
+is called only where ``data.make_gaussian_blobs`` draws a dataset: a
+caller's ``separation`` can overflow its scaled means.  Every other array
+the library makes, or has already scanned, is wrapped (``kernel.wrap``).
+
 A network carries only what a checkpoint and a resume need: its arch,
 seed, parameters and SGD velocity row, and no cached state.
 """
@@ -136,3 +141,15 @@ def test_readers_of_predictions_import_nothing_from_kernel():
 def test_network_holds_only_checkpoint_and_resume_state():
     assert [f.name for f in dataclasses.fields(NetworkParams)] == \
         ["arch", "seed", "params", "velocity"]
+
+
+def test_checked_matrices_are_built_only_from_generated_data():
+    sites = []
+    for fname, tree in _trees().items():
+        for top in tree.body:
+            for call in ast.walk(top):
+                if isinstance(call, ast.Call) and (
+                        isinstance(call.func, ast.Name) and call.func.id == "Matrix"
+                        or isinstance(call.func, ast.Attribute) and call.func.attr == "Matrix"):
+                    sites.append(f"{fname[:-3]}.{getattr(top, 'name', call.lineno)}")
+    assert sites == ["data.make_gaussian_blobs"], sites

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference_ops as ref
 from conftest import (finite_difference_grad, max_relative_error, select, serial_sgd_steps,
                       ssl_epoch, warmup_epochs)
 from noisytrain import training
@@ -12,13 +13,13 @@ from noisytrain.cli import main
 from noisytrain.config import config_from_dict
 from noisytrain.data import (AugmentationSpec, batch_iterator, inject_symmetric_noise,
                              make_gaussian_blobs, strong_augment, weak_augment)
-from noisytrain.kernel import GradientTape, Matrix, backward, record, wrap
+from noisytrain.kernel import GradientTape, Matrix, backward, concat_rows, record, wrap
 from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks, ensemble_softmax,
-                              forward_logits, forward_softmax, init_network, init_twins, layout)
+                              forward_logits, forward_projection, forward_softmax, init_network,
+                              init_twins, layout)
 from noisytrain.runner import cmd_run
 from noisytrain.selection import CutoffParams, DivergenceReport, select_clean
-from noisytrain.training import (AblationFlags, DegenerateBatchError,
-                                 Hyperparams, TrainingDivergedError,
+from noisytrain.training import (AblationFlags, Hyperparams, TrainingDivergedError,
                                  blend_targets, decayed_lr,
                                  guess_pseudo_labels, loss_contrastive,
                                  loss_lu, loss_lx, loss_reg, mixmatch_assemble,
@@ -185,52 +186,57 @@ class TestMixmatchAssemble:
         return Matrix(rng.normal(size=(n, dims))), rng.dirichlet(np.ones(classes), size=n)
 
     def test_sizes(self, rng):
-        xi, xt = self._entries(rng, 4)
-        ui, ut = self._entries(rng, 6)
-        mx, mu = mixmatch_assemble(xi, xt, ui, ut, 4.0, np.random.default_rng(0))
-        assert mx.inputs.shape == (4, 3) and mx.targets.shape == (4, 2)
-        assert mu.inputs.shape == (6, 3) and mu.targets.shape == (6, 2)
+        inputs, targets = self._entries(rng, 10)
+        mixed = mixmatch_assemble(inputs, targets, 4.0, np.random.default_rng(0))
+        assert mixed.inputs.shape == (10, 3) and mixed.targets.shape == (10, 2)
 
     def test_each_row_is_convex_combo_with_union(self, rng):
-        xi, xt = self._entries(rng, 4)
-        ui, ut = self._entries(rng, 4)
-        mx, _ = mixmatch_assemble(xi, xt, ui, ut, 4.0, np.random.default_rng(1))
-        union = np.vstack([xi.data, ui.data])
-        for i in range(4):
-            moved = mx.inputs.data[i] - xi.data[i]
+        union, targets = self._entries(rng, 8)
+        mixed = mixmatch_assemble(union, targets, 4.0, np.random.default_rng(1))
+        for i in range(8):
+            moved = mixed.inputs.data[i] - union.data[i]
             if not moved.any():   # lambda' == 1, or mixed with itself
                 continue
-            # the partner's weight 1 - lambda' along the step from x_i to each union row
-            steps = union - xi.data[i]
+            # the partner's weight 1 - lambda' along the step from row i to each union row
+            steps = union.data - union.data[i]
             weight = steps @ moved / np.maximum((steps * steps).sum(axis=1), 1e-300)
             miss = np.abs(steps * weight[:, None] - moved).max(axis=1)
             j = miss.argmin()
             assert miss[j] < 1e-8 and 0.0 < weight[j] <= 0.5
 
     def test_deterministic_given_seed(self, rng):
-        xi, xt = self._entries(rng, 4)
-        ui, ut = self._entries(rng, 4)
-        a = mixmatch_assemble(xi, xt, ui, ut, 4.0, np.random.default_rng(7))
-        b = mixmatch_assemble(xi, xt, ui, ut, 4.0, np.random.default_rng(7))
-        assert a[0].inputs.data.tobytes() == b[0].inputs.data.tobytes()
-        assert a[1].targets.tobytes() == b[1].targets.tobytes()
+        inputs, targets = self._entries(rng, 8)
+        a = mixmatch_assemble(inputs, targets, 4.0, np.random.default_rng(7))
+        b = mixmatch_assemble(inputs, targets, 4.0, np.random.default_rng(7))
+        assert a.inputs.data.tobytes() == b.inputs.data.tobytes()
+        assert a.targets.tobytes() == b.targets.tobytes()
 
-    def test_empty_labeled_side_raises(self, rng):
-        ui, ut = self._entries(rng, 4)
-        empty_i, empty_t = Matrix(np.zeros((0, 3))), np.zeros((0, 2))
-        with pytest.raises(DegenerateBatchError):
-            mixmatch_assemble(empty_i, empty_t, ui, ut, 4.0, np.random.default_rng(0))
-
-    def test_empty_unlabeled_side_mixes_labeled_among_themselves(self, rng):
-        xi, xt = self._entries(rng, 5)
-        empty_i, empty_t = Matrix(np.zeros((0, 3))), np.zeros((0, 2))
-        mx, mu = mixmatch_assemble(xi, xt, empty_i, empty_t, 4.0, np.random.default_rng(9))
+    def test_clean_only_union_mixes_among_themselves(self, rng):
+        inputs, targets = self._entries(rng, 5)
+        mixed = mixmatch_assemble(inputs, targets, 4.0, np.random.default_rng(9))
         ref_rng = np.random.default_rng(9)
         perm = ref_rng.permutation(5)
-        ref = mixup(xi, xt, Matrix(xi.data[perm]), xt[perm], 4.0, ref_rng)
-        assert mx.inputs.data.tobytes() == ref.inputs.data.tobytes()
-        assert mx.targets.tobytes() == ref.targets.tobytes()
-        assert mu.inputs.shape == (0, 3) and mu.targets.shape == (0, 2)
+        want = mixup(inputs, targets, Matrix(inputs.data[perm]), targets[perm], 4.0, ref_rng)
+        assert mixed.inputs.data.tobytes() == want.inputs.data.tobytes()
+        assert mixed.targets.tobytes() == want.targets.tobytes()
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.05, 0.75, 1.0, 4.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_mix_of_the_union_equals_the_two_part_mix(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        n_x = int(rng.integers(1, 40))
+        n_u = 0 if seed % 3 == 0 else int(rng.integers(1, 40))   # every third has no noisy rows
+        dims, classes = int(rng.integers(1, 9)), int(rng.integers(2, 6))
+        xi, xt = self._entries(rng, n_x, dims, classes)
+        ui, ut = self._entries(rng, n_u, dims, classes)
+        got_rng, want_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        mixed = mixmatch_assemble(wrap(np.vstack([xi.data, ui.data])), np.vstack([xt, ut]),
+                                  alpha, got_rng)
+        mixed_x, mixed_u = ref.two_part_mixmatch(xi, xt, ui, ut, alpha, want_rng)
+        assert mixed.inputs.data.tobytes() == \
+            np.vstack([mixed_x.inputs.data, mixed_u.inputs.data]).tobytes()
+        assert mixed.targets.tobytes() == np.vstack([mixed_x.targets, mixed_u.targets]).tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestLossValues:
@@ -592,6 +598,56 @@ class TestTrainEpoch:
         assert twins.net2.velocity.tobytes() == net.velocity.tobytes()
         assert rec.losses == {"lx": float(np.mean([s["lx"] for s in steps])), "lu": 0.0,
                               "lreg": float(np.mean([s["lreg"] for s in steps])), "lc": 0.0}
+
+    @pytest.mark.parametrize("flags", [FLAGS, AblationFlags(contrastive=False)],
+                             ids=["contrastive", "no-contrastive"])
+    def test_half_equals_the_two_part_mixmatch_reference(self, flags):
+        # reference: clean and noisy views interleaved and repeated apart, then
+        # mixed against their parts of one shuffle of the union in two mixup calls
+        ds, hp, twins = self._setup()
+        _, _, ref_twins = self._setup()
+        report, sel = select(twins, 1, ds, CUTOFF, FLAGS)
+        assert len(sel.clean_indices) and len(sel.noisy_indices)
+        rec = train_half_epoch(twins, 1, ds, hp, AUG, flags, 1, report, sel)
+        net, targets = ref_twins.net1, one_hot(ds.given_labels, 3)
+        weights = training.refinement_weights(report.d, hp.d_omega)
+
+        def views(idx, rng):
+            x = wrap(ds.features.data[idx])
+            return [f(x, AUG, rng) for f in (weak_augment, weak_augment,
+                                             strong_augment, strong_augment)]
+
+        def interleave(a, b):
+            return wrap(np.stack([a.data, b.data], axis=1).reshape(2 * a.rows, -1))
+
+        def two_part(tape, item):
+            it, (cb, ub) = item
+            rng = np.random.default_rng([hp.seed, training._S_ITER, 1, 1, it])
+            xw1, xw2, xs1, xs2 = views(cb, rng)
+            y = refine_labels(net, xw1, xw2, targets[cb], weights[cb], hp.T)
+            uw1, uw2, us1, us2 = views(ub, rng)
+            q = guess_pseudo_labels(ref_twins, uw1, uw2, hp.T)
+            u_in = interleave(us1, us2)
+            mixed_x, mixed_u = ref.two_part_mixmatch(
+                interleave(xs1, xs2), np.repeat(y, 2, axis=0), u_in, np.repeat(q, 2, axis=0),
+                hp.alpha, rng)
+            logits_x = forward_logits(net, mixed_x.inputs, tape)
+            logits_u = forward_logits(net, mixed_u.inputs, tape)
+            lx, lu = loss_lx(logits_x, mixed_x.targets, tape), loss_lu(logits_u, mixed_u.targets, tape)
+            lreg = loss_reg(concat_rows(logits_x, logits_u, tape), 3, tape)
+            lc = (loss_contrastive(forward_projection(net, u_in, tape), hp.kappa, tape)
+                  if flags.contrastive else Matrix.zeros(1, 1))
+            return total_loss(lx, lu, lreg, lc, hp, tape), {"lx": lx, "lu": lu, "lreg": lreg,
+                                                             "lc": lc}
+
+        batches = [batch_iterator(idx, hp.batch_size, (hp.seed, tag, 1), 1) for idx, tag in
+                   ((sel.clean_indices, training._S_CLEAN), (sel.noisy_indices, training._S_NOISY))]
+        steps = training._sgd_steps(net, hp, decayed_lr(hp, 1), ALL_GROUPS,
+                                    enumerate(zip(*batches)), two_part, (1, 1, "ssl"))
+        for name in ALL_GROUPS:
+            assert twins.net1.params[name].data.tobytes() == net.params[name].data.tobytes()
+        assert twins.net1.velocity.tobytes() == net.velocity.tobytes()
+        assert rec.losses == {k: float(np.mean([s[k] for s in steps])) for k in steps[0]}
 
     def test_clean_set_empty_makes_no_step(self, monkeypatch, caplog):
         # one step per clean batch: none, and no training on the rejected labels
