@@ -7,7 +7,6 @@ With a fixed seed, repeated runs produce byte-identical outputs.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import json
@@ -164,33 +163,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# A worker's BLAS library reads these once, when it loads.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Set the BLAS thread variables to 1 for processes started inside."""
-    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def cmd_ablate(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
     """Run the four arms with a shared seed and emit a comparison table.
 
     Warmup does not read the ablation flags, so it runs once, here; each
-    arm's SSL epochs then continue it in a spawned worker process with one
-    BLAS thread, since several multi-threaded BLAS pools on the same cores
-    spin against each other.  An arm writes the files ``cmd_run`` writes
-    for its config.
+    arm's SSL epochs then continue it in a spawned worker process.  A
+    worker imports ``noisytrain`` before numpy, so it loads one BLAS
+    thread (several multi-threaded BLAS pools on the same cores spin
+    against each other).  An arm writes the files ``cmd_run`` writes for
+    its config.
     """
     arms = [(name, dataclasses.replace(cfg, ablation=flags,
                                        output_dir=os.path.join(cfg.output_dir, name)))
@@ -209,9 +190,8 @@ def cmd_ablate(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
     from concurrent.futures import ProcessPoolExecutor
     workers = min(len(arms), _usable_cpus())
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        with _one_blas_thread():   # workers start on submit
-            futures = [pool.submit(_train, arm_cfg, train, test, export_selection, warm)
-                       for _, arm_cfg in arms]
+        futures = [pool.submit(_train, arm_cfg, train, test, export_selection, warm)
+                   for _, arm_cfg in arms]
         try:
             summaries = {name: f.result() for (name, _), f in zip(arms, futures)}
         except BaseException:

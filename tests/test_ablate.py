@@ -28,8 +28,10 @@ from noisytrain.runner import ABLATION_ARMS, build_datasets, cmd_ablate, cmd_run
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# small enough that OpenBLAS never threads, so the worker's single BLAS
-# thread cannot change a byte; two warmup epochs carry a momentum velocity
+# pytest loads numpy before noisytrain, so an in-process cmd_run here keeps
+# OpenBLAS's default thread count while the workers get one thread; this is
+# small enough that OpenBLAS never threads, so that cannot change a byte.
+# Two warmup epochs carry a momentum velocity.
 TINY = {
     "dataset": {"num_classes": 3, "per_class": 20, "test_per_class": 10,
                 "dims": 4, "separation": 8.0},
@@ -120,6 +122,32 @@ def test_diverging_ablation_exits_one_like_run(tmp_path, hyperparams, message):
         proc = cli("-m", "noisytrain.cli", command, "--config", "config.json",
                    "--out", command, cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (1, message + "\n"), command
+
+
+# The benchmark's wide data and arch with one SSL epoch: products large
+# enough that OpenBLAS threads them, and rounds differently when it does.
+WIDE = {
+    "dataset": {"num_classes": 10, "per_class": 1000, "test_per_class": 100,
+                "dims": 32, "separation": 3.0},
+    "noise": {"kind": "asymmetric", "rate": 0.4, "flip_map": [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]},
+    "arch": {"hidden": 128, "embed_dim": 32},
+    "hyperparams": {"warmup_epochs": 3, "total_epochs": 4, "batch_size": 128},
+    "seed": 17,
+}
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS runs one thread on one core, so this would guard nothing")
+def test_run_and_the_full_arm_write_the_same_bytes(tmp_path):
+    # each command loads OpenBLAS with one thread, and its workers inherit it
+    (tmp_path / "config.json").write_text(json.dumps(WIDE))
+    for command in ("run", "ablate"):
+        proc = cli("-m", "noisytrain.cli", command, "--config", "config.json",
+                   "--out", command, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    run, full = files(tmp_path / "run"), files(tmp_path / "ablate" / "full")
+    for name in ("metrics.csv", "checkpoint.bin", "summary.json"):
+        assert run[name] == full[name], name
 
 
 def _exception_classes():

@@ -27,12 +27,20 @@ the library makes, or has already scanned, is wrapped (``kernel.wrap``).
 
 A network carries only what a checkpoint and a resume need: its arch,
 seed, parameters and SGD velocity row, and no cached state.
+
+Importing the package before numpy sets the BLAS thread variables to 1
+before any module loads numpy; importing it after numpy leaves the
+environment exactly as it was, so a caller's later child processes (a
+benchmark's host-speed probe) keep their thread count.
 """
 
 import ast
 import dataclasses
+import json
 import os
 import re
+import subprocess
+import sys
 
 import noisytrain
 from noisytrain.model import NetworkParams
@@ -153,3 +161,42 @@ def test_checked_matrices_are_built_only_from_generated_data():
                         or isinstance(call.func, ast.Attribute) and call.func.attr == "Matrix"):
                     sites.append(f"{fname[:-3]}.{getattr(top, 'name', call.lineno)}")
     assert sites == ["data.make_gaussian_blobs"], sites
+
+
+def _fresh_interpreter(code: str, **blas_vars) -> list:
+    """Run ``code`` in a new Python with only ``blas_vars`` of the BLAS
+    thread variables set; it prints JSON of what it saw."""
+    env = {k: v for k, v in os.environ.items() if k not in noisytrain._BLAS_THREAD_VARS}
+    env.update(blas_vars, PYTHONPATH=os.path.dirname(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(noisytrain._BLAS_THREAD_VARS)],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_pins_one_blas_thread_before_numpy_loads():
+    at_numpy, after = _fresh_interpreter("""
+import json, os, sys
+names = json.loads(sys.argv[1])
+seen = []
+class FirstNumpyImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({k: os.environ.get(k) for k in names})
+sys.meta_path.insert(0, FirstNumpyImport())
+import noisytrain
+print(json.dumps([seen, {k: os.environ.get(k) for k in names}]))
+""", OPENBLAS_NUM_THREADS="2")   # a caller's thread count gives way too
+    one = dict.fromkeys(noisytrain._BLAS_THREAD_VARS, "1")
+    assert at_numpy == [one]   # numpy loaded after the pin, not before
+    assert after == one
+
+
+def test_import_after_numpy_leaves_the_environment_alone():
+    before, after = _fresh_interpreter("""
+import json, os
+before = dict(os.environ)
+import numpy
+import noisytrain
+print(json.dumps([before, dict(os.environ)]))
+""")
+    assert after == before

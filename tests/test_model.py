@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisytrain import model
+from noisytrain import _BLAS_THREAD_VARS, model
 from noisytrain.config import config_from_dict
 from noisytrain.data import MAX_SEED
 from noisytrain.kernel import GradientTape, Matrix, ShapeMismatchError, backward
@@ -143,7 +143,6 @@ class TestForward:
 
 
 _BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _golden_environment_difference() -> str | None:
@@ -156,7 +155,7 @@ def _golden_environment_difference() -> str | None:
     here = f"{blas.get('name')} {blas.get('version')}"
     if here != recorded["blas"]:
         return f"BLAS is {here}, goldens recorded with {recorded['blas']}"
-    threads = {k: os.environ[k] for k in _THREAD_VARS if k in os.environ}
+    threads = {k: os.environ[k] for k in _BLAS_THREAD_VARS if k in os.environ}
     if threads and recorded["blas_threads"].startswith("unset"):
         return f"BLAS threads set by {threads}, goldens recorded with the library default"
     cores = len(os.sched_getaffinity(0))
