@@ -19,23 +19,7 @@ from .training import AblationFlags, Hyperparams
 
 
 class ConfigError(Exception):
-    """Base class for configuration problems."""
-
-
-class ConfigFileError(ConfigError):
-    """The config file is missing or unreadable."""
-
-
-class ConfigSyntaxError(ConfigError):
-    """The config file is not valid JSON."""
-
-
-class ConfigKeyError(ConfigError):
-    """An unknown key appeared in the config."""
-
-
-class ConfigValueError(ConfigError):
-    """A config value has the wrong type or is out of range."""
+    """A config file or dict that ``parse_config`` or ``config_from_dict`` refuses."""
 
 
 @dataclass(frozen=True)
@@ -88,20 +72,20 @@ _SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
 
 def _check_keys(raw, section: str, cls) -> dict:
     if not isinstance(raw, dict):
-        raise ConfigValueError(f"{section}: expected an object")
+        raise ConfigError(f"{section}: expected an object")
     keys = {f.name for f in fields(cls)} - {"seed"}   # the seed is a top-level key
     for key in raw:
         if key not in keys:
-            raise ConfigKeyError(f"unknown key: {section}.{key}")
+            raise ConfigError(f"unknown key: {section}.{key}")
     return raw
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
-        raise ConfigValueError("top level: expected a JSON object")
+        raise ConfigError("top level: expected a JSON object")
     for key in raw:
         if key not in _SECTIONS and key not in ("seed", "output_dir"):
-            raise ConfigKeyError(f"unknown key: {key}")
+            raise ConfigError(f"unknown key: {key}")
 
     given = {section: dict(_check_keys(raw.get(section, {}), section, cls))
              for section, cls in _SECTIONS.items()}
@@ -109,7 +93,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         try:
             given["hyperparams"]["seed"] = Hyperparams(seed=raw["seed"]).seed
         except ValueError as exc:
-            raise ConfigValueError(str(exc)) from exc
+            raise ConfigError(str(exc)) from exc
 
     sections = {}
     for section, cls in _SECTIONS.items():
@@ -117,12 +101,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             sections[section] = cls(**given[section])
         except ValueError as exc:
             # the constructors' messages start with the field name
-            raise ConfigValueError(f"{section}.{exc}") from exc
+            raise ConfigError(f"{section}.{exc}") from exc
     try:   # its own messages name the key in full
         return ExperimentConfig(**sections,
                                 output_dir=raw.get("output_dir", ExperimentConfig.output_dir))
     except ValueError as exc:
-        raise ConfigValueError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -130,13 +114,13 @@ def parse_config(path: str) -> ExperimentConfig:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except FileNotFoundError as exc:
-        raise ConfigFileError(f"config file not found: {path}") from exc
+        raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:
-        raise ConfigFileError(f"cannot read config file {path}: {exc.strerror}") from exc
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigSyntaxError(f"config file {path} is not UTF-8 text: {exc}") from exc
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigSyntaxError(f"malformed JSON in {path}: {exc}") from exc
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     return config_from_dict(raw)
 
 

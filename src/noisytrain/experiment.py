@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .data import AugmentationSpec, LabeledDataset
-from .metrics import (EpochMetrics, UndefinedAUCError, accuracy, pseudo_label_recall,
-                      selection_precision_recall, roc_auc)
+from .metrics import (EpochMetrics, accuracy, pseudo_label_recall, selection_precision_recall,
+                      roc_auc)
 from .model import Arch, TwinNetworks, ensemble_softmax, forward_softmax, init_twins
 from .selection import CutoffParams
 from .training import (AblationFlags, HalfEpochRecord, Hyperparams, select_for_network,
@@ -96,8 +96,7 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
                 report, sel = select_for_network(ens if flags.ensemble else probs[k], train_ds,
                                                  cutoff_params, flags)
                 if k == 0:
-                    p_recall = None if len(sel.noisy_indices) == 0 else pseudo_label_recall(
-                        ens, train_ds, sel.noisy_indices)
+                    p_recall = pseudo_label_recall(ens, train_ds, sel.noisy_indices)
                 halves.append(train_half_epoch(twins, k + 1, train_ds, hp, aug, flags,
                                                epoch, report, sel))
                 probs = probs[:k] + (forward_softmax(net, train_ds.features),) + probs[k + 1:]
@@ -106,14 +105,10 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
 
             report, sel = halves[0].report, halves[0].selection
             precision, recall = selection_precision_recall(sel, train_ds)
-            try:
-                auc = roc_auc(report, train_ds)
-            except UndefinedAUCError:
-                auc = None
             lx, lu, lreg, lc = (float(np.mean([h.losses[k] for h in halves]))
                                 for k in ("lx", "lu", "lreg", "lc"))
             logged = dict(phase="ssl", filter_rate=sel.filter_rate, d_cutoff=sel.d_cutoff,
-                          precision=precision, recall=recall, roc_auc=auc,
+                          precision=precision, recall=recall, roc_auc=roc_auc(report, train_ds),
                           pseudo_recall=p_recall, loss_lx=lx, loss_lu=lu, loss_reg=lreg,
                           loss_lc=lc, class_counts=[int(c) for c in sel.class_counts])
         test = evaluate(test_ds)

@@ -27,16 +27,8 @@ import numpy as np
 
 __all__ = [
     "Matrix", "wrap", "GradientTape", "record", "backward", "matmul", "concat_rows",
-    "sgd_step", "ShapeMismatchError", "TapeUsageError",
+    "sgd_step",
 ]
-
-
-class ShapeMismatchError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
-class TapeUsageError(RuntimeError):
-    """The gradient tape was used outside its single forward/backward cycle."""
 
 
 class Matrix:
@@ -55,7 +47,7 @@ class Matrix:
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
-            raise ShapeMismatchError(f"expected 1-D or 2-D input, got ndim={arr.ndim}")
+            raise ValueError(f"expected 1-D or 2-D input, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix values must be finite")
         self.data = arr
@@ -78,7 +70,7 @@ class Matrix:
 
     def item(self) -> float:
         if self.data.size != 1:
-            raise ShapeMismatchError(f"item() needs a 1x1 matrix, got {self.shape}")
+            raise ValueError(f"item() needs a 1x1 matrix, got {self.shape}")
         return float(self.data[0, 0])
 
     def __repr__(self) -> str:
@@ -110,7 +102,7 @@ class GradientTape:
 
     def watch(self, m: Matrix) -> None:
         if self._consumed:
-            raise TapeUsageError("cannot watch parameters on a consumed tape")
+            raise RuntimeError("cannot watch parameters on a consumed tape")
         if id(m) not in self._tracked:
             self._tracked[id(m)] = m
             self._watched.append(m)
@@ -155,18 +147,18 @@ def backward(tape: GradientTape, loss: Matrix) -> dict[Matrix, Matrix]:
     """Replay the tape in reverse and return gradients for watched parameters.
 
     ``loss`` must be the tracked 1x1 result of the recorded forward pass.
-    The tape is consumed: a second backward raises ``TapeUsageError``.
+    The tape is consumed: a second backward raises ``RuntimeError``.
     A gradient may be the very array a backward closure returned, so
     callers read the gradients and never write into them.
     """
     if tape._consumed:
-        raise TapeUsageError("tape already consumed by a previous backward")
+        raise RuntimeError("tape already consumed by a previous backward")
     if not tape._records:
-        raise TapeUsageError("backward on an empty tape: no operations were recorded")
+        raise RuntimeError("backward on an empty tape: no operations were recorded")
     if loss.shape != (1, 1):
-        raise ShapeMismatchError(f"loss must be 1x1, got {loss.shape}")
+        raise ValueError(f"loss must be 1x1, got {loss.shape}")
     if not tape.tracks(loss):
-        raise TapeUsageError("loss was not produced by operations recorded on this tape")
+        raise RuntimeError("loss was not produced by operations recorded on this tape")
 
     # A contribution is kept as returned; an input's second one makes a sum
     # backward owns, and later ones add into that.  So no array a closure
@@ -209,7 +201,7 @@ def matmul(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     its calls.
     """
     if a.cols != b.rows:
-        raise ShapeMismatchError(f"matmul shapes do not align: {a.shape} @ {b.shape}")
+        raise ValueError(f"matmul shapes do not align: {a.shape} @ {b.shape}")
 
     def bwd(g, tracked):
         return (g @ b.data.T if tracked[0] else None,
@@ -220,7 +212,7 @@ def matmul(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
 
 def concat_rows(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
     if a.cols != b.cols:
-        raise ShapeMismatchError(f"concat_rows column counts differ: {a.shape} vs {b.shape}")
+        raise ValueError(f"concat_rows column counts differ: {a.shape} vs {b.shape}")
     na = a.rows
     return record(tape, (a, b), wrap(np.vstack([a.data, b.data])),
                   lambda g, tracked: (g[:na], g[na:]))
@@ -248,7 +240,7 @@ def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, learning_rate: float,
     by packing them and their gradients into one row each, against the
     network's velocity row."""
     if g.shape != p.shape or v.shape != p.shape:
-        raise ShapeMismatchError(f"gradient {g.shape} and velocity {v.shape} "
+        raise ValueError(f"gradient {g.shape} and velocity {v.shape} "
                                  f"must match parameter {p.shape}")
     v *= momentum
     v += g

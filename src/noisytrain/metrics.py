@@ -19,10 +19,6 @@ from .selection import DivergenceReport, SelectionResult
 logger = logging.getLogger(__name__)
 
 
-class UndefinedAUCError(ValueError):
-    """ROC-AUC needs both truly-clean and truly-noisy samples."""
-
-
 @dataclass(kw_only=True)
 class EpochMetrics:
     """One logged row per training epoch, built by keyword only.
@@ -88,23 +84,25 @@ def _tied_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def roc_auc(report: DivergenceReport, ds: LabeledDataset) -> float:
-    """Rank-sum AUC of cleanness score 1 - d for truly-clean vs truly-noisy."""
+def roc_auc(report: DivergenceReport, ds: LabeledDataset) -> float | None:
+    """Rank-sum AUC of cleanness score 1 - d for truly-clean vs truly-noisy;
+    None when either set is empty."""
     _check_length("report", len(report), len(ds))
     clean_mask = truly_clean_mask(ds)
     n_pos = int(clean_mask.sum())
     n_neg = len(ds) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedAUCError("need both truly-clean and truly-noisy samples")
+        return None
     scores = 1.0 - report.d
     ranks = _tied_ranks(scores)
     rank_sum = ranks[clean_mask].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def pseudo_label_recall(probs: np.ndarray, ds: LabeledDataset, noisy_indices) -> float:
+def pseudo_label_recall(probs: np.ndarray, ds: LabeledDataset, noisy_indices) -> float | None:
     """Macro-averaged per-true-class recall of the argmax of ``probs``, one
-    prediction row per sample of ``ds``, on the noisy set.
+    prediction row per sample of ``ds``, on the noisy set; None when that
+    set is empty.
 
     True classes absent from the noisy set are left out of the average.
     """
@@ -112,7 +110,7 @@ def pseudo_label_recall(probs: np.ndarray, ds: LabeledDataset, noisy_indices) ->
     _check_length("probs", len(probs), len(ds))
     idx = _checked_indices("noisy_indices", noisy_indices, len(ds))
     if idx.size == 0:
-        raise ValueError("noisy set is empty")
+        return None
     predicted = probs.argmax(axis=1)[idx]
     true = ds.true_labels[idx]
     members = np.bincount(true, minlength=ds.num_classes)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernel
 from .data import MAX_SEED, _check_number, atomic_open, check_settings, setting
-from .kernel import GradientTape, Matrix, ShapeMismatchError
+from .kernel import GradientTape, Matrix
 
 THETA = ("w1", "b1", "w2", "b2")
 PHI = ("wc", "bc")
@@ -114,7 +114,7 @@ def init_twins(arch: Arch, seed: int) -> TwinNetworks:
 
 def _check_input(net: NetworkParams, x: Matrix) -> None:
     if x.cols != net.arch.in_dim:
-        raise ShapeMismatchError(f"input has {x.cols} columns, network expects {net.arch.in_dim}")
+        raise ValueError(f"input has {x.cols} columns, network expects {net.arch.in_dim}")
 
 
 def _hidden(xa: np.ndarray, w1, b1, w2, b2, h1=None, h=None) -> tuple[np.ndarray, np.ndarray]:

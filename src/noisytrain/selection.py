@@ -22,10 +22,6 @@ from .data import (_check_columns, _check_number, _checked_indices, atomic_open,
 _LN2 = np.log(2.0)
 
 
-class DistributionError(ValueError):
-    """An input row is not a valid probability distribution."""
-
-
 @dataclass(frozen=True)
 class CutoffParams:
     """Filter coefficient tau, adjustment threshold d_mu, per-class quota rule."""
@@ -74,11 +70,11 @@ class SelectionResult:
 def _as_distribution(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64).reshape(-1)
     if arr.size < 2:
-        raise DistributionError(f"{name} must have at least 2 entries")
+        raise ValueError(f"{name} must have at least 2 entries")
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
-        raise DistributionError(f"{name} has negative or non-finite entries")
+        raise ValueError(f"{name} has negative or non-finite entries")
     if abs(arr.sum() - 1.0) > 1e-6:
-        raise DistributionError(f"{name} sums to {arr.sum():.8f}, not 1")
+        raise ValueError(f"{name} sums to {arr.sum():.8f}, not 1")
     return arr
 
 
@@ -91,7 +87,7 @@ def jsd(y, p) -> float:
     ya = _as_distribution(y, "y")
     pa = _as_distribution(p, "p")
     if ya.size != pa.size:
-        raise DistributionError(f"length mismatch: {ya.size} vs {pa.size}")
+        raise ValueError(f"length mismatch: {ya.size} vs {pa.size}")
     m = (ya + pa) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         t_y = np.where(ya > 0.0, ya * np.log(ya / m), 0.0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from noisytrain.kernel import GradientTape, Matrix, ShapeMismatchError, record, wrap
+from noisytrain.kernel import GradientTape, Matrix, record, wrap
 from noisytrain.kernel import matmul  # noqa: F401  (part of the reference chain)
 from noisytrain.training import MixedBatch, mixup
 
@@ -36,7 +36,7 @@ def transpose(a: Matrix, tape: GradientTape | None = None) -> Matrix:
 
 def _same_shape(a: Matrix, b: Matrix, op: str) -> None:
     if a.shape != b.shape:
-        raise ShapeMismatchError(f"{op} shapes differ: {a.shape} vs {b.shape}")
+        raise ValueError(f"{op} shapes differ: {a.shape} vs {b.shape}")
 
 
 def add(a: Matrix, b: Matrix, tape: GradientTape | None = None) -> Matrix:
@@ -67,7 +67,7 @@ def scale(a: Matrix, c: float, tape: GradientTape | None = None) -> Matrix:
 def add_row(a: Matrix, bias: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Add a 1 x cols bias row to every row of ``a``."""
     if bias.rows != 1 or bias.cols != a.cols:
-        raise ShapeMismatchError(f"add_row needs a 1x{a.cols} bias, got {bias.shape}")
+        raise ValueError(f"add_row needs a 1x{a.cols} bias, got {bias.shape}")
 
     def bwd(g, tracked):
         return g, (g.sum(axis=0, keepdims=True) if tracked[1] else None)
@@ -93,7 +93,7 @@ def sum_all(a: Matrix, tape: GradientTape | None = None) -> Matrix:
 def softmax_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
     """Row-wise softmax with max-subtraction; each row sums to 1."""
     if m.cols < 1:
-        raise ShapeMismatchError("softmax_rows needs at least one column")
+        raise ValueError("softmax_rows needs at least one column")
     shifted = m.data - m.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
@@ -123,9 +123,9 @@ def lse_offdiag_rows(a: Matrix, tape: GradientTape | None = None) -> Matrix:
     case (a 2x2 input) exact.  Used for pairwise-similarity denominators.
     """
     if a.rows != a.cols:
-        raise ShapeMismatchError(f"lse_offdiag_rows needs a square matrix, got {a.shape}")
+        raise ValueError(f"lse_offdiag_rows needs a square matrix, got {a.shape}")
     if a.rows < 2:
-        raise ShapeMismatchError("lse_offdiag_rows needs at least 2 rows")
+        raise ValueError("lse_offdiag_rows needs at least 2 rows")
     masked = a.data.copy()
     np.fill_diagonal(masked, -np.inf)
     m = masked.max(axis=1, keepdims=True)
@@ -145,7 +145,7 @@ def pair_bands(a: Matrix, tape: GradientTape | None = None) -> Matrix:
     the positive pairs of interleaved two-view similarities."""
     n = a.rows
     if a.cols != n or n % 2 != 0:
-        raise ShapeMismatchError(f"pair_bands needs an even square matrix, got {a.shape}")
+        raise ValueError(f"pair_bands needs an even square matrix, got {a.shape}")
     stride = 2 * n + 2
     bands = np.stack((a.data.flat[1::stride], a.data.flat[n::stride]))
 

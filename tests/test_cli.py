@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from noisytrain.cli import main
-from noisytrain.config import (ConfigFileError, ConfigKeyError,
-                               ConfigSyntaxError, ConfigValueError,
-                               config_from_dict, config_to_dict, parse_config)
+from noisytrain.config import ConfigError, config_from_dict, config_to_dict, parse_config
 from noisytrain.data import (LabeledDataset, load_dataset_csv, make_gaussian_blobs, round_half_up,
                              save_dataset_csv)
 from noisytrain.kernel import Matrix
@@ -54,25 +52,25 @@ class TestConfigParsing:
         assert cfg.selection.tau == 5.0 and cfg.selection.d_mu == 0.7
 
     def test_unknown_key_rejected_with_name(self):
-        with pytest.raises(ConfigKeyError, match="noise.ratee"):
+        with pytest.raises(ConfigError, match=r"^unknown key: noise\.ratee$"):
             config_from_dict({"noise": {"ratee": 0.5}})
-        with pytest.raises(ConfigKeyError, match="unknown key: extras"):
+        with pytest.raises(ConfigError, match="^unknown key: extras$"):
             config_from_dict({"extras": {}})
 
     def test_out_of_range_names_key(self):
-        with pytest.raises(ConfigValueError, match="noise.rate"):
+        with pytest.raises(ConfigError, match=r"^noise\.rate: 1\.5 out of range "):
             config_from_dict({"noise": {"rate": 1.5}})
-        with pytest.raises(ConfigValueError, match="hyperparams.T"):
+        with pytest.raises(ConfigError, match=r"^hyperparams\.T: -1\.0 out of range "):
             config_from_dict({"hyperparams": {"T": -1.0}})
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigError, match="^config file not found: .*nope\\.json$"):
             parse_config(str(tmp_path / "nope.json"))
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigSyntaxError):
+        with pytest.raises(ConfigError, match="^malformed JSON in .*bad\\.json: "):
             parse_config(str(path))
 
     def test_round_trip(self, tmp_path):
@@ -82,7 +80,8 @@ class TestConfigParsing:
         assert again == cfg
 
     def test_flip_map_validated(self):
-        with pytest.raises(ConfigValueError, match="flip_map"):
+        with pytest.raises(ConfigError,
+                           match=r"^noise\.flip_map: flip_map maps class 0 to itself$"):
             config_from_dict({"dataset": {"num_classes": 3},
                               "noise": {"kind": "asymmetric", "flip_map": [0, 2, 1]}})
 
@@ -157,6 +156,17 @@ class TestCommands:
         assert rows[1]["R"] != ""
         assert summary["best_acc"] >= summary["last_acc"]
         assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+
+    def test_noise_free_run_writes_an_undefined_auc_as_empty(self, tmp_path):
+        # every sample is truly clean, so the AUC has no truly-noisy side
+        cfg = parse_config(write_config(tmp_path, {"noise.rate": 0.0, "dataset.per_class": 40}))
+        cmd_run(cfg)
+        with open(os.path.join(cfg.output_dir, "metrics.csv")) as f:
+            rows = list(csv.DictReader(f))
+        assert [r["phase"] for r in rows] == ["warmup", "ssl", "ssl"]
+        assert all(r["R"] != "" and r["roc_auc"] == "" for r in rows[1:])
+        summary = Path(cfg.output_dir, "summary.json").read_text()
+        assert json.loads(summary)["final_auc"] is None and '"final_auc": null' in summary
 
     def test_run_byte_identical_across_repeats(self, tmp_path):
         cfg_a = parse_config(write_config(tmp_path))
@@ -251,15 +261,24 @@ class TestMainEntry:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("make,message", [
-        (lambda p: p.mkdir(), "cannot read config file"),
-        (lambda p: p.write_bytes(b"\xff\xfe{}"), "is not UTF-8 text"),
-    ], ids=["directory", "binary"])
+        (lambda p: p.mkdir(), "cannot read config file {path}: Is a directory"),
+        (lambda p: p.write_bytes(b"\xff\xfe{}"),
+         "config file {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+         "position 0: invalid start byte"),
+        (lambda p: p.write_text("{not json"),
+         "malformed JSON in {path}: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (lambda p: p.write_text("[1]"), "top level: expected a JSON object"),
+        (lambda p: p.write_text('{"extras": {}}'), "unknown key: extras"),
+        (lambda p: p.write_text('{"noise": {"rate": 1.5}}'),
+         "noise.rate: 1.5 out of range [0.0, 1.0]"),
+    ], ids=["directory", "binary", "malformed", "not-an-object", "unknown-key", "out-of-range"])
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, make, message):
+        # every refusal of a config is one stderr line with the one prefix
         path = tmp_path / "cfg.json"
         make(path)
         assert main(["run", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err and str(path) in err
+        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
 
     def test_report_before_run_fails(self, tmp_path, capsys):
         path = write_config(tmp_path, name="cfg2.json")

@@ -4,8 +4,7 @@ import pytest
 import reference_ops as ref
 from conftest import finite_difference_grad, max_relative_error, random_matrix
 from noisytrain import kernel
-from noisytrain.kernel import (GradientTape, Matrix, ShapeMismatchError,
-                               TapeUsageError, backward, sgd_step)
+from noisytrain.kernel import GradientTape, Matrix, backward, sgd_step
 from reference_ops import DegenerateEmbeddingError
 
 
@@ -42,7 +41,7 @@ class TestMatmul:
         assert np.all(kernel.matmul(z, m).data == 0.0)
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
+        with pytest.raises(ValueError, match=r"^matmul shapes do not align: \(2, 3\) @ \(2, 3\)$"):
             kernel.matmul(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
 
     def test_associative_with_identity(self, rng):
@@ -156,7 +155,8 @@ class TestBackward:
 
     def test_empty_tape_raises(self):
         tape = GradientTape()
-        with pytest.raises(TapeUsageError):
+        with pytest.raises(RuntimeError, match="^backward on an empty tape: no operations were "
+                                               "recorded$"):
             backward(tape, Matrix([[1.0]]))
 
     def test_consumed_tape_raises(self, rng):
@@ -165,7 +165,7 @@ class TestBackward:
         tape.watch(w)
         loss = ref.sum_all(ref.mul(w, w, tape), tape)
         backward(tape, loss)
-        with pytest.raises(TapeUsageError):
+        with pytest.raises(RuntimeError, match="^tape already consumed by a previous backward$"):
             backward(tape, loss)
 
     def test_constant_inputs_not_recorded(self, rng):
@@ -203,9 +203,11 @@ class TestSgdStep:
 
     def test_mismatched_shapes_rejected(self):
         p = np.zeros((2, 3))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"^gradient \(3, 2\) and velocity \(2, 3\) "
+                                             r"must match parameter \(2, 3\)$"):
             sgd_step(p, np.zeros((3, 2)), np.zeros((2, 3)), 0.1, 0.9, 0.0)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"^gradient \(2, 3\) and velocity \(1, 6\) "
+                                             r"must match parameter \(2, 3\)$"):
             sgd_step(p, np.zeros((2, 3)), np.zeros((1, 6)), 0.1, 0.9, 0.0)
 
 
@@ -220,5 +222,5 @@ def test_determinism_bit_identical(rng):
 def test_kernel_exports():
     assert sorted(kernel.__all__) == sorted([
         "Matrix", "wrap", "GradientTape", "record", "backward", "matmul", "concat_rows",
-        "sgd_step", "ShapeMismatchError", "TapeUsageError"])
+        "sgd_step"])
     assert all(hasattr(kernel, name) for name in kernel.__all__)

@@ -3,8 +3,8 @@ import pytest
 
 from noisytrain.data import make_gaussian_blobs
 from noisytrain.kernel import Matrix
-from noisytrain.metrics import (UndefinedAUCError, _tied_ranks, accuracy,
-                                pseudo_label_recall, roc_auc, selection_precision_recall)
+from noisytrain.metrics import (_tied_ranks, accuracy, pseudo_label_recall, roc_auc,
+                                selection_precision_recall)
 from noisytrain.model import Arch, ensemble_softmax, forward_softmax, init_twins
 from noisytrain.selection import DivergenceReport, SelectionResult, select_clean
 
@@ -104,9 +104,10 @@ class TestRocAuc:
         assert roc_auc(report, ds) == 0.75
 
     def test_single_class_undefined(self):
-        ds = self._ds([0, 0], [0, 0])
-        with pytest.raises(UndefinedAUCError):
-            roc_auc(DivergenceReport.from_values([0.1, 0.2]), ds)
+        # no truly-noisy sample, then no truly-clean one
+        report = DivergenceReport.from_values([0.1, 0.2])
+        assert roc_auc(report, self._ds([0, 0], [0, 0])) is None
+        assert roc_auc(report, self._ds([0, 0], [1, 1])) is None
 
     def test_oracle_equivalence_with_ties(self, rng):
         for _ in range(50):
@@ -148,11 +149,11 @@ class TestPseudoLabelRecall:
         manual = np.mean([np.mean(predicted[true == c] == c) for c in (0, 1)])
         assert pseudo_label_recall(probs, ds, idx) == manual
 
-    def test_empty_noisy_set_rejected(self):
+    def test_empty_noisy_set_is_none(self):
         ds = make_gaussian_blobs(2, 5, 4, 10.0, seed=3)
         probs = ensemble(init_twins(Arch(4, 16, 2, 4), seed=1), ds.features)
-        with pytest.raises(ValueError, match="noisy set is empty"):
-            pseudo_label_recall(probs, ds, np.array([], dtype=np.int64))
+        assert pseudo_label_recall(probs, ds, []) is None
+        assert pseudo_label_recall(probs, ds, np.array([], dtype=np.int64)) is None
 
 
 class TestAccuracy:

@@ -11,7 +11,7 @@ import pytest
 from noisytrain import _BLAS_THREAD_VARS, model
 from noisytrain.config import config_from_dict
 from noisytrain.data import MAX_SEED
-from noisytrain.kernel import GradientTape, Matrix, ShapeMismatchError, backward
+from noisytrain.kernel import GradientTape, Matrix, backward
 from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks,
                               ensemble_softmax, forward_logits, forward_projection,
                               forward_softmax, init_network, init_twins, layout,
@@ -107,7 +107,7 @@ class TestForward:
 
     def test_input_width_checked(self):
         net = init_network(ARCH, seed=5)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match="^input has 3 columns, network expects 5$"):
             forward_softmax(net, Matrix(np.zeros((2, 3))))
 
     def test_projection_rows_unit_norm(self):
@@ -185,7 +185,7 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("rows", [0, BLOCK + 1])
     def test_input_width_checked_on_an_empty_or_tall_input(self, rows):
         net = init_network(ARCH, seed=5)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match="^input has 3 columns, network expects 5$"):
             forward_softmax(net, Matrix(np.zeros((rows, 3))))
 
     def test_tall_evaluation_holds_one_block_of_activations(self):

@@ -6,8 +6,7 @@ import pytest
 
 from noisytrain.data import make_gaussian_blobs, round_half_up
 from noisytrain.model import Arch, ensemble_softmax, forward_softmax, init_twins
-from noisytrain.selection import (CutoffParams, DistributionError,
-                                  DivergenceReport, SelectionResult,
+from noisytrain.selection import (CutoffParams, DivergenceReport, SelectionResult,
                                   compute_cutoff, compute_filter_rate, divergences_from_probs,
                                   export_selection_csv, jsd, select_clean)
 from noisytrain.training import AblationFlags, select_for_network
@@ -44,17 +43,17 @@ class TestJsd:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_entries(self, bad):
-        with pytest.raises(DistributionError, match="^y has negative or non-finite entries$"):
+        with pytest.raises(ValueError, match="^y has negative or non-finite entries$"):
             jsd([bad, 1.0], [0.5, 0.5])
-        with pytest.raises(DistributionError, match="^p has negative or non-finite entries$"):
+        with pytest.raises(ValueError, match="^p has negative or non-finite entries$"):
             jsd([0.5, 0.5], [1.0, bad])
 
     def test_rejects_non_distribution(self):
-        with pytest.raises(DistributionError):
+        with pytest.raises(ValueError, match=r"^y sums to 1\.10000000, not 1$"):
             jsd([0.5, 0.6], [0.5, 0.5])
-        with pytest.raises(DistributionError):
+        with pytest.raises(ValueError, match="^y has negative or non-finite entries$"):
             jsd([-0.1, 1.1], [0.5, 0.5])
-        with pytest.raises(DistributionError):
+        with pytest.raises(ValueError, match="^length mismatch: 2 vs 3$"):
             jsd([0.5, 0.5], [0.3, 0.3, 0.4])
 
     def test_vectorized_matches_scalar(self, rng):
