@@ -43,7 +43,7 @@ h = 1e-5
 print("parameter  shape     max|grad|   max rel err vs finite differences")
 for name in ALL_GROUPS:
     p = net.params[name]
-    analytic = grads[p].data
+    analytic = grads[p]
     numeric = np.zeros(p.shape)
     flat, nflat = p.data.reshape(-1), numeric.reshape(-1)
     for i in range(flat.size):

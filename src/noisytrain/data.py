@@ -246,25 +246,25 @@ def apply_noise(ds: LabeledDataset, spec: NoiseSpec, seed: int) -> LabeledDatase
     return inject_asymmetric_noise(ds, spec.rate, spec.flip_map, seed)
 
 
-def weak_augment(x: Matrix, spec: AugmentationSpec, rng: np.random.Generator) -> Matrix:
-    """Additive Gaussian jitter (row-wise independent draws)."""
+def weak_augment(x: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator) -> np.ndarray:
+    """Additive Gaussian jitter (row-wise independent draws) on a new array."""
     if spec.weak_sigma > 0:
         y = rng.normal(0.0, spec.weak_sigma, size=x.shape)
-        y += x.data
-        return wrap(y)
-    return wrap(x.data + 0.0)   # a new array, with -0.0 turned into +0.0
+        y += x
+        return y
+    return x + 0.0   # a new array, with -0.0 turned into +0.0
 
 
-def strong_augment(x: Matrix, spec: AugmentationSpec, rng: np.random.Generator) -> Matrix:
-    """Larger jitter, then each coordinate independently zeroed."""
+def strong_augment(x: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator) -> np.ndarray:
+    """Larger jitter, then each coordinate independently zeroed, on a new array."""
     if spec.strong_sigma > 0:
         y = rng.normal(0.0, spec.strong_sigma, size=x.shape)
-        y += x.data
+        y += x
     else:
-        y = x.data.copy()
+        y = x.copy()
     if spec.strong_dropout_prob > 0:
         y *= rng.random(x.shape) >= spec.strong_dropout_prob
-    return wrap(y)
+    return y
 
 
 def batch_iterator(indices, batch_size: int, seed, epoch: int) -> list[np.ndarray]:

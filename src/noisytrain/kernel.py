@@ -143,8 +143,8 @@ def record(tape: GradientTape | None, inputs: tuple[Matrix, ...], out: Matrix,
     return out
 
 
-def backward(tape: GradientTape, loss: Matrix) -> dict[Matrix, Matrix]:
-    """Replay the tape in reverse and return gradients for watched parameters.
+def backward(tape: GradientTape, loss: Matrix) -> dict[Matrix, np.ndarray]:
+    """Replay the tape in reverse and return each watched parameter's gradient array.
 
     ``loss`` must be the tracked 1x1 result of the recorded forward pass.
     The tape is consumed: a second backward raises ``RuntimeError``.
@@ -182,11 +182,7 @@ def backward(tape: GradientTape, loss: Matrix) -> dict[Matrix, Matrix]:
     tape._consumed = True
     tape._records.clear()
 
-    out_grads: dict[Matrix, Matrix] = {}
-    for p in tape._watched:
-        g = grads.get(id(p))
-        out_grads[p] = wrap(g) if g is not None else Matrix.zeros(p.rows, p.cols)
-    return out_grads
+    return {p: grads[id(p)] if id(p) in grads else np.zeros(p.shape) for p in tape._watched}
 
 
 # ---------------------------------------------------------------------------

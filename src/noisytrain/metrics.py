@@ -8,15 +8,12 @@ never by training code.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledDataset, _check_columns, _checked_indices
 from .selection import DivergenceReport, SelectionResult
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(kw_only=True)
@@ -57,19 +54,17 @@ def _check_length(name: str, size: int, n: int) -> None:
         raise ValueError(f"{name}: {size} entries for a dataset of {n} samples")
 
 
-def selection_precision_recall(sel: SelectionResult, ds: LabeledDataset) -> tuple[float, float]:
+def selection_precision_recall(sel: SelectionResult,
+                               ds: LabeledDataset) -> tuple[float | None, float | None]:
     """How much of the selected set is truly clean, and how much of the
-    truly clean set was captured."""
+    truly clean set was captured; precision is None for an empty selection,
+    and recall None when no sample is truly clean."""
     clean_mask = truly_clean_mask(ds)
-    n_true_clean = int(clean_mask.sum())
     selected = _checked_indices("clean_indices", sel.clean_indices, len(ds))
-    if len(selected) == 0:
-        logger.warning("empty selection: precision reported as 1 by convention")
-        return 1.0, 0.0
     hits = int(clean_mask[selected].sum())
-    precision = hits / len(selected)
-    recall = hits / n_true_clean if n_true_clean > 0 else 0.0
-    return float(precision), float(recall)
+    n_true_clean = int(clean_mask.sum())
+    return (hits / len(selected) if len(selected) else None,
+            hits / n_true_clean if n_true_clean else None)
 
 
 def _tied_ranks(values: np.ndarray) -> np.ndarray:

@@ -106,12 +106,6 @@ class AblationFlags:
         check_settings(self)
 
 
-@dataclass
-class MixedBatch:
-    inputs: Matrix
-    targets: np.ndarray
-
-
 def one_hot(labels, num_classes: int) -> np.ndarray:
     return np.eye(num_classes)[_checked_indices("labels", labels, num_classes)]
 
@@ -154,37 +148,38 @@ def guess_pseudo_labels(twins: TwinNetworks, u_weak_1: Matrix, u_weak_2: Matrix,
     return sharpen(q, T)
 
 
-def mixup_with_lambda(x1: Matrix, t1: np.ndarray, x2: Matrix, t2: np.ndarray,
-                      lam: np.ndarray) -> MixedBatch:
-    """Convex combination with given per-row coefficients (already >= 0.5)."""
+def mixup_with_lambda(x1: np.ndarray, t1: np.ndarray, x2: np.ndarray, t2: np.ndarray,
+                      lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Convex combination of inputs and of targets with given per-row
+    coefficients (already >= 0.5); returns ``(inputs, targets)``."""
     lam = np.asarray(lam, dtype=np.float64).reshape(-1, 1)
     rest = 1.0 - lam
-    inputs = lam * x1.data
-    inputs += rest * x2.data
+    inputs = lam * x1
+    inputs += rest * x2
     targets = lam * t1
     targets += rest * t2
-    return MixedBatch(kernel.wrap(inputs), targets)
+    return inputs, targets
 
 
-def mixup(x1: Matrix, t1: np.ndarray, x2: Matrix, t2: np.ndarray, alpha: float,
-          rng: np.random.Generator) -> MixedBatch:
+def mixup(x1: np.ndarray, t1: np.ndarray, x2: np.ndarray, t2: np.ndarray, alpha: float,
+          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Beta(alpha, alpha) mixing with lambda' = max(lambda, 1 - lambda).
 
     The max keeps every mixed sample dominated by its first argument, so
     a clean batch stays mostly clean after mixing.
     """
-    lam = rng.beta(alpha, alpha, size=x1.rows)
+    lam = rng.beta(alpha, alpha, size=len(x1))
     lam = np.maximum(lam, 1.0 - lam)
     return mixup_with_lambda(x1, t1, x2, t2, lam)
 
 
-def mixmatch_assemble(inputs: Matrix, targets: np.ndarray, alpha: float,
-                      rng: np.random.Generator) -> MixedBatch:
+def mixmatch_assemble(inputs: np.ndarray, targets: np.ndarray, alpha: float,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Mix each entry of a MixMatch union against the entry at its own
     position in one shuffle of the union; the caller stacks the labeled
     entries first, so the mixed rows keep that order."""
-    perm = rng.permutation(inputs.rows)
-    return mixup(inputs, targets, kernel.wrap(inputs.data[perm]), targets[perm], alpha, rng)
+    perm = rng.permutation(len(inputs))
+    return mixup(inputs, targets, inputs[perm], targets[perm], alpha, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +331,8 @@ class HalfEpochRecord:
     degenerate: str | None = None
 
 
-def _rows(features: Matrix, idx: np.ndarray) -> Matrix:
-    return kernel.wrap(features.data[idx])
+def _rows(features: Matrix, idx: np.ndarray) -> np.ndarray:
+    return features.data[idx]
 
 
 def _sgd_steps(net: NetworkParams, hp: Hyperparams, lr: float, names: tuple[str, ...],
@@ -382,7 +377,7 @@ def _sgd_steps(net: NetworkParams, hp: Hyperparams, lr: float, names: tuple[str,
             for name, value in values.items():
                 if not math.isfinite(value):
                     raise TrainingDivergedError(*where, name)
-            row = sgd_step(row, np.concatenate([grads[p].data.ravel() for p in params]),
+            row = sgd_step(row, np.concatenate([grads[p].ravel() for p in params]),
                            velocity, lr, hp.momentum, hp.weight_decay)
             if not np.isfinite(row).all():
                 raise TrainingDivergedError(*where, next(
@@ -398,7 +393,7 @@ def _ce_loss(net: NetworkParams, ds: LabeledDataset, targets_full: np.ndarray):
     """The loss function of CE steps: ``lx`` of a batch's logits against
     its rows of ``targets_full``."""
     def ce(tape: GradientTape, batch: np.ndarray):
-        lx = loss_lx(forward_logits(net, _rows(ds.features, batch), tape),
+        lx = loss_lx(forward_logits(net, kernel.wrap(_rows(ds.features, batch)), tape),
                      targets_full[batch], tape)
         return lx, {"lx": lx}
     return ce
@@ -435,12 +430,12 @@ def select_for_network(probs: np.ndarray, ds: LabeledDataset, cutoff_params: Cut
     return report, sel
 
 
-def _interleave_two_views(a: np.ndarray, b: np.ndarray) -> Matrix:
+def _interleave_two_views(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stack two per-sample views as adjacent rows: a0, b0, a1, b1, ..."""
     out = np.empty((2 * len(a), a.shape[1]))
     out[0::2] = a
     out[1::2] = b
-    return kernel.wrap(out)
+    return out
 
 
 def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
@@ -467,10 +462,12 @@ def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
                        epoch, net_index)
         noisy_batches = [sel.noisy_indices] * len(clean_batches)
 
-    def views(idx: np.ndarray, rng: np.random.Generator) -> list[Matrix]:
-        """Two weak, then two strong augmentations of the rows ``idx``, in draw order."""
+    def views(idx: np.ndarray, rng: np.random.Generator) -> tuple:
+        """Two weak, then two strong augmentations of the rows ``idx``, in draw
+        order; only the weak ones, which the networks read, are matrices."""
         raw = _rows(ds.features, idx)
-        return [f(raw, aug, rng) for f in (weak_augment, weak_augment, strong_augment, strong_augment)]
+        return (kernel.wrap(weak_augment(raw, aug, rng)), kernel.wrap(weak_augment(raw, aug, rng)),
+                strong_augment(raw, aug, rng), strong_augment(raw, aug, rng))
 
     def ssl_loss(tape: GradientTape, item) -> tuple[Matrix, dict[str, Matrix]]:
         it, (cb, ub) = item
@@ -480,23 +477,21 @@ def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
         uw1, uw2, us1, us2 = views(ub, rng)
         q = guess_pseudo_labels(twins, uw1, uw2, hp.T)
         # the MixMatch union: each clean sample's two strong views, then each noisy sample's
-        union = _interleave_two_views(np.vstack([xs1.data, us1.data]),
-                                      np.vstack([xs2.data, us2.data]))
-        mixed = mixmatch_assemble(union, np.repeat(np.vstack([y_refined, q]), 2, axis=0),
-                                  hp.alpha, rng)
+        union = _interleave_two_views(np.vstack([xs1, us1]), np.vstack([xs2, us2]))
+        inputs, targets = mixmatch_assemble(union, np.repeat(np.vstack([y_refined, q]), 2, axis=0),
+                                            hp.alpha, rng)
         n_x = 2 * len(cb)
 
-        logits_x = forward_logits(net, kernel.wrap(mixed.inputs.data[:n_x]), tape)
-        lx = loss_lx(logits_x, mixed.targets[:n_x], tape)
-        lu = lc = Matrix.zeros(1, 1)
+        logits_x = forward_logits(net, kernel.wrap(inputs[:n_x]), tape)
+        lx = loss_lx(logits_x, targets[:n_x], tape)
         if len(ub):   # the unlabeled terms; an empty noisy batch leaves lu and lc at 0
-            logits_u = forward_logits(net, kernel.wrap(mixed.inputs.data[n_x:]), tape)
-            lu = loss_lu(logits_u, mixed.targets[n_x:], tape)
+            logits_u = forward_logits(net, kernel.wrap(inputs[n_x:]), tape)
+            lu = loss_lu(logits_u, targets[n_x:], tape)
             lreg = loss_reg(kernel.concat_rows(logits_x, logits_u, tape), ds.num_classes, tape)
-            if flags.contrastive:
-                lc = loss_contrastive(forward_projection(net, kernel.wrap(union.data[n_x:]), tape),
-                                      hp.kappa, tape)
+            lc = (loss_contrastive(forward_projection(net, kernel.wrap(union[n_x:]), tape),
+                                   hp.kappa, tape) if flags.contrastive else Matrix.zeros(1, 1))
         else:
+            lu = lc = Matrix.zeros(1, 1)
             lreg = loss_reg(logits_x, ds.num_classes, tape)
         return total_loss(lx, lu, lreg, lc, hp, tape), {"lx": lx, "lu": lu, "lreg": lreg, "lc": lc}
 

@@ -78,7 +78,7 @@ def serial_sgd_steps(net, hp, lr, names, items, loss_fn, where):
                     raise training.TrainingDivergedError(*where, name)
             updated = {}
             for name, p in group.items():
-                updated[name] = wrap(sgd_step(p.data, grads[p].data, views[name],
+                updated[name] = wrap(sgd_step(p.data, grads[p], views[name],
                                               lr, hp.momentum, hp.weight_decay))
             for name, p in updated.items():
                 if not np.isfinite(p.data).all():

@@ -23,7 +23,7 @@ import numpy as np
 
 from noisytrain.kernel import GradientTape, Matrix, record, wrap
 from noisytrain.kernel import matmul  # noqa: F401  (part of the reference chain)
-from noisytrain.training import MixedBatch, mixup
+from noisytrain.training import mixup
 
 
 class DegenerateEmbeddingError(ValueError):
@@ -178,17 +178,17 @@ def l2_normalize_rows(m: Matrix, tape: GradientTape | None = None) -> Matrix:
     return record(tape, (m,), wrap(y), bwd)
 
 
-def two_part_mixmatch(x_inputs: Matrix, x_targets: np.ndarray, u_inputs: Matrix,
-                      u_targets: np.ndarray, alpha: float,
-                      rng: np.random.Generator) -> tuple[MixedBatch, MixedBatch]:
+def two_part_mixmatch(x_inputs: np.ndarray, x_targets: np.ndarray, u_inputs: np.ndarray,
+                      u_targets: np.ndarray, alpha: float, rng: np.random.Generator
+                      ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Shuffle the union of the labeled and unlabeled entries once, then mix
     the labeled entries against the shuffle's first rows and the unlabeled
-    ones against the rest, in two ``mixup`` calls."""
-    n_x = x_inputs.rows
-    w_inputs = np.vstack([x_inputs.data, u_inputs.data])
+    ones against the rest, in two ``mixup`` calls; each returns ``(inputs, targets)``."""
+    n_x = len(x_inputs)
+    w_inputs = np.vstack([x_inputs, u_inputs])
     w_targets = np.vstack([x_targets, u_targets])
     perm = rng.permutation(len(w_inputs))
     w_inputs, w_targets = w_inputs[perm], w_targets[perm]
-    mixed_x = mixup(x_inputs, x_targets, wrap(w_inputs[:n_x]), w_targets[:n_x], alpha, rng)
-    mixed_u = mixup(u_inputs, u_targets, wrap(w_inputs[n_x:]), w_targets[n_x:], alpha, rng)
+    mixed_x = mixup(x_inputs, x_targets, w_inputs[:n_x], w_targets[:n_x], alpha, rng)
+    mixed_u = mixup(u_inputs, u_targets, w_inputs[n_x:], w_targets[n_x:], alpha, rng)
     return mixed_x, mixed_u

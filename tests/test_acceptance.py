@@ -131,9 +131,9 @@ def test_criterion_1_formula_oracles():
 
     assert np.allclose(sharpen(np.array([[0.8, 0.2]]), 0.5),
                        [[0.941176, 0.058824]], atol=1e-6)
-    mixed = mixup_with_lambda(Matrix([[0.0]]), np.array([[1.0, 0.0]]),
-                              Matrix([[1.0]]), np.array([[0.0, 1.0]]), np.array([0.7]))
-    assert np.allclose(mixed.targets, [[0.7, 0.3]], atol=1e-6)
+    _, mixed_targets = mixup_with_lambda(np.array([[0.0]]), np.array([[1.0, 0.0]]),
+                                         np.array([[1.0]]), np.array([[0.0, 1.0]]), np.array([0.7]))
+    assert np.allclose(mixed_targets, [[0.7, 0.3]], atol=1e-6)
 
     assert loss_lx(Matrix([[0.0, 0.0]]), np.array([[0.5, 0.5]])).item() == pytest.approx(math.log(2), abs=1e-6)
     assert loss_lu(Matrix([[math.log(0.6), math.log(0.4)]]),
@@ -215,7 +215,7 @@ def test_criterion_2_gradient_suite():
                 mats = [net.params[n] for n in group]
                 fd = finite_difference_grad(lambda: forward().item(), mats, h=1e-5)
                 for m, numeric in zip(mats, fd):
-                    worst = max(worst, max_relative_error(grads[m].data, numeric))
+                    worst = max(worst, max_relative_error(grads[m], numeric))
     elapsed = time.time() - t0
     ok = worst < 1e-4 and elapsed < 60.0
     report(2, ok, f"reverse-mode vs central differences, max rel err {worst:.2e}, {elapsed:.1f}s")

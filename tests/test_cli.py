@@ -168,6 +168,18 @@ class TestCommands:
         summary = Path(cfg.output_dir, "summary.json").read_text()
         assert json.loads(summary)["final_auc"] is None and '"final_auc": null' in summary
 
+    def test_empty_selection_writes_an_undefined_precision_as_empty(self, tmp_path):
+        # tau just above 1 and d_mu near 0 put the cutoff just above d_min: R is
+        # 1/90 and every class's quota rounds to 0, so no sample is selected
+        cfg = parse_config(write_config(tmp_path, {"dataset.per_class": 30, "selection": {
+            "tau": 1.000001, "d_mu": 1e-9}}))
+        cmd_run(cfg)
+        with open(os.path.join(cfg.output_dir, "metrics.csv")) as f:
+            rows = list(csv.DictReader(f))
+        assert [r["phase"] for r in rows] == ["warmup", "ssl", "ssl"]
+        assert all(float(r["R"]) == 1 / 90 and r["precision"] == "" and float(r["recall"]) == 0.0
+                   for r in rows[1:])
+
     def test_run_byte_identical_across_repeats(self, tmp_path):
         cfg_a = parse_config(write_config(tmp_path))
         import dataclasses

@@ -167,26 +167,26 @@ class TestNoiseLoop:
 class TestAugmentation:
     def test_weak_sigma_zero_is_identity(self):
         spec = AugmentationSpec(weak_sigma=0.0, strong_sigma=0.5, strong_dropout_prob=0.2)
-        x = Matrix([[1.0, -2.0, 3.0]])
+        x = np.array([[1.0, -2.0, 3.0]])
         out = weak_augment(x, spec, np.random.default_rng(0))
-        assert np.array_equal(out.data, x.data)
+        assert np.array_equal(out, x)
 
     def test_strong_identity_when_disabled(self):
         spec = AugmentationSpec(weak_sigma=0.0, strong_sigma=0.0, strong_dropout_prob=0.0)
-        x = Matrix([[1.0, -2.0, 3.0]])
+        x = np.array([[1.0, -2.0, 3.0]])
         out = strong_augment(x, spec, np.random.default_rng(0))
-        assert np.array_equal(out.data, x.data)
+        assert np.array_equal(out, x)
 
     def test_weak_noise_is_centered(self):
         spec = AugmentationSpec(weak_sigma=0.3, strong_sigma=0.5)
-        x = Matrix(np.zeros((10_000, 2)))
+        x = np.zeros((10_000, 2))
         out = weak_augment(x, spec, np.random.default_rng(42))
         tol = 3 * 0.3 / np.sqrt(10_000)
-        assert np.all(np.abs(out.data.mean(axis=0)) < tol)
+        assert np.all(np.abs(out.mean(axis=0)) < tol)
 
     def test_dimensionality_preserved(self):
         spec = AugmentationSpec()
-        x = Matrix(np.ones((4, 7)))
+        x = np.ones((4, 7))
         assert weak_augment(x, spec, np.random.default_rng(1)).shape == (4, 7)
         assert strong_augment(x, spec, np.random.default_rng(1)).shape == (4, 7)
 

@@ -144,7 +144,7 @@ def _iteration(fns, net, b, *, noisy=True, contrastive=True):
     ltot = fns.total_loss(lx, lu, lreg, lc, HP, tape)
     grads = backward(tape, ltot)
     values = [m.data.copy() for m in (lx, lu, lreg, lc, ltot)]
-    return values, {name: grads[net.params[name]].data for name in ALL_GROUPS}, tape.num_records
+    return values, {name: grads[net.params[name]] for name in ALL_GROUPS}, tape.num_records
 
 
 def _assert_identical(ref, fused):
@@ -199,7 +199,7 @@ def test_warmup_ce_bit_identical(seed):
         ce = fns.loss_lx(fns.forward_logits(net, b["x_in"], tape), b["x_t"], tape)
         grads = backward(tape, ce)
         assert all(net.params[name] not in grads for name in PSI)
-        return [ce.data], {name: grads[net.params[name]].data for name in THETA + PHI}, tape.num_records
+        return [ce.data], {name: grads[net.params[name]] for name in THETA + PHI}, tape.num_records
 
     ref, fused = step(REFERENCE), step(FUSED)
     _assert_identical(ref, fused)

@@ -49,7 +49,12 @@ class TestPrecisionRecall:
     def test_empty_selection_convention(self):
         ds = dataset_with_labels([0, 1], [0, 1], 2)
         precision, recall = selection_precision_recall(make_selection([], 2), ds)
-        assert precision == 1.0 and recall == 0.0
+        assert precision is None and recall == 0.0
+
+    def test_no_truly_clean_sample_leaves_recall_undefined(self):
+        ds = dataset_with_labels([0, 1], [1, 0], 2)
+        precision, recall = selection_precision_recall(make_selection([0], 2), ds)
+        assert precision == 0.0 and recall is None
 
 
 def loop_tied_ranks(values):

@@ -136,7 +136,7 @@ class TestForward:
         grads = backward(tape, loss)
         for name in PSI:
             p = net.params[name]
-            net.params[name] = Matrix(sgd_step(p.data, grads[p].data, np.zeros(p.shape),
+            net.params[name] = Matrix(sgd_step(p.data, grads[p], np.zeros(p.shape),
                                                0.5, 0.9, 0.0))
         after = forward_projection(net, x).data
         assert not np.array_equal(before, after)
@@ -259,7 +259,7 @@ class TestEvalWorkspace:
                 for other in others:
                     forward_softmax(net, other)
             g = backward(tape, loss)
-            return [g[p].data.tobytes() for p in net.params.values() if p in g]
+            return [g[p].tobytes() for p in net.params.values() if p in g]
 
         assert grads(evaluate=True) == grads(evaluate=False)
 

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 import reference_ops as ref
 from conftest import (finite_difference_grad, max_relative_error, select, serial_sgd_steps,
                       ssl_epoch, warmup_epochs)
-from noisytrain import training
+from noisytrain import kernel, training
 from noisytrain.cli import main
 from noisytrain.config import config_from_dict
 from noisytrain.data import (AugmentationSpec, batch_iterator, inject_symmetric_noise,
@@ -154,51 +155,52 @@ class TestGuessPseudoLabels:
 
 class TestMixup:
     def test_lambda_one_returns_first(self):
-        x1, t1 = Matrix([[1.0, 2.0]]), np.array([[1.0, 0.0]])
-        x2, t2 = Matrix([[5.0, 6.0]]), np.array([[0.0, 1.0]])
-        out = mixup_with_lambda(x1, t1, x2, t2, np.array([1.0]))
-        assert np.array_equal(out.inputs.data, x1.data)
-        assert np.array_equal(out.targets, t1)
+        x1, t1 = np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]])
+        x2, t2 = np.array([[5.0, 6.0]]), np.array([[0.0, 1.0]])
+        inputs, targets = mixup_with_lambda(x1, t1, x2, t2, np.array([1.0]))
+        assert np.array_equal(inputs, x1)
+        assert np.array_equal(targets, t1)
 
     def test_worked_target_mix(self):
-        out = mixup_with_lambda(Matrix([[0.0]]), np.array([[1.0, 0.0]]),
-                                Matrix([[1.0]]), np.array([[0.0, 1.0]]), np.array([0.7]))
-        assert np.allclose(out.targets, [[0.7, 0.3]], atol=1e-12)
+        _, targets = mixup_with_lambda(np.array([[0.0]]), np.array([[1.0, 0.0]]),
+                                       np.array([[1.0]]), np.array([[0.0, 1.0]]), np.array([0.7]))
+        assert np.allclose(targets, [[0.7, 0.3]], atol=1e-12)
 
     def test_targets_stay_distributions(self, rng):
         t1 = rng.dirichlet(np.ones(3), size=8)
         t2 = rng.dirichlet(np.ones(3), size=8)
-        x = Matrix(rng.normal(size=(8, 2)))
-        out = mixup(x, t1, x, t2, alpha=4.0, rng=np.random.default_rng(3))
-        assert np.allclose(out.targets.sum(axis=1), 1.0, atol=1e-6)
+        x = rng.normal(size=(8, 2))
+        _, targets = mixup(x, t1, x, t2, alpha=4.0, rng=np.random.default_rng(3))
+        assert np.allclose(targets.sum(axis=1), 1.0, atol=1e-6)
 
     def test_lambda_prime_at_least_half(self):
         # mixing targets [1, 0] with [0, 1] leaves each row's lambda' as its first target
-        x = Matrix(np.zeros((200, 2)))
+        x = np.zeros((200, 2))
         t1, t2 = np.tile([1.0, 0.0], (200, 1)), np.tile([0.0, 1.0], (200, 1))
-        out = mixup(x, t1, x, t2, alpha=4.0, rng=np.random.default_rng(4))
-        lam = out.targets[:, 0]
+        _, targets = mixup(x, t1, x, t2, alpha=4.0, rng=np.random.default_rng(4))
+        lam = targets[:, 0]
         assert np.all((lam >= 0.5) & (lam <= 1.0))
 
 
 class TestMixmatchAssemble:
     def _entries(self, rng, n, dims=3, classes=2):
-        return Matrix(rng.normal(size=(n, dims))), rng.dirichlet(np.ones(classes), size=n)
+        return rng.normal(size=(n, dims)), rng.dirichlet(np.ones(classes), size=n)
 
     def test_sizes(self, rng):
         inputs, targets = self._entries(rng, 10)
-        mixed = mixmatch_assemble(inputs, targets, 4.0, np.random.default_rng(0))
-        assert mixed.inputs.shape == (10, 3) and mixed.targets.shape == (10, 2)
+        mixed_inputs, mixed_targets = mixmatch_assemble(inputs, targets, 4.0,
+                                                        np.random.default_rng(0))
+        assert mixed_inputs.shape == (10, 3) and mixed_targets.shape == (10, 2)
 
     def test_each_row_is_convex_combo_with_union(self, rng):
         union, targets = self._entries(rng, 8)
-        mixed = mixmatch_assemble(union, targets, 4.0, np.random.default_rng(1))
+        mixed_inputs, _ = mixmatch_assemble(union, targets, 4.0, np.random.default_rng(1))
         for i in range(8):
-            moved = mixed.inputs.data[i] - union.data[i]
+            moved = mixed_inputs[i] - union[i]
             if not moved.any():   # lambda' == 1, or mixed with itself
                 continue
             # the partner's weight 1 - lambda' along the step from row i to each union row
-            steps = union.data - union.data[i]
+            steps = union - union[i]
             weight = steps @ moved / np.maximum((steps * steps).sum(axis=1), 1e-300)
             miss = np.abs(steps * weight[:, None] - moved).max(axis=1)
             j = miss.argmin()
@@ -206,19 +208,21 @@ class TestMixmatchAssemble:
 
     def test_deterministic_given_seed(self, rng):
         inputs, targets = self._entries(rng, 8)
-        a = mixmatch_assemble(inputs, targets, 4.0, np.random.default_rng(7))
-        b = mixmatch_assemble(inputs, targets, 4.0, np.random.default_rng(7))
-        assert a.inputs.data.tobytes() == b.inputs.data.tobytes()
-        assert a.targets.tobytes() == b.targets.tobytes()
+        a_inputs, a_targets = mixmatch_assemble(inputs, targets, 4.0, np.random.default_rng(7))
+        b_inputs, b_targets = mixmatch_assemble(inputs, targets, 4.0, np.random.default_rng(7))
+        assert a_inputs.tobytes() == b_inputs.tobytes()
+        assert a_targets.tobytes() == b_targets.tobytes()
 
     def test_clean_only_union_mixes_among_themselves(self, rng):
         inputs, targets = self._entries(rng, 5)
-        mixed = mixmatch_assemble(inputs, targets, 4.0, np.random.default_rng(9))
+        mixed_inputs, mixed_targets = mixmatch_assemble(inputs, targets, 4.0,
+                                                        np.random.default_rng(9))
         ref_rng = np.random.default_rng(9)
         perm = ref_rng.permutation(5)
-        want = mixup(inputs, targets, Matrix(inputs.data[perm]), targets[perm], 4.0, ref_rng)
-        assert mixed.inputs.data.tobytes() == want.inputs.data.tobytes()
-        assert mixed.targets.tobytes() == want.targets.tobytes()
+        want_inputs, want_targets = mixup(inputs, targets, inputs[perm], targets[perm], 4.0,
+                                          ref_rng)
+        assert mixed_inputs.tobytes() == want_inputs.tobytes()
+        assert mixed_targets.tobytes() == want_targets.tobytes()
 
     @pytest.mark.parametrize("alpha", [1e-9, 0.05, 0.75, 1.0, 4.0])
     @pytest.mark.parametrize("seed", range(6))
@@ -230,12 +234,12 @@ class TestMixmatchAssemble:
         xi, xt = self._entries(rng, n_x, dims, classes)
         ui, ut = self._entries(rng, n_u, dims, classes)
         got_rng, want_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
-        mixed = mixmatch_assemble(wrap(np.vstack([xi.data, ui.data])), np.vstack([xt, ut]),
-                                  alpha, got_rng)
-        mixed_x, mixed_u = ref.two_part_mixmatch(xi, xt, ui, ut, alpha, want_rng)
-        assert mixed.inputs.data.tobytes() == \
-            np.vstack([mixed_x.inputs.data, mixed_u.inputs.data]).tobytes()
-        assert mixed.targets.tobytes() == np.vstack([mixed_x.targets, mixed_u.targets]).tobytes()
+        mixed_inputs, mixed_targets = mixmatch_assemble(np.vstack([xi, ui]), np.vstack([xt, ut]),
+                                                        alpha, got_rng)
+        (x_inputs, x_targets), (u_inputs, u_targets) = ref.two_part_mixmatch(
+            xi, xt, ui, ut, alpha, want_rng)
+        assert mixed_inputs.tobytes() == np.vstack([x_inputs, u_inputs]).tobytes()
+        assert mixed_targets.tobytes() == np.vstack([x_targets, u_targets]).tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -335,7 +339,7 @@ class TestLossValues:
         zm = Matrix(z)
         tape.watch(zm)
         loss = loss_contrastive(zm, kappa, tape)
-        grad = backward(tape, loss)[zm].data
+        grad = backward(tape, loss)[zm]
         want_loss, want_grad = self._nt_xent_long_double(z, kappa)
         assert abs(loss.item() - want_loss) <= 1e-12 * abs(want_loss)
         assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
@@ -406,7 +410,7 @@ class TestLossGradients:
         grads = backward(tape, forward(tape))
         fd = finite_difference_grad(lambda: forward().item(), mats)
         for m, numeric in zip(mats, fd):
-            assert max_relative_error(grads[m].data, numeric) < 1e-4
+            assert max_relative_error(grads[m], numeric) < 1e-4
 
 
 class TestWarmup:
@@ -577,16 +581,16 @@ class TestTrainEpoch:
         def clean_only(tape, item):
             it, cb = item
             rng = np.random.default_rng([hp.seed, training._S_ITER, 1, 2, it])
-            x = wrap(ds.features.data[cb])
+            x = ds.features.data[cb]
             xw1, xw2, xs1, xs2 = (f(x, AUG, rng) for f in (weak_augment, weak_augment,
                                                           strong_augment, strong_augment))
-            y = refine_labels(net, xw1, xw2, targets[cb], weights[cb], hp.T)
-            x_in = np.stack([xs1.data, xs2.data], axis=1).reshape(2 * len(cb), -1)
+            y = refine_labels(net, wrap(xw1), wrap(xw2), targets[cb], weights[cb], hp.T)
+            x_in = np.stack([xs1, xs2], axis=1).reshape(2 * len(cb), -1)
             x_t = np.repeat(y, 2, axis=0)
             perm = rng.permutation(len(x_in))
-            mixed = mixup(wrap(x_in), x_t, wrap(x_in[perm]), x_t[perm], hp.alpha, rng)
-            logits = forward_logits(net, mixed.inputs, tape)
-            lx, lreg = loss_lx(logits, mixed.targets, tape), loss_reg(logits, 3, tape)
+            mixed_inputs, mixed_targets = mixup(x_in, x_t, x_in[perm], x_t[perm], hp.alpha, rng)
+            logits = forward_logits(net, wrap(mixed_inputs), tape)
+            lx, lreg = loss_lx(logits, mixed_targets, tape), loss_reg(logits, 3, tape)
             zero = Matrix.zeros(1, 1)
             return total_loss(lx, zero, lreg, zero, hp, tape), {"lx": lx, "lreg": lreg}
 
@@ -613,29 +617,29 @@ class TestTrainEpoch:
         weights = training.refinement_weights(report.d, hp.d_omega)
 
         def views(idx, rng):
-            x = wrap(ds.features.data[idx])
+            x = ds.features.data[idx]
             return [f(x, AUG, rng) for f in (weak_augment, weak_augment,
                                              strong_augment, strong_augment)]
 
         def interleave(a, b):
-            return wrap(np.stack([a.data, b.data], axis=1).reshape(2 * a.rows, -1))
+            return np.stack([a, b], axis=1).reshape(2 * len(a), -1)
 
         def two_part(tape, item):
             it, (cb, ub) = item
             rng = np.random.default_rng([hp.seed, training._S_ITER, 1, 1, it])
             xw1, xw2, xs1, xs2 = views(cb, rng)
-            y = refine_labels(net, xw1, xw2, targets[cb], weights[cb], hp.T)
+            y = refine_labels(net, wrap(xw1), wrap(xw2), targets[cb], weights[cb], hp.T)
             uw1, uw2, us1, us2 = views(ub, rng)
-            q = guess_pseudo_labels(ref_twins, uw1, uw2, hp.T)
+            q = guess_pseudo_labels(ref_twins, wrap(uw1), wrap(uw2), hp.T)
             u_in = interleave(us1, us2)
-            mixed_x, mixed_u = ref.two_part_mixmatch(
+            (x_inputs, x_targets), (u_inputs, u_targets) = ref.two_part_mixmatch(
                 interleave(xs1, xs2), np.repeat(y, 2, axis=0), u_in, np.repeat(q, 2, axis=0),
                 hp.alpha, rng)
-            logits_x = forward_logits(net, mixed_x.inputs, tape)
-            logits_u = forward_logits(net, mixed_u.inputs, tape)
-            lx, lu = loss_lx(logits_x, mixed_x.targets, tape), loss_lu(logits_u, mixed_u.targets, tape)
+            logits_x = forward_logits(net, wrap(x_inputs), tape)
+            logits_u = forward_logits(net, wrap(u_inputs), tape)
+            lx, lu = loss_lx(logits_x, x_targets, tape), loss_lu(logits_u, u_targets, tape)
             lreg = loss_reg(concat_rows(logits_x, logits_u, tape), 3, tape)
-            lc = (loss_contrastive(forward_projection(net, u_in, tape), hp.kappa, tape)
+            lc = (loss_contrastive(forward_projection(net, wrap(u_in), tape), hp.kappa, tape)
                   if flags.contrastive else Matrix.zeros(1, 1))
             return total_loss(lx, lu, lreg, lc, hp, tape), {"lx": lx, "lu": lu, "lreg": lreg,
                                                              "lc": lc}
@@ -814,6 +818,72 @@ def test_collapsed_projection_reported_as_divergence(tmp_path, capsys):
         assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err == (
         "error: training diverged at epoch 1, net 1 (ssl): lc is not finite\n")
+
+
+class TestMatrixOnlyWhereReadOrRecorded:
+    """A ``Matrix`` wraps what a network reads and what the tape records;
+    augmented views, the MixMatch mix and gradients are plain arrays."""
+
+    def test_augmentations_mixes_and_gradients_are_arrays(self, rng):
+        x, t = rng.normal(size=(4, 3)), rng.dirichlet(np.ones(2), size=4)
+        assert type(weak_augment(x, AUG, rng)) is np.ndarray
+        assert type(strong_augment(x, AUG, rng)) is np.ndarray
+        assert type(training._interleave_two_views(x, x)) is np.ndarray
+        for mixed in (mixup_with_lambda(x, t, x, t, np.full(4, 0.7)), mixup(x, t, x, t, 4.0, rng),
+                      mixmatch_assemble(x, t, 4.0, rng)):
+            assert [type(a) for a in mixed] == [np.ndarray, np.ndarray]
+        net = init_network(Arch(3, 8, 2, 4), seed=0)
+        tape = GradientTape()
+        for p in net.params.values():
+            tape.watch(p)
+        grads = backward(tape, loss_lx(forward_logits(net, Matrix(x), tape), t, tape))
+        assert len(grads) == len(net.params) and all(type(g) is np.ndarray for g in grads.values())
+
+    def test_an_ssl_step_wraps_only_the_weak_views_the_read_blocks_and_the_tape(self, monkeypatch):
+        # one clean and one noisy batch, so one iteration; every loss term runs
+        ds = inject_symmetric_noise(make_gaussian_blobs(3, 30, 4, 8.0, seed=3), 0.4, seed=4)
+        hp = Hyperparams(seed=3, batch_size=90, warmup_epochs=1, total_epochs=3)
+        twins = init_twins(Arch(4, 16, 3, 4), seed=3)
+        warmup_train(twins, ds, hp, 0)
+        report, sel = select(twins, 1, ds, CUTOFF, FLAGS)
+        wrapped, weak, blocks, outputs = [], [], [], []
+        wrap_fn, record_fn = kernel.wrap, kernel.record
+        softmax, logits, projection = (training.forward_softmax, training.forward_logits,
+                                       training.forward_projection)
+
+        def counting_wrap(arr):
+            wrapped.append(wrap_fn(arr))
+            return wrapped[-1]
+
+        def reading_softmax(net, x):
+            weak.append(x)
+            return softmax(net, x)
+
+        def reading(forward):
+            def call(net, x, tape=None):
+                blocks.append(x)
+                return forward(net, x, tape)
+            return call
+
+        def recording(tape, inputs, out, backward_fn):
+            record_fn(tape, inputs, out, backward_fn)
+            if tape is not None and tape.tracks(out):
+                outputs.append(out)
+            return out
+        for module in [m for name, m in sys.modules.items() if name.startswith("noisytrain.")]:
+            if getattr(module, "wrap", None) is wrap_fn:
+                monkeypatch.setattr(module, "wrap", counting_wrap)
+        monkeypatch.setattr(kernel, "record", recording)
+        monkeypatch.setattr(training, "forward_softmax", reading_softmax)
+        monkeypatch.setattr(training, "forward_logits", reading(logits))
+        monkeypatch.setattr(training, "forward_projection", reading(projection))
+        rec = train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
+        assert rec.degenerate is None and rec.losses["lc"] != 0.0
+        assert len(blocks) == 3   # the mixed clean rows, the mixed noisy rows, the noisy union rows
+        assert len({id(m) for m in weak}) == 4   # each network reads both weak views of each batch
+        taped = {id(m) for m in outputs + list(twins.net1.params.values())}
+        assert sorted(id(m) for m in wrapped if id(m) not in taped) == \
+            sorted({id(m) for m in weak + blocks})
 
 
 class TestHyperparams:
