@@ -3,20 +3,31 @@
 Builds the full four-part training loss (soft cross-entropy, squared-error
 consistency, uniform-prior regularizer, contrastive) on a tiny network and
 compares every reverse-mode gradient entry with central differences.
+
+Training runs in float32, but central differences at h = 1e-5 need float64,
+so the network and the batch here are float64 arrays: every function
+computes in the dtype of its inputs.  The script exits non-zero when any
+relative error exceeds 1e-4 (acceptance criterion 2's bar).
 """
+
+import sys
 
 import numpy as np
 
-from noisytrain.kernel import GradientTape, Matrix, backward
-from noisytrain.model import (ALL_GROUPS, Arch, forward_logits,
+from noisytrain.kernel import GradientTape, backward, wrap
+from noisytrain.model import (ALL_GROUPS, Arch, NetworkParams, forward_logits,
                               forward_projection, init_network)
 from noisytrain.training import (Hyperparams, loss_contrastive, loss_lu,
                                  loss_lx, loss_reg, total_loss)
 
+MAX_REL_ERR = 1e-4
+
 rng = np.random.default_rng(0)
 arch = Arch(in_dim=5, hidden=8, num_classes=3, embed_dim=4)
-net = init_network(arch, seed=1)
-x = Matrix(rng.normal(size=(6, 5)))
+start = init_network(arch, seed=1)
+net = NetworkParams(arch, start.seed,
+                    {name: wrap(m.data.astype(np.float64)) for name, m in start.params.items()})
+x = wrap(rng.normal(size=(6, 5)))
 targets = rng.dirichlet(np.ones(3), size=6)   # a plain array: a constant, never on the tape
 hp = Hyperparams()
 
@@ -40,6 +51,7 @@ print(f"total loss on a random batch: {loss.item():.6f}")
 print(f"operations recorded on the tape: {tape.num_records}\n")
 
 h = 1e-5
+worst = 0.0
 print("parameter  shape     max|grad|   max rel err vs finite differences")
 for name in ALL_GROUPS:
     p = net.params[name]
@@ -56,7 +68,11 @@ for name in ALL_GROUPS:
         nflat[i] = (f_plus - f_minus) / (2 * h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-7)
     rel = np.max(np.abs(analytic - numeric) / denom)
+    worst = max(worst, rel)
     print(f"{name:9s}  {str(p.shape):8s}  {np.abs(analytic).max():9.4f}   {rel:.2e}")
 
-print("\nevery loss path through the network differentiates exactly;")
+if not worst <= MAX_REL_ERR:
+    sys.exit(f"gradient check failed: max relative error {worst:.2e} > {MAX_REL_ERR:.0e}")
+print(f"\nevery loss path through the network differentiates exactly (max rel err "
+      f"{worst:.2e});")
 print("the tape replays its record in reverse and is consumed afterwards.")

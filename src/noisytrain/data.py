@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .kernel import Matrix, wrap
+from .kernel import Matrix, to_dtype, wrap
 
 # substream tags; tests/test_library.py holds every module's tags distinct,
 # so derived generators never collide
@@ -247,23 +247,27 @@ def apply_noise(ds: LabeledDataset, spec: NoiseSpec, seed: int) -> LabeledDatase
 
 
 def weak_augment(x: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator) -> np.ndarray:
-    """Additive Gaussian jitter (row-wise independent draws) on a new array."""
+    """Additive Gaussian jitter (row-wise independent draws), drawn in ``x``'s
+    dtype, on a new array."""
     if spec.weak_sigma > 0:
-        y = rng.normal(0.0, spec.weak_sigma, size=x.shape)
-        y += x
-        return y
+        return _jitter(x, spec.weak_sigma, rng)
     return x + 0.0   # a new array, with -0.0 turned into +0.0
 
 
 def strong_augment(x: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator) -> np.ndarray:
-    """Larger jitter, then each coordinate independently zeroed, on a new array."""
-    if spec.strong_sigma > 0:
-        y = rng.normal(0.0, spec.strong_sigma, size=x.shape)
-        y += x
-    else:
-        y = x.copy()
+    """Larger jitter, then each coordinate independently zeroed, on a new
+    array; both drawn in ``x``'s dtype."""
+    y = _jitter(x, spec.strong_sigma, rng) if spec.strong_sigma > 0 else x.copy()
     if spec.strong_dropout_prob > 0:
-        y *= rng.random(x.shape) >= spec.strong_dropout_prob
+        y *= rng.random(x.shape, dtype=x.dtype) >= spec.strong_dropout_prob
+    return y
+
+
+def _jitter(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """``x`` plus N(0, sigma^2) noise drawn in ``x``'s dtype, on a new array."""
+    y = rng.standard_normal(x.shape, dtype=x.dtype)
+    y *= sigma
+    y += x
     return y
 
 
@@ -361,6 +365,7 @@ def load_dataset_csv(path: str, num_classes: int | None = None) -> LabeledDatase
     if num_classes is None:
         num_classes = int(max(true_arr.max(), given_arr.max())) + 1
     try:   # each row's finiteness was checked as it was parsed
-        return LabeledDataset(wrap(np.array(feats)), true_arr, given_arr, num_classes)
+        return LabeledDataset(wrap(to_dtype(np.array(feats), first_row=1)), true_arr, given_arr,
+                              num_classes)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

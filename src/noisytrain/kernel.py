@@ -1,4 +1,10 @@
-"""Dense 2-D float64 arrays with reverse-mode gradients and SGD.
+"""Dense 2-D float32 arrays with reverse-mode gradients and SGD.
+
+The program trains in ``DTYPE`` (float32, the default of the PyTorch code
+the method comes from).  ``Matrix(values)`` rounds to it once; every other
+operation here keeps the dtype of its operands, so a network and a batch
+made in float64 run through the same functions in float64 (the gradient
+checks do), and no float64 operand reaches a float32 product.
 
 A ``GradientTape`` records each operation applied to a watched parameter
 (or to anything derived from one) and replays the records in exact
@@ -25,18 +31,22 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+# the dtype the program trains in: parameters, batches, targets and gradients
+DTYPE = np.dtype(np.float32)
+
 __all__ = [
-    "Matrix", "wrap", "GradientTape", "record", "backward", "matmul", "concat_rows",
-    "sgd_step",
+    "DTYPE", "Matrix", "to_dtype", "wrap", "GradientTape", "record", "backward", "matmul",
+    "concat_rows", "sgd_step",
 ]
 
 
 class Matrix:
-    """A rows x cols float64 matrix, stored row-major: what a network reads and the tape records.
+    """A rows x cols matrix, stored row-major: what a network reads and the tape records.
 
-    ``Matrix(values)`` copies and rejects non-finite values, for values a
-    caller's arguments can make non-finite (a generated dataset); arrays the
-    program made or has already scanned are wrapped (:func:`wrap`).
+    ``Matrix(values)`` copies into ``DTYPE`` and rejects non-finite values and
+    values that overflow ``DTYPE``, for values a caller's arguments can make
+    so (a generated dataset); arrays the program made or has already scanned
+    are wrapped (:func:`wrap`), in the dtype they have.
     Operations return new matrices; identity hashing lets them key gradient dicts.
     """
 
@@ -50,11 +60,11 @@ class Matrix:
             raise ValueError(f"expected 1-D or 2-D input, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix values must be finite")
-        self.data = arr
+        self.data = to_dtype(arr)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return wrap(np.zeros((rows, cols)))
+        return wrap(np.zeros((rows, cols), dtype=DTYPE))
 
     @property
     def rows(self) -> int:
@@ -77,10 +87,24 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
+def to_dtype(arr: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """The finite 2-D array ``arr`` rounded to ``DTYPE``.  A value that overflows
+    ``DTYPE`` is refused by a ``ValueError`` naming it and its row, counted
+    from ``first_row``."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(arr, dtype=DTYPE)
+    if not np.isfinite(out).all():
+        row, col = np.argwhere(~np.isfinite(out))[0]
+        raise ValueError(f"row {first_row + row}: value {float(arr[row, col])!r} "
+                         f"overflows {DTYPE.name}")
+    return out
+
+
 def wrap(arr: np.ndarray) -> Matrix:
-    """Build a Matrix around an array the caller owns: no copy, no finiteness scan."""
+    """Build a Matrix around an array the caller owns: no copy, no finiteness
+    scan, and its dtype kept."""
     m = Matrix.__new__(Matrix)
-    m.data = np.ascontiguousarray(arr, dtype=np.float64)
+    m.data = np.ascontiguousarray(arr)
     return m
 
 
@@ -163,7 +187,7 @@ def backward(tape: GradientTape, loss: Matrix) -> dict[Matrix, np.ndarray]:
     # A contribution is kept as returned; an input's second one makes a sum
     # backward owns, and later ones add into that.  So no array a closure
     # returned is ever written, and a lone contribution is never copied.
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1), dtype=loss.data.dtype)}
     owned: set[int] = set()
     for out, backward_fn in reversed(tape._records):
         g = grads.get(id(out))
@@ -182,7 +206,8 @@ def backward(tape: GradientTape, loss: Matrix) -> dict[Matrix, np.ndarray]:
     tape._consumed = True
     tape._records.clear()
 
-    return {p: grads[id(p)] if id(p) in grads else np.zeros(p.shape) for p in tape._watched}
+    return {p: grads[id(p)] if id(p) in grads else np.zeros(p.shape, dtype=p.data.dtype)
+            for p in tape._watched}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ Each network owns three parameter groups: the feature extractor (theta),
 a linear classifier head (phi), and a linear projection head (psi) whose
 output rows are L2-normalized.  The two networks share an architecture
 but never share parameters.
+
+``init_network`` makes the parameters in ``kernel.DTYPE``; the forward
+passes compute in the dtype of their parameters and input, so a network
+whose parameters are float64 arrays evaluates and trains in float64.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ ALL_GROUPS = THETA + PHI + PSI
 _EVAL_BLOCK_ROWS = 1024
 
 _CHECKPOINT_MAGIC = b"TWINNET1"
+_CHECKPOINT_VERSION = 2   # version 1 held float64 blobs and named no dtype
+_BLOB_DTYPE = kernel.DTYPE.newbyteorder("<")
 _S_INIT = 401   # substream tag of init_network's generator
 
 
@@ -77,8 +83,9 @@ class NetworkParams:
     # SGD velocities, one row laid out by layout(arch); steps update it in place
     velocity: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.velocity = np.zeros(layout(self.arch)[-1][1].stop)
+    def __post_init__(self):   # in the parameters' dtype
+        self.velocity = np.zeros(layout(self.arch)[-1][1].stop,
+                                 dtype=self.params[ALL_GROUPS[0]].data.dtype)
 
 
 @dataclass
@@ -93,7 +100,8 @@ class TwinNetworks:
 
 
 def init_network(arch: Arch, seed: int) -> NetworkParams:
-    """Scaled-uniform fan-in initialization for weights; zero biases.
+    """Scaled-uniform fan-in initialization for weights; zero biases; all in
+    ``kernel.DTYPE`` (the weights are float64 draws, rounded once).
 
     ``seed`` is an int in [0, 2 * MAX_SEED + 2], the range ``init_twins`` derives."""
     seed = _check_number("seed", seed, int, 0, 2 * MAX_SEED + 2)
@@ -104,7 +112,8 @@ def init_network(arch: Arch, seed: int) -> NetworkParams:
             params[name] = Matrix.zeros(rows, cols)
         else:
             bound = 1.0 / np.sqrt(rows)
-            params[name] = kernel.wrap(rng.uniform(-bound, bound, size=(rows, cols)))
+            params[name] = kernel.wrap(
+                rng.uniform(-bound, bound, size=(rows, cols)).astype(kernel.DTYPE))
     return NetworkParams(arch=arch, seed=seed, params=params)
 
 
@@ -188,16 +197,18 @@ def softmax_in_place(z: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _eval_workspace(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+def _eval_workspace(hidden: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """Two ``_EVAL_BLOCK_ROWS`` x ``hidden`` arrays that ``forward_softmax``
-    writes each block's hidden activations into; one pair per hidden width.
-    Shared by every evaluation in the process, so not for concurrent calls
-    from several threads (the program evaluates in one thread)."""
-    return np.empty((_EVAL_BLOCK_ROWS, hidden)), np.empty((_EVAL_BLOCK_ROWS, hidden))
+    writes each block's hidden activations into; one pair per hidden width
+    and dtype.  Shared by every evaluation in the process, so not for
+    concurrent calls from several threads (the program evaluates in one thread)."""
+    return (np.empty((_EVAL_BLOCK_ROWS, hidden), dtype=dtype),
+            np.empty((_EVAL_BLOCK_ROWS, hidden), dtype=dtype))
 
 
 def forward_softmax(net: NetworkParams, x: Matrix) -> np.ndarray:
-    """Class probabilities, a read-only array; evaluation only, never recorded on a tape.
+    """Class probabilities, a read-only array in the dtype the input and the
+    parameters compute in; evaluation only, never recorded on a tape.
 
     The input is evaluated in blocks of ``_EVAL_BLOCK_ROWS`` rows.  Each
     block's two hidden activations go into the leading rows of a workspace
@@ -211,8 +222,9 @@ def forward_softmax(net: NetworkParams, x: Matrix) -> np.ndarray:
     """
     _check_input(net, x)
     w1, b1, w2, b2, wc, bc = (net.params[n].data for n in THETA + PHI)
-    ws1, ws2 = _eval_workspace(w1.shape[1])
-    probs = np.empty((x.rows, net.arch.num_classes))
+    dtype = np.result_type(x.data, w1)
+    ws1, ws2 = _eval_workspace(w1.shape[1], dtype)
+    probs = np.empty((x.rows, net.arch.num_classes), dtype=dtype)
     for start in range(0, x.rows, _EVAL_BLOCK_ROWS):
         xb = x.data[start:start + _EVAL_BLOCK_ROWS]
         n = xb.shape[0]
@@ -257,7 +269,8 @@ def ensemble_softmax(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: magic, version, JSON header, raw little-endian float64 blobs
+# checkpoints: magic, version, JSON header, raw little-endian blobs of the
+# training dtype, which the header names
 
 
 def _tensor_table(arch: Arch) -> list[dict]:
@@ -267,9 +280,9 @@ def _tensor_table(arch: Arch) -> list[dict]:
 
 
 def save_checkpoint(twins: TwinNetworks, path: str) -> None:
-    """Write ``twins`` to ``path``; a ``ValueError`` naming the network and the
-    tensor refuses parameters that disagree with ``layout(arch)``, before any
-    byte is written."""
+    """Write ``twins`` to ``path``, every parameter in ``kernel.DTYPE``, which the
+    header names; a ``ValueError`` naming the network and the tensor refuses
+    parameters that disagree with ``layout(arch)``, before any byte is written."""
     arch = twins.net1.arch
     declared = {name: shape for name, _, shape in layout(arch)}
     for net_id, net in ((1, twins.net1), (2, twins.net2)):
@@ -279,7 +292,7 @@ def save_checkpoint(twins: TwinNetworks, path: str) -> None:
                 raise ValueError(f"{path}: tensor {name!r} of net {net_id} is "
                                  f"{held.get(name, 'missing')}, but arch {asdict(arch)} "
                                  f"declares {declared.get(name, 'no such tensor')}")
-    header = {"version": 1, "arch": asdict(arch),
+    header = {"version": _CHECKPOINT_VERSION, "dtype": _BLOB_DTYPE.str, "arch": asdict(arch),
               "seeds": [twins.net1.seed, twins.net2.seed], "tensors": _tensor_table(arch)}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as f:
@@ -288,7 +301,7 @@ def save_checkpoint(twins: TwinNetworks, path: str) -> None:
         f.write(header_bytes)
         for net in (twins.net1, twins.net2):
             for name in ALL_GROUPS:
-                f.write(np.ascontiguousarray(net.params[name].data, dtype="<f8").tobytes())
+                f.write(np.ascontiguousarray(net.params[name].data, dtype=_BLOB_DTYPE).tobytes())
 
 
 def load_checkpoint(path: str) -> TwinNetworks:
@@ -311,11 +324,14 @@ def load_checkpoint(path: str) -> TwinNetworks:
         raise ValueError(f"{path}: the header is not UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path}: the header is not a JSON object")
-    missing = [k for k in ("version", "arch", "seeds", "tensors") if k not in header]
+    missing = [k for k in ("version", "dtype", "arch", "seeds", "tensors") if k not in header]
     if missing:
         raise ValueError(f"{path}: the header lacks {missing[0]!r}")
-    if json.dumps(header["version"]) != "1":
+    if json.dumps(header["version"]) != str(_CHECKPOINT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint version {header['version']!r}")
+    if header["dtype"] != _BLOB_DTYPE.str:
+        raise ValueError(f"{path}: unsupported tensor dtype {header['dtype']!r}, "
+                         f"expected {_BLOB_DTYPE.str!r}")
     seeds = header["seeds"]
     if not (isinstance(seeds, list) and len(seeds) == 2):
         raise ValueError(f"{path}: 'seeds' must hold exactly two integers, got {seeds!r}")
@@ -333,13 +349,14 @@ def load_checkpoint(path: str) -> TwinNetworks:
         raise ValueError(f"{path}: 'tensors' must list {', '.join(ALL_GROUPS)} of net 1, then "
                          f"of net 2, with the shapes of arch {asdict(arch)}")
     row_len = layout(arch)[-1][1].stop
-    if len(raw) - rows_start != 2 * 8 * row_len:
+    row_bytes = _BLOB_DTYPE.itemsize * row_len
+    if len(raw) - rows_start != 2 * row_bytes:
         raise ValueError(f"{path}: {len(raw) - rows_start} bytes of tensor data, "
-                         f"but the header declares {2 * 8 * row_len}")
+                         f"but the header declares {2 * row_bytes}")
     nets = []
     for net_id, seed in zip((1, 2), seeds):
-        row = np.frombuffer(raw, dtype="<f8", count=row_len,
-                            offset=rows_start + 8 * row_len * (net_id - 1))
+        row = np.frombuffer(raw, dtype=_BLOB_DTYPE, count=row_len,
+                            offset=rows_start + row_bytes * (net_id - 1))
         bad = [name for name, part, _ in layout(arch) if not np.isfinite(row[part]).all()]
         if bad:
             raise ValueError(f"{path}: tensor {bad[0]!r} of net {net_id} holds a non-finite value")

@@ -97,7 +97,8 @@ def jsd(y, p) -> float:
 
 
 def divergences_from_probs(probs: np.ndarray, given_labels: np.ndarray) -> DivergenceReport:
-    """jsd(one_hot(label), row) for every row of the 2-D ``probs``, read from the label's entry p.
+    """jsd(one_hot(label), row) for every row of the 2-D ``probs``, read from the label's
+    entry p, in float64 whatever the dtype of ``probs``.
 
     Rows must be distributions, as ``jsd`` requires: each off-label entry p_j
     has midpoint p_j / 2, so together they add (1 - p) * ln 2."""
@@ -106,7 +107,7 @@ def divergences_from_probs(probs: np.ndarray, given_labels: np.ndarray) -> Diver
     labels = _checked_indices("given_labels", given_labels, C)
     if len(labels) != n:
         raise ValueError(f"given_labels: {len(labels)} labels for {n} prediction rows")
-    p = probs[np.arange(n), labels]
+    p = probs[np.arange(n), labels].astype(np.float64)   # so d, and all read from it, are float64
     m = (1.0 + p) / 2.0
     t_p = p * np.log(np.where(p > 0.0, p / m, 1.0))   # p = 0 drops its term
     d = (t_p - np.log(m) + (1.0 - p) * _LN2) / (2.0 * _LN2)

@@ -19,6 +19,12 @@ passes: their outputs enter the losses as constants, never on the tape.
 Every SGD step, of warmup and of an SSL half, goes through ``_sgd_steps``:
 one tape, one backward, one finiteness check and one update of the step's
 parameters packed into a row.
+
+Everything a step computes follows the dtype of the network and the
+batch, ``kernel.DTYPE`` in training: targets, MixUp weights and every loss
+constant are made in it, so no float64 operand widens a product.  The
+selection divergences (``selection.divergences_from_probs``) and the
+metrics stay float64.
 """
 
 from __future__ import annotations
@@ -67,7 +73,8 @@ class TrainingDivergedError(RuntimeError):
 class Hyperparams:
     """Every scalar training knob in one validated record."""
 
-    # T >= 0.01: a row's largest entry (>= 1/1000 classes) stays >= 1e-300 in sharpen
+    # T >= 0.01: sharpen scales a row's largest entry into [0.5, 1) before the
+    # power, so it powers to >= 2 ** -100, a normal float32, and no row sums to 0
     T: float = setting(0.5, float, 0.01, 1e9)
     lambda_u: float = setting(30.0, float, 0.0, 1e9)
     lambda_c: float = setting(0.025, float, 0.0, 1e9)
@@ -107,7 +114,7 @@ class AblationFlags:
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
-    return np.eye(num_classes)[_checked_indices("labels", labels, num_classes)]
+    return np.eye(num_classes, dtype=kernel.DTYPE)[_checked_indices("labels", labels, num_classes)]
 
 
 def refinement_weights(d: np.ndarray, d_omega: float) -> np.ndarray:
@@ -117,15 +124,23 @@ def refinement_weights(d: np.ndarray, d_omega: float) -> np.ndarray:
 
 
 def sharpen(p: np.ndarray, T: float) -> np.ndarray:
-    """Raise each row to 1/T and renormalize; T < 1 concentrates mass."""
+    """Raise each row to 1/T and renormalize; T < 1 concentrates mass.
+
+    Each row is first divided by the power of two that brings its largest
+    entry into [0.5, 1), so that entry powers to at least 2 ** (-1 / T)
+    (>= 2 ** -100 in T's range, a normal float32) and no row's sum
+    underflows to 0 / 0.  Scaling by a power of two is exact, so a row
+    that did not underflow unscaled keeps its bits at T = 0.5."""
     T = _check_number("T", T, float, *_T_RANGE)
-    powered = p ** (1.0 / T)
-    return powered / powered.sum(axis=1, keepdims=True)
+    powered = np.ldexp(p, -np.frexp(p.max(axis=1, keepdims=True))[1])
+    powered **= 1.0 / T
+    powered /= powered.sum(axis=1, keepdims=True)
+    return powered
 
 
 def blend_targets(y_onehot: np.ndarray, p: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-row convex combination w * y + (1 - w) * p."""
-    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
+    """Per-row convex combination w * y + (1 - w) * p, in the dtype of ``p``."""
+    w = np.asarray(weights, dtype=p.dtype).reshape(-1, 1)
     return w * y_onehot + (1.0 - w) * p
 
 
@@ -151,8 +166,9 @@ def guess_pseudo_labels(twins: TwinNetworks, u_weak_1: Matrix, u_weak_2: Matrix,
 def mixup_with_lambda(x1: np.ndarray, t1: np.ndarray, x2: np.ndarray, t2: np.ndarray,
                       lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Convex combination of inputs and of targets with given per-row
-    coefficients (already >= 0.5); returns ``(inputs, targets)``."""
-    lam = np.asarray(lam, dtype=np.float64).reshape(-1, 1)
+    coefficients (already >= 0.5), taken in the dtype of the inputs; returns
+    ``(inputs, targets)``."""
+    lam = np.asarray(lam, dtype=x1.dtype).reshape(-1, 1)
     rest = 1.0 - lam
     inputs = lam * x1
     inputs += rest * x2
@@ -243,10 +259,11 @@ def loss_reg(logits: Matrix, num_classes: int, tape: GradientTape | None = None)
     """
     n = logits.rows
     p = softmax_in_place(logits.data.copy())
-    weights = np.full((1, n), 1.0 / n)
+    weights = np.full((1, n), 1.0 / n, dtype=p.dtype)
     mean_row = weights @ p
     c = -1.0 / num_classes
-    out = np.array([[np.log(mean_row).sum()]]) * c + np.array([[-np.log(num_classes)]])
+    out = np.array([[np.log(mean_row).sum()]]) * c
+    out += -float(np.log(num_classes))   # a Python float, so it takes out's dtype
 
     def bwd(g, tracked):
         g_log = (g * c)[0, 0] / mean_row
@@ -432,7 +449,7 @@ def select_for_network(probs: np.ndarray, ds: LabeledDataset, cutoff_params: Cut
 
 def _interleave_two_views(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stack two per-sample views as adjacent rows: a0, b0, a1, b1, ..."""
-    out = np.empty((2 * len(a), a.shape[1]))
+    out = np.empty((2 * len(a), a.shape[1]), dtype=a.dtype)
     out[0::2] = a
     out[1::2] = b
     return out

@@ -5,7 +5,7 @@ import pytest
 
 from noisytrain import training
 from noisytrain.kernel import GradientTape, Matrix, backward, sgd_step, wrap
-from noisytrain.model import ensemble_softmax, forward_softmax, layout
+from noisytrain.model import NetworkParams, ensemble_softmax, forward_softmax, layout
 
 
 def finite_difference_grad(fn, mats, h=1e-5):
@@ -55,7 +55,20 @@ def rng():
 
 
 def random_matrix(rng, rows, cols, lo=-1.0, hi=1.0) -> Matrix:
-    return Matrix(rng.uniform(lo, hi, size=(rows, cols)))
+    """A float64 matrix of uniform draws: formula and gradient tests run in
+    float64, through the same functions that train in float32."""
+    return wrap(rng.uniform(lo, hi, size=(rows, cols)))
+
+
+def f64(values) -> Matrix:
+    """``values`` as a float64 matrix (``Matrix(values)`` rounds to float32)."""
+    return wrap(np.array(values, dtype=np.float64, ndmin=2))
+
+
+def as_float64(net: NetworkParams) -> NetworkParams:
+    """A copy of ``net`` whose parameters, and so its velocity row, are float64."""
+    return NetworkParams(net.arch, net.seed,
+                         {k: wrap(m.data.astype(np.float64)) for k, m in net.params.items()})
 
 
 def serial_sgd_steps(net, hp, lr, names, items, loss_fn, where):

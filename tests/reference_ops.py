@@ -150,7 +150,7 @@ def pair_bands(a: Matrix, tape: GradientTape | None = None) -> Matrix:
     bands = np.stack((a.data.flat[1::stride], a.data.flat[n::stride]))
 
     def bwd(g, tracked):
-        out = np.zeros((n, n))
+        out = np.zeros((n, n), dtype=g.dtype)
         out.flat[1::stride] = g[0]
         out.flat[n::stride] = g[1]
         return (out,)

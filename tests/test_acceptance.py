@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad, max_relative_error
+from conftest import as_float64, f64, finite_difference_grad, max_relative_error
 from noisytrain.config import config_from_dict
 from noisytrain.data import round_half_up
-from noisytrain.kernel import GradientTape, Matrix, backward
+from noisytrain.kernel import GradientTape, backward, wrap
 from noisytrain.model import (PHI, PSI, THETA, Arch, forward_logits,
                               forward_projection, init_network)
 from noisytrain.runner import cmd_ablate, cmd_run, hist_ratio
@@ -135,17 +135,17 @@ def test_criterion_1_formula_oracles():
                                          np.array([[1.0]]), np.array([[0.0, 1.0]]), np.array([0.7]))
     assert np.allclose(mixed_targets, [[0.7, 0.3]], atol=1e-6)
 
-    assert loss_lx(Matrix([[0.0, 0.0]]), np.array([[0.5, 0.5]])).item() == pytest.approx(math.log(2), abs=1e-6)
-    assert loss_lu(Matrix([[math.log(0.6), math.log(0.4)]]),
+    assert loss_lx(f64([[0.0, 0.0]]), np.array([[0.5, 0.5]])).item() == pytest.approx(math.log(2), abs=1e-6)
+    assert loss_lu(f64([[math.log(0.6), math.log(0.4)]]),
                    np.array([[1.0, 0.0]])).item() == pytest.approx(0.32, abs=1e-6)
-    assert loss_reg(Matrix([[math.log(0.9), math.log(0.1)]]), 2).item() == pytest.approx(0.510826, abs=1e-6)
+    assert loss_reg(f64([[math.log(0.9), math.log(0.1)]]), 2).item() == pytest.approx(0.510826, abs=1e-6)
 
-    assert loss_contrastive(Matrix([[1.0, 0.0], [0.0, 1.0]]), 0.05).item() == 0.0
-    assert loss_contrastive(Matrix(np.tile([1.0, 0.0], (4, 1))),
+    assert loss_contrastive(f64([[1.0, 0.0], [0.0, 1.0]]), 0.05).item() == 0.0
+    assert loss_contrastive(f64(np.tile([1.0, 0.0], (4, 1))),
                             0.05).item() == pytest.approx(math.log(3), abs=1e-9)
-    assert loss_contrastive(Matrix([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
+    assert loss_contrastive(f64([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
                             0.05).item() < 1e-8
-    assert total_loss(Matrix([[0.5]]), Matrix([[0.01]]), Matrix([[0.1]]), Matrix([[1.0]]),
+    assert total_loss(f64([[0.5]]), f64([[0.01]]), f64([[0.1]]), f64([[1.0]]),
                       Hyperparams()).item() == pytest.approx(0.925, abs=1e-9)
 
     elapsed = time.time() - t0
@@ -158,13 +158,14 @@ def _non_degenerate_batch(arch, trial):
     """Draw a net and batch clear of ReLU kinks and zero-norm projections.
 
     Finite differences perturb by 1e-5, so every pre-activation must sit
-    safely away from zero for the ReLU mask to stay fixed.
+    safely away from zero for the ReLU mask to stay fixed.  The network and
+    the batch are float64: central differences at h = 1e-5 need its precision.
     """
     from reference_ops import add_row, matmul, relu
     for attempt in range(100):
-        net = init_network(arch, seed=trial * 100 + attempt)
+        net = as_float64(init_network(arch, seed=trial * 100 + attempt))
         rng = np.random.default_rng(1000 + trial * 100 + attempt)
-        x = Matrix(rng.normal(size=(4, arch.in_dim)))
+        x = wrap(rng.normal(size=(4, arch.in_dim)))
         targets = rng.dirichlet(np.ones(arch.num_classes), size=4)
         p = net.params
         pre1 = add_row(matmul(x, p["w1"]), p["b1"])

@@ -10,10 +10,13 @@ from noisytrain.data import (AugmentationSpec, LabeledDataset, NoiseSpec, apply_
                              inject_symmetric_noise, load_dataset_csv,
                              make_gaussian_blobs, round_half_up, save_dataset_csv,
                              strong_augment, weak_augment)
-from noisytrain.kernel import Matrix
+from noisytrain.kernel import DTYPE, Matrix
 
 
 class TestGaussianBlobs:
+    def test_features_are_in_the_training_dtype(self):
+        assert make_gaussian_blobs(3, 10, 4, 6.0, seed=3).features.data.dtype == DTYPE
+
     def test_counts_and_labels(self):
         ds = make_gaussian_blobs(2, 5, 2, 4.0, seed=7)
         assert len(ds) == 10
@@ -184,6 +187,17 @@ class TestAugmentation:
         tol = 3 * 0.3 / np.sqrt(10_000)
         assert np.all(np.abs(out.mean(axis=0)) < tol)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_draws_are_made_in_the_input_dtype(self, dtype):
+        spec = AugmentationSpec(weak_sigma=0.1, strong_sigma=0.5, strong_dropout_prob=0.2)
+        x = np.ones((6, 3), dtype=dtype)
+        weak = weak_augment(x, spec, np.random.default_rng(5))
+        strong = strong_augment(x, spec, np.random.default_rng(5))
+        assert weak.dtype == strong.dtype == dtype
+        # the noise is a standard normal draw of that dtype, scaled by sigma
+        z = np.random.default_rng(5).standard_normal(x.shape, dtype=dtype)
+        assert np.array_equal(weak, z * dtype(0.1) + x)
+
     def test_dimensionality_preserved(self):
         spec = AugmentationSpec()
         x = np.ones((4, 7))
@@ -265,6 +279,7 @@ class TestCsvRoundTrip:
         for n, dims in ((1, 1), (9, 1), (40, 64), (300, 8),
                         (block, 2), (block + 1, 2), (2 * block + 1, 1)):
             feats = rng.standard_normal((n, dims)) * 10.0 ** rng.integers(-8, 8, (n, dims))
+            feats = feats.astype(DTYPE)   # what a dataset holds
             feats[0, 0] = -0.0    # the other entries are of both signs
             labels = rng.integers(0, 3, n)
             ds = LabeledDataset(Matrix(feats), labels, rng.integers(0, 3, n), 3)
@@ -298,6 +313,23 @@ class TestCsvRoundTrip:
         path.write_text(f"feat_0,feat_1,true_label,given_label\n0.1,0.2,0,0\n{bad_row}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row 2: {detail}')}$"):
             load_dataset_csv(str(path))
+
+    @pytest.mark.parametrize("value", ["1e39", "-3.5e38", "1e300"])
+    def test_value_overflowing_the_training_dtype_names_path_and_row(self, tmp_path, value):
+        # finite in float64, so the row's own check passes; float32 would make it inf
+        path = tmp_path / "snapshot.csv"
+        path.write_text(f"feat_0,feat_1,true_label,given_label\n0.1,0.2,0,0\n0.5,1.5,1,1\n"
+                        f"0.5,{value},1,1\n")
+        message = f"{path}: row 3: value {float(value)!r} overflows float32"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_dataset_csv(str(path))
+
+    def test_largest_float32_loads_exactly(self, tmp_path):
+        path = tmp_path / "snapshot.csv"
+        big = float(np.finfo(np.float32).max)
+        path.write_text(f"feat_0,true_label,given_label\n{big!r},0,0\n{-big!r},1,1\n")
+        features = load_dataset_csv(str(path)).features.data
+        assert features.dtype == DTYPE and features.ravel().tolist() == [big, -big]
 
     def test_out_of_range_label_names_path(self, tmp_path):
         path = tmp_path / "snapshot.csv"

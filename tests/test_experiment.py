@@ -113,8 +113,8 @@ def assert_same_run(continued, whole, tmp_path):
 
 def test_checkpoint_of_a_run_holds_its_packed_rows(tmp_path):
     """After a run every parameter is a read-only view of its network's packed
-    row.  The checkpoint is the magic, the header and then the two rows in
-    ``layout`` order, and loading and saving it again gives the same bytes."""
+    row, in float32.  The checkpoint is the magic, the header and then the two
+    rows in ``layout`` order, and loading and saving it again gives the same bytes."""
     twins = go(dataclasses.replace(HP, total_epochs=HP.warmup_epochs + 1)).twins
     nets, arch = (twins.net1, twins.net2), twins.net1.arch
     assert not any(m.data.flags.writeable for net in nets for m in net.params.values())
@@ -125,12 +125,14 @@ def test_checkpoint_of_a_run_holds_its_packed_rows(tmp_path):
     assert raw[:8] == b"TWINNET1"
     shapes = arch.param_shapes()
     assert json.loads(raw[12:12 + header_len]) == {
-        "version": 1, "arch": dataclasses.asdict(arch), "seeds": [net.seed for net in nets],
+        "version": 2, "dtype": "<f4", "arch": dataclasses.asdict(arch),
+        "seeds": [net.seed for net in nets],
         "tensors": [{"net": i, "name": name, "rows": shapes[name][0], "cols": shapes[name][1]}
                     for i in (1, 2) for name in ALL_GROUPS]}
     rows = [np.concatenate([net.params[name].data.ravel() for name, _, _ in layout(arch)])
             for net in nets]
-    assert raw[12 + header_len:] == b"".join(row.astype("<f8").tobytes() for row in rows)
+    assert all(row.dtype == np.float32 for row in rows)
+    assert raw[12 + header_len:] == b"".join(row.astype("<f4").tobytes() for row in rows)
     save_checkpoint(load_checkpoint(str(path)), str(tmp_path / "b.bin"))
     assert (tmp_path / "b.bin").read_bytes() == raw
 

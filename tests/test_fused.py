@@ -115,9 +115,9 @@ def _case(seed):
     alpha = np.full(arch.num_classes, 0.3)
     batch = {
         "x_in": Matrix(rng.normal(scale=3.0, size=(n_x, arch.in_dim))),
-        "x_t": rng.dirichlet(alpha, size=n_x),
+        "x_t": rng.dirichlet(alpha, size=n_x).astype(kernel.DTYPE),
         "u_in": Matrix(rng.normal(scale=3.0, size=(n_u, arch.in_dim))),
-        "u_t": rng.dirichlet(alpha, size=n_u),
+        "u_t": rng.dirichlet(alpha, size=n_u).astype(kernel.DTYPE),
     }
     return init_network(arch, seed=seed), batch
 
@@ -226,11 +226,12 @@ def _packed_and_serial_steps(seed, names):
                 num_classes=int(rng.integers(2, 11)), embed_dim=4)
     n = 3 * rows
     ds = SimpleNamespace(features=Matrix(rng.normal(scale=3.0, size=(n, arch.in_dim))))
-    targets = rng.dirichlet(np.full(arch.num_classes, 0.3), size=n)
+    targets = rng.dirichlet(np.full(arch.num_classes, 0.3), size=n).astype(kernel.DTYPE)
     batches = np.split(rng.permutation(n), [rows, 2 * rows])
     hp = Hyperparams(lr=rng.uniform(0.01, 0.5), momentum=rng.uniform(0.0, 0.99),
                      weight_decay=rng.uniform(0.0, 1e-2))
-    start = {k: rng.normal(size=m.shape) for k, m in init_network(arch, seed).params.items()}
+    start = {k: rng.normal(size=m.shape).astype(kernel.DTYPE)
+             for k, m in init_network(arch, seed).params.items()}
     nets = []
     for _ in range(2):   # non-zero biases, the same in both
         net = init_network(arch, seed)

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import reference_ops as ref
-from conftest import finite_difference_grad, max_relative_error, random_matrix
+from conftest import f64, finite_difference_grad, max_relative_error, random_matrix
 from noisytrain import kernel
 from noisytrain.kernel import GradientTape, Matrix, backward, sgd_step
 from reference_ops import DegenerateEmbeddingError
@@ -19,10 +21,38 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix([[float("inf")]])
 
+    def test_values_are_rounded_to_the_training_dtype(self):
+        m = Matrix([[0.1, 1e-3], [2.0, -3.5]])
+        assert m.data.dtype == kernel.DTYPE == np.float32
+        assert m.data.tolist() == np.array([[0.1, 1e-3], [2.0, -3.5]], np.float32).tolist()
+
+    @pytest.mark.parametrize("values,message", [
+        ([[1.0, 1e39]], "row 0: value 1e+39 overflows float32"),
+        ([[1.0, 2.0], [3.0, -1e300]], "row 1: value -1e+300 overflows float32"),
+        ([5e38], "row 0: value 5e+38 overflows float32"),
+    ], ids=["first-row", "second-row", "one-dim"])
+    def test_rejects_values_that_overflow_the_training_dtype(self, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Matrix(values)
+
+    def test_largest_finite_value_kept(self):
+        big = float(np.finfo(np.float32).max)
+        assert Matrix([[big, -big]]).data.tolist() == [[big, -big]]
+
     def test_row_major_layout(self):
         m = Matrix([[1.0, 2.0], [3.0, 4.0]])
         assert m.data.flags["C_CONTIGUOUS"]
         assert m.data.reshape(-1).tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+class TestWrap:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_a_floating_dtype_without_copying(self, dtype):
+        arr = np.ones((2, 3), dtype=dtype)
+        assert kernel.wrap(arr).data is arr
+
+    def test_zeros_are_made_in_the_training_dtype(self):
+        assert Matrix.zeros(2, 2).data.dtype == kernel.DTYPE
 
 
 class TestMatmul:
@@ -56,16 +86,16 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_zero_row_uniform(self):
-        out = ref.softmax_rows(Matrix([[0.0, 0.0, 0.0, 0.0]]))
+        out = ref.softmax_rows(f64([[0.0, 0.0, 0.0, 0.0]]))
         assert np.allclose(out.data, 0.25, atol=1e-12)
 
     def test_closed_form(self):
-        out = ref.softmax_rows(Matrix([[np.log(2.0), 0.0]]))
+        out = ref.softmax_rows(f64([[np.log(2.0), 0.0]]))
         assert np.allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_shift_invariance(self, rng):
         m = random_matrix(rng, 5, 4)
-        shifted = Matrix(m.data + 7.25)
+        shifted = f64(m.data + 7.25)
         assert np.allclose(ref.softmax_rows(m).data,
                            ref.softmax_rows(shifted).data, atol=1e-12)
 
@@ -79,16 +109,16 @@ class TestSoftmax:
 
 class TestL2Normalize:
     def test_hand_value(self):
-        out = ref.l2_normalize_rows(Matrix([[3.0, 4.0]]))
+        out = ref.l2_normalize_rows(f64([[3.0, 4.0]]))
         assert np.allclose(out.data, [[0.6, 0.8]], atol=1e-12)
 
     def test_unit_row_unchanged(self):
-        out = ref.l2_normalize_rows(Matrix([[1.0, 0.0]]))
+        out = ref.l2_normalize_rows(f64([[1.0, 0.0]]))
         assert np.allclose(out.data, [[1.0, 0.0]], atol=1e-12)
 
     def test_zero_row_raises(self):
         with pytest.raises(DegenerateEmbeddingError):
-            ref.l2_normalize_rows(Matrix([[0.0, 0.0]]))
+            ref.l2_normalize_rows(f64([[0.0, 0.0]]))
 
     def test_norms_are_one(self, rng):
         out = ref.l2_normalize_rows(random_matrix(rng, 8, 3)).data
@@ -104,7 +134,7 @@ class TestLseOffdiag:
             assert out[i, 0] == pytest.approx(np.log(terms.sum()), abs=1e-12)
 
     def test_two_by_two_is_exact(self):
-        a = Matrix([[1.0, 20.0], [20.0, 1.0]])
+        a = f64([[1.0, 20.0], [20.0, 1.0]])
         out = ref.lse_offdiag_rows(a).data
         assert out[0, 0] == 20.0
         assert out[1, 0] == 20.0
@@ -124,6 +154,17 @@ class TestBackward:
 
         fd = finite_difference_grad(f, [w])
         assert max_relative_error(grads[w], fd[0]) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_keep_the_dtype_of_the_chain(self, rng, dtype):
+        # the seed and an unused parameter's zeros are made in the chain's dtype
+        w = kernel.wrap(rng.normal(size=(2, 3)).astype(dtype))
+        unused = kernel.wrap(np.zeros((1, 1), dtype=dtype))
+        tape = GradientTape()
+        tape.watch(w)
+        tape.watch(unused)
+        grads = backward(tape, ref.sum_all(ref.mul(w, w, tape), tape))
+        assert grads[w].dtype == grads[unused].dtype == dtype
 
     def test_unused_parameter_gets_zero_grad(self, rng):
         used = random_matrix(rng, 2, 2)
@@ -221,6 +262,7 @@ def test_determinism_bit_identical(rng):
 
 def test_kernel_exports():
     assert sorted(kernel.__all__) == sorted([
-        "Matrix", "wrap", "GradientTape", "record", "backward", "matmul", "concat_rows",
+        "DTYPE", "Matrix", "to_dtype", "wrap", "GradientTape", "record", "backward", "matmul",
+        "concat_rows",
         "sgd_step"])
     assert all(hasattr(kernel, name) for name in kernel.__all__)

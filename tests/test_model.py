@@ -11,8 +11,8 @@ import pytest
 from noisytrain import _BLAS_THREAD_VARS, model
 from noisytrain.config import config_from_dict
 from noisytrain.data import MAX_SEED
-from noisytrain.kernel import GradientTape, Matrix, backward
-from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks,
+from noisytrain.kernel import DTYPE, GradientTape, Matrix, backward, wrap
+from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, NetworkParams, TwinNetworks,
                               ensemble_softmax, forward_logits, forward_projection,
                               forward_softmax, init_network, init_twins, layout,
                               load_checkpoint, save_checkpoint, softmax_in_place)
@@ -69,6 +69,29 @@ class TestInit:
     def test_arch_validation(self):
         with pytest.raises(ValueError):
             Arch(in_dim=0, hidden=8, num_classes=4, embed_dim=3)
+
+    def test_parameters_and_velocity_are_float32_draws_rounded_once(self):
+        net = init_network(ARCH, seed=3)
+        assert all(m.data.dtype == DTYPE for m in net.params.values())
+        assert net.velocity.dtype == DTYPE
+        rng = np.random.default_rng([3, model._S_INIT])
+        w1 = rng.uniform(-1 / np.sqrt(ARCH.in_dim), 1 / np.sqrt(ARCH.in_dim), size=(5, 8))
+        assert np.array_equal(net.params["w1"].data, w1.astype(np.float32))
+
+    def test_forwards_compute_in_the_dtype_of_their_parameters(self):
+        net = init_network(ARCH, seed=3)
+        wide = NetworkParams(ARCH, 3, {k: wrap(m.data.astype(np.float64))
+                                       for k, m in net.params.items()})
+        assert wide.velocity.dtype == np.float64
+        x = np.random.default_rng(0).normal(size=(6, 5))
+        for n, dtype in ((net, DTYPE), (wide, np.float64)):
+            xm = wrap(x.astype(dtype))
+            assert forward_softmax(n, xm).dtype == dtype
+            assert forward_logits(n, xm).data.dtype == dtype
+            assert forward_projection(n, xm).data.dtype == dtype
+        # the float32 forward is the float64 one, to float32's precision
+        assert np.allclose(forward_softmax(net, wrap(x.astype(DTYPE))),
+                           forward_softmax(wide, wrap(x)), rtol=0, atol=1e-6)
 
     def test_layout_packs_all_groups_in_order_theta_and_phi_first(self):
         parts = layout(ARCH)
@@ -274,7 +297,7 @@ class TestEvalWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1000 * arch.hidden * 8
+        assert peak < 1000 * arch.hidden * x.data.itemsize   # one activation array
 
 
 class TestEnsemble:
@@ -364,13 +387,51 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(str(path))
 
+    def test_header_names_the_training_dtype_and_the_round_trip_is_exact(self, tmp_path):
+        path, again = tmp_path / "ckpt.bin", tmp_path / "again.bin"
+        twins = init_twins(ARCH, seed=21)
+        save_checkpoint(twins, str(path))
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12:12 + header_len])
+        assert (header["version"], header["dtype"]) == (2, "<f4")
+        loaded = load_checkpoint(str(path))
+        for net, got in ((twins.net1, loaded.net1), (twins.net2, loaded.net2)):
+            assert all(got.params[k].data.dtype == DTYPE for k in ALL_GROUPS)
+            assert all(np.array_equal(got.params[k].data, net.params[k].data)
+                       for k in ALL_GROUPS)
+            assert got.velocity.dtype == DTYPE
+        save_checkpoint(loaded, str(again))
+        assert again.read_bytes() == raw
+
+    @pytest.mark.parametrize("dtype", ["<f8", ">f4", "float32", "<f2", 4, None])
+    def test_unknown_dtype_rejected(self, tmp_path, dtype):
+        path = tmp_path / "ckpt.bin"
+        self._rewrite_header(path, lambda h: h.update(dtype=dtype))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported tensor "
+                                             rf"dtype {re.escape(repr(dtype))}, expected '<f4'$"):
+            load_checkpoint(str(path))
+
+    def test_float64_blobs_under_the_float32_header_rejected(self, tmp_path):
+        # the tensors of a version 1 checkpoint, relabelled: twice the bytes the dtype declares
+        path = tmp_path / "ckpt.bin"
+        self._rewrite_header(path, lambda h: None)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        rows = np.frombuffer(raw[12 + header_len:], dtype="<f4").astype("<f8")
+        path.write_bytes(raw[:12 + header_len] + rows.tobytes())
+        declared = 4 * rows.size
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {2 * declared} bytes of "
+                                             rf"tensor data, but the header declares {declared}$"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("cut", [-8, 8, -1])
     def test_wrong_length_rejected(self, tmp_path, cut):
         path = tmp_path / "ckpt.bin"
         save_checkpoint(init_twins(ARCH, seed=21), str(path))
         blob = path.read_bytes()
         path.write_bytes(blob[:cut] if cut < 0 else blob + b"\x00" * cut)
-        tensor_bytes = 8 * sum(r * c for r, c in ARCH.param_shapes().values()) * 2
+        tensor_bytes = 4 * sum(r * c for r, c in ARCH.param_shapes().values()) * 2
         found = tensor_bytes + cut
         with pytest.raises(ValueError, match=rf"ckpt\.bin: {found} bytes.*declares {tensor_bytes}"):
             load_checkpoint(str(path))
@@ -407,7 +468,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit,message", [
         (lambda h: h.pop("version"), r"the header lacks 'version'"),
         (lambda h: h.update(version=True), r"unsupported checkpoint version True"),
-        (lambda h: h.update(version=1.0), r"unsupported checkpoint version 1\.0"),
+        (lambda h: h.update(version=2.0), r"unsupported checkpoint version 2\.0"),
+        (lambda h: h.update(version=1), r"unsupported checkpoint version 1"),
+        (lambda h: h.pop("dtype"), r"the header lacks 'dtype'"),
         (lambda h: h.pop("arch"), r"the header lacks 'arch'"),
         (lambda h: h.pop("seeds"), r"the header lacks 'seeds'"),
         (lambda h: h.pop("tensors"), r"the header lacks 'tensors'"),
@@ -428,7 +491,8 @@ class TestCheckpoint:
         (lambda h: h["tensors"].__setitem__(0, "w1"), TABLE_REFUSED),
         (lambda h: b"\xff\xfe" + json.dumps(h).encode(), r"the header is not UTF-8 JSON"),
         (lambda h: b"{not json", r"the header is not UTF-8 JSON"),
-    ], ids=["no-version", "true-version", "float-version", "no-arch", "no-seeds", "no-tensors", "arch-key", "arch-str", "arch-zero",
+    ], ids=["no-version", "true-version", "float-version", "version-1", "no-dtype",
+            "no-arch", "no-seeds", "no-tensors", "arch-key", "arch-str", "arch-zero",
             "one-seed", "three-seeds", "str-seed", "bool-seed", "negative-seed", "huge-seed",
             "tensors-object",
             "no-rows", "list-net", "int-name", "str-entry", "not-utf8", "not-json"])
@@ -466,7 +530,7 @@ class TestCheckpoint:
         save_checkpoint(init_twins(ARCH, seed=21), str(path))
         raw = bytearray(path.read_bytes())
         (header_len,) = struct.unpack_from("<I", raw, 8)
-        struct.pack_into("<d", raw, len(raw) - 8 if last else 12 + header_len, value)
+        struct.pack_into("<f", raw, len(raw) - 4 if last else 12 + header_len, value)
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tensor {named} "
                                              "holds a non-finite value$"):
@@ -476,6 +540,6 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         # drop net 2's last tensor (bp) from the table and its bytes from the end
         self._rewrite_table(path, lambda ts: ts.pop())
-        path.write_bytes(path.read_bytes()[:-8 * ARCH.embed_dim])
+        path.write_bytes(path.read_bytes()[:-4 * ARCH.embed_dim])
         with pytest.raises(ValueError, match=r"ckpt\.bin: " + TABLE_REFUSED):
             load_checkpoint(str(path))

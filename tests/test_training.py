@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import reference_ops as ref
-from conftest import (finite_difference_grad, max_relative_error, select, serial_sgd_steps,
-                      ssl_epoch, warmup_epochs)
-from noisytrain import kernel, training
+from conftest import (as_float64, f64, finite_difference_grad, max_relative_error, select,
+                      serial_sgd_steps, ssl_epoch, warmup_epochs)
+from noisytrain import kernel, model, training
 from noisytrain.cli import main
 from noisytrain.config import config_from_dict
 from noisytrain.data import (AugmentationSpec, batch_iterator, inject_symmetric_noise,
@@ -32,6 +32,7 @@ from noisytrain.training import (AblationFlags, Hyperparams, TrainingDivergedErr
 AUG = AugmentationSpec()
 CUTOFF = CutoffParams()
 FLAGS = AblationFlags()
+HUGE = float(np.finfo(kernel.DTYPE).max)   # the largest velocity entry training holds
 
 
 def snapshot(net):
@@ -64,6 +65,24 @@ class TestSharpen:
         out = sharpen(np.full((1, 1000), 1e-3), Hyperparams(T=0.01).T)
         assert np.all(np.isfinite(out)) and np.all(out == out[0, 0])
         assert out[0, 0] == pytest.approx(1e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("row", [np.full(1000, 1e-3), np.full(4, 0.25),
+                                     [0.4, 0.3, 0.2, 0.1], [1e-3, 2e-3] + [0.997 / 998] * 998],
+                             ids=["uniform-1000", "uniform-4", "skewed-4", "skewed-1000"])
+    def test_smallest_declared_temperature_is_finite_in_the_training_dtype(self, row):
+        # p ** 100 underflows every entry of these rows in float32 unless it is scaled first
+        p = np.array([row], dtype=kernel.DTYPE)
+        out = sharpen(p, Hyperparams(T=0.01).T)
+        assert out.dtype == kernel.DTYPE
+        assert np.all(np.isfinite(out))
+        assert out.sum() == pytest.approx(1.0, abs=1e-6)
+        assert np.argmax(out) == np.argmax(p)
+
+    def test_scaling_keeps_the_bits_of_the_default_temperature(self, rng):
+        # a power-of-two scale is exact, so at T = 0.5 the rows keep their unscaled bits
+        p = rng.dirichlet(np.full(10, 0.5), size=200).astype(kernel.DTYPE)
+        powered = p ** 2.0
+        assert np.array_equal(sharpen(p, 0.5), powered / powered.sum(axis=1, keepdims=True))
 
     @pytest.mark.parametrize("T", [float("nan"), True, 0.0, -1.0, float("inf"), "0.5",
                                    0.001, 0.0099])
@@ -245,57 +264,57 @@ class TestMixmatchAssemble:
 
 class TestLossValues:
     def test_lx_perfect_one_hot_is_zero(self):
-        logits = Matrix([[100.0, 0.0, 0.0]])
+        logits = f64([[100.0, 0.0, 0.0]])
         target = np.array([[1.0, 0.0, 0.0]])
         assert loss_lx(logits, target).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_lx_uniform_entropy(self):
-        val = loss_lx(Matrix([[0.0, 0.0]]), np.array([[0.5, 0.5]])).item()
+        val = loss_lx(f64([[0.0, 0.0]]), np.array([[0.5, 0.5]])).item()
         assert val == pytest.approx(np.log(2), abs=1e-12)
 
     def test_lx_nonnegative_for_one_hot(self, rng):
         for _ in range(20):
-            logits = Matrix(rng.normal(size=(5, 4)))
+            logits = f64(rng.normal(size=(5, 4)))
             targets = one_hot(rng.integers(0, 4, 5), 4)
             assert loss_lx(logits, targets).item() >= 0.0
 
     def test_lu_perfect_match_zero(self):
-        logits = Matrix([[0.0, 0.0]])
+        logits = f64([[0.0, 0.0]])
         assert loss_lu(logits, np.array([[0.5, 0.5]])).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_lu_worked_value(self):
-        logits = Matrix([[np.log(0.6), np.log(0.4)]])
+        logits = f64([[np.log(0.6), np.log(0.4)]])
         assert loss_lu(logits, np.array([[1.0, 0.0]])).item() == pytest.approx(0.32, abs=1e-9)
 
     def test_lu_bounded_by_two(self, rng):
         for _ in range(20):
-            logits = Matrix(rng.normal(size=(6, 3), scale=5))
+            logits = f64(rng.normal(size=(6, 3), scale=5))
             targets = rng.dirichlet(np.ones(3), size=6)
             assert loss_lu(logits, targets).item() <= 2.0
 
     def test_reg_uniform_mean_zero(self):
-        logits = Matrix([[1.0, 2.0], [2.0, 1.0]])  # softmax rows mirror each other
+        logits = f64([[1.0, 2.0], [2.0, 1.0]])  # softmax rows mirror each other
         assert loss_reg(logits, 2).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_reg_worked_value(self):
-        logits = Matrix([[np.log(0.9), np.log(0.1)]])
+        logits = f64([[np.log(0.9), np.log(0.1)]])
         assert loss_reg(logits, 2).item() == pytest.approx(0.510826, abs=1e-6)
 
     def test_reg_nonnegative(self, rng):
         for _ in range(20):
-            logits = Matrix(rng.normal(size=(5, 4), scale=3))
+            logits = f64(rng.normal(size=(5, 4), scale=3))
             assert loss_reg(logits, 4).item() >= -1e-12
 
     def test_contrastive_single_pair_exactly_zero(self):
-        z = Matrix([[1.0, 0.0], [0.0, 1.0]])
+        z = f64([[1.0, 0.0], [0.0, 1.0]])
         assert loss_contrastive(z, kappa=0.05).item() == 0.0
 
     def test_contrastive_identical_embeddings(self):
-        z = Matrix(np.tile([1.0, 0.0], (4, 1)))
+        z = f64(np.tile([1.0, 0.0], (4, 1)))
         assert loss_contrastive(z, kappa=0.05).item() == pytest.approx(np.log(3), abs=1e-9)
 
     def test_contrastive_orthogonal_pairs_near_zero(self):
-        z = Matrix([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        z = f64([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         assert loss_contrastive(z, kappa=0.05).item() < 1e-8
 
     def test_contrastive_swap_invariance(self, rng):
@@ -304,12 +323,12 @@ class TestLossValues:
         swapped = z.copy()
         for b in range(4):
             swapped[[2 * b, 2 * b + 1]] = swapped[[2 * b + 1, 2 * b]]
-        a = loss_contrastive(Matrix(z), 0.05).item()
-        b = loss_contrastive(Matrix(swapped), 0.05).item()
+        a = loss_contrastive(f64(z), 0.05).item()
+        b = loss_contrastive(f64(swapped), 0.05).item()
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_contrastive_empty_batch_zero(self):
-        assert loss_contrastive(Matrix(np.zeros((0, 3))), 0.05).item() == 0.0
+        assert loss_contrastive(f64(np.zeros((0, 3))), 0.05).item() == 0.0
 
     @staticmethod
     def _nt_xent_long_double(z: np.ndarray, kappa: float):
@@ -336,7 +355,7 @@ class TestLossValues:
         z = rng.normal(size=(n, 8))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         tape = GradientTape()
-        zm = Matrix(z)
+        zm = wrap(z)
         tape.watch(zm)
         loss = loss_contrastive(zm, kappa, tape)
         grad = backward(tape, loss)[zm]
@@ -350,7 +369,7 @@ class TestLossValues:
         z = np.random.default_rng(0).normal(size=(n, 32))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         tape = GradientTape()
-        zm = Matrix(z)
+        zm = Matrix(z)   # in the training dtype, which the bound below is in
         tape.watch(zm)
         exp = np.exp
         square_exps = []
@@ -366,26 +385,26 @@ class TestLossValues:
         finally:
             tracemalloc.stop()
         assert square_exps.count(True) == 1
-        assert peak < 3 * n * n * 8
+        assert peak < 3 * n * n * zm.data.itemsize
 
     def test_total_loss_combinations(self):
         hp = Hyperparams()
-        zero = Matrix([[0.0]])
+        zero = f64([[0.0]])
         assert total_loss(zero, zero, zero, zero, hp).item() == 0.0
-        lx = Matrix([[0.5]])
+        lx = f64([[0.5]])
         hp0 = Hyperparams(lambda_u=0.0, lambda_c=0.0, lambda_r=0.0)
-        assert total_loss(lx, Matrix([[9.0]]), Matrix([[9.0]]), Matrix([[9.0]]), hp0).item() == 0.5
-        val = total_loss(Matrix([[0.5]]), Matrix([[0.01]]), Matrix([[0.1]]),
-                         Matrix([[1.0]]), Hyperparams()).item()
+        assert total_loss(lx, f64([[9.0]]), f64([[9.0]]), f64([[9.0]]), hp0).item() == 0.5
+        val = total_loss(f64([[0.5]]), f64([[0.01]]), f64([[0.1]]),
+                         f64([[1.0]]), Hyperparams()).item()
         assert val == pytest.approx(0.925, abs=1e-12)
 
 
 class TestLossGradients:
     def _net_and_inputs(self, seed=0):
         arch = Arch(in_dim=3, hidden=4, num_classes=3, embed_dim=3)
-        net = init_network(arch, seed=seed)
+        net = as_float64(init_network(arch, seed=seed))   # central differences need float64
         rng = np.random.default_rng(seed + 100)
-        x = Matrix(rng.normal(size=(4, 3)))
+        x = wrap(rng.normal(size=(4, 3)))
         targets = rng.dirichlet(np.ones(3), size=4)
         return net, x, targets
 
@@ -494,12 +513,12 @@ class TestWarmup:
     def test_net_2_diverging_alone_is_named_at_its_first_non_finite_step(self):
         # a huge velocity overflows net 2's first update: lx is finite, w1 is not
         hp = Hyperparams(seed=1, batch_size=16, lr=10.0)
-        got, want = self._packed_and_serial(hp, net2_w1_velocity=1e308)
+        got, want = self._packed_and_serial(hp, net2_w1_velocity=HUGE)
         assert got[0] == want[0] == (0, 2, "warmup", "w1")
         # net 2 keeps its parameters from before the step and the velocities it updated
         self._assert_same_state(got, want)
         w1 = layout(got[1].net2.arch)[0][1]
-        assert np.all(got[1].net2.velocity[w1] != 1e308)
+        assert np.all(got[1].net2.velocity[w1] != HUGE)
 
     def test_refused_first_step_leaves_network_and_optimizer_as_they_were(self, monkeypatch):
         ds, twins = self._noisy_setup()
@@ -520,12 +539,12 @@ class TestWarmup:
         # at lr 1000 net 1's CE goes non-finite in epoch 0, before net 2, whose
         # first update would overflow, takes a step
         hp = Hyperparams(seed=1, batch_size=16, lr=1000.0)
-        got, want = self._packed_and_serial(hp, net2_w1_velocity=1e308)
+        got, want = self._packed_and_serial(hp, net2_w1_velocity=HUGE)
         assert got[0] == want[0] == (0, 1, "warmup", "lx")
         # refused before the update: net 2 never stepped, so its velocity is as it started
         self._assert_same_state(got, want)
         w1 = layout(got[1].net2.arch)[0][1]
-        assert np.all(got[1].net2.velocity[w1] == 1e308)
+        assert np.all(got[1].net2.velocity[w1] == HUGE)
         assert not np.delete(got[1].net2.velocity, np.arange(w1.start, w1.stop)).any()
 
 
@@ -884,6 +903,82 @@ class TestMatrixOnlyWhereReadOrRecorded:
         taped = {id(m) for m in outputs + list(twins.net1.params.values())}
         assert sorted(id(m) for m in wrapped if id(m) not in taped) == \
             sorted({id(m) for m in weak + blocks})
+
+
+class TestTrainingDtype:
+    """Training computes in float32: one float64 operand, such as a 1x1 loss
+    constant or backward's seed, would upcast every gradient of the step and
+    every product of its backward (numpy 2's promotion rules)."""
+
+    def test_warmup_and_ssl_steps_stay_in_float32(self, monkeypatch):
+        ds = inject_symmetric_noise(make_gaussian_blobs(3, 30, 4, 8.0, seed=3), 0.4, seed=4)
+        hp = Hyperparams(seed=3, batch_size=32, warmup_epochs=1, total_epochs=3)
+        twins = init_twins(Arch(4, 16, 3, 4), seed=3)
+        operands, losses, grads = set(), set(), set()
+        hidden, bwd = model._hidden, training.backward
+
+        def checked_hidden(*arrays):
+            operands.update(a.dtype for a in arrays if a is not None)
+            return hidden(*arrays)
+
+        def checked_backward(tape, loss):
+            out = bwd(tape, loss)
+            losses.add(loss.data.dtype)
+            grads.update(g.dtype for g in out.values())
+            return out
+        monkeypatch.setattr(model, "_hidden", checked_hidden)
+        monkeypatch.setattr(training, "backward", checked_backward)
+        warmup_train(twins, ds, hp, 0)
+        report, sel = select(twins, 1, ds, CUTOFF, FLAGS)
+        rec = train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
+        assert rec.degenerate is None and rec.losses["lc"] != 0.0   # every term ran
+        assert report.d.dtype == np.float64   # selection reads float64 divergences
+        assert operands == losses == grads == {np.dtype(np.float32)}
+        for net in (twins.net1, twins.net2):
+            assert {m.data.dtype for m in net.params.values()} == {np.dtype(np.float32)}
+            assert net.velocity.dtype == np.float32
+
+    @staticmethod
+    def _ssl_gradients(net, b):
+        """Every parameter's gradient of one SSL step's total loss, laid out
+        as ``train_half_epoch`` lays it out, with every term on."""
+        hp = Hyperparams()
+        tape = GradientTape()
+        for name in ALL_GROUPS:
+            tape.watch(net.params[name])
+        logits_x = forward_logits(net, b["x_in"], tape)
+        logits_u = forward_logits(net, b["u_in"], tape)
+        lx = loss_lx(logits_x, b["x_t"], tape)
+        lu = loss_lu(logits_u, b["u_t"], tape)
+        lreg = loss_reg(concat_rows(logits_x, logits_u, tape), net.arch.num_classes, tape)
+        lc = loss_contrastive(forward_projection(net, b["union"], tape), hp.kappa, tape)
+        grads = backward(tape, total_loss(lx, lu, lreg, lc, hp, tape))
+        return {name: grads[net.params[name]] for name in ALL_GROUPS}
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("arch,batch", [(Arch(8, 64, 4, 16), 64),
+                                            (Arch(32, 128, 10, 32), 128)], ids=["desk", "wide"])
+    def test_float32_ssl_gradients_match_float64_ones(self, arch, batch, seed):
+        # the float64 gradient of the same network and batch, upcast, is the reference
+        rng = np.random.default_rng(seed)
+        n = 2 * batch   # two strong views per sample
+
+        def rows():
+            return rng.normal(scale=3.0, size=(n, arch.in_dim)).astype(np.float32)
+        x32 = {"x_in": rows(), "u_in": rows(), "union": rows(),
+               "x_t": rng.dirichlet(np.full(arch.num_classes, 0.3), size=n).astype(np.float32),
+               "u_t": rng.dirichlet(np.full(arch.num_classes, 0.3), size=n).astype(np.float32)}
+        x64 = {k: v.astype(np.float64) for k, v in x32.items()}
+        for b in (x32, x64):
+            for k in ("x_in", "u_in", "union"):
+                b[k] = wrap(b[k])
+        net = init_network(arch, seed)
+        g32 = self._ssl_gradients(net, x32)
+        g64 = self._ssl_gradients(as_float64(net), x64)
+        for name in ALL_GROUPS:
+            assert g32[name].dtype == np.float32 and g64[name].dtype == np.float64
+            err = np.linalg.norm(g32[name] - g64[name]) / np.linalg.norm(g64[name])
+            assert err <= 1e-4, name
 
 
 class TestHyperparams:
