@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .kernel import Matrix, to_dtype, wrap
+from .kernel import DTYPE, Matrix, to_dtype, wrap
 
 # substream tags; tests/test_library.py holds every module's tags distinct,
 # so derived generators never collide
@@ -322,19 +322,32 @@ _SNAPSHOT_BLOCK_ROWS = 1024
 
 def dataset_csv_blocks(ds: LabeledDataset) -> Iterator[str]:
     """The snapshot's text in pieces: the header line, then blocks of
-    ``_SNAPSHOT_BLOCK_ROWS`` lines.  Float repr round-trips exactly, and no
-    field can hold a comma or a quote, so lines are joined without csv."""
-    yield ",".join([f"feat_{j}" for j in range(ds.dims)] + ["true_label", "given_label"]) + "\n"
-    for start in range(0, len(ds), _SNAPSHOT_BLOCK_ROWS):
-        stop = start + _SNAPSHOT_BLOCK_ROWS
-        yield "".join(f"{','.join(map(repr, row))},{t},{g}\n" for row, t, g in zip(
-            ds.features.data[start:stop].tolist(), ds.true_labels[start:stop].tolist(),
-            ds.given_labels[start:stop].tolist()))
+    ``_SNAPSHOT_BLOCK_ROWS`` lines.  Each feature is written to nine
+    significant digits, the fewest that bring back every float32 exactly;
+    features in any other dtype are refused when this is called, before a
+    piece is made.  No field can hold a comma or a quote, so lines are
+    joined without csv."""
+    features = ds.features.data
+    if features.dtype != DTYPE:
+        raise ValueError(f"features: the snapshot holds {DTYPE.name} values, "
+                         f"got {features.dtype.name}")
+    header = ",".join([f"feat_{j}" for j in range(ds.dims)] + ["true_label", "given_label"]) + "\n"
+    line = ",".join(["%.9g"] * ds.dims + ["%d", "%d"]) + "\n"
+
+    def blocks():
+        yield header
+        for start in range(0, len(ds), _SNAPSHOT_BLOCK_ROWS):
+            stop = start + _SNAPSHOT_BLOCK_ROWS
+            yield "".join([line % (*row, t, g) for row, t, g in zip(
+                features[start:stop].tolist(), ds.true_labels[start:stop].tolist(),
+                ds.given_labels[start:stop].tolist())])
+    return blocks()
 
 
 def save_dataset_csv(ds: LabeledDataset, path: str) -> None:
+    blocks = dataset_csv_blocks(ds)
     with atomic_open(path) as f:
-        for block in dataset_csv_blocks(ds):
+        for block in blocks:
             f.write(block)
 
 

@@ -100,11 +100,11 @@ def _dataset_path(out_dir: str) -> str:
 
 def _check_snapshot(path: str, train: LabeledDataset) -> None:
     """Refuse a snapshot that is not, byte for byte, the one this config writes."""
+    blocks = dataset_csv_blocks(train)   # a dtype it cannot write is refused here, not as stale
     try:
         with open(path, newline="") as f:
-            same = (all(f.read(len(block)) == block for block in dataset_csv_blocks(train))
-                    and f.read(1) == "")
-    except ValueError:   # not text, so not a snapshot this config wrote
+            same = all(f.read(len(block)) == block for block in blocks) and f.read(1) == ""
+    except UnicodeDecodeError:   # not text, so not a snapshot this config wrote
         same = False
     if not same:
         raise ValueError(f"{path} was not generated from this config; "

@@ -11,7 +11,7 @@ from noisytrain.cli import main
 from noisytrain.config import ConfigError, config_from_dict, config_to_dict, parse_config
 from noisytrain.data import (LabeledDataset, load_dataset_csv, make_gaussian_blobs, round_half_up,
                              save_dataset_csv)
-from noisytrain.kernel import Matrix
+from noisytrain.kernel import Matrix, wrap
 from noisytrain.metrics import EpochMetrics
 from noisytrain.runner import (METRICS_COLUMNS, _check_snapshot, build_datasets, cmd_ablate,
                                cmd_generate, cmd_report, cmd_run, hist_ratio, write_metrics_csv)
@@ -376,6 +376,24 @@ class TestMainEntry:
             path.write_text(stale)
             with pytest.raises(ValueError, match="was not generated from this config"):
                 _check_snapshot(str(path), ds)
+
+    def test_snapshot_check_refuses_features_it_cannot_write(self, tmp_path):
+        # a float64 dataset is not reported as a stale file, whatever the file holds
+        ds = make_gaussian_blobs(2, 3, 2, 6.0, seed=13)
+        path = tmp_path / "dataset.csv"
+        save_dataset_csv(ds, str(path))
+        ds64 = LabeledDataset(wrap(ds.features.data.astype(np.float64)), ds.true_labels,
+                              ds.given_labels, 2)
+        with pytest.raises(ValueError, match="^features: the snapshot holds float32 values, "
+                                             "got float64$"):
+            _check_snapshot(str(path), ds64)
+
+    def test_non_text_snapshot_refused_as_stale(self, tmp_path):
+        ds = make_gaussian_blobs(2, 3, 2, 6.0, seed=13)
+        path = tmp_path / "dataset.csv"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ValueError, match="was not generated from this config"):
+            _check_snapshot(str(path), ds)
 
     def test_respelled_snapshot_refused(self, tmp_path, capsys):
         # the same numbers in other spelling are not the bytes this config writes

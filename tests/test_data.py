@@ -10,7 +10,7 @@ from noisytrain.data import (AugmentationSpec, LabeledDataset, NoiseSpec, apply_
                              inject_symmetric_noise, load_dataset_csv,
                              make_gaussian_blobs, round_half_up, save_dataset_csv,
                              strong_augment, weak_augment)
-from noisytrain.kernel import DTYPE, Matrix
+from noisytrain.kernel import DTYPE, Matrix, wrap
 
 
 class TestGaussianBlobs:
@@ -267,11 +267,11 @@ class TestCsvRoundTrip:
         loaded = load_dataset_csv(path)
         assert np.array_equal(loaded.true_labels, ds.true_labels)
         assert np.array_equal(loaded.given_labels, ds.given_labels)
-        assert np.max(np.abs(loaded.features.data - ds.features.data)) < 1e-12
+        assert np.array_equal(loaded.features.data, ds.features.data)
         assert loaded.num_classes == ds.num_classes
 
     def test_bytes_match_row_by_row_writer(self, tmp_path):
-        """Reference: the csv-module row writer the snapshot replaced; the
+        """Reference: a csv-module row writer of nine significant digits; the
         last three sizes end on, just past and one block past a block."""
         import csv
         rng = np.random.default_rng(23)
@@ -289,11 +289,43 @@ class TestCsvRoundTrip:
                 w = csv.writer(f, lineterminator="\n")
                 w.writerow([f"feat_{j}" for j in range(dims)] + ["true_label", "given_label"])
                 for i in range(n):
-                    w.writerow([repr(float(v)) for v in feats[i]]
+                    w.writerow(["%.9g" % v for v in feats[i]]
                                + [str(int(ds.true_labels[i])), str(int(ds.given_labels[i]))])
             assert path.read_bytes() == ref.read_bytes()
-            assert b"-0.0," in path.read_bytes()
+            assert b"-0," in path.read_bytes()
             assert np.array_equal(load_dataset_csv(str(path), num_classes=3).features.data, feats)
+
+    def test_every_float32_reloads_bit_exact(self, tmp_path):
+        # random bit patterns over every exponent, then the edges: signed
+        # zeros, the largest and smallest magnitudes, and the float32 nearest
+        # to and the one just above each power of ten it holds
+        rng = np.random.default_rng(29)
+        finite = rng.integers(0, 2 ** 32, 200_000, dtype=np.uint64).astype(np.uint32)
+        finite = finite[(finite & 0x7F800000) != 0x7F800000].view(np.float32)
+        tiny = np.float32(np.finfo(np.float32).smallest_subnormal)
+        big = np.finfo(np.float32).max
+        powers = np.array([10.0 ** k for k in range(-45, 39)], dtype=DTYPE)
+        powers = np.concatenate([powers, np.nextafter(powers, np.float32(np.inf))])
+        values = np.concatenate([finite, [0.0, -0.0, big, -big, tiny, -tiny], powers, -powers])
+        values = values.astype(DTYPE).reshape(-1, 1)
+        n = len(values)
+        ds = LabeledDataset(Matrix(values), np.zeros(n, dtype=np.int64),
+                            np.ones(n, dtype=np.int64), 2)
+        path = str(tmp_path / "snapshot.csv")
+        save_dataset_csv(ds, path)
+        loaded = load_dataset_csv(path, num_classes=2).features.data
+        assert loaded.dtype == DTYPE
+        assert np.array_equal(loaded.view(np.uint32), values.view(np.uint32))
+
+    def test_features_not_in_the_training_dtype_refused(self, tmp_path):
+        # nine digits would round a float64 feature; nothing is written
+        ds = make_gaussian_blobs(2, 3, 2, 6.0, seed=13)
+        ds = LabeledDataset(wrap(ds.features.data.astype(np.float64)), ds.true_labels,
+                            ds.given_labels, 2)
+        with pytest.raises(ValueError, match="^features: the snapshot holds float32 values, "
+                                             "got float64$"):
+            save_dataset_csv(ds, str(tmp_path / "snapshot.csv"))
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("num_classes", [None, 3], ids=["inferred", "given"])
     def test_header_only_file_refused(self, tmp_path, num_classes):
