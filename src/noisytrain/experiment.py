@@ -53,8 +53,9 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
     from epoch ``len(start.rows)``, training its networks and their velocity
     rows further in place.  Every random draw is keyed by seed and epoch,
     so the result is the one an uninterrupted run would give.  A ``start``
-    of another arch, of networks not seeded from ``hp.seed``, or with more
-    rows than ``hp.total_epochs`` is refused before any epoch.  After every
+    of another arch, of networks not seeded from ``hp.seed``, with more rows
+    than ``hp.total_epochs``, or with a row whose phase ``hp.warmup_epochs``
+    would not give it is refused before any epoch.  After every
     epoch, warmup included, ``on_epoch(row, halves, train, test)`` gets the
     row, its half-epoch records (none in warmup) and the train- and test-set
     ``(per-network softmaxes, ensemble)`` it read, which no later epoch changes.
@@ -74,6 +75,11 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
             raise ValueError(f"start: network seeds {seeds} are not seed {hp.seed}'s {want}")
         if len(rows) > hp.total_epochs:
             raise ValueError(f"start: {len(rows)} rows, more than total_epochs {hp.total_epochs}")
+        for i, row in enumerate(rows):
+            phase = "warmup" if i < hp.warmup_epochs else "ssl"
+            if row.phase != phase:
+                raise ValueError(f"start: row {i} is {row.phase}, but warmup_epochs "
+                                 f"{hp.warmup_epochs} makes it {phase}")
 
     nets = (twins.net1, twins.net2)
 

@@ -39,7 +39,7 @@ _S_INIT = 401   # substream tag of init_network's generator
 
 @dataclass(frozen=True)
 class Arch:
-    """Dimensions that fully determine every parameter shape."""
+    """Dimensions that fully determine every parameter shape (``layout`` states them)."""
 
     in_dim: int = setting(kind=int, lo=1)
     hidden: int = setting(kind=int, lo=1)
@@ -49,25 +49,16 @@ class Arch:
     def __post_init__(self):
         check_settings(self)
 
-    def param_shapes(self) -> dict[str, tuple[int, int]]:
-        return {
-            "w1": (self.in_dim, self.hidden),
-            "b1": (1, self.hidden),
-            "w2": (self.hidden, self.hidden),
-            "b2": (1, self.hidden),
-            "wc": (self.hidden, self.num_classes),
-            "bc": (1, self.num_classes),
-            "wp": (self.hidden, self.embed_dim),
-            "bp": (1, self.embed_dim),
-        }
-
 
 @functools.lru_cache(maxsize=None)
 def layout(arch: Arch) -> tuple[tuple[str, slice, tuple[int, int]], ...]:
     """Where each parameter lies in a row packing all eight, in ``ALL_GROUPS``
     order: (name, part of the row, shape).  Theta and phi come first, so
     their row is a prefix of the whole one."""
-    shapes, parts, start = arch.param_shapes(), [], 0
+    h, parts, start = arch.hidden, [], 0
+    shapes = dict(w1=(arch.in_dim, h), b1=(1, h), w2=(h, h), b2=(1, h),
+                  wc=(h, arch.num_classes), bc=(1, arch.num_classes),
+                  wp=(h, arch.embed_dim), bp=(1, arch.embed_dim))
     for name in ALL_GROUPS:
         rows, cols = shapes[name]
         parts.append((name, slice(start, start + rows * cols), (rows, cols)))
@@ -107,7 +98,7 @@ def init_network(arch: Arch, seed: int) -> NetworkParams:
     seed = _check_number("seed", seed, int, 0, 2 * MAX_SEED + 2)
     rng = np.random.default_rng([seed, _S_INIT])
     params: dict[str, Matrix] = {}
-    for name, (rows, cols) in arch.param_shapes().items():
+    for name, _, (rows, cols) in layout(arch):
         if name.startswith("b"):
             params[name] = Matrix.zeros(rows, cols)
         else:

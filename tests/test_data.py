@@ -346,6 +346,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row 2: {detail}')}$"):
             load_dataset_csv(str(path))
 
+    @pytest.mark.parametrize("row,fields", [("0.5,1,1", 3), ("0.5,1.5,1,1,0", 5)],
+                             ids=["short", "long"])
+    def test_row_unlike_the_header_names_path_and_row(self, tmp_path, row, fields):
+        path = tmp_path / "snapshot.csv"
+        path.write_text(f"feat_0,feat_1,true_label,given_label\n0.1,0.2,0,0\n{row}\n")
+        message = f"{path}: row 2 has {fields} fields, the header 4"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_dataset_csv(str(path))
+
     @pytest.mark.parametrize("value", ["1e39", "-3.5e38", "1e300"])
     def test_value_overflowing_the_training_dtype_names_path_and_row(self, tmp_path, value):
         # finite in float64, so the row's own check passes; float32 would make it inf

@@ -65,16 +65,23 @@ def test_run_continued_from_mid_warmup_equals_uninterrupted(tmp_path):
     assert_same_run(continued, whole, tmp_path)
 
 
-@pytest.mark.parametrize("change,message", [
-    (dict(hidden=32, embed_dim=8), r"^start: arch Arch\(.*hidden=16.* is not this run's "
-                                   r"Arch\(.*hidden=32"),
-    (dict(hp=dataclasses.replace(HP, seed=9)), r"^start: network seeds \[7, 8\] are not "
-                                               r"seed 9's \[19, 20\]$"),
-    (dict(hp=dataclasses.replace(HP, total_epochs=1, warmup_epochs=1)),
+WARM = HP.warmup_epochs   # a start of the warmup rows alone
+
+
+@pytest.mark.parametrize("stop,change,message", [
+    (WARM, dict(hidden=32, embed_dim=8), r"^start: arch Arch\(.*hidden=16.* is not this run's "
+                                         r"Arch\(.*hidden=32"),
+    (WARM, dict(hp=dataclasses.replace(HP, seed=9)), r"^start: network seeds \[7, 8\] are not "
+                                                     r"seed 9's \[19, 20\]$"),
+    (WARM, dict(hp=dataclasses.replace(HP, total_epochs=1, warmup_epochs=1)),
      r"^start: 2 rows, more than total_epochs 1$"),
-], ids=["arch", "seed", "rows"])
-def test_stale_start_refused_before_any_epoch(change, message):
-    part = go(dataclasses.replace(HP, total_epochs=HP.warmup_epochs))
+    (WARM, dict(hp=dataclasses.replace(HP, warmup_epochs=1)),
+     r"^start: row 1 is warmup, but warmup_epochs 1 makes it ssl$"),
+    (WARM + 1, dict(hp=dataclasses.replace(HP, warmup_epochs=3)),
+     r"^start: row 2 is ssl, but warmup_epochs 3 makes it warmup$"),
+], ids=["arch", "seed", "rows", "warmup-row", "ssl-row"])
+def test_stale_start_refused_before_any_epoch(stop, change, message):
+    part = go(dataclasses.replace(HP, total_epochs=stop))
     before = [net.velocity.copy() for net in (part.twins.net1, part.twins.net2)]
     with pytest.raises(ValueError, match=message):
         go(**{"hp": HP, **change}, start=part)
@@ -123,7 +130,10 @@ def test_checkpoint_of_a_run_holds_its_packed_rows(tmp_path):
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", raw, 8)
     assert raw[:8] == b"TWINNET1"
-    shapes = arch.param_shapes()
+    h = arch.hidden   # the shapes from the arch's fields, not from layout
+    shapes = {"w1": (arch.in_dim, h), "b1": (1, h), "w2": (h, h), "b2": (1, h),
+              "wc": (h, arch.num_classes), "bc": (1, arch.num_classes),
+              "wp": (h, arch.embed_dim), "bp": (1, arch.embed_dim)}
     assert json.loads(raw[12:12 + header_len]) == {
         "version": 2, "dtype": "<f4", "arch": dataclasses.asdict(arch),
         "seeds": [net.seed for net in nets],

@@ -98,19 +98,17 @@ class TestInit:
         assert layout(ARCH) is parts   # cached per Arch
         assert tuple(name for name, _, _ in parts) == ALL_GROUPS
         assert ALL_GROUPS[:len(THETA + PHI)] == THETA + PHI
-        shapes, stop = ARCH.param_shapes(), 0
+        # ARCH is Arch(in_dim=5, hidden=8, num_classes=4, embed_dim=3)
+        shapes = {"w1": (5, 8), "b1": (1, 8), "w2": (8, 8), "b2": (1, 8),
+                  "wc": (8, 4), "bc": (1, 4), "wp": (8, 3), "bp": (1, 3)}
+        stop = 0
         for name, part, shape in parts:
             assert (part.start, part.stop, shape) == (stop, stop + shape[0] * shape[1],
                                                       shapes[name])
             stop = part.stop
         net = init_network(ARCH, seed=1)
         assert net.velocity.shape == (stop,) and not net.velocity.any()
-
-    def test_layout_takes_its_order_from_all_groups(self, monkeypatch):
-        param_shapes = Arch.param_shapes
-        monkeypatch.setattr(Arch, "param_shapes",
-                            lambda arch: dict(reversed(param_shapes(arch).items())))
-        assert [name for name, _, _ in layout.__wrapped__(ARCH)] == list(ALL_GROUPS)
+        assert {name: m.shape for name, m in net.params.items()} == shapes
 
 
 class TestForward:
@@ -431,7 +429,7 @@ class TestCheckpoint:
         save_checkpoint(init_twins(ARCH, seed=21), str(path))
         blob = path.read_bytes()
         path.write_bytes(blob[:cut] if cut < 0 else blob + b"\x00" * cut)
-        tensor_bytes = 4 * sum(r * c for r, c in ARCH.param_shapes().values()) * 2
+        tensor_bytes = 4 * layout(ARCH)[-1][1].stop * 2
         found = tensor_bytes + cut
         with pytest.raises(ValueError, match=rf"ckpt\.bin: {found} bytes.*declares {tensor_bytes}"):
             load_checkpoint(str(path))
