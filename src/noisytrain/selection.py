@@ -4,9 +4,9 @@ Per-sample disagreement between the given one-hot label and a prediction
 the caller has already made is measured with the Jensen-Shannon
 divergence in base 2, so values span exactly [0, 1]; nothing here runs a
 network.  A cutoff derived from the divergence distribution yields the
-filter rate R, and ``select_clean`` admits the lowest-R portion of each
-class to the clean set.  Without class balancing the same ranking runs
-over one group of all samples: the class-blind ablation baseline.
+filter rate R, and ``select_clean`` admits each class's round(R * N / C)
+samples of lowest divergence to the clean set.  Without class balancing
+the same rule runs over one group of all samples: the class-blind baseline.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ _LN2 = np.log(2.0)
 
 @dataclass(frozen=True)
 class CutoffParams:
-    """Filter coefficient tau, adjustment threshold d_mu, per-class quota rule."""
+    """Filter coefficient tau and adjustment threshold d_mu."""
 
     # tau > 1: at tau <= 1 the cutoff is at or below d_min and selects nothing
     tau: float = setting(5.0, float, math.nextafter(1.0, math.inf), 1e9)
     d_mu: float = setting(0.7, float, 1e-9, 0.999999)
-    quota_mode: str = setting("class_fraction", choices=("class_fraction", "dataset_fraction"))
 
     def __post_init__(self):
         check_settings(self)
@@ -130,30 +129,23 @@ def compute_filter_rate(report: DivergenceReport, d_cutoff: float) -> float:
     return float(np.count_nonzero(report.d < d_cutoff)) / len(report)
 
 
-def select_clean(report: DivergenceReport, given_labels, num_classes: int,
-                 filter_rate: float, balancing: bool = True, quota_mode: str = "class_fraction",
-                 d_cutoff: float = float("nan")) -> SelectionResult:
+def select_clean(report: DivergenceReport, given_labels, num_classes: int, filter_rate: float,
+                 balancing: bool = True, d_cutoff: float = float("nan")) -> SelectionResult:
     """Admit the lowest-divergence samples of each group, ties to the lower index.
 
     With ``balancing`` a sample's group is its given class (uniform
     selection); without it all samples form one group (the class-blind
-    baseline).  A group of N_g samples keeps round(R * N_g).  With
-    balancing, quota_mode "dataset_fraction" keeps min(N_c, round(R * N / C))
-    of each class instead.
+    baseline).  Each of the G groups keeps min(N_g, round(R * N / G)): every
+    class the same count, and the one class-blind group round(R * N).
     """
     filter_rate = _check_number("filter_rate", filter_rate, float, 0.0, 1.0)
-    if quota_mode not in ("class_fraction", "dataset_fraction"):
-        raise ValueError(f"unknown quota_mode {quota_mode!r}")
     labels = _checked_indices("given_labels", given_labels, num_classes)
     n = len(report)
     if len(labels) != n:
         raise ValueError("labels and divergences disagree in length")
     group = labels if balancing else np.zeros(n, dtype=np.int64)
     sizes = np.bincount(group, minlength=num_classes if balancing else 1)
-    if balancing and quota_mode == "dataset_fraction":
-        quotas = np.minimum(sizes, round_half_up(filter_rate * n / num_classes))
-    else:
-        quotas = np.array([round_half_up(filter_rate * size) for size in sizes])
+    quotas = np.minimum(sizes, round_half_up(filter_rate * n / len(sizes)))
     # by group, then divergence; lexsort is stable, so ties keep the lower index
     order = np.lexsort((report.d, group))
     ranked_group = group[order]

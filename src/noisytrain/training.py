@@ -443,7 +443,7 @@ def select_for_network(probs: np.ndarray, ds: LabeledDataset, cutoff_params: Cut
     report = divergences_from_probs(probs, ds.given_labels)
     d_cut = compute_cutoff(report, cutoff_params)
     sel = select_clean(report, ds.given_labels, ds.num_classes, compute_filter_rate(report, d_cut),
-                       flags.balancing, cutoff_params.quota_mode, d_cut)
+                       flags.balancing, d_cut)
     return report, sel
 
 

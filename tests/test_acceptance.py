@@ -238,7 +238,7 @@ def test_criterion_3_selection_oracle_equivalence():
         for j in range(c):
             members = sorted((i for i in range(n) if labels[i] == j),
                              key=lambda i: (d[i], i))
-            oracle.extend(members[:round_half_up(rate * len(members))])
+            oracle.extend(members[:round_half_up(rate * n / c)])
         assert sel.clean_indices.tolist() == sorted(oracle)
 
     for _ in range(20):

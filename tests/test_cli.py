@@ -217,8 +217,8 @@ class TestCommands:
         expected[order[:k]] = True
         assert np.array_equal(selected, expected)  # globally lowest-d wins
 
-    def test_dataset_fraction_quota_reaches_selection(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, {"selection.quota_mode": "dataset_fraction"}))
+    def test_equal_class_quota_reaches_selection(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path))
         summary = cmd_run(cfg)
         train, _ = build_datasets(cfg)
         with open(os.path.join(cfg.output_dir, "metrics.csv")) as f:
@@ -227,7 +227,7 @@ class TestCommands:
         sizes = np.bincount(train.given_labels, minlength=C).tolist()
         expected = [min(n_c, round_half_up(R * n / C)) for n_c in sizes]
         assert summary["first_ssl_class_counts"] == expected
-        # unequal class sizes, so class_fraction would have selected other counts
+        # unequal class sizes, so quotas in proportion to them would be other counts
         assert expected != [round_half_up(R * n_c) for n_c in sizes]
 
     def test_ablate_emits_four_arms(self, tmp_path):

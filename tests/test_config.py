@@ -44,7 +44,7 @@ NON_DEFAULT = {
                     "momentum": 0.8, "weight_decay": 1e-3, "batch_size": 8,
                     "warmup_epochs": 2, "total_epochs": 9, "lr_decay_factor": 0.5,
                     "lr_decay_every": 3},
-    "selection": {"tau": 3.0, "d_mu": 0.6, "quota_mode": "dataset_fraction"},
+    "selection": {"tau": 3.0, "d_mu": 0.6},
     "ablation": {"balancing": False, "contrastive": False, "ensemble": False},
     "seed": 123,
     "output_dir": "runs/other",
@@ -87,9 +87,6 @@ VALUE_CASES = [
       for s in SECTIONS for value in ([1], "x", 3)],
     *[pytest.param({"noise": {"kind": value}}, _key("noise", "kind"), id=f"kind-{value!r}")
       for value in ("gaussian", 1, None)],
-    *[pytest.param({"selection": {"quota_mode": value}}, _key("selection", "quota_mode"),
-                   id=f"quota-{value!r}")
-      for value in ("per_class", 0, None)],
     *[pytest.param({"ablation": {flag: value}}, _key("ablation", flag), id=f"{flag}-{value!r}")
       for flag in ("balancing", "contrastive", "ensemble") for value in ("yes", 1, None)],
     *[pytest.param({"output_dir": value}, "output_dir", id=f"output_dir-{value!r}")
@@ -133,6 +130,9 @@ KEY_CASES = [
     pytest.param({"hyperparams": {"seed": 3}}, re.escape("hyperparams.seed"),
                  id="seed-inside-hyperparams"),
     pytest.param({"extras": {}}, "extras", id="top-level-unknown"),
+    # one quota rule is left, so the key that chose between two is gone
+    pytest.param({"selection": {"quota_mode": "class_fraction"}},
+                 re.escape("selection.quota_mode"), id="retired-quota_mode"),
 ]
 
 
@@ -289,7 +289,15 @@ def test_defaults_dict_form():
     assert d["seed"] == 0 and d["output_dir"] == "runs/experiment"
     assert "flip_map" not in d["noise"] and "seed" not in d["hyperparams"]
     assert d["noise"] == {"kind": "symmetric", "rate": 0.5}
-    assert d["selection"] == {"tau": 5.0, "d_mu": 0.7, "quota_mode": "class_fraction"}
+    assert d["selection"] == {"tau": 5.0, "d_mu": 0.7}
+
+
+def test_readme_config_example_is_the_defaults():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as f:
+        block = re.search(r"^```jsonc\n(.*?)^```$", f.read(), re.M | re.S).group(1)
+    cfg = config_from_dict(json.loads(re.sub(r"//.*", "", block)))
+    assert config_to_dict(cfg) == config_to_dict(ExperimentConfig())
 
 
 def test_numbers_are_canonicalized():

@@ -245,7 +245,7 @@ class TestClassHistogram:
 
 @pytest.mark.parametrize("seed", range(12))
 def test_per_class_quota_is_the_selected_count_per_class(seed):
-    """``class_counts``, the count each class contributes, in every arm and quota mode."""
+    """``class_counts``, the count each class contributes, in both arms."""
     rng = np.random.default_rng(seed)
     C = int(rng.integers(2, 7))
     labels = rng.integers(0, C, int(rng.integers(1, 80)))
@@ -253,7 +253,6 @@ def test_per_class_quota_is_the_selected_count_per_class(seed):
     report = DivergenceReport.from_values(rng.uniform(0, 1, len(labels)))
     for rate in (0.0, 1.0, float(rng.uniform())):
         for sel in (select_clean(report, labels, C, rate),
-                    select_clean(report, labels, C, rate, quota_mode="dataset_fraction"),
                     select_clean(report, labels, C, rate, balancing=False)):
             counts = np.bincount(labels[sel.clean_indices], minlength=C)
             assert sel.class_counts.tolist() == counts.tolist()

@@ -152,8 +152,8 @@ class TestComputeDivergences:
 
 
 # at tau <= 1 the cutoff is at or below d_min, so selection would admit nothing
-@pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"d_mu": 1.0}, {"quota_mode": "per_class"},
-                                    {"tau": 0.5}, {"tau": 1.0}, {"tau": 1}])
+@pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"d_mu": 1.0}, {"tau": 0.5}, {"tau": 1.0},
+                                    {"tau": 1}])
 def test_cutoff_params_validated(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         CutoffParams(**kwargs)
@@ -190,20 +190,16 @@ class TestCutoffAndFilterRate:
         assert compute_filter_rate(report, 0.71) == 1.0
 
 
-def brute_force_uniform_select(d, labels, num_classes, rate, quota_mode="class_fraction"):
+def brute_force_uniform_select(d, labels, num_classes, rate):
     """Independent oracle: full sort per class, lowest quota win, ties to the lower index.
 
-    The quota is round(R*N_c), or min(N_c, round(R*N/C)) for "dataset_fraction".
+    Every class has the quota round(R*N/C); a class with fewer samples gives them all.
     """
     clean = []
     for c in range(num_classes):
         members = [i for i in range(len(d)) if labels[i] == c]
         members.sort(key=lambda i: (d[i], i))
-        if quota_mode == "class_fraction":
-            quota = round_half_up(rate * len(members))
-        else:
-            quota = min(len(members), round_half_up(rate * len(d) / num_classes))
-        clean.extend(members[:quota])
+        clean.extend(members[:round_half_up(rate * len(d) / num_classes)])
     return sorted(clean)
 
 
@@ -253,18 +249,15 @@ class TestUniformSelect:
         assert len(np.intersect1d(sel.clean_indices, sel.noisy_indices)) == 0
 
     def test_oracle_equivalence_random_instances(self, rng):
-        """Both arms and both quota modes against the oracles, with and without ties."""
+        """Both arms against the oracles, with and without ties."""
         for tied in (False, True):
             for _ in range(100):
                 c, d, labels, rate = _random_instance(rng, tied)
                 report = DivergenceReport.from_values(d)
-                for quota_mode in ("class_fraction", "dataset_fraction"):
-                    sel = select_clean(report, labels, c, rate, quota_mode=quota_mode)
-                    assert sel.clean_indices.tolist() == \
-                        brute_force_uniform_select(d, labels, c, rate, quota_mode)
-                    # quota_mode applies to balanced selection only
-                    sel = select_clean(report, labels, c, rate, False, quota_mode)
-                    assert sel.clean_indices.tolist() == brute_force_global_select(d, rate)
+                sel = select_clean(report, labels, c, rate)
+                assert sel.clean_indices.tolist() == brute_force_uniform_select(d, labels, c, rate)
+                sel = select_clean(report, labels, c, rate, balancing=False)
+                assert sel.clean_indices.tolist() == brute_force_global_select(d, rate)
 
     def test_one_class_both_arms_select_the_same_set(self, rng):
         for tied in (False, True):
@@ -295,12 +288,12 @@ class TestUniformSelect:
             assert previous <= current
             previous = current
 
-    def test_dataset_fraction_quota_with_deficit(self):
+    def test_equal_quota_with_deficit(self):
         # class 1 holds 2 of 10 samples; target N*R/C = 3 exceeds it
         d = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.15, 0.25])
         labels = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1, 1])
         report = DivergenceReport.from_values(d)
-        sel = select_clean(report, labels, 2, 0.6, quota_mode="dataset_fraction")
+        sel = select_clean(report, labels, 2, 0.6)
         counts = np.bincount(labels[sel.clean_indices], minlength=2)
         assert counts[1] == 2  # both available samples taken
         assert counts[0] == 3  # round(0.6 * 10 / 2)

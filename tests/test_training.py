@@ -577,7 +577,8 @@ class TestTrainEpoch:
     def test_noisy_set_empty_degrades_to_clean_only(self):
         ds, hp, twins = self._setup()
         report = DivergenceReport.from_values(np.linspace(0.01, 0.6, len(ds)))
-        sel = select_clean(report, ds.given_labels, 3, 1.0, d_cutoff=0.9)
+        # one group: at R = 1 it keeps every sample, whatever the class sizes
+        sel = select_clean(report, ds.given_labels, 3, 1.0, balancing=False, d_cutoff=0.9)
         assert len(sel.noisy_indices) == 0
         rec = train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
         assert rec.degenerate == "empty_noisy"
@@ -592,7 +593,8 @@ class TestTrainEpoch:
         ds, hp, twins = self._setup()
         _, _, ref = self._setup()
         report = DivergenceReport.from_values(np.linspace(0.01, 0.6, len(ds)))
-        sel = select_clean(report, ds.given_labels, 3, 1.0, d_cutoff=0.9)
+        # one group: at R = 1 it keeps every sample, whatever the class sizes
+        sel = select_clean(report, ds.given_labels, 3, 1.0, balancing=False, d_cutoff=0.9)
         rec = train_half_epoch(twins, 2, ds, hp, AUG, flags, 1, report, sel)
         net, targets = ref.net2, one_hot(ds.given_labels, 3)
         weights = training.refinement_weights(report.d, hp.d_omega)
