@@ -27,8 +27,8 @@ from .metrics import (EpochMetrics, accuracy, pseudo_label_recall, selection_pre
                       roc_auc)
 from .model import Arch, TwinNetworks, ensemble_softmax, forward_softmax, init_twins
 from .selection import CutoffParams
-from .training import (AblationFlags, HalfEpochRecord, Hyperparams, select_for_network,
-                       train_half_epoch, warmup_train)
+from .training import (_LOSS_TERMS, AblationFlags, HalfEpochRecord, Hyperparams,
+                       select_for_network, train_half_epoch, warmup_train)
 
 
 @dataclass
@@ -112,7 +112,7 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
             report, sel = halves[0].report, halves[0].selection
             precision, recall = selection_precision_recall(sel, train_ds)
             lx, lu, lreg, lc = (float(np.mean([h.losses[k] for h in halves]))
-                                for k in ("lx", "lu", "lreg", "lc"))
+                                for k in _LOSS_TERMS)
             logged = dict(phase="ssl", filter_rate=sel.filter_rate, d_cutoff=sel.d_cutoff,
                           precision=precision, recall=recall, roc_auc=roc_auc(report, train_ds),
                           pseudo_recall=p_recall, loss_lx=lx, loss_lu=lu, loss_reg=lreg,

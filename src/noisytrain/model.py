@@ -32,7 +32,7 @@ ALL_GROUPS = THETA + PHI + PSI
 _EVAL_BLOCK_ROWS = 1024
 
 _CHECKPOINT_MAGIC = b"TWINNET1"
-_CHECKPOINT_VERSION = 2   # version 1 held float64 blobs and named no dtype
+_CHECKPOINT_VERSION = 3   # 2 added the dtype (1 held float64 rows); both listed each tensor's shape
 _BLOB_DTYPE = kernel.DTYPE.newbyteorder("<")
 _S_INIT = 401   # substream tag of init_network's generator
 
@@ -151,8 +151,6 @@ def _head_forward(net: NetworkParams, x: Matrix, tape: GradientTape | None,
     finish_grad = None
     if finish is not None:
         out, finish_grad = finish(out)
-    if tape is None:
-        return kernel.wrap(out)
 
     def bwd(g, tracked):
         if finish_grad is not None:
@@ -264,12 +262,6 @@ def ensemble_softmax(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
 # training dtype, which the header names
 
 
-def _tensor_table(arch: Arch) -> list[dict]:
-    """A checkpoint header's tensor table: net 1's parameters, then net 2's, in ``layout`` order."""
-    return [{"net": net_id, "name": name, "rows": rows, "cols": cols}
-            for net_id in (1, 2) for name, _, (rows, cols) in layout(arch)]
-
-
 def save_checkpoint(twins: TwinNetworks, path: str) -> None:
     """Write ``twins`` to ``path``, every parameter in ``kernel.DTYPE``, which the
     header names; a ``ValueError`` naming the network and the tensor refuses
@@ -284,7 +276,7 @@ def save_checkpoint(twins: TwinNetworks, path: str) -> None:
                                  f"{held.get(name, 'missing')}, but arch {asdict(arch)} "
                                  f"declares {declared.get(name, 'no such tensor')}")
     header = {"version": _CHECKPOINT_VERSION, "dtype": _BLOB_DTYPE.str, "arch": asdict(arch),
-              "seeds": [twins.net1.seed, twins.net2.seed], "tensors": _tensor_table(arch)}
+              "seeds": [twins.net1.seed, twins.net2.seed]}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as f:
         f.write(_CHECKPOINT_MAGIC)
@@ -315,7 +307,7 @@ def load_checkpoint(path: str) -> TwinNetworks:
         raise ValueError(f"{path}: the header is not UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path}: the header is not a JSON object")
-    missing = [k for k in ("version", "dtype", "arch", "seeds", "tensors") if k not in header]
+    missing = [k for k in ("version", "dtype", "arch", "seeds") if k not in header]
     if missing:
         raise ValueError(f"{path}: the header lacks {missing[0]!r}")
     if json.dumps(header["version"]) != str(_CHECKPOINT_VERSION):
@@ -334,11 +326,6 @@ def load_checkpoint(path: str) -> TwinNetworks:
         seeds = [_check_number("seed", s, int, 0, 2 * MAX_SEED + 2) for s in seeds]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    # compared as JSON, so a true or a 1.0 does not pass for a 1
-    table = json.dumps(_tensor_table(arch), sort_keys=True)
-    if json.dumps(header["tensors"], sort_keys=True) != table:
-        raise ValueError(f"{path}: 'tensors' must list {', '.join(ALL_GROUPS)} of net 1, then "
-                         f"of net 2, with the shapes of arch {asdict(arch)}")
     row_len = layout(arch)[-1][1].stop
     row_bytes = _BLOB_DTYPE.itemsize * row_len
     if len(raw) - rows_start != 2 * row_bytes:

@@ -8,10 +8,12 @@ most recent update always informs the split.  Within the half, clean
 batches get refined labels, noisy batches get sharpened pseudo-labels
 guessed by both networks, everything is mixed with MixUp, and the
 contrastive term pulls together the two strong views of each noisy
-sample.  A half makes one step per clean batch: with an empty noisy set
-it mixes the clean entries among themselves, with ``lu = lc = 0``, and is
-flagged ``empty_noisy``; with an empty clean set it makes no step and is
-flagged ``empty_clean``.
+sample.  A half pairs its clean and noisy batch lists in order and makes
+one step per pair, so min(#clean, #noisy) steps; clean batches past the
+noisy count go unused (ROADMAP item 2).  With an empty noisy set it makes
+one step per clean batch, mixes the clean entries among themselves, with
+``lu = lc = 0``, and is flagged ``empty_noisy``; with an empty clean set it
+makes no step and is flagged ``empty_clean``.
 
 Label refinement and pseudo-label guessing are evaluation-mode forward
 passes: their outputs enter the losses as constants, never on the tape.
@@ -470,7 +472,7 @@ def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
                                    (hp.seed, _S_NOISY, net_index), epoch)
 
     degenerate = None
-    if not clean_batches:   # one step per clean batch, so none
+    if not clean_batches:   # one step per (clean, noisy) pair, so none
         degenerate = "empty_clean"
         logger.warning("epoch %d net %d: clean set empty, no step made", epoch, net_index)
     elif not noisy_batches:
@@ -518,7 +520,7 @@ def train_half_epoch(twins: TwinNetworks, net_index: int, ds: LabeledDataset,
 
 
 def _mean_losses(steps: list[dict[str, float]]) -> dict[str, float]:
-    """Each loss term's mean over the steps; a term a step lacks counts 0."""
-    return {k: float(np.mean([terms.get(k, 0.0) for terms in steps])) if steps else 0.0
+    """Each loss term's mean over the steps."""
+    return {k: float(np.mean([terms[k] for terms in steps])) if steps else 0.0
             for k in _LOSS_TERMS}
 

@@ -190,5 +190,8 @@ def test_one_backward_per_network_step(monkeypatch):
         return min(clean, noisy) if noisy else clean
     assert calls["warmup"] == 2 * batches(train.given_labels) * hp.warmup_epochs == 24
     assert len(halves) == 2 * (hp.total_epochs - hp.warmup_epochs)
+    # the run keeps a half that stops early, so the count above tests the zip's rule
+    assert any(batches(h.selection.clean_indices) > batches(h.selection.noisy_indices) > 0
+               for h in halves)
     assert calls["ssl"] == sum(iterations(h) for h in halves) > 0
     assert sgd_calls == calls

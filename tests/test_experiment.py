@@ -17,8 +17,7 @@ from noisytrain import experiment
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
 from noisytrain.metrics import accuracy
-from noisytrain.model import (ALL_GROUPS, ensemble_softmax, layout, load_checkpoint,
-                              save_checkpoint)
+from noisytrain.model import ensemble_softmax, layout, load_checkpoint, save_checkpoint
 from noisytrain.selection import CutoffParams
 from noisytrain.training import AblationFlags, Hyperparams
 
@@ -130,15 +129,9 @@ def test_checkpoint_of_a_run_holds_its_packed_rows(tmp_path):
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", raw, 8)
     assert raw[:8] == b"TWINNET1"
-    h = arch.hidden   # the shapes from the arch's fields, not from layout
-    shapes = {"w1": (arch.in_dim, h), "b1": (1, h), "w2": (h, h), "b2": (1, h),
-              "wc": (h, arch.num_classes), "bc": (1, arch.num_classes),
-              "wp": (h, arch.embed_dim), "bp": (1, arch.embed_dim)}
     assert json.loads(raw[12:12 + header_len]) == {
-        "version": 2, "dtype": "<f4", "arch": dataclasses.asdict(arch),
-        "seeds": [net.seed for net in nets],
-        "tensors": [{"net": i, "name": name, "rows": shapes[name][0], "cols": shapes[name][1]}
-                    for i in (1, 2) for name in ALL_GROUPS]}
+        "version": 3, "dtype": "<f4", "arch": dataclasses.asdict(arch),
+        "seeds": [net.seed for net in nets]}
     rows = [np.concatenate([net.params[name].data.ravel() for name, _, _ in layout(arch)])
             for net in nets]
     assert all(row.dtype == np.float32 for row in rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -21,10 +22,8 @@ from noisytrain.training import loss_contrastive, loss_lx
 
 
 ARCH = Arch(in_dim=5, hidden=8, num_classes=4, embed_dim=3)
-# how load_checkpoint refuses a tensor table that is not the one ARCH implies
-TABLE_REFUSED = (r"'tensors' must list w1, b1, w2, b2, wc, bc, wp, bp of net 1, then of net 2, "
-                 r"with the shapes of arch "
-                 r"\{'in_dim': 5, 'hidden': 8, 'num_classes': 4, 'embed_dim': 3\}")
+# how load_checkpoint refuses ARCH's two rows under a header that declares other rows
+LENGTH = "1464 bytes of tensor data, but the header declares"
 
 
 class TestInit:
@@ -392,7 +391,8 @@ class TestCheckpoint:
         raw = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", raw, 8)
         header = json.loads(raw[12:12 + header_len])
-        assert (header["version"], header["dtype"]) == (2, "<f4")
+        assert header == {"version": 3, "dtype": "<f4", "arch": dataclasses.asdict(ARCH),
+                          "seeds": [twins.net1.seed, twins.net2.seed]}
         loaded = load_checkpoint(str(path))
         for net, got in ((twins.net1, loaded.net1), (twins.net2, loaded.net2)):
             assert all(got.params[k].data.dtype == DTYPE for k in ALL_GROUPS)
@@ -444,11 +444,8 @@ class TestCheckpoint:
     @staticmethod
     def _rewrite_header(path, edit):
         """Save a checkpoint, then let ``edit`` change its header in place,
-        or return the raw bytes to write in its place.
-
-        Tensor bytes are left as they are, so a table whose byte count is
-        unchanged passes the length check and reaches the table check.
-        """
+        or return the raw bytes to write in its place; the tensor bytes are
+        left as they are."""
         save_checkpoint(init_twins(ARCH, seed=21), str(path))
         raw = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", raw, 8)
@@ -459,22 +456,24 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header
                          + raw[12 + header_len:])
 
-    @classmethod
-    def _rewrite_table(cls, path, edit):
-        cls._rewrite_header(path, lambda header: edit(header["tensors"]))
-
     @pytest.mark.parametrize("edit,message", [
         (lambda h: h.pop("version"), r"the header lacks 'version'"),
         (lambda h: h.update(version=True), r"unsupported checkpoint version True"),
-        (lambda h: h.update(version=2.0), r"unsupported checkpoint version 2\.0"),
-        (lambda h: h.update(version=1), r"unsupported checkpoint version 1"),
+        (lambda h: h.update(version=3.0), r"unsupported checkpoint version 3\.0"),
+        (lambda h: h.update(version=2), r"unsupported checkpoint version 2$"),
+        (lambda h: h.update(version=1), r"unsupported checkpoint version 1$"),
         (lambda h: h.pop("dtype"), r"the header lacks 'dtype'"),
         (lambda h: h.pop("arch"), r"the header lacks 'arch'"),
         (lambda h: h.pop("seeds"), r"the header lacks 'seeds'"),
-        (lambda h: h.pop("tensors"), r"the header lacks 'tensors'"),
         (lambda h: h["arch"].pop("hidden"), r"arch\..* missing 1 required positional argument: 'hidden'"),
         (lambda h: h["arch"].update(hidden="8"), r"arch\.hidden: expected an integer, got '8'"),
         (lambda h: h["arch"].update(embed_dim=0), r"arch\.embed_dim: 0 out of range \[1, "),
+        # the arch alone states the layout: each one-field edit changes the two rows'
+        # length from ARCH's 2 x 183 float32 values
+        (lambda h: h["arch"].update(in_dim=6), rf"{LENGTH} 1528$"),
+        (lambda h: h["arch"].update(hidden=9), rf"{LENGTH} 1712$"),
+        (lambda h: h["arch"].update(num_classes=5), rf"{LENGTH} 1536$"),
+        (lambda h: h["arch"].update(embed_dim=4), rf"{LENGTH} 1536$"),
         (lambda h: h.update(seeds=[43]), r"'seeds' must hold exactly two integers, got \[43\]"),
         (lambda h: h.update(seeds=[43, 44, 45]), r"'seeds' must hold exactly two integers"),
         (lambda h: h.update(seeds=[43, "44"]), r"seed: expected an integer, got '44'"),
@@ -482,18 +481,13 @@ class TestCheckpoint:
         (lambda h: h.update(seeds=[-7, 44]), rf"seed: -7 out of range \[0, {2 * MAX_SEED + 2}\]"),
         (lambda h: h.update(seeds=[43, 2**80]),
          rf"seed: {2**80} out of range \[0, {2 * MAX_SEED + 2}\]"),
-        (lambda h: h.update(tensors={}), TABLE_REFUSED),
-        (lambda h: h["tensors"][2].pop("rows"), TABLE_REFUSED),
-        (lambda h: h["tensors"][2].update(net=[1]), TABLE_REFUSED),
-        (lambda h: h["tensors"][2].update(name=7), TABLE_REFUSED),
-        (lambda h: h["tensors"].__setitem__(0, "w1"), TABLE_REFUSED),
         (lambda h: b"\xff\xfe" + json.dumps(h).encode(), r"the header is not UTF-8 JSON"),
         (lambda h: b"{not json", r"the header is not UTF-8 JSON"),
-    ], ids=["no-version", "true-version", "float-version", "version-1", "no-dtype",
-            "no-arch", "no-seeds", "no-tensors", "arch-key", "arch-str", "arch-zero",
+    ], ids=["no-version", "true-version", "float-version", "version-2", "version-1", "no-dtype",
+            "no-arch", "no-seeds", "arch-key", "arch-str", "arch-zero", "arch-in_dim",
+            "arch-hidden", "arch-num_classes", "arch-embed_dim",
             "one-seed", "three-seeds", "str-seed", "bool-seed", "negative-seed", "huge-seed",
-            "tensors-object",
-            "no-rows", "list-net", "int-name", "str-entry", "not-utf8", "not-json"])
+            "not-utf8", "not-json"])
     def test_header_keys_checked(self, tmp_path, edit, message):
         path = tmp_path / "ckpt.bin"
         self._rewrite_header(path, edit)
@@ -506,18 +500,6 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"ckpt\.bin: the header is not a JSON object"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("edit", [
-        lambda ts: ts[0].update(rows=8, cols=5),
-        lambda ts: ts[8].update(net=3),
-        lambda ts: ts[1].update(name="w9", rows=1, cols=8),
-        lambda ts: ts[3].update(name="b1"),
-        lambda ts: ts.__setitem__(slice(0, 2), ts[1::-1]),
-    ], ids=["swapped-shape", "unknown-net", "unknown-name", "duplicate", "swapped-entries"])
-    def test_table_must_match_arch(self, tmp_path, edit):
-        path = tmp_path / "ckpt.bin"
-        self._rewrite_table(path, edit)
-        with pytest.raises(ValueError, match=r"ckpt\.bin: " + TABLE_REFUSED):
-            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("value,last,named", [
         (np.nan, False, "'w1' of net 1"), (np.inf, False, "'w1' of net 1"),
@@ -536,8 +518,10 @@ class TestCheckpoint:
 
     def test_missing_tensor_rejected(self, tmp_path):
         path = tmp_path / "ckpt.bin"
-        # drop net 2's last tensor (bp) from the table and its bytes from the end
-        self._rewrite_table(path, lambda ts: ts.pop())
+        # drop net 2's last tensor (bp) from the end
+        save_checkpoint(init_twins(ARCH, seed=21), str(path))
         path.write_bytes(path.read_bytes()[:-4 * ARCH.embed_dim])
-        with pytest.raises(ValueError, match=r"ckpt\.bin: " + TABLE_REFUSED):
+        declared = 8 * layout(ARCH)[-1][1].stop
+        with pytest.raises(ValueError, match=rf"ckpt\.bin: {declared - 4 * ARCH.embed_dim} bytes "
+                                             rf"of tensor data, but the header declares {declared}$"):
             load_checkpoint(str(path))
