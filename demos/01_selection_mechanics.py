@@ -6,7 +6,7 @@ cutoff and filter rate, and contrasts class-balanced selection with the
 class-blind baseline: the same ranking, per class or over one group.
 """
 
-from noisytrain import (CutoffParams, compute_cutoff, compute_filter_rate, init_twins, jsd,
+from noisytrain import (compute_cutoff, compute_filter_rate, init_twins, jsd,
                         make_gaussian_blobs, inject_symmetric_noise, select_clean)
 from noisytrain.metrics import roc_auc, selection_precision_recall
 from noisytrain.model import Arch, ensemble_softmax, forward_softmax
@@ -40,8 +40,7 @@ print(f"  truly-clean mean {report.d[clean_mask].mean():.3f}, "
       f"truly-noisy mean {report.d[~clean_mask].mean():.3f}")
 
 print("\n= Automatic cutoff and filter rate =")
-params = CutoffParams()  # tau=5, adjustment threshold 0.7
-cutoff = compute_cutoff(report, params)
+cutoff = compute_cutoff(report)  # fixed tau=5, adjustment threshold 0.7
 rate = compute_filter_rate(report, cutoff)
 print(f"cutoff {cutoff:.3f} -> filter rate R = {rate:.3f} "
       f"(clean fraction is {clean_mask.mean():.3f})")

@@ -25,8 +25,8 @@ from .data import (AugmentationSpec, LabeledDataset, NoiseSpec,
                    make_gaussian_blobs)
 from .kernel import GradientTape, Matrix
 from .model import Arch, NetworkParams, TwinNetworks, init_twins
-from .selection import (CutoffParams, DivergenceReport, SelectionResult,
-                        compute_cutoff, compute_filter_rate, jsd, select_clean)
+from .selection import (DivergenceReport, SelectionResult, compute_cutoff, compute_filter_rate,
+                        jsd, select_clean)
 from .training import AblationFlags, Hyperparams
 from .experiment import RunResult, run
 
@@ -37,7 +37,7 @@ __all__ = [
     "inject_asymmetric_noise", "inject_symmetric_noise", "make_gaussian_blobs",
     "GradientTape", "Matrix",
     "Arch", "NetworkParams", "TwinNetworks", "init_twins",
-    "CutoffParams", "DivergenceReport", "SelectionResult",
+    "DivergenceReport", "SelectionResult",
     "compute_cutoff", "compute_filter_rate", "jsd", "select_clean",
     "AblationFlags", "Hyperparams", "RunResult", "run",
     "__version__",

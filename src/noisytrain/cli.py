@@ -67,8 +67,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         if args.command == "generate":
-            path = cmd_generate(cfg)
-            print(f"wrote {path}")
+            path, written = cmd_generate(cfg)
+            print(f"wrote {path}" if written else f"kept {path}: it holds this config's snapshot")
         elif args.command == "run":
             summary = cmd_run(cfg, export_selection=args.export_selection)
             print(f"{_accuracies(summary)} outputs in {cfg.output_dir}")

@@ -14,7 +14,6 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .data import AugmentationSpec, NoiseSpec, check_settings, setting, validate_flip_map
-from .selection import CutoffParams
 from .training import AblationFlags, Hyperparams
 
 
@@ -50,7 +49,6 @@ class ExperimentConfig:
     augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
     arch: ArchConfig = field(default_factory=ArchConfig)
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
-    selection: CutoffParams = field(default_factory=CutoffParams)
     ablation: AblationFlags = field(default_factory=AblationFlags)
     output_dir: str = "runs/experiment"
 

@@ -26,7 +26,6 @@ from .data import AugmentationSpec, LabeledDataset
 from .metrics import (EpochMetrics, accuracy, pseudo_label_recall, selection_precision_recall,
                       roc_auc)
 from .model import Arch, TwinNetworks, ensemble_softmax, forward_softmax, init_twins
-from .selection import CutoffParams
 from .training import (_LOSS_TERMS, AblationFlags, HalfEpochRecord, Hyperparams,
                        select_for_network, train_half_epoch, warmup_train)
 
@@ -43,7 +42,6 @@ class RunResult:
 
 def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
         hidden: int, embed_dim: int, aug: AugmentationSpec,
-        cutoff_params: CutoffParams | None = None,
         flags: AblationFlags | None = None,
         on_epoch: Callable[[EpochMetrics, list[HalfEpochRecord], tuple, tuple], None] | None = None,
         start: RunResult | None = None) -> RunResult:
@@ -60,7 +58,6 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
     row, its half-epoch records (none in warmup) and the train- and test-set
     ``(per-network softmaxes, ensemble)`` it read, which no later epoch changes.
     """
-    cutoff_params = cutoff_params or CutoffParams()
     flags = flags or AblationFlags()
     arch = Arch(train_ds.dims, hidden, train_ds.num_classes, embed_dim)
     if start is None:
@@ -100,7 +97,7 @@ def run(train_ds: LabeledDataset, test_ds: LabeledDataset, hp: Hyperparams,
             (probs, ens), train = train, None   # a replaced state is freed unless a reader kept it
             for k, net in enumerate(nets):
                 report, sel = select_for_network(ens if flags.ensemble else probs[k], train_ds,
-                                                 cutoff_params, flags)
+                                                 flags)
                 if k == 0:
                     p_recall = pseudo_label_recall(ens, train_ds, sel.noisy_indices)
                 halves.append(train_half_epoch(twins, k + 1, train_ds, hp, aug, flags,

@@ -307,11 +307,15 @@ def load_checkpoint(path: str) -> TwinNetworks:
         raise ValueError(f"{path}: the header is not UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path}: the header is not a JSON object")
-    missing = [k for k in ("version", "dtype", "arch", "seeds") if k not in header]
+    keys = ("version", "dtype", "arch", "seeds")
+    missing = [k for k in keys if k not in header]
     if missing:
         raise ValueError(f"{path}: the header lacks {missing[0]!r}")
     if json.dumps(header["version"]) != str(_CHECKPOINT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint version {header['version']!r}")
+    unknown = [k for k in header if k not in keys]
+    if unknown:
+        raise ValueError(f"{path}: the header holds an unknown key {unknown[0]!r}")
     if header["dtype"] != _BLOB_DTYPE.str:
         raise ValueError(f"{path}: unsupported tensor dtype {header['dtype']!r}, "
                          f"expected {_BLOB_DTYPE.str!r}")

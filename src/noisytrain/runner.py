@@ -111,21 +111,23 @@ def _check_snapshot(path: str, train: LabeledDataset) -> None:
                          f"remove it or choose another output directory")
 
 
-def _snapshot(out_dir: str, train: LabeledDataset) -> None:
-    """Make ``out_dir``; check the dataset snapshot in it, or write it."""
+def _snapshot(out_dir: str, train: LabeledDataset) -> bool:
+    """Make ``out_dir``; check the dataset snapshot in it, or write it.
+    True when it wrote the snapshot."""
     os.makedirs(out_dir, exist_ok=True)
     path = _dataset_path(out_dir)
     if os.path.exists(path):
         _check_snapshot(path, train)
-    else:
-        save_dataset_csv(train, path)
+        return False
+    save_dataset_csv(train, path)
+    return True
 
 
-def cmd_generate(cfg: ExperimentConfig) -> str:
-    """Write the (noisy) train split snapshot, or check the one already there."""
+def cmd_generate(cfg: ExperimentConfig) -> tuple[str, bool]:
+    """Write the (noisy) train split snapshot, or check the one already there.
+    Returns its path, and whether it was written."""
     train, _ = build_datasets(cfg)
-    _snapshot(cfg.output_dir, train)
-    return _dataset_path(cfg.output_dir)
+    return _dataset_path(cfg.output_dir), _snapshot(cfg.output_dir, train)
 
 
 def _train(cfg: ExperimentConfig, train: LabeledDataset, test: LabeledDataset,
@@ -140,7 +142,7 @@ def _train(cfg: ExperimentConfig, train: LabeledDataset, test: LabeledDataset,
                 export_selection_csv(half.selection, half.report, train.given_labels, path)
 
     result = run(train, test, cfg.hyperparams, cfg.arch.hidden, cfg.arch.embed_dim,
-                 cfg.augmentation, cfg.selection, cfg.ablation, on_epoch=on_epoch, start=start)
+                 cfg.augmentation, cfg.ablation, on_epoch=on_epoch, start=start)
 
     write_metrics_csv(result.rows, os.path.join(cfg.output_dir, "metrics.csv"))
     save_checkpoint(result.twins, os.path.join(cfg.output_dir, "checkpoint.bin"))
@@ -182,7 +184,7 @@ def cmd_ablate(cfg: ExperimentConfig, export_selection: bool = False) -> dict:
     _snapshot(arms[0][1].output_dir, train)
     hp = cfg.hyperparams
     warm = run(train, test, dataclasses.replace(hp, total_epochs=hp.warmup_epochs),
-               cfg.arch.hidden, cfg.arch.embed_dim, cfg.augmentation, cfg.selection)
+               cfg.arch.hidden, cfg.arch.embed_dim, cfg.augmentation)
     for _, arm_cfg in arms[1:]:
         _snapshot(arm_cfg.output_dir, train)
 

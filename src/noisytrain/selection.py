@@ -11,27 +11,18 @@ the same rule runs over one group of all samples: the class-blind baseline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (_check_columns, _check_number, _checked_indices, atomic_open, check_settings,
-                   round_half_up, setting)
+from .data import _check_columns, _check_number, _checked_indices, atomic_open, round_half_up
 
 _LN2 = np.log(2.0)
 
-
-@dataclass(frozen=True)
-class CutoffParams:
-    """Filter coefficient tau and adjustment threshold d_mu."""
-
-    # tau > 1: at tau <= 1 the cutoff is at or below d_min and selects nothing
-    tau: float = setting(5.0, float, math.nextafter(1.0, math.inf), 1e9)
-    d_mu: float = setting(0.7, float, 1e-9, 0.999999)
-
-    def __post_init__(self):
-        check_settings(self)
+# the cutoff's filter coefficient tau (> 1, or the cutoff sits at or below d_min and
+# selects nothing) and adjustment threshold d_mu: fixed, as uniform selection is not tuned
+TAU = 5.0
+D_MU = 0.7
 
 
 @dataclass(frozen=True)
@@ -113,14 +104,15 @@ def divergences_from_probs(probs: np.ndarray, given_labels: np.ndarray) -> Diver
     return DivergenceReport.from_values(np.clip(d, 0.0, 1.0))
 
 
-def compute_cutoff(report: DivergenceReport, params: CutoffParams) -> float:
+def compute_cutoff(report: DivergenceReport) -> float:
     """Automatic cutoff: pulled below the mean only when the mean is high.
 
-    A high divergence mean signals unconfident predictions, so the cutoff
-    retreats toward the minimum and the selection becomes conservative.
+    A high divergence mean (at least ``D_MU``) signals unconfident
+    predictions, so the cutoff retreats toward the minimum, by ``1 / TAU``
+    of the spread, and the selection becomes conservative.
     """
-    if report.d_avg >= params.d_mu:
-        return report.d_avg - (report.d_avg - report.d_min) / params.tau
+    if report.d_avg >= D_MU:
+        return report.d_avg - (report.d_avg - report.d_min) / TAU
     return report.d_avg
 
 

@@ -44,8 +44,8 @@ from .data import (MAX_SEED, AugmentationSpec, LabeledDataset, _check_columns, _
 from .kernel import GradientTape, Matrix, backward, sgd_step
 from .model import ALL_GROUPS, PHI, THETA, NetworkParams, TwinNetworks, layout, \
     forward_logits, forward_projection, forward_softmax, softmax_in_place
-from .selection import (CutoffParams, DivergenceReport, SelectionResult, compute_cutoff,
-                        compute_filter_rate, divergences_from_probs, select_clean)
+from .selection import (DivergenceReport, SelectionResult, compute_cutoff, compute_filter_rate,
+                        divergences_from_probs, select_clean)
 
 logger = logging.getLogger(__name__)
 
@@ -435,7 +435,7 @@ def warmup_train(twins: TwinNetworks, ds: LabeledDataset, hp: Hyperparams, epoch
     return float(np.mean(ce_values)) if ce_values else 0.0
 
 
-def select_for_network(probs: np.ndarray, ds: LabeledDataset, cutoff_params: CutoffParams,
+def select_for_network(probs: np.ndarray, ds: LabeledDataset,
                        flags: AblationFlags) -> tuple[DivergenceReport, SelectionResult]:
     """One full selection pass from ``probs``, the train-set prediction a
     network's half is selected by: the ``ensemble_softmax`` of both networks,
@@ -443,7 +443,7 @@ def select_for_network(probs: np.ndarray, ds: LabeledDataset, cutoff_params: Cut
     """
     _check_columns(probs, ds.num_classes)
     report = divergences_from_probs(probs, ds.given_labels)
-    d_cut = compute_cutoff(report, cutoff_params)
+    d_cut = compute_cutoff(report)
     sel = select_clean(report, ds.given_labels, ds.num_classes, compute_filter_rate(report, d_cut),
                        flags.balancing, d_cut)
     return report, sel

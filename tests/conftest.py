@@ -107,22 +107,21 @@ def warmup_epochs(twins, ds, hp, epochs):
     return [training.warmup_train(twins, ds, hp, epoch) for epoch in range(epochs)]
 
 
-def select(twins, net_index, ds, cutoff_params, flags):
+def select(twins, net_index, ds, flags):
     """``training.select_for_network`` from the prediction ``experiment.run``
     hands it, evaluated here: both networks' ensemble, or with ensembling
     off, the network's own softmax."""
     probs = [forward_softmax(net, ds.features) for net in (twins.net1, twins.net2)]
     return training.select_for_network(
-        ensemble_softmax(*probs) if flags.ensemble else probs[net_index - 1], ds,
-        cutoff_params, flags)
+        ensemble_softmax(*probs) if flags.ensemble else probs[net_index - 1], ds, flags)
 
 
-def ssl_epoch(twins, ds, hp, aug, cutoff_params, flags, epoch):
+def ssl_epoch(twins, ds, hp, aug, flags, epoch):
     """One SSL epoch as ``experiment.run`` drives it: a fresh selection
     before each network's half; returns the two half-epoch records."""
     halves = []
     for net_index in (1, 2):
-        report, sel = select(twins, net_index, ds, cutoff_params, flags)
+        report, sel = select(twins, net_index, ds, flags)
         halves.append(training.train_half_epoch(twins, net_index, ds, hp, aug, flags, epoch,
                                                 report, sel))
     return halves

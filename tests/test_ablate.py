@@ -185,7 +185,7 @@ def test_warm_start_reaches_a_worker_with_both_velocity_rows(tmp_path):
     hp = cfg.hyperparams
     warm = experiment.run(*build_datasets(cfg),
                           dataclasses.replace(hp, total_epochs=hp.warmup_epochs),
-                          cfg.arch.hidden, cfg.arch.embed_dim, cfg.augmentation, cfg.selection)
+                          cfg.arch.hidden, cfg.arch.embed_dim, cfg.augmentation)
     nets = (warm.twins.net1, warm.twins.net2)
     back = pickle.loads(ForkingPickler.dumps(warm))
     assert back.rows == warm.rows

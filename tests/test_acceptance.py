@@ -30,8 +30,7 @@ from noisytrain.kernel import GradientTape, backward, wrap
 from noisytrain.model import (PHI, PSI, THETA, Arch, forward_logits,
                               forward_projection, init_network)
 from noisytrain.runner import cmd_ablate, cmd_run, hist_ratio
-from noisytrain.selection import (CutoffParams, DivergenceReport,
-                                  compute_cutoff, jsd, select_clean)
+from noisytrain.selection import DivergenceReport, compute_cutoff, jsd, select_clean
 from noisytrain.training import (Hyperparams, loss_contrastive, loss_lu,
                                  loss_lx, loss_reg, mixup_with_lambda,
                                  sharpen, total_loss)
@@ -125,9 +124,9 @@ def test_criterion_1_formula_oracles():
     assert worked == pytest.approx(0.311278, abs=1e-5)
 
     high = DivergenceReport(np.array([0.2, 0.8]), d_avg=0.8, d_min=0.2)
-    assert compute_cutoff(high, CutoffParams(tau=5.0, d_mu=0.7)) == pytest.approx(0.68, abs=1e-12)
+    assert compute_cutoff(high) == pytest.approx(0.68, abs=1e-12)
     low = DivergenceReport(np.array([0.5]), d_avg=0.5, d_min=0.1)
-    assert compute_cutoff(low, CutoffParams(tau=5.0, d_mu=0.7)) == 0.5
+    assert compute_cutoff(low) == 0.5
 
     assert np.allclose(sharpen(np.array([[0.8, 0.2]]), 0.5),
                        [[0.941176, 0.058824]], atol=1e-6)

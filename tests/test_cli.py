@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from noisytrain import selection
 from noisytrain.cli import main
 from noisytrain.config import ConfigError, config_from_dict, config_to_dict, parse_config
 from noisytrain.data import (LabeledDataset, load_dataset_csv, make_gaussian_blobs, round_half_up,
@@ -49,7 +50,6 @@ class TestConfigParsing:
         assert hp.lambda_r == 1.0 and hp.kappa == 0.05 and hp.d_omega == 0.5
         assert hp.alpha == 4.0 and hp.lr == 0.02 and hp.momentum == 0.9
         assert hp.weight_decay == 5e-4 and hp.batch_size == 64
-        assert cfg.selection.tau == 5.0 and cfg.selection.d_mu == 0.7
 
     def test_unknown_key_rejected_with_name(self):
         with pytest.raises(ConfigError, match=r"^unknown key: noise\.ratee$"):
@@ -125,16 +125,25 @@ class TestBuildDatasets:
 class TestCommands:
     def test_generate_counts_and_idempotence(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
-        path = cmd_generate(cfg)
+        path, written = cmd_generate(cfg)
+        assert written
         lines = Path(path).read_text().strip().split("\n")
         assert len(lines) == 61  # header + 60 rows
         first = Path(path).read_bytes()
-        cmd_generate(cfg)
+        assert cmd_generate(cfg) == (path, False)
         assert Path(path).read_bytes() == first
+
+    def test_generate_says_whether_it_wrote(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        snap = tmp_path / "out" / "dataset.csv"
+        assert main(["generate", "--config", path]) == 0
+        assert main(["generate", "--config", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {snap}", f"kept {snap}: it holds this config's snapshot"]
 
     def test_generate_high_noise_count(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, {"noise.rate": 0.8}))
-        path = cmd_generate(cfg)
+        path, _ = cmd_generate(cfg)
         with open(path) as f:
             rows = list(csv.DictReader(f))
         corrupted = sum(r["true_label"] != r["given_label"] for r in rows)
@@ -168,11 +177,12 @@ class TestCommands:
         summary = Path(cfg.output_dir, "summary.json").read_text()
         assert json.loads(summary)["final_auc"] is None and '"final_auc": null' in summary
 
-    def test_empty_selection_writes_an_undefined_precision_as_empty(self, tmp_path):
+    def test_empty_selection_writes_an_undefined_precision_as_empty(self, tmp_path, monkeypatch):
         # tau just above 1 and d_mu near 0 put the cutoff just above d_min: R is
         # 1/90 and every class's quota rounds to 0, so no sample is selected
-        cfg = parse_config(write_config(tmp_path, {"dataset.per_class": 30, "selection": {
-            "tau": 1.000001, "d_mu": 1e-9}}))
+        monkeypatch.setattr(selection, "TAU", 1.000001)
+        monkeypatch.setattr(selection, "D_MU", 1e-9)
+        cfg = parse_config(write_config(tmp_path, {"dataset.per_class": 30}))
         cmd_run(cfg)
         with open(os.path.join(cfg.output_dir, "metrics.csv")) as f:
             rows = list(csv.DictReader(f))

@@ -19,11 +19,9 @@ from noisytrain.config import (ConfigError, DatasetConfig, ExperimentConfig, con
                                config_to_dict)
 from noisytrain.data import AugmentationSpec, NoiseSpec
 from noisytrain.model import Arch
-from noisytrain.selection import CutoffParams
 from noisytrain.training import Hyperparams
 
-SECTIONS = ("dataset", "noise", "augmentation", "arch", "hyperparams",
-            "selection", "ablation")
+SECTIONS = ("dataset", "noise", "augmentation", "arch", "hyperparams", "ablation")
 
 # JSON section name -> its dataclass
 SECTION_CLASSES = {f.name: f.default_factory for f in fields(ExperimentConfig)
@@ -44,7 +42,6 @@ NON_DEFAULT = {
                     "momentum": 0.8, "weight_decay": 1e-3, "batch_size": 8,
                     "warmup_epochs": 2, "total_epochs": 9, "lr_decay_factor": 0.5,
                     "lr_decay_every": 3},
-    "selection": {"tau": 3.0, "d_mu": 0.6},
     "ablation": {"balancing": False, "contrastive": False, "ensemble": False},
     "seed": 123,
     "output_dir": "runs/other",
@@ -117,9 +114,6 @@ VALUE_CASES = [
                  _key("hyperparams", "total_epochs"), id="total-below-warmup"),
     pytest.param({"hyperparams": {"warmup_epochs": 400}},
                  _key("hyperparams", "total_epochs"), id="total-below-warmup-default"),
-    # tau <= 1 puts the cutoff at or below d_min, where selection admits nothing
-    *[pytest.param({"selection": {"tau": value}}, _key("selection", "tau") + ": ",
-                   id=f"tau-{value!r}") for value in (0.5, 1, 1.0)],
     # below T = 0.01, sharpen can underflow a whole row to 0 and divide 0 by 0
     pytest.param({"hyperparams": {"T": 0.001}}, _key("hyperparams", "T") + ": ", id="T-0.001"),
 ]
@@ -130,9 +124,10 @@ KEY_CASES = [
     pytest.param({"hyperparams": {"seed": 3}}, re.escape("hyperparams.seed"),
                  id="seed-inside-hyperparams"),
     pytest.param({"extras": {}}, "extras", id="top-level-unknown"),
-    # one quota rule is left, so the key that chose between two is gone
-    pytest.param({"selection": {"quota_mode": "class_fraction"}},
-                 re.escape("selection.quota_mode"), id="retired-quota_mode"),
+    # uniform selection takes no settings, so the section that held them is gone
+    *[pytest.param({"selection": section}, "selection", id=f"retired-selection-{tag}")
+      for tag, section in (("empty", {}), ("old-values", {"tau": 5.0, "d_mu": 0.7}),
+                           ("quota_mode", {"quota_mode": "class_fraction"}))],
 ]
 
 
@@ -165,9 +160,6 @@ DIRECT_PROBES = [
     _construction(Hyperparams, "probe-", kappa=math.inf),
     _construction(Hyperparams, "probe-", batch_size=2.5),
     _construction(Hyperparams, "probe-", T=0.001),
-    _construction(CutoffParams, "probe-", tau=math.nan),
-    _construction(CutoffParams, "probe-", tau=1.0),
-    _construction(CutoffParams, "probe-", tau=0.5),
     _construction(AugmentationSpec, "probe-", weak_sigma=math.nan, strong_sigma=math.nan),
     _construction(Arch, "probe-", in_dim=2.5),
 ]
@@ -289,7 +281,6 @@ def test_defaults_dict_form():
     assert d["seed"] == 0 and d["output_dir"] == "runs/experiment"
     assert "flip_map" not in d["noise"] and "seed" not in d["hyperparams"]
     assert d["noise"] == {"kind": "symmetric", "rate": 0.5}
-    assert d["selection"] == {"tau": 5.0, "d_mu": 0.7}
 
 
 def test_readme_config_example_is_the_defaults():
@@ -301,9 +292,9 @@ def test_readme_config_example_is_the_defaults():
 
 
 def test_numbers_are_canonicalized():
-    cfg = config_from_dict({"noise": {"rate": 0}, "selection": {"tau": 2},
+    cfg = config_from_dict({"noise": {"rate": 0}, "hyperparams": {"lambda_u": 2},
                             "dataset": {"separation": 3}})
     assert isinstance(cfg.noise.rate, float) and cfg.noise.rate == 0.0
-    assert isinstance(cfg.selection.tau, float)
+    assert isinstance(cfg.hyperparams.lambda_u, float)
     assert isinstance(cfg.dataset.separation, float)
     assert isinstance(Hyperparams(lr=1).lr, float)   # constructed directly, too

@@ -13,12 +13,11 @@ import struct
 import numpy as np
 import pytest
 
-from noisytrain import experiment
+from noisytrain import experiment, selection
 from noisytrain.data import AugmentationSpec, inject_symmetric_noise, make_gaussian_blobs
 from noisytrain.experiment import run
 from noisytrain.metrics import accuracy
 from noisytrain.model import ensemble_softmax, layout, load_checkpoint, save_checkpoint
-from noisytrain.selection import CutoffParams
 from noisytrain.training import AblationFlags, Hyperparams
 
 HP = Hyperparams(warmup_epochs=2, total_epochs=6, batch_size=16, seed=3)
@@ -29,11 +28,10 @@ def datasets(per_class=20):
     return train, make_gaussian_blobs(3, 10, 4, 6.0, seed=4)
 
 
-def go(hp, start=None, flags=None, on_epoch=None, per_class=20, cutoff_params=None,
-       hidden=16, embed_dim=4):
+def go(hp, start=None, flags=None, on_epoch=None, per_class=20, hidden=16, embed_dim=4):
     train, test = datasets(per_class)
     return run(train, test, hp, hidden=hidden, embed_dim=embed_dim, aug=AugmentationSpec(),
-               cutoff_params=cutoff_params, flags=flags, on_epoch=on_epoch, start=start)
+               flags=flags, on_epoch=on_epoch, start=start)
 
 
 def checkpoint_bytes(result, path):
@@ -89,13 +87,14 @@ def test_stale_start_refused_before_any_epoch(stop, change, message):
         [v.tolist() for v in before]
 
 
-def test_empty_selection_makes_no_step(tmp_path):
+def test_empty_selection_makes_no_step(tmp_path, monkeypatch):
     """With tau just above 1 and d_mu near 0 the cutoff lies just above d_min,
     so R is 1/90 and every class's quota rounds to 0: each SSL half is
     flagged ``empty_clean`` and the networks end as warmup left them."""
-    cutoff = CutoffParams(tau=1.000001, d_mu=1e-9)
+    monkeypatch.setattr(selection, "TAU", 1.000001)
+    monkeypatch.setattr(selection, "D_MU", 1e-9)
     halves = []
-    whole = go(HP, per_class=30, cutoff_params=cutoff,
+    whole = go(HP, per_class=30,
                on_epoch=lambda row, records, train, test: halves.extend(records))
     warm = go(dataclasses.replace(HP, total_epochs=HP.warmup_epochs), per_class=30)
     assert len(halves) == 2 * (HP.total_epochs - HP.warmup_epochs)

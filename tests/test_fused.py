@@ -306,8 +306,7 @@ def test_training_loop_matches_reference_chain(monkeypatch):
         monkeypatch.setattr(training, "_sgd_steps", steps)
         twins = init_twins(Arch(4, 16, 3, 6), seed=4)
         warmup_ce = training.warmup_train(twins, ds, hp, 0)
-        halves = ssl_epoch(twins, ds, hp, aug, training.CutoffParams(),
-                           training.AblationFlags(), epoch=1)
+        halves = ssl_epoch(twins, ds, hp, aug, training.AblationFlags(), epoch=1)
         assert [h.degenerate for h in halves] == [None, None]
         assert all(h.losses["lc"] != 0.0 for h in halves)
         params = [m.data for net in (twins.net1, twins.net2) for m in net.params.values()]

@@ -19,7 +19,6 @@ from noisytrain.kernel import Matrix, sgd_step
 from noisytrain.metrics import accuracy
 from noisytrain.model import (ALL_GROUPS, PHI, THETA, Arch, ensemble_softmax,
                               forward_logits, forward_softmax, init_network, init_twins)
-from noisytrain.selection import CutoffParams
 from noisytrain.training import AblationFlags, Hyperparams
 
 
@@ -98,8 +97,7 @@ def test_a_step_writes_into_no_array_it_was_given(frozen_inputs):
     def predictions(ds):   # read-only, as every prediction is
         return ensemble_softmax(*(forward_softmax(net, ds.features)
                                   for net in (twins.net1, twins.net2)))
-    report, sel = training.select_for_network(predictions(train), train, CutoffParams(),
-                                              AblationFlags())
+    report, sel = training.select_for_network(predictions(train), train, AblationFlags())
     rec = training.train_half_epoch(twins, 1, train, hp, AugmentationSpec(), AblationFlags(), 1,
                                     report, sel)
     assert rec.degenerate is None and rec.losses["lc"] != 0.0   # every term ran

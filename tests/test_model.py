@@ -465,6 +465,8 @@ class TestCheckpoint:
         (lambda h: h.pop("dtype"), r"the header lacks 'dtype'"),
         (lambda h: h.pop("arch"), r"the header lacks 'arch'"),
         (lambda h: h.pop("seeds"), r"the header lacks 'seeds'"),
+        (lambda h: h.update(tensors=[]), r"the header holds an unknown key 'tensors'$"),
+        (lambda h: h.update(velocity=True), r"the header holds an unknown key 'velocity'$"),
         (lambda h: h["arch"].pop("hidden"), r"arch\..* missing 1 required positional argument: 'hidden'"),
         (lambda h: h["arch"].update(hidden="8"), r"arch\.hidden: expected an integer, got '8'"),
         (lambda h: h["arch"].update(embed_dim=0), r"arch\.embed_dim: 0 out of range \[1, "),
@@ -484,7 +486,7 @@ class TestCheckpoint:
         (lambda h: b"\xff\xfe" + json.dumps(h).encode(), r"the header is not UTF-8 JSON"),
         (lambda h: b"{not json", r"the header is not UTF-8 JSON"),
     ], ids=["no-version", "true-version", "float-version", "version-2", "version-1", "no-dtype",
-            "no-arch", "no-seeds", "arch-key", "arch-str", "arch-zero", "arch-in_dim",
+            "no-arch", "no-seeds", "tensors", "velocity", "arch-key", "arch-str", "arch-zero", "arch-in_dim",
             "arch-hidden", "arch-num_classes", "arch-embed_dim",
             "one-seed", "three-seeds", "str-seed", "bool-seed", "negative-seed", "huge-seed",
             "not-utf8", "not-json"])

@@ -6,8 +6,8 @@ import pytest
 
 from noisytrain.data import make_gaussian_blobs, round_half_up
 from noisytrain.model import Arch, ensemble_softmax, forward_softmax, init_twins
-from noisytrain.selection import (CutoffParams, DivergenceReport, SelectionResult,
-                                  compute_cutoff, compute_filter_rate, divergences_from_probs,
+from noisytrain.selection import (DivergenceReport, SelectionResult, compute_cutoff,
+                                  compute_filter_rate, divergences_from_probs,
                                   export_selection_csv, jsd, select_clean)
 from noisytrain.training import AblationFlags, select_for_network
 
@@ -151,33 +151,25 @@ class TestComputeDivergences:
             divergences_from_probs(probs, [0, 1, 1])
 
 
-# at tau <= 1 the cutoff is at or below d_min, so selection would admit nothing
-@pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"d_mu": 1.0}, {"tau": 0.5}, {"tau": 1.0},
-                                    {"tau": 1}])
-def test_cutoff_params_validated(kwargs):
-    with pytest.raises(ValueError, match=next(iter(kwargs))):
-        CutoffParams(**kwargs)
-
-
 class TestCutoffAndFilterRate:
     def test_worked_value(self):
         report = DivergenceReport(np.array([0.2, 0.8]), d_avg=0.8, d_min=0.2)
-        assert compute_cutoff(report, CutoffParams(tau=5.0, d_mu=0.7)) == pytest.approx(0.68, abs=1e-12)
+        assert compute_cutoff(report) == pytest.approx(0.68, abs=1e-12)
 
     def test_below_threshold_branch(self):
         report = DivergenceReport(np.array([0.5]), d_avg=0.5, d_min=0.1)
-        assert compute_cutoff(report, CutoffParams(tau=5.0, d_mu=0.7)) == 0.5
+        assert compute_cutoff(report) == 0.5
 
     def test_degenerate_spread(self):
         report = DivergenceReport(np.array([0.9]), d_avg=0.9, d_min=0.9)
-        assert compute_cutoff(report, CutoffParams()) == pytest.approx(0.9, abs=1e-15)
+        assert compute_cutoff(report) == pytest.approx(0.9, abs=1e-15)
 
     def test_cutoff_between_min_and_avg_when_high(self, rng):
         for _ in range(50):
             d = rng.uniform(0.5, 1.0, size=20)
             report = DivergenceReport.from_values(d)
             if report.d_avg >= 0.7:
-                cut = compute_cutoff(report, CutoffParams())
+                cut = compute_cutoff(report)
                 assert report.d_min <= cut <= report.d_avg
 
     def test_filter_rate_strict_inequality(self):
@@ -367,7 +359,7 @@ def test_prediction_of_another_width_refused(balancing):
     probs = np.full((len(ds), 4), 0.25)
     flags = AblationFlags(balancing=balancing)
     with pytest.raises(ValueError, match="^probs: 4 columns for a dataset of 3 classes$"):
-        select_for_network(probs, ds, CutoffParams(), flags)
+        select_for_network(probs, ds, flags)
 
 
 def test_export_selection_csv(tmp_path, rng):

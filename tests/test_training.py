@@ -19,7 +19,7 @@ from noisytrain.model import (ALL_GROUPS, PHI, PSI, THETA, Arch, TwinNetworks, e
                               forward_logits, forward_projection, forward_softmax, init_network,
                               init_twins, layout)
 from noisytrain.runner import cmd_run
-from noisytrain.selection import CutoffParams, DivergenceReport, select_clean
+from noisytrain.selection import DivergenceReport, select_clean
 from noisytrain.training import (AblationFlags, Hyperparams, TrainingDivergedError,
                                  blend_targets, decayed_lr,
                                  guess_pseudo_labels, loss_contrastive,
@@ -30,7 +30,6 @@ from noisytrain.training import (AblationFlags, Hyperparams, TrainingDivergedErr
                                  train_half_epoch, warmup_train)
 
 AUG = AugmentationSpec()
-CUTOFF = CutoffParams()
 FLAGS = AblationFlags()
 HUGE = float(np.finfo(kernel.DTYPE).max)   # the largest velocity entry training holds
 
@@ -561,7 +560,7 @@ class TestTrainEpoch:
         ds, hp, twins = self._setup()
         net2_before = snapshot(twins.net2)
         net1_before = snapshot(twins.net1)
-        report, sel = select(twins, 1, ds, CUTOFF, FLAGS)
+        report, sel = select(twins, 1, ds, FLAGS)
         train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
         assert params_equal(net2_before, snapshot(twins.net2))
         assert not params_equal(net1_before, snapshot(twins.net1))
@@ -569,8 +568,8 @@ class TestTrainEpoch:
     def test_epoch_is_deterministic(self):
         ds, hp, twins_a = self._setup()
         _, _, twins_b = self._setup()
-        ssl_epoch(twins_a, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
-        ssl_epoch(twins_b, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+        ssl_epoch(twins_a, ds, hp, AUG, FLAGS, epoch=1)
+        ssl_epoch(twins_b, ds, hp, AUG, FLAGS, epoch=1)
         assert params_equal(snapshot(twins_a.net1), snapshot(twins_b.net1))
         assert params_equal(snapshot(twins_a.net2), snapshot(twins_b.net2))
 
@@ -631,7 +630,7 @@ class TestTrainEpoch:
         # mixed against their parts of one shuffle of the union in two mixup calls
         ds, hp, twins = self._setup()
         _, _, ref_twins = self._setup()
-        report, sel = select(twins, 1, ds, CUTOFF, FLAGS)
+        report, sel = select(twins, 1, ds, FLAGS)
         assert len(sel.clean_indices) and len(sel.noisy_indices)
         rec = train_half_epoch(twins, 1, ds, hp, AUG, flags, 1, report, sel)
         net, targets = ref_twins.net1, one_hot(ds.given_labels, 3)
@@ -725,7 +724,7 @@ class TestTrainEpoch:
         monkeypatch.setattr(Matrix, "__init__", counting_init)
         for net_index in (1, 2):
             where[0] = "select"
-            report, sel = select(twins, net_index, ds, CUTOFF, flags)
+            report, sel = select(twins, net_index, ds, flags)
             where[0] = "half"
             assert train_half_epoch(twins, net_index, ds, hp, AUG, flags, 1,
                                     report, sel).degenerate is None
@@ -738,7 +737,7 @@ class TestTrainEpoch:
                             lambda z, kappa, tape=None: wrap(np.array([[np.nan]])))
         with pytest.raises(TrainingDivergedError,
                            match=r"^training diverged at epoch 1, net 1 \(ssl\): lc is not finite$"):
-            ssl_epoch(twins, ds, hp, AUG, CUTOFF, FLAGS, epoch=1)
+            ssl_epoch(twins, ds, hp, AUG, FLAGS, epoch=1)
         assert params_equal(before, snapshot(twins.net1))   # refused before the update
 
     def test_collapsed_projection_stops_ssl_step_at_lc(self):
@@ -866,7 +865,7 @@ class TestMatrixOnlyWhereReadOrRecorded:
         hp = Hyperparams(seed=3, batch_size=90, warmup_epochs=1, total_epochs=3)
         twins = init_twins(Arch(4, 16, 3, 4), seed=3)
         warmup_train(twins, ds, hp, 0)
-        report, sel = select(twins, 1, ds, CUTOFF, FLAGS)
+        report, sel = select(twins, 1, ds, FLAGS)
         wrapped, weak, blocks, outputs = [], [], [], []
         wrap_fn, record_fn = kernel.wrap, kernel.record
         softmax, logits, projection = (training.forward_softmax, training.forward_logits,
@@ -931,7 +930,7 @@ class TestTrainingDtype:
         monkeypatch.setattr(model, "_hidden", checked_hidden)
         monkeypatch.setattr(training, "backward", checked_backward)
         warmup_train(twins, ds, hp, 0)
-        report, sel = select(twins, 1, ds, CUTOFF, FLAGS)
+        report, sel = select(twins, 1, ds, FLAGS)
         rec = train_half_epoch(twins, 1, ds, hp, AUG, FLAGS, 1, report, sel)
         assert rec.degenerate is None and rec.losses["lc"] != 0.0   # every term ran
         assert report.d.dtype == np.float64   # selection reads float64 divergences
